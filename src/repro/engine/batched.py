@@ -2,8 +2,8 @@
 
 Instead of simulating one task-completion event at a time, this engine
 expands the whole search frontier level by level with the bulk kernels in
-:mod:`repro.setops.bulk` — one grouped neighbour gather plus a handful of
-boolean masks per level, regardless of how many tasks the level contains.
+:mod:`repro.setops.bulk` — one rank-bounded neighbour gather plus a handful
+of boolean masks per level, regardless of how many tasks the level contains.
 Functional results (embedding counts) are exact and identical to the
 ``event`` engine and the software reference; cycles are charged in
 aggregate by the analytic model in

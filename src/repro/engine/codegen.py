@@ -4,19 +4,21 @@ Where the ``batched`` engine interprets a generic level loop against the
 plan's :class:`~repro.patterns.plan.LevelSpec` records, this backend runs
 *compiled* source emitted by
 :func:`repro.patterns.codegen.emit_plan_source`: the level loop is
-unrolled, symmetry-break bounds and distinctness/label filters are fused
-into pattern-constant predicates, and the adjacency probes are
-straight-line statements — the software analogue of the paper's claim
+unrolled, symmetry-break bounds become the spans of rank-bounded gathers
+over pattern-constant columns, distinctness/label filters are fused
+predicates, the adjacency probes are straight-line statements, and a
+level that merely extends its parent's stored set draws its candidates
+from the parent's survivors — the software analogue of the paper's claim
 that specialising the execution substrate to the (pattern-constant) plan
 is where the raw speed lives.
 
-The emitted algebra replays ``FrontierExpander.expand`` statement for
-statement, so embedding counts *and* the per-level aggregates feeding the
-analytic temporal model are byte-identical to the ``batched`` engine; the
-two backends differ only in dispatch overhead.  Kernels are cached per
-plan structure (see :func:`repro.patterns.codegen.kernel_cache_key`), so
-the one-time emission + ``exec`` cost amortises across runs, root chunks
-and configs.
+The emitted algebra computes the same sets as ``FrontierExpander.expand``
+and charges every set operation the same input size, so embedding counts
+*and* the per-level aggregates feeding the analytic temporal model are
+byte-identical to the ``batched`` engine, which stays the interpreted
+reference.  Kernels are cached per plan structure (see
+:func:`repro.patterns.codegen.kernel_cache_key`), so the one-time emission
++ ``exec`` cost amortises across runs, root chunks and configs.
 
 Roots are processed in chunks (same policy as ``batched``) so peak
 frontier memory stays bounded.
@@ -81,7 +83,7 @@ class CodegenEngine(Engine):
             config.siu_kind, config.segment_width, config.bitmap_width
         )
         # the expander supplies the graph-side state the kernel closes
-        # over: the adjacency oracle, row-word geometry and root filter
+        # over: span search, adjacency oracle, row-word geometry, roots
         expander = FrontierExpander(graph, plan, siu.bitmap_width)
         kernel = compile_plan_kernel(
             plan, use_labels=graph.labels is not None
@@ -124,13 +126,14 @@ class CodegenEngine(Engine):
     ) -> None:
         """Run the compiled kernel once per root chunk into ``merged``."""
         graph = expander.graph
+        spans = expander.spans
         adjacent = expander.adjacent
         rw = expander.row_words
         for start in range(0, all_roots.shape[0], self.root_chunk):
             emb = all_roots[start : start + self.root_chunk]
             # one call covers every level for this chunk — the unrolled
             # kernel returns as soon as a frontier empties
-            steps = kernel.fn(graph, adjacent, rw, emb)
+            steps = kernel.fn(graph, spans, adjacent, rw, emb)
             for step in steps:
                 agg = merged[step.level - 1]
                 agg.tasks += step.tasks

@@ -11,10 +11,10 @@ prune the survivors.  Both execution engines consume it:
 * the ``batched`` backend expands a whole frontier level at once with the
   bulk kernels in :mod:`repro.setops.bulk`, charging analytic cycles in
   aggregate;
-* the ``codegen`` backend replays the same per-level algebra from
+* the ``codegen`` backend runs the same per-level algebra from
   plan-specialised compiled source (:mod:`repro.patterns.codegen`), using
-  :class:`FrontierExpander` only for its adjacency oracle and row-word
-  geometry.
+  :class:`FrontierExpander` only for its adjacency oracle, bound-to-span
+  search and row-word geometry.
 
 Nothing here touches the memory hierarchy, the SIU models or the clock, so
 these kernels are trivially reusable by future backends (multiprocess
@@ -24,6 +24,7 @@ sharding, GPU, ...) that only need the functional result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ..setops.bulk import (
     edge_keys,
     gather_rows,
     packed_adjacency,
+    row_spans,
 )
 from ..setops.reference import difference_sorted, intersect_sorted
 
@@ -220,11 +222,18 @@ class FrontierExpander:
     ) -> None:
         self.graph = graph
         self.plan = plan
+        # graph-derived indexes, memoised on the graph across queries.
         # adjacency oracle: packed bitset (one byte gather per query) for
         # small graphs, sorted edge-key binary search beyond the size cap
-        self._adj_bits = packed_adjacency(graph)
-        self._keys = None if self._adj_bits is not None else edge_keys(graph)
-        self._row_words = row_word_counts(graph, bitmap_width)
+        self._adj_bits = graph.derived("adj_bits", packed_adjacency, graph)
+        self._keys = graph.derived("edge_keys", edge_keys, graph)
+        self._row_words = graph.derived(
+            ("row_words", bitmap_width), row_word_counts, graph, bitmap_width
+        )
+        #: ``spans(src, upper=None, lower=None)``: the CSR span of each
+        #: ``N(src[i])`` inside its bounds (:func:`row_spans`); public, like
+        #: :meth:`adjacent`, because compiled plan kernels call it
+        self.spans = partial(row_spans, graph, self._keys)
 
     @property
     def row_words(self) -> np.ndarray:
@@ -239,7 +248,6 @@ class FrontierExpander:
         """
         if self._adj_bits is not None:
             return bulk_adjacency_bits(self._adj_bits, u, v)
-        assert self._keys is not None
         return bulk_adjacency(self._keys, self.graph.num_vertices, u, v)
 
     def roots(self, vertices: np.ndarray | None = None) -> np.ndarray:
@@ -263,7 +271,7 @@ class FrontierExpander:
         optimisations for the one-task-at-a-time engines; the bulk
         formulation computes each level directly from its full
         ``deps``/``anti_deps`` (algebraically identical), so every level is
-        a gather plus a sequence of bulk masks.
+        a rank-bounded gather plus a sequence of bulk masks.
         """
         graph = self.graph
         lv: LevelSpec = self.plan.levels[level]
@@ -275,25 +283,35 @@ class FrontierExpander:
             return out
         rw = self._row_words
         src = emb[:, lv.deps[0]]
-        cand, owner = gather_rows(graph, src)
+        # symmetry bounds select a span of the sorted row *before* the
+        # gather, so the neighbours they discard are never materialised
+        if lv.upper_bounds or lv.lower_bounds:
+            lo, hi = self.spans(
+                src,
+                emb[:, lv.upper_bounds].min(axis=1)
+                if lv.upper_bounds else None,
+                emb[:, lv.lower_bounds].max(axis=1)
+                if lv.lower_bounds else None,
+            )
+            cand, owner = gather_rows(graph, src, lo, hi)
+        else:
+            cand, owner = gather_rows(graph, src)
         out.words_in += int(rw[src].sum())
-        # cheap per-candidate filters first — bounds, distinctness, labels
-        # (bulk apply_filters) — to shrink the frontier before the dominant
-        # adjacency probes; every filter is an independent per-element
-        # predicate, so the surviving set is order-invariant
-        keep = np.ones(cand.size, dtype=bool)
-        if lv.upper_bounds:
-            bound = emb[:, lv.upper_bounds].min(axis=1)
-            keep &= cand < bound[owner]
-        if lv.lower_bounds:
-            bound = emb[:, lv.lower_bounds].max(axis=1)
-            keep &= cand > bound[owner]
-        for p in lv.exclude:
-            keep &= cand != emb[owner, p]
+        # remaining cheap per-candidate filters — distinctness, labels —
+        # shrink the frontier before the dominant adjacency probes; every
+        # filter is an independent per-element predicate, so the surviving
+        # set is order-invariant
+        predicates = [cand != emb[:, p][owner] for p in lv.exclude]
         if lv.label is not None and graph.labels is not None:
-            keep &= graph.labels[cand] == lv.label
-        cand = cand[keep]
-        owner = owner[keep]
+            predicates.append(graph.labels[cand] == lv.label)
+        if predicates:
+            keep = predicates[0]
+            for extra in predicates[1:]:
+                keep &= extra
+            # compress by index: far cheaper than two boolean-mask scans
+            keep = np.flatnonzero(keep)
+            cand = cand[keep]
+            owner = owner[keep]
         # bulk intersections / differences against the other matched rows
         for masks, invert in ((lv.deps[1:], False), (lv.anti_deps, True)):
             for p in masks:
@@ -302,9 +320,10 @@ class FrontierExpander:
                 out.words_in += other_words
                 out.set_ops += n_rows
                 out.comparisons += int(cand.size) + other_words
-                keep = self.adjacent(emb[owner, p], cand)
+                keep = self.adjacent(emb[:, p][owner], cand)
                 if invert:
                     np.logical_not(keep, out=keep)
+                keep = np.flatnonzero(keep)
                 cand = cand[keep]
                 owner = owner[keep]
         out.words_out += int(cand.size)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,6 +90,10 @@ class CSRGraph:
     #: optional per-vertex labels (int array of length n) for labelled GPM
     labels: np.ndarray | None = None
     _degrees: np.ndarray = field(init=False, repr=False)
+    #: indexes derived from the (immutable) CSR arrays, see :meth:`derived`
+    _derived: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -154,6 +158,23 @@ class CSRGraph:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))
         return i < row.size and int(row[i]) == v
+
+    def derived(self, key: Hashable, build: Callable[..., Any], *args) -> Any:
+        """``build(*args)`` memoised on this instance under ``key``.
+
+        For indexes that are pure functions of ``indptr``/``indices`` (edge
+        keys, adjacency bitset, row word counts): built by the first query,
+        reused by later ones, never pickled, fingerprinted or compared.
+        Threads racing on a cold key both build equal values; last wins.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(*args)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_derived": {}}
 
     def fingerprint(self) -> str:
         """Stable content hash of the graph's structure and labels.

@@ -14,19 +14,23 @@ Plan-compiled software kernels
 The same compilation idea applied to the software engines: where the
 ``batched`` backend interprets a generic level loop against the plan's
 ``LevelSpec`` tuples, :func:`emit_plan_source` emits *real NumPy source*
-specialised to one plan — the loop nest is unrolled per level, candidate
-filters are fused (a single symmetry bound compiles to one comparison, not
-a ``min``-reduce over a one-element axis), bound/exclude positions and
-labels are baked in as constants, and the adjacency probes appear as
-straight-line statements.  :func:`compile_plan_kernel` ``exec``-compiles
+specialised to one plan — the loop nest is unrolled per level, symmetry
+bounds become the span of a rank-bounded gather (a single bound position
+is one column, not a ``min``-reduce over a one-element axis),
+bound/exclude positions and labels are baked in as constants, the
+adjacency probes appear as straight-line statements, and a level that
+only extends its parent's stored set by one probe and one bound draws its
+candidates from the parent's survivors instead of gathering again
+(:func:`_reuses_parent`).  :func:`compile_plan_kernel` ``exec``-compiles
 that source and caches the result per :func:`kernel_cache_key` — plan
 structure plus the graph's labelledness; none of the ``SystemConfig``
 timing knobs reach the functional source, so every config shares one
-kernel per plan.  The generated algebra replays
-``FrontierExpander.expand`` exactly, statement for statement, so counts
-*and* the analytic cycle aggregates are byte-identical to the ``batched``
-engine (the ``codegen`` backend in :mod:`repro.engine.codegen` is built on
-this guarantee).
+kernel per plan.  The generated algebra computes the same sets as
+``FrontierExpander.expand`` and charges every set operation the same
+input size — a reused probe's from its span — so counts *and* the
+analytic cycle aggregates are byte-identical to the ``batched`` engine
+(the ``codegen`` backend in :mod:`repro.engine.codegen` is built on this
+guarantee, and the golden-aggregate test holds both to it).
 
 Encoding layout (LSB first):
 
@@ -236,21 +240,62 @@ def decode_task_op(word: int) -> TaskOp:
 # -- plan-compiled software kernels ------------------------------------------
 
 
-def _emit_bound(lv: LevelSpec, op: str, positions: tuple[int, ...]) -> str:
-    """The fused bound predicate: one comparison for a single position,
-    a reduce over the pattern-constant column tuple otherwise."""
-    if len(positions) == 1:
-        return f"cand {op} emb[owner, {positions[0]}]"
-    reduce = "min" if op == "<" else "max"
-    cols = ", ".join(str(p) for p in positions)
-    return f"cand {op} emb[:, ({cols})].{reduce}(axis=1)[owner]"
+def _emit_spans(lv: LevelSpec) -> str:
+    """The ``spans(...)`` call turning a level's bounds into CSR spans: a
+    single bound position is one column, several reduce over the
+    pattern-constant column tuple."""
+    args = ["src"]
+    for kw, reduce, positions in (
+        ("upper", "min", lv.upper_bounds), ("lower", "max", lv.lower_bounds)
+    ):
+        if len(positions) == 1:
+            args.append(f"{kw}=emb[:, {positions[0]}]")
+        elif positions:
+            cols = ", ".join(str(p) for p in positions)
+            args.append(f"{kw}=emb[:, ({cols})].{reduce}(axis=1)")
+    return f"lo, hi = spans({', '.join(args)})"
+
+
+def _reuses_parent(
+    levels: tuple[LevelSpec, ...], level: int, use_labels: bool
+) -> bool:
+    """Can ``level`` draw its candidates from its parent's survivors?
+
+    Exact when the parent's surviving ``(cand, owner)`` segments *are* this
+    level's set after its first probe, up to one new bound: the level adds
+    the probe of ``u[level-1]`` and the bound ``< u[level-1]`` to a parent
+    that issued exactly one probe, and neither filters by distinctness or
+    label.  Segments are sorted, so "below ``u[level-1]``" is each
+    survivor's predecessors in its own segment.
+    """
+    lv, parent = levels[level], levels[level - 1]
+    return (
+        lv.base == level - 1
+        and lv.extra_deps == (level - 1,)
+        and not (lv.extra_anti or lv.exclude)
+        and len(parent.deps) == 2
+        and not (parent.anti_deps or parent.exclude)
+        and lv.upper_bounds == parent.upper_bounds + (level - 1,)
+        and lv.lower_bounds == parent.lower_bounds
+        and not (use_labels and (lv.label, parent.label) != (None, None))
+    )
+
+
+def _emit_charge(w: list[str], p: int, prior: str) -> None:
+    """Charge one set operation against ``N(u[p])`` whose input set holds
+    ``prior`` elements (the aggregates the analytic timing model reads)."""
+    w.append(f"    other_words = int(rw[emb[:, {p}]].sum())")
+    w.append("    out.words_in += other_words")
+    w.append("    out.set_ops += n_rows")
+    w.append(f"    out.comparisons += {prior} + other_words")
 
 
 def _emit_level(
-    lv: LevelSpec, level: int, is_leaf: bool, collection: str,
-    use_labels: bool,
+    levels: tuple[LevelSpec, ...], level: int, is_leaf: bool,
+    collection: str, use_labels: bool,
 ) -> list[str]:
     """Source lines (function-body indent) for one unrolled plan level."""
+    lv = levels[level]
     w = lines = []
     w.append(f"    # -- level {level}: {lv.describe()}")
     w.append("    if emb.shape[0] == 0:")
@@ -262,34 +307,45 @@ def _emit_level(
     )
     w.append("    levels.append(out)")
     w.append(f"    src = emb[:, {lv.deps[0]}]")
-    w.append("    cand, owner = gather_rows(graph, src)")
     w.append("    out.words_in += int(rw[src].sum())")
-    # cheap per-candidate filters, fused into pattern-constant predicates
-    predicates: list[str] = []
-    if lv.upper_bounds:
-        predicates.append(_emit_bound(lv, "<", lv.upper_bounds))
-    if lv.lower_bounds:
-        predicates.append(_emit_bound(lv, ">", lv.lower_bounds))
-    for p in lv.exclude:
-        predicates.append(f"cand != emb[owner, {p}]")
+    probes = [
+        *((p, False) for p in lv.deps[1:]),
+        *((p, True) for p in lv.anti_deps),
+    ]
+    if _reuses_parent(levels, level, use_labels):
+        # cand/owner still hold the parent's survivors, one per row of emb.
+        # The probe that produced them is charged, not re-issued: its input
+        # was the bounded row (the span), its output the prefixes gathered
+        (p, _), *probes = probes
+        w.append(f"    # parent-set reuse: S{level - 1} below u{level - 1}")
+        w.append(f"    {_emit_spans(lv)}")
+        _emit_charge(w, p, "int((hi - lo).sum())")
+        w.append("    sizes = np.bincount(owner)")
+        w.append("    first = (np.cumsum(sizes) - sizes)[owner]")
+        w.append(
+            "    cand, owner = gather_spans(cand, first, np.arange(n_rows))"
+        )
+    elif lv.upper_bounds or lv.lower_bounds:
+        w.append(f"    {_emit_spans(lv)}")
+        w.append("    cand, owner = gather_rows(graph, src, lo, hi)")
+    else:
+        w.append("    cand, owner = gather_rows(graph, src)")
+    # remaining cheap filters as pattern-constant predicates (none on reuse)
+    predicates = [f"cand != emb[:, {p}][owner]" for p in lv.exclude]
     if use_labels and lv.label is not None:
         predicates.append(f"graph.labels[cand] == {lv.label}")
     for i, pred in enumerate(predicates):
         w.append(f"    keep {'=' if i == 0 else '&='} {pred}")
     if predicates:
+        # compress by index: far cheaper than two boolean-mask scans
+        w.append("    keep = np.flatnonzero(keep)")
         w.append("    cand = cand[keep]")
         w.append("    owner = owner[keep]")
     # straight-line adjacency probes, one per remaining dependency
-    for p, invert in (
-        *((p, False) for p in lv.deps[1:]),
-        *((p, True) for p in lv.anti_deps),
-    ):
-        w.append(f"    other_words = int(rw[emb[:, {p}]].sum())")
-        w.append("    out.words_in += other_words")
-        w.append("    out.set_ops += n_rows")
-        w.append("    out.comparisons += int(cand.size) + other_words")
-        probe = f"adjacent(emb[owner, {p}], cand)"
-        w.append(f"    keep = {'~' if invert else ''}{probe}")
+    for p, invert in probes:
+        _emit_charge(w, p, "int(cand.size)")
+        probe = f"adjacent(emb[:, {p}][owner], cand)"
+        w.append(f"    keep = np.flatnonzero({'~' if invert else ''}{probe})")
         w.append("    cand = cand[keep]")
         w.append("    owner = owner[keep]")
     w.append("    out.words_out += int(cand.size)")
@@ -310,15 +366,17 @@ def _emit_level(
 def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
     """Emit plan-specialised NumPy source for one frontier sweep.
 
-    The generated module defines ``kernel(graph, adjacent, rw, emb)`` —
-    *graph* the :class:`~repro.graph.csr.CSRGraph`, *adjacent* a bulk
-    edge-existence oracle, *rw* the per-vertex row-word counts and *emb*
-    the level-0 frontier (one root per row).  It returns the per-level
+    The generated module defines ``kernel(graph, spans, adjacent, rw,
+    emb)`` — *graph* the :class:`~repro.graph.csr.CSRGraph`, *spans* the
+    bound-to-CSR-span search and *adjacent* the bulk edge-existence oracle
+    (both from :class:`~repro.engine.functional.FrontierExpander`), *rw*
+    the per-vertex row-word counts and *emb* the level-0 frontier (one root
+    per row).  It returns the per-level
     :class:`~repro.engine.functional.FrontierLevel` records, identical in
     counts and aggregates to interpreting the plan with
     ``FrontierExpander.expand`` — but with the level loop unrolled, every
-    bound/exclude/label constant inlined, and no per-level attribute
-    dispatch.
+    bound/exclude/label constant inlined, no per-level attribute dispatch,
+    and parent-set reuse wherever :func:`_reuses_parent` proves it exact.
 
     ``use_labels`` bakes the plan's label predicates in; pass False when
     the target graph is unlabelled (the interpreter skips them too, so the
@@ -333,12 +391,12 @@ def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
         '"""',
         "",
         "",
-        "def kernel(graph, adjacent, rw, emb):",
+        "def kernel(graph, spans, adjacent, rw, emb):",
         "    levels = []",
     ]
     for level in range(1, plan.stop_level + 1):
         lines += _emit_level(
-            plan.levels[level],
+            plan.levels,
             level,
             is_leaf=level == plan.stop_level,
             collection=plan.collection,
@@ -388,12 +446,13 @@ def compile_plan_kernel(
     import numpy as np
 
     from ..engine.functional import FrontierLevel
-    from ..setops.bulk import gather_rows
+    from ..setops.bulk import gather_rows, gather_spans
 
     source = emit_plan_source(plan, use_labels)
     namespace: dict[str, Any] = {
         "np": np,
         "gather_rows": gather_rows,
+        "gather_spans": gather_spans,
         "FrontierLevel": FrontierLevel,
         "__name__": f"repro.patterns.codegen.kernel_{plan.pattern.name}",
     }

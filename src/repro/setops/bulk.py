@@ -25,6 +25,8 @@ __all__ = [
     "bulk_adjacency",
     "packed_adjacency",
     "bulk_adjacency_bits",
+    "row_spans",
+    "gather_spans",
     "gather_rows",
 ]
 
@@ -109,8 +111,58 @@ def bulk_adjacency_bits(
     return (byte >> sub) & 1 != 0
 
 
+def row_spans(
+    graph: CSRGraph,
+    keys: np.ndarray,
+    vertices: np.ndarray,
+    upper: np.ndarray | None = None,
+    lower: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR span ``[lo, hi)`` of each row's values in ``(lower, upper)``.
+
+    Rows are sorted, so a per-row bound is a *rank*: one binary search in
+    ``keys`` (this graph's :func:`edge_keys`) replaces a compare against
+    every gathered neighbour.  ``upper``/``lower`` hold one exclusive bound
+    per vertex (None = unbounded); any integer is accepted and an empty
+    interval yields ``lo == hi``.
+    """
+    lo = graph.indptr[vertices]
+    hi = lo + graph.degrees[vertices]
+    # int64 keys: an int32 vertex times n wraps from n = 46341 on
+    base = np.multiply(vertices, np.int64(graph.num_vertices), dtype=np.int64)
+    if upper is not None:
+        np.minimum(hi, np.searchsorted(keys, base + upper), out=hi)
+    if lower is not None:
+        np.maximum(
+            lo, np.searchsorted(keys, base + lower, side="right"), out=lo
+        )
+    return lo, np.maximum(hi, lo, out=hi)
+
+
+def gather_spans(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the slices ``values[lo[i]:hi[i]]`` in one gather;
+    returns them with ``owner[j]``, the ``i`` whose slice holds element j."""
+    deg = hi - lo
+    total = int(deg.sum())
+    owner = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
+    if total == 0:
+        return values[:0], owner
+    # each output element's position is its running index shifted by
+    # (span start − span output offset), one repeat instead of two
+    offsets = np.zeros(deg.size, dtype=np.int64)
+    np.cumsum(deg[:-1], out=offsets[1:])
+    pos = np.arange(total, dtype=np.int64)
+    pos += np.repeat(lo - offsets, deg)
+    return values[pos], owner
+
+
 def gather_rows(
-    graph: CSRGraph, vertices: np.ndarray
+    graph: CSRGraph,
+    vertices: np.ndarray,
+    lo: np.ndarray | None = None,
+    hi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate the neighbour rows of ``vertices`` in one gather.
 
@@ -118,18 +170,11 @@ def gather_rows(
     ``graph.neighbors(vertices[i])`` for each ``i`` in order and
     ``owner[j]`` is the index ``i`` whose row produced ``values[j]``.
     This is the grouped neighbour gather every frontier expansion starts
-    from.
+    from.  With ``lo``/``hi`` (from :func:`row_spans`) only that span of
+    each row is gathered: the neighbours a bound discards never materialise.
     """
-    vertices = np.asarray(vertices)
-    deg = graph.degrees[vertices]
-    total = int(deg.sum())
-    owner = np.repeat(np.arange(vertices.size, dtype=np.int64), deg)
-    if total == 0:
-        return graph.indices[:0], owner
-    # each output element's CSR position is its running index shifted by
-    # (row start − row output offset), one repeat instead of two
-    offsets = np.zeros(vertices.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(graph.indptr[vertices] - offsets, deg)
-    return graph.indices[pos], owner
+    if lo is None:
+        vertices = np.asarray(vertices)
+        lo = graph.indptr[vertices]
+        hi = lo + graph.degrees[vertices]
+    return gather_spans(graph.indices, lo, hi)

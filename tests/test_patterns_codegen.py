@@ -197,18 +197,51 @@ class TestKernelCache:
 
 class TestEmittedSource:
     def test_single_bound_fuses_to_one_comparison(self):
-        # TT carries exactly one upper bound per bounded level: it must
-        # compile to a direct compare, never a reduce over one column
+        # TT carries exactly one upper bound on its one bounded level: the
+        # bound becomes the span of a rank-bounded gather taken straight
+        # from its column — no reduce over one column, no compare after
         source = emit_plan_source(build_plan(PATTERNS["TT"]))
-        assert "cand < emb[owner, 1]" in source
+        assert "lo, hi = spans(src, upper=emb[:, 1])" in source
+        assert source.count("gather_rows(graph, src, lo, hi)") == 1
+        assert source.count("gather_rows(graph, src)") == 2  # unbounded
         assert ".min(axis=1)" not in source
+        assert "cand <" not in source and "cand >" not in source
 
     def test_multi_bound_fuses_to_constant_column_reduce(self):
         # 3CF level 2 is bounded by both u0 and u1 — the columns appear
-        # as a pattern-constant tuple
+        # as a pattern-constant tuple inside the span search
         source = emit_plan_source(build_plan(PATTERNS["3CF"]))
-        assert "cand < emb[owner, 0]" in source  # level 1, single bound
-        assert "emb[:, (0, 1)].min(axis=1)[owner]" in source  # level 2
+        assert "spans(src, upper=emb[:, 0])" in source  # level 1
+        assert "spans(src, upper=emb[:, (0, 1)].min(axis=1))" in source
+        # one bounded gather per bounded level, nothing filtered afterwards
+        assert source.count("gather_rows(graph, src, lo, hi)") == 2
+        assert "gather_rows(graph, src)" not in source
+        assert "cand <" not in source
+
+    def test_parent_set_reuse_only_where_exact(self):
+        # 4CF level 3 extends S2 by one probe and one bound: its candidates
+        # come from level 2's survivors, its first probe is only charged
+        source = emit_plan_source(build_plan(PATTERNS["4CF"]))
+        level3 = source[source.index("# -- level 3:"):]
+        assert "# parent-set reuse: S2 below u2" in level3
+        assert "gather_spans(cand, first, np.arange(n_rows))" in level3
+        assert "gather_rows" not in level3
+        assert "comparisons += int((hi - lo).sum()) + other_words" in level3
+        assert level3.count("adjacent(") == 1  # only u2 is probed
+        assert source.count("parent-set reuse") == 1
+        # 5CF: level 3 reuses, level 4's parent issued two probes of its own
+        five = emit_plan_source(build_plan(PATTERNS["5CF"]))
+        assert five.count("parent-set reuse") == 1
+        assert "gather_rows" in five[five.index("# -- level 4:"):]
+        # no clique chain, a distinctness filter, or a parent without a
+        # probe: every other plan takes the bounded gather
+        for name in ("3CF", "DIA", "TT", "CYC", "HOUSE", "WEDGE"):
+            assert "reuse" not in emit_plan_source(build_plan(PATTERNS[name]))
+        # a label predicate of its own also rules reuse out
+        assert "reuse" not in emit_plan_source(
+            build_plan(PATTERNS["4CF"].with_labels((0, 0, 0, 0))),
+            use_labels=True,
+        )
 
     def test_level_loop_is_unrolled(self):
         plan = build_plan(PATTERNS["4CF"])

@@ -1,0 +1,154 @@
+"""Rank-bounded gathers and the per-graph index memo."""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import xset_default
+from repro.engine import functional, get_engine
+from repro.graph import CSRGraph, erdos_renyi
+from repro.patterns import PATTERNS, build_plan
+from repro.setops.bulk import edge_keys, gather_rows, gather_spans, row_spans
+
+
+def _filtered_full_gather(graph, vertices, upper, lower):
+    """The reference: gather whole rows, then compare every element."""
+    cand, owner = gather_rows(graph, vertices)
+    keep = np.ones(cand.size, dtype=bool)
+    if upper is not None:
+        keep &= cand < upper[owner]
+    if lower is not None:
+        keep &= cand > lower[owner]
+    return cand[keep], owner[keep]
+
+
+def _bounded_gather(graph, vertices, upper, lower):
+    lo, hi = row_spans(graph, edge_keys(graph), vertices, upper, lower)
+    return gather_rows(graph, vertices, lo, hi)
+
+
+@st.composite
+def graph_and_bounds(draw):
+    n = draw(st.integers(1, 24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    # sparse edge lists leave degree-0 rows; vertices may repeat
+    graph = CSRGraph.from_edges(n, draw(st.lists(pairs, max_size=3 * n)))
+    rows = draw(st.integers(0, 12))
+    vertices = np.array(
+        draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)),
+        dtype=np.int32,
+    )
+    # bounds reach past both ends of the ID range, and cross each other
+    bound = st.lists(
+        st.integers(-3, n + 3), min_size=rows, max_size=rows
+    ).map(lambda xs: np.array(xs, dtype=np.int32))
+    upper = draw(st.one_of(st.none(), bound))
+    lower = draw(st.one_of(st.none(), bound))
+    return graph, vertices, upper, lower
+
+
+class TestBoundedGather:
+    @given(graph_and_bounds())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_filtered_full_gather(self, case):
+        graph, vertices, upper, lower = case
+        got = _bounded_gather(graph, vertices, upper, lower)
+        want = _filtered_full_gather(graph, vertices, upper, lower)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_default_spans_are_the_whole_rows(self, small_er):
+        vertices = np.array([3, 3, 0, 29], dtype=np.int32)
+        lo, hi = row_spans(small_er, edge_keys(small_er), vertices)
+        assert np.array_equal(lo, small_er.indptr[vertices])
+        assert np.array_equal(hi, small_er.indptr[vertices + 1])
+        for got, want in zip(
+            gather_rows(small_er, vertices, lo, hi),
+            gather_rows(small_er, vertices),
+        ):
+            assert np.array_equal(got, want)
+
+    def test_crossed_and_empty_bounds_gather_nothing(self, small_er):
+        vertices = np.arange(small_er.num_vertices, dtype=np.int32)
+        same = np.full(vertices.size, 7, dtype=np.int32)
+        for upper, lower in ((same, same), (same - 3, same), (same * 0, None)):
+            cand, owner = _bounded_gather(small_er, vertices, upper, lower)
+            assert cand.size == 0 and owner.size == 0
+
+    def test_keys_do_not_wrap_past_int32(self):
+        # from n = 46341 on, int32 u * n + v overflows; the spans are
+        # searched in int64 whatever dtype the embeddings carry
+        n = 50_000
+        hub = n - 1
+        nbrs = [5, 46_340, 46_341, 49_000, n - 2]
+        graph = CSRGraph.from_edges(n, [(hub, v) for v in nbrs])
+        vertices = np.array([hub, 46_341, 0, hub], dtype=np.int32)
+        upper = np.array([49_000, n, 3, 6], dtype=np.int32)
+        lower = np.array([5, -1, -1, 4], dtype=np.int32)
+        cand, owner = _bounded_gather(graph, vertices, upper, lower)
+        assert cand.tolist() == [46_340, 46_341, hub, 5]
+        assert owner.tolist() == [0, 0, 1, 3]
+        want = _filtered_full_gather(graph, vertices, upper, lower)
+        assert np.array_equal(cand, want[0])
+
+    def test_gather_spans_over_a_plain_array(self):
+        values = np.arange(10, 20)
+        got, owner = gather_spans(
+            values, np.array([0, 4, 4, 7]), np.array([2, 4, 6, 10])
+        )
+        assert got.tolist() == [10, 11, 14, 15, 17, 18, 19]
+        assert owner.tolist() == [0, 0, 2, 2, 3, 3, 3]
+
+
+class TestGraphIndexMemo:
+    @pytest.fixture
+    def graph(self):
+        return erdos_renyi(80, 9.0, seed=4, name="memo")
+
+    @staticmethod
+    def _count(graph, engine, pattern, **cfg):
+        config = xset_default(engine=engine, **cfg)
+        return get_engine(engine).run(
+            graph, build_plan(PATTERNS[pattern]), config
+        ).embeddings
+
+    def test_index_is_never_pickled_or_compared(self, graph):
+        before = len(pickle.dumps(graph))
+        fingerprint = graph.fingerprint()
+        self._count(graph, "codegen", "4CF")
+        self._count(graph, "batched", "3CF", bitmap_width=64)
+        assert len(pickle.dumps(graph)) == before
+        assert graph.fingerprint() == fingerprint
+        memo = {f.name: f for f in dataclasses.fields(graph)}["_derived"]
+        assert not memo.compare and not memo.repr and not memo.init
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone._derived == {} and graph._derived
+        assert clone.fingerprint() == fingerprint
+        assert self._count(clone, "codegen", "4CF") == self._count(
+            graph, "codegen", "4CF"
+        )
+
+    def test_second_query_builds_nothing(self, graph, monkeypatch):
+        want = self._count(graph, "codegen", "3CF")
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("graph index rebuilt on a warm graph")
+
+        for name in ("packed_adjacency", "edge_keys", "row_word_counts"):
+            monkeypatch.setattr(functional, name, rebuilt)
+        # same instance: other plans, the other engine, nothing is built
+        assert self._count(graph, "codegen", "3CF") == want
+        assert self._count(graph, "batched", "3CF") == want
+        self._count(graph, "codegen", "4CF")
+        # a new bitmap width is a new row-word geometry, and only that
+        with pytest.raises(AssertionError, match="rebuilt"):
+            self._count(graph, "batched", "3CF", bitmap_width=64)
+        # another instance of the same graph starts cold
+        with pytest.raises(AssertionError, match="rebuilt"):
+            self._count(erdos_renyi(80, 9.0, seed=4), "codegen", "3CF")
