@@ -69,13 +69,14 @@ def render_profile(profile: "ExecutionProfile") -> str:
                 profile.level_tasks.get(level, 0),
                 profile.level_elements.get(level, 0),
                 profile.level_comparisons.get(level, 0),
+                profile.level_bit_rows.get(level, 0),
             )
             for level in profile.levels
         ]
         lines.append("")
         lines.append(
             format_table(
-                ("level", "tasks", "elements", "comparisons"),
+                ("level", "tasks", "elements", "comparisons", "bit rows"),
                 rows,
                 title="per-level work",
             )

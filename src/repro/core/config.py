@@ -130,17 +130,24 @@ class SystemConfig:
         the report (engine, PE count, memory subsystem, ...) must be part
         of the key.  Nested dataclasses flatten to tuples and dict params
         to sorted item tuples so the result is hashable and
-        order-insensitive.
+        order-insensitive.  Derived once per (frozen) instance.
         """
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if is_dataclass(value):
-                value = (type(value).__name__,) + astuple(value)
-            elif isinstance(value, dict):
-                value = tuple(sorted(value.items()))
-            parts.append((f.name, value))
-        return tuple(parts)
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            parts = []
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if is_dataclass(value):
+                    value = (type(value).__name__,) + astuple(value)
+                elif isinstance(value, dict):
+                    value = tuple(sorted(value.items()))
+                parts.append((f.name, value))
+            key = self.__dict__["_cache_key"] = tuple(parts)
+        return key
+
+    def __getstate__(self) -> dict:
+        # the memoised key is derived state: never shipped to pool workers
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def xset_default(**overrides) -> SystemConfig:

@@ -3,7 +3,7 @@
 Instead of simulating one task-completion event at a time, this engine
 expands the whole search frontier level by level with the bulk kernels in
 :mod:`repro.setops.bulk` — one rank-bounded neighbour gather plus a handful
-of boolean masks per level, regardless of how many tasks the level contains.
+of boolean masks per level (AND + popcount over bit rows on a dense last one).
 Functional results (embedding counts) are exact and identical to the
 ``event`` engine and the software reference; cycles are charged in
 aggregate by the analytic model in
@@ -134,6 +134,7 @@ class BatchedEngine(Engine):
                         tasks=step.tasks,
                         elements=step.words_in,
                         comparisons=step.comparisons,
+                        bit_rows=step.bit_rows,
                     )
                 agg = merged[step_idx]
                 agg.tasks += step.tasks
@@ -142,6 +143,7 @@ class BatchedEngine(Engine):
                 agg.comparisons += step.comparisons
                 agg.words_in += step.words_in
                 agg.words_out += step.words_out
+                agg.bit_rows += step.bit_rows
                 emb = step.embeddings
                 if emb.shape[0] == 0:
                     break

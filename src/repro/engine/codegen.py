@@ -142,10 +142,12 @@ class CodegenEngine(Engine):
                 agg.comparisons += step.comparisons
                 agg.words_in += step.words_in
                 agg.words_out += step.words_out
+                agg.bit_rows += step.bit_rows
                 if ob is not None:
                     ob.level_add(
                         step.level,
                         tasks=step.tasks,
                         elements=step.words_in,
                         comparisons=step.comparisons,
+                        bit_rows=step.bit_rows,
                     )

@@ -32,11 +32,13 @@ from ..graph.csr import CSRGraph
 from ..patterns.executor import apply_filters
 from ..patterns.plan import LevelSpec, MatchingPlan
 from ..setops.bulk import (
+    bit_leaf_sizes,
     bulk_adjacency,
     bulk_adjacency_bits,
     edge_keys,
     gather_rows,
     packed_adjacency,
+    row_bounds,
     row_spans,
 )
 from ..setops.reference import difference_sorted, intersect_sorted
@@ -212,6 +214,8 @@ class FrontierLevel:
     comparisons: int = 0
     words_in: int = 0
     words_out: int = 0
+    #: rows answered word-parallel — which path ran, not a report aggregate
+    bit_rows: int = 0
 
 
 class FrontierExpander:
@@ -271,7 +275,8 @@ class FrontierExpander:
         optimisations for the one-task-at-a-time engines; the bulk
         formulation computes each level directly from its full
         ``deps``/``anti_deps`` (algebraically identical), so every level is
-        a rank-bounded gather plus a sequence of bulk masks.
+        a rank-bounded gather plus a sequence of bulk masks — or, the last
+        level where its sets are dense, ANDs and popcounts over bit rows.
         """
         graph = self.graph
         lv: LevelSpec = self.plan.levels[level]
@@ -283,58 +288,67 @@ class FrontierExpander:
             return out
         rw = self._row_words
         src = emb[:, lv.deps[0]]
-        # symmetry bounds select a span of the sorted row *before* the
-        # gather, so the neighbours they discard are never materialised
-        if lv.upper_bounds or lv.lower_bounds:
-            lo, hi = self.spans(
-                src,
-                emb[:, lv.upper_bounds].min(axis=1)
-                if lv.upper_bounds else None,
-                emb[:, lv.lower_bounds].max(axis=1)
-                if lv.lower_bounds else None,
-            )
-            cand, owner = gather_rows(graph, src, lo, hi)
-        else:
-            cand, owner = gather_rows(graph, src)
         out.words_in += int(rw[src].sum())
-        # remaining cheap per-candidate filters — distinctness, labels —
-        # shrink the frontier before the dominant adjacency probes; every
-        # filter is an independent per-element predicate, so the surviving
-        # set is order-invariant
-        predicates = [cand != emb[:, p][owner] for p in lv.exclude]
-        if lv.label is not None and graph.labels is not None:
-            predicates.append(graph.labels[cand] == lv.label)
-        if predicates:
-            keep = predicates[0]
-            for extra in predicates[1:]:
-                keep &= extra
-            # compress by index: far cheaper than two boolean-mask scans
-            keep = np.flatnonzero(keep)
-            cand = cand[keep]
-            owner = owner[keep]
-        # bulk intersections / differences against the other matched rows
-        for masks, invert in ((lv.deps[1:], False), (lv.anti_deps, True)):
-            for p in masks:
-                # one B-stream read per task (row), as the event engine does
-                other_words = int(rw[emb[:, p]].sum())
-                out.words_in += other_words
-                out.set_ops += n_rows
-                out.comparisons += int(cand.size) + other_words
+        probes = [(p, False) for p in lv.deps[1:]]
+        probes += [(p, True) for p in lv.anti_deps]
+        is_leaf = level == self.plan.stop_level
+        labels = graph.labels if lv.label is not None else None
+        # a terminal level only needs set sizes: where its sets are denser
+        # than the bit rows, AND + popcount them instead of gathering
+        leaf = is_leaf and bit_leaf_sizes(
+            graph, emb, lv.deps[0], lv.upper_bounds, lv.lower_bounds,
+            lv.exclude, probes, None if labels is None else lv.label,
+            1 + len(probes),
+        )
+        if leaf:
+            sizes, priors = leaf
+            out.bit_rows = n_rows
+            out.words_out = int(sizes.sum())
+        else:
+            # symmetry bounds select a span of the sorted row *before* the
+            # gather, so the neighbours they discard are never materialised
+            bounds = row_bounds(emb, lv.upper_bounds, lv.lower_bounds)
+            cand, owner = gather_rows(graph, src, *self.spans(src, *bounds))
+            # remaining cheap per-candidate filters — distinctness, labels —
+            # shrink the frontier before the dominant adjacency probes;
+            # every filter is an independent per-element predicate, so the
+            # surviving set is order-invariant
+            predicates = [cand != emb[:, p][owner] for p in lv.exclude]
+            if labels is not None:
+                predicates.append(labels[cand] == lv.label)
+            if predicates:
+                keep = predicates[0]
+                for extra in predicates[1:]:
+                    keep &= extra
+                # compress by index: far cheaper than two boolean-mask scans
+                keep = np.flatnonzero(keep)
+                cand = cand[keep]
+                owner = owner[keep]
+            # bulk intersections / differences against the other matched rows
+            priors = []
+            for p, invert in probes:
+                priors.append(int(cand.size))
                 keep = self.adjacent(emb[:, p][owner], cand)
                 if invert:
                     np.logical_not(keep, out=keep)
                 keep = np.flatnonzero(keep)
                 cand = cand[keep]
                 owner = owner[keep]
-        out.words_out += int(cand.size)
-        if level == self.plan.stop_level:
-            if self.plan.collection == "choose2":
+            out.words_out = int(cand.size)
+            if not is_leaf:
+                out.embeddings = np.column_stack([emb[owner], cand])
+            elif self.plan.collection == "choose2":
                 sizes = np.bincount(owner, minlength=n_rows)
-                out.count = int((sizes * (sizes - 1) // 2).sum())
             else:
-                out.count = int(cand.size)
-        else:
-            out.embeddings = np.column_stack([emb[owner], cand])
+                sizes = np.array([cand.size])
+        for (p, _), prior in zip(probes, priors):
+            # one B-stream read per task (row), as the event engine does
+            other_words = int(rw[emb[:, p]].sum())
+            out.words_in += other_words
+            out.set_ops += n_rows
+            out.comparisons += prior + other_words
+        if is_leaf:
+            out.count = int(leaf_count(sizes, self.plan.collection).sum())
         return out
 
 

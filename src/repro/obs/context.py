@@ -47,6 +47,7 @@ class Observation:
         #: PE activity traces handed over by the event-driven simulator
         self.activities: list["ActivityTrace"] = []
         #: ``{level: {"tasks": n, "elements": w, "comparisons": c}}``
+        #: (+ ``"bit_rows"`` where a frontier engine went word-parallel)
         self.levels: dict[int, dict[str, float]] = {}
         #: accumulated wall seconds per named stage
         self.stages: dict[str, float] = {}
@@ -71,6 +72,7 @@ class Observation:
         tasks: int = 0,
         elements: int = 0,
         comparisons: int = 0,
+        bit_rows: int = 0,
     ) -> None:
         """Accumulate per-search-tree-level work (engines call this)."""
         with self._lock:
@@ -82,6 +84,8 @@ class Observation:
             acc["tasks"] += tasks
             acc["elements"] += elements
             acc["comparisons"] += comparisons
+            if bit_rows:
+                acc["bit_rows"] = acc.get("bit_rows", 0.0) + bit_rows
 
     # -- export helpers ----------------------------------------------------
 

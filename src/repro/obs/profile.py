@@ -42,6 +42,8 @@ class ExecutionProfile:
     level_elements: dict[int, int] = field(default_factory=dict)
     #: comparator work per level
     level_comparisons: dict[int, int] = field(default_factory=dict)
+    #: tasks per level a frontier engine answered word-parallel on bit rows
+    level_bit_rows: dict[int, int] = field(default_factory=dict)
     #: memory-hierarchy outcome of the run
     cache: dict[str, float] = field(default_factory=dict)
     #: headline counters copied off the report
@@ -120,6 +122,10 @@ def build_profile(
         },
         level_comparisons={
             lv: int(acc["comparisons"]) for lv, acc in sorted(levels.items())
+        },
+        level_bit_rows={
+            lv: int(acc["bit_rows"]) for lv, acc in sorted(levels.items())
+            if "bit_rows" in acc
         },
         cache=cache,
         counters=counters,

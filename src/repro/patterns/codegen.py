@@ -21,14 +21,17 @@ bound/exclude positions and labels are baked in as constants, the
 adjacency probes appear as straight-line statements, and a level that
 only extends its parent's stored set by one probe and one bound draws its
 candidates from the parent's survivors instead of gathering again
-(:func:`_reuses_parent`).  :func:`compile_plan_kernel` ``exec``-compiles
+(:func:`_reuses_parent`); the terminal level is first offered to the
+word-parallel :func:`~repro.setops.bulk.bit_leaf_sizes`, which answers it
+where bit rows are cheaper.  :func:`compile_plan_kernel` ``exec``-compiles
 that source and caches the result per :func:`kernel_cache_key` — plan
 structure plus the graph's labelledness; none of the ``SystemConfig``
 timing knobs reach the functional source, so every config shares one
 kernel per plan.  The generated algebra computes the same sets as
 ``FrontierExpander.expand`` and charges every set operation the same
-input size — a reused probe's from its span — so counts *and* the
-analytic cycle aggregates are byte-identical to the ``batched`` engine
+input size — a reused probe's from its span, a bit row's from its
+popcount — so counts *and* the analytic cycle aggregates are
+byte-identical to the ``batched`` engine
 (the ``codegen`` backend in :mod:`repro.engine.codegen` is built on this
 guarantee, and the golden-aggregate test holds both to it).
 
@@ -281,13 +284,32 @@ def _reuses_parent(
     )
 
 
-def _emit_charge(w: list[str], p: int, prior: str) -> None:
+def _emit_charge(w: list[str], p: int, prior: str, pad: str = "    ") -> None:
     """Charge one set operation against ``N(u[p])`` whose input set holds
     ``prior`` elements (the aggregates the analytic timing model reads)."""
-    w.append(f"    other_words = int(rw[emb[:, {p}]].sum())")
-    w.append("    out.words_in += other_words")
-    w.append("    out.set_ops += n_rows")
-    w.append(f"    out.comparisons += {prior} + other_words")
+    w.append(f"{pad}other_words = int(rw[emb[:, {p}]].sum())")
+    w.append(f"{pad}out.words_in += other_words")
+    w.append(f"{pad}out.set_ops += n_rows")
+    w.append(f"{pad}out.comparisons += {prior} + other_words")
+
+
+def _emit_bit_leaf(w, lv, probes, collection, use_labels, elem_ops) -> None:
+    """The word-parallel form of a terminal level, for wherever the density
+    rule prefers it: charge each probe the popcount it took in, and return."""
+    w.append(
+        f"    leaf = bit_leaf_sizes(graph, emb, {lv.deps[0]}, "
+        f"{lv.upper_bounds}, {lv.lower_bounds}, {lv.exclude}, "
+        f"{tuple(probes)}, {lv.label if use_labels else None}, {elem_ops})"
+    )
+    w.append("    if leaf:")
+    w.append("        sizes, priors = leaf")
+    for k, (p, _) in enumerate(probes):
+        _emit_charge(w, p, f"priors[{k}]", pad="        ")
+    w.append("        out.words_out += int(sizes.sum())")
+    each = "(sizes * (sizes - 1) // 2)" if collection == "choose2" else "sizes"
+    w.append(f"        out.count = int({each}.sum())")
+    w.append("        out.bit_rows = n_rows")
+    w.append("        return levels")
 
 
 def _emit_level(
@@ -312,7 +334,13 @@ def _emit_level(
         *((p, False) for p in lv.deps[1:]),
         *((p, True) for p in lv.anti_deps),
     ]
-    if _reuses_parent(levels, level, use_labels):
+    reuses = _reuses_parent(levels, level, use_labels)
+    if is_leaf:
+        # array work per candidate in the span: the gather and every probe,
+        # or on parent-set reuse half a gather and one probe fewer
+        ops = 0.5 * len(probes) if reuses else 1 + len(probes)
+        _emit_bit_leaf(w, lv, probes, collection, use_labels, ops)
+    if reuses:
         # cand/owner still hold the parent's survivors, one per row of emb.
         # The probe that produced them is charged, not re-issued: its input
         # was the bounded row (the span), its output the prefixes gathered
@@ -446,13 +474,14 @@ def compile_plan_kernel(
     import numpy as np
 
     from ..engine.functional import FrontierLevel
-    from ..setops.bulk import gather_rows, gather_spans
+    from ..setops.bulk import bit_leaf_sizes, gather_rows, gather_spans
 
     source = emit_plan_source(plan, use_labels)
     namespace: dict[str, Any] = {
         "np": np,
         "gather_rows": gather_rows,
         "gather_spans": gather_spans,
+        "bit_leaf_sizes": bit_leaf_sizes,
         "FrontierLevel": FrontierLevel,
         "__name__": f"repro.patterns.codegen.kernel_{plan.pattern.name}",
     }

@@ -29,6 +29,7 @@ modes are compiled automatically (paper Figure 7):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from ..errors import PlanError
@@ -295,11 +296,18 @@ def build_plan(
     ``induced`` defaults per-pattern (see :data:`DEFAULT_INDUCED`);
     ``order`` overrides the heuristic matching order; ``collection`` forces a
     result-collection mode (``enumerate`` disables IEP collapses so every
-    embedding is spawned — needed by enumeration workloads).
+    embedding is spawned — needed by enumeration workloads).  Plans are
+    immutable and memoised: equal arguments share one :class:`MatchingPlan`.
     """
+    order = None if order is None else tuple(order)
+    return _build_plan(pattern, induced, order, collection)
+
+
+@lru_cache(maxsize=512)
+def _build_plan(pattern, induced, order, collection) -> MatchingPlan:
     if induced is None:
         induced = pattern.name in DEFAULT_INDUCED
-    order_t = tuple(order) if order is not None else choose_order(pattern)
+    order_t = order if order is not None else choose_order(pattern)
     if sorted(order_t) != list(range(pattern.num_vertices)):
         raise PlanError("order must be a permutation of the pattern vertices")
     restrictions = symmetry_restrictions(pattern)

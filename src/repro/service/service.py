@@ -687,11 +687,15 @@ class QueryService:
             job = self._queue.pop(self._clock())
             if job is None:
                 with self._cond:
-                    if not self._shutdown:
-                        self._cond.wait(0.05)
-                    elif self._in_flight == 0:
-                        return
-                continue
+                    # pushers enqueue, then notify under this lock: look
+                    # again holding it, or a job pushed since is slept on
+                    job = self._queue.pop(self._clock())
+                    if job is None:
+                        if not self._shutdown:
+                            self._cond.wait(0.05)
+                        elif self._in_flight == 0:
+                            return
+                        continue
             self._dispatch(job)
 
     def _drain_inline(self) -> None:

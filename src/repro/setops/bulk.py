@@ -15,6 +15,8 @@ timing.  The temporal layer charges cycles for them separately.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+
 import numpy as np
 
 from ..graph.csr import CSRGraph
@@ -25,6 +27,8 @@ __all__ = [
     "bulk_adjacency",
     "packed_adjacency",
     "bulk_adjacency_bits",
+    "bit_leaf_sizes",
+    "row_bounds",
     "row_spans",
     "gather_spans",
     "gather_rows",
@@ -34,6 +38,22 @@ __all__ = [
 #: (V * V / 8 bytes — 32 MB at the limit); beyond it adjacency queries
 #: fall back to binary search over the edge-key array
 PACKED_ADJ_MAX_VERTICES = 16384
+
+#: words per temporary of :func:`bit_leaf_sizes` (256 KB: a chunk's
+#: accumulator, operand and mask rows stay in L2 together)
+BIT_CHUNK_WORDS = 1 << 15
+
+# Unit costs of :func:`bit_rows_cheaper`, measured once with each path forced
+# on the terminal levels of 3CF/DIA/WEDGE/4CF/CYC/TT over nine graphs (WV, PP,
+# AS scaled, Erdős–Rényi; 200-3000 vertices, 4-51 words and 0.2-115 candidates
+# per row; NumPy 2.4, one core).  Levels of 3 k+ rows: 0.6-1.4 ns per pass over
+# one word of a bit row, 5-20 ns per element operation on arrays; bit rows won
+# every case with word passes < 10x element operations, tied at 10-15x, lost
+# beyond.  The rule's sample took 7-12 us alone, 17-21 us in a 0.3 ms kernel.
+BIT_WORD_NS = 1.0  #: per pass over one 64-bit word (gather + AND, popcount)
+ARRAY_ELEM_NS = 10.0  #: per candidate per gather or probe + compress
+RULE_NS = 20_000.0  #: a level whose bit rows cost less is not sampled
+RULE_SAMPLE_ROWS = 64  #: to twice as many; its searches run on cold keys
 
 
 def edge_keys(graph: CSRGraph) -> np.ndarray:
@@ -81,17 +101,19 @@ def packed_adjacency(
     Row ``u``, bit ``v`` (little-endian within each byte) says whether the
     edge ``(u, v)`` exists.  One byte gather plus a shift answers an
     adjacency query — far cheaper than the ``O(log E)`` probe of
-    :func:`bulk_adjacency` — at ``V²/8`` bytes of memory.
+    :func:`bulk_adjacency` — at ``V²/8`` bytes of memory.  Rows are padded
+    with zero bits to whole 64-bit words, so ``.view("<u8")`` is the same
+    matrix as word rows (what :func:`bit_leaf_sizes` ANDs).
     """
     n = graph.num_vertices
     if n == 0 or n > max_vertices:
         return None
-    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    bits = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
     # pack in row chunks so the dense staging buffer stays small
     chunk = max(1, (1 << 22) // max(n, 1))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        dense = np.zeros((hi - lo, n), dtype=bool)
+        dense = np.zeros((hi - lo, bits.shape[1] * 8), dtype=bool)
         span = slice(graph.indptr[lo], graph.indptr[hi])
         rows = np.repeat(
             np.arange(lo, hi, dtype=np.int64),
@@ -109,6 +131,107 @@ def bulk_adjacency_bits(
     sub = v & 7
     byte = bits[u, v >> 3]
     return (byte >> sub) & 1 != 0
+
+
+@lru_cache(maxsize=2)
+def prefix_masks(n: int) -> np.ndarray:
+    """Word rows ``below[v]`` with exactly the bits ``< v`` set, ``0..n``:
+    a function of ``n`` alone, so graph snapshots of one size share it."""
+    shift = np.clip(np.arange(n + 1)[:, None] - np.arange(0, n, 64), 0, 64)
+    part = (np.uint64(1) << (shift % 64).astype(np.uint64)) - np.uint64(1)
+    return np.where(shift == 64, ~np.uint64(0), part)  # 1 << 64 would wrap
+
+
+def row_bounds(rows: np.ndarray, upper: tuple, lower: tuple) -> tuple:
+    """Per-row ``(upper, lower)`` bounds, reduced column by column (no copy
+    for one column, and cheaper than a reduce over a short axis)."""
+    return (
+        reduce(np.minimum, (rows[:, c] for c in upper)) if upper else None,
+        reduce(np.maximum, (rows[:, c] for c in lower)) if lower else None,
+    )
+
+
+def bit_rows_cheaper(
+    graph: CSRGraph, width: int, emb: np.ndarray, src: int, upper: tuple,
+    lower: tuple, probes: int, elem_ops: float,
+) -> bool:
+    """Is a terminal level cheaper word-parallel than element by element?
+
+    Bit rows (``width`` words each) cost one pass per operand — source,
+    bound masks, ``probes`` — and per popcount; arrays cost ``elem_ops``
+    element operations (the gather and every probe; fewer on parent-set
+    reuse) per candidate inside the level's :func:`row_spans`, estimated on
+    a strided sample of rows so that choosing costs ``RULE_NS`` at any size.
+    """
+    passes = 2 + bool(upper) + bool(lower) + 2 * probes
+    bit_ns = width * passes * BIT_WORD_NS  # per row
+    if emb.shape[0] * bit_ns < RULE_NS:
+        return True  # the bit rows cost less than finding out
+    rows = emb[:: max(emb.shape[0] // RULE_SAMPLE_ROWS, 1)]
+    keys = graph.derived("edge_keys", edge_keys, graph)
+    lo, hi = row_spans(
+        graph, keys, rows[:, src], *row_bounds(rows, upper, lower)
+    )
+    return bit_ns * lo.size < int((hi - lo).sum()) * elem_ops * ARRAY_ELEM_NS
+
+
+def bit_leaf_sizes(
+    graph: CSRGraph, emb: np.ndarray, src: int, upper: tuple, lower: tuple,
+    exclude: tuple, probes: tuple | list, label: int | None, elem_ops: float,
+) -> tuple[np.ndarray, list[int]] | None:
+    """Sizes of a terminal level's candidate sets, 64 candidates per AND —
+    or None where :func:`bit_rows_cheaper` (or a missing bitset) says no.
+
+    Reads the graph's memoised :func:`packed_adjacency` as word rows.  Row
+    ``i``'s set is ``N(emb[i, src])`` strictly between the ``lower`` and
+    ``upper`` bound columns, minus the ``exclude`` columns' vertices, among
+    vertices labelled ``label`` (None: any), then intersected with (``anti``:
+    minus) ``N(emb[i, p])`` for each ``(p, anti)`` of ``probes`` in order.
+    Returns the per-row sizes and, per probe, the total size of the sets it
+    took in — what the element-at-a-time path reports as ``cand.size``.
+    """
+    bits = graph.derived("adj_bits", packed_adjacency, graph)
+    if bits is None or not bit_rows_cheaper(
+        graph, bits.shape[1] // 8, emb, src, upper, lower, len(probes),
+        elem_ops,
+    ):
+        return None
+    words = bits.view("<u8")
+    n, width = words.shape
+    below = prefix_masks(n)
+    if label is not None:
+        labels = np.pad(graph.labels == label, (0, width * 64 - n))
+        labels = np.packbits(labels, bitorder="little").view("<u8")
+    # row sums as a float32 matvec: exact (sizes < 2**24) and several
+    # times faster than an integer reduce over a short axis
+    ones = np.ones(width, dtype=np.float32)
+    sizes = np.empty(emb.shape[0], dtype=np.int64)
+    priors = [0] * len(probes)
+    step = max(BIT_CHUNK_WORDS // width, 1)
+    for start in range(0, emb.shape[0], step):
+        rows = emb[start : start + step]
+        # take() is twice as fast as fancy indexing on short rows
+        acc = words.take(rows[:, src], axis=0)
+        below_v, above_v = row_bounds(rows, upper, lower)
+        if upper:
+            acc &= below.take(below_v, axis=0)
+        if lower:
+            acc &= ~below.take(above_v + 1, axis=0)
+        for p in exclude:
+            v = rows[:, p]
+            acc[np.arange(v.size), v >> 6] &= ~(
+                np.uint64(1) << (v & 63).astype(np.uint64)
+            )
+        if label is not None:
+            acc &= labels
+        for k, (p, anti) in enumerate(probes):
+            priors[k] += int(np.bitwise_count(acc).sum(dtype=np.uint32))
+            other = words.take(rows[:, p], axis=0)
+            acc &= ~other if anti else other
+        sizes[start : start + step] = (
+            np.bitwise_count(acc).astype(np.float32) @ ones
+        )
+    return sizes, priors
 
 
 def row_spans(

@@ -187,3 +187,17 @@ class TestCacheKey:
         ):
             assert base.with_overrides(**override).cache_key() != \
                 base.cache_key(), override
+
+    def test_memoised_per_instance_and_never_pickled(self):
+        import pickle
+
+        base = xset_default()
+        cold = pickle.dumps(base)
+        key = base.cache_key()
+        assert base.cache_key() is key  # derived once
+        assert pickle.dumps(base) == cold  # not shipped to pool workers
+        # a copy derives its own: same fields, equal key; new field, new key
+        assert base.with_overrides().cache_key() is not key
+        assert base.with_overrides().cache_key() == key
+        assert base.with_overrides(num_pes=8).cache_key() != key
+        assert pickle.loads(cold) == base

@@ -1,5 +1,7 @@
 """Error hierarchy and public-API surface tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import errors
@@ -98,6 +100,14 @@ class TestPackageSurface:
         import repro
 
         assert repro.__version__ == "1.5.0"
+
+    def test_packaged_version_is_the_module_version(self):
+        import repro
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["version"] == repro.__version__
 
     def test_public_docstrings(self):
         """Every public class/function in the core API carries a docstring."""

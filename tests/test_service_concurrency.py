@@ -16,6 +16,8 @@ from a single thread here:
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
@@ -368,4 +370,54 @@ class TestCacheInvalidation:
         handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
         handle.result()
         assert not handle.from_cache
+        svc.shutdown()
+
+
+class TestDispatcherWakeup:
+    def test_job_pushed_after_an_empty_pop_is_not_slept_on(self, graph):
+        # pushers enqueue and then notify; a push landing between the
+        # dispatcher's empty pop and its wait used to be slept on for the
+        # full poll interval.  Interpose on pop: the instant it comes back
+        # empty, submit a job (its notify finds no waiter), and require the
+        # dispatcher to find that job without entering Condition.wait.
+        svc, gid = make_service(graph, mode="thread", max_workers=2)
+        real_pop, real_wait = svc._queue.pop, svc._cond.wait
+        late: list[JobHandle] = []
+        injected = threading.Event()
+        slept_on: list[JobStatus] = []
+
+        def pop(now):
+            job = real_pop(now)
+            if job is None and not late:
+                late.append(svc.submit(gid, PATTERNS["DIA"], engine="batched"))
+                injected.set()
+            return job
+
+        def wait(timeout=None):
+            if late and threading.current_thread() is svc._dispatcher:
+                slept_on.append(late[0].status)
+            return real_wait(timeout)
+
+        svc._queue.pop, svc._cond.wait = pop, wait
+        svc.submit(gid, PATTERNS["3CF"], engine="batched").result(timeout=60)
+        assert injected.wait(timeout=60)  # the next pop is the empty one
+        late[0].result(timeout=60)
+        assert JobStatus.PENDING not in slept_on
+        svc.shutdown()
+
+
+class TestPerSubmitConstants:
+    def test_submits_of_one_pattern_share_plan_and_config_key(self, graph):
+        # build_plan and SystemConfig.cache_key are pure functions of
+        # immutable arguments: submit derives neither twice
+        svc, gid = make_service(graph, start_paused=True)
+        same = dataclasses.replace(PATTERNS["DIA"])  # equal, not identical
+        for pattern in (PATTERNS["DIA"], same, PATTERNS["3CF"]):
+            svc.submit(gid, pattern)
+        dia, dia2, tri = (
+            job for _, _, job in sorted(svc._queue._heap, key=lambda e: e[1])
+        )
+        assert dia.plan is dia2.plan and dia.plan is not tri.plan
+        assert dia.cache_key.config_key is svc.config.cache_key()
+        assert dia2.cache_key.config_key is tri.cache_key.config_key
         svc.shutdown()

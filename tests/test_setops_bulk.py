@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,17 @@ from repro.core import xset_default
 from repro.engine import functional, get_engine
 from repro.graph import CSRGraph, erdos_renyi
 from repro.patterns import PATTERNS, build_plan
-from repro.setops.bulk import edge_keys, gather_rows, gather_spans, row_spans
+from repro.patterns.plan import LevelSpec
+from repro.setops import bulk
+from repro.setops.bulk import (
+    bit_leaf_sizes,
+    bulk_adjacency_bits,
+    edge_keys,
+    gather_rows,
+    gather_spans,
+    prefix_masks,
+    row_spans,
+)
 
 
 def _filtered_full_gather(graph, vertices, upper, lower):
@@ -152,3 +164,103 @@ class TestGraphIndexMemo:
         # another instance of the same graph starts cold
         with pytest.raises(AssertionError, match="rebuilt"):
             self._count(erdos_renyi(80, 9.0, seed=4), "codegen", "3CF")
+
+
+@st.composite
+def graph_rows_and_level(draw):
+    # small n makes random rows hit each other's neighbourhoods; word
+    # boundaries matter too: n = 64k - 1, 64k, 64k + 1
+    n = draw(st.one_of(
+        st.integers(1, 10), st.integers(11, 70),
+        st.sampled_from([63, 64, 65, 127, 128, 129]),
+    ))
+    vertex = st.integers(0, n - 1)
+    # sparse edge lists leave degree-0 rows
+    graph = CSRGraph.from_edges(
+        n, draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    )
+    if draw(st.booleans()):
+        graph.labels = np.array(
+            draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+    width = 4  # embedding columns any role may name, repeats allowed
+    rows = draw(st.integers(0, 12))
+    emb = np.array(
+        draw(st.lists(
+            st.lists(vertex, min_size=width, max_size=width),
+            min_size=rows, max_size=rows,
+        )),
+        dtype=np.int32,
+    ).reshape(rows, width)
+
+    def cols(most):
+        return tuple(draw(st.lists(
+            st.integers(0, width - 1), max_size=most
+        )))
+
+    level = LevelSpec(
+        position=1,
+        pattern_vertex=1,
+        deps=(draw(st.integers(0, width - 1)), *cols(2)),
+        anti_deps=cols(2),
+        upper_bounds=cols(3),
+        lower_bounds=cols(3),
+        exclude=cols(2),
+        label=draw(st.one_of(st.none(), st.integers(0, 2))),
+    )
+    plan = SimpleNamespace(
+        levels=(None, level), stop_level=1,
+        collection=draw(st.sampled_from(["count_last", "choose2"])),
+    )
+    return graph, emb, plan, draw(st.sampled_from([0, 8]))
+
+
+class TestBitLeaf:
+    @given(graph_rows_and_level())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_rows_equal_the_array_path(self, case):
+        # both representations called directly — the density rule is
+        # bypassed, so this holds wherever the rule may later draw the line
+        graph, emb, plan, bitmap_width = case
+        expander = functional.FrontierExpander(graph, plan, bitmap_width)
+        got = {}
+        for bits in (False, True):
+            with mock.patch.object(
+                bulk, "bit_rows_cheaper", return_value=bits
+            ):
+                step = expander.expand(1, emb)
+            assert step.bit_rows == (emb.shape[0] if bits else 0)
+            got[bits] = (step.count, step.set_ops, step.comparisons,
+                         step.words_in, step.words_out)
+        assert got[True] == got[False]
+
+    def test_one_adjacency_buffer_and_one_mask_table_per_size(self):
+        a = erdos_renyi(130, 7.0, seed=1)
+        b = erdos_renyi(130, 9.0, seed=2)  # another snapshot, same size
+        plan = build_plan(PATTERNS["DIA"])
+        for graph in (a, b):
+            get_engine("batched").run(graph, plan, xset_default())
+        bits = a._derived["adj_bits"]
+        assert bits.shape == (130, 24) and bits.dtype == np.uint8  # 3 words
+        words = bits.view("<u8")  # what the word-parallel leaf reads
+        assert np.shares_memory(words, bits) and words.shape == (130, 3)
+        u, v = np.nonzero(np.ones((130, 130), dtype=bool))
+        assert np.array_equal(
+            bulk_adjacency_bits(bits, u, v),
+            (words[u, v >> 6] >> (v & 63).astype(np.uint64)) & 1 != 0,
+        )
+        # no second n²/8 table: the memo holds what it held before
+        assert all(
+            set(g._derived) == {"adj_bits", "edge_keys", ("row_words", 8)}
+            for g in (a, b)
+        )
+        # the prefix masks depend on n alone: both graphs share one table
+        assert prefix_masks(130) is prefix_masks(130)
+        assert prefix_masks.cache_info().currsize <= 2
+
+    def test_graphs_above_the_bitset_cap_stay_on_arrays(self):
+        graph = erdos_renyi(40, 4.0, seed=3)
+        graph._derived["adj_bits"] = None  # as packed_adjacency caps it
+        emb = np.zeros((4, 2), dtype=np.int32)
+        assert bit_leaf_sizes(graph, emb, 0, (), (), (), (), None, 1) is None
