@@ -46,14 +46,13 @@ stays a readable story instead of one line per failed query.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -62,7 +61,7 @@ from ..errors import ClusterError, CommError
 from ..graph.csr import CSRGraph
 from ..obs import MetricsRegistry, Tracer
 from ..obs.cluster import TraceContext, new_trace_id
-from ..obs.export import chrome_trace_events
+from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.federation import FederatedMetrics, MetricsDeltaTracker
 from ..obs.flight import FlightRecorder
 from ..obs.slo import DEFAULT_SLOS, REPLICATED_SLOS, SLO, SLOStatus, \
@@ -95,6 +94,11 @@ PROFILE_LIMIT = 256
 
 #: recent per-shard request latencies kept for hedge-delay estimation
 LATENCY_WINDOW = 256
+
+#: consecutive comm failures that open a replica's breaker, and how long
+#: it then stays open before one probe request is let through
+BREAKER_FAILURE_THRESHOLD = 2
+BREAKER_RECOVERY_SECONDS = 30.0
 
 #: scatter deadline budget = predicted shard latency × this safety factor
 #: (applied only to profile-backed predictions, clamped to
@@ -276,11 +280,22 @@ class _ShardPlacement:
     local_hi: int
     halo_hops: int
     #: retained for re-shipping the slice to a rejoining replica
-    spec: "ShardSpec | None" = None
+    spec: ShardSpec
 
     @property
     def owned(self) -> int:
         return self.hi - self.lo
+
+
+def _register_payload(graph_id: str, spec: ShardSpec) -> dict:
+    """The ``register`` op that ships one shard slice to one replica."""
+    return {
+        "op": "register",
+        "graph_id": graph_id,
+        "graph": spec.graph,
+        "local_lo": spec.local_lo,
+        "local_hi": spec.local_hi,
+    }
 
 
 def _normalize_shards(
@@ -316,8 +331,6 @@ class Coordinator:
         *,
         request_timeout: float = 120.0,
         observability: bool = False,
-        breaker_failure_threshold: int = 2,
-        breaker_recovery_seconds: float = 30.0,
         slos: "Iterable[SLO] | None" = None,
         flight_dir: "str | Path | None" = None,
         retry: "RetryPolicy | None" = None,
@@ -385,9 +398,8 @@ class Coordinator:
         self._open_incidents: set[str] = set()
         self._failover_dumped = False
         self._breakers = BreakerBoard(
-            failure_threshold=breaker_failure_threshold,
-            recovery_seconds=breaker_recovery_seconds,
-            half_open_probes=1,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            recovery_seconds=BREAKER_RECOVERY_SECONDS,
             on_transition=self._on_breaker_transition,
         )
         self.metrics = MetricsRegistry()
@@ -497,19 +509,12 @@ class Coordinator:
         self,
         replica: _Replica,
         payload: dict,
-        span: "Span | None" = None,
         timeout: float | None = None,
     ):
-        """One breaker-guarded request to one replica.
-
-        ``span`` (a manually-started scatter span) is closed here, on
-        the scatter pool thread, so its duration covers the request —
-        not the coordinator's wait for slower siblings.
-        """
+        """One breaker-guarded request to one replica."""
         sg = self._group_by_replica[replica.name]
         breaker = self._breakers.for_engine(replica.name)
         if not breaker.allow():
-            self._end_scatter_span(span, "breaker_open")
             raise ClusterError(
                 f"shard {replica.name!r} breaker is open "
                 f"(recent comm failures)"
@@ -529,35 +534,21 @@ class Coordinator:
                 "repro_cluster_shard_failures_total",
                 "scatter requests lost to comm failures",
             ).inc()
-            self._end_scatter_span(span, type(exc).__name__)
             raise
         breaker.record_success()
         prior = sg.group.state(replica.name)
         sg.group.mark_success(replica.name)
         if prior is not ReplicaState.HEALTHY:
             self._sync_replica_gauges(sg)
-        self._end_scatter_span(span, "ok")
         return value
 
     def _scatter(
-        self, payloads: "list[tuple]"
+        self, payloads: "list[tuple[_Replica, dict]]"
     ) -> "list[tuple[_Replica, object, BaseException | None]]":
-        """Fan requests out; gather ``(replica, value, error)`` triples.
-
-        Each item is ``(replica, payload)`` or ``(replica, payload,
-        scatter_span)`` — the optional span travels to :meth:`_call`.
-        """
+        """Fan requests out; gather ``(replica, value, error)`` triples."""
         futures = [
-            (
-                item[0],
-                self._pool.submit(
-                    self._call,
-                    item[0],
-                    item[1],
-                    item[2] if len(item) > 2 else None,
-                ),
-            )
-            for item in payloads
+            (replica, self._pool.submit(self._call, replica, payload))
+            for replica, payload in payloads
         ]
         results = []
         for replica, future in futures:
@@ -579,24 +570,23 @@ class Coordinator:
     # -- replica routing ---------------------------------------------------
 
     def _candidates(
-        self, sg: _ShardGroup, graph_id: "str | None"
+        self, sg: _ShardGroup, graph_id: str
     ) -> "list[_Replica]":
         """Failover order for one subquery: healthiest first, evicted
         out of rotation, restricted to replicas actually holding the
         graph (a rejoined-but-not-yet-re-registered replica must never
         be asked for a graph it lost)."""
         ranked = sg.group.ranked()
-        if graph_id is not None:
-            holding = self._registered.get(graph_id)
-            if holding:
-                routable = [r for r in ranked if r in holding]
-                if not routable:
-                    # every registered holder is evicted: last resort,
-                    # try them anyway rather than dropping the shard
-                    routable = [
-                        r for r in sg.group.replica_names if r in holding
-                    ]
-                ranked = routable or ranked
+        holding = self._registered.get(graph_id)
+        if holding:
+            routable = [r for r in ranked if r in holding]
+            if not routable:
+                # every registered holder is evicted: last resort, try
+                # them anyway rather than dropping the shard
+                routable = [
+                    r for r in sg.group.replica_names if r in holding
+                ]
+            ranked = routable or ranked
         return [self._replica_by_name[name] for name in ranked]
 
     def _deadline_budget(self) -> float:
@@ -610,11 +600,12 @@ class Coordinator:
         self,
         sg: _ShardGroup,
         payload: dict,
-        span: "Span | None" = None,
-        budget: "float | None" = None,
-        predicted: float = 0.0,
+        span: "Span | None",
+        budget: "float | None",
+        predicted: float,
     ) -> "tuple[object, dict]":
-        """One subquery against one shard group, with failover/hedging.
+        """One query's subquery against one shard group, with
+        failover/hedging.
 
         Returns ``(reply value, meta)`` where meta records which
         replica served and how many failovers/hedges it took.  Raises
@@ -624,39 +615,26 @@ class Coordinator:
         ``predicted`` seeds the hedge delay before the latency window
         has enough samples for the percentile rule.
         """
-        candidates = self._candidates(sg, payload.get("graph_id"))
-        if not candidates:
-            self._end_scatter_span(span, "no_replicas")
-            raise ClusterError(
-                f"shard {sg.name!r} has no routable replicas"
-            )
+        candidates = self._candidates(sg, payload["graph_id"])
         deadline = time.monotonic() + (
             budget if budget is not None else self._deadline_budget()
         )
+        hedge_delay = None
         try:
-            hedge_delay = (
-                self.hedge.delay(self._latency[sg.name])
-                if self._hedge_pool is not None and len(candidates) >= 2
-                and payload.get("op") == "query"
-                else None
-            )
-            if (
-                hedge_delay is None
-                and predicted > 0.0
-                and self._hedge_pool is not None
-                and len(candidates) >= 2
-                and payload.get("op") == "query"
-            ):
-                # cold start: no latency history yet, but the cost model
-                # already knows roughly how long this shard should take —
-                # hedge when the primary runs well past its prediction
-                hedge_delay = min(
-                    max(
-                        predicted * HEDGE_PREDICTION_FACTOR,
-                        self.hedge.min_delay,
-                    ),
-                    self.hedge.max_delay,
-                )
+            if self._hedge_pool is not None and len(candidates) >= 2:
+                hedge_delay = self.hedge.delay(self._latency[sg.name])
+                if hedge_delay is None and predicted > 0.0:
+                    # cold start: no latency history yet, but the cost
+                    # model already knows roughly how long this shard
+                    # should take — hedge when the primary runs well past
+                    # its prediction
+                    hedge_delay = min(
+                        max(
+                            predicted * HEDGE_PREDICTION_FACTOR,
+                            self.hedge.min_delay,
+                        ),
+                        self.hedge.max_delay,
+                    )
             if hedge_delay is not None:
                 value, meta = self._hedged_request(
                     sg, candidates, payload, deadline, hedge_delay
@@ -906,19 +884,9 @@ class Coordinator:
             i for i, g in enumerate(self._groups) if g is sg
         )
         for gid, placements in self._graphs.items():
-            placement = placements[shard_index]
-            spec = placement.spec
-            if spec is None:
-                continue
             try:
                 replica.connection().request(
-                    {
-                        "op": "register",
-                        "graph_id": gid,
-                        "graph": spec.graph,
-                        "local_lo": spec.local_lo,
-                        "local_hi": spec.local_hi,
-                    },
+                    _register_payload(gid, placements[shard_index].spec),
                     timeout=self.request_timeout,
                 )
             except Exception as exc:
@@ -971,22 +939,11 @@ class Coordinator:
                 num_shards=len(self._groups),
                 halo_hops=self.config.cluster_halo_hops,
             )
-            payloads = []
-            for sg, spec in zip(self._groups, specs):
-                for replica in sg.replicas:
-                    payloads.append(
-                        (
-                            replica,
-                            {
-                                "op": "register",
-                                "graph_id": gid,
-                                "graph": spec.graph,
-                                "local_lo": spec.local_lo,
-                                "local_hi": spec.local_hi,
-                            },
-                        )
-                    )
-            results = self._scatter(payloads)
+            results = self._scatter([
+                (replica, _register_payload(gid, spec))
+                for sg, spec in zip(self._groups, specs)
+                for replica in sg.replicas
+            ])
         ok_replicas = {
             replica.name for replica, _, exc in results if exc is None
         }
@@ -1069,8 +1026,84 @@ class Coordinator:
         the result — ``report.notes["cluster"]`` flags the partial merge
         and names it.  Only a fully failed scatter raises.
         """
-        placements = self._placements(graph_id)
         cfg = config or self.config
+        predict_engine = engine or cfg.engine
+        if predict_engine == "auto":
+            predict_engine = auto_engine()
+        targets, predictions = self._prepare_query(
+            graph_id, pattern, induced, predict_engine
+        )
+        self.metrics.counter(
+            "repro_cluster_queries_total", "cluster queries accepted"
+        ).inc()
+        trace_id = new_trace_id() if self._tracer is not None else None
+        payload = {
+            "op": "query",
+            "graph_id": graph_id,
+            "pattern": pattern,
+            "induced": induced,
+            "engine": engine,
+            "config": config,
+            "use_cache": use_cache,
+            "timeout": self.request_timeout,
+        }
+        started = time.perf_counter()
+        with self._span(
+            "cluster.query",
+            graph_id=graph_id,
+            pattern=pattern.name,
+            fan_out=len(targets),
+            trace_id=trace_id,
+            lane="coordinator",
+        ) as qspan:
+            scattered = [
+                self._scatter_query(
+                    sg, placement, payload, predictions[sg.name],
+                    qspan, trace_id,
+                )
+                for sg, placement in targets
+            ]
+            replies, outcome = self._gather_query(
+                graph_id, pattern, predict_engine, predictions, scattered
+            )
+        elapsed = time.perf_counter() - started
+        self.metrics.histogram(
+            "repro_cluster_query_seconds",
+            "end-to-end scatter/gather query latency",
+        ).observe(elapsed)
+        self.slo.record(elapsed, ok=not outcome["partial"])
+        if not replies:
+            raise ClusterError(
+                f"query {pattern.name!r} on {graph_id!r} failed on every "
+                f"shard: {outcome['failures']}"
+            )
+        merged = merge_replies(
+            replies,
+            graph_name=graph_id,
+            pattern_name=pattern.name,
+        )
+        merged.config_name = cfg.name
+        merged.notes["cluster"] = {
+            "shards": len(self._graphs[graph_id]),
+            "queried": len(targets),
+            **outcome,
+            "predicted_seconds": {
+                name: round(est.seconds, 6)
+                for name, (_, est, _) in predictions.items()
+            },
+        }
+        if trace_id is not None:
+            merged.notes["cluster"]["trace_id"] = trace_id
+        return merged
+
+    def _prepare_query(
+        self, graph_id: str, pattern: "Pattern", induced: "bool | None",
+        engine: str,
+    ) -> "tuple[list[tuple[_ShardGroup, _ShardPlacement]], dict]":
+        """The shards to ask, and per shard ``(features, estimate,
+        deadline budget)`` — each shard's slice has its own stats, so a
+        skewed partition legitimately predicts unevenly."""
+        placements = self._placements(graph_id)
         plan = build_plan(pattern, induced=induced)
         halo = min(p.halo_hops for p in placements)
         if plan.stop_level > halo:
@@ -1083,24 +1116,13 @@ class Coordinator:
         targets = [
             (by_name[p.shard], p) for p in placements if p.owned > 0
         ]
-        self.metrics.counter(
-            "repro_cluster_queries_total", "cluster queries accepted"
-        ).inc()
-        # per-shard cost predictions: each shard's slice has its own
-        # stats, so a skewed partition legitimately predicts unevenly
-        predict_engine = engine or cfg.engine
-        if predict_engine == "auto":
-            predict_engine = auto_engine()
         pkey = pattern_cache_key(pattern, induced)
         predictions: "dict[str, tuple]" = {}
         for sg, placement in targets:
-            spec = placement.spec
-            if spec is None:
-                continue
             feats = query_features(
-                spec.graph, f"{graph_id}@{sg.name}", pkey
+                placement.spec.graph, f"{graph_id}@{sg.name}", pkey
             )
-            est = self.predictor.predict(feats, predict_engine)
+            est = self.predictor.predict(feats, engine)
             budget = None
             if est.source == "profile":
                 # only measured history tightens the deadline — the
@@ -1111,135 +1133,83 @@ class Coordinator:
                     max(est.seconds * DEADLINE_SAFETY, DEADLINE_FLOOR),
                 )
             predictions[sg.name] = (feats, est, budget)
-        tracer = self._tracer
-        trace_id = new_trace_id() if tracer is not None else None
-        started = time.perf_counter()
-        scatter_spans: "dict[str, Span]" = {}
-        with self._span(
-            "cluster.query",
-            graph_id=graph_id,
-            pattern=pattern.name,
-            fan_out=len(targets),
-            trace_id=trace_id,
-            lane="coordinator",
-        ) as qspan:
-            calls = []
-            for sg, placement in targets:
-                sspan = None
-                trace_ctx = None
-                if tracer is not None:
-                    # one manually-started scatter span per shard: it is
-                    # the ingest parent and its start is the re-anchor
-                    # point for the shard's whole span tree
-                    sspan = tracer.start_span(
-                        "cluster.scatter",
-                        parent=qspan,
-                        shard=sg.name,
-                        trace_id=trace_id,
-                        lane="coordinator",
-                    )
-                    scatter_spans[sg.name] = sspan
-                    trace_ctx = TraceContext(
-                        trace_id=trace_id,
-                        parent_span_id=sspan.span_id,
-                        anchor=time.time(),
-                    )
-                calls.append(
-                    (
-                        sg,
-                        placement,
-                        {
-                            "op": "query",
-                            "graph_id": graph_id,
-                            "pattern": pattern,
-                            "induced": induced,
-                            "engine": engine,
-                            "config": config,
-                            "use_cache": use_cache,
-                            "timeout": self.request_timeout,
-                            "trace": trace_ctx,
-                        },
-                        sspan,
-                    )
+        return targets, predictions
+
+    def _scatter_query(
+        self, sg: _ShardGroup, placement: _ShardPlacement, payload: dict,
+        prediction: tuple, qspan: "Span | None", trace_id: "str | None",
+    ) -> tuple:
+        """Send one shard its subquery; returns ``(shard group,
+        placement, scatter span, future)`` for the gather."""
+        _, est, budget = prediction
+        sspan = None
+        trace_ctx = None
+        if self._tracer is not None:
+            # one manually-started scatter span per shard: it is the
+            # ingest parent and its start is the re-anchor point for the
+            # shard's whole span tree
+            sspan = self._tracer.start_span(
+                "cluster.scatter",
+                parent=qspan,
+                shard=sg.name,
+                trace_id=trace_id,
+                lane="coordinator",
+            )
+            trace_ctx = TraceContext(
+                trace_id=trace_id,
+                parent_span_id=sspan.span_id,
+                anchor=time.time(),
+            )
+        future = self._pool.submit(
+            self._shard_request,
+            sg,
+            {**payload, "trace": trace_ctx},
+            sspan,
+            budget,
+            est.seconds,
+        )
+        return sg, placement, sspan, future
+
+    def _gather_query(
+        self, graph_id: str, pattern: "Pattern", engine: str,
+        predictions: dict, scattered: "list[tuple]",
+    ) -> "tuple[list, dict]":
+        """One fold over the shard replies: the ``(root range, report)``
+        pairs to merge, and the outcome half of ``notes["cluster"]`` —
+        who served, failed over, hedged or failed."""
+        replies: "list[tuple[tuple[int, int], SimReport]]" = []
+        failed: dict[str, str] = {}
+        served_by: dict[str, str] = {}
+        failovers = hedged = 0
+        for sg, placement, sspan, future in scattered:
+            try:
+                envelope, meta = future.result()
+            except BaseException as exc:
+                failed[sg.name] = repr(exc)
+                self._record_shard_failure(
+                    sg.name,
+                    op="query",
+                    graph_id=graph_id,
+                    error=repr(exc),
                 )
-            futures = []
-            for sg, placement, payload, sspan in calls:
-                _, est, budget = predictions.get(
-                    sg.name, (None, None, None)
-                )
-                futures.append(
-                    (
-                        sg,
-                        placement,
-                        self._pool.submit(
-                            self._shard_request,
-                            sg,
-                            payload,
-                            sspan,
-                            budget=budget,
-                            predicted=(
-                                est.seconds if est is not None else 0.0
-                            ),
-                        ),
+                continue
+            self._record_shard_success(sg.name)
+            failovers += meta["failovers"]
+            hedged += bool(meta["hedged"])
+            served_by[sg.name] = meta["replica"]
+            feats, est, _ = predictions[sg.name]
+            if meta["elapsed"]:
+                self.predictor.observe(feats, engine, meta["elapsed"])
+                if est.seconds > 0.0:
+                    self.predictor.record_accuracy(
+                        est.seconds, meta["elapsed"]
                     )
-                )
-            replies: "list[tuple[tuple[int, int], SimReport]]" = []
-            served_by: dict[str, str] = {}
-            failed: dict[str, str] = {}
-            failovers = 0
-            hedged = 0
-            for sg, placement, future in futures:
-                try:
-                    value, meta = future.result()
-                except BaseException as exc:
-                    failed[sg.name] = repr(exc)
-                    self._record_shard_failure(
-                        sg.name,
-                        op="query",
-                        graph_id=graph_id,
-                        error=repr(exc),
-                    )
-                    continue
-                self._record_shard_success(sg.name)
-                failovers += meta.get("failovers", 0)
-                hedged += 1 if meta.get("hedged") else 0
-                served_by[sg.name] = meta.get("replica", sg.name)
-                shard_elapsed = meta.get("elapsed")
-                prediction = predictions.get(sg.name)
-                if prediction is not None and shard_elapsed:
-                    feats, est, _ = prediction
-                    self.predictor.observe(
-                        feats, predict_engine, shard_elapsed
-                    )
-                    if est.seconds > 0.0:
-                        self.predictor.record_accuracy(
-                            est.seconds, shard_elapsed
-                        )
-                envelope = value if isinstance(value, dict) else {
-                    "report": value
-                }
-                self.federation.apply(
-                    envelope.get("shard", sg.name),
-                    envelope.get("metrics"),
-                )
-                if tracer is not None:
-                    self._adopt_shard_trace(
-                        sg.name,
-                        envelope,
-                        scatter_spans.get(sg.name),
-                    )
-                replies.append(
-                    (
-                        (placement.lo, placement.hi),
-                        envelope["report"],
-                    )
-                )
-        elapsed = time.perf_counter() - started
-        self.metrics.histogram(
-            "repro_cluster_query_seconds",
-            "end-to-end scatter/gather query latency",
-        ).observe(elapsed)
-        self.slo.record(elapsed, ok=not failed)
+            self.federation.apply(envelope["shard"], envelope["metrics"])
+            if self._tracer is not None:
+                self._adopt_shard_trace(sg.name, envelope, sspan)
+            replies.append(
+                ((placement.lo, placement.hi), envelope["report"])
+            )
         if not replies:
             self.flight.record(
                 "query_failed",
@@ -1248,34 +1218,7 @@ class Coordinator:
                 failed_shards=sorted(failed),
             )
             self.flight.auto_dump("query-failed")
-            raise ClusterError(
-                f"query {pattern.name!r} on {graph_id!r} failed on every "
-                f"shard: {failed}"
-            )
-        merged = merge_replies(
-            replies,
-            graph_name=graph_id,
-            pattern_name=pattern.name,
-        )
-        merged.config_name = cfg.name
-        merged.notes["cluster"] = {
-            "shards": len(placements),
-            "queried": len(targets),
-            "ok": len(replies),
-            "partial": bool(failed),
-            "failed_shards": sorted(failed),
-            "failures": failed,
-            "served_by": served_by,
-            "failovers": failovers,
-            "hedged": hedged,
-            "predicted_seconds": {
-                name: round(est.seconds, 6)
-                for name, (_, est, _) in predictions.items()
-            },
-        }
-        if trace_id is not None:
-            merged.notes["cluster"]["trace_id"] = trace_id
-        if failed:
+        elif failed:
             self.metrics.counter(
                 "repro_cluster_partial_results_total",
                 "merged results missing at least one shard",
@@ -1287,7 +1230,15 @@ class Coordinator:
                 failed_shards=sorted(failed),
             )
             self.flight.auto_dump("shard-failure")
-        return merged
+        return replies, {
+            "ok": len(replies),
+            "partial": bool(failed),
+            "failed_shards": sorted(failed),
+            "failures": failed,
+            "served_by": served_by,
+            "failovers": failovers,
+            "hedged": hedged,
+        }
 
     def _adopt_shard_trace(
         self, shard: str, envelope: dict, sspan: "Span | None"
@@ -1350,11 +1301,9 @@ class Coordinator:
         )
         shards: dict[str, "HealthReport | None"] = {}
         worst = HealthState.HEALTHY
-        any_dead = False
         for replica, value, exc in results:
             if exc is not None:
                 shards[replica.name] = None
-                any_dead = True
                 self._record_shard_failure(
                     replica.name,
                     op="health",
@@ -1362,57 +1311,35 @@ class Coordinator:
                 )
                 continue
             self._record_shard_success(replica.name)
-            if isinstance(value, dict) and "report" in value:
-                report = value["report"]
-                self.federation.apply(
-                    replica.name, value.get("metrics")
-                )
-            else:  # bare HealthReport (older shard)
-                report = value
+            report = value["report"]
+            self.federation.apply(replica.name, value["metrics"])
             shards[replica.name] = report
             if report.state.value > worst.value:
                 worst = report.state
-        snapshots = self._breakers.snapshots()
-        breaker_open = any(s.state != "closed" for s in snapshots.values())
-        slo_statuses = self.slo.evaluate()
-        slo_violated = any(not st.met for st in slo_statuses.values())
-        replica_states = {
-            sg.name: {
-                name: state.name.lower()
-                for name, state in sg.group.states().items()
-            }
-            for sg in self._groups
-        }
-        any_evicted = any(
-            state == "evicted"
-            for group in replica_states.values()
-            for state in group.values()
-        )
-        if (
-            (any_dead or breaker_open or slo_violated or any_evicted)
-            and worst is HealthState.HEALTHY
-        ):
-            worst = HealthState.DEGRADED
-        if worst is not HealthState.HEALTHY:
-            self.flight.record(
-                "health_degraded",
-                state=worst.name.lower(),
-                dead=sorted(
-                    name for name, r in shards.items() if r is None
-                ),
-                slo_violations=sorted(
-                    name for name, st in slo_statuses.items()
-                    if not st.met
-                ),
-            )
-            self.flight.auto_dump(f"health-{worst.name.lower()}")
-        return ClusterHealth(
+        health = ClusterHealth(
             state=worst,
             shards=shards,
-            breakers=snapshots,
-            slo=slo_statuses,
-            replicas=replica_states,
+            breakers=self._breakers.snapshots(),
+            slo=self.slo.evaluate(),
+            replicas=self.replica_states(),
         )
+        if worst is HealthState.HEALTHY and (
+            health.dead
+            or health.evicted
+            or health.slo_violations
+            or any(s.state != "closed" for s in health.breakers.values())
+        ):
+            health = replace(health, state=HealthState.DEGRADED)
+        if health.state is not HealthState.HEALTHY:
+            state = health.state.name.lower()
+            self.flight.record(
+                "health_degraded",
+                state=state,
+                dead=list(health.dead),
+                slo_violations=list(health.slo_violations),
+            )
+            self.flight.auto_dump(f"health-{state}")
+        return health
 
     def stats(self) -> dict:
         """Per-replica worker stats (``op: stats``) keyed by name.
@@ -1498,6 +1425,11 @@ class Coordinator:
         activity (from shipped profiles) gets its own
         ``accelerator (cycles) — <shard>`` process.
         """
+        spans, pe_groups = self._trace_sources()
+        return chrome_trace_events(spans, pe_groups=pe_groups)
+
+    def _trace_sources(self) -> "tuple[list[Span], dict[str, list]]":
+        """Finished spans, and each shard's PE activity under its name."""
         if self._tracer is None:
             raise ClusterError(
                 "tracing is disabled; construct the coordinator with "
@@ -1506,18 +1438,15 @@ class Coordinator:
         pe_groups: dict[str, list] = {}
         for shard, profile in self._profiles:
             pe_groups.setdefault(shard, []).extend(profile.pe_events)
-        return chrome_trace_events(
-            self._tracer.finished(), pe_groups=pe_groups
-        )
+        return self._tracer.finished(), pe_groups
 
     def export_trace(self, path: str | None = None) -> list[dict]:
         """The merged cluster Chrome/Perfetto trace; written when ``path``
         is given.  Always returns the event list."""
-        events = self.trace_events()
-        if path is not None:
-            payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-            Path(path).write_text(json.dumps(payload))
-        return events
+        if path is None:
+            return self.trace_events()
+        spans, pe_groups = self._trace_sources()
+        return write_chrome_trace(path, spans, pe_groups=pe_groups)
 
     def shutdown(self, stop_workers: bool = True) -> None:
         """Close connections (optionally stopping the workers first)."""

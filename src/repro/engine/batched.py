@@ -67,14 +67,15 @@ class BatchedEngine(Engine):
         from ..sim.report import SimReport
 
         t_wall = _time.perf_counter()
+        site = f"engine.{self.name}"
         # guarded hot-path hook: with no active observation this is one
         # attribute load, and no span / accumulator code runs at all
         ob = _obs.current()
-        # fault site "engine.batched": CRASH/HANG fire before the sweep,
+        # fault site "engine.<name>": CRASH/HANG fire before the sweep,
         # CORRUPT flips a bit in the final count after it (soft error)
         inj = _faults.active()
         if inj is not None:
-            inj.fire("engine.batched")
+            inj.fire(site)
         siu = make_siu(
             config.siu_kind, config.segment_width, config.bitmap_width
         )
@@ -89,7 +90,7 @@ class BatchedEngine(Engine):
             self._sweep(expander, all_roots, plan, merged, None)
         else:
             with ob.tracer.span(
-                "engine.batched",
+                site,
                 graph=graph.name,
                 pattern=plan.pattern.name,
                 roots=int(all_roots.shape[0]),
@@ -104,9 +105,29 @@ class BatchedEngine(Engine):
         )
         annotate_frontier_report(report, merged, graph, config, siu)
         if inj is not None:
-            inj.corrupt("engine.batched", report)
+            inj.corrupt(site, report)
         report.wall_seconds = _time.perf_counter() - t_wall
         return report
+
+    @staticmethod
+    def _merge(merged: list[FrontierLevel], step: FrontierLevel, ob) -> None:
+        """Fold one chunk's level record into the per-level aggregate."""
+        agg = merged[step.level - 1]
+        agg.tasks += step.tasks
+        agg.count += step.count
+        agg.set_ops += step.set_ops
+        agg.comparisons += step.comparisons
+        agg.words_in += step.words_in
+        agg.words_out += step.words_out
+        agg.bit_rows += step.bit_rows
+        if ob is not None:
+            ob.level_add(
+                step.level,
+                tasks=step.tasks,
+                elements=step.words_in,
+                comparisons=step.comparisons,
+                bit_rows=step.bit_rows,
+            )
 
     def _sweep(
         self,
@@ -119,9 +140,7 @@ class BatchedEngine(Engine):
         """Expand every root chunk level by level into ``merged``."""
         for start in range(0, all_roots.shape[0], self.root_chunk):
             emb = all_roots[start : start + self.root_chunk]
-            for step_idx, level in enumerate(
-                range(1, plan.stop_level + 1)
-            ):
+            for level in range(1, plan.stop_level + 1):
                 if ob is None:
                     step = expander.expand(level, emb)
                 else:
@@ -129,21 +148,7 @@ class BatchedEngine(Engine):
                         f"engine.level{level}", level=level
                     ):
                         step = expander.expand(level, emb)
-                    ob.level_add(
-                        level,
-                        tasks=step.tasks,
-                        elements=step.words_in,
-                        comparisons=step.comparisons,
-                        bit_rows=step.bit_rows,
-                    )
-                agg = merged[step_idx]
-                agg.tasks += step.tasks
-                agg.count += step.count
-                agg.set_ops += step.set_ops
-                agg.comparisons += step.comparisons
-                agg.words_in += step.words_in
-                agg.words_out += step.words_out
-                agg.bit_rows += step.bit_rows
+                self._merge(merged, step, ob)
                 emb = step.embeddings
                 if emb.shape[0] == 0:
                     break

@@ -23,6 +23,9 @@ from typing import Callable
 
 __all__ = ["BreakerState", "BreakerSnapshot", "CircuitBreaker", "BreakerBoard"]
 
+#: concurrent trial jobs allowed while HALF_OPEN
+HALF_OPEN_PROBES = 1
+
 
 class BreakerState(enum.Enum):
     """Lifecycle of one breaker (values are the exported gauge levels)."""
@@ -53,7 +56,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         recovery_seconds: float = 30.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Callable[
             [str, BreakerState, BreakerState], None
@@ -64,7 +66,6 @@ class CircuitBreaker:
         self.engine = engine
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
-        self.half_open_probes = max(int(half_open_probes), 1)
         self._clock = clock
         #: called as (engine, old_state, new_state) on every transition,
         #: while the breaker lock is held — keep it cheap and never call
@@ -106,7 +107,7 @@ class CircuitBreaker:
                 self._set_state(BreakerState.HALF_OPEN)
                 self._probes_in_flight = 0
             # HALF_OPEN: bounded concurrent probes
-            if self._probes_in_flight >= self.half_open_probes:
+            if self._probes_in_flight >= HALF_OPEN_PROBES:
                 return False
             self._probes_in_flight += 1
             return True
@@ -189,7 +190,6 @@ class BreakerBoard:
         *,
         failure_threshold: int = 3,
         recovery_seconds: float = 30.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Callable[
             [str, BreakerState, BreakerState], None
@@ -198,7 +198,6 @@ class BreakerBoard:
         self._kwargs = dict(
             failure_threshold=failure_threshold,
             recovery_seconds=recovery_seconds,
-            half_open_probes=half_open_probes,
             clock=clock,
             on_transition=on_transition,
         )

@@ -11,7 +11,7 @@ two cheap signals — queue occupancy and breaker states:
     work).
 ``OVERLOADED``
     Queue above the overload watermark.  Submissions whose priority is at
-    or below the configured floor (numerically ``>= shed_min_priority``;
+    or below the shed floor (numerically ``>= SHED_MIN_PRIORITY``;
     higher number = less important) are *shed* with a typed
     :class:`~repro.errors.LoadShedError` before they ever enqueue, so the
     queue drains toward the important work — the service-level analogue
@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["HealthState", "DegradationPolicy", "HealthReport", "assess"]
 
+#: while OVERLOADED, submissions with ``priority >= this`` are shed
+#: (lower priority value = more important, matching the job queue)
+SHED_MIN_PRIORITY = 1
+
 
 class HealthState(enum.Enum):
     """Service-level condition (values are the exported gauge levels)."""
@@ -43,15 +47,12 @@ class HealthState(enum.Enum):
 
 @dataclass(frozen=True)
 class DegradationPolicy:
-    """Watermarks and the shedding floor."""
+    """The queue-occupancy watermarks."""
 
     #: queue occupancy (fraction of the limit) above which = DEGRADED
     queue_degraded_fraction: float = 0.5
     #: queue occupancy above which = OVERLOADED (shedding kicks in)
     queue_overloaded_fraction: float = 0.9
-    #: while OVERLOADED, submissions with ``priority >= this`` are shed
-    #: (lower priority value = more important, matching the job queue)
-    shed_min_priority: int = 1
 
 
 def assess(

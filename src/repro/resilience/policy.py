@@ -44,8 +44,6 @@ class ResilienceConfig:
     failure_threshold: int = 3
     #: seconds an OPEN breaker waits before allowing half-open probes
     recovery_seconds: float = 30.0
-    #: concurrent trial jobs allowed while HALF_OPEN
-    half_open_probes: int = 1
     #: ``(engine, fallback_engine)`` routes used while a breaker is open
     #: and as a last resort when crash retries are exhausted
     fallbacks: tuple[tuple[str, str], ...] = ()
@@ -61,8 +59,6 @@ class ResilienceConfig:
     verify_seed: int = 0
 
     # -- watchdog ----------------------------------------------------------
-    #: enforce job deadlines while *running* (abandon hung jobs)
-    enforce_running_deadlines: bool = True
     #: background scan period of the watchdog thread (pool modes)
     watchdog_interval: float = 0.05
 
@@ -91,4 +87,4 @@ class ResilienceConfig:
     @classmethod
     def disabled(cls) -> "ResilienceConfig":
         """Everything off — the pre-resilience service behaviour."""
-        return cls(enabled=False, enforce_running_deadlines=False)
+        return cls(enabled=False)

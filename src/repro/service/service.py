@@ -41,14 +41,12 @@ code path is testable without real sleeps.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
 import random
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from concurrent.futures import (
     BrokenExecutor,
     Future,
@@ -70,7 +68,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..obs import MetricsRegistry, Observation, Tracer
-from ..obs.export import chrome_trace_events
+from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.flight import FlightRecorder
 from ..patterns.plan import build_plan
 from ..sched.adaptive import (
@@ -88,6 +86,7 @@ from ..resilience import (
     Watchdog,
     assess,
 )
+from ..resilience.degradation import SHED_MIN_PRIORITY
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
@@ -97,7 +96,7 @@ from .worker import run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
-    from ..obs import ExecutionProfile
+    from ..obs import Counter, ExecutionProfile
     from ..patterns.pattern import Pattern
     from ..resilience import FaultPlan
     from ..sim.report import SimReport
@@ -111,6 +110,54 @@ MODES = ("process", "thread", "inline")
 
 #: exception types treated as "the worker died" → retried with backoff
 _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
+
+_CACHE_HELP = "result-cache outcome of cached submits"
+
+#: every count the service keeps, kept once: row → (series, help).  The
+#: series' own counter is the store — ``QueryService._count`` is the only
+#: writer and ``stats()`` / ``health()`` read the same counters back, so an
+#: integer and its series cannot drift apart
+_COUNTS = {
+    # terminal outcomes, named by the JobStatus value a job settles in
+    "done": ("repro_jobs_completed_total", "jobs finished successfully"),
+    "failed": (
+        "repro_jobs_failed_total", "jobs that exhausted their retries"
+    ),
+    "cancelled": (
+        "repro_jobs_cancelled_total", "jobs cancelled before they finished"
+    ),
+    "timeout": ("repro_jobs_timed_out_total", "jobs whose deadline expired"),
+    "submitted": ("repro_jobs_submitted_total", "jobs accepted by submit()"),
+    "retries": ("repro_job_retries_total", "crash-shaped failures retried"),
+    "shed": (
+        "repro_jobs_shed_total",
+        "low-priority submissions shed while overloaded",
+    ),
+    "abandoned": (
+        "repro_jobs_abandoned_total", "running jobs abandoned by the watchdog"
+    ),
+    "rejected": (
+        "repro_jobs_rejected_total",
+        "submissions rejected by admission control",
+    ),
+    # the rows below carry labels, whose values the caller of _count gives
+    "rerouted": (
+        "repro_jobs_rerouted_total", "jobs rerouted to a fallback engine"
+    ),
+    "faults_injected": (
+        "repro_faults_injected_total",
+        "injected faults observed by the service",
+    ),
+    "auto_selected": (
+        "repro_auto_engine_total",
+        'engine="auto" resolutions per chosen backend',
+    ),
+    "crosschecks": (
+        "repro_crosschecks_total", "sampled cross-engine verification runs"
+    ),
+    "cache_hits": ("repro_cache_hits_total", _CACHE_HELP),
+    "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
+}
 
 #: finished spans retained by a traced service (most recent history)
 TRACE_SPAN_LIMIT = 20_000
@@ -178,7 +225,11 @@ class QueryService:
         self.scheduling = scheduling or SchedulingConfig()
         self._queue = JobQueue(
             queue_limit,
-            on_timeout=self._note_timeout,
+            # the queue reaps jobs whose deadline passed while they waited
+            # and hands each one over to be accounted for
+            on_timeout=lambda job: self._settle(
+                job, JobStatus.TIMEOUT, reaped=True, where="queued"
+            ),
             policy=self.scheduling.policy,
             age_limit=self.scheduling.age_limit_seconds,
         )
@@ -211,12 +262,9 @@ class QueryService:
         self._paused = start_paused
         self._shutdown = False
         self._in_flight = 0
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._timed_out = 0
-        self._retries = 0
+        self._dispatcher_stuck = False
+        #: (row of ``_COUNTS``, *label values) → that series' counter
+        self._tally: "dict[tuple[str, ...], Counter]" = {}
         # -- resilience layer (breakers, watchdog, shedding, fault plan) --
         self.resilience = resilience or ResilienceConfig()
         self._fault_plan: "FaultPlan | None" = None
@@ -224,7 +272,6 @@ class QueryService:
             BreakerBoard(
                 failure_threshold=self.resilience.failure_threshold,
                 recovery_seconds=self.resilience.recovery_seconds,
-                half_open_probes=self.resilience.half_open_probes,
                 clock=clock,
                 on_transition=self._on_breaker_transition,
             )
@@ -234,19 +281,8 @@ class QueryService:
         self._watchdog = Watchdog(
             clock,
             interval=self.resilience.watchdog_interval,
-            enforce_deadlines=(
-                self.resilience.enabled
-                and self.resilience.enforce_running_deadlines
-            ),
+            enforce_deadlines=self.resilience.enabled,
         )
-        self._shed = 0
-        self._abandoned = 0
-        self._rerouted = 0
-        self._crosscheck_mismatches = 0
-        self._faults_injected = 0
-        self._dispatcher_stuck = False
-        self._rejected = 0
-        self._auto_selected: dict[str, int] = {}
 
     def _on_breaker_transition(self, engine, old, new) -> None:
         """Breaker state changes land in the flight recorder (one append;
@@ -326,18 +362,12 @@ class QueryService:
         """
         if self._shutdown:
             raise ServiceError("service has been shut down")
-        res = self.resilience
         if (
-            res.enabled
-            and priority >= res.degradation.shed_min_priority
+            self.resilience.enabled
+            and priority >= SHED_MIN_PRIORITY
             and self._health_state() is HealthState.OVERLOADED
         ):
-            self.metrics.counter(
-                "repro_jobs_shed_total",
-                "low-priority submissions shed while overloaded",
-            ).inc()
-            with self._cond:
-                self._shed += 1
+            self._count("shed")
             self.flight.record(
                 "shed",
                 graph_id=graph_id,
@@ -350,6 +380,103 @@ class QueryService:
                 f"{self._queue.limit}); shed priority-{priority} "
                 f"submission of {pattern.name!r} on {graph_id!r}"
             )
+        job = self._resolve(
+            graph_id, pattern, induced, priority, engine, config, root_range
+        )
+        if timeout is not None and timeout <= 0:
+            # a non-positive deadline can never be met: finish the job as
+            # TIMEOUT here instead of enqueueing work that is already dead
+            self._count("submitted")
+            self._settle(job, JobStatus.TIMEOUT, where="submit")
+            return job.handle
+        if use_cache:
+            cached = self._cache.get(job.cache_key)
+            if cached is None:
+                self._count("cache_misses")
+            else:
+                job.handle.from_cache = True
+                if job.span is not None:
+                    job.span.set_attr("cache_hit", True)
+                self._count("submitted")
+                self._settle(
+                    job, JobStatus.DONE, report=cached, from_cache=True
+                )
+                return job.handle
+        job.enqueued_at = self._clock()
+        if timeout is not None:
+            self._admit(job, timeout)
+            job.deadline = job.enqueued_at + timeout
+        if job.span is not None:
+            job.queued_span = self._observation.tracer.start_span(
+                "service.queued", parent=job.span
+            )
+        with self._cond:
+            # accepted only once the push went through (QueueFullError
+            # propagates under backpressure), and counted before anything
+            # downstream of the queue can count the same job
+            self._queue.push(job)
+            self._count("submitted")
+            self.flight.record(
+                "submit",
+                job_id=job.handle.job_id,
+                graph_id=graph_id,
+                pattern=pattern.name,
+                engine=job.config.engine,
+                priority=priority,
+            )
+            self._cond.notify_all()
+        if self.mode == "inline":
+            self._drain_inline()
+        else:
+            self._ensure_dispatcher()
+        return job.handle
+
+    def _admit(self, job: Job, timeout: float) -> None:
+        """Reject-at-submit: a deadline the predicted completion time
+        cannot meet (given the work already queued) fails NOW with a typed
+        :class:`~repro.errors.AdmissionError` instead of timing out after
+        consuming resources."""
+        admission = self.scheduling.admission
+        if not admission.enabled:
+            return
+        handle = job.handle
+        try:
+            admission.check(
+                timeout=timeout,
+                predicted_seconds=job.predicted_seconds,
+                backlog_seconds=self._queue.predicted_backlog(),
+                workers=self.max_workers,
+                describe=f"{handle.pattern_name!r} on {handle.graph_id!r}",
+            )
+        except AdmissionError:
+            self._count("rejected")
+            self.flight.record(
+                "admission_reject",
+                job_id=handle.job_id,
+                graph_id=handle.graph_id,
+                pattern=handle.pattern_name,
+                timeout=timeout,
+                predicted_seconds=job.predicted_seconds,
+            )
+            if job.span is not None:
+                job.span.set_attr("outcome", "rejected")
+                self._observation.tracer.end_span(job.span)
+            raise
+
+    def _resolve(
+        self,
+        graph_id: str,
+        pattern: "Pattern",
+        induced: bool | None,
+        priority: int,
+        engine: str | None,
+        config: SystemConfig | None,
+        root_range: tuple[int, int] | None,
+    ) -> Job:
+        """Everything a submission is before it is decided on: the pinned
+        graph snapshot, the concrete engine and config, the plan, the cost
+        prediction, the cache key, the handle and (when traced) the open
+        ``service.job`` span — one not-yet-queued :class:`Job`."""
         record = self._registry.get(graph_id)
         cfg = config or self.config
         if engine is not None and engine != cfg.engine:
@@ -379,25 +506,13 @@ class QueryService:
                 ),
             )
             cfg = cfg.with_overrides(engine=estimate.engine)
-            self.metrics.counter(
-                "repro_auto_engine_total",
-                'engine="auto" resolutions per chosen backend',
+            self._count(
+                "auto_selected",
                 engine=estimate.engine,
                 source=estimate.source,
-            ).inc()
-            with self._cond:
-                self._auto_selected[estimate.engine] = (
-                    self._auto_selected.get(estimate.engine, 0) + 1
-                )
+            )
         else:
             estimate = self.predictor.predict(features, cfg.engine)
-        predicted = estimate.seconds
-        key = CacheKey(
-            fingerprint=record.fingerprint,
-            pattern_key=pkey,
-            config_key=cfg.cache_key(),
-            root_key=root_range,
-        )
         handle = JobHandle(
             job_id=next(self._job_ids),
             graph_id=graph_id,
@@ -405,127 +520,37 @@ class QueryService:
             engine=cfg.engine,
             cancel_cb=self._cancel,
         )
-        self.metrics.counter(
-            "repro_jobs_submitted_total", "jobs accepted by submit()"
-        ).inc()
-        self.flight.record(
-            "submit",
-            job_id=handle.job_id,
-            graph_id=graph_id,
-            pattern=pattern.name,
-            engine=cfg.engine,
-            priority=priority,
-        )
         ob = self._observation
-        job_span = (
-            ob.tracer.start_span(
-                "service.job",
-                graph_id=graph_id,
-                pattern=pattern.name,
-                engine=cfg.engine,
-                job_id=handle.job_id,
-            )
-            if ob is not None
-            else None
-        )
-        if timeout is not None and timeout <= 0:
-            # a non-positive deadline can never be met: finish the job as
-            # TIMEOUT here instead of enqueueing work that is already dead
-            self.metrics.counter(
-                "repro_jobs_timed_out_total",
-                "jobs whose deadline expired",
-            ).inc()
-            if ob is not None and job_span is not None:
-                job_span.set_attr("outcome", "timeout")
-                ob.tracer.end_span(job_span)
-            handle._finish(JobStatus.TIMEOUT)
-            with self._cond:
-                self._submitted += 1
-                self._timed_out += 1
-            return handle
-        if use_cache:
-            cached = self._cache.get(key)
-            self.metrics.counter(
-                "repro_cache_hits_total" if cached is not None
-                else "repro_cache_misses_total",
-                "result-cache outcome of cached submits",
-            ).inc()
-            if cached is not None:
-                handle.from_cache = True
-                handle._finish(JobStatus.DONE, report=cached)
-                if ob is not None and job_span is not None:
-                    job_span.set_attr("cache_hit", True)
-                    job_span.set_attr("outcome", "done")
-                    ob.tracer.end_span(job_span)
-                with self._cond:
-                    self._submitted += 1
-                    self._completed += 1
-                return handle
-        admission = self.scheduling.admission
-        if admission.enabled and timeout is not None:
-            # reject-at-submit: a deadline the predicted completion time
-            # cannot meet (given the work already queued) fails NOW with a
-            # typed error instead of timing out after consuming resources
-            try:
-                admission.check(
-                    timeout=timeout,
-                    predicted_seconds=predicted,
-                    backlog_seconds=self._queue.predicted_backlog(),
-                    workers=self.max_workers,
-                    describe=f"{pattern.name!r} on {graph_id!r}",
-                )
-            except AdmissionError:
-                self.metrics.counter(
-                    "repro_jobs_rejected_total",
-                    "submissions rejected by admission control",
-                ).inc()
-                self.flight.record(
-                    "admission_reject",
-                    job_id=handle.job_id,
-                    graph_id=graph_id,
-                    pattern=pattern.name,
-                    timeout=timeout,
-                    predicted_seconds=predicted,
-                )
-                if ob is not None and job_span is not None:
-                    job_span.set_attr("outcome", "rejected")
-                    ob.tracer.end_span(job_span)
-                with self._cond:
-                    self._rejected += 1
-                raise
-        job = Job(
+        return Job(
             handle=handle,
             graph_id=graph_id,
             fingerprint=record.fingerprint,
             plan=plan,
             config=cfg,
-            cache_key=key,
+            cache_key=CacheKey(
+                fingerprint=record.fingerprint,
+                pattern_key=pkey,
+                config_key=cfg.cache_key(),
+                root_key=root_range,
+            ),
             priority=priority,
             root_range=root_range,
             seq=next(self._seq),
-            deadline=(
-                None if timeout is None else self._clock() + timeout
-            ),
             record=record,  # snapshot pinned at submit time
-            predicted_seconds=predicted,
+            predicted_seconds=estimate.seconds,
             features=features,
-            enqueued_at=self._clock(),
-            span=job_span,
-            queued_span=(
-                ob.tracer.start_span("service.queued", parent=job_span)
+            span=(
+                ob.tracer.start_span(
+                    "service.job",
+                    graph_id=graph_id,
+                    pattern=pattern.name,
+                    engine=cfg.engine,
+                    job_id=handle.job_id,
+                )
                 if ob is not None
                 else None
             ),
         )
-        self._queue.push(job)  # raises QueueFullError under backpressure
-        with self._cond:
-            self._submitted += 1
-            self._cond.notify_all()
-        if self.mode == "inline":
-            self._drain_inline()
-        else:
-            self._ensure_dispatcher()
-        return handle
 
     def count(
         self, graph_id: str, pattern: "Pattern", **submit_kwargs
@@ -587,43 +612,136 @@ class QueryService:
 
     # -- scheduling internals ----------------------------------------------
 
-    def _end_job_span(self, job: Job, outcome: str) -> None:
-        """Close the job's open spans (queued child first), if traced."""
-        ob = self._observation
-        if ob is None or job.span is None:
-            return
-        if job.queued_span is not None:
-            ob.tracer.end_span(job.queued_span)
-            job.queued_span = None
-        job.span.set_attr("outcome", outcome)
-        job.span.set_attr("attempts", job.attempts)
-        ob.tracer.end_span(job.span)
-        job.span = None
+    def _count(self, name: str, n: int = 1, **labels: str) -> None:
+        """Bump one row of ``_COUNTS`` (its series appears on first use)."""
+        key = (name, *labels.values())
+        counter = self._tally.get(key)
+        if counter is None:
+            counter = self._tally[key] = self.metrics.counter(
+                *_COUNTS[name], **labels
+            )
+        counter.inc(n)
 
-    def _note_timeout(self, job: Job) -> None:
-        logger.info(
-            "job %d (%s on %s) deadline expired while queued",
-            job.handle.job_id, job.handle.pattern_name, job.graph_id,
+    def _total(self, name: str, *labels: str) -> int:
+        """One row's count, summed over the label values left open."""
+        row = (name, *labels)
+        return sum(
+            int(counter.value)
+            for key, counter in list(self._tally.items())
+            if key[:len(row)] == row
         )
-        self.metrics.counter(
-            "repro_jobs_timed_out_total", "jobs whose deadline expired"
-        ).inc()
-        self._end_job_span(job, "timeout")
-        self.flight.record(
-            "timeout", job_id=job.handle.job_id, where="queued"
-        )
+
+    def _settle(
+        self,
+        target: "Job | JobHandle",
+        status: JobStatus,
+        *,
+        report: "SimReport | None" = None,
+        error: BaseException | None = None,
+        expect: JobStatus | None = None,
+        reaped: bool = False,
+        **event,
+    ) -> bool:
+        """Move a job to its terminal ``status`` — the one place that does.
+
+        Closes the job's spans, finishes the handle (releasing its
+        waiters), bumps the outcome's count and writes the terminal flight
+        event, which carries ``event``.  Returns False, having counted
+        nothing, when the handle was already terminal — or, with
+        ``expect``, not exactly in that state, which is the compare-and-set
+        ``cancel()`` relies on.  ``reaped`` marks a job the queue has
+        already moved to TIMEOUT and only needs accounting for.  A bare
+        handle (``cancel()`` holds nothing else) has no spans to close.
+        Callable from any thread: the submitter, the dispatcher, the
+        executor's callback thread and the watchdog all end jobs here.
+        """
+        job = target if isinstance(target, Job) else None
+        handle = target if job is None else job.handle
+        ob = self._observation
+        if job is not None and ob is not None and job.span is not None:
+            # spans close before the waiters wake, so a trace exported
+            # right after result() already holds this job (queued child
+            # first)
+            if job.queued_span is not None:
+                ob.tracer.end_span(job.queued_span)
+                job.queued_span = None
+            job.span.set_attr("outcome", status.value)
+            job.span.set_attr("attempts", job.attempts)
+            ob.tracer.end_span(job.span)
+            job.span = None
         with self._cond:
-            self._timed_out += 1
+            # finished and counted under the lock stats() takes: whoever
+            # result() wakes finds this job already in the counts
+            abandoned = (
+                status is JobStatus.TIMEOUT
+                and handle.status is JobStatus.RUNNING
+            )
+            if expect is not None:
+                won = handle._finish_if(expect, status, error)
+            else:
+                won = reaped or handle._finish(status, report, error)
+            if not won:
+                return False
+            # a cache hit completes a job without a worker completing it
+            self._count("cache_hits" if handle.from_cache else status.value)
+            if abandoned:
+                self._count("abandoned")
+            if error is not None:
+                event["error"] = type(error).__name__
+            self.flight.record(
+                "abandoned" if abandoned else status.value,
+                job_id=handle.job_id,
+                engine=handle.engine,
+                **event,
+            )
+        if status is not JobStatus.DONE:
+            logger.log(
+                logging.ERROR if status is JobStatus.FAILED else logging.INFO,
+                "job %d (%s on %s) %s%s",
+                handle.job_id, handle.pattern_name, handle.graph_id,
+                status.value, f": {error}" if error is not None else "",
+            )
+        return True
+
+    def _requeue(self, job: Job, delay: float, **span_attrs) -> None:
+        """Put a crashed job back on the queue, runnable after ``delay``.
+
+        The one re-push: a queue that filled up in the meantime fails the
+        job (typed, counted and recorded like any other failure).
+        """
+        if self._observation is not None and job.span is not None:
+            job.queued_span = self._observation.tracer.start_span(
+                "service.queued", parent=job.span, **span_attrs
+            )
+        if delay and self.mode == "inline":
+            # synchronous mode: this callback runs on the submitting
+            # thread, so sleeping delays no other completion
+            self._sleep(delay)
+            delay = 0.0
+        # pool modes run this callback on the executor's completion
+        # thread — sleeping there would serialise every in-flight
+        # completion behind the backoff, so defer via the queue
+        job.not_before = self._clock() + delay if delay else None
+        self._rebuild_executor_if_broken()
+        job.handle._requeue()
+        job.enqueued_at = self._clock()
+        try:
+            self._queue.push(job)
+        except QueueFullError as full:
+            self._settle(job, JobStatus.FAILED, error=full)
+            return
+        # inline mode needs no kick: _on_done runs inside _drain_inline's
+        # loop, which pops the requeued job next
+        with self._cond:
+            self._cond.notify_all()
 
     def _cancel(self, handle: JobHandle) -> bool:
         # compare-and-set: a job racing from PENDING to RUNNING between a
         # status check and the transition must NOT be marked cancelled
         # while its worker keeps executing
-        if handle._finish_if(JobStatus.PENDING, JobStatus.CANCELLED):
-            with self._cond:
-                self._cancelled += 1
-            return True
-        return False
+        return self._settle(
+            handle, JobStatus.CANCELLED, expect=JobStatus.PENDING
+        )
 
     def pause(self) -> None:
         """Stop dispatching; queued jobs accumulate (tests, maintenance)."""
@@ -793,21 +911,14 @@ class QueryService:
             # advisory breaker: dispatch anyway; outcomes keep feeding the
             # breaker so a recovered engine closes it again
             return True
-        exc = CircuitOpenError(
-            f"engine {engine!r} breaker is open and no fallback is "
-            f"available for job {job.handle.job_id}"
+        self._settle(
+            job,
+            JobStatus.FAILED,
+            error=CircuitOpenError(
+                f"engine {engine!r} breaker is open and no fallback is "
+                f"available for job {job.handle.job_id}"
+            ),
         )
-        logger.error(
-            "job %d (%s on %s) failed fast: %s",
-            job.handle.job_id, job.handle.pattern_name, job.graph_id, exc,
-        )
-        self.metrics.counter(
-            "repro_jobs_failed_total", "jobs that exhausted their retries"
-        ).inc()
-        self._end_job_span(job, "failed")
-        if job.handle._finish(JobStatus.FAILED, error=exc):
-            with self._cond:
-                self._failed += 1
         return False
 
     def _reroute(
@@ -825,12 +936,7 @@ class QueryService:
         if job.span is not None:
             job.span.set_attr("rerouted_from", engine)
             job.span.set_attr("reroute_reason", reason)
-        self.metrics.counter(
-            "repro_jobs_rerouted_total",
-            "jobs rerouted to a fallback engine",
-            from_engine=engine,
-            to_engine=fallback,
-        ).inc()
+        self._count("rerouted", from_engine=engine, to_engine=fallback)
         self.flight.record(
             "reroute",
             job_id=job.handle.job_id,
@@ -838,8 +944,6 @@ class QueryService:
             to_engine=fallback,
             reason=reason,
         )
-        with self._cond:
-            self._rerouted += 1
 
     def _maybe_sample_verify(self, job: Job) -> None:
         """Deterministically sample this job for a cross-engine check.
@@ -882,153 +986,39 @@ class QueryService:
         if future.cancelled():
             # the executor dropped the job (e.g. cancel_futures on
             # shutdown); release waiters instead of hanging them forever
-            self._end_job_span(job, "cancelled")
-            if job.handle._finish(JobStatus.CANCELLED):
-                with self._cond:
-                    self._cancelled += 1
+            self._settle(job, JobStatus.CANCELLED)
             return
         exc = future.exception()
-        board = self._breakers
         if exc is None:
-            report = future.result()
-            notes = getattr(report, "notes", None) or {}
-            self._note_injected(notes.get("injected"))
-            crosscheck = notes.get("crosscheck")
-            mismatch = bool(crosscheck and crosscheck.get("mismatch"))
-            if board is not None:
-                breaker = board.for_engine(job.config.engine)
-                if mismatch:
-                    breaker.record_failure("wrong_result")
-                else:
-                    breaker.record_success()
-            if crosscheck is not None:
-                self.metrics.counter(
-                    "repro_crosschecks_total",
-                    "sampled cross-engine verification runs",
-                    result="mismatch" if mismatch else "match",
-                ).inc()
-                if mismatch:
-                    logger.error(
-                        "job %d cross-check mismatch: %s counted %s but "
-                        "%s counted %s; serving the verified report",
-                        job.handle.job_id,
-                        crosscheck.get("primary_engine"),
-                        crosscheck.get("primary_count"),
-                        crosscheck.get("verify_engine"),
-                        crosscheck.get("verify_count"),
-                    )
-                    with self._cond:
-                        self._crosscheck_mismatches += 1
-            if (
-                not mismatch
-                and job.rerouted_from is None
-                and not notes.get("injected")
-            ):
-                # mismatched, fault-perturbed or rerouted reports must not
-                # poison the cache: their counts or timings are not what a
-                # clean run of the submitted (engine, config) would yield
-                self._cache.put(job.cache_key, report)
-            profile = getattr(report, "profile", None)
-            ob = self._observation
-            if ob is not None and profile is not None:
-                # worker processes have their own perf_counter origin, so
-                # re-anchor their spans at the dispatch timestamp; threads
-                # and inline runs already share this process's clock
-                ob.tracer.ingest(
-                    profile.spans,
-                    parent=job.span,
-                    align_to=(
-                        job.dispatched_at if self.mode == "process" else None
-                    ),
-                )
-                self._profiles.append(profile)
-            self._end_job_span(job, "done")
-            if job.handle._finish(JobStatus.DONE, report=report):
-                self.metrics.counter(
-                    "repro_jobs_completed_total", "jobs finished successfully"
-                ).inc()
-                elapsed = time.perf_counter() - job.dispatched_at
-                self._latency.record(job.config.engine, elapsed)
-                if (
-                    job.features is not None
-                    and job.verify_engine is None
-                    and not notes.get("injected")
-                    and not mismatch
-                ):
-                    # clean single-engine run: valid training data for the
-                    # cost model (cross-checked jobs time two engines;
-                    # fault-perturbed timings are noise).  Rerouted jobs
-                    # train too — keyed by the engine that actually ran.
-                    self.predictor.observe(
-                        job.features, job.config.engine, elapsed
-                    )
-                    if job.predicted_seconds > 0.0:
-                        self.predictor.record_accuracy(
-                            job.predicted_seconds, elapsed
-                        )
-                self.flight.record(
-                    "done",
-                    job_id=job.handle.job_id,
-                    engine=job.config.engine,
-                    seconds=elapsed,
-                )
-                with self._cond:
-                    self._completed += 1
+            self._on_report(job, future.result())
             return
         if isinstance(exc, _CRASH_TYPES):
+            board = self._breakers
             if board is not None:
                 board.for_engine(job.config.engine).record_failure("crash")
             if isinstance(exc, InjectedCrashError):
                 # the worker died before it could ship notes home; count
                 # the injected crash from the typed error's site instead
                 self._note_injected({f"{exc.site}:crash": 1})
-        if isinstance(exc, _CRASH_TYPES) and job.attempts <= \
-                self.retry.max_retries:
-            logger.warning(
-                "job %d (%s on %s) crashed on attempt %d, retrying: %s",
-                job.handle.job_id, job.handle.pattern_name, job.graph_id,
-                job.attempts, exc,
-            )
-            self.metrics.counter(
-                "repro_job_retries_total", "crash-shaped failures retried"
-            ).inc()
-            with self._cond:
-                self._retries += 1
-            self.flight.record(
-                "retry",
-                job_id=job.handle.job_id,
-                attempt=job.attempts,
-                error=type(exc).__name__,
-            )
-            if self._observation is not None and job.span is not None:
-                job.queued_span = self._observation.tracer.start_span(
-                    "service.queued", parent=job.span, retry=job.attempts
+            if job.attempts <= self.retry.max_retries:
+                logger.warning(
+                    "job %d (%s on %s) crashed on attempt %d, retrying: %s",
+                    job.handle.job_id, job.handle.pattern_name,
+                    job.graph_id, job.attempts, exc,
                 )
-            delay = self.retry.backoff_for(job.attempts)
-            if self.mode == "inline":
-                # synchronous mode: this callback runs on the submitting
-                # thread, so sleeping delays no other completion
-                self._sleep(delay)
-            else:
-                # pool modes run this callback on the executor's completion
-                # thread — sleeping there would serialise every in-flight
-                # completion behind the backoff, so defer via the queue
-                job.not_before = self._clock() + delay
-            self._rebuild_executor_if_broken()
-            job.handle._requeue()
-            job.enqueued_at = self._clock()
-            try:
-                self._queue.push(job)
-            except QueueFullError as full:
-                self._end_job_span(job, "failed")
-                if job.handle._finish(JobStatus.FAILED, error=full):
-                    with self._cond:
-                        self._failed += 1
+                self._count("retries")
+                self.flight.record(
+                    "retry",
+                    job_id=job.handle.job_id,
+                    attempt=job.attempts,
+                    error=type(exc).__name__,
+                )
+                self._requeue(
+                    job,
+                    self.retry.backoff_for(job.attempts),
+                    retry=job.attempts,
+                )
                 return
-            with self._cond:
-                self._cond.notify_all()
-            return
-        if isinstance(exc, _CRASH_TYPES):
             fallback = self.resilience.fallback_for(job.config.engine)
             if (
                 self.resilience.enabled
@@ -1044,50 +1034,77 @@ class QueryService:
                 )
                 job.attempts = 0
                 job.handle.attempts = 0
-                job.not_before = None
-                if self._observation is not None and job.span is not None:
-                    job.queued_span = self._observation.tracer.start_span(
-                        "service.queued", parent=job.span, reroute=fallback
-                    )
-                self._rebuild_executor_if_broken()
-                job.handle._requeue()
-                job.enqueued_at = self._clock()
-                try:
-                    self._queue.push(job)
-                except QueueFullError as full:
-                    self._end_job_span(job, "failed")
-                    if job.handle._finish(JobStatus.FAILED, error=full):
-                        with self._cond:
-                            self._failed += 1
-                    return
-                # inline mode needs no kick: _on_done runs inside
-                # _drain_inline's loop, which pops the requeued job next
-                with self._cond:
-                    self._cond.notify_all()
+                self._requeue(job, 0.0, reroute=fallback)
                 return
             exc = WorkerCrashError(
                 f"job {job.handle.job_id} crashed {job.attempts} time(s); "
                 f"retries exhausted ({self.retry.max_retries}): {exc}"
             )
-        logger.error(
-            "job %d (%s on %s) failed: %s",
-            job.handle.job_id, job.handle.pattern_name, job.graph_id, exc,
-        )
-        self.metrics.counter(
-            "repro_jobs_failed_total", "jobs that exhausted their retries"
-        ).inc()
-        self._end_job_span(job, "failed")
-        self.flight.record(
-            "failed",
-            job_id=job.handle.job_id,
-            engine=job.config.engine,
-            error=type(exc).__name__ if exc is not None else "unknown",
-        )
-        if exc is not None and job.handle._finish(
-            JobStatus.FAILED, error=exc
+        self._settle(job, JobStatus.FAILED, error=exc)
+
+    def _on_report(self, job: Job, report: "SimReport") -> None:
+        """A worker returned: feed the breaker, the cache, the trace and
+        the cost model, then settle the job DONE."""
+        notes = getattr(report, "notes", None) or {}
+        self._note_injected(notes.get("injected"))
+        crosscheck = notes.get("crosscheck")
+        mismatch = bool(crosscheck and crosscheck.get("mismatch"))
+        if self._breakers is not None:
+            breaker = self._breakers.for_engine(job.config.engine)
+            if mismatch:
+                breaker.record_failure("wrong_result")
+            else:
+                breaker.record_success()
+        if mismatch:
+            logger.error(
+                "job %d cross-check mismatch: %s counted %s but "
+                "%s counted %s; serving the verified report",
+                job.handle.job_id,
+                crosscheck.get("primary_engine"),
+                crosscheck.get("primary_count"),
+                crosscheck.get("verify_engine"),
+                crosscheck.get("verify_count"),
+            )
+        if crosscheck is not None:
+            self._count(
+                "crosschecks", result="mismatch" if mismatch else "match"
+            )
+        clean = not mismatch and not notes.get("injected")
+        if clean and job.rerouted_from is None:
+            # mismatched, fault-perturbed or rerouted reports must not
+            # poison the cache: their counts or timings are not what a
+            # clean run of the submitted (engine, config) would yield
+            self._cache.put(job.cache_key, report)
+        profile = getattr(report, "profile", None)
+        ob = self._observation
+        if ob is not None and profile is not None:
+            # worker processes have their own perf_counter origin, so
+            # re-anchor their spans at the dispatch timestamp; threads
+            # and inline runs already share this process's clock
+            ob.tracer.ingest(
+                profile.spans,
+                parent=job.span,
+                align_to=(
+                    job.dispatched_at if self.mode == "process" else None
+                ),
+            )
+            self._profiles.append(profile)
+        elapsed = time.perf_counter() - job.dispatched_at
+        if not self._settle(
+            job, JobStatus.DONE, report=report, seconds=elapsed
         ):
-            with self._cond:
-                self._failed += 1
+            return
+        self._latency.record(job.config.engine, elapsed)
+        if clean and job.features is not None and job.verify_engine is None:
+            # clean single-engine run: valid training data for the
+            # cost model (cross-checked jobs time two engines;
+            # fault-perturbed timings are noise).  Rerouted jobs
+            # train too — keyed by the engine that actually ran.
+            self.predictor.observe(job.features, job.config.engine, elapsed)
+            if job.predicted_seconds > 0.0:
+                self.predictor.record_accuracy(
+                    job.predicted_seconds, elapsed
+                )
 
     # -- resilience --------------------------------------------------------
 
@@ -1104,20 +1121,9 @@ class QueryService:
 
     def _note_injected(self, events: "dict[str, int] | None") -> None:
         """Fold a worker's ``site:kind`` fault events into the metrics."""
-        if not events:
-            return
-        total = 0
-        for key, count in events.items():
+        for key, count in (events or {}).items():
             site, _, kind = key.partition(":")
-            self.metrics.counter(
-                "repro_faults_injected_total",
-                "injected faults observed by the service",
-                site=site,
-                kind=kind,
-            ).inc(count)
-            total += count
-        with self._cond:
-            self._faults_injected += total
+            self._count("faults_injected", count, site=site, kind=kind)
 
     def check_watchdog(self) -> int:
         """One watchdog pass: abandon running jobs past their deadline.
@@ -1134,26 +1140,9 @@ class QueryService:
         for job, future in expired:
             if future is not None:
                 future.cancel()
-            self.metrics.counter(
-                "repro_jobs_abandoned_total",
-                "running jobs abandoned by the watchdog",
-            ).inc()
-            self.metrics.counter(
-                "repro_jobs_timed_out_total",
-                "jobs whose deadline expired",
-            ).inc()
-            self._end_job_span(job, "timeout")
-            self.flight.record(
-                "abandoned",
-                job_id=job.handle.job_id,
-                engine=job.config.engine,
-                attempt=job.attempts,
-            )
-            job.handle._finish(JobStatus.TIMEOUT)
+            self._settle(job, JobStatus.TIMEOUT, attempt=job.attempts)
             with self._cond:
                 self._in_flight -= 1
-                self._timed_out += 1
-                self._abandoned += 1
                 self._cond.notify_all()
         if expired:
             # a worker stuck in a hung job may have broken the pool (or we
@@ -1191,57 +1180,34 @@ class QueryService:
     def health(self) -> HealthReport:
         """Point-in-time degradation report (state machine + counters)."""
         with self._cond:
-            in_flight = self._in_flight
-            shed = self._shed
-            abandoned = self._abandoned
-            rerouted = self._rerouted
-            mismatches = self._crosscheck_mismatches
-            faults = self._faults_injected
-            stuck = self._dispatcher_stuck
-        return HealthReport(
-            state=self._health_state(),
-            queue_depth=self._queue.depth(),
-            queue_limit=self._queue.limit,
-            in_flight=in_flight,
-            breakers=(
-                self._breakers.snapshots()
-                if self._breakers is not None
-                else {}
-            ),
-            shed=shed,
-            abandoned=abandoned,
-            rerouted=rerouted,
-            crosscheck_mismatches=mismatches,
-            faults_injected=faults,
-            dispatcher_stuck=stuck,
-        )
+            return HealthReport(
+                state=self._health_state(),
+                queue_depth=self._queue.depth(),
+                queue_limit=self._queue.limit,
+                in_flight=self._in_flight,
+                breakers=(
+                    self._breakers.snapshots()
+                    if self._breakers is not None
+                    else {}
+                ),
+                shed=self._total("shed"),
+                abandoned=self._total("abandoned"),
+                rerouted=self._total("rerouted"),
+                crosscheck_mismatches=self._total("crosschecks", "mismatch"),
+                faults_injected=self._total("faults_injected"),
+                dispatcher_stuck=self._dispatcher_stuck,
+            )
 
     # -- introspection / lifecycle -----------------------------------------
 
     def stats(self) -> ServiceStats:
         """Point-in-time snapshot of queue, pool, cache and latencies."""
-        with self._cond:
-            in_flight = self._in_flight
-            submitted = self._submitted
-            completed = self._completed
-            failed = self._failed
-            cancelled = self._cancelled
-            timed_out = self._timed_out
-            retries = self._retries
-            shed = self._shed
-            abandoned = self._abandoned
-            rerouted = self._rerouted
-            mismatches = self._crosscheck_mismatches
-            faults = self._faults_injected
-            stuck = self._dispatcher_stuck
-            rejected = self._rejected
-            auto_selected = dict(self._auto_selected)
         self.metrics.gauge(
             "repro_queue_depth", "jobs currently queued"
         ).set(self._queue.depth())
         self.metrics.gauge(
             "repro_in_flight", "jobs currently on workers"
-        ).set(in_flight)
+        ).set(self._in_flight)
         health = self._health_state()
         if self.resilience.enabled:
             self.metrics.set_state_gauge(
@@ -1259,38 +1225,45 @@ class QueryService:
                         [s.name.lower() for s in BreakerState],
                         engine=engine,
                     )
-        return ServiceStats(
-            mode=self.mode,
-            workers=self.max_workers,
-            graphs=len(self._registry),
-            queue_depth=self._queue.depth(),
-            in_flight=in_flight,
-            submitted=submitted,
-            completed=completed,
-            failed=failed,
-            cancelled=cancelled,
-            timed_out=timed_out,
-            retries=retries,
-            shed=shed,
-            abandoned=abandoned,
-            rerouted=rerouted,
-            crosscheck_mismatches=mismatches,
-            faults_injected=faults,
-            health=health.name.lower(),
-            dispatcher_stuck=stuck,
-            rejected=rejected,
-            auto_selected=auto_selected,
-            queue_wait=self._latency.queue_wait_summary(),
-            predictor=self.predictor.snapshot(),
-            cache_size=len(self._cache),
-            cache_hits=self._cache.hits,
-            cache_misses=self._cache.misses,
-            cache_evictions=self._cache.evictions,
-            cache_invalidations=self._cache.invalidations,
-            cache_hit_rate=self._cache.hit_rate,
-            latency=self._latency.summary(),
-            metrics=self.metrics.snapshot(),
-        )
+        # one consistent read: _settle finishes and counts a job under _cond
+        with self._cond:
+            return ServiceStats(
+                mode=self.mode,
+                workers=self.max_workers,
+                graphs=len(self._registry),
+                queue_depth=self._queue.depth(),
+                in_flight=self._in_flight,
+                submitted=self._total("submitted"),
+                # a cache hit completes a job without a worker doing so
+                completed=self._total("done") + self._total("cache_hits"),
+                failed=self._total("failed"),
+                cancelled=self._total("cancelled"),
+                timed_out=self._total("timeout"),
+                retries=self._total("retries"),
+                shed=self._total("shed"),
+                abandoned=self._total("abandoned"),
+                rerouted=self._total("rerouted"),
+                crosscheck_mismatches=self._total("crosschecks", "mismatch"),
+                faults_injected=self._total("faults_injected"),
+                health=health.name.lower(),
+                dispatcher_stuck=self._dispatcher_stuck,
+                rejected=self._total("rejected"),
+                auto_selected={
+                    key[1]: self._total("auto_selected", key[1])
+                    for key in list(self._tally)
+                    if key[0] == "auto_selected"
+                },
+                queue_wait=self._latency.queue_wait_summary(),
+                predictor=self.predictor.snapshot(),
+                cache_size=len(self._cache),
+                cache_hits=self._cache.hits,
+                cache_misses=self._cache.misses,
+                cache_evictions=self._cache.evictions,
+                cache_invalidations=self._cache.invalidations,
+                cache_hit_rate=self._cache.hit_rate,
+                latency=self._latency.summary(),
+                metrics=self.metrics.snapshot(),
+            )
 
     @property
     def observability(self) -> bool:
@@ -1306,8 +1279,8 @@ class QueryService:
         """Recent :class:`ExecutionProfile`\\ s (newest last, bounded)."""
         return list(self._profiles)
 
-    def trace_events(self) -> list[dict]:
-        """Chrome trace events for all finished spans + PE activity."""
+    def _trace_sources(self) -> "tuple[list, list[tuple]]":
+        """Finished spans and PE activity events, the trace's two inputs."""
         ob = self._observation
         if ob is None:
             raise ServiceError(
@@ -1317,7 +1290,11 @@ class QueryService:
         pe_events: list[tuple] = []
         for profile in self._profiles:
             pe_events.extend(profile.pe_events)
-        return chrome_trace_events(ob.tracer.finished(), pe_events)
+        return ob.tracer.finished(), pe_events
+
+    def trace_events(self) -> list[dict]:
+        """Chrome trace events for all finished spans + PE activity."""
+        return chrome_trace_events(*self._trace_sources())
 
     def export_trace(self, path: str | None = None) -> "list[dict] | None":
         """Write (or return) the unified Chrome/Perfetto trace.
@@ -1326,11 +1303,9 @@ class QueryService:
         without it the raw event list comes back.  Raises
         :class:`~repro.errors.ServiceError` when tracing is disabled.
         """
-        events = self.trace_events()
         if path is None:
-            return events
-        payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-        Path(path).write_text(json.dumps(payload))
+            return self.trace_events()
+        write_chrome_trace(path, *self._trace_sources())
         return None
 
     def shutdown(self, wait: bool = True, join_timeout: float = 5.0) -> None:
@@ -1351,10 +1326,7 @@ class QueryService:
         # queued-but-never-run jobs (including any parked on a retry
         # backoff, which pop() would defer) must not hang their waiters
         for job in self._queue.drain():
-            self._end_job_span(job, "cancelled")
-            if job.handle._finish(JobStatus.CANCELLED):
-                with self._cond:
-                    self._cancelled += 1
+            self._settle(job, JobStatus.CANCELLED)
         if dispatcher is not None:
             dispatcher.join(timeout=join_timeout)
             if dispatcher.is_alive():

@@ -12,6 +12,9 @@ from a single thread here:
 * backpressure: a paused service with a tiny queue raises QueueFullError.
 * invalidation: edge updates through ``dynamic_session`` purge (and
   delta-patch) cached results.
+* lifecycle: a hypothesis state machine interleaves all of the above and
+  checks, after every step, that every job is counted exactly once and
+  that each count agrees with its metric series and flight events.
 """
 
 from __future__ import annotations
@@ -21,15 +24,28 @@ import threading
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.api import XSetAccelerator
 from repro.errors import (
+    AdmissionError,
     JobCancelledError,
     JobTimeoutError,
+    LoadShedError,
     QueueFullError,
     WorkerCrashError,
 )
+from repro.graph import erdos_renyi
 from repro.patterns.pattern import PATTERNS
+from repro.resilience import ResilienceConfig
+from repro.sched.adaptive import AdmissionPolicy, SchedulingConfig
 from repro.service import (
     InlineExecutor,
     Job,
@@ -38,6 +54,7 @@ from repro.service import (
     JobStatus,
     QueryService,
 )
+from repro.sim.report import SimReport
 
 
 class FakeClock:
@@ -420,4 +437,250 @@ class TestPerSubmitConstants:
         assert dia.plan is dia2.plan and dia.plan is not tri.plan
         assert dia.cache_key.config_key is svc.config.cache_key()
         assert dia2.cache_key.config_key is tri.cache_key.config_key
+        svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# the job lifecycle as a state machine
+# ---------------------------------------------------------------------------
+
+
+class ScriptedExecutor(InlineExecutor):
+    """Answers every job with a canned report — unless told otherwise.
+
+    ``crashes`` makes the next that-many submissions die like a broken
+    pool; ``hangs`` makes them never complete (the futures are kept in
+    ``hung``); ``before_crash`` runs once inside the next crashing call,
+    which is where a client racing a retry gets to fill the queue.
+    """
+
+    def __init__(self) -> None:
+        self.crashes = 0
+        self.hangs = 0
+        self.before_crash = None
+        self.hung: list[Future] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        if self.crashes:
+            self.crashes -= 1
+            hook, self.before_crash = self.before_crash, None
+            if hook is not None:
+                hook()
+            raise BrokenExecutor("worker died (scripted)")
+        if self.hangs:
+            self.hangs -= 1
+            self.hung.append(future)
+        else:
+            future.set_result(SimReport(embeddings=7))
+        return future
+
+
+#: submit() refusals: typed, and the submission is counted nowhere else
+REFUSALS = (AdmissionError, LoadShedError, QueueFullError)
+#: too short for any prediction to meet / long enough to queue for a while
+SHORT, LONG = 1e-9, 30.0
+
+
+class JobLifecycle(RuleBasedStateMachine):
+    """Random walks over submit / cancel / crash / hang / pause / clock.
+
+    The service is inline with an injected clock, sleep and executor, so
+    every walk is single-threaded and replays exactly.  After every step
+    each accepted job must be in exactly one place (a terminal count, the
+    queue, or a worker), every ``stats()`` count must equal its metric
+    series, and every FAILED handle must have left a ``failed`` flight
+    event; after shutdown no handle may be left waiting.
+    """
+
+    graph = erdos_renyi(30, 8.0, seed=11, name="er30")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = FakeClock()
+        self.executor = ScriptedExecutor()
+        self.svc = QueryService(
+            mode="inline",
+            queue_limit=3,
+            clock=self.clock,
+            sleep=RecordingSleep(),
+            executor=self.executor,
+            resilience=ResilienceConfig(fallbacks=(("batched", "event"),)),
+            scheduling=SchedulingConfig(
+                policy="fifo", admission=AdmissionPolicy(enabled=True)
+            ),
+        )
+        self.gid = self.svc.register_graph(self.graph, graph_id="g")
+        self.handles: list[JobHandle] = []
+
+    def _submit(self, **kwargs) -> None:
+        try:
+            self.handles.append(self.svc.submit(
+                self.gid, engine="batched", **kwargs
+            ))
+        except REFUSALS:
+            pass
+
+    @rule(
+        pattern=st.sampled_from(["3CF", "WEDGE", "DIA"]),
+        priority=st.integers(0, 1),
+        timeout=st.sampled_from([None, 0, SHORT, LONG]),
+        use_cache=st.booleans(),
+    )
+    def submit(self, pattern, priority, timeout, use_cache):
+        self._submit(
+            pattern=PATTERNS[pattern], priority=priority, timeout=timeout,
+            use_cache=use_cache,
+        )
+
+    @precondition(lambda self: self.handles)
+    @rule(data=st.data())
+    def cancel(self, data):
+        data.draw(st.sampled_from(self.handles)).cancel()
+
+    @rule(seconds=st.sampled_from([1.0, 60.0]), scan=st.booleans())
+    def advance_clock(self, seconds, scan):
+        self.clock.advance(seconds)
+        if scan:  # what the watchdog thread does in the pool modes
+            self.svc.check_watchdog()
+
+    @rule(n=st.integers(1, 4))
+    def crash_next_submits(self, n):
+        self.executor.crashes = n
+
+    @rule(timeout=st.sampled_from([None, LONG]))
+    def submit_to_a_worker_that_hangs(self, timeout):
+        self.executor.hangs = 1
+        self._submit(
+            pattern=PATTERNS["CYC"], timeout=timeout, use_cache=False
+        )
+
+    @rule()
+    def crash_while_a_client_fills_the_queue(self):
+        # the next dispatch dies, and before its retry is pushed back a
+        # client (here: from inside the dying call) takes every queue slot
+        def fill():
+            self.svc.pause()
+            for _ in range(self.svc._queue.limit):
+                self._submit(pattern=PATTERNS["TT"], use_cache=False)
+
+        self.executor.crashes = 1
+        self.executor.before_crash = fill
+        self._submit(pattern=PATTERNS["TT"], use_cache=False)
+
+    @rule()
+    def pause(self):
+        self.svc.pause()
+
+    @rule()
+    def resume(self):
+        self.svc.resume()
+
+    @rule()
+    def check_watchdog(self):
+        self.svc.check_watchdog()
+
+    @precondition(lambda self: self.executor.hung)
+    @rule()
+    def hung_worker_answers(self):
+        future = self.executor.hung.pop(0)
+        if not future.cancelled():  # the watchdog cancels what it abandons
+            future.set_result(SimReport(embeddings=7))
+
+    @invariant()
+    def every_job_is_in_exactly_one_place(self):
+        s = self.svc.stats()
+        assert s.submitted == len(self.handles)
+        assert s.submitted == (
+            s.completed + s.failed + s.cancelled + s.timed_out
+            + s.queue_depth + s.in_flight
+        ), s.summary()
+
+    @invariant()
+    def every_count_equals_its_series(self):
+        s = self.svc.stats()
+        series = {
+            "submitted": "repro_jobs_submitted_total",
+            "failed": "repro_jobs_failed_total",
+            "timed_out": "repro_jobs_timed_out_total",
+            "cancelled": "repro_jobs_cancelled_total",
+            "retries": "repro_job_retries_total",
+            "shed": "repro_jobs_shed_total",
+            "abandoned": "repro_jobs_abandoned_total",
+            "rejected": "repro_jobs_rejected_total",
+        }
+        for field, name in series.items():
+            assert getattr(s, field) == s.metrics.get(name, 0), field
+        assert s.rerouted == sum(
+            value for key, value in s.metrics.items()
+            if key.startswith("repro_jobs_rerouted_total")
+        )
+        # worker completions and cache hits are both completed jobs
+        assert s.completed == (
+            s.metrics.get("repro_jobs_completed_total", 0)
+            + s.metrics.get("repro_cache_hits_total", 0)
+        )
+
+    @invariant()
+    def every_failure_left_a_flight_event(self):
+        recorded = {
+            e.data["job_id"] for e in self.svc.flight.events("failed")
+        }
+        for handle in self.handles:
+            if handle.status is JobStatus.FAILED:
+                assert handle.job_id in recorded, handle
+
+    def teardown(self):
+        while self.executor.hung:
+            self.hung_worker_answers()
+        self.svc.shutdown()
+        for handle in self.handles:
+            assert handle.status.terminal, handle  # never a hung waiter
+        self.every_job_is_in_exactly_one_place()
+        self.every_count_equals_its_series()
+
+
+TestJobLifecycle = JobLifecycle.TestCase
+TestJobLifecycle.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None,
+    derandomize=True,
+)
+
+
+class TestCountsAgreeWithSeries:
+    """The three disagreements the walk above turned up, one case each."""
+
+    def test_refused_submission_is_not_counted_as_submitted(self, graph):
+        svc, gid = make_service(graph, scheduling=SchedulingConfig(
+            admission=AdmissionPolicy(enabled=True)
+        ))
+        with pytest.raises(AdmissionError):
+            svc.submit(gid, PATTERNS["3CF"], timeout=SHORT)
+        stats = svc.stats()
+        assert stats.rejected == 1 and stats.submitted == 0
+        assert stats.metrics.get("repro_jobs_submitted_total", 0) == 0
+        svc.shutdown()
+
+    def test_requeue_into_a_full_queue_fails_like_any_failure(self):
+        walk = JobLifecycle()
+        walk.crash_while_a_client_fills_the_queue()
+        (failed,) = [
+            h for h in walk.handles if h.status is JobStatus.FAILED
+        ]
+        with pytest.raises(QueueFullError):
+            failed.result()
+        stats = walk.svc.stats()
+        assert stats.failed == 1 and stats.retries == 1
+        assert stats.metrics["repro_jobs_failed_total"] == 1
+        (event,) = walk.svc.flight.events("failed")
+        assert event.data["job_id"] == failed.job_id
+        assert event.data["error"] == "QueueFullError"
+        walk.teardown()
+
+    def test_cancelled_jobs_have_a_series(self, graph):
+        svc, gid = make_service(graph, start_paused=True)
+        assert svc.submit(gid, PATTERNS["3CF"]).cancel()
+        stats = svc.stats()
+        assert stats.cancelled == 1
+        assert stats.metrics["repro_jobs_cancelled_total"] == 1
         svc.shutdown()
