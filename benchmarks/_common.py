@@ -13,17 +13,9 @@ and recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import datetime
-import json
-import os
-import subprocess
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: repo root — machine-readable benchmark artifacts (``BENCH_*.json``)
-#: live here so the perf trajectory is diffable across PRs
-REPO_ROOT = Path(__file__).parent.parent
 
 #: per-dataset down-scale used by the end-to-end figures.  The large/skewed
 #: stand-ins run at smaller scale because their difference-heavy patterns
@@ -49,49 +41,6 @@ def emit(name: str, text: str) -> str:
     print(banner)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     return text
-
-
-def bench_meta() -> dict:
-    """Provenance stamp for benchmark artifacts.
-
-    Records the git SHA the numbers came from, when they were taken, and
-    how many cores the host had — without these, two BENCH files cannot
-    be compared meaningfully across PRs or machines.  Git being absent
-    (e.g. a source tarball) degrades the SHA to ``"unknown"`` rather
-    than failing the run.
-    """
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except Exception:
-        sha = "unknown"
-    return {
-        "git_sha": sha,
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat(timespec="seconds"),
-        "host_cpus": os.cpu_count() or 1,
-    }
-
-
-def emit_json(name: str, payload: dict) -> Path:
-    """Persist a machine-readable benchmark artifact at the repo root.
-
-    Written as ``BENCH_<name>.json`` with sorted keys and a trailing
-    newline so successive runs produce minimal, reviewable diffs.  Every
-    artifact is stamped with :func:`bench_meta` provenance under
-    ``"meta"`` (a caller-supplied ``meta`` key wins).
-    """
-    payload = {"meta": bench_meta(), **payload}
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def once(benchmark, fn):

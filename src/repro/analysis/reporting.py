@@ -42,7 +42,6 @@ RESULTS_ORDER = (
     "ext_taskset_capacity",
     "ext_root_partitioning",
     "ext_energy",
-    "obs_overhead",
 )
 
 
@@ -114,11 +113,6 @@ def render_profile(profile: "ExecutionProfile") -> str:
             )
         )
     return "\n".join(lines)
-
-
-def default_results_dir() -> Path:
-    """`benchmarks/results/` relative to the repository root."""
-    return Path(__file__).resolve().parents[3].parent / "benchmarks" / "results"
 
 
 def _candidate_dirs(results_dir: Path | None) -> list[Path]:

@@ -54,7 +54,7 @@ from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.config import SystemConfig, xset_default
 from ..errors import ClusterError, CommError
@@ -64,8 +64,7 @@ from ..obs.cluster import TraceContext, new_trace_id
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.federation import FederatedMetrics, MetricsDeltaTracker
 from ..obs.flight import FlightRecorder
-from ..obs.slo import DEFAULT_SLOS, REPLICATED_SLOS, SLO, SLOStatus, \
-    SLOTracker
+from ..obs.slo import DEFAULT_SLOS, REPLICATED_SLOS, SLOStatus, SLOTracker
 from ..obs.summary import Window
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
@@ -109,6 +108,8 @@ DEADLINE_FLOOR = 1.0
 #: cold-start hedge delay = predicted shard latency × this factor (used
 #: before the latency window has enough samples for the percentile rule)
 HEDGE_PREDICTION_FACTOR = 2.0
+#: how long the health prober waits for one ping reply (seconds)
+PROBE_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -331,14 +332,12 @@ class Coordinator:
         *,
         request_timeout: float = 120.0,
         observability: bool = False,
-        slos: "Iterable[SLO] | None" = None,
         flight_dir: "str | Path | None" = None,
         retry: "RetryPolicy | None" = None,
         hedge: "HedgePolicy | None" = None,
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_recoveries: int = 2,
-        probe_timeout: float = 5.0,
     ) -> None:
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -415,9 +414,9 @@ class Coordinator:
         #: coordinator's own registry under shard="coordinator"
         self.federation = FederatedMetrics()
         self._self_delta = MetricsDeltaTracker(self.metrics)
-        if slos is None:
-            slos = REPLICATED_SLOS if self._replicated else DEFAULT_SLOS
-        self.slo = SLOTracker(tuple(slos))
+        self.slo = SLOTracker(
+            REPLICATED_SLOS if self._replicated else DEFAULT_SLOS
+        )
         self._tracer = Tracer() if observability else None
         #: (shard name, profile) pairs for per-shard PE trace lanes
         self._profiles: "deque[tuple[str, ExecutionProfile]]" = deque(
@@ -455,7 +454,6 @@ class Coordinator:
             on_evict=self._evict_replica,
             on_rejoin=self._rejoin_replica,
         )
-        self.probe_timeout = probe_timeout
         if probe_interval > 0:
             self.prober.start()
         self._shutdown = False
@@ -852,7 +850,7 @@ class Coordinator:
         replica = self._replica_by_name[replica_name]
         try:
             reply = replica.probe_connection().request(
-                {"op": "ping"}, timeout=self.probe_timeout
+                {"op": "ping"}, timeout=PROBE_TIMEOUT
             )
         except Exception:
             return False
@@ -1448,16 +1446,13 @@ class Coordinator:
         spans, pe_groups = self._trace_sources()
         return write_chrome_trace(path, spans, pe_groups=pe_groups)
 
-    def shutdown(self, stop_workers: bool = True) -> None:
-        """Close connections (optionally stopping the workers first)."""
+    def shutdown(self) -> None:
+        """Stop the workers, then close the connections to them."""
         if self._shutdown:
             return
         self._shutdown = True
         self.prober.stop()
-        if stop_workers:
-            self._scatter(
-                [(r, {"op": "shutdown"}) for r in self._replicas]
-            )
+        self._scatter([(r, {"op": "shutdown"}) for r in self._replicas])
         for replica in self._replicas:
             replica.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -1488,7 +1483,7 @@ class LocalCluster:
     exactly like the pre-replication one; with more, replicas are named
     ``shard<i>/r<j>``.  ``mode`` selects each worker's service pool:
     ``inline`` for deterministic tests, ``process`` to give every shard
-    its own OS process (how the scaling benchmark runs).
+    its own OS process.
     :meth:`kill_shard` / :meth:`kill_replica` are the chaos hooks and
     :meth:`revive_replica` the recovery hook; killed workers are still
     resource-reclaimed by :meth:`shutdown`.
@@ -1511,7 +1506,6 @@ class LocalCluster:
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_recoveries: int = 2,
-        probe_timeout: float = 5.0,
     ) -> None:
         self.config = config or xset_default()
         if num_shards is None:
@@ -1566,7 +1560,6 @@ class LocalCluster:
             probe_interval=probe_interval,
             probe_failures=probe_failures,
             probe_recoveries=probe_recoveries,
-            probe_timeout=probe_timeout,
         )
 
     def kill_shard(self, index: int) -> str:
@@ -1596,9 +1589,9 @@ class LocalCluster:
 
     def shutdown(self) -> None:
         """Stop everything; always reclaims shm, even for killed shards."""
-        self.coordinator.shutdown(stop_workers=True)
+        self.coordinator.shutdown()
         for worker in self.workers:
-            worker.force_close()
+            worker.close()
 
     def __enter__(self) -> "LocalCluster":
         return self

@@ -34,7 +34,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..errors import ClusterError
 from ..obs.summary import Window, percentile
@@ -384,10 +384,3 @@ class HealthProber:
         if thread is not None:
             thread.join(timeout=join_timeout)
             self._thread = None
-
-
-def states_to_gauges(
-    states: Mapping[str, ReplicaState],
-) -> dict[str, int]:
-    """``{replica: gauge level}`` view of a group's states."""
-    return {name: state.value for name, state in states.items()}

@@ -31,7 +31,7 @@ query additionally ships the job's finished span tree + its
 
 :meth:`kill` simulates a crash for chaos tests: the listener drops dead
 (peers see :class:`~repro.errors.CommClosedError`) but the Python state
-stays reachable so :meth:`force_close` can still unlink shared-memory
+stays reachable so :meth:`close` can still unlink shared-memory
 segments — the in-process stand-in for an external janitor cleaning up
 after a dead host.
 """
@@ -211,7 +211,7 @@ class ShardWorker:
     # -- lifecycle ---------------------------------------------------------
 
     def kill(self) -> None:
-        """Chaos: drop dead on the wire (state stays for force_close)."""
+        """Chaos: drop dead on the wire (state stays for close)."""
         self._killed = True
         self._listener.close()
 
@@ -232,15 +232,8 @@ class ShardWorker:
         self._killed = False
 
     def close(self) -> None:
-        """Graceful stop: close the listener, drain and shut the service."""
-        if self._closed:
-            return
-        self._closed = True
-        self._listener.close()
-        self.service.shutdown()
-
-    def force_close(self) -> None:
-        """Release resources of a live *or killed* worker (shm cleanup)."""
+        """Stop a live *or killed* worker: close the listener, drain and
+        shut the service (which unlinks its shm segments).  Idempotent."""
         self._closed = True
         self._listener.close()
         self.service.shutdown()

@@ -34,9 +34,12 @@ class XSetAccelerator:
     """One configured X-SET SoC instance.
 
     ``engine`` picks the execution backend for ``count``-style runs:
-    ``"event"`` (default — cycle-approximate event-driven simulation) or
+    ``"event"`` (default — cycle-approximate event-driven simulation),
     ``"batched"`` (vectorised frontier expansion, analytic timing; much
-    faster when only counts matter).  See :mod:`repro.engine`.
+    faster when only counts matter), ``"codegen"`` (the batched expansion
+    compiled per plan, same report) or ``"auto"`` (the fastest registered
+    backend; counts are identical on all of them).  See
+    :mod:`repro.engine`.
     """
 
     def __init__(

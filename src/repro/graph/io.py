@@ -20,7 +20,6 @@ from __future__ import annotations
 import gzip
 import re
 from pathlib import Path
-from typing import Iterable
 
 from ..errors import GraphFormatError
 from .csr import CSRGraph
@@ -125,11 +124,3 @@ def save_edge_list(graph: CSRGraph, path: str | Path) -> None:
                  f"{graph.num_edges} edges\n")
         for u, v in graph.edges():
             fh.write(f"{u} {v}\n")
-
-
-def edges_from_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Normalise an iterable of pairs to a concrete, validated edge list."""
-    out = []
-    for u, v in pairs:
-        out.append((int(u), int(v)))
-    return out

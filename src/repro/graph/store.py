@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,22 @@ except ImportError:  # pragma: no cover - exotic platforms only
 
 #: distinguishes segments of concurrent processes sharing one fingerprint
 _SEQ = itertools.count()
+
+
+def _fresh_tracker_lock() -> None:
+    """Give a forked child an unlocked resource-tracker lock.
+
+    Every ``SharedMemory`` create/attach/unlink takes the tracker's lock,
+    and the first one in a process holds it while the tracker process
+    launches.  A pool worker forked by another thread in that window
+    inherits the lock held by a thread it does not have, and blocks
+    forever on its first :func:`attach_graph`.
+    """
+    resource_tracker._resource_tracker._lock = threading.RLock()
+
+
+if _HAVE_SHM and hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_tracker_lock)
 
 
 def shm_available() -> bool:

@@ -101,9 +101,6 @@ class CacheModel:
         """Non-mutating presence probe (used by tests/invariants)."""
         return line_addr in self._sets[line_addr & self._set_mask]
 
-    def bank_of(self, line_addr: int) -> int:
-        return line_addr % self.config.banks
-
     def stream_bank_cycles(self, num_lines: int) -> int:
         """Cycles the banked array needs to serve ``num_lines`` accesses."""
         banks = self.config.banks

@@ -35,7 +35,6 @@ from .breaker import (
     CircuitBreaker,
 )
 from .degradation import (
-    DegradationPolicy,
     HealthReport,
     HealthState,
     assess,
@@ -62,7 +61,6 @@ __all__ = [
     "COMM_SITES",
     "CircuitBreaker",
     "DEFAULT_FALLBACKS",
-    "DegradationPolicy",
     "FAULT_SITES",
     "FaultInjector",
     "FaultKind",

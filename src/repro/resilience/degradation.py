@@ -30,11 +30,16 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .breaker import BreakerSnapshot, BreakerState
 
-__all__ = ["HealthState", "DegradationPolicy", "HealthReport", "assess"]
+__all__ = ["HealthState", "HealthReport", "assess"]
 
 #: while OVERLOADED, submissions with ``priority >= this`` are shed
 #: (lower priority value = more important, matching the job queue)
 SHED_MIN_PRIORITY = 1
+
+#: queue occupancy (fraction of the limit) at or above which = DEGRADED
+QUEUE_DEGRADED_FRACTION = 0.5
+#: queue occupancy at or above which = OVERLOADED (shedding kicks in)
+QUEUE_OVERLOADED_FRACTION = 0.9
 
 
 class HealthState(enum.Enum):
@@ -45,27 +50,16 @@ class HealthState(enum.Enum):
     OVERLOADED = 2
 
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """The queue-occupancy watermarks."""
-
-    #: queue occupancy (fraction of the limit) above which = DEGRADED
-    queue_degraded_fraction: float = 0.5
-    #: queue occupancy above which = OVERLOADED (shedding kicks in)
-    queue_overloaded_fraction: float = 0.9
-
-
 def assess(
     queue_depth: int,
     queue_limit: int,
     breaker_states: Iterable["BreakerState"],
-    policy: DegradationPolicy,
 ) -> HealthState:
     """Classify the service from one snapshot of its signals."""
     fraction = queue_depth / queue_limit if queue_limit > 0 else 0.0
-    if fraction >= policy.queue_overloaded_fraction:
+    if fraction >= QUEUE_OVERLOADED_FRACTION:
         return HealthState.OVERLOADED
-    if fraction >= policy.queue_degraded_fraction:
+    if fraction >= QUEUE_DEGRADED_FRACTION:
         return HealthState.DEGRADED
     if any(state.value != 0 for state in breaker_states):
         return HealthState.DEGRADED

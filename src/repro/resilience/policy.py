@@ -17,9 +17,7 @@ with no usable fallback fails fast with a typed error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-from .degradation import DegradationPolicy
+from dataclasses import dataclass, replace
 
 __all__ = ["ResilienceConfig", "DEFAULT_FALLBACKS"]
 
@@ -61,11 +59,6 @@ class ResilienceConfig:
     # -- watchdog ----------------------------------------------------------
     #: background scan period of the watchdog thread (pool modes)
     watchdog_interval: float = 0.05
-
-    # -- degradation / shedding --------------------------------------------
-    degradation: DegradationPolicy = field(
-        default_factory=DegradationPolicy
-    )
 
     def fallback_for(self, engine: str) -> str | None:
         """The configured fallback route out of ``engine``, if any."""

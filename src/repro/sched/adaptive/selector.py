@@ -30,7 +30,7 @@ __all__ = ["AUTO_ENGINE", "AUTO_PREFERENCE", "auto_engine", "select_engine"]
 AUTO_ENGINE = "auto"
 
 #: static fallback ranking when no prediction or breaker data exists
-#: (fastest first, per the bench_engines measurements)
+#: (fastest first; ``benchmarks/e2e`` times each as ``engine.*_mcu``)
 AUTO_PREFERENCE = ("codegen", "batched", "event")
 
 

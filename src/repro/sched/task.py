@@ -59,22 +59,6 @@ class SimTask:
         self.scratch_addr: int = 0
         self.task_set: TaskSetState | None = None
 
-    @classmethod
-    def from_embedding(cls, embedding: "tuple[int, ...]") -> "SimTask":
-        """Build the task chain for a partial embedding; returns the leaf.
-
-        ``embedding[i]`` is the data vertex matched at level ``i``, so the
-        returned task computes level ``len(embedding)`` with its full
-        ancestor chain attached — the bridge from frontier-style state
-        (one row per partial embedding) back to event-style tasks.
-        """
-        if not embedding:
-            raise ValueError("embedding must match at least the root vertex")
-        task = cls(level=1, vertex=int(embedding[0]), parent=None)
-        for v in embedding[1:]:
-            task = cls(level=task.level + 1, vertex=int(v), parent=task)
-        return task
-
     def ancestor(self, level: int) -> "SimTask":
         """Walk the parent chain to the task executed at ``level``."""
         node: SimTask = self

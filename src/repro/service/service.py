@@ -9,8 +9,10 @@ Execution modes
 ---------------
 ``process``
     ``ProcessPoolExecutor`` — true parallelism for CPU-bound engine runs.
-    Graphs ship to workers as the registry's pre-pickled payload and are
-    deserialised once per worker process (see :mod:`repro.service.worker`).
+    A job carries a :class:`~repro.graph.store.SharedGraphRef`; each
+    worker attaches once to the registry's shared-memory segment and
+    reads the graph through zero-copy views (pickled bytes only where
+    shared memory is unavailable; see :mod:`repro.service.worker`).
 ``thread``
     ``ThreadPoolExecutor`` — shares graphs by reference.  NumPy kernels
     release the GIL only partially, so this mostly provides overlap, not
@@ -1170,12 +1172,7 @@ class QueryService:
             if self._breakers is not None
             else ()
         )
-        return assess(
-            self._queue.depth(),
-            self._queue.limit,
-            breakers,
-            self.resilience.degradation,
-        )
+        return assess(self._queue.depth(), self._queue.limit, breakers)
 
     def health(self) -> HealthReport:
         """Point-in-time degradation report (state machine + counters)."""

@@ -103,7 +103,8 @@ def _run_primary(
     observe_run: bool,
     roots=None,
 ) -> "SimReport":
-    """The pre-resilience execution paths, byte-for-byte unchanged."""
+    """Run the job's own engine, timed; under observation also traced
+    and profiled.  No fault scope, no cross-check — the caller adds both."""
     from ..sim.host import run_on_soc
 
     if not observe_run:

@@ -322,6 +322,10 @@ class TestServiceAdaptive:
             stats = svc.stats()
         assert stats.auto_selected.get(handle.engine) == 1
         assert "auto-selected" in stats.summary()
+        # the library facade resolves the same sentinel without a service
+        assert XSetAccelerator().count(
+            graph, PATTERNS["3CF"], engine="auto"
+        ).embeddings == expected
 
     def test_completed_jobs_train_the_predictor(self, graph):
         with QueryService(mode="inline") as svc:

@@ -1,5 +1,6 @@
 """The sharded query cluster: comm, partitioning, equivalence, chaos."""
 
+import faulthandler
 import os
 import pickle
 
@@ -284,6 +285,29 @@ class TestEquivalence:
             assert cluster.coordinator.count(
                 gid, PATTERNS["3CF"]
             ) == expected
+
+    def test_codegen_engine_inproc_process(self, capfd):
+        """Process-backed shards on the inproc transport with codegen:
+        this combination's first query used to deadlock when a worker
+        was forked mid resource-tracker launch (``repro.graph.store``).
+        Should a hang return, every thread's stack goes to the real
+        stderr and the run ends, instead of tier-1 stalling silently."""
+        g = erdos_renyi(150, 10.0, seed=11)
+        cfg = xset_default(engine="codegen")
+        with capfd.disabled():
+            faulthandler.dump_traceback_later(120.0, exit=True)
+            try:
+                with LocalCluster(
+                    num_shards=2, config=cfg, mode="process",
+                    max_workers=1,
+                ) as cluster:
+                    gid = cluster.coordinator.register_graph(g)
+                    for name in ("3CF", "DIA", "4CF"):
+                        assert cluster.coordinator.count(
+                            gid, PATTERNS[name], use_cache=False
+                        ) == _reference(g, PATTERNS[name]), name
+            finally:
+                faulthandler.cancel_dump_traceback_later()
 
     def test_merged_report_accounting(self):
         g = erdos_renyi(100, 8.0, seed=3)

@@ -216,7 +216,7 @@ class TestReopenAndRevive:
             assert conn2.request({"op": "ping"}, timeout=10) == "pong"
             conn2.close()
         finally:
-            worker.force_close()
+            worker.close()
 
     def test_closed_worker_cannot_revive(self):
         transport = get_transport("inproc")

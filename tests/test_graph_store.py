@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -122,6 +124,44 @@ class TestLifecycle:
         segment.unlink()  # name gone, but the mapping stays valid
         assert int(attached.graph.indptr[-1]) == small_er.indices.size
         attached.close()
+
+    def test_attach_in_child_forked_during_a_tracker_call(self, small_er):
+        """A pool worker forked while another thread is inside a
+        resource-tracker call inherits the tracker's lock held by a
+        thread that does not exist in the child — for the whole tracker
+        launch when it is the process's first segment — and used to
+        block forever on its first attach (the intermittent tier-1
+        stall: two shard services in one process, one creating its
+        first segment while the other forks its first worker)."""
+        from multiprocessing import resource_tracker
+
+        segment = share_graph(small_er)
+        held, release = threading.Event(), threading.Event()
+
+        def mid_tracker_call():
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(30.0)
+
+        other = threading.Thread(target=mid_tracker_call)
+        other.start()
+        try:
+            assert held.wait(10.0)
+            pid = os.fork()
+            if pid == 0:  # the forked worker: attach, report, leave
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)  # a hang ends the child, not the suite
+                try:
+                    attach_graph(segment.ref).close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            _, status = os.waitpid(pid, 0)
+            assert status == 0, "forked attach hung (SIGALRM) or failed"
+        finally:
+            release.set()
+            other.join(10.0)
+            segment.unlink()
 
     def test_disable_env_gates_creation(self, small_er, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "1")

@@ -6,6 +6,7 @@ single-node run with **zero** partial results — on both transports, all
 engines, labeled patterns included.
 """
 
+import json
 import time
 
 import pytest
@@ -50,6 +51,14 @@ def _reference(graph, pattern, engine="batched"):
 
 #: a retry policy with test-friendly backoff (milliseconds, not seconds)
 FAST_RETRY = RetryPolicy(rounds=2, base=0.01, multiplier=2.0, cap=0.05)
+
+
+def _eventually(condition, seconds=10.0):
+    """Poll until ``condition()`` holds or the time is up; returns it."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 # -- policy objects ---------------------------------------------------------
@@ -430,11 +439,12 @@ class TestFailover:
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
 
-    def test_failover_observability(self):
+    def test_failover_observability(self, tmp_path):
         g = erdos_renyi(60, 6.0, seed=4)
         cfg = xset_default(engine="batched")
         with LocalCluster(
             num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
+            flight_dir=tmp_path,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -449,6 +459,12 @@ class TestFailover:
             text = coord.metrics_text()
             assert "repro_cluster_replica_failovers_total" in text
             assert "repro_cluster_replica_state" in text
+            # the first failover auto-dumps the black box
+            dump = tmp_path / "flight-coordinator-replica-failover.json"
+            kinds = {
+                e["kind"] for e in json.loads(dump.read_text())["events"]
+            }
+            assert "replica_failover" in kinds
 
     def test_both_replicas_dead_degrades_not_lies(self):
         g = erdos_renyi(60, 6.0, seed=4)
@@ -564,6 +580,20 @@ class TestProberIntegration:
             )
             assert report.notes["cluster"]["partial"] is False
 
+    def test_live_prober_evicts_then_rejoins(self):
+        """The same cycle on the prober's own thread (``probe_interval``
+        > 0) instead of hand-driven ``step()`` calls."""
+        with LocalCluster(
+            num_shards=1, config=xset_default(engine="batched"),
+            replicas=2, retry=FAST_RETRY, probe_interval=0.02,
+            probe_failures=2, probe_recoveries=2,
+        ) as cluster:
+            prober = cluster.coordinator.prober
+            victim = cluster.kill_replica(0, 0)
+            assert _eventually(lambda: victim in prober.evicted)
+            cluster.revive_replica(0, 0)
+            assert _eventually(lambda: victim not in prober.evicted)
+
     def test_health_reports_replica_states(self):
         cfg = xset_default(engine="batched")
         with LocalCluster(
@@ -625,13 +655,9 @@ class TestHedging:
             assert coord.flight.events("hedged_query")
             # the primary eventually answers too; its duplicate is
             # dropped and counted, never merged
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if coord.metrics.counter(
-                    "repro_cluster_hedged_duplicates_dropped_total"
-                ).value >= 1:
-                    break
-                time.sleep(0.05)
+            _eventually(lambda: coord.metrics.counter(
+                "repro_cluster_hedged_duplicates_dropped_total"
+            ).value >= 1)
             assert coord.metrics.counter(
                 "repro_cluster_hedged_duplicates_dropped_total"
             ).value == 1

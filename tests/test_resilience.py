@@ -28,7 +28,6 @@ from repro.patterns.pattern import PATTERNS
 from repro.resilience import (
     BreakerState,
     CircuitBreaker,
-    DegradationPolicy,
     FaultInjector,
     FaultKind,
     FaultPlan,
@@ -330,18 +329,16 @@ class TestWatchdog:
 
 class TestDegradation:
     def test_watermarks(self):
-        policy = DegradationPolicy()
-        assert assess(0, 100, (), policy) is HealthState.HEALTHY
-        assert assess(49, 100, (), policy) is HealthState.HEALTHY
-        assert assess(50, 100, (), policy) is HealthState.DEGRADED
-        assert assess(90, 100, (), policy) is HealthState.OVERLOADED
+        assert assess(0, 100, ()) is HealthState.HEALTHY
+        assert assess(49, 100, ()) is HealthState.HEALTHY
+        assert assess(50, 100, ()) is HealthState.DEGRADED
+        assert assess(90, 100, ()) is HealthState.OVERLOADED
 
     def test_any_non_closed_breaker_degrades(self):
-        policy = DegradationPolicy()
         states = (BreakerState.CLOSED, BreakerState.OPEN)
-        assert assess(0, 100, states, policy) is HealthState.DEGRADED
+        assert assess(0, 100, states) is HealthState.DEGRADED
         assert assess(
-            0, 100, (BreakerState.HALF_OPEN,), policy
+            0, 100, (BreakerState.HALF_OPEN,)
         ) is HealthState.DEGRADED
 
 
@@ -658,6 +655,22 @@ class TestUnarmedIsByteIdentical:
         assert a.tasks == b.tasks
         assert a.set_ops == b.set_ops
         assert a.notes == {} and b.notes == {}
+        # fully wired, selecting nothing: hardened, every armed spec rate 0
+        svc, gid = make_service(
+            graph, resilience=ResilienceConfig.hardened(verify_fraction=0.0)
+        )
+        svc.arm_faults(FaultPlan(seed=0, specs=(
+            FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.0),
+            FaultSpec(site="memory.stream", kind=FaultKind.STALL, rate=0.0),
+        )))
+        c = svc.count(gid, PATTERNS["TT"], engine=engine, use_cache=False)
+        assert (c.embeddings, c.cycles, c.tasks, c.set_ops, c.notes) == (
+            b.embeddings, b.cycles, b.tasks, b.set_ops, {}
+        )
+        stats = svc.stats()
+        assert stats.faults_injected == stats.failed == 0
+        assert stats.shed == stats.rerouted == stats.abandoned == 0
+        assert stats.crosscheck_mismatches == 0
 
     def test_stall_fault_only_changes_timing(self, graph):
         svc, gid = make_service(graph)

@@ -232,17 +232,23 @@ class TestPriorities:
                 handle.result(timeout=60)
         assert executor.dispatched == ["WEDGE", "P3", "3CF"]
 
-    def test_fifo_within_priority(self, service_graphs):
+    def test_fifo_within_priority(self, service_graphs, direct_counts):
         executor = RecordingExecutor()
+        names = ("3CF", "WEDGE", "P3")
         with QueryService(
             mode="inline", start_paused=True, executor=executor,
             scheduling=SchedulingConfig(policy="fifo"),
         ) as svc:
             gid = svc.register_graph(service_graphs[0])
-            for name in ("3CF", "WEDGE", "P3"):
+            handles = [
                 svc.submit(gid, PATTERNS[name], engine="batched")
+                for name in names
+            ]
             svc.resume()
+            counts = [h.result(timeout=60).embeddings for h in handles]
         assert executor.dispatched == ["3CF", "WEDGE", "P3"]
+        # the policy orders dispatch, never what is counted
+        assert counts == [direct_counts[(gid, name)] for name in names]
 
 
 class TestStatsAndLifecycle:

@@ -12,8 +12,10 @@ import threading
 
 import pytest
 
+from repro.core.api import XSetAccelerator
 from repro.errors import ServiceError
 from repro.graph.generators import erdos_renyi
+from repro.obs import observe
 from repro.obs.export import PE_PID, SPAN_PID
 from repro.patterns.pattern import PATTERNS
 from repro.service import QueryService
@@ -84,6 +86,15 @@ class TestEndToEnd:
         assert plain.tasks == traced.tasks
         assert plain.profile is None
         assert traced.profile is not None
+        # the frontier engines' level hooks are as inert as the simulator's
+        accel = XSetAccelerator(engine="batched")
+        plain = accel.count(graph, PATTERNS["4CF"])
+        with observe() as ob:
+            traced = accel.count(graph, PATTERNS["4CF"])
+        assert ob.tracer.finished()
+        assert (plain.embeddings, plain.cycles, plain.tasks) == (
+            traced.embeddings, traced.cycles, traced.tasks
+        )
 
     def test_batched_engine_levels_match_event_engine(self, graph):
         def levels_for(engine):
