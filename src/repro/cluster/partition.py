@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ClusterError
+from ..graph.algorithms import neighborhood
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -98,75 +99,19 @@ def contiguous_cuts(
     return [(bounds[i], bounds[i + 1]) for i in range(num_shards)]
 
 
-def _gather_neighbors(graph: CSRGraph, rows: np.ndarray) -> np.ndarray:
-    """All neighbour IDs of ``rows`` concatenated (vectorised row gather)."""
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = graph.indptr[rows]
-    lens = graph.indptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # flat positions: for each row r, starts[r] + [0, lens[r])
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    flat = np.repeat(starts, lens) + (np.arange(total, dtype=np.int64)
-                                      - offsets)
-    return graph.indices[flat].astype(np.int64)
-
-
 def halo_vertices(
     graph: CSRGraph, lo: int, hi: int, hops: int
 ) -> np.ndarray:
     """Sorted global IDs within ``hops`` hops of the owned ``[lo, hi)``."""
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[lo:hi] = True
-    frontier = np.arange(lo, hi, dtype=np.int64)
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        nbrs = np.unique(_gather_neighbors(graph, frontier))
-        fresh = nbrs[~visited[nbrs]]
-        visited[fresh] = True
-        frontier = fresh
-    return np.flatnonzero(visited).astype(np.int64)
+    return neighborhood(graph, np.arange(lo, hi, dtype=np.int64), hops)
 
 
 def induced_subgraph(
     graph: CSRGraph, vertices: np.ndarray, name: str
 ) -> CSRGraph:
-    """The subgraph induced on sorted ``vertices``, in compacted local IDs.
-
-    Adjacency rows stay sorted: the source rows are sorted and the
-    global→local map is monotone.
-    """
-    keep = np.zeros(graph.num_vertices, dtype=bool)
-    keep[vertices] = True
-    starts = graph.indptr[vertices]
-    lens = graph.indptr[vertices + 1] - starts
-    total = int(lens.sum())
-    if total:
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        flat = np.repeat(starts, lens) + (
-            np.arange(total, dtype=np.int64) - offsets
-        )
-        nbrs = graph.indices[flat].astype(np.int64)
-        row_of = np.repeat(
-            np.arange(vertices.size, dtype=np.int64), lens
-        )
-        inside = keep[nbrs]
-        nbrs = nbrs[inside]
-        row_of = row_of[inside]
-        local_nbrs = np.searchsorted(vertices, nbrs).astype(np.int32)
-        counts = np.bincount(row_of, minlength=vertices.size)
-    else:
-        local_nbrs = np.empty(0, dtype=np.int32)
-        counts = np.zeros(vertices.size, dtype=np.int64)
-    indptr = np.zeros(vertices.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    labels = None if graph.labels is None else graph.labels[vertices]
-    return CSRGraph(
-        indptr=indptr, indices=local_nbrs, name=name, labels=labels
-    )
+    """The subgraph induced on ``vertices``, in compacted local IDs
+    (:meth:`CSRGraph.induced_subgraph` under the shard's name)."""
+    return graph.induced_subgraph(vertices, name=name)
 
 
 def make_shards(

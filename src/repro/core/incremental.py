@@ -10,6 +10,15 @@ Every embedding containing edge ``(u, v)`` lies inside the ball of radius
 ``diameter(P)`` around ``{u, v}``, so the delta is computed as the count
 difference on that induced neighbourhood — exact, and local for the sparse
 graphs GPM targets.
+
+The graph is held as one immutable :class:`CSRGraph` snapshot: a write
+replaces it by ``with_edge`` / ``without_edge`` (an array splice), extracts
+the ball once (vectorised BFS + induced-subgraph gather, labels kept) and
+counts it with and without the edge on the vectorised frontier expansion
+the ``batched`` engine runs.  A write therefore costs what the edge's
+neighbourhood costs plus one O(E) memcpy, with no per-edge Python object;
+the pure-Python reference executor is not used here, which leaves it an
+independent oracle for the maintained count.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ from collections import deque
 
 import numpy as np
 
-from ..errors import GraphFormatError
+from ..engine.batched import ROOT_CHUNK
+from ..engine.functional import expand_frontier
+from ..graph.algorithms import neighborhood
 from ..graph.csr import CSRGraph
-from ..patterns.executor import count_embeddings
 from ..patterns.pattern import Pattern
 from ..patterns.plan import MatchingPlan, build_plan
 
@@ -58,105 +68,76 @@ class IncrementalGPM:
         self.pattern = pattern
         self.plan: MatchingPlan = build_plan(pattern, induced=induced)
         self._radius = pattern_diameter(pattern)
-        self._adj: list[set[int]] = [
-            set(int(w) for w in graph.neighbors(v))
-            for v in range(graph.num_vertices)
-        ]
-        self.count = count_embeddings(graph, self.plan).embeddings
+        self._graph = graph
+        self.count = self._count(graph)
         self.updates_applied = 0
         self.on_update = on_update
 
-    # -- graph bookkeeping ----------------------------------------------------
-
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return self._graph.num_vertices
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._graph.has_edge(u, v)
 
-    def _check(self, u: int, v: int) -> None:
-        n = self.num_vertices
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) out of range")
-        if u == v:
-            raise GraphFormatError("self loops are not allowed")
+    # -- counting -------------------------------------------------------------
 
-    def _ball(self, u: int, v: int) -> list[int]:
-        """Vertices within pattern-diameter hops of the updated edge."""
-        seen = {u, v}
-        frontier = [u, v]
-        for _ in range(self._radius):
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+    def _count(self, graph: CSRGraph) -> int:
+        """Embeddings of the plan in ``graph``, a chunk of roots at a time."""
+        n = graph.num_vertices
+        return sum(
+            expand_frontier(
+                graph, self.plan, np.arange(lo, min(lo + ROOT_CHUNK, n))
+            )[-1].count
+            for lo in range(0, n, ROOT_CHUNK)
+        )
 
-    def _ball_graph(self, ball: list[int]) -> tuple[CSRGraph, dict[int, int]]:
-        rank = {v: i for i, v in enumerate(ball)}
-        edges = []
-        for v in ball:
-            for w in self._adj[v]:
-                if w in rank and v < w:
-                    edges.append((rank[v], rank[w]))
-        return CSRGraph.from_edges(len(ball), edges, name="ball"), rank
+    def _edge_delta(self, graph: CSRGraph, u: int, v: int) -> int:
+        """Count of ``graph`` minus count of ``graph`` less its edge
+        ``(u, v)``, both taken on the ball around the edge."""
+        ball = neighborhood(graph, np.array([u, v]), self._radius)
+        with_edge = graph.induced_subgraph(ball, name="ball")
+        lu, lv = np.searchsorted(ball, (u, v)).tolist()
+        return self._count(with_edge) - self._count(
+            with_edge.without_edge(lu, lv)
+        )
 
-    def _count_ball(self, ball: list[int]) -> int:
-        graph, _ = self._ball_graph(ball)
-        return count_embeddings(graph, self.plan).embeddings
+    def _commit(self, graph: CSRGraph, u: int, v: int, inserted: bool,
+                delta: int) -> int:
+        """Make ``graph`` the held snapshot, fold ``delta`` in, notify."""
+        self._graph = graph
+        self.count += delta
+        self.updates_applied += 1
+        if self.on_update is not None:
+            self.on_update(self, u, v, inserted, delta)
+        return delta
 
     # -- updates ----------------------------------------------------------------
 
     def insert_edge(self, u: int, v: int) -> int:
-        """Add an edge; returns the (non-negative) count delta."""
-        self._check(u, v)
-        if self.has_edge(u, v):
+        """Add an edge; returns the count delta (non-negative unless the
+        pattern is induced).  Raises :class:`GraphFormatError` on a self
+        loop or an endpoint out of range."""
+        after = self._graph.with_edge(u, v)
+        if after is self._graph:
             return 0
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        ball = self._ball(u, v)
-        after = self._count_ball(ball)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        before = self._count_ball(ball)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        delta = after - before
-        self.count += delta
-        self.updates_applied += 1
-        if self.on_update is not None:
-            self.on_update(self, u, v, True, delta)
-        return delta
+        return self._commit(
+            after, u, v, True, self._edge_delta(after, u, v)
+        )
 
     def remove_edge(self, u: int, v: int) -> int:
-        """Remove an edge; returns the (non-positive) count delta."""
-        self._check(u, v)
-        if not self.has_edge(u, v):
+        """Remove an edge; returns the count delta (:meth:`insert_edge`)."""
+        before = self._graph
+        after = before.without_edge(u, v)
+        if after is before:
             return 0
-        ball = self._ball(u, v)  # ball while the edge still exists
-        before = self._count_ball(ball)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        after = self._count_ball(ball)
-        delta = after - before
-        self.count += delta
-        self.updates_applied += 1
-        if self.on_update is not None:
-            self.on_update(self, u, v, False, delta)
-        return delta
+        return self._commit(
+            after, u, v, False, -self._edge_delta(before, u, v)
+        )
 
     # -- export -------------------------------------------------------------------
 
     def snapshot(self) -> CSRGraph:
-        """Materialise the current graph as an immutable CSR snapshot."""
-        edges = [
-            (u, w)
-            for u in range(self.num_vertices)
-            for w in self._adj[u]
-            if u < w
-        ]
-        return CSRGraph.from_edges(self.num_vertices, edges, name="dynamic")
+        """The current graph: an immutable CSR snapshot, returned without a
+        copy (labels, ``name`` and ``base_address`` are the input graph's)."""
+        return self._graph

@@ -8,6 +8,7 @@ from .algorithms import (
     global_clustering,
     k_core,
     largest_component,
+    neighborhood,
     relabeled_by_degeneracy,
 )
 from .bitmapcsr import (
@@ -79,6 +80,7 @@ __all__ = [
     "intersect_words",
     "load_dataset",
     "load_edge_list",
+    "neighborhood",
     "powerlaw_degree_sequence",
     "powerlaw_graph",
     "save_edge_list",

@@ -22,6 +22,7 @@ __all__ = [
     "k_core",
     "connected_components",
     "largest_component",
+    "neighborhood",
     "global_clustering",
     "relabeled_by_degeneracy",
 ]
@@ -89,7 +90,7 @@ def k_core(graph: CSRGraph, k: int) -> CSRGraph:
     """Induced subgraph on vertices with core number ≥ k."""
     core = core_numbers(graph)
     keep = np.flatnonzero(core >= k)
-    return graph.induced_subgraph(keep.tolist())
+    return graph.induced_subgraph(keep)
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:
@@ -120,7 +121,22 @@ def largest_component(graph: CSRGraph) -> CSRGraph:
         return graph
     counts = np.bincount(comp)
     big = int(np.argmax(counts))
-    return graph.induced_subgraph(np.flatnonzero(comp == big).tolist())
+    return graph.induced_subgraph(np.flatnonzero(comp == big))
+
+
+def neighborhood(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
+    """Sorted IDs of the vertices within ``hops`` hops of ``seeds``
+    (level-synchronous BFS, one row gather per hop)."""
+    visited = np.zeros(graph.num_vertices, dtype=bool)
+    visited[seeds] = True
+    frontier = np.asarray(seeds, dtype=np.int64)
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        nbrs, _ = graph.gather_rows(frontier)
+        frontier = np.unique(nbrs[~visited[nbrs]])
+        visited[frontier] = True
+    return np.flatnonzero(visited)
 
 
 def global_clustering(graph: CSRGraph) -> float:

@@ -22,11 +22,15 @@ import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["CSRGraph", "edges_to_csr"]
+__all__ = ["CSRGraph", "edges_to_csr", "gather_spans"]
 
 
-def _as_edge_array(edges: Iterable[tuple[int, int]]) -> np.ndarray:
-    arr = np.asarray(list(edges), dtype=np.int64)
+def _as_edge_array(
+    edges: Iterable[tuple[int, int]] | np.ndarray,
+) -> np.ndarray:
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -34,13 +38,33 @@ def _as_edge_array(edges: Iterable[tuple[int, int]]) -> np.ndarray:
     return arr
 
 
+def gather_spans(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the slices ``values[lo[i]:hi[i]]`` in one gather;
+    returns them with ``owner[j]``, the ``i`` whose slice holds element j."""
+    deg = hi - lo
+    total = int(deg.sum())
+    owner = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
+    if total == 0:
+        return values[:0], owner
+    # each output element's position is its running index shifted by
+    # (span start − span output offset), one repeat instead of two
+    offsets = np.zeros(deg.size, dtype=np.int64)
+    np.cumsum(deg[:-1], out=offsets[1:])
+    pos = np.arange(total, dtype=np.int64)
+    pos += np.repeat(lo - offsets, deg)
+    return values[pos], owner
+
+
 def edges_to_csr(
-    num_vertices: int, edges: Iterable[tuple[int, int]]
+    num_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build sorted CSR arrays for an *undirected* simple graph.
 
-    Self-loops and duplicate edges are removed.  Returns ``(indptr, indices)``
-    where ``indptr`` has length ``num_vertices + 1``.
+    ``edges`` is an iterable of pairs or an ``(m, 2)`` integer array (taken
+    as is).  Self-loops and duplicate edges are removed.  Returns
+    ``(indptr, indices)`` where ``indptr`` has length ``num_vertices + 1``.
     """
     arr = _as_edge_array(edges)
     if arr.size:
@@ -116,10 +140,11 @@ class CSRGraph:
     def from_edges(
         cls,
         num_vertices: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         name: str = "graph",
     ) -> "CSRGraph":
-        """Build a graph from an undirected edge list (dedup + symmetrize)."""
+        """Build a graph from an undirected edge list or ``(m, 2)`` array
+        (dedup + symmetrize)."""
         indptr, indices = edges_to_csr(num_vertices, edges)
         return cls(indptr=indptr, indices=indices, name=name)
 
@@ -153,6 +178,14 @@ class CSRGraph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbour row of ``v`` (a zero-copy view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def gather_rows(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour rows of ``vertices`` concatenated, and per element
+        the index into ``vertices`` of its row (:func:`gather_spans`)."""
+        lo = self.indptr[vertices]
+        return gather_spans(self.indices, lo, lo + self._degrees[vertices])
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
@@ -229,6 +262,57 @@ class CSRGraph:
             return None
         return int(self.labels[v])
 
+    def _spliced(self, u: int, v: int, insert: bool) -> "CSRGraph":
+        """This graph with edge ``(u, v)`` present (``insert``) or absent.
+
+        Rows are sorted, so the edge's two slots are two binary searches and
+        the new arrays are slice copies around them — an O(E) memcpy with no
+        per-edge Python object.  Returns ``self`` when nothing changes.
+        """
+        n = self.num_vertices
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise GraphFormatError("self loops are not allowed")
+        lo, hi = (u, v) if u < v else (v, u)
+        ind = self.indices
+        p = int(self.indptr[lo] + np.searchsorted(self.neighbors(lo), hi))
+        q = int(self.indptr[hi] + np.searchsorted(self.neighbors(hi), lo))
+        present = p < self.indptr[lo + 1] and ind[p] == hi
+        if present == insert:
+            return self
+        indptr = self.indptr.copy()
+        if insert:  # p <= q: row lo lies wholly before row hi
+            new = np.array([hi, lo], dtype=ind.dtype)
+            parts = (ind[:p], new[:1], ind[p:q], new[1:], ind[q:])
+            step = 1
+        else:
+            parts = (ind[:p], ind[p + 1 : q], ind[q + 1 :])
+            step = -1
+        indptr[lo + 1 :] += step
+        indptr[hi + 1 :] += step
+        return CSRGraph(
+            indptr=indptr,
+            indices=np.concatenate(parts),
+            name=self.name,
+            base_address=self.base_address,
+            labels=self.labels,
+        )
+
+    def with_edge(self, u: int, v: int) -> "CSRGraph":
+        """Copy of this graph with the undirected edge ``(u, v)`` added.
+
+        Labels, ``name`` and ``base_address`` are carried; returns ``self``
+        if the edge is already there.  Raises :class:`GraphFormatError` on
+        a self loop or an endpoint out of range.
+        """
+        return self._spliced(u, v, True)
+
+    def without_edge(self, u: int, v: int) -> "CSRGraph":
+        """Copy of this graph with the undirected edge ``(u, v)`` removed
+        (``self`` if it is absent); see :meth:`with_edge`."""
+        return self._spliced(u, v, False)
+
     def relabeled_by_degree(self, descending: bool = True) -> "CSRGraph":
         """Return an isomorphic copy with vertices relabelled by degree.
 
@@ -236,37 +320,54 @@ class CSRGraph:
         symmetry-breaking restrictions of the form ``u_i < u_j`` then prune
         high-degree vertices early, shrinking the search tree.
         """
+        n = self.num_vertices
         order = np.argsort(-self._degrees if descending else self._degrees,
                            kind="stable")
         rank = np.empty_like(order)
-        rank[order] = np.arange(self.num_vertices)
-        remapped = []
-        for new_id, old_id in enumerate(order):
-            for w in self.neighbors(int(old_id)):
-                nw = int(rank[int(w)])
-                if new_id < nw:
-                    remapped.append((new_id, nw))
-        out = CSRGraph.from_edges(self.num_vertices, remapped,
-                                  name=f"{self.name}-degsorted")
-        out.base_address = self.base_address
+        rank[order] = np.arange(n)
+        # every directed edge under its new IDs; one sort of the packed
+        # (src, dst) keys puts rows in order and each row ascending
+        key = np.repeat(rank, self._degrees) * np.int64(n) + rank[self.indices]
+        key.sort()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._degrees[order], out=indptr[1:])
+        labels = None
         if self.labels is not None:
-            new_labels = np.empty_like(self.labels)
-            new_labels[rank] = self.labels
-            out.labels = new_labels
-        return out
+            labels = np.empty_like(self.labels)
+            labels[rank] = self.labels
+        return CSRGraph(
+            indptr=indptr,
+            indices=key % n,
+            name=f"{self.name}-degsorted",
+            base_address=self.base_address,
+            labels=labels,
+        )
 
-    def induced_subgraph(self, vertices: Sequence[int]) -> "CSRGraph":
-        """Induced subgraph on ``vertices`` with IDs compacted to 0..k-1."""
-        keep = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        rank = {int(v): i for i, v in enumerate(keep)}
-        edges = []
-        for u in keep:
-            for w in self.neighbors(int(u)):
-                w = int(w)
-                if w in rank and int(u) < w:
-                    edges.append((rank[int(u)], rank[w]))
-        return CSRGraph.from_edges(len(keep), edges,
-                                   name=f"{self.name}-induced")
+    def induced_subgraph(
+        self, vertices: Sequence[int] | np.ndarray, name: str | None = None
+    ) -> "CSRGraph":
+        """Induced subgraph on ``vertices`` with IDs compacted to 0..k-1.
+
+        Compaction is monotone over the sorted vertex set, so adjacency
+        rows stay sorted and ``u < v`` holds locally iff it holds here;
+        labels follow their vertices.
+        """
+        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        keep = np.zeros(self.num_vertices, dtype=bool)
+        keep[vertices] = True
+        nbrs, row_of = self.gather_rows(vertices)
+        inside = keep[nbrs]
+        indptr = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(row_of[inside], minlength=vertices.size),
+            out=indptr[1:],
+        )
+        return CSRGraph(
+            indptr=indptr,
+            indices=np.searchsorted(vertices, nbrs[inside]),
+            name=f"{self.name}-induced" if name is None else name,
+            labels=None if self.labels is None else self.labels[vertices],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

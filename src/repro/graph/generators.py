@@ -46,7 +46,7 @@ def erdos_renyi(
     v = rng.integers(0, num_vertices, size=k, dtype=np.int64)
     mask = u != v
     edges = np.stack([u[mask], v[mask]], axis=1)[:target_edges]
-    return CSRGraph.from_edges(num_vertices, map(tuple, edges), name=name)
+    return CSRGraph.from_edges(num_vertices, edges, name=name)
 
 
 def barabasi_albert(
@@ -136,9 +136,7 @@ def configuration_model(
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
     mask = pairs[:, 0] != pairs[:, 1]
-    return CSRGraph.from_edges(
-        degrees.size, map(tuple, pairs[mask]), name=name
-    )
+    return CSRGraph.from_edges(degrees.size, pairs[mask], name=name)
 
 
 def powerlaw_graph(
@@ -175,5 +173,8 @@ def powerlaw_graph(
             break
     if not extra:
         return g
-    all_edges = list(g.edges()) + extra
+    # the CSR rows already are an edge array (both directions; from_edges
+    # symmetrises and deduplicates anyway)
+    src = np.repeat(np.arange(num_vertices), g.degrees)
+    all_edges = np.concatenate([np.stack([src, g.indices], axis=1), extra])
     return CSRGraph.from_edges(num_vertices, all_edges, name=name)

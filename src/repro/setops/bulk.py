@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, gather_spans
 
 __all__ = [
     "edge_keys",
@@ -262,25 +262,6 @@ def row_spans(
     return lo, np.maximum(hi, lo, out=hi)
 
 
-def gather_spans(
-    values: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the slices ``values[lo[i]:hi[i]]`` in one gather;
-    returns them with ``owner[j]``, the ``i`` whose slice holds element j."""
-    deg = hi - lo
-    total = int(deg.sum())
-    owner = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
-    if total == 0:
-        return values[:0], owner
-    # each output element's position is its running index shifted by
-    # (span start − span output offset), one repeat instead of two
-    offsets = np.zeros(deg.size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(lo - offsets, deg)
-    return values[pos], owner
-
-
 def gather_rows(
     graph: CSRGraph,
     vertices: np.ndarray,
@@ -297,7 +278,5 @@ def gather_rows(
     each row is gathered: the neighbours a bound discards never materialise.
     """
     if lo is None:
-        vertices = np.asarray(vertices)
-        lo = graph.indptr[vertices]
-        hi = lo + graph.degrees[vertices]
+        return graph.gather_rows(np.asarray(vertices))
     return gather_spans(graph.indices, lo, hi)

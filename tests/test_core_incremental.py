@@ -1,7 +1,11 @@
 """Incremental dynamic-graph counting vs from-scratch recounts."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalGPM, pattern_diameter
 from repro.errors import GraphFormatError
@@ -88,3 +92,123 @@ class TestIncremental:
         delta = inc.insert_edge(0, 2)
         assert delta == -1
         assert inc.count == 0
+
+
+N = 24
+STREAM_CASES = {
+    "3CF": (PATTERNS["3CF"], None, None),
+    "DIA": (PATTERNS["DIA"], None, None),
+    "CYC": (PATTERNS["CYC"], None, None),
+    "TT": (PATTERNS["TT"], None, None),
+    "WEDGE-induced": (PATTERNS["WEDGE"], True, None),
+    "3CF-labelled": (
+        PATTERNS["3CF"].with_labels([0, 0, 1]), None, np.arange(N) % 2,
+    ),
+}
+
+
+def _toggle(inc: IncrementalGPM, u: int, v: int) -> int:
+    if inc.has_edge(u, v):
+        return inc.remove_edge(u, v)
+    return inc.insert_edge(u, v)
+
+
+class TestSnapshotStream:
+    """The held snapshot and the maintained count, checked after every step
+    against a from-scratch rebuild and the reference executor."""
+
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    @given(
+        seed=st.integers(0, 50),
+        toggles=st.lists(
+            st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+            .filter(lambda e: e[0] != e[1]),
+            min_size=1, max_size=10,
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_count_and_snapshot_after_every_toggle(self, case, seed, toggles):
+        pattern, induced, labels = STREAM_CASES[case]
+        g = erdos_renyi(N, 5.0, seed=seed, name="stream")
+        if labels is not None:
+            g = g.with_labels(labels)
+        g.base_address = 0x2000_0000
+        inc = IncrementalGPM(g, pattern, induced=induced)
+        assert inc.count == _recount(inc)
+        edges = set(g.edges())
+        for u, v in toggles:
+            delta = _toggle(inc, u, v)
+            edges ^= {(min(u, v), max(u, v))}
+            snap = inc.snapshot()
+            assert inc.count == _recount(inc)
+            if not inc.plan.induced:  # inserts add embeddings, removes drop
+                assert delta >= 0 if inc.has_edge(u, v) else delta <= 0
+            rebuilt = CSRGraph.from_edges(N, sorted(edges))
+            assert snap.indptr.tobytes() == rebuilt.indptr.tobytes()
+            assert snap.indices.tobytes() == rebuilt.indices.tobytes()
+            assert snap.indices.dtype == rebuilt.indices.dtype
+            if labels is None:
+                assert snap.labels is None
+            else:
+                assert snap.labels.tobytes() == g.labels.tobytes()
+            assert (snap.name, snap.base_address) == ("stream", 0x2000_0000)
+        assert inc.updates_applied == len(toggles)
+
+    def test_labels_survive_writes(self):
+        # at f87bc3f the first write dropped the labels: the stream below
+        # ended at 42, the unlabelled triangles through the toggled edges
+        g = erdos_renyi(40, 8.0, seed=8).with_labels(np.arange(40) % 2)
+        inc = IncrementalGPM(g, PATTERNS["3CF"].with_labels([0, 0, 1]))
+        rng = np.random.default_rng(0)
+        applied = 0
+        while applied < 15:
+            u, v = map(int, rng.integers(0, 40, 2))
+            if u != v:
+                _toggle(inc, u, v)
+                applied += 1
+        assert np.array_equal(inc.snapshot().labels, g.labels)
+        assert inc.count == _recount(inc)
+
+    def test_snapshot_is_the_held_graph(self):
+        g = erdos_renyi(30, 5.0, seed=2)
+        inc = IncrementalGPM(g, PATTERNS["3CF"])
+        assert inc.snapshot() is g  # no copy before the first write
+        edges = g.num_edges
+        inc.insert_edge(*next(
+            (u, v) for u in range(30) for v in range(u) if not g.has_edge(u, v)
+        ))
+        assert inc.snapshot() is inc.snapshot()
+        assert inc.snapshot().num_edges == edges + 1
+        assert g.num_edges == edges  # the input graph is never written to
+
+    def test_write_work_does_not_grow_with_the_graph(self):
+        """No clock: the Python-level calls of one write are the same on a
+        graph ten times larger, so no per-edge interpreter loop is left."""
+
+        def calls_per_write(n: int) -> float:
+            g = erdos_renyi(n, 8.0, seed=1)
+            inc = IncrementalGPM(g, PATTERNS["3CF"])
+            rng = np.random.default_rng(5)
+            pairs = [
+                (int(u), int(v))
+                for u, v in rng.integers(0, n, (12, 2)) if u != v
+            ]
+            _toggle(inc, *pairs[0])  # imports and lazy set-up
+            calls = 0
+
+            def profiler(frame, event, arg):
+                nonlocal calls
+                calls += event in ("call", "c_call")
+
+            sys.setprofile(profiler)
+            try:
+                for u, v in pairs[1:]:
+                    _toggle(inc, u, v)
+                    inc.snapshot()
+            finally:
+                sys.setprofile(None)
+            assert inc.count == _recount(inc)
+            return calls / (len(pairs) - 1)
+
+        small, large = calls_per_write(500), calls_per_write(5000)
+        assert small == pytest.approx(large, rel=0.10)

@@ -116,6 +116,117 @@ class TestTransforms:
         sub = toy_graph.induced_subgraph([])
         assert sub.num_vertices == 0
 
+    def test_induced_subgraph_matches_edge_filter(self, small_er, rng):
+        labelled = small_er.with_labels(np.arange(small_er.num_vertices) % 3)
+        picked = rng.choice(small_er.num_vertices, 17, replace=False)
+        sub = labelled.induced_subgraph(picked.tolist() + [int(picked[0])])
+        keep = np.sort(picked)
+        local = {int(v): i for i, v in enumerate(keep)}
+        expect = CSRGraph.from_edges(keep.size, [
+            (local[u], local[v]) for u, v in small_er.edges()
+            if u in local and v in local
+        ])
+        assert sub.fingerprint() == expect.with_labels(keep % 3).fingerprint()
+        assert sub.name == "er30-induced"
+        assert labelled.induced_subgraph(keep, name="x").name == "x"
+
+    def test_subgraph_algorithms_keep_labels(self, small_er):
+        from repro.graph import k_core, largest_component
+
+        labelled = small_er.with_labels(np.arange(small_er.num_vertices))
+        for sub in (k_core(labelled, 5), largest_component(labelled)):
+            # label = source ID, so each local edge names a source edge
+            assert sub.num_edges > 0
+            assert all(
+                small_er.has_edge(int(sub.labels[u]), int(sub.labels[v]))
+                for u, v in sub.edges()
+            )
+
+    def test_neighborhood_is_the_bfs_ball(self, skewed_graph):
+        from repro.graph import neighborhood
+
+        seeds = np.array([150, 7])
+        dist = {int(s): 0 for s in seeds}
+        frontier = list(dist)
+        for hop in (1, 2):
+            frontier = [
+                int(w) for v in frontier for w in skewed_graph.neighbors(v)
+                if dist.setdefault(int(w), hop) == hop
+            ]
+            got = neighborhood(skewed_graph, seeds, hop)
+            assert got.tolist() == sorted(dist)
+        assert neighborhood(skewed_graph, seeds, 0).tolist() == [7, 150]
+
+    def test_degree_relabel_is_isomorphic_and_carries_labels(self, small_er):
+        n = small_er.num_vertices
+        labelled = small_er.with_labels(np.arange(n))  # label = old ID
+        labelled.base_address = 0x4000
+        out = labelled.relabeled_by_degree()
+        old = out.labels
+        assert sorted(old.tolist()) == list(range(n))
+        assert {tuple(sorted((int(old[u]), int(old[v]))))
+                for u, v in out.edges()} == set(small_er.edges())
+        rebuilt = CSRGraph.from_edges(n, list(out.edges()))
+        assert out.indptr.tobytes() == rebuilt.indptr.tobytes()
+        assert out.indices.tobytes() == rebuilt.indices.tobytes()
+        assert out.indices.dtype == np.int32
+        assert (out.name, out.base_address) == ("er30-degsorted", 0x4000)
+
+
+def _same_arrays(got: CSRGraph, want: CSRGraph) -> bool:
+    return (
+        got.indptr.tobytes() == want.indptr.tobytes()
+        and got.indices.tobytes() == want.indices.tobytes()
+        and got.indices.dtype == want.indices.dtype == np.int32
+    )
+
+
+class TestEdgeSplice:
+    """``with_edge`` / ``without_edge`` against a ``from_edges`` rebuild."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_toggles_match_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 25
+        # sparse, so first/last vertices and empty rows take part
+        edges = {
+            (int(min(u, v)), int(max(u, v)))
+            for u, v in rng.integers(0, n, (12, 2)) if u != v
+        }
+        g = CSRGraph.from_edges(n, sorted(edges), name="g")
+        g = g.with_labels(rng.integers(0, 3, n))
+        g.base_address = 0x3000
+        corners = [(0, n - 1), (n - 1, 0), (0, 1), (n - 2, n - 1)]
+        pairs = corners + rng.integers(0, n, (40, 2)).tolist()
+        for u, v in pairs:
+            if u == v:
+                continue
+            had = g.has_edge(u, v)
+            nxt = g.without_edge(u, v) if had else g.with_edge(u, v)
+            edges ^= {(min(u, v), max(u, v))}
+            assert _same_arrays(nxt, CSRGraph.from_edges(n, sorted(edges)))
+            assert nxt.has_edge(u, v) != had and nxt.has_edge(v, u) != had
+            assert nxt.labels is g.labels  # carried, not copied
+            assert (nxt.name, nxt.base_address) == ("g", 0x3000)
+            assert g.has_edge(u, v) == had  # the source graph is not written
+            g = nxt
+
+    def test_into_and_out_of_an_empty_graph(self):
+        g = CSRGraph.empty(4).with_edge(3, 0)
+        assert _same_arrays(g, CSRGraph.from_edges(4, [(0, 3)]))
+        assert _same_arrays(g.without_edge(0, 3), CSRGraph.empty(4))
+
+    def test_duplicate_insert_and_missing_remove_return_self(self, toy_graph):
+        assert toy_graph.with_edge(1, 0) is toy_graph
+        assert toy_graph.without_edge(0, 5) is toy_graph
+
+    @pytest.mark.parametrize("u,v", [(1, 1), (0, 6), (6, 0), (-1, 2), (2, -1)])
+    def test_self_loop_and_out_of_range_rejected(self, toy_graph, u, v):
+        with pytest.raises(GraphFormatError):
+            toy_graph.with_edge(u, v)
+        with pytest.raises(GraphFormatError):
+            toy_graph.without_edge(u, v)
+
 
 class TestEdgesToCSR:
     def test_roundtrip_random(self, rng):
@@ -134,6 +245,17 @@ class TestEdgesToCSR:
         indptr, indices = edges_to_csr(4, [])
         assert indptr.tolist() == [0, 0, 0, 0, 0]
         assert indices.size == 0
+
+    def test_array_taken_as_is_equals_pair_list(self, rng):
+        arr = rng.integers(0, 30, (200, 2))  # self loops, duplicates
+        from_array = edges_to_csr(30, arr)
+        from_pairs = edges_to_csr(30, [tuple(map(int, e)) for e in arr])
+        for a, b in zip(from_array, from_pairs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for bad in (np.zeros((3, 3), dtype=int), np.arange(4)):
+            with pytest.raises(GraphFormatError):
+                edges_to_csr(30, bad)
+        assert edges_to_csr(4, np.empty((0, 2), dtype=int))[1].size == 0
 
 
 class TestFingerprint:

@@ -23,6 +23,7 @@ import dataclasses
 import threading
 from concurrent.futures import BrokenExecutor, Future
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graph import erdos_renyi
+from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
 from repro.resilience import ResilienceConfig
 from repro.sched.adaptive import AdmissionPolicy, SchedulingConfig
@@ -365,6 +367,33 @@ class TestCacheInvalidation:
         handle2 = svc.submit(gid, PATTERNS["3CF"], engine="batched")
         assert handle2.result().embeddings == before.embeddings
         assert handle2.from_cache
+        svc.shutdown()
+
+    def test_dynamic_session_keeps_labels(self, graph):
+        # at f87bc3f the first write re-registered an unlabelled snapshot
+        # (name "dynamic", default base_address) under the caller's id
+        labels = np.arange(graph.num_vertices) % 2
+        labelled = graph.with_labels(labels)
+        labelled.base_address = 0x5000_0000
+        pattern = PATTERNS["3CF"].with_labels([0, 0, 1])
+        svc, gid = make_service(labelled)
+        session = svc.dynamic_session(gid, pattern)
+        for u, v in [(0, 1), (2, 3), (0, 1), (4, 9)]:
+            if session.has_edge(u, v):
+                session.remove_edge(u, v)
+            else:
+                session.insert_edge(u, v)
+            snap = session.snapshot()
+            assert np.array_equal(snap.labels, labels)
+            assert (snap.name, snap.base_address) == ("er30", 0x5000_0000)
+            truth = count_embeddings(snap, session.plan).embeddings
+            assert session.count == truth
+            # an uncached run and the delta-patched entry agree with it
+            for use_cache in (False, True):
+                served = svc.submit(
+                    gid, pattern, engine="batched", use_cache=use_cache
+                ).result()
+                assert served.embeddings == truth
         svc.shutdown()
 
     def test_update_graph_invalidates(self, graph, medium_er):
