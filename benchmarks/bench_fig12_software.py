@@ -6,10 +6,10 @@ checks the paper's shape: CPU baselines lose by roughly an order of magnitude
 with a fraction of the GPU's memory bandwidth.
 """
 
-from repro.analysis import format_table, geomean, plan_cache, run_workload
+from repro.analysis import format_table, geomean, run_workload
 from repro.baselines import GLUMIN, GRAPHPI, GRAPHSET
 from repro.graph import load_dataset
-from repro.patterns import PATTERNS, count_embeddings
+from repro.patterns import PATTERNS, build_plan, count_embeddings
 
 from _common import BENCH_SCALE, FIG_PATTERNS, emit, once
 
@@ -22,7 +22,7 @@ def _run():
         scale = BENCH_SCALE[ds]
         graph = load_dataset(ds, scale=scale)
         for pat in FIG_PATTERNS:
-            plan = plan_cache(PATTERNS[pat])
+            plan = build_plan(PATTERNS[pat])
             xset = run_workload(ds, pat, scale=scale)
             stats = count_embeddings(graph, plan)
             assert stats.embeddings == xset.embeddings

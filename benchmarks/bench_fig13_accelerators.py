@@ -7,10 +7,10 @@ skewed graphs (YT) show the largest X-SET advantage; compute density
 (performance per area) amplifies the win.
 """
 
-from repro.analysis import format_table, geomean, plan_cache
+from repro.analysis import format_table, geomean
 from repro.baselines import compare_accelerators, compute_density_speedup
 from repro.graph import load_dataset
-from repro.patterns import PATTERNS
+from repro.patterns import PATTERNS, build_plan
 
 from _common import BENCH_SCALE, emit, once
 
@@ -24,7 +24,7 @@ def _run():
         graph = load_dataset(ds, scale=BENCH_SCALE[ds])
         for pat in ACCEL_PATTERNS:
             cmp = compare_accelerators(
-                graph, PATTERNS[pat], plan=plan_cache(PATTERNS[pat])
+                graph, PATTERNS[pat], plan=build_plan(PATTERNS[pat])
             )
             results[(ds, pat)] = cmp
     return results

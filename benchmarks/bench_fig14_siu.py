@@ -7,9 +7,8 @@ queue); merge queues do comparatively better on low-degree graphs (PP) and
 the SMA comparatively better on throughput-bound dense workloads.
 """
 
-from repro.analysis import format_table, geomean, plan_cache, run_workload
+from repro.analysis import format_table, geomean, run_workload
 from repro.core import xset_default
-from repro.patterns import PATTERNS
 
 from _common import emit, once
 
@@ -32,7 +31,6 @@ def _run():
     out = {}
     for ds, scale in DATASETS_SCALE.items():
         for pat in SIU_PATTERNS:
-            plan = plan_cache(PATTERNS[pat])
             cycles = {}
             for kind in ("order-aware", "sma", "merge"):
                 report = run_workload(
@@ -40,7 +38,6 @@ def _run():
                 )
                 cycles[kind] = report.cycles
             out[(ds, pat)] = cycles
-            del plan
     return out
 
 

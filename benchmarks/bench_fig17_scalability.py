@@ -60,9 +60,7 @@ def test_fig17a_pe_scaling(benchmark):
 
     for ds, pat, _ in PE_CASES:
         s16 = out[(ds, pat, 1)] / out[(ds, pat, 16)]
-        s1 = 1.0
         assert s16 > 2.0, (ds, pat)  # PEs help everywhere
-        del s1
     # regular workloads scale better than the skewed difference workload
     pp16 = out[("PP", "3CF", 1)] / out[("PP", "3CF", 16)]
     yt16 = out[("YT", "CYC", 1)] / out[("YT", "CYC", 16)]

@@ -9,7 +9,6 @@ from .experiments import (
     GridResult,
     format_table,
     geomean,
-    plan_cache,
     run_grid,
     run_workload,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "GridResult",
     "format_table",
     "geomean",
-    "plan_cache",
     "run_grid",
     "run_workload",
 ]

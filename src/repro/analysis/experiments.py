@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 from ..core.config import SystemConfig, xset_default
 from ..graph.datasets import load_dataset
-from ..patterns.pattern import PATTERNS, Pattern
-from ..patterns.plan import MatchingPlan, build_plan
+from ..patterns.pattern import PATTERNS
+from ..patterns.plan import build_plan
 from ..sim.host import run_on_soc
 from ..sim.report import SimReport
 
@@ -29,7 +29,6 @@ __all__ = [
     "run_workload",
     "run_grid",
     "format_table",
-    "plan_cache",
 ]
 
 #: default down-scale applied to dataset stand-ins inside benchmarks
@@ -38,16 +37,6 @@ DEFAULT_BENCH_SCALE = 0.25
 BENCH_PATTERNS = ("3CF", "4CF", "CYC", "DIA", "TT")
 #: datasets used by the end-to-end figures (Table 3 keys)
 BENCH_DATASETS = ("PP", "WV", "AS", "MI", "YT", "PA", "LJ")
-
-_plan_cache: dict[tuple[str, bool | None], MatchingPlan] = {}
-
-
-def plan_cache(pattern: Pattern, induced: bool | None = None) -> MatchingPlan:
-    """Memoised plan construction (plans are pure functions of the pattern)."""
-    key = (pattern.name, induced)
-    if key not in _plan_cache:
-        _plan_cache[key] = build_plan(pattern, induced=induced)
-    return _plan_cache[key]
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -66,7 +55,7 @@ def run_workload(
 ) -> SimReport:
     """Simulate one (dataset, pattern) workload on one configuration."""
     graph = load_dataset(dataset, scale=scale)
-    plan = plan_cache(PATTERNS[pattern])
+    plan = build_plan(PATTERNS[pattern])
     return run_on_soc(graph, plan, config or xset_default())
 
 

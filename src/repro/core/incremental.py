@@ -28,7 +28,7 @@ from collections import deque
 import numpy as np
 
 from ..engine.batched import ROOT_CHUNK
-from ..engine.functional import expand_frontier
+from ..engine.functional import FrontierExpander, sweep_frontier
 from ..graph.algorithms import neighborhood
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
@@ -84,13 +84,8 @@ class IncrementalGPM:
 
     def _count(self, graph: CSRGraph) -> int:
         """Embeddings of the plan in ``graph``, a chunk of roots at a time."""
-        n = graph.num_vertices
-        return sum(
-            expand_frontier(
-                graph, self.plan, np.arange(lo, min(lo + ROOT_CHUNK, n))
-            )[-1].count
-            for lo in range(0, n, ROOT_CHUNK)
-        )
+        expander = FrontierExpander(graph, self.plan)
+        return sweep_frontier(expander, expander.roots(), ROOT_CHUNK)[-1].count
 
     def _edge_delta(self, graph: CSRGraph, u: int, v: int) -> int:
         """Count of ``graph`` minus count of ``graph`` less its edge

@@ -13,8 +13,8 @@ Use it when you want counts (``XSetAccelerator.count``) or a fast
 design-space sweep; use ``event`` when the cycle-level interactions
 (scheduling, cache contention, load imbalance) are the object of study.
 
-Roots are processed in chunks so peak frontier memory stays bounded on
-graphs whose intermediate frontiers would otherwise explode.
+Roots are processed in chunks by the one bulk driver,
+:func:`repro.engine.functional.sweep_frontier`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..obs import context as _obs
 from ..resilience import faults as _faults
 from ..siu.models import make_siu
 from .base import Engine, register_engine
-from .functional import FrontierExpander, FrontierLevel
+from .functional import FrontierExpander, FrontierLevel, sweep_frontier
 from .temporal import annotate_frontier_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,13 +81,8 @@ class BatchedEngine(Engine):
         )
         expander = FrontierExpander(graph, plan, siu.bitmap_width)
         all_roots = expander.roots(roots)
-        # one aggregate record per plan level, merged across root chunks
-        merged = [
-            FrontierLevel(level=lv, tasks=0, embeddings=np.zeros((0, 0)))
-            for lv in range(1, plan.stop_level + 1)
-        ]
         if ob is None:
-            self._sweep(expander, all_roots, plan, merged, None)
+            merged = self._sweep(expander, all_roots, None)
         else:
             with ob.tracer.span(
                 site,
@@ -95,7 +90,7 @@ class BatchedEngine(Engine):
                 pattern=plan.pattern.name,
                 roots=int(all_roots.shape[0]),
             ):
-                self._sweep(expander, all_roots, plan, merged, ob)
+                merged = self._sweep(expander, all_roots, ob)
         report = SimReport(
             config_name=config.name,
             graph_name=graph.name,
@@ -109,46 +104,8 @@ class BatchedEngine(Engine):
         report.wall_seconds = _time.perf_counter() - t_wall
         return report
 
-    @staticmethod
-    def _merge(merged: list[FrontierLevel], step: FrontierLevel, ob) -> None:
-        """Fold one chunk's level record into the per-level aggregate."""
-        agg = merged[step.level - 1]
-        agg.tasks += step.tasks
-        agg.count += step.count
-        agg.set_ops += step.set_ops
-        agg.comparisons += step.comparisons
-        agg.words_in += step.words_in
-        agg.words_out += step.words_out
-        agg.bit_rows += step.bit_rows
-        if ob is not None:
-            ob.level_add(
-                step.level,
-                tasks=step.tasks,
-                elements=step.words_in,
-                comparisons=step.comparisons,
-                bit_rows=step.bit_rows,
-            )
-
     def _sweep(
-        self,
-        expander: FrontierExpander,
-        all_roots: np.ndarray,
-        plan: "MatchingPlan",
-        merged: list[FrontierLevel],
-        ob,
-    ) -> None:
-        """Expand every root chunk level by level into ``merged``."""
-        for start in range(0, all_roots.shape[0], self.root_chunk):
-            emb = all_roots[start : start + self.root_chunk]
-            for level in range(1, plan.stop_level + 1):
-                if ob is None:
-                    step = expander.expand(level, emb)
-                else:
-                    with ob.tracer.span(
-                        f"engine.level{level}", level=level
-                    ):
-                        step = expander.expand(level, emb)
-                self._merge(merged, step, ob)
-                emb = step.embeddings
-                if emb.shape[0] == 0:
-                    break
+        self, expander: FrontierExpander, all_roots: np.ndarray, ob
+    ) -> list[FrontierLevel]:
+        """One aggregate record per plan level over every root chunk."""
+        return sweep_frontier(expander, all_roots, self.root_chunk, ob)

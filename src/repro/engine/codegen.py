@@ -20,23 +20,18 @@ reference.  Kernels are cached per plan structure (see
 :func:`repro.patterns.codegen.kernel_cache_key`), so the one-time emission
 + ``exec`` cost amortises across runs, root chunks and configs.
 
-Roots are processed in chunks (same policy as ``batched``) so peak
-frontier memory stays bounded.
+Roots are processed in chunks by the same driver as ``batched``
+(:func:`repro.engine.functional.sweep_frontier`).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..patterns.codegen import compile_plan_kernel
 from .base import register_engine
 from .batched import BatchedEngine
-from .functional import FrontierExpander, FrontierLevel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..patterns.plan import MatchingPlan
+from .functional import FrontierExpander, FrontierLevel, sweep_frontier
 
 __all__ = ["CodegenEngine"]
 
@@ -53,26 +48,21 @@ class CodegenEngine(BatchedEngine):
     )
 
     def _sweep(
-        self,
-        expander: FrontierExpander,
-        all_roots: np.ndarray,
-        plan: "MatchingPlan",
-        merged: list[FrontierLevel],
-        ob,
-    ) -> None:
-        """Run the compiled kernel once per root chunk into ``merged``."""
+        self, expander: FrontierExpander, all_roots: np.ndarray, ob
+    ) -> list[FrontierLevel]:
+        """The shared sweep with the compiled kernel as its chunk step."""
         # the expander supplies the graph-side state the kernel closes
         # over: span search, adjacency oracle, row-word geometry, roots
         graph = expander.graph
         kernel = compile_plan_kernel(
-            plan, use_labels=graph.labels is not None
+            expander.plan, use_labels=graph.labels is not None
         )
         spans = expander.spans
         adjacent = expander.adjacent
         rw = expander.row_words
-        for start in range(0, all_roots.shape[0], self.root_chunk):
-            emb = all_roots[start : start + self.root_chunk]
-            # one call covers every level for this chunk — the unrolled
-            # kernel returns as soon as a frontier empties
-            for step in kernel.fn(graph, spans, adjacent, rw, emb):
-                self._merge(merged, step, ob)
+        # one call covers every level of a chunk — the unrolled kernel
+        # returns as soon as a frontier empties
+        return sweep_frontier(
+            expander, all_roots, self.root_chunk, ob,
+            steps=lambda emb: kernel.fn(graph, spans, adjacent, rw, emb),
+        )

@@ -3,18 +3,25 @@
 This module is the single source of truth for *what* a task computes —
 which stored/neighbour set seeds the candidate set, which neighbour rows are
 intersected or subtracted on top, and which bound/distinctness/label filters
-prune the survivors.  Both execution engines consume it:
+prune the survivors.  Outside the reference executor
+(:mod:`repro.patterns.executor`, kept independent so agreement with it means
+something) every reader of a :class:`LevelSpec` goes through one of two
+forms, each with one step function and one driver:
 
-* the ``event`` backend expands one task at a time
-  (:func:`expand_task`) and hands the per-operation records to the temporal
-  layer for exact cycle annotation;
-* the ``batched`` backend expands a whole frontier level at once with the
-  bulk kernels in :mod:`repro.setops.bulk`, charging analytic cycles in
-  aggregate;
-* the ``codegen`` backend runs the same per-level algebra from
-  plan-specialised compiled source (:mod:`repro.patterns.codegen`), using
-  :class:`FrontierExpander` only for its adjacency oracle, bound-to-span
-  search and row-word geometry.
+* **per task** — :func:`expand_task` is the step, :func:`plan_roots` the
+  root enumerator, :func:`walk_tasks` the depth-first driver.  The ``event``
+  backend schedules the step itself and hands the op records to the temporal
+  layer; the host's software prefix (:mod:`repro.sim.host`), IEP expression
+  folding (:mod:`repro.patterns.iep`) and the fast-vs-exact validation
+  (:mod:`repro.sim.validation`) are folds over the walker's stream;
+* **bulk** — :meth:`FrontierExpander.expand` is the step (a whole frontier
+  level through the kernels of :mod:`repro.setops.bulk`),
+  :func:`sweep_frontier` the chunked level-by-level driver behind the
+  ``batched`` engine, :func:`expand_frontier` and the incremental counter.
+  The ``codegen`` backend drives the same sweep with plan-specialised
+  compiled source (:mod:`repro.patterns.codegen`) as its step, using
+  :class:`FrontierExpander` for the adjacency oracle, bound-to-span search
+  and row-word geometry.
 
 Nothing here touches the memory hierarchy, the SIU models or the clock, so
 these kernels are trivially reusable by future backends (multiprocess
@@ -23,14 +30,16 @@ sharding, GPU, ...) that only need the functional result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..patterns.executor import apply_filters
 from ..patterns.plan import LevelSpec, MatchingPlan
+from ..sched.task import SimTask
 from ..setops.bulk import (
     bit_leaf_sizes,
     bulk_adjacency,
@@ -47,10 +56,14 @@ __all__ = [
     "SetOpRecord",
     "TaskExpansion",
     "expand_task",
+    "plan_roots",
+    "root_tasks",
+    "walk_tasks",
     "leaf_count",
     "row_word_counts",
     "set_stream_words",
     "FrontierLevel",
+    "sweep_frontier",
     "expand_frontier",
 ]
 
@@ -192,6 +205,57 @@ def expand_task(
     )
 
 
+def plan_roots(
+    graph: CSRGraph, plan: MatchingPlan, roots=None
+) -> np.ndarray:
+    """The search-tree roots: ``roots`` (default every vertex), in the
+    order given, less those the plan's level-0 label rules out."""
+    # int32: vertex IDs fit and the bulk frontier matrices built from these
+    # are the vectorised engines' memory/bandwidth bottleneck
+    if roots is None:
+        vertices = np.arange(graph.num_vertices, dtype=np.int32)
+    else:
+        vertices = np.asarray(roots, dtype=np.int32)
+    root_label = plan.levels[0].label
+    if root_label is not None and graph.labels is not None:
+        vertices = vertices[graph.labels[vertices] == root_label]
+    return vertices
+
+
+def root_tasks(
+    graph: CSRGraph, plan: MatchingPlan, roots=None
+) -> list[SimTask]:
+    """One level-1 task per search-tree root of :func:`plan_roots`."""
+    return [
+        SimTask(level=1, vertex=v, parent=None)
+        for v in plan_roots(graph, plan, roots).tolist()
+    ]
+
+
+def walk_tasks(
+    graph: CSRGraph, plan: MatchingPlan, until: int, roots=None
+) -> Iterator[tuple[SimTask, TaskExpansion]]:
+    """The set-centric DFS of Fig. 1c: every task of levels ``1..until``
+    (at most ``plan.stop_level``) in depth-first order, each with its
+    functional expansion.
+
+    Tasks at level ``until`` are expanded but not descended — their
+    ``expansion.filtered`` names the children a consumer may spawn.  A
+    consumer reads the stored sets of a partial embedding off
+    ``task.ancestor(k).raw_set``; a leaf's own set is ``expansion.result``.
+    """
+    stack = root_tasks(graph, plan, roots)[::-1]
+    while stack:
+        task = stack.pop()
+        expansion = expand_task(graph, plan, task)
+        yield task, expansion
+        if task.level < until:
+            stack.extend(
+                SimTask(level=task.level + 1, vertex=v, parent=task)
+                for v in expansion.filtered[::-1].tolist()
+            )
+
+
 # -- whole-frontier expansion (batched backend) ------------------------------
 
 
@@ -256,17 +320,7 @@ class FrontierExpander:
 
     def roots(self, vertices: np.ndarray | None = None) -> np.ndarray:
         """Level-0 frontier: one single-column row per (label-valid) root."""
-        graph = self.graph
-        # int32 embeddings: vertex IDs fit and the frontier matrices are
-        # the engine's memory/bandwidth bottleneck
-        if vertices is None:
-            vertices = np.arange(graph.num_vertices, dtype=np.int32)
-        else:
-            vertices = np.asarray(vertices, dtype=np.int32)
-        root_label = self.plan.levels[0].label
-        if root_label is not None and graph.labels is not None:
-            vertices = vertices[graph.labels[vertices] == root_label]
-        return vertices.reshape(-1, 1)
+        return plan_roots(self.graph, self.plan, vertices).reshape(-1, 1)
 
     def expand(self, level: int, emb: np.ndarray) -> FrontierLevel:
         """Expand every row of ``emb`` through plan level ``level`` at once.
@@ -352,6 +406,65 @@ class FrontierExpander:
         return out
 
 
+def _expand_levels(
+    expander: FrontierExpander, ob, emb: np.ndarray
+) -> Iterator[FrontierLevel]:
+    """One chunk through the interpreted level loop, until it empties."""
+    for level in range(1, expander.plan.stop_level + 1):
+        if ob is None:
+            step = expander.expand(level, emb)
+        else:
+            with ob.tracer.span(f"engine.level{level}", level=level):
+                step = expander.expand(level, emb)
+        yield step
+        emb = step.embeddings
+        if emb.shape[0] == 0:
+            return
+
+
+def sweep_frontier(
+    expander: FrontierExpander,
+    roots: np.ndarray,
+    root_chunk: int,
+    ob=None,
+    steps=None,
+) -> list[FrontierLevel]:
+    """Expand the level-0 frontier ``roots`` a chunk of rows at a time;
+    returns one aggregate record per plan level (no ``embeddings``).
+
+    Chunking bounds peak frontier memory on graphs whose intermediate
+    frontiers would otherwise explode.  ``steps(emb)`` yields one chunk's
+    level records in order: by default the interpreted loop over
+    :meth:`FrontierExpander.expand` (one span per level under the active
+    observation ``ob``); the ``codegen`` engine passes its compiled kernel.
+    """
+    if steps is None:
+        steps = partial(_expand_levels, expander, ob)
+    merged = [
+        FrontierLevel(level=lv, tasks=0, embeddings=roots[:0])
+        for lv in range(1, expander.plan.stop_level + 1)
+    ]
+    for start in range(0, roots.shape[0], root_chunk):
+        for step in steps(roots[start : start + root_chunk]):
+            agg = merged[step.level - 1]
+            agg.tasks += step.tasks
+            agg.count += step.count
+            agg.set_ops += step.set_ops
+            agg.comparisons += step.comparisons
+            agg.words_in += step.words_in
+            agg.words_out += step.words_out
+            agg.bit_rows += step.bit_rows
+            if ob is not None:
+                ob.level_add(
+                    step.level,
+                    tasks=step.tasks,
+                    elements=step.words_in,
+                    comparisons=step.comparisons,
+                    bit_rows=step.bit_rows,
+                )
+    return merged
+
+
 def expand_frontier(
     graph: CSRGraph,
     plan: MatchingPlan,
@@ -361,9 +474,4 @@ def expand_frontier(
     """Run a full level-by-level expansion; returns the per-level records."""
     ex = FrontierExpander(graph, plan, bitmap_width)
     emb = ex.roots(roots)
-    levels: list[FrontierLevel] = []
-    for level in range(1, plan.stop_level + 1):
-        step = ex.expand(level, emb)
-        levels.append(step)
-        emb = step.embeddings
-    return levels
+    return sweep_frontier(ex, emb, max(emb.shape[0], 1))

@@ -105,11 +105,7 @@ class TaskOp:
 
 def compile_task_list(plan: MatchingPlan) -> list[TaskOp]:
     """Compile every plan level into its hardware operations."""
-    stop_level = {
-        "enumerate": plan.depth - 1,
-        "count_last": plan.depth - 1,
-        "choose2": plan.depth - 2,
-    }[plan.collection]
+    stop_level = plan.stop_level
     ops: list[TaskOp] = []
     for lv in plan.levels[1 : stop_level + 1]:
         is_leaf = lv.position == stop_level

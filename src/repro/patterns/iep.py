@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import PlanError
 from ..graph.csr import CSRGraph
-from ..setops.reference import difference_sorted, intersect_count, intersect_sorted
+from ..setops.reference import intersect_count
 from .plan import MatchingPlan
 
 __all__ = [
@@ -62,10 +62,9 @@ class _Context:
     embedding: tuple[int, ...]
 
     def set_at(self, level: int) -> np.ndarray:
-        s = self.stored[level]
-        if s is None:
+        if not 1 <= level < len(self.stored):
             raise PlanError(f"no candidate set stored at level {level}")
-        return s
+        return self.stored[level]
 
 
 class Expression(ABC):
@@ -189,55 +188,25 @@ def count_with_expression(
     """
     if not 1 <= stop_level < plan.depth:
         raise PlanError("stop_level must lie inside the plan")
-    from .executor import apply_filters
+    # the interpreter lives in the engine layer, which imports this package
+    from ..engine.functional import walk_tasks
 
-    levels = plan.levels
-    embedding = [0] * plan.depth
-    stored: list[np.ndarray | None] = [None] * plan.depth
-    neighbors = graph.neighbors
+    # the plan as the host runs it: its prefix, the cut level as the leaf,
+    # and no filter there — the expression is handed the raw set
+    cut = replace(
+        plan.levels[stop_level],
+        upper_bounds=(), lower_bounds=(), exclude=(), label=None,
+    )
+    prefix = replace(
+        plan, levels=(*plan.levels[:stop_level], cut), collection="count_last"
+    )
     total = 0
-
-    def candidates(i: int) -> np.ndarray:
-        lv = levels[i]
-        if lv.reuse_from is not None:
-            base = stored[lv.reuse_from]
-            assert base is not None
-            return base
-        if lv.base is not None:
-            s = stored[lv.base]
-            assert s is not None
-            ints, subs = lv.extra_deps, lv.extra_anti
-        else:
-            s = neighbors(embedding[lv.deps[0]])
-            ints, subs = lv.deps[1:], lv.anti_deps
-        for p in ints:
-            s = intersect_sorted(s, neighbors(embedding[p]))
-        for p in subs:
-            s = difference_sorted(s, neighbors(embedding[p]))
-        return s
-
-    def recurse(i: int) -> None:
-        nonlocal total
-        raw = candidates(i)
-        stored[i] = raw
-        if i == stop_level:
+    for task, expansion in walk_tasks(graph, prefix, stop_level):
+        if task.level == stop_level:
+            above = (task.ancestor(k).raw_set for k in range(1, stop_level))
             ctx = _Context(
-                stored=tuple(stored), embedding=tuple(embedding[:i])
+                stored=(None, *above, expansion.result),
+                embedding=task.embedding,
             )
             total += expression.evaluate(ctx)
-            return
-        for v in apply_filters(raw, levels[i], embedding, graph.labels):
-            embedding[i] = int(v)
-            recurse(i + 1)
-
-    root_label = levels[0].label
-    for root in range(graph.num_vertices):
-        if (
-            root_label is not None
-            and graph.labels is not None
-            and int(graph.labels[root]) != root_label
-        ):
-            continue
-        embedding[0] = root
-        recurse(1)
     return total

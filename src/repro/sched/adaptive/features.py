@@ -109,11 +109,7 @@ def plan_features(pattern_key: tuple) -> PlanFeatures:
     )
     plan = build_plan(pattern, induced=bool(induced))
     set_ops = sum(lv.num_set_ops for lv in plan.levels)
-    diff_ops = sum(
-        (len(lv.extra_anti) if lv.base is not None else len(lv.anti_deps))
-        for lv in plan.levels
-        if lv.reuse_from is None
-    )
+    diff_ops = sum(lv.num_difference_ops for lv in plan.levels)
     bounds = sum(
         len(lv.upper_bounds) + len(lv.lower_bounds) for lv in plan.levels
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import SystemConfig
+from ..engine.functional import root_tasks
 from ..errors import SimulationError
 from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
@@ -91,15 +92,7 @@ class AcceleratorSim:
         self, start_tasks: list[SimTask] | None
     ) -> None:
         if start_tasks is None:
-            root_label = self.plan.levels[0].label
-            labels = self.graph.labels
-            start_tasks = [
-                SimTask(level=1, vertex=v, parent=None)
-                for v in range(self.graph.num_vertices)
-                if root_label is None
-                or labels is None
-                or int(labels[v]) == root_label
-            ]
+            start_tasks = root_tasks(self.graph, self.plan)
         buckets: list[list[SimTask]] = [[] for _ in self._pes]
         if self.config.root_partition == "degree-balanced":
             # greedy bin packing: heaviest subtrees first, least-loaded PE.

@@ -23,16 +23,12 @@ import numpy as np
 
 from ..core.config import SystemConfig
 from ..engine.base import get_engine
+from ..engine.functional import root_tasks, walk_tasks
 from ..obs import context as _obs
 from ..graph.csr import CSRGraph
-from ..patterns.executor import apply_filters
 from ..patterns.plan import MatchingPlan
 from ..sched.task import SimTask
-from ..setops.reference import (
-    difference_sorted,
-    intersect_sorted,
-    merge_comparison_count,
-)
+from ..setops.reference import merge_comparison_count
 from .report import SimReport
 from .rocc import RoCCInterface
 
@@ -57,21 +53,6 @@ class HostModel:
         self.config = config
         self.rocc = RoCCInterface(config)
 
-    def _root_vertices(
-        self, graph: CSRGraph, plan: MatchingPlan, roots
-    ):
-        """Label-filtered root vertices (all vertices when ``roots=None``)."""
-        candidates = (
-            range(graph.num_vertices)
-            if roots is None
-            else (int(v) for v in roots)
-        )
-        root_label = plan.levels[0].label
-        labels = graph.labels
-        if root_label is None or labels is None:
-            return candidates
-        return (v for v in candidates if int(labels[v]) == root_label)
-
     def _software_prefix(
         self,
         graph: CSRGraph,
@@ -82,45 +63,23 @@ class HostModel:
         """Execute plan levels below ``hw_start_level`` on the CPU."""
         cycles = 0.0
         tasks: list[SimTask] = []
-        levels = plan.levels
-        neighbors = graph.neighbors
-
-        def expand(task: SimTask) -> None:
-            nonlocal cycles
-            if task.level == hw_start_level:
-                tasks.append(task)
-                return
-            lv = levels[task.level]
-            emb = task.embedding
-            if lv.base is not None and lv.base >= 1:
-                s = task.ancestor(lv.base).raw_set
-                assert s is not None
-                ints, subs = lv.extra_deps, lv.extra_anti
-            else:
-                s = neighbors(emb[lv.deps[0]])
-                ints, subs = lv.deps[1:], lv.anti_deps
-            for p in ints:
-                b = neighbors(emb[p])
-                out = intersect_sorted(s, b)
+        for task, expansion in walk_tasks(
+            graph, plan, hw_start_level - 1, roots
+        ):
+            # the host keeps its sets as plain vertex arrays
+            task.raw_words = int(expansion.result.size)
+            for rec in expansion.ops:
+                na, nout = int(rec.a.size), int(rec.out.size)
                 cycles += HOST_CYCLES_PER_COMPARISON * merge_comparison_count(
-                    int(s.size), int(b.size), int(out.size)
+                    na,
+                    int(rec.b.size),
+                    nout if rec.kind == "set_int" else na - nout,
                 )
-                s = out
-            for p in subs:
-                b = neighbors(emb[p])
-                out = difference_sorted(s, b)
-                cycles += HOST_CYCLES_PER_COMPARISON * merge_comparison_count(
-                    int(s.size), int(b.size), int(s.size) - int(out.size)
+            if task.level == hw_start_level - 1:
+                tasks.extend(
+                    SimTask(level=hw_start_level, vertex=v, parent=task)
+                    for v in expansion.filtered.tolist()
                 )
-                s = out
-            task.raw_set = s
-            task.raw_words = int(s.size)
-            for v in apply_filters(s, lv, emb, graph.labels):
-                expand(SimTask(level=task.level + 1, vertex=int(v),
-                               parent=task))
-
-        for root in self._root_vertices(graph, plan, roots):
-            expand(SimTask(level=1, vertex=root, parent=None))
         return _PrefixResult(tasks=tasks, host_cycles=cycles)
 
     def run(
@@ -148,10 +107,7 @@ class HostModel:
             start_tasks = prefix.tasks
             host_cycles += prefix.host_cycles
         elif roots is not None:
-            start_tasks = [
-                SimTask(level=1, vertex=v, parent=None)
-                for v in self._root_vertices(graph, plan, roots)
-            ]
+            start_tasks = root_tasks(graph, plan, roots)
         self.rocc.run(start_tasks=start_tasks)
         report = self.rocc.poll()
         report.host_cycles += host_cycles

@@ -1,8 +1,7 @@
 """Hardware task execution: functional result + cycle cost of one task.
 
 Each task computes the candidate set for one level of the matching plan.
-Since the engine-layer refactor this module is a thin composition of the two
-layers in :mod:`repro.engine`:
+This module is a thin composition of the two layers in :mod:`repro.engine`:
 
 * the **functional layer** (:func:`repro.engine.functional.expand_task`)
   computes the exact candidate set with the NumPy reference kernels;
@@ -15,9 +14,8 @@ and cached per intermediate set, and the merge boundaries the cost formulas
 need are derived from the functional result — the simulator never re-derives
 what it already knows, which keeps per-task overhead low.
 
-``TASK_DISPATCH_CYCLES``/``TASK_COMMIT_CYCLES`` and :class:`TaskOutcome`
-now live in :mod:`repro.engine.temporal`; they are re-exported here for
-backwards compatibility.
+:class:`TaskOutcome` is defined in :mod:`repro.engine.temporal`;
+``repro.sim`` exports it from here, next to the executor that returns it.
 """
 
 from __future__ import annotations
@@ -29,24 +27,14 @@ from ..engine.functional import (
     row_word_counts,
     set_stream_words,
 )
-from ..engine.temporal import (
-    TASK_COMMIT_CYCLES,
-    TASK_DISPATCH_CYCLES,
-    TaskCostAnnotator,
-    TaskOutcome,
-)
+from ..engine.temporal import TaskCostAnnotator, TaskOutcome
 from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs import context as _obs
 from ..patterns.plan import MatchingPlan
 from ..siu.base import SIUCostModel
 
-__all__ = [
-    "TASK_COMMIT_CYCLES",
-    "TASK_DISPATCH_CYCLES",
-    "TaskOutcome",
-    "HardwareTaskExecutor",
-]
+__all__ = ["TaskOutcome", "HardwareTaskExecutor"]
 
 
 def _row_word_counts(graph: CSRGraph, width: int) -> np.ndarray:

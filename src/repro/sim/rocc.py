@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from ..core.config import SystemConfig
+from ..engine.functional import root_tasks
 from ..errors import SimulationError
 from ..graph.csr import CSRGraph
 from ..patterns.plan import MatchingPlan
@@ -75,12 +76,9 @@ class RoCCInterface:
         )
         graph = self._graph
         if max_vertex is not None and start_tasks is None:
-            from ..sched.task import SimTask
-
-            start_tasks = [
-                SimTask(level=1, vertex=v, parent=None)
-                for v in range(min(max_vertex, graph.num_vertices))
-            ]
+            start_tasks = root_tasks(
+                graph, self._plan, range(min(max_vertex, graph.num_vertices))
+            )
         sim = AcceleratorSim(graph, self._plan, self.config)
         self._report = sim.run(start_tasks)
 

@@ -14,19 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.config import SystemConfig
+from ..engine.functional import expand_task, walk_tasks
 from ..graph import bitmapcsr
 from ..graph.csr import CSRGraph
+from ..memory.hierarchy import MemoryHierarchy
 from ..patterns.plan import MatchingPlan
 from ..setops.bitonic import OrderAwarePipeline
 from ..setops.merge_queue import MergeQueuePipeline
 from ..setops.systolic import SystolicMergeArray
+from ..siu.base import consumed_extents, merge_boundaries
+from ..siu.models import make_siu
 from .accelerator import AcceleratorSim
 from .hwexec import HardwareTaskExecutor, TaskOutcome
 
 __all__ = ["ExactTaskExecutor", "CrossValidation", "cross_validate"]
+
+#: the element-level pipelines' names for the two set operations
+_PIPE_OP = {"set_int": "intersect", "set_diff": "difference"}
 
 
 def _exact_pipeline(config: SystemConfig):
@@ -56,29 +61,16 @@ class ExactTaskExecutor(HardwareTaskExecutor):
     def execute(self, task, pe: int, now: float) -> TaskOutcome:
         # run the analytic path for the simulation itself...
         outcome = super().execute(task, pe, now)
-        # ...then replay every op of this task through the exact pipeline
-        lv = self.plan.levels[task.level]
-        if lv.reuse_from is not None:
-            return outcome
-        emb = task.embedding
-        if lv.base is not None:
-            s = task.ancestor(lv.base).raw_set
-            ops = [("intersect", p) for p in lv.extra_deps] + [
-                ("difference", p) for p in lv.extra_anti
-            ]
-        else:
-            s = self.graph.neighbors(emb[lv.deps[0]])
-            ops = [("intersect", p) for p in lv.deps[1:]] + [
-                ("difference", p) for p in lv.anti_deps
-            ]
+        # ...then stream its ops (the functional step is idempotent, so
+        # asking it again is exact) through the element-level pipeline
         width = self._width
-        for exop, p in ops:
-            b = self.graph.neighbors(emb[p])
-            aw = bitmapcsr.encode(np.asarray(s, dtype=np.int64), width)
-            bw = bitmapcsr.encode(np.asarray(b, dtype=np.int64), width)
-            trace = self._pipe.run(aw, bw, exop)
+        for rec in expand_task(self.graph, self.plan, task).ops:
+            trace = self._pipe.run(
+                bitmapcsr.encode(rec.a, width),
+                bitmapcsr.encode(rec.b, width),
+                _PIPE_OP[rec.kind],
+            )
             self.exact_issue_cycles += trace.issue_cycles
-            s = bitmapcsr.decode(trace.result, width)
         return outcome
 
 
@@ -107,9 +99,6 @@ def cross_validate(
     report = sim.run()
 
     # exact replay
-    from ..memory.hierarchy import MemoryHierarchy
-    from ..siu.models import make_siu
-
     memory = MemoryHierarchy(config.memory_config())
     siu = make_siu(config.siu_kind, config.segment_width,
                    config.bitmap_width)
@@ -121,7 +110,7 @@ def cross_validate(
     sim2.executor = exact
     report2 = sim2.run()
 
-    # recompute analytic issue cycles from the cost model for the same ops
+    # the cost model's issue cycles for the same ops
     analytic_issue = _analytic_issue_cycles(graph, plan, config)
     err = (
         abs(analytic_issue - exact.exact_issue_cycles)
@@ -140,75 +129,17 @@ def _analytic_issue_cycles(
     graph: CSRGraph, plan: MatchingPlan, config: SystemConfig
 ) -> int:
     """Total analytic issue cycles over every op of the workload."""
-    from ..siu.base import consumed_extents, merge_boundaries
-    from ..siu.models import make_siu
-
     siu = make_siu(config.siu_kind, config.segment_width,
                    config.bitmap_width)
     total = 0
-
-    from ..patterns.executor import apply_filters
-    from ..setops.reference import difference_sorted, intersect_sorted
-
-    levels = plan.levels
-    stop = {
-        "enumerate": plan.depth - 1,
-        "count_last": plan.depth - 1,
-        "choose2": plan.depth - 2,
-    }[plan.collection]
-    embedding = [0] * plan.depth
-    stored: list[np.ndarray | None] = [None] * plan.depth
-
-    def candidates(i: int) -> np.ndarray:
-        nonlocal total
-        lv = levels[i]
-        if lv.reuse_from is not None:
-            base = stored[lv.reuse_from]
-            assert base is not None
-            return base
-        if lv.base is not None:
-            s = stored[lv.base]
-            assert s is not None
-            ints, subs = lv.extra_deps, lv.extra_anti
-        else:
-            s = graph.neighbors(embedding[lv.deps[0]])
-            ints, subs = lv.deps[1:], lv.anti_deps
-        for kind, p in [("set_int", q) for q in ints] + [
-            ("set_diff", q) for q in subs
-        ]:
-            b = graph.neighbors(embedding[p])
-            ka, kb = siu._streams(s, b)
+    for _, expansion in walk_tasks(graph, plan, plan.stop_level):
+        for rec in expansion.ops:
+            ka, kb = siu._streams(rec.a, rec.b)
             i_end, j_end, matches = merge_boundaries(ka, kb)
             c_a, c_b = consumed_extents(ka, kb)
             cost = siu.cost_terms(
-                int(ka.size), int(kb.size), i_end, j_end, matches, kind,
+                int(ka.size), int(kb.size), i_end, j_end, matches, rec.kind,
                 c_a=c_a, c_b=c_b,
             )
             total += cost.issue_cycles
-            s = (
-                intersect_sorted(s, b)
-                if kind == "set_int"
-                else difference_sorted(s, b)
-            )
-        return s
-
-    def recurse(i: int) -> None:
-        raw = candidates(i)
-        stored[i] = raw
-        if i == stop:
-            return
-        for v in apply_filters(raw, levels[i], embedding, graph.labels):
-            embedding[i] = int(v)
-            recurse(i + 1)
-
-    root_label = levels[0].label
-    for root in range(graph.num_vertices):
-        if (
-            root_label is not None
-            and graph.labels is not None
-            and int(graph.labels[root]) != root_label
-        ):
-            continue
-        embedding[0] = root
-        recurse(1)
     return total

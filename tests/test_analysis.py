@@ -7,12 +7,11 @@ import pytest
 from repro.analysis import (
     format_table,
     geomean,
-    plan_cache,
     run_grid,
     run_workload,
 )
 from repro.core import xset_default
-from repro.patterns import PATTERNS
+from repro.patterns import PATTERNS, build_plan
 
 
 class TestGeomean:
@@ -57,9 +56,9 @@ class TestRunners:
         assert report.embeddings >= 0
         assert report.cycles > 0
 
-    def test_plan_cache_memoises(self):
-        a = plan_cache(PATTERNS["3CF"])
-        b = plan_cache(PATTERNS["3CF"])
+    def test_build_plan_memoises(self):
+        a = build_plan(PATTERNS["3CF"])
+        b = build_plan(PATTERNS["3CF"])
         assert a is b
 
     def test_run_grid(self):

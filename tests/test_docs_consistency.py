@@ -1,5 +1,6 @@
 """Documentation consistency: the docs describe what actually exists."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -342,3 +343,25 @@ class TestClaimTable:
                     assert re.search(
                         rf"(def|class) {name}\b", source
                     ), token
+
+
+class TestStructure:
+    """Shapes of ``src/`` the docs promise, checked on the syntax tree."""
+
+    def test_level_spec_is_interpreted_in_one_place(self):
+        """The plan's reuse annotations are read by the plan compiler, the
+        reference executor, the task-list emitter and ``engine.functional``
+        — a further reader would be one more copy of the Fig. 1c loop."""
+        interpreters = {
+            "patterns/plan.py", "patterns/executor.py",
+            "patterns/codegen.py", "engine/functional.py",
+        }
+        fields = {"extra_deps", "extra_anti", "reuse_from"}
+        package = ROOT / "src" / "repro"
+        readers = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in fields
+        }
+        assert readers == interpreters

@@ -16,6 +16,7 @@ from repro.patterns import (
     count_unique_embeddings,
     symmetry_restrictions,
 )
+from repro.sim import HostModel, RoCCInterface
 
 
 @pytest.fixture
@@ -94,6 +95,31 @@ class TestLabeledCounting:
             labeled_graph, pat, plan=plan
         )
         assert hw.embeddings == want
+
+    @pytest.mark.parametrize(
+        "name,labels,want",
+        [
+            ("3CF", (1, 1, 0), 25),
+            ("WEDGE", (1, 0, 0), 99),
+            ("DIA", (0, 0, 1, 1), 12),
+        ],
+    )
+    def test_every_root_entry_filters_by_label(self, name, labels, want):
+        """``run()``, ``run(max_vertex=n)`` and ``roots=range(n)`` root the
+        same search trees: only vertices carrying the level-0 label."""
+        n = 40
+        g = erdos_renyi(n, 8.0, seed=8).with_labels(np.arange(n) % 2)
+        plan = build_plan(PATTERNS[name].with_labels(labels))
+        assert count_embeddings(g, plan).embeddings == want
+        rocc = RoCCInterface(xset_default(num_pes=2))
+        rocc.config_graph(g)
+        rocc.config_tasklist(plan)
+        rocc.run()
+        assert rocc.poll().embeddings == want
+        rocc.run(max_vertex=n)
+        assert rocc.poll().embeddings == want
+        host = HostModel(xset_default(num_pes=2))
+        assert host.run(g, plan, roots=range(n)).embeddings == want
 
     def test_labels_only_restrict(self, labeled_graph):
         plain = count_embeddings(

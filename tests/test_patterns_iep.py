@@ -91,6 +91,24 @@ class TestExpressions:
         huge = Choose(SetSize(2), 50)
         assert count_with_expression(medium_er, plan, 2, huge) >= 0
 
+    def test_cut_below_a_choose2_plans_own_leaf(self, medium_er):
+        """The cut is the caller's: a plan whose own leaf sits at level 2
+        (``choose2``) still folds at level 3, reading the level-2 set."""
+        collapsed = build_plan(PATTERNS["DIA"])
+        spelled = build_plan(PATTERNS["DIA"], collection="enumerate")
+        assert collapsed.stop_level == 2 and spelled.stop_level == 3
+        got = count_with_expression(medium_er, collapsed, 3, SetSize(3))
+        assert got == count_with_expression(
+            medium_er, spelled, 3, SetSize(3)
+        )
+        assert got > 0
+
+    def test_unstored_level_is_a_plan_error(self, medium_er):
+        plan = build_plan(PATTERNS["DIA"], collection="enumerate")
+        for level in (0, 3):  # the root has no set; level 3 lies past the cut
+            with pytest.raises(PlanError):
+                count_with_expression(medium_er, plan, 2, SetSize(level))
+
     def test_bad_stop_level(self, medium_er):
         plan = build_plan(PATTERNS["DIA"], collection="enumerate")
         with pytest.raises(PlanError):

@@ -6,16 +6,133 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import xset_default
+from repro.engine.functional import (
+    FrontierExpander,
+    expand_frontier,
+    sweep_frontier,
+    walk_tasks,
+)
 from repro.graph import erdos_renyi
 from repro.memory import MemoryConfig, MemoryHierarchy
 from repro.patterns import (
+    PATTERNS,
+    Choose,
+    Const,
+    MatchedInSet,
+    SetSize,
     build_plan,
+    count_embeddings,
     count_unique_embeddings,
+    count_with_expression,
     motif_patterns,
 )
 from repro.sim import run_on_soc
 
 MOTIFS4 = motif_patterns(4)
+
+
+def _random_case(name, labelled, seed, n, degree):
+    """A small graph, the named pattern's plan, the reference's stats."""
+    g = erdos_renyi(n, degree, seed=seed)
+    pattern = PATTERNS[name]
+    if labelled:
+        rng = np.random.default_rng(seed)
+        g = g.with_labels(rng.integers(0, 2, n))
+        pattern = pattern.with_labels(
+            rng.integers(0, 2, pattern.num_vertices).tolist()
+        )
+    plan = build_plan(pattern)
+    return g, plan, count_embeddings(g, plan)
+
+
+_case = given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(6, 14),
+    degree=st.floats(2.0, 5.0),
+)
+_few = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+class TestOneInterpreterAgainstTheReference:
+    """``engine.functional`` is the only ``LevelSpec`` interpreter besides
+    ``patterns.executor``: both forms of it, and every fold over them, must
+    reproduce what the independent executor counts."""
+
+    @_case
+    @_few
+    def test_walker_op_records_are_the_references_stats(
+        self, name, labelled, seed, n, degree
+    ):
+        g, plan, oracle = _random_case(name, labelled, seed, n, degree)
+        ops = {"set_int": 0, "set_diff": 0}
+        words_in = words_out = 0
+        per_level = [0] * plan.depth
+        for task, expansion in walk_tasks(g, plan, plan.stop_level):
+            per_level[task.level - 1] += 1
+            assert len(expansion.ops) == plan.levels[task.level].num_set_ops
+            for rec in expansion.ops:
+                ops[rec.kind] += 1
+                words_in += rec.a.size + rec.b.size
+                words_out += rec.out.size
+        assert (
+            ops["set_int"], ops["set_diff"], words_in, words_out, per_level
+        ) == (
+            oracle.intersections, oracle.differences, oracle.words_in,
+            oracle.words_out, oracle.per_level_tasks,
+        )
+
+    @_case
+    @_few
+    def test_event_engine_and_host_split_count_alike(
+        self, name, labelled, seed, n, degree
+    ):
+        g, plan, oracle = _random_case(name, labelled, seed, n, degree)
+        for max_hw_levels in (1, 2, 3, 8):
+            cfg = xset_default(
+                num_pes=2, max_hw_levels=max_hw_levels, name="prop"
+            )
+            assert run_on_soc(g, plan, cfg).embeddings == oracle.embeddings
+
+    @_case
+    @_few
+    def test_expression_folds(self, name, labelled, seed, n, degree):
+        g, plan, oracle = _random_case(name, labelled, seed, n, degree)
+        stop = plan.stop_level
+        for level in range(1, stop + 1):  # one per partial embedding
+            assert (
+                count_with_expression(g, plan, level, Const(1))
+                == oracle.per_level_tasks[level - 1]
+            )
+        leaf = plan.levels[stop]
+        if not (leaf.upper_bounds or leaf.lower_bounds or labelled):
+            # distinctness is the only filter left, and the matched
+            # vertices inside the raw set are exactly what it drops
+            size = SetSize(stop) - MatchedInSet(stop)
+            expr = Choose(size, 2) if plan.collection == "choose2" else size
+            assert (
+                count_with_expression(g, plan, stop, expr)
+                == oracle.embeddings
+            )
+
+    @_case
+    @_few
+    def test_bulk_sweep_is_chunk_invariant(
+        self, name, labelled, seed, n, degree
+    ):
+        g, plan, oracle = _random_case(name, labelled, seed, n, degree)
+        whole = expand_frontier(g, plan)
+        assert whole[-1].count == oracle.embeddings
+        assert [lv.tasks for lv in whole] == (
+            oracle.per_level_tasks[: plan.stop_level]
+        )
+        expander = FrontierExpander(g, plan)
+        for root_chunk in (1, 7, 4096):
+            swept = sweep_frontier(expander, expander.roots(), root_chunk)
+            assert [
+                (lv.level, lv.tasks, lv.count, lv.words_in) for lv in swept
+            ] == [(lv.level, lv.tasks, lv.count, lv.words_in) for lv in whole]
 
 
 @given(

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import xset_default
 from repro.errors import SimulationError
-from repro.patterns import PATTERNS, build_plan, count_embeddings
+from repro.patterns import PATTERNS, Pattern, build_plan, count_embeddings
 from repro.sim import HostModel, RoCCInstruction, RoCCInterface, run_on_soc
+from repro.sim.host import HOST_CYCLES_PER_COMPARISON, HOST_ROCC_ISSUE_CYCLES
 
 
 class TestRoCCProtocol:
@@ -87,3 +88,31 @@ class TestHostModel:
         assert report.embeddings == count_embeddings(
             medium_er, build_plan(PATTERNS["3CF"])
         ).embeddings
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            PATTERNS["DIA"],
+            # three wings on one spine: levels 3 and 4 both re-read level
+            # 2's set, so a reuse_from level lands in the host prefix
+            Pattern.from_edges(
+                "FAN3",
+                [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)],
+            ),
+        ],
+        ids=["DIA", "FAN3"],
+    )
+    def test_prefix_charges_the_plans_set_ops(self, pattern, small_er):
+        """With one hardware level left, and that level a ``reuse_from``
+        (``num_set_ops`` 0), every set operation of the plan is the host's:
+        it charges the reference executor's merge comparisons, no more."""
+        plan = build_plan(pattern, collection="enumerate")
+        per_level = [lv.num_set_ops for lv in plan.levels]
+        assert per_level[2] == 1 and not any(per_level[3:])
+        oracle = count_embeddings(small_er, plan)
+        report = run_on_soc(small_er, plan, xset_default(max_hw_levels=1))
+        assert report.embeddings == oracle.embeddings
+        assert report.host_cycles == (
+            3 * HOST_ROCC_ISSUE_CYCLES
+            + HOST_CYCLES_PER_COMPARISON * oracle.merge_comparisons
+        )
