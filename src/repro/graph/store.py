@@ -29,8 +29,8 @@ Lifecycle contract: exactly one process — the creator — unlinks.  Workers
 only ever ``close()``.  On CPython < 3.13 merely *attaching* a segment
 registers it with the ``resource_tracker``, which would unlink it when the
 worker exits while the creator still serves it; :func:`attach_graph`
-therefore unregisters the attachment immediately (the standard workaround,
-see cpython#82300).
+therefore attaches with the registration suppressed (the standard
+workaround, see cpython#82300).
 
 Segments can be disabled wholesale with the ``REPRO_DISABLE_SHM``
 environment variable, in which case the service layer falls back to its
@@ -74,20 +74,30 @@ except ImportError:  # pragma: no cover - exotic platforms only
 _SEQ = itertools.count()
 
 
-def _fresh_tracker_lock() -> None:
-    """Give a forked child an unlocked resource-tracker lock.
+#: serialises the window in which :func:`attach_graph` has the tracker's
+#: ``register`` swapped out (segment creation must not fall into it)
+_ATTACH_LOCK = threading.Lock()
+_REGISTER = resource_tracker.register if _HAVE_SHM else None
 
-    Every ``SharedMemory`` create/attach/unlink takes the tracker's lock,
-    and the first one in a process holds it while the tracker process
+
+def _after_fork_in_child() -> None:
+    """Give a forked child unlocked locks and the real ``register``.
+
+    Every ``SharedMemory`` create/unlink takes the tracker's lock, and
+    the first one in a process holds it while the tracker process
     launches.  A pool worker forked by another thread in that window
     inherits the lock held by a thread it does not have, and blocks
-    forever on its first :func:`attach_graph`.
+    forever on its first tracker call; the attach window is the same
+    hazard one level up.
     """
+    global _ATTACH_LOCK
     resource_tracker._resource_tracker._lock = threading.RLock()
+    _ATTACH_LOCK = threading.Lock()
+    resource_tracker.register = _REGISTER
 
 
 if _HAVE_SHM and hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_tracker_lock)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def shm_available() -> bool:
@@ -98,20 +108,6 @@ def shm_available() -> bool:
 def _align8(nbytes: int) -> int:
     """Round a byte offset up to the next 8-byte boundary."""
     return (nbytes + 7) & ~7
-
-
-def _untrack(shm) -> None:
-    """Drop a *attached* segment from this process's resource tracker.
-
-    Attaching registers the name with the tracker on CPython < 3.13, and
-    the tracker unlinks everything still registered when its last client
-    exits — which would tear the segment out from under the creator the
-    first time a pool worker dies.  Only the creator may unlink.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
 
 
 def _quiet_close(shm) -> None:
@@ -128,21 +124,6 @@ def _quiet_close(shm) -> None:
     except BufferError:
         shm._buf = None
         shm._mmap = None
-
-
-def _retrack(shm) -> None:
-    """Re-register a segment just before the creator unlinks it.
-
-    Under the fork start method every process shares one tracker, so a
-    worker's :func:`_untrack` also removed the *creator's* registration;
-    ``SharedMemory.unlink`` then unregisters a name the tracker no longer
-    holds and the tracker process prints a KeyError traceback.  Re-adding
-    the name (idempotent — the tracker keeps a set) keeps that silent.
-    """
-    try:
-        resource_tracker.register(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
 
 
 @dataclass(frozen=True)
@@ -216,9 +197,10 @@ class GraphSegment:
             num_indices=int(graph.indices.size),
             has_labels=graph.labels is not None,
         )
-        shm = shared_memory.SharedMemory(
-            name=ref.segment, create=True, size=ref.total_bytes
-        )
+        with _ATTACH_LOCK:
+            shm = shared_memory.SharedMemory(
+                name=ref.segment, create=True, size=ref.total_bytes
+            )
         try:
             buf = shm.buf
             _view(buf, np.int64, 0, ref.num_vertices + 1)[:] = graph.indptr
@@ -250,7 +232,6 @@ class GraphSegment:
             return
         self._unlinked = True
         _quiet_close(self._shm)
-        _retrack(self._shm)
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already removed
@@ -300,8 +281,16 @@ def attach_graph(ref: SharedGraphRef) -> AttachedGraph:
     """
     if not _HAVE_SHM:  # pragma: no cover - exotic platforms only
         raise GraphFormatError("shared-memory graph store unavailable")
-    shm = shared_memory.SharedMemory(name=ref.segment)
-    _untrack(shm)  # only the creator unlinks; see module docstring
+    with _ATTACH_LOCK:
+        # only the creator unlinks (see module docstring), so this process
+        # must never register the name: under fork every process talks to
+        # one tracker, whose cache is a set — a register-then-unregister
+        # here would drop the *creator's* entry with it
+        resource_tracker.register = lambda *args: None
+        try:
+            shm = shared_memory.SharedMemory(name=ref.segment)
+        finally:
+            resource_tracker.register = _REGISTER
     try:
         buf = shm.buf
         indptr = _view(buf, np.int64, 0, ref.num_vertices + 1)

@@ -5,8 +5,9 @@ Three prediction tiers, most specific first:
 ``profile``
     An EWMA of observed wall times for this exact ``(graph fingerprint,
     canonical pattern, engine)`` triple — the service feeds every
-    completed job's measured latency back in, so repeated shapes converge
-    on their true cost within a few observations.
+    completed job's measured run time back in, so repeated shapes converge
+    on their true cost within a few observations (a cold first sample is
+    dropped as soon as a run comes in at under half of it).
 ``throughput``
     No exact history, but the engine has completed *some* jobs: the
     analytic work proxy (:func:`~.features.analytic_work`) divided by the
@@ -142,8 +143,12 @@ class CostPredictor:
         a = self.alpha
         with self._lock:
             prev = self._profiles.get(key)
+            # a run has a floor (its work) and no ceiling: the first one
+            # on a fresh worker also forks, attaches and compiles.  So a
+            # sample under half the estimate replaces it, any other moves it
             self._profiles[key] = (
-                seconds if prev is None else prev + a * (seconds - prev)
+                seconds if prev is None or seconds < 0.5 * prev
+                else prev + a * (seconds - prev)
             )
             speed, count = self._throughput.get(engine, (0.0, 0))
             self._throughput[engine] = (

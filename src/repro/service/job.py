@@ -172,6 +172,9 @@ class Job:
     attempts: int = 0
     #: wall-clock dispatch timestamp of the current attempt
     dispatched_at: float = field(default=0.0)
+    #: seconds into its worker call at which the job began: what ran before
+    #: it were its set-mates (0 in a call of one)
+    run_offset: float = 0.0
     #: registry record pinned at submit time (graph + payload snapshot)
     record: Any = None
     #: open ``service.job`` span when the service is traced (else None)

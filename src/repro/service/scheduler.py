@@ -113,13 +113,14 @@ class JobQueue:
                 self._arrivals.append(job)
             self._live += 1
 
-    def _take_starving(self, now: float) -> tuple[str, Job] | None:
+    def _take_starving(self, now: float, fits) -> tuple[str, Job] | None:
         """Arrival-order head older than the aging bound, if dispatchable.
 
         Called under the lock.  Prunes taken/finished heads as it goes;
         returns ``("run", job)`` for a starving runnable job (removed and
-        marked taken) or ``("timeout", job)`` when the starving head's
-        own deadline expired (caller finishes it outside the lock).
+        marked taken), ``("timeout", job)`` when the starving head's
+        own deadline expired (caller finishes it outside the lock) or
+        ``("stay", job)`` for a runnable head that ``fits`` refuses.
         """
         if self.policy != "cost" or self.age_limit is None:
             return None
@@ -136,12 +137,14 @@ class JobQueue:
                 return ("timeout", job)
             if job.not_before is not None and now < job.not_before:
                 return None  # parked on retry backoff; cannot jump ahead
+            if fits is not None and not fits(job):
+                return ("stay", job)
             self._arrivals.popleft()
             job.taken = True
             return ("run", job)
         return None
 
-    def pop(self, now: float) -> Job | None:
+    def pop(self, now: float, fits=None) -> Job | None:
         """Next runnable job, or None.
 
         Skips cancelled tombstones, moves queued jobs whose deadline has
@@ -150,15 +153,19 @@ class JobQueue:
         the queue — everything is assessed lazily, at dispatch time,
         against the injected clock.  Under the cost policy, a job queued
         past ``age_limit`` seconds dispatches first regardless of its
-        predicted cost (anti-starvation).
+        predicted cost (anti-starvation).  With ``fits``, a next runnable
+        job it refuses is not handed out: it stays queued as it was (key,
+        ``seq``, place in the aging order) and None is returned.
         """
         deferred: list[Job] = []
         try:
             while True:
                 with self._lock:
-                    starving = self._take_starving(now)
+                    starving = self._take_starving(now, fits)
                 if starving is not None:
                     verdict, job = starving
+                    if verdict == "stay":
+                        return None
                     if verdict == "timeout":
                         if job.handle._finish(JobStatus.TIMEOUT) and \
                                 self._on_timeout is not None:
@@ -183,6 +190,9 @@ class JobQueue:
                 if job.not_before is not None and now < job.not_before:
                     deferred.append(job)  # backoff pending; stays queued
                     continue
+                if fits is not None and not fits(job):
+                    deferred.append(job)
+                    return None
                 job.taken = True
                 return job
         finally:
@@ -193,6 +203,18 @@ class JobQueue:
                             self._heap, (self._key(job), job.seq, job)
                         )
                         self._live += 1
+
+    def pop_set(self, now: float, fits) -> list[Job]:
+        """The next runnable job and the run of jobs behind it, in policy
+        order, that may share its worker call: ``fits(set so far, job)``
+        decides, and the first job it refuses ends the set and is what
+        the next pop finds.  Empty when nothing is runnable."""
+        jobs: list[Job] = []
+        job = self.pop(now)
+        while job is not None:
+            jobs.append(job)
+            job = self.pop(now, lambda nxt: fits(jobs, nxt))
+        return jobs
 
     def drain(self) -> list[Job]:
         """Remove and return every still-pending job, backoff or not.

@@ -94,7 +94,7 @@ from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
 from .scheduler import JobQueue, RetryPolicy
 from .stats import LatencyRecorder, ServiceStats
-from .worker import run_job
+from .worker import run_job, run_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
@@ -142,6 +142,9 @@ _COUNTS = {
         "repro_jobs_rejected_total",
         "submissions rejected by admission control",
     ),
+    "worker_calls": (
+        "repro_worker_calls_total", "executor calls made, one per set of jobs"
+    ),
     # the rows below carry labels, whose values the caller of _count gives
     "rerouted": (
         "repro_jobs_rerouted_total", "jobs rerouted to a fallback engine"
@@ -160,6 +163,16 @@ _COUNTS = {
     "cache_hits": ("repro_cache_hits_total", _CACHE_HELP),
     "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
 }
+
+#: A process-mode dispatch sends a *set*: the run of queued jobs, in policy
+#: order, that are each predicted to run under ``LIGHT_SECONDS`` and carry
+#: no deadline, fault or cross-check, ``SET_MAX_JOBS`` of them at most —
+#: one executor round trip (≈0.65 ms of wake-ups around a 0.3 ms run) for
+#: all.  Their product, 8 ms, is the longest a set's first job waits for
+#: its mates and the longest a set delays a newcomer of higher priority.
+#: docs/ARCHITECTURE.md has the measurements behind both numbers.
+LIGHT_SECONDS = 0.001
+SET_MAX_JOBS = 8
 
 #: finished spans retained by a traced service (most recent history)
 TRACE_SPAN_LIMIT = 20_000
@@ -264,6 +277,10 @@ class QueryService:
         self._paused = start_paused
         self._shutdown = False
         self._in_flight = 0
+        #: jobs in flight beyond the first of their worker call: a call
+        #: holds one worker, so the dispatch gate is in-flight minus riders
+        self._riders = 0
+        self._call_ids = itertools.count(1)
         self._dispatcher_stuck = False
         #: (row of ``_COUNTS``, *label values) → that series' counter
         self._tally: "dict[tuple[str, ...], Counter]" = {}
@@ -799,24 +816,54 @@ class QueryService:
         while True:
             with self._cond:
                 while not self._shutdown and (
-                    self._paused or self._in_flight >= self.max_workers
+                    self._paused
+                    or self._in_flight - self._riders >= self.max_workers
                 ):
                     self._cond.wait(0.05)
                 if self._shutdown:
                     return
-            job = self._queue.pop(self._clock())
-            if job is None:
+            jobs = self._next_set()
+            if not jobs:
                 with self._cond:
                     # pushers enqueue, then notify under this lock: look
                     # again holding it, or a job pushed since is slept on
-                    job = self._queue.pop(self._clock())
-                    if job is None:
+                    jobs = self._next_set()
+                    if not jobs:
                         if not self._shutdown:
                             self._cond.wait(0.05)
                         elif self._in_flight == 0:
                             return
                         continue
-            self._dispatch(job)
+            # no other local may name these jobs: whatever this loop still
+            # holds while it sleeps keeps their pinned graph records alive
+            self._launch([job for job in jobs if self._begin(job)])
+
+    def _next_set(self) -> "list[Job]":
+        """The jobs of the next worker call: a set across a process
+        boundary, one job where there is no round trip to amortise."""
+        if self.mode == "process":
+            return self._queue.pop_set(self._clock(), self._fits)
+        job = self._queue.pop(self._clock())
+        return [] if job is None else [job]
+
+    def _fits(self, jobs: "list[Job]", nxt: Job) -> bool:
+        """May ``nxt`` ride in the worker call that carries ``jobs``?
+
+        Only light jobs, and only plain ones: a deadline is the watchdog's
+        to enforce per call, an armed fault plan or a sampled cross-check
+        must hit its own job alone.
+        """
+        return (
+            self._fault_plan is None
+            and len(jobs) < SET_MAX_JOBS
+            # set-mates were checked when they joined; the first never was
+            and all(
+                0.0 < job.predicted_seconds < LIGHT_SECONDS
+                and job.deadline is None
+                and self._sampled_verify(job) is None
+                for job in (jobs[0], nxt)
+            )
+        )
 
     def _drain_inline(self) -> None:
         while True:
@@ -829,20 +876,22 @@ class QueryService:
             self._dispatch(job)
 
     def _dispatch(self, job: Job) -> None:
+        if self._begin(job):
+            self._launch([job])
+
+    def _begin(self, job: Job) -> bool:
+        """Per-job half of a dispatch: everything that happens to a job
+        between the queue and its worker call.  False when the job is not
+        to run after all (finished while queued, or failed by routing)."""
         if job.handle.status is not JobStatus.PENDING:
-            return
+            return False
         if not self._route(job):
-            return
+            return False
         job.attempts += 1
         job.handle.attempts = job.attempts
         job.handle._set_running()
-        self.flight.record(
-            "dispatch",
-            job_id=job.handle.job_id,
-            engine=job.config.engine,
-            attempt=job.attempts,
-        )
         job.dispatched_at = time.perf_counter()
+        job.run_offset = 0.0
         if job.enqueued_at:
             self._latency.record_queue_wait(
                 max(self._clock() - job.enqueued_at, 0.0)
@@ -855,10 +904,12 @@ class QueryService:
                 self._fault_plan.for_job(job.handle.job_id, job.attempts)
                 or None
             )
-        self._maybe_sample_verify(job)
-        # thread/inline: the live graph; process: a SharedGraphRef the
-        # worker attaches to (pickle bytes when shared memory is off)
-        payload = job.record.ship(self.mode)
+        if job.verify_engine is None and job.rerouted_from is None:
+            # rerouted jobs are skipped — their fallback engine *is* the
+            # cross-check engine
+            job.verify_engine = self._sampled_verify(job)
+            if job.verify_engine is not None and job.span is not None:
+                job.span.set_attr("verify_engine", job.verify_engine)
         with self._cond:
             self._in_flight += 1
         # watch BEFORE the executor submit: inline futures complete (and
@@ -867,24 +918,84 @@ class QueryService:
         self._watchdog.watch(job)
         if job.deadline is not None:
             self._ensure_watchdog_thread()
-        try:
-            future = self._get_executor().submit(
-                run_job,
-                job.graph_id,
-                job.fingerprint,
-                payload,
-                job.plan,
-                job.config,
-                observe_run=self._observation is not None,
-                faults=job.faults,
-                verify_engine=job.verify_engine,
-                root_range=job.root_range,
+        return True
+
+    def _launch(self, jobs: "list[Job]") -> None:
+        """Per-call half of a dispatch: one executor submit for ``jobs`` —
+        :func:`run_job` as it always was for one, :func:`run_jobs` for a
+        set — whose completion hands every job its own outcome."""
+        if not jobs:
+            return
+        call = next(self._call_ids)
+        self._count("worker_calls")
+        self.metrics.histogram(
+            "repro_jobs_per_call",
+            "jobs carried by one executor call",
+            buckets=(1, 2, 4, SET_MAX_JOBS),
+        ).observe(len(jobs))
+        calls = []
+        for job in jobs:
+            self.flight.record(
+                "dispatch",
+                job_id=job.handle.job_id,
+                engine=job.config.engine,
+                attempt=job.attempts,
+                call=call,
+                set_size=len(jobs),
             )
+            calls.append((
+                (
+                    job.graph_id,
+                    job.fingerprint,
+                    # thread/inline: the live graph; process: a
+                    # SharedGraphRef the worker attaches to (pickle bytes
+                    # when shared memory is off)
+                    job.record.ship(self.mode),
+                    job.plan,
+                    job.config,
+                ),
+                dict(
+                    observe_run=self._observation is not None,
+                    faults=job.faults,
+                    verify_engine=job.verify_engine,
+                    root_range=job.root_range,
+                ),
+            ))
+        with self._cond:
+            self._riders += len(jobs) - 1
+        try:
+            if len(jobs) == 1:
+                (args, kwargs), = calls
+                future = self._get_executor().submit(run_job, *args, **kwargs)
+            else:
+                future = self._get_executor().submit(run_jobs, calls)
         except BaseException as exc:  # pool already broken at submit time
             future = Future()
             future.set_exception(exc)
-        self._watchdog.attach_future(job.handle.job_id, future)
-        future.add_done_callback(lambda f: self._on_done(job, f))
+        for job in jobs:
+            self._watchdog.attach_future(job.handle.job_id, future)
+        future.add_done_callback(lambda f: self._on_call_done(jobs, f))
+
+    def _on_call_done(self, jobs: "list[Job]", future: Future) -> None:
+        """Fan a finished worker call out into ``_on_done`` per job."""
+        whole = (
+            len(jobs) == 1 or future.cancelled()
+            or future.exception() is not None
+        )
+        for i, job in enumerate(jobs):
+            # a call of one, or one that died as a whole: the job meets the
+            # call's result, crash or cancellation as it always has
+            own = future
+            if not whole:
+                ok, outcome, job.run_offset = future.result()[i]
+                own = Future()
+                (own.set_result if ok else own.set_exception)(outcome)
+            if i:
+                # the first job's _on_done frees the call's worker slot;
+                # a rider only leaves
+                with self._cond:
+                    self._riders -= 1
+            self._on_done(job, own)
 
     def _route(self, job: Job) -> bool:
         """Apply breaker routing; False when the job was failed instead.
@@ -947,34 +1058,24 @@ class QueryService:
             reason=reason,
         )
 
-    def _maybe_sample_verify(self, job: Job) -> None:
-        """Deterministically sample this job for a cross-engine check.
+    def _sampled_verify(self, job: Job) -> str | None:
+        """The engine this job is cross-checked on, if it is sampled.
 
         The decision is a pure function of ``(verify_seed, job_id)`` so a
         replayed workload cross-checks exactly the same jobs regardless
-        of scheduling.  Rerouted jobs are skipped — their fallback engine
-        *is* the cross-check engine.
+        of scheduling.
         """
         res = self.resilience
-        if (
-            not res.enabled
-            or res.verify_fraction <= 0.0
-            or job.verify_engine is not None
-            or job.rerouted_from is not None
-        ):
-            return
+        if not res.enabled or res.verify_fraction <= 0.0:
+            return None
         rng = random.Random(hash((res.verify_seed, job.handle.job_id)))
         if rng.random() >= res.verify_fraction:
-            return
+            return None
         engine = job.config.engine
         verify = res.fallback_for(engine)
         if verify is None:
             verify = "event" if engine != "event" else "batched"
-        if verify == engine:
-            return
-        job.verify_engine = verify
-        if job.span is not None:
-            job.span.set_attr("verify_engine", verify)
+        return verify if verify != engine else None
 
     def _on_done(self, job: Job, future: Future) -> None:
         if not self._watchdog.unwatch(job.handle.job_id):
@@ -1081,13 +1182,15 @@ class QueryService:
         ob = self._observation
         if ob is not None and profile is not None:
             # worker processes have their own perf_counter origin, so
-            # re-anchor their spans at the dispatch timestamp; threads
-            # and inline runs already share this process's clock
+            # re-anchor their spans at the dispatch timestamp (plus the
+            # time its set-mates ran first); threads and inline runs
+            # already share this process's clock
             ob.tracer.ingest(
                 profile.spans,
                 parent=job.span,
                 align_to=(
-                    job.dispatched_at if self.mode == "process" else None
+                    job.dispatched_at + job.run_offset
+                    if self.mode == "process" else None
                 ),
             )
             self._profiles.append(profile)
@@ -1101,12 +1204,14 @@ class QueryService:
             # clean single-engine run: valid training data for the
             # cost model (cross-checked jobs time two engines;
             # fault-perturbed timings are noise).  Rerouted jobs
-            # train too — keyed by the engine that actually ran.
-            self.predictor.observe(job.features, job.config.engine, elapsed)
+            # train too — keyed by the engine that actually ran.  The
+            # model means run time: the worker's own measurement where
+            # the report carries one, since dispatch-to-settle also
+            # holds the round trip and, in a set, the set-mates' runs
+            ran = getattr(report, "wall_seconds", 0.0) or elapsed
+            self.predictor.observe(job.features, job.config.engine, ran)
             if job.predicted_seconds > 0.0:
-                self.predictor.record_accuracy(
-                    job.predicted_seconds, elapsed
-                )
+                self.predictor.record_accuracy(job.predicted_seconds, ran)
 
     # -- resilience --------------------------------------------------------
 
@@ -1245,6 +1350,7 @@ class QueryService:
                 health=health.name.lower(),
                 dispatcher_stuck=self._dispatcher_stuck,
                 rejected=self._total("rejected"),
+                worker_calls=self._total("worker_calls"),
                 auto_selected={
                     key[1]: self._total("auto_selected", key[1])
                     for key in list(self._tally)

@@ -130,6 +130,8 @@ class ServiceStats:
     # -- adaptive scheduling (repro.sched.adaptive) ------------------------
     #: submissions rejected by deadline-aware admission control
     rejected: int = 0
+    #: executor calls made; ``submitted`` jobs can share one (a set)
+    worker_calls: int = 0
     #: ``engine="auto"`` resolutions per chosen engine
     auto_selected: dict[str, int] = field(default_factory=dict)
     #: queue-wait percentiles (submit → dispatch) over the recent window

@@ -365,3 +365,21 @@ class TestStructure:
             if isinstance(node, ast.Attribute) and node.attr in fields
         }
         assert readers == interpreters
+
+    def test_the_executor_seam_is_two_shapes_wide(self):
+        """The service hands an executor ``run_job`` (one job, a report
+        back) or ``run_jobs`` (a set, one outcome per job) and nothing
+        else — what the ``executor=`` stubs of the tests have to answer."""
+        tree = ast.parse(
+            (ROOT / "src/repro/service/service.py").read_text()
+        )
+        submitted = sorted(
+            ast.unparse(node.args[0])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"
+            # self.submit(...) is the service's own entry point
+            and ast.unparse(node.func.value) != "self"
+        )
+        assert submitted == ["run_job", "run_jobs"]
