@@ -3,14 +3,17 @@
 Two cost annotators live here, one per execution style:
 
 :class:`TaskCostAnnotator`
-    The exact per-task model the ``event`` engine uses.  It walks the
-    :class:`~repro.engine.functional.TaskExpansion` op records, streams the
-    corresponding word sequences through the (stateful) memory hierarchy and
-    asks the configured SIU model for each operation's cost — mirroring the
-    Order-Aware SIU microarchitecture (Figure 8): both input streams fetch
-    in parallel through the private cache while the core pipeline consumes
-    them, so one operation costs ``max(first word latencies) + max(compute
-    issue, memory occupancy) + pipeline depth``.
+    The exact per-task model the ``event`` engine uses, in two halves.
+    :meth:`~TaskCostAnnotator.op_costs` does not depend on the clock: the
+    functional trace hands it one set operation's merge facts over a block
+    of rows, and it asks the SIU model for every row's issue cycles at
+    once.  :meth:`~TaskCostAnnotator.annotate` replays one task in event
+    order: it streams the task's word sequences through the (stateful)
+    memory hierarchy — mirroring the Order-Aware SIU microarchitecture
+    (Figure 8): both input streams fetch in parallel through the private
+    cache while the core pipeline consumes them, so one operation costs
+    ``max(first word latencies) + max(compute issue, memory occupancy) +
+    pipeline depth`` — and stores its raw set.
 
 :func:`annotate_frontier_report`
     The aggregate analytic model the ``batched`` engine uses.  It converts
@@ -28,8 +31,9 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
+from ..patterns.plan import MatchingPlan
 from ..siu.base import SIUCostModel
-from .functional import FrontierLevel, TaskExpansion, set_stream_words
+from .functional import FrontierLevel, OpFacts, level_steps, row_word_counts
 
 __all__ = [
     "TASK_DISPATCH_CYCLES",
@@ -48,7 +52,7 @@ TASK_COMMIT_CYCLES = 1
 WORD_BYTES = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskOutcome:
     """What executing one task produced.
 
@@ -66,146 +70,126 @@ class TaskOutcome:
     comparisons: int
     words_in: int
     words_out: int
+    #: trace row of the first child (the others follow it); -1 for leaves
+    child_row: int = -1
 
 
 class TaskCostAnnotator:
     """Exact per-task cycle charging against shared memory state."""
 
     def __init__(
-        self,
-        graph: CSRGraph,
-        siu: SIUCostModel,
-        memory: MemoryHierarchy,
-        row_words: np.ndarray,
-        task_overhead_cycles: int = 0,
+        self, graph: CSRGraph, plan: MatchingPlan, siu: SIUCostModel,
+        memory: MemoryHierarchy, task_overhead_cycles: int = 0,
     ) -> None:
-        self.graph = graph
         self.siu = siu
         self.memory = memory
         self.task_overhead = task_overhead_cycles
-        self._width = siu.bitmap_width
-        self._row_words = row_words
+        self._width = width = siu.bitmap_width
+        self._stop = plan.stop_level
+        self._steps = [None, *map(level_steps, plan.levels[1:])]
+        # indexed per stream by the replay: lists are Python's fastest
+        self._row_words = graph.derived(
+            ("row_words", width), row_word_counts, graph, width
+        ).tolist()
+        self._row_addr = (graph.indptr[:-1] + graph.base_address).tolist()
+        self._no_children = np.zeros(0, dtype=np.int32)
 
-    def annotate(
-        self, expansion: TaskExpansion, task, pe: int, now: float
-    ) -> TaskOutcome:
-        """Charge hardware time for one functionally-expanded task."""
-        graph = self.graph
+    def op_costs(self, f: OpFacts) -> tuple[np.ndarray, np.ndarray]:
+        """Issue cycles and comparator work of one set operation on every
+        row of a trace block: its merge facts scaled from vertices to word
+        streams, then the SIU model's cost terms."""
+        i_end, j_end, c_a, c_b = f.i_end, f.j_end, f.c_a, f.c_b
+        matches = f.matches
+        if self._width:
+            both = (f.na > 0) & (f.nb > 0)
+            ra = np.divide(f.wa, f.na, out=np.zeros(both.size), where=both)
+            rb = np.divide(f.wb, f.nb, out=np.zeros(both.size), where=both)
+
+            def scaled(x, cap):  # np.rint rounds ties to even, as round()
+                return np.minimum(np.rint(x).astype(np.int64), cap)
+
+            i_end, j_end = scaled(i_end * ra, f.wa), scaled(j_end * rb, f.wb)
+            c_a = np.where(both, f.wa + scaled((c_a - f.na) * rb, f.wb), c_a)
+            c_b = np.where(both, f.wb + scaled((c_b - f.nb) * ra, f.wa), c_b)
+            matches = scaled(
+                matches * np.minimum(ra, rb), np.minimum(i_end, j_end)
+            )
+        cost = self.siu.cost_terms(
+            f.wa, f.wb, i_end, j_end, matches, f.kind, c_a=c_a, c_b=c_b
+        )
+        return cost.issue_cycles, cost.comparisons
+
+    def annotate(self, task, pe: int, now: float) -> TaskOutcome:
+        """Replay one traced task (``task.chunk``, ``task.row``): charge
+        its streams and SIU time against the shared memory state, then
+        store its raw set for its descendants."""
         memory = self.memory
-        siu = self.siu
-        throughput = siu.throughput
+        chunk, row, level = task.chunk, task.row, task.level
+        mode, source, ops = self._steps[level]
         elapsed = float(TASK_DISPATCH_CYCLES + self.task_overhead)
         tail_depth = 0.0
-        set_ops = 0
         comparisons = 0
-        words_in = 0
         words_out = 0
 
-        if expansion.mode == "reuse":
-            # Candidate set already materialised by an ancestor: stream it
-            # back out of the candidate buffer, no SIU computation.
-            anc = task.ancestor(expansion.source_level)
-            w = anc.raw_words
-            mem = memory.stream_read(now + elapsed, pe, anc.scratch_addr, w)
-            scan = -(-w // throughput)
+        if mode == "neighbors":
+            u = task.embedding[source]
+            src_addr, words_in = self._row_addr[u], self._row_words[u]
+        else:  # an ancestor's set, back out of the candidate buffer
+            anc = task.ancestor(source)
+            src_addr, words_in = anc.scratch_addr, anc.raw_words
+        mem = memory.stream_read(now + elapsed, pe, src_addr, words_in)
+        if not ops:
+            # a pure load or a reused set: stream it through the unit
+            scan = -(-words_in // self.siu.throughput)
             elapsed += mem.first_latency + max(scan, mem.stream_cycles)
-            words_in += w
         else:
-            if expansion.mode == "stored":
-                anc = task.ancestor(expansion.source_level)
-                src_addr, src_words = anc.scratch_addr, anc.raw_words
-            else:
-                u = expansion.source_vertex
-                src_addr = graph.row_address(u)
-                src_words = int(self._row_words[u])
-            mem_a = memory.stream_read(now + elapsed, pe, src_addr, src_words)
-            words_in += src_words
-            pending_first = mem_a.first_latency
-            pending_stream = mem_a.stream_cycles
-            wa = src_words
-            if not expansion.ops:
-                # pure load: stream the neighbour list through the unit
-                scan = -(-src_words // throughput)
-                elapsed += pending_first + max(scan, pending_stream)
-            for rec in expansion.ops:
-                u = rec.operand_vertex
-                wb = int(self._row_words[u])
+            pending_first = mem.first_latency
+            pending_stream = mem.stream_cycles
+            issue = chunk.issue[level]
+            comparisons = chunk.comparisons[level].item(row)
+            depth = self.siu.pipeline_depth
+            for k, (_, p) in enumerate(ops):
+                u = task.embedding[p]
+                wb = self._row_words[u]
                 mem_b = memory.stream_read(
-                    now + elapsed, pe, graph.row_address(u), wb
+                    now + elapsed, pe, self._row_addr[u], wb
                 )
                 words_in += wb
-                s, b, out = rec.a, rec.b, rec.out
-                na, nb, nout = int(s.size), int(b.size), int(out.size)
-                # merge boundaries at vertex level, scaled to word streams
-                if na and nb:
-                    lim = min(int(s[-1]), int(b[-1]))
-                    i_end = int(s.searchsorted(lim, side="right"))
-                    j_end = int(b.searchsorted(lim, side="right"))
-                    c_a = na + int(b.searchsorted(int(s[-1]), side="left"))
-                    c_b = nb + int(s.searchsorted(int(b[-1]), side="right"))
-                    matches = nout if rec.kind == "set_int" else na - nout
-                    if self._width:
-                        ra, rb = wa / na, wb / nb
-                        i_end = min(round(i_end * ra), wa)
-                        j_end = min(round(j_end * rb), wb)
-                        c_a = wa + min(round((c_a - na) * rb), wb)
-                        c_b = wb + min(round((c_b - nb) * ra), wa)
-                        matches = min(
-                            round(matches * min(ra, rb)), i_end, j_end
-                        )
-                else:
-                    i_end = j_end = matches = 0
-                    c_a, c_b = na, nb
-                cost = siu.cost_terms(
-                    wa, wb, i_end, j_end, matches, rec.kind,
-                    c_a=c_a, c_b=c_b,
-                )
                 elapsed += (
                     max(pending_first, mem_b.first_latency)
                     + max(
-                        cost.issue_cycles, pending_stream, mem_b.stream_cycles
+                        issue.item(k, row), pending_stream,
+                        mem_b.stream_cycles,
                     )
-                    + cost.pipeline_depth
+                    + depth
                 )
-                tail_depth = (
-                    float(cost.pipeline_depth)
-                    if siu.pipelined_across_ops
-                    else 0.0
-                )
-                set_ops += 1
-                comparisons += cost.comparisons
-                wa = set_stream_words(out, self._width)
                 # subsequent ops read the previous result from the unit's
                 # local buffer: no further memory latency on the A side
                 pending_first = 0.0
                 pending_stream = 0.0
+            if self.siu.pipelined_across_ops:
+                tail_depth = float(depth)
 
-        children: np.ndarray = expansion.filtered[:0]
-        if expansion.is_leaf:
-            elapsed += TASK_COMMIT_CYCLES
+        count, children, first = 0, self._no_children, -1
+        if level == self._stop:
+            count = chunk.counts[level].item(row)
         else:
             # store the raw candidate set for descendants, spawn children
-            task.raw_words = set_stream_words(expansion.result, self._width)
-            if task.raw_words:
-                task.scratch_addr = memory.allocate_scratch(
-                    pe, task.raw_words
+            task.raw_words = words_out = chunk.raw_words[level].item(row)
+            if words_out:
+                addr = task.scratch_addr = memory.allocate_scratch(
+                    pe, words_out
                 )
-                wr = memory.stream_write(
-                    now + elapsed, pe, task.scratch_addr, task.raw_words
-                )
+                wr = memory.stream_write(now + elapsed, pe, addr, words_out)
                 elapsed += wr.stream_cycles
-                words_out += task.raw_words
-            children = expansion.filtered
-            elapsed += TASK_COMMIT_CYCLES
+            first, end = chunk.children[level][row : row + 2].tolist()
+            children = chunk.vertices[level + 1][first:end]
+        elapsed += TASK_COMMIT_CYCLES
         return TaskOutcome(
-            elapsed=elapsed,
-            occupancy=max(elapsed - tail_depth, 1.0),
-            count_delta=expansion.count,
-            children=children,
-            set_ops=set_ops,
-            comparisons=comparisons,
-            words_in=words_in,
-            words_out=words_out,
+            elapsed=elapsed, occupancy=max(elapsed - tail_depth, 1.0),
+            count_delta=count, children=children, set_ops=len(ops),
+            comparisons=comparisons, words_in=words_in, words_out=words_out,
+            child_row=first,
         )
 
 

@@ -23,9 +23,12 @@ _task_ids = _counter()
 class SimTask:
     """One search-tree node: match vertex ``vertex`` at level ``level``.
 
-    The candidate set the task computes is stored in ``raw_set`` after
-    execution (the hardware writes it to the private-cache-backed candidate
-    buffer at ``scratch_addr``) so descendant tasks can extend it.
+    The simulator writes the candidate set a task computes to the
+    candidate buffer at ``scratch_addr`` (``raw_words`` long) so
+    descendants can extend it, and reads what the set is off row ``row``
+    of the task's functional trace ``chunk`` (-1 until located; children
+    start in their parent's chunk).  The per-task functional step stores
+    the set itself in ``raw_set``.
     """
 
     __slots__ = (
@@ -38,6 +41,8 @@ class SimTask:
         "raw_words",
         "scratch_addr",
         "task_set",
+        "chunk",
+        "row",
     )
 
     def __init__(
@@ -45,6 +50,7 @@ class SimTask:
         level: int,
         vertex: int,
         parent: Optional["SimTask"],
+        row: int = -1,
     ) -> None:
         self.task_id = next(_task_ids)
         self.level = level
@@ -54,6 +60,8 @@ class SimTask:
             self.embedding: tuple[int, ...] = (vertex,)
         else:
             self.embedding = parent.embedding + (vertex,)
+        self.chunk = None if parent is None else parent.chunk
+        self.row = row
         self.raw_set: np.ndarray | None = None
         self.raw_words: int = 0
         self.scratch_addr: int = 0

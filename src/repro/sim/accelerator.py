@@ -2,12 +2,12 @@
 
 The simulator advances a heap of task-completion events.  Each PE owns a
 scheduler and ``sius_per_pe`` SIU slots; whenever a slot frees (or new work
-arrives) the PE asks its scheduler for the next ready task, executes it
-functionally + temporally through :class:`HardwareTaskExecutor`, and commits
-the completion back — spawning children, accumulating counts and releasing
-the slot.  Memory (private caches, shared cache, DRAM channels) is shared
-mutable state, so PEs contend for bandwidth exactly when their events
-interleave.
+arrives) the PE asks its scheduler for the next ready task, has
+:class:`HardwareTaskExecutor` replay it from its chunk's functional trace
+— this loop only charges memory and time — and commits the completion
+back: spawning children, accumulating counts and releasing the slot.
+Memory (private caches, shared cache, DRAM channels) is shared mutable
+state, so PEs contend for bandwidth exactly when their events interleave.
 """
 
 from __future__ import annotations
@@ -99,18 +99,20 @@ class AcceleratorSim:
             # Root work is roughly proportional to root degree.
             degrees = self.graph.degrees
             load = [0.0] * len(self._pes)
-            for task in sorted(
+            start_tasks = sorted(
                 start_tasks,
                 key=lambda t: -int(degrees[t.vertex])
                 if t.vertex < len(degrees)
                 else 0,
-            ):
+            )
+            for task in start_tasks:
                 target = min(range(len(load)), key=load.__getitem__)
                 buckets[target].append(task)
                 load[target] += float(degrees[task.vertex]) + 1.0
         else:
             for i, task in enumerate(start_tasks):
                 buckets[i % len(self._pes)].append(task)
+        self.executor.start(start_tasks)
         for pe, bucket in zip(self._pes, buckets):
             pe.scheduler.push_roots(bucket)
 
@@ -174,8 +176,7 @@ class AcceleratorSim:
                 )
                 seq += 1
                 heapq.heappush(
-                    heap,
-                    (finish, seq, "done", pe_idx, task, outcome.children),
+                    heap, (finish, seq, "done", pe_idx, task, outcome)
                 )
                 seq += 1
 
@@ -183,19 +184,20 @@ class AcceleratorSim:
         for pe_idx in range(len(self._pes)):
             dispatch(pe_idx, now)
         while heap:
-            when, _, kind, pe_idx, task, children = heapq.heappop(heap)
+            when, _, kind, pe_idx, task, outcome = heapq.heappop(heap)
             now = when
             pe = self._pes[pe_idx]
             if kind == "free":
                 pe.free_sius += 1
             else:
                 pe.scheduler.on_complete(task)
-                if children is not None and len(children):
+                if len(outcome.children):
+                    level = task.level + 1
                     kids = [
-                        SimTask(
-                            level=task.level + 1, vertex=int(v), parent=task
+                        SimTask(level, v, task, row)
+                        for row, v in enumerate(
+                            outcome.children.tolist(), outcome.child_row
                         )
-                        for v in children
                     ]
                     pe.scheduler.push_children(task, kids)
             dispatch(pe_idx, now)

@@ -137,7 +137,8 @@ class SIUCostModel(ABC):
         simulator's equivalent derived from the functional result);
         ``c_a``/``c_b`` are the :func:`consumed_extents` (optional — models
         that need them fall back to ``i_end + j_end``).
-        ``op`` ∈ {set_int, set_diff}.
+        ``op`` ∈ {set_int, set_diff}.  Arrays (one entry per operation)
+        give an :class:`OpCost` of arrays, scalars one of Python ints.
         """
 
     def op_cost(
@@ -147,6 +148,15 @@ class SIUCostModel(ABC):
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
+
+    def _cost(self, issue, comparisons, wa, wb, out) -> OpCost:
+        """The :class:`OpCost` of scalar terms (as Python ints) or arrays."""
+        terms = (issue, comparisons, wa + wb, out)
+        if not np.ndim(issue):
+            terms = tuple(map(int, terms))
+        issue, comparisons, words_in, words_out = terms
+        return OpCost(issue, self.pipeline_depth, comparisons, words_in,
+                      words_out)
 
     def _streams(
         self, a_vertices: np.ndarray, b_vertices: np.ndarray

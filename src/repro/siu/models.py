@@ -9,8 +9,8 @@ per cycle through a ``2N``-deep array with ``N²`` comparators.
 Two entry points exist per model: :meth:`SIUCostModel.op_cost` computes the
 exact word-level boundaries from the vertex arrays (used by tests and small
 studies), while :meth:`cost_terms` takes pre-computed stream lengths and
-merge boundaries — the hot path the event-driven simulator uses, since it
-already knows the functional result.
+merge boundaries — scalars, or one array entry per operation, which is how
+the event-driven simulator's trace costs a block of operations in one call.
 """
 
 from __future__ import annotations
@@ -85,19 +85,14 @@ class OrderAwareSIU(_WordCostMixin, SIUCostModel):
         # intersection stops as soon as either stream exhausts; difference
         # must drain all of A (B stops contributing once A is done)
         if op == "set_int":
-            consumed = min(c_a, c_b) if (wa and wb) else 0
+            both = np.logical_and(wa, wb)
+            consumed = np.where(both, np.minimum(c_a, c_b), 0)
             out = matches
         else:
             consumed = c_a
             out = wa
         issue = (consumed + n - 1) // n
-        return OpCost(
-            issue_cycles=issue,
-            pipeline_depth=self.pipeline_depth,
-            comparisons=issue * self._cmp_per_cycle,
-            words_in=wa + wb,
-            words_out=out,
-        )
+        return self._cost(issue, issue * self._cmp_per_cycle, wa, wb, out)
 
 
 class MergeQueueSIU(_WordCostMixin, SIUCostModel):
@@ -122,14 +117,8 @@ class MergeQueueSIU(_WordCostMixin, SIUCostModel):
         else:
             issue = wa + j_end - matches
             out = wa
-        issue = max(issue, 0)
-        return OpCost(
-            issue_cycles=issue,
-            pipeline_depth=self.pipeline_depth,
-            comparisons=issue,
-            words_in=wa + wb,
-            words_out=out,
-        )
+        issue = np.maximum(issue, 0)
+        return self._cost(issue, issue, wa, wb, out)
 
 
 class SystolicSIU(_WordCostMixin, SIUCostModel):
@@ -172,17 +161,10 @@ class SystolicSIU(_WordCostMixin, SIUCostModel):
         issue = (i_end + n - 1) // n + (j_end + n - 1) // n
         out = matches
         if op == "set_diff":
-            issue += (wa - i_end + n - 1) // n
+            issue = issue + (wa - i_end + n - 1) // n
             out = wa
-        if wa and wb:
-            issue = max(issue, 1)
-        return OpCost(
-            issue_cycles=issue,
-            pipeline_depth=self.pipeline_depth,
-            comparisons=issue * n * n,
-            words_in=wa + wb,
-            words_out=out,
-        )
+        issue = np.where(np.logical_and(wa, wb), np.maximum(issue, 1), issue)
+        return self._cost(issue, issue * n * n, wa, wb, out)
 
 
 _SIU_KINDS = {

@@ -383,3 +383,24 @@ class TestStructure:
             and ast.unparse(node.func.value) != "self"
         )
         assert submitted == ["run_job", "run_jobs"]
+
+    def test_the_event_replay_does_no_set_work(self):
+        """The event engine's NumPy set work happens once per chunk, when
+        ``engine.functional.trace_chunk`` traces it; the event loop, the
+        executor and the cost annotator only replay it against the clock.
+        ``sim/validation.py``, the exact reference, is exempt."""
+        set_work = {
+            "expand_task", "intersect_sorted", "difference_sorted",
+            "stream_words", "searchsorted",
+        }
+        for rel in ("sim/accelerator.py", "sim/hwexec.py",
+                    "engine/temporal.py"):
+            tree = ast.parse((ROOT / "src/repro" / rel).read_text())
+            called = {
+                node.func.attr
+                if isinstance(node.func, ast.Attribute)
+                else getattr(node.func, "id", None)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+            }
+            assert not called & set_work, (rel, called & set_work)

@@ -104,11 +104,14 @@ class TestExecute:
         )
         root = SimTask(level=1, vertex=4, parent=None)
         ex.execute(root, pe=0, now=0.0)
-        assert root.raw_set is not None
-        assert root.raw_words == root.raw_set.size
+        # N(4) = {0, 2, 3, 5}, one word per vertex without BitmapCSR
+        assert root.raw_words == toy_graph.degree(4)
+        assert root.scratch_addr != 0
         mid = SimTask(level=2, vertex=3, parent=root)
         out = ex.execute(mid, pe=0, now=5.0)
-        assert mid.raw_set is not None  # stored for level-3 reuse
+        # N(4) ∩ N(3) = {2, 5}, stored for level-3 reuse
+        assert mid.raw_words == 2
+        assert mid.scratch_addr > root.scratch_addr
         assert out.words_out == mid.raw_words
 
     def test_occupancy_excludes_pipeline_tail(self, executor):
