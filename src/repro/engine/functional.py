@@ -33,7 +33,7 @@ sharding, GPU, ...) that only need the functional result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterator
 
 import numpy as np
@@ -276,6 +276,22 @@ class ChunkTrace:
     counts: list  # embeddings each leaf row contributes
     issue: list  # SIU issue cycles, one array row per set operation
     comparisons: list  # comparator work over the row's set operations
+
+    @cached_property
+    def _views(self) -> list:
+        """Per level, the replay's views of ``issue`` (one per set
+        operation), ``comparisons``, ``counts``, ``raw_words`` and
+        ``children``: indexing a ``memoryview`` gives a Python int at half
+        the cost of ``ndarray.item``, and copies nothing."""
+        return [
+            (
+                [memoryview(op) for op in self.issue[level]],
+                *(memoryview(getattr(self, name)[level]) for name in (
+                    "comparisons", "counts", "raw_words", "children",
+                )),
+            )
+            for level in range(len(self.vertices))
+        ]
 
     def child_row(self, level: int, row: int, vertex: int) -> int:
         """Row of ``vertex`` among the children of ``row`` (-1: not one)."""

@@ -93,6 +93,13 @@ class TaskCostAnnotator:
         ).tolist()
         self._row_addr = (graph.indptr[:-1] + graph.base_address).tolist()
         self._no_children = np.zeros(0, dtype=np.int32)
+        # SIU constants the replay reads once per task
+        self._dispatch = float(TASK_DISPATCH_CYCLES + task_overhead_cycles)
+        self._throughput = siu.throughput
+        self._depth = siu.pipeline_depth
+        self._tail_depth = (
+            float(siu.pipeline_depth) if siu.pipelined_across_ops else 0.0
+        )
 
     def op_costs(self, f: OpFacts) -> tuple[np.ndarray, np.ndarray]:
         """Issue cycles and comparator work of one set operation on every
@@ -126,70 +133,66 @@ class TaskCostAnnotator:
         memory = self.memory
         chunk, row, level = task.chunk, task.row, task.level
         mode, source, ops = self._steps[level]
-        elapsed = float(TASK_DISPATCH_CYCLES + self.task_overhead)
+        issue, comparisons, counts, raw_words, children = chunk._views[level]
+        row_addr, row_words = self._row_addr, self._row_words
+        emb = task.embedding
+        elapsed = self._dispatch
         tail_depth = 0.0
-        comparisons = 0
         words_out = 0
 
         if mode == "neighbors":
-            u = task.embedding[source]
-            src_addr, words_in = self._row_addr[u], self._row_words[u]
+            u = emb[source]
+            src_addr, words_in = row_addr[u], row_words[u]
         else:  # an ancestor's set, back out of the candidate buffer
             anc = task.ancestor(source)
             src_addr, words_in = anc.scratch_addr, anc.raw_words
-        mem = memory.stream_read(now + elapsed, pe, src_addr, words_in)
+        first_a, stream_a = memory.stream_read(
+            now + elapsed, pe, src_addr, words_in
+        )
         if not ops:
             # a pure load or a reused set: stream it through the unit
-            scan = -(-words_in // self.siu.throughput)
-            elapsed += mem.first_latency + max(scan, mem.stream_cycles)
+            scan = -(-words_in // self._throughput)
+            elapsed += first_a + max(scan, stream_a)
+            comparisons = 0
         else:
-            pending_first = mem.first_latency
-            pending_stream = mem.stream_cycles
-            issue = chunk.issue[level]
-            comparisons = chunk.comparisons[level].item(row)
-            depth = self.siu.pipeline_depth
+            comparisons = comparisons[row]
+            depth = self._depth
             for k, (_, p) in enumerate(ops):
-                u = task.embedding[p]
-                wb = self._row_words[u]
-                mem_b = memory.stream_read(
-                    now + elapsed, pe, self._row_addr[u], wb
+                u = emb[p]
+                wb = row_words[u]
+                first_b, stream_b = memory.stream_read(
+                    now + elapsed, pe, row_addr[u], wb
                 )
                 words_in += wb
                 elapsed += (
-                    max(pending_first, mem_b.first_latency)
-                    + max(
-                        issue.item(k, row), pending_stream,
-                        mem_b.stream_cycles,
-                    )
+                    max(first_a, first_b)
+                    + max(issue[k][row], stream_a, stream_b)
                     + depth
                 )
                 # subsequent ops read the previous result from the unit's
                 # local buffer: no further memory latency on the A side
-                pending_first = 0.0
-                pending_stream = 0.0
-            if self.siu.pipelined_across_ops:
-                tail_depth = float(depth)
+                first_a = stream_a = 0.0
+            tail_depth = self._tail_depth
 
-        count, children, first = 0, self._no_children, -1
+        count, kids, first = 0, self._no_children, -1
         if level == self._stop:
-            count = chunk.counts[level].item(row)
+            count = counts[row]
         else:
             # store the raw candidate set for descendants, spawn children
-            task.raw_words = words_out = chunk.raw_words[level].item(row)
+            task.raw_words = words_out = raw_words[row]
             if words_out:
                 addr = task.scratch_addr = memory.allocate_scratch(
                     pe, words_out
                 )
-                wr = memory.stream_write(now + elapsed, pe, addr, words_out)
-                elapsed += wr.stream_cycles
-            first, end = chunk.children[level][row : row + 2].tolist()
-            children = chunk.vertices[level + 1][first:end]
+                elapsed += memory.stream_write(
+                    now + elapsed, pe, addr, words_out
+                )[1]
+            first = children[row]
+            kids = chunk.vertices[level + 1][first : children[row + 1]]
         elapsed += TASK_COMMIT_CYCLES
-        return TaskOutcome(
-            elapsed=elapsed, occupancy=max(elapsed - tail_depth, 1.0),
-            count_delta=count, children=children, set_ops=len(ops),
-            comparisons=comparisons, words_in=words_in, words_out=words_out,
-            child_row=first,
+        return TaskOutcome(  # positional: the field order above
+            elapsed, max(elapsed - tail_depth, 1.0), count, kids, len(ops),
+            comparisons, words_in, words_out, first,
         )
 
 

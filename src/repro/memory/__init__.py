@@ -3,7 +3,7 @@
 from .cache import LINE_BYTES, WORDS_PER_LINE, CacheConfig, CacheModel, CacheStats
 from .cacti import SRAMEstimate, estimate_sram
 from .dram import DRAMConfig, DRAMModel, DRAMStats
-from .hierarchy import MemoryConfig, MemoryHierarchy, StreamResult
+from .hierarchy import MemoryConfig, MemoryHierarchy
 
 __all__ = [
     "LINE_BYTES",
@@ -17,6 +17,5 @@ __all__ = [
     "MemoryConfig",
     "MemoryHierarchy",
     "SRAMEstimate",
-    "StreamResult",
     "estimate_sram",
 ]

@@ -24,7 +24,7 @@ from .cache import WORDS_PER_LINE, CacheConfig, CacheModel
 from .cacti import estimate_sram
 from .dram import DRAMConfig, DRAMModel
 
-__all__ = ["MemoryConfig", "StreamResult", "MemoryHierarchy"]
+__all__ = ["MemoryConfig", "MemoryHierarchy"]
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,6 @@ class MemoryConfig:
         )
 
 
-@dataclass
-class StreamResult:
-    """Timing/traffic outcome of one stream access."""
-
-    first_latency: float
-    stream_cycles: float
-    lines: int
-    private_misses: int
-    shared_misses: int
-
-    @property
-    def total_cycles(self) -> float:
-        return self.first_latency + self.stream_cycles
-
-
 class MemoryHierarchy:
     """Functional-state memory hierarchy shared by all PEs."""
 
@@ -100,6 +85,15 @@ class MemoryHierarchy:
         ]
         # per-bank port availability of the shared cache (PE contention)
         self._shared_bank_busy = [0.0] * self.shared.config.banks
+        # what a stream needs of each private cache, looked up once
+        self._private = [
+            (c, c._sets, c._set_mask, c.config.ways,
+             float(c.config.hit_latency), c.config.banks)
+            for c in self.private
+        ]
+        #: the armed fault injector whose ``memory.stream`` STALL inflates
+        #: every stream; the simulator pins it at the start of each run
+        self.injector: _faults.FaultInjector | None = None
 
     # -- scratch allocation -------------------------------------------------
 
@@ -113,53 +107,67 @@ class MemoryHierarchy:
 
     # -- streams --------------------------------------------------------------
 
-    def _line_range(self, addr_words: int, n_words: int) -> range:
-        if n_words <= 0:
-            return range(0)
-        first = addr_words // WORDS_PER_LINE
-        last = (addr_words + n_words - 1) // WORDS_PER_LINE
-        return range(first, last + 1)
-
     def stream_read(
         self, now: float, pe: int, addr_words: int, n_words: int
-    ) -> StreamResult:
-        """Read ``n_words`` starting at ``addr_words`` through PE ``pe``."""
-        priv = self.private[pe]
-        lines = self._line_range(addr_words, n_words)
-        n_lines = len(lines)
-        if n_lines == 0:
-            return StreamResult(0.0, 0.0, 0, 0, 0)
-        private_misses = 0
-        shared_misses = 0
-        first_latency = float(priv.config.hit_latency)
+    ) -> tuple[float, float]:
+        """Read ``n_words`` starting at ``addr_words`` through PE ``pe``;
+        returns ``(first_latency, stream_cycles)``.
+
+        The private cache is probed first for every line of the stream
+        (its LRU state is the PE's own, so the order against the shared
+        levels does not matter); only the lines that miss there touch the
+        shared banks, the shared cache and DRAM, in stream order.
+        """
+        if n_words <= 0:
+            return 0.0, 0.0
+        first = addr_words // WORDS_PER_LINE
+        end = (addr_words + n_words - 1) // WORDS_PER_LINE + 1
+        priv, sets, mask, ways, hit_latency, banks = self._private[pe]
+        missed = []
+        for line in range(first, end):
+            way_set = sets[line & mask]
+            if line in way_set:
+                del way_set[line]
+                way_set[line] = None  # move to MRU position
+                continue
+            if len(way_set) >= ways:
+                del way_set[next(iter(way_set))]  # evict LRU
+            way_set[line] = None
+            missed.append(line)
+        n_lines = end - first
+        private_misses = len(missed)
+        stats = priv.stats
+        stats.hits += n_lines - private_misses
+        stats.misses += private_misses
+        first_latency = hit_latency
+        bank_cycles = (n_lines + banks - 1) // banks
+        if not missed and self.injector is None:
+            return first_latency, float(bank_cycles)
+        shared = self.shared
+        shared_banks = shared.config.banks
+        shared_hit = shared.config.hit_latency
+        bank_busy = self._shared_bank_busy
         dram_finish = now
         shared_queue = 0.0
-        for i, line in enumerate(lines):
-            if priv.access_line(line):
-                continue
-            private_misses += 1
+        for line in missed:
             # shared-cache bank port contention between PEs: each refill
             # occupies its bank for one cycle
-            bank = line % self.shared.config.banks
-            wait = max(self._shared_bank_busy[bank] - now, 0.0)
-            self._shared_bank_busy[bank] = now + wait + 1.0
+            bank = line % shared_banks
+            wait = max(bank_busy[bank] - now, 0.0)
+            bank_busy[bank] = now + wait + 1.0
             shared_queue = max(shared_queue, wait)
-            if self.shared.access_line(line):
-                if i == 0:
-                    first_latency += self.shared.config.hit_latency + wait
+            if shared.access_line(line):
+                if line == first:
+                    first_latency += shared_hit + wait
                 continue
-            shared_misses += 1
             finish = self.dram.request_line(now, line)
             dram_finish = max(dram_finish, finish)
-            if i == 0:
-                first_latency += self.shared.config.hit_latency + wait + (
-                    finish - now
-                )
+            if line == first:
+                first_latency += shared_hit + wait + (finish - now)
         # Bandwidth-limited occupancy: bank throughput at each level plus
         # DRAM bus time already folded into dram_finish.
-        bank_cycles = priv.stream_bank_cycles(n_lines)
         shared_cycles = (
-            self.shared.stream_bank_cycles(private_misses)
+            (private_misses + shared_banks - 1) // shared_banks
             if private_misses
             else 0
         )
@@ -167,37 +175,27 @@ class MemoryHierarchy:
         stream_cycles = float(
             max(bank_cycles, shared_cycles, dram_cycles, shared_queue)
         )
-        # fault-injection site "memory.stream": with no injector armed this
-        # is a single contextvar load (same contract as the obs hooks)
-        inj = _faults.active()
-        if inj is not None:
-            first_latency, stream_cycles = inj.stall(
+        # fault-injection site "memory.stream", read once per run into
+        # ``injector`` by the simulator (None: no faults, no cost)
+        if self.injector is not None:
+            first_latency, stream_cycles = self.injector.stall(
                 "memory.stream", first_latency, stream_cycles
             )
-        return StreamResult(
-            first_latency=first_latency,
-            stream_cycles=stream_cycles,
-            lines=n_lines,
-            private_misses=private_misses,
-            shared_misses=shared_misses,
-        )
+        return first_latency, stream_cycles
 
     def stream_write(
         self, now: float, pe: int, addr_words: int, n_words: int
-    ) -> StreamResult:
-        """Write an intermediate set; allocates into the private cache."""
+    ) -> tuple[float, float]:
+        """Write an intermediate set; allocates into the private cache.
+        Returns ``(first_latency, stream_cycles)`` like :meth:`stream_read`."""
+        if n_words <= 0:
+            return 0.0, 0.0
         priv = self.private[pe]
-        lines = self._line_range(addr_words, n_words)
-        for line in lines:
+        first = addr_words // WORDS_PER_LINE
+        end = (addr_words + n_words - 1) // WORDS_PER_LINE + 1
+        for line in range(first, end):
             priv.access_line(line)  # write-allocate
-        n_lines = len(lines)
-        return StreamResult(
-            first_latency=0.0,
-            stream_cycles=float(priv.stream_bank_cycles(n_lines)),
-            lines=n_lines,
-            private_misses=0,
-            shared_misses=0,
-        )
+        return 0.0, float(priv.stream_bank_cycles(end - first))
 
     def reset(self) -> None:
         for c in self.private:

@@ -235,23 +235,25 @@ class BarrierFreeScheduler(SchedulerBase):
             self._waiting_spawn.append((parent, children))
 
     def pop(self) -> SimTask | None:
-        # depth-first across levels, round-robin inside a level
-        while self._top > 0 and not self._levels[self._top]:
-            self._top -= 1
-        for level in range(self._top, -1, -1):
-            sets = self._levels[level]
-            for _ in range(len(sets)):
-                ts = sets[0]
-                if ts.retired:
-                    # lazily collected on completion; skip stale entries
-                    sets.popleft()
-                    continue
-                if ts.ready and ts.in_flight < self.task_set_width:
-                    task = ts.pop()
-                    sets.rotate(-1)
-                    self._dispatched()
-                    return task
-                sets.rotate(-1)
+        # depth-first across levels, round-robin inside a level: take the
+        # first set of the deepest level with a pending task and free
+        # spawn width, and rotate the deque past it.  Retired sets leave
+        # their deque in on_complete, so every set here has work pending
+        # or in flight.
+        levels = self._levels
+        top = self._top
+        while top > 0 and not levels[top]:
+            top -= 1
+        self._top = top
+        width = self.task_set_width
+        for level in range(top, -1, -1):
+            sets = levels[level]
+            for j, ts in enumerate(sets):
+                if ts.pending and ts.in_flight < width:
+                    sets.rotate(-1 - j)
+                    ts.in_flight += 1
+                    self.in_flight += 1
+                    return ts.pending.popleft()
         return None
 
     def on_complete(self, task: SimTask) -> None:

@@ -25,6 +25,7 @@ from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs import context as _obs
 from ..patterns.plan import MatchingPlan
+from ..resilience import faults as _faults
 from ..sched.policies import SchedulerBase, make_scheduler
 from ..sched.task import SimTask
 from ..siu.models import make_siu
@@ -135,6 +136,9 @@ class AcceleratorSim:
 
     def _run(self, start_tasks: list[SimTask] | None = None) -> SimReport:
         t_wall = _time.perf_counter()
+        # fault site "memory.stream": read once per run, then every stream
+        # of the executor's hierarchy checks the pinned injector
+        self.executor.memory.injector = _faults.active()
         self._distribute_roots(start_tasks)
         report = SimReport(
             config_name=self.config.name,
@@ -145,10 +149,12 @@ class AcceleratorSim:
         )
         heap: list = []
         seq = 0
+        pes, execute, trace = self._pes, self.executor.execute, self.trace
+        heappush = heapq.heappush
 
         def dispatch(pe_idx: int, now: float) -> None:
             nonlocal seq
-            pe = self._pes[pe_idx]
+            pe = pes[pe_idx]
             sched = pe.scheduler
             while pe.free_sius > 0:
                 task = sched.pop()
@@ -158,35 +164,30 @@ class AcceleratorSim:
                 if stall:
                     sched.pending_stall = 0
                 start = now + sched.dispatch_overhead + stall
-                outcome = self.executor.execute(task, pe_idx, start)
+                outcome = execute(task, pe_idx, start)
                 finish = start + outcome.elapsed
                 release = start + outcome.occupancy
                 pe.free_sius -= 1
                 pe.busy_cycles += outcome.occupancy
-                if self.trace is not None:
-                    self.trace.record(pe_idx, task.level, start, finish)
+                if trace is not None:
+                    trace.record(pe_idx, task.level, start, finish)
                 pe.count += outcome.count_delta
                 report.tasks += 1
                 report.set_ops += outcome.set_ops
                 report.comparisons += outcome.comparisons
                 report.words_in += outcome.words_in
                 report.words_out += outcome.words_out
-                heapq.heappush(
-                    heap, (release, seq, "free", pe_idx, None, None)
-                )
-                seq += 1
-                heapq.heappush(
-                    heap, (finish, seq, "done", pe_idx, task, outcome)
-                )
-                seq += 1
+                heappush(heap, (release, seq, "free", pe_idx, None, None))
+                heappush(heap, (finish, seq + 1, "done", pe_idx, task, outcome))
+                seq += 2
 
         now = 0.0
         for pe_idx in range(len(self._pes)):
             dispatch(pe_idx, now)
+        heappop = heapq.heappop
         while heap:
-            when, _, kind, pe_idx, task, outcome = heapq.heappop(heap)
-            now = when
-            pe = self._pes[pe_idx]
+            now, _, kind, pe_idx, task, outcome = heappop(heap)
+            pe = pes[pe_idx]
             if kind == "free":
                 pe.free_sius += 1
             else:

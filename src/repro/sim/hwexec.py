@@ -22,7 +22,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..engine.functional import ChunkTrace, row_word_counts, trace_chunk
+from ..engine.functional import ChunkTrace, trace_chunk
 from ..engine.temporal import TaskCostAnnotator, TaskOutcome
 from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
@@ -36,11 +36,6 @@ __all__ = ["TaskOutcome", "HardwareTaskExecutor"]
 TRACE_FIRST_CHUNK = 64
 #: tasks a chunk aims at; the next chunk's start count is scaled to it
 TRACE_CHUNK_TASKS = 1 << 13
-
-
-def _row_word_counts(graph: CSRGraph, width: int) -> np.ndarray:
-    """BitmapCSR words per neighbour row (compat alias for the engine layer)."""
-    return row_word_counts(graph, width)
 
 
 class HardwareTaskExecutor:

@@ -151,31 +151,43 @@ class TestCactiLite:
             estimate_sram(0)
 
 
+def _misses(h):
+    """(private misses per PE, shared misses, DRAM requests) so far."""
+    return (
+        [c.stats.misses for c in h.private],
+        h.shared.stats.misses,
+        h.dram.stats.requests,
+    )
+
+
 class TestHierarchy:
     def test_cold_stream_misses_then_warms(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=2))
-        cold = h.stream_read(0.0, 0, 0x1000_0000, 32)
-        warm = h.stream_read(100.0, 0, 0x1000_0000, 32)
-        assert cold.shared_misses > 0
-        assert warm.private_misses == 0
-        assert warm.total_cycles < cold.total_cycles
+        cold = sum(h.stream_read(0.0, 0, 0x1000_0000, 32))
+        (private, *_), shared, dram = _misses(h)
+        assert shared > 0 and dram == shared
+        warm = sum(h.stream_read(100.0, 0, 0x1000_0000, 32))
+        assert _misses(h) == ([private, 0], shared, dram)
+        assert warm < cold
 
     def test_lines_computed(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=1))
-        r = h.stream_read(0.0, 0, 0, WORDS_PER_LINE * 3)
-        assert r.lines == 3
+        h.stream_read(0.0, 0, 0, WORDS_PER_LINE * 3)
+        assert h.private[0].stats.accesses == 3
 
     def test_empty_stream(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=1))
-        r = h.stream_read(0.0, 0, 0, 0)
-        assert r.total_cycles == 0
+        assert h.stream_read(0.0, 0, 0, 0) == (0.0, 0.0)
+        assert h.private[0].stats.accesses == 0
 
     def test_other_pe_hits_shared(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=2))
         h.stream_read(0.0, 0, 0x1000_0000, 16)
-        r = h.stream_read(50.0, 1, 0x1000_0000, 16)
-        assert r.shared_misses == 0
-        assert r.private_misses > 0
+        (_, before), shared, dram = _misses(h)
+        h.stream_read(50.0, 1, 0x1000_0000, 16)
+        (_, after), *rest = _misses(h)
+        assert rest == [shared, dram]
+        assert after > before
 
     def test_scratch_allocation_disjoint(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=2))
@@ -194,8 +206,9 @@ class TestHierarchy:
         h = MemoryHierarchy(MemoryConfig(num_pes=1))
         addr = h.allocate_scratch(0, 32)
         h.stream_write(0.0, 0, addr, 32)
-        r = h.stream_read(10.0, 0, addr, 32)
-        assert r.private_misses == 0
+        before = _misses(h)
+        h.stream_read(10.0, 0, addr, 32)
+        assert _misses(h) == before
 
     def test_reset(self):
         h = MemoryHierarchy(MemoryConfig(num_pes=1))

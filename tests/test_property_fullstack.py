@@ -187,12 +187,25 @@ class TestMemoryFuzz:
     def test_stream_invariants(self, ops):
         h = MemoryHierarchy(MemoryConfig(num_pes=4, private_kb=2,
                                          shared_mb=1 / 16))
+
+        def counters(pe):
+            priv = h.private[pe].stats
+            return (priv.accesses, priv.misses, h.shared.stats.misses,
+                    h.dram.stats.requests)
+
         now = 0.0
         for pe, addr, words in ops:
-            r = h.stream_read(now, pe, addr, words)
-            assert r.first_latency >= 0
-            assert r.stream_cycles >= 0
-            assert r.shared_misses <= r.private_misses <= r.lines
+            before = counters(pe)
+            first_latency, stream_cycles = h.stream_read(now, pe, addr, words)
+            assert first_latency >= 0
+            assert stream_cycles >= 0
+            lines, private_misses, shared_misses, dram_requests = (
+                a - b for a, b in zip(counters(pe), before)
+            )
+            assert lines == (
+                (addr + words - 1) // 16 - addr // 16 + 1 if words else 0
+            )
+            assert dram_requests == shared_misses <= private_misses <= lines
             now += 1.0
         # LRU occupancy never exceeds capacity
         for cache in h.private:
@@ -207,6 +220,6 @@ class TestMemoryFuzz:
         h = MemoryHierarchy(MemoryConfig(num_pes=1))
         addr = int(rng.integers(0, 1 << 16)) * 16
         words = int(rng.integers(1, 300))
-        cold = h.stream_read(0.0, 0, addr, words)
-        warm = h.stream_read(1000.0, 0, addr, words)
-        assert warm.total_cycles <= cold.total_cycles + 1e-9
+        cold = sum(h.stream_read(0.0, 0, addr, words))
+        warm = sum(h.stream_read(1000.0, 0, addr, words))
+        assert warm <= cold + 1e-9

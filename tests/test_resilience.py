@@ -687,6 +687,38 @@ class TestUnarmedIsByteIdentical:
         assert stalled.notes["injected"] == {"memory.stream:stall": 1}
 
 
+class TestStallSiteReadOncePerRun:
+    """The simulator reads the ``memory.stream`` site once, at the start
+    of each run, and every stream of that run sees the pinned injector."""
+
+    #: 3CF on the 30-vertex ER graph under a factor-10 STALL; the value
+    #: the per-stream read of the site produced, to the digit
+    STALLED_CYCLES = 1128.3333333333333
+    STALL = FaultSpec(site="memory.stream", kind=FaultKind.STALL,
+                      factor=10.0)
+
+    def test_seeded_plan_through_the_service(self, graph):
+        svc, gid = make_service(graph)
+        svc.arm_faults(FaultPlan(seed=0, specs=(self.STALL,)))
+        stalled = svc.count(gid, PATTERNS["3CF"], engine="event",
+                            use_cache=False)
+        assert stalled.cycles == self.STALLED_CYCLES
+        assert stalled.notes["injected"] == {"memory.stream:stall": 1}
+
+    def test_armed_after_construction_is_seen_at_run(self, graph):
+        from repro.core import xset_default
+        from repro.patterns import build_plan
+        from repro.sim.accelerator import AcceleratorSim
+
+        sim = AcceleratorSim(graph, build_plan(PATTERNS["3CF"]),
+                             xset_default())
+        assert sim.memory.injector is None
+        with inject(FaultInjector((self.STALL,))) as inj:
+            report = sim.run()
+        assert report.cycles == self.STALLED_CYCLES
+        assert inj.events == {"memory.stream:stall": 1}
+
+
 # ---------------------------------------------------------------------------
 # the chaos suite: all three modes, seeded faults, exact counts
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import xset_default
+from repro.engine.functional import row_word_counts
 from repro.memory import MemoryConfig, MemoryHierarchy
 from repro.patterns import PATTERNS, build_plan
 from repro.sched.task import SimTask
-from repro.sim.hwexec import HardwareTaskExecutor, _row_word_counts
+from repro.sim.hwexec import HardwareTaskExecutor
 from repro.siu import make_siu
 
 
@@ -21,14 +22,14 @@ def executor(toy_graph):
 
 class TestRowWordCounts:
     def test_width_zero_is_degrees(self, toy_graph):
-        counts = _row_word_counts(toy_graph, 0)
+        counts = row_word_counts(toy_graph, 0)
         assert np.array_equal(counts, toy_graph.degrees)
 
     def test_width_matches_encoder(self, skewed_graph):
         from repro.graph.bitmapcsr import encoded_length
 
         for width in (1, 4, 8):
-            counts = _row_word_counts(skewed_graph, width)
+            counts = row_word_counts(skewed_graph, width)
             for v in range(0, skewed_graph.num_vertices, 17):
                 assert counts[v] == encoded_length(
                     skewed_graph.neighbors(v), width
@@ -38,21 +39,21 @@ class TestRowWordCounts:
         from repro.graph import CSRGraph
 
         g = CSRGraph.empty(4)
-        assert _row_word_counts(g, 8).tolist() == [0, 0, 0, 0]
+        assert row_word_counts(g, 8).tolist() == [0, 0, 0, 0]
 
     def test_zero_vertex_graph(self):
         from repro.graph import CSRGraph
 
         g = CSRGraph.empty(0)
-        assert _row_word_counts(g, 8).size == 0
-        assert _row_word_counts(g, 0).size == 0
+        assert row_word_counts(g, 8).size == 0
+        assert row_word_counts(g, 0).size == 0
 
     def test_isolated_vertices_interleaved(self):
         """Degree-0 rows between populated rows must count zero words."""
         from repro.graph import CSRGraph
 
         g = CSRGraph.from_edges(6, [(1, 4), (4, 5)])
-        counts = _row_word_counts(g, 4)
+        counts = row_word_counts(g, 4)
         assert counts[0] == 0 and counts[2] == 0 and counts[3] == 0
         # row 4 = {1, 5}: blocks 0 and 1 -> two words
         assert counts[4] == 2
@@ -64,14 +65,14 @@ class TestRowWordCounts:
 
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         g = CSRGraph.from_edges(4, edges)
-        counts = _row_word_counts(g, 8)  # all vertex IDs < 8: one block
+        counts = row_word_counts(g, 8)  # all vertex IDs < 8: one block
         assert counts.tolist() == [1, 1, 1, 1]
 
     def test_width_zero_empty_rows(self):
         from repro.graph import CSRGraph
 
         g = CSRGraph.from_edges(3, [(0, 1)])
-        assert _row_word_counts(g, 0).tolist() == [1, 1, 0]
+        assert row_word_counts(g, 0).tolist() == [1, 1, 0]
 
 
 class TestExecute:
@@ -163,7 +164,7 @@ class TestExecute:
                 skewed_graph, plan,
                 make_siu("order-aware", 8, bitmap_width=width), mem,
             )
-            counts = _row_word_counts(skewed_graph, width)
+            counts = row_word_counts(skewed_graph, width)
             for v in range(0, skewed_graph.num_vertices, 23):
                 row = skewed_graph.neighbors(v)
                 assert ex.set_words(row) == counts[v], (v, width)
