@@ -28,7 +28,8 @@ class JobStatus(enum.Enum):
     """Lifecycle of a submitted job."""
 
     PENDING = "pending"      # queued, not yet dispatched
-    RUNNING = "running"      # handed to a pool worker
+    RUNNING = "running"      # dispatched: on a pool worker, or run by
+                             # the dispatcher itself
     DONE = "done"            # result available (possibly from cache)
     FAILED = "failed"        # raised, retries exhausted
     CANCELLED = "cancelled"  # cancelled while queued
@@ -172,9 +173,10 @@ class Job:
     attempts: int = 0
     #: wall-clock dispatch timestamp of the current attempt
     dispatched_at: float = field(default=0.0)
-    #: seconds into its worker call at which the job began: what ran before
-    #: it were its set-mates (0 in a call of one)
-    run_offset: float = 0.0
+    #: where the current attempt runs: "service" (on the dispatcher
+    #: thread) or "pool" (one call to the service's executor, which in
+    #: inline mode runs every job)
+    where: str = ""
     #: registry record pinned at submit time (graph + payload snapshot)
     record: Any = None
     #: open ``service.job`` span when the service is traced (else None)
@@ -190,8 +192,13 @@ class Job:
     verify_engine: str | None = None
     #: fault specs assigned by the armed plan for the current attempt
     faults: Any = None
+    #: True once ``faults`` holds the plan's draw for the coming attempt
+    faults_drawn: bool = False
     #: predicted wall seconds from the cost model (0.0 = no prediction)
     predicted_seconds: float = 0.0
+    #: the cost model's tier behind the prediction: "profile" (this shape
+    #: has run on this snapshot), "throughput" or "prior"
+    predicted_source: str = ""
     #: query feature vector used for the prediction (trains the predictor
     #: when the job completes); None when the adaptive layer is off
     features: Any = None

@@ -204,18 +204,6 @@ class JobQueue:
                         )
                         self._live += 1
 
-    def pop_set(self, now: float, fits) -> list[Job]:
-        """The next runnable job and the run of jobs behind it, in policy
-        order, that may share its worker call: ``fits(set so far, job)``
-        decides, and the first job it refuses ends the set and is what
-        the next pop finds.  Empty when nothing is runnable."""
-        jobs: list[Job] = []
-        job = self.pop(now)
-        while job is not None:
-            jobs.append(job)
-            job = self.pop(now, lambda nxt: fits(jobs, nxt))
-        return jobs
-
     def drain(self) -> list[Job]:
         """Remove and return every still-pending job, backoff or not.
 

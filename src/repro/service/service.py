@@ -21,6 +21,13 @@ Execution modes
     Synchronous execution inside ``submit`` — deterministic, used by tests
     and as the zero-overhead mode for single queries.
 
+In the two pool modes the dispatcher decides per job where it runs.  A
+warm, plain, sub-millisecond job (see ``QueryService._light``) runs on
+the dispatcher thread itself, against the live graph, with no round trip
+to a worker; every other job is one pool call.  Only pool calls count
+against ``max_workers``, so light jobs keep flowing while the pool is
+busy with heavy ones.
+
 Semantics
 ---------
 * **Backpressure**: a full queue raises ``QueueFullError`` — submits never
@@ -94,7 +101,7 @@ from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
 from .scheduler import JobQueue, RetryPolicy
 from .stats import LatencyRecorder, ServiceStats
-from .worker import run_job, run_jobs
+from .worker import run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
@@ -143,7 +150,8 @@ _COUNTS = {
         "submissions rejected by admission control",
     ),
     "worker_calls": (
-        "repro_worker_calls_total", "executor calls made, one per set of jobs"
+        "repro_worker_calls_total",
+        "jobs sent to the pool, one executor call each",
     ),
     # the rows below carry labels, whose values the caller of _count gives
     "rerouted": (
@@ -164,15 +172,11 @@ _COUNTS = {
     "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
 }
 
-#: A process-mode dispatch sends a *set*: the run of queued jobs, in policy
-#: order, that are each predicted to run under ``LIGHT_SECONDS`` and carry
-#: no deadline, fault or cross-check, ``SET_MAX_JOBS`` of them at most —
-#: one executor round trip (≈0.65 ms of wake-ups around a 0.3 ms run) for
-#: all.  Their product, 8 ms, is the longest a set's first job waits for
-#: its mates and the longest a set delays a newcomer of higher priority.
-#: docs/ARCHITECTURE.md has the measurements behind both numbers.
+#: A job profiled under this many seconds runs on the dispatcher thread
+#: instead of paying a pool round trip (≈0.65 ms of wake-ups around a
+#: 0.3 ms run); it is also the longest such a job holds up the next
+#: dispatch.  docs/ARCHITECTURE.md, *Where a job runs*, has the numbers.
 LIGHT_SECONDS = 0.001
-SET_MAX_JOBS = 8
 
 #: finished spans retained by a traced service (most recent history)
 TRACE_SPAN_LIMIT = 20_000
@@ -277,10 +281,6 @@ class QueryService:
         self._paused = start_paused
         self._shutdown = False
         self._in_flight = 0
-        #: jobs in flight beyond the first of their worker call: a call
-        #: holds one worker, so the dispatch gate is in-flight minus riders
-        self._riders = 0
-        self._call_ids = itertools.count(1)
         self._dispatcher_stuck = False
         #: (row of ``_COUNTS``, *label values) → that series' counter
         self._tally: "dict[tuple[str, ...], Counter]" = {}
@@ -557,6 +557,7 @@ class QueryService:
             seq=next(self._seq),
             record=record,  # snapshot pinned at submit time
             predicted_seconds=estimate.seconds,
+            predicted_source=estimate.source,
             features=features,
             span=(
                 ob.tracer.start_span(
@@ -815,55 +816,81 @@ class QueryService:
     def _dispatcher_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._shutdown and (
-                    self._paused
-                    or self._in_flight - self._riders >= self.max_workers
-                ):
+                while not self._shutdown and self._paused:
                     self._cond.wait(0.05)
                 if self._shutdown:
                     return
-            jobs = self._next_set()
-            if not jobs:
+            job = self._next_job()
+            if job is None:
                 with self._cond:
-                    # pushers enqueue, then notify under this lock: look
-                    # again holding it, or a job pushed since is slept on
-                    jobs = self._next_set()
-                    if not jobs:
+                    # pushers enqueue and finished pool calls free their
+                    # slot, then notify, under this lock: look again
+                    # holding it, or what changed since is slept on
+                    job = self._next_job()
+                    if job is None:
                         if not self._shutdown:
                             self._cond.wait(0.05)
                         elif self._in_flight == 0:
                             return
                         continue
-            # no other local may name these jobs: whatever this loop still
-            # holds while it sleeps keeps their pinned graph records alive
-            self._launch([job for job in jobs if self._begin(job)])
+            self._dispatch(job)
+            # a pause would otherwise sleep naming the job, which keeps its
+            # pinned graph record alive
+            del job
 
-    def _next_set(self) -> "list[Job]":
-        """The jobs of the next worker call: a set across a process
-        boundary, one job where there is no round trip to amortise."""
-        if self.mode == "process":
-            return self._queue.pop_set(self._clock(), self._fits)
-        job = self._queue.pop(self._clock())
-        return [] if job is None else [job]
+    def _next_job(self) -> "Job | None":
+        """The next job to dispatch.  While every pool worker is busy,
+        only one the dispatcher runs itself: a job the veto refuses stays
+        at the head of the queue, so dispatch keeps policy order.  Jobs run
+        here have settled before this is asked again, so ``_in_flight``
+        counts pool calls only."""
+        full = self._in_flight >= self.max_workers
+        return self._queue.pop(self._clock(), self._light if full else None)
 
-    def _fits(self, jobs: "list[Job]", nxt: Job) -> bool:
-        """May ``nxt`` ride in the worker call that carries ``jobs``?
+    def _light(self, job: Job) -> bool:
+        """Does the dispatcher run ``job`` itself, in the service process?
 
-        Only light jobs, and only plain ones: a deadline is the watchdog's
-        to enforce per call, an armed fault plan or a sampled cross-check
-        must hit its own job alone.
+        Only a warm, plain, sub-millisecond one: its prediction comes from
+        the profile tier (this shape has run on this snapshot) and is under
+        ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
+        heavy query; it has no deadline (the watchdog cannot abandon a run
+        on this thread) and no cross-check; it was not rerouted and its
+        engine's breaker is closed; and the armed plan assigns its coming
+        attempt no fault (a HANG must not pin the dispatcher, and a CRASH
+        must kill a pool process, not the service).  Asked before
+        ``_begin``: by the queue's veto while the pool is full, and by
+        ``_dispatch``.
         """
+        board = self._breakers
         return (
-            self._fault_plan is None
-            and len(jobs) < SET_MAX_JOBS
-            # set-mates were checked when they joined; the first never was
-            and all(
-                0.0 < job.predicted_seconds < LIGHT_SECONDS
-                and job.deadline is None
-                and self._sampled_verify(job) is None
-                for job in (jobs[0], nxt)
+            job.predicted_source == "profile"
+            and job.predicted_seconds < LIGHT_SECONDS
+            and job.deadline is None
+            and job.rerouted_from is None
+            and (
+                board is None
+                or board.for_engine(job.config.engine).state
+                is BreakerState.CLOSED
             )
+            and self._sampled_verify(job) is None
+            and not self._faults(job)
         )
+
+    def _faults(self, job: Job) -> "tuple | None":
+        """The armed plan's faults for the job's coming attempt.
+
+        Drawn once per attempt: a draw spends the plan's ``max_fires``
+        budget, and ``_light`` may ask about a queued job many times before
+        ``_begin`` runs the attempt.  With no plan armed the job keeps what
+        it has.
+        """
+        plan = self._fault_plan
+        if plan is not None and not job.faults_drawn:
+            job.faults = (
+                plan.for_job(job.handle.job_id, job.attempts + 1) or None
+            )
+            job.faults_drawn = True
+        return job.faults
 
     def _drain_inline(self) -> None:
         while True:
@@ -876,22 +903,27 @@ class QueryService:
             self._dispatch(job)
 
     def _dispatch(self, job: Job) -> None:
+        light = self.mode != "inline" and self._light(job)
+        job.where = "service" if light else "pool"
         if self._begin(job):
-            self._launch([job])
+            self._launch(job)
 
     def _begin(self, job: Job) -> bool:
-        """Per-job half of a dispatch: everything that happens to a job
-        between the queue and its worker call.  False when the job is not
-        to run after all (finished while queued, or failed by routing)."""
+        """Everything that happens to a job between the queue and its run.
+        False when the job is not to run after all (finished while queued,
+        or failed by routing)."""
         if job.handle.status is not JobStatus.PENDING:
             return False
         if not self._route(job):
             return False
+        # this attempt's faults (drawn here unless _light already has);
+        # the next attempt draws anew
+        self._faults(job)
+        job.faults_drawn = False
         job.attempts += 1
         job.handle.attempts = job.attempts
         job.handle._set_running()
         job.dispatched_at = time.perf_counter()
-        job.run_offset = 0.0
         if job.enqueued_at:
             self._latency.record_queue_wait(
                 max(self._clock() - job.enqueued_at, 0.0)
@@ -899,11 +931,6 @@ class QueryService:
         if job.queued_span is not None and self._observation is not None:
             self._observation.tracer.end_span(job.queued_span)
             job.queued_span = None
-        if self._fault_plan is not None:
-            job.faults = (
-                self._fault_plan.for_job(job.handle.job_id, job.attempts)
-                or None
-            )
         if job.verify_engine is None and job.rerouted_from is None:
             # rerouted jobs are skipped — their fallback engine *is* the
             # cross-check engine
@@ -920,82 +947,43 @@ class QueryService:
             self._ensure_watchdog_thread()
         return True
 
-    def _launch(self, jobs: "list[Job]") -> None:
-        """Per-call half of a dispatch: one executor submit for ``jobs`` —
-        :func:`run_job` as it always was for one, :func:`run_jobs` for a
-        set — whose completion hands every job its own outcome."""
-        if not jobs:
-            return
-        call = next(self._call_ids)
-        self._count("worker_calls")
-        self.metrics.histogram(
-            "repro_jobs_per_call",
-            "jobs carried by one executor call",
-            buckets=(1, 2, 4, SET_MAX_JOBS),
-        ).observe(len(jobs))
-        calls = []
-        for job in jobs:
-            self.flight.record(
-                "dispatch",
-                job_id=job.handle.job_id,
-                engine=job.config.engine,
-                attempt=job.attempts,
-                call=call,
-                set_size=len(jobs),
-            )
-            calls.append((
-                (
-                    job.graph_id,
-                    job.fingerprint,
-                    # thread/inline: the live graph; process: a
-                    # SharedGraphRef the worker attaches to (pickle bytes
-                    # when shared memory is off)
-                    job.record.ship(self.mode),
-                    job.plan,
-                    job.config,
-                ),
-                dict(
-                    observe_run=self._observation is not None,
-                    faults=job.faults,
-                    verify_engine=job.verify_engine,
-                    root_range=job.root_range,
-                ),
-            ))
-        with self._cond:
-            self._riders += len(jobs) - 1
+    def _launch(self, job: Job) -> None:
+        """Run ``job`` where ``_dispatch`` put it: on this thread (it has
+        settled when this returns), or as one pool call.  Either way it is
+        one :func:`run_job` through an executor, whose future settles it."""
+        here = job.where == "service"
+        if not here:
+            self._count("worker_calls")
+        self.flight.record(
+            "dispatch",
+            job_id=job.handle.job_id,
+            engine=job.config.engine,
+            attempt=job.attempts,
+            where=job.where,
+        )
         try:
-            if len(jobs) == 1:
-                (args, kwargs), = calls
-                future = self._get_executor().submit(run_job, *args, **kwargs)
-            else:
-                future = self._get_executor().submit(run_jobs, calls)
+            future = (
+                InlineExecutor() if here else self._get_executor()
+            ).submit(
+                run_job,
+                job.graph_id,
+                job.fingerprint,
+                # the live graph, except across a process boundary: there
+                # a SharedGraphRef the worker attaches to (pickle bytes
+                # when shared memory is off)
+                job.record.graph if here else job.record.ship(self.mode),
+                job.plan,
+                job.config,
+                observe_run=self._observation is not None,
+                faults=job.faults,
+                verify_engine=job.verify_engine,
+                root_range=job.root_range,
+            )
         except BaseException as exc:  # pool already broken at submit time
             future = Future()
             future.set_exception(exc)
-        for job in jobs:
-            self._watchdog.attach_future(job.handle.job_id, future)
-        future.add_done_callback(lambda f: self._on_call_done(jobs, f))
-
-    def _on_call_done(self, jobs: "list[Job]", future: Future) -> None:
-        """Fan a finished worker call out into ``_on_done`` per job."""
-        whole = (
-            len(jobs) == 1 or future.cancelled()
-            or future.exception() is not None
-        )
-        for i, job in enumerate(jobs):
-            # a call of one, or one that died as a whole: the job meets the
-            # call's result, crash or cancellation as it always has
-            own = future
-            if not whole:
-                ok, outcome, job.run_offset = future.result()[i]
-                own = Future()
-                (own.set_result if ok else own.set_exception)(outcome)
-            if i:
-                # the first job's _on_done frees the call's worker slot;
-                # a rider only leaves
-                with self._cond:
-                    self._riders -= 1
-            self._on_done(job, own)
+        self._watchdog.attach_future(job.handle.job_id, future)
+        future.add_done_callback(lambda f: self._on_done(job, f))
 
     def _route(self, job: Job) -> bool:
         """Apply breaker routing; False when the job was failed instead.
@@ -1181,16 +1169,16 @@ class QueryService:
         profile = getattr(report, "profile", None)
         ob = self._observation
         if ob is not None and profile is not None:
-            # worker processes have their own perf_counter origin, so
-            # re-anchor their spans at the dispatch timestamp (plus the
-            # time its set-mates ran first); threads and inline runs
-            # already share this process's clock
+            # a pool process has its own perf_counter origin, so its spans
+            # are re-anchored at the dispatch timestamp; runs on the
+            # dispatcher, threads and inline runs share this process's clock
             ob.tracer.ingest(
                 profile.spans,
                 parent=job.span,
                 align_to=(
-                    job.dispatched_at + job.run_offset
-                    if self.mode == "process" else None
+                    job.dispatched_at
+                    if job.where == "pool" and self.mode == "process"
+                    else None
                 ),
             )
             self._profiles.append(profile)
@@ -1207,7 +1195,7 @@ class QueryService:
             # train too — keyed by the engine that actually ran.  The
             # model means run time: the worker's own measurement where
             # the report carries one, since dispatch-to-settle also
-            # holds the round trip and, in a set, the set-mates' runs
+            # holds the pool round trip
             ran = getattr(report, "wall_seconds", 0.0) or elapsed
             self.predictor.observe(job.features, job.config.engine, ran)
             if job.predicted_seconds > 0.0:
@@ -1219,9 +1207,10 @@ class QueryService:
         """Arm (or, with None, disarm) a seeded fault plan for chaos runs.
 
         Each subsequent dispatch asks the plan which faults apply to that
-        ``(job_id, attempt)`` and ships the specs to the worker; with no
-        plan armed the dispatch path is one ``is None`` check and the
-        worker path is byte-identical to normal operation.
+        ``(job_id, attempt)`` and ships the specs to a pool worker (a job
+        with any never runs on the dispatcher); with no plan armed the
+        dispatch path is one ``is None`` check and the worker path is
+        byte-identical to normal operation.
         """
         with self._cond:
             self._fault_plan = plan

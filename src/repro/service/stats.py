@@ -130,7 +130,7 @@ class ServiceStats:
     # -- adaptive scheduling (repro.sched.adaptive) ------------------------
     #: submissions rejected by deadline-aware admission control
     rejected: int = 0
-    #: executor calls made; ``submitted`` jobs can share one (a set)
+    #: pool calls made, one per job the dispatcher did not run itself
     worker_calls: int = 0
     #: ``engine="auto"`` resolutions per chosen engine
     auto_selected: dict[str, int] = field(default_factory=dict)

@@ -1,17 +1,18 @@
-"""Pool-worker side of the service: run one job, cache graphs per process.
+"""Worker side of the service: run one job, cache graphs per process.
 
-``run_job`` — and ``run_jobs``, a loop over it for a set of light jobs
-sent in one call — are the only functions the service ever submits to an
-executor.  They must stay module-level callables (process pools pickle
-them by reference) and their arguments must be cheap to serialise.  The
-graph travels one of three ways, resolved here per worker process:
+``run_job`` is the only function the service ever submits to an executor
+— a pool's, or the in-process one its dispatcher runs light jobs on.  It
+must stay a module-level callable (process pools pickle it by reference)
+and its arguments must be cheap to serialise.  The graph travels one of
+three ways, resolved here per worker process:
 
 * a :class:`~repro.graph.store.SharedGraphRef` (process mode, default):
   the worker attaches to the registry's shared-memory segment and builds
   zero-copy array views — no CSR bytes are ever unpickled or duplicated;
 * pickled payload bytes (process-mode fallback when shared memory is
   unavailable) — deserialised at most once per worker and fingerprint;
-* the live :class:`CSRGraph` object (thread/inline modes — zero copies).
+* the live :class:`CSRGraph` object (thread/inline modes and jobs the
+  dispatcher runs itself — zero copies).
 
 Resilience hooks (both default-off and free when unused):
 
@@ -45,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..patterns.plan import MatchingPlan
     from ..sim.report import SimReport
 
-__all__ = ["run_job", "run_jobs", "worker_graph_cache_info"]
+__all__ = ["run_job", "worker_graph_cache_info"]
 
 #: per-process resolved graphs, keyed by graph_id.  One entry per id: an
 #: updated snapshot (new fingerprint) replaces the old.  The third slot
@@ -198,26 +199,6 @@ def run_job(
             report = verify_report
         report.notes["crosscheck"] = crosscheck
     return report
-
-
-def run_jobs(calls: "list[tuple[tuple, dict]]") -> "list[tuple]":
-    """Run a set of jobs in one worker call, one after the other.
-
-    ``calls`` holds one ``(args, kwargs)`` of :func:`run_job` per job.
-    Each job answers for itself — ``(True, report, started)`` or
-    ``(False, exception, started)``, ``started`` being the seconds into
-    this call at which the job began — so a deterministic engine error
-    fails its own job only.
-    """
-    t0 = time.perf_counter()
-    outcomes = []
-    for args, kwargs in calls:
-        started = time.perf_counter() - t0
-        try:
-            outcomes.append((True, run_job(*args, **kwargs), started))
-        except Exception as exc:  # noqa: BLE001 - mirrored to its own job
-            outcomes.append((False, exc, started))
-    return outcomes
 
 
 def worker_graph_cache_info() -> dict:

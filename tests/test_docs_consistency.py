@@ -366,10 +366,10 @@ class TestStructure:
         }
         assert readers == interpreters
 
-    def test_the_executor_seam_is_two_shapes_wide(self):
+    def test_the_executor_seam_is_one_shape_wide(self):
         """The service hands an executor ``run_job`` (one job, a report
-        back) or ``run_jobs`` (a set, one outcome per job) and nothing
-        else — what the ``executor=`` stubs of the tests have to answer."""
+        back) and nothing else, whether the pool runs it or the dispatcher
+        does — what the ``executor=`` stubs of the tests have to answer."""
         tree = ast.parse(
             (ROOT / "src/repro/service/service.py").read_text()
         )
@@ -382,7 +382,7 @@ class TestStructure:
             # self.submit(...) is the service's own entry point
             and ast.unparse(node.func.value) != "self"
         )
-        assert submitted == ["run_job", "run_jobs"]
+        assert submitted == ["run_job"]
 
     def test_the_event_replay_does_no_set_work(self):
         """The event engine's NumPy set work happens once per chunk, when

@@ -432,8 +432,8 @@ class TestDispatcherWakeup:
         injected = threading.Event()
         slept_on: list[JobStatus] = []
 
-        def pop(now):
-            job = real_pop(now)
+        def pop(now, fits=None):
+            job = real_pop(now, fits)
             if job is None and not late:
                 late.append(svc.submit(gid, PATTERNS["DIA"], engine="batched"))
                 injected.set()

@@ -1,6 +1,9 @@
-"""Sets: a process-mode dispatch carries every queued light job it can.
+"""Where a job runs: the dispatcher runs warm, plain, sub-millisecond jobs
+itself, in the service process; the pool gets everything else, one job
+per call.
 
-The queue side (``JobQueue.pop_set``) is driven single-threaded against a
+The queue side (``JobQueue.pop(now, fits)``, the veto the dispatcher pops
+with while every pool worker is busy) is driven single-threaded against a
 hand-advanced clock; the service side runs its dispatcher thread against
 either the real two-worker pool or an in-process executor stub, and is
 waited on through job handles — no sleeps anywhere.
@@ -21,7 +24,7 @@ from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
 from repro.patterns.plan import build_plan
-from repro.resilience import FaultPlan, FaultSpec, ResilienceConfig
+from repro.resilience import FaultKind, FaultPlan, FaultSpec, ResilienceConfig
 from repro.sched.adaptive import (
     CostPredictor,
     SchedulingConfig,
@@ -36,9 +39,9 @@ from repro.service import (
     QueryService,
     RetryPolicy,
 )
+from repro.service import service as service_module
 from repro.service import worker
 from repro.service.cache import pattern_cache_key
-from repro.service.service import LIGHT_SECONDS, SET_MAX_JOBS
 from repro.sim.report import SimReport
 
 LIGHT = ("3CF", "WEDGE", "DIA", "TT")
@@ -79,11 +82,18 @@ def queued(job_id, predicted, *, enqueued_at=0.0, **fields) -> Job:
     )
 
 
-def light_run(jobs, nxt) -> bool:
-    """Stand-in for the service's rule: up to three cheap jobs a set."""
-    return len(jobs) < 3 and max(
-        jobs[0].predicted_seconds, nxt.predicted_seconds
-    ) < 1.0
+def cheap(job) -> bool:
+    """Stand-in for the service's rule."""
+    return job.predicted_seconds < 1.0
+
+
+def past_a_full_pool(queue, now, fits=cheap) -> list[Job]:
+    """What the dispatcher takes while no pool worker frees up: every
+    job ``fits`` passes, until it refuses the head."""
+    jobs = []
+    while (job := queue.pop(now, fits)) is not None:
+        jobs.append(job)
+    return jobs
 
 
 def oracle(graph, name) -> int:
@@ -94,8 +104,23 @@ def ids(jobs) -> list[int]:
     return [job.handle.job_id for job in jobs]
 
 
+def warm(svc, graph, names, seconds=2e-4) -> None:
+    """Teach the cost model that each shape has run on ``graph`` in
+    ``seconds`` on the batched engine: its profile tier now calls the
+    shape light."""
+    for name in names:
+        features = query_features(
+            graph, graph.fingerprint(), pattern_cache_key(PATTERNS[name], None)
+        )
+        svc.predictor.observe(features, "batched", seconds)
+
+
+def dispatched(svc) -> list[dict]:
+    return [dict(event.data) for event in svc.flight.events("dispatch")]
+
+
 # ---------------------------------------------------------------------------
-# (a) the queue: pop_set is pop, repeated, with a veto
+# (a) the queue: the veto leaves a refused head in place
 # ---------------------------------------------------------------------------
 
 
@@ -104,29 +129,33 @@ class TestPopSet:
         self,
     ):
         queue = JobQueue(limit=16, policy="cost")
-        # two jobs tie on cost: FIFO by seq decides, also after a refusal
-        costs = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.4, 5: 0.4, 6: 5.0, 7: 0.5}
+        # two heavy jobs tie on cost: FIFO by seq decides, also after a
+        # refusal
+        costs = {1: 0.3, 2: 0.1, 3: 0.2, 4: 5.0, 5: 5.0, 6: 7.0, 7: 0.5}
         jobs = {i: queued(i, cost) for i, cost in costs.items()}
         for job in jobs.values():
             queue.push(job)
-        assert ids(queue.pop_set(0.0, light_run)) == [2, 3, 1]
-        # job 4 was looked at and refused (the set was full): it is still
-        # the next one out, ahead of its later twin, under its own seq
-        assert queue.depth() == 4
+        assert ids(past_a_full_pool(queue, 0.0)) == [2, 3, 1, 7]
+        # job 4 was looked at and refused: it is still the next one out,
+        # ahead of its later twin, under its own seq
+        assert queue.depth() == 3
         assert jobs[4].seq == 4 and not jobs[4].taken
-        assert ids(queue.pop_set(0.0, light_run)) == [4, 5, 7]
-        # the first job of a set is popped unasked, whatever it costs
-        assert ids(queue.pop_set(0.0, light_run)) == [6]
-        assert queue.pop_set(0.0, light_run) == []
+        assert past_a_full_pool(queue, 0.0) == []
+        # a pool worker frees up: the head goes unasked
+        assert [queue.pop(0.0) for _ in range(4)] == [
+            jobs[4], jobs[5], jobs[6], None
+        ]
 
     def test_a_heavy_job_ends_the_set_before_it(self):
         queue = JobQueue(limit=8, policy="fifo")
         for i, cost in enumerate([0.1, 0.1, 5.0, 0.1], start=1):
             queue.push(queued(i, cost))
-        # fifo order is not jumped to fill a set
-        assert ids(queue.pop_set(0.0, light_run)) == [1, 2]
-        assert ids(queue.pop_set(0.0, light_run)) == [3]
-        assert ids(queue.pop_set(0.0, light_run)) == [4]
+        # fifo order is not jumped: the cheap job behind the heavy one
+        # waits for a pool worker too
+        assert ids(past_a_full_pool(queue, 0.0)) == [1, 2]
+        assert past_a_full_pool(queue, 0.0) == []
+        assert ids([queue.pop(0.0)]) == [3]
+        assert ids(past_a_full_pool(queue, 0.0)) == [4]
 
     def test_tombstone_deadline_and_backoff_inside_the_run(self):
         reaped = []
@@ -139,13 +168,13 @@ class TestPopSet:
         for job in (first, cancelled, expired, parked, last):
             queue.push(job)
         cancelled.handle._finish(JobStatus.CANCELLED)
-        assert ids(queue.pop_set(10.0, light_run)) == [1, 5]
+        assert ids(past_a_full_pool(queue, 10.0)) == [1, 5]
         assert reaped == [expired]
         assert expired.handle.status is JobStatus.TIMEOUT
         # the job on backoff was stepped over, not dropped and not run
         assert queue.depth() == 1
-        assert queue.pop_set(10.0, light_run) == []
-        assert ids(queue.pop_set(20.0, light_run)) == [4]
+        assert past_a_full_pool(queue, 10.0) == []
+        assert ids(past_a_full_pool(queue, 20.0)) == [4]
 
     def test_a_starving_head_joins_the_set_ahead_of_cheaper_jobs(self):
         queue = JobQueue(limit=8, policy="cost", age_limit=2.0)
@@ -156,8 +185,7 @@ class TestPopSet:
             queue.push(job)
         # both old jobs are past the aging bound at t=10: arrival order
         # first, then cost order
-        assert ids(queue.pop_set(10.0, light_run)) == [1, 2, 3]
-        assert ids(queue.pop_set(10.0, light_run)) == [4]
+        assert ids(past_a_full_pool(queue, 10.0)) == [1, 2, 3, 4]
 
     def test_a_starving_head_that_is_refused_stays_the_head(self):
         queue = JobQueue(limit=8, policy="cost", age_limit=2.0)
@@ -165,27 +193,17 @@ class TestPopSet:
         for job in (queued(1, 0.8, enqueued_at=0.0), heavy,
                     queued(3, 0.1, enqueued_at=9.0)):
             queue.push(job)
-        assert ids(queue.pop_set(10.0, light_run)) == [1]
+        assert ids(past_a_full_pool(queue, 10.0)) == [1]
         assert not heavy.taken and queue.depth() == 2
-        # still ahead of the cheap newcomer, and still alone
-        assert ids(queue.pop_set(10.0, light_run)) == [2]
-        assert ids(queue.pop_set(10.0, light_run)) == [3]
+        # the cheap newcomer does not jump the starving head
+        assert past_a_full_pool(queue, 10.0) == []
+        assert queue.pop(10.0) is heavy
+        assert ids(past_a_full_pool(queue, 10.0)) == [3]
 
 
 # ---------------------------------------------------------------------------
 # (b) the service: a seeded mix through the real pool
 # ---------------------------------------------------------------------------
-
-
-def dispatched(svc) -> list[dict]:
-    return [dict(event.data) for event in svc.flight.events("dispatch")]
-
-
-def calls_of(events) -> dict[int, list[dict]]:
-    calls: dict[int, list[dict]] = {}
-    for event in events:
-        calls.setdefault(event["call"], []).append(event)
-    return calls
 
 
 class TestSeededMix:
@@ -203,6 +221,8 @@ class TestSeededMix:
         try:
             for gid, graph in graphs.items():
                 svc.register_graph(graph, gid)
+            # the small graph's shapes are warm, the medium graph's cold
+            warm(svc, small_er, LIGHT)
             submitted = []
             for _ in range(48):
                 gid = rng.choice(sorted(graphs))
@@ -211,22 +231,17 @@ class TestSeededMix:
                 handle = svc.submit(
                     gid, PATTERNS[name], use_cache=False,
                     priority=rng.choice([0, 0, 0, 1]),
-                    # the event engine's prior is 50x the vectorised ones'
+                    # the event engine has no profile: a prior, 50x the
+                    # vectorised ones'
                     engine="event" if kind == "heavy" else "batched",
                     timeout=30.0 if kind == "deadline" else None,
                 )
-                submitted.append((handle, gid, name))
+                submitted.append((handle, gid, name, kind))
             # what one-by-one dispatch would do: the heap, in heap order
             queue = sorted(svc._queue._heap, key=lambda entry: entry[:2])
             expected = [job.handle.job_id for _, _, job in queue]
-            jobs = {job.handle.job_id: job for _, _, job in queue}
-            light = {
-                job_id for job_id, job in jobs.items()
-                if 0.0 < job.predicted_seconds < LIGHT_SECONDS
-            }
-            assert 0 < len(light) < len(jobs)  # the mix has both kinds
             svc.resume()
-            for handle, gid, name in submitted:
+            for handle, gid, name, _ in submitted:
                 report = handle.result(timeout=120)
                 assert handle.status is JobStatus.DONE
                 assert report.embeddings == oracle(graphs[gid], name)
@@ -235,50 +250,84 @@ class TestSeededMix:
             assert stats.retries == stats.failed == stats.timed_out == 0
             events = dispatched(svc)
             assert [event["job_id"] for event in events] == expected
-            calls = calls_of(events)
-            assert stats.worker_calls == len(calls) < len(submitted)
+            where = {event["job_id"]: event["where"] for event in events}
             checked = {
-                handle.job_id for handle, _, _ in submitted
+                handle.job_id for handle, *_ in submitted
                 if "crosscheck" in handle.result().notes
             }
-            assert checked and checked & light
-            for members in calls.values():
-                assert {e["set_size"] for e in members} == {len(members)}
-                assert len(members) <= SET_MAX_JOBS
-                if len(members) > 1:
-                    for event in members:
-                        job = jobs[event["job_id"]]
-                        assert job.handle.job_id in light
-                        assert job.deadline is None
-                        assert job.handle.job_id not in checked
-            sizes = sorted(len(members) for members in calls.values())
-            assert sizes[-1] > 1
-            text = svc.metrics_text()
-            assert f"repro_worker_calls_total {len(calls)}" in text
-            assert f"repro_jobs_per_call_sum {len(submitted)}" in text
+            assert checked
+            # here: warm, no deadline, not cross-checked; everything else
+            # (cold, heavy, deadline, cross-checked) in the pool
+            assert where == {
+                handle.job_id: (
+                    "service"
+                    if gid == "small" and kind == "light"
+                    and handle.job_id not in checked
+                    else "pool"
+                )
+                for handle, gid, _, kind in submitted
+            }
+            pooled = sum(1 for w in where.values() if w == "pool")
+            assert 0 < pooled < len(submitted)
+            assert stats.worker_calls == pooled
+            assert f"repro_worker_calls_total {pooled}" in svc.metrics_text()
         finally:
             svc.shutdown()
 
-    def test_an_armed_fault_plan_sends_every_job_alone(self, small_er):
+
+class TestChaosSplit:
+    def test_faulted_jobs_run_in_the_pool_and_the_rest_here(self, small_er):
+        specs = (
+            FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.3),
+            FaultSpec(site="worker.run", kind=FaultKind.HANG, rate=0.3,
+                      seconds=0.01),
+        )
         svc = QueryService(
-            mode="process", max_workers=1, start_paused=True,
-            executor=InlineExecutor(),
+            mode="process", max_workers=2, start_paused=True,
+            retry=RetryPolicy(max_retries=8, backoff_seconds=0.0),
+            # crashes must not open the breaker: it would send every job
+            # to the pool, and the fault draw is what is under test
+            resilience=ResilienceConfig(failure_threshold=10**6),
         )
         try:
             gid = svc.register_graph(small_er, "g")
-            svc.arm_faults(FaultPlan(seed=1, specs=(
-                FaultSpec(site="worker.run", kind="crash", rate=0.0),
-            )))
+            warm(svc, small_er, LIGHT)
+            svc.arm_faults(FaultPlan(seed=27, specs=specs))
+            names = [LIGHT[i % len(LIGHT)] for i in range(24)]
             handles = [
                 svc.submit(
-                    gid, PATTERNS["3CF"], use_cache=False, engine="batched"
+                    gid, PATTERNS[name], use_cache=False, engine="batched"
                 )
-                for _ in range(4)
+                for name in names
             ]
             svc.resume()
-            for handle in handles:
-                handle.result(timeout=60)
-            assert [e["set_size"] for e in dispatched(svc)] == [1] * 4
+            for handle, name in zip(handles, names):
+                # a hung waiter fails here with JobTimeoutError
+                report = handle.result(timeout=60)
+                assert report.embeddings == oracle(small_er, name)
+            # the plan is a pure function of (job id, attempt): redraw it
+            redraw = FaultPlan(seed=27, specs=specs)
+            fired = {"crash": 0, "hang": 0}
+            for event in dispatched(svc):
+                kinds = [
+                    spec.kind.value for spec in
+                    redraw.for_job(event["job_id"], event["attempt"])
+                ]
+                assert event["where"] == ("pool" if kinds else "service")
+                if kinds:
+                    # a crash fires first and ends the attempt
+                    fired[kinds[0]] += 1
+            assert fired["crash"] and fired["hang"]
+            stats = svc.stats()
+            assert stats.retries == fired["crash"]
+            assert stats.completed == len(names) and stats.failed == 0
+            for kind, n in fired.items():
+                assert stats.metrics[
+                    f'repro_faults_injected_total{{kind="{kind}",'
+                    f'site="worker.run"}}'
+                ] == n
+            assert stats.worker_calls == sum(fired.values())
+            assert stats.worker_calls < len(dispatched(svc))
         finally:
             svc.shutdown()
 
@@ -288,17 +337,20 @@ class TestSeededMix:
 # ---------------------------------------------------------------------------
 
 
-class BreaksFirstSet(InlineExecutor):
-    """Runs calls in-process; the first ``run_jobs`` call dies like a
+class BreaksFirstCalls(InlineExecutor):
+    """Runs calls in-process; the first call of each pattern dies like a
     broken pool instead."""
 
     def __init__(self) -> None:
         self.fns: list[str] = []
+        self.died: set[str] = set()
 
     def submit(self, fn, /, *args, **kwargs):
         self.fns.append(fn.__name__)
-        if fn is worker.run_jobs and self.fns.count("run_jobs") == 1:
-            raise BrokenExecutor("worker died under a set (injected)")
+        name = args[3].pattern.name
+        if name not in self.died:
+            self.died.add(name)
+            raise BrokenExecutor(f"worker died under {name} (injected)")
         return super().submit(fn, *args, **kwargs)
 
 
@@ -313,35 +365,36 @@ def paused_fifo_service(graph, executor):
 
 class TestSetFailures:
     def test_a_crashed_call_retries_each_of_its_jobs(self, small_er):
-        executor = BreaksFirstSet()
+        # a pool call carries one job: the job of every call that dies is
+        # retried, and only it
+        executor = BreaksFirstCalls()
         svc, gid = paused_fifo_service(small_er, executor)
         try:
-            names = ["3CF", "WEDGE", "DIA", "3CF", "WEDGE"]
             handles = [
                 svc.submit(
                     gid, PATTERNS[name], use_cache=False, engine="batched"
                 )
-                for name in names
+                for name in LIGHT
             ]
             svc.resume()
-            for handle, name in zip(handles, names):
+            for handle, name in zip(handles, LIGHT):
                 report = handle.result(timeout=60)
                 assert report.embeddings == oracle(small_er, name)
                 assert handle.attempts == 2
             stats = svc.stats()
-            assert stats.retries == len(names)
-            assert stats.completed == len(names) and stats.failed == 0
-            assert stats.in_flight == 0 and svc._riders == 0
-            # the executor seam is two shapes wide
-            assert set(executor.fns) <= {"run_job", "run_jobs"}
-            assert executor.fns[0] == "run_jobs"
+            assert stats.retries == len(LIGHT)
+            assert stats.completed == len(LIGHT) and stats.failed == 0
+            assert stats.in_flight == 0
+            # cold shapes all went to the pool, which is handed run_job
+            assert executor.fns == ["run_job"] * (2 * len(LIGHT))
+            assert stats.worker_calls == 2 * len(LIGHT)
         finally:
             svc.shutdown()
 
     def test_an_engine_error_fails_its_own_job_only(
         self, small_er, monkeypatch
     ):
-        real = worker.run_job
+        real = service_module.run_job
 
         def run_job(graph_id, fingerprint, payload, plan, config, **kwargs):
             if plan.pattern.name == "DIA":
@@ -350,10 +403,11 @@ class TestSetFailures:
                 graph_id, fingerprint, payload, plan, config, **kwargs
             )
 
-        monkeypatch.setattr(worker, "run_job", run_job)
+        monkeypatch.setattr(service_module, "run_job", run_job)
         svc, gid = paused_fifo_service(small_er, InlineExecutor())
         try:
             names = ["3CF", "DIA", "WEDGE"]
+            warm(svc, small_er, names)
             handles = [
                 svc.submit(
                     gid, PATTERNS[name], use_cache=False, engine="batched"
@@ -363,7 +417,7 @@ class TestSetFailures:
             svc.resume()
             for handle in handles:
                 handle.exception()  # wait, whatever the outcome
-            assert [e["set_size"] for e in dispatched(svc)] == [3, 3, 3]
+            assert [e["where"] for e in dispatched(svc)] == ["service"] * 3
             assert [h.status for h in handles] == [
                 JobStatus.DONE, JobStatus.FAILED, JobStatus.DONE
             ]
@@ -373,28 +427,34 @@ class TestSetFailures:
                 assert handle.result().embeddings == oracle(small_er, name)
             stats = svc.stats()
             assert (stats.completed, stats.failed, stats.retries) == (2, 1, 0)
-            assert stats.in_flight == 0 and svc._riders == 0
+            assert stats.in_flight == 0 and stats.worker_calls == 0
         finally:
             svc.shutdown()
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A thread pool that knows how many of its calls are unfinished."""
+class HeldPool(ThreadPoolExecutor):
+    """A thread pool that knows how many of its calls are unfinished, and
+    holds each call until ``release`` is set."""
 
     def __init__(self, max_workers: int) -> None:
         super().__init__(max_workers=max_workers)
         self.lock = threading.Lock()
         self.open = self.peak = 0
+        self.release = threading.Event()
 
     def submit(self, fn, /, *args, **kwargs):
         with self.lock:
             self.open += 1
             self.peak = max(self.peak, self.open)
-        future = super().submit(fn, *args, **kwargs)
+        future = super().submit(self._held, fn, *args, **kwargs)
         # added before the service's own callback, so it also runs first:
         # a call is closed here before the service can send the next
         future.add_done_callback(self._closed)
         return future
+
+    def _held(self, fn, *args, **kwargs):
+        assert self.release.wait(timeout=120)
+        return fn(*args, **kwargs)
 
     def _closed(self, _future) -> None:
         with self.lock:
@@ -403,50 +463,79 @@ class CountingPool(ThreadPoolExecutor):
 
 class TestSetAccounting:
     def test_calls_in_flight_never_exceed_the_workers_under_stress(
-        self, small_er
+        self, small_er, monkeypatch
     ):
         # submitters, dispatcher and completion threads outnumber the
-        # cores and switch every 10 µs: a lost update of the in-flight or
-        # rider count would over-dispatch, or leave the gate shut
-        pool = CountingPool(max_workers=8)
+        # cores and switch every 10 µs: a lost update of the in-flight
+        # count would over-dispatch, or leave the gate shut
+        pool = HeldPool(max_workers=8)
         svc = QueryService(
             mode="process", max_workers=3, executor=pool, queue_limit=512
         )
         gid = svc.register_graph(small_er, "g")
+        warm(svc, small_er, LIGHT[:3])
+        # and the cost model stays where warm() put it: a run slowed by
+        # the switching must not turn a light shape heavy mid-test
+        monkeypatch.setattr(svc.predictor, "observe", lambda *args: None)
         handles: list = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            def client(offset):
-                for i in range(60):
+            # a deadline sends a warm shape to the pool; priority 1 queues
+            # these behind every light job
+            pooled = [
+                (name, svc.submit(
+                    gid, PATTERNS[name], use_cache=False, engine="batched",
+                    priority=1, timeout=120.0,
+                ))
+                for name in LIGHT[:3] * 2
+            ]
+
+            def client(offset, mix):
+                for i in range(30):
                     name = LIGHT[(offset + i) % 3]
+                    heavy = mix and i % 3 == 0
                     handles.append((name, svc.submit(
                         gid, PATTERNS[name], use_cache=False,
                         engine="batched",
+                        timeout=120.0 if heavy else None,
                     )))
 
-            clients = [
-                threading.Thread(target=client, args=(k,)) for k in range(4)
-            ]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
+            def clients(mix):
+                threads = [
+                    threading.Thread(target=client, args=(k, mix))
+                    for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+
+            # the pool holds three calls it does not finish: every light
+            # job dispatches past it, and finishes
+            clients(mix=False)
             for name, handle in handles:
+                assert handle.result(timeout=120).embeddings == oracle(
+                    small_er, name
+                )
+            assert pool.open == 3
+            pool.release.set()
+            clients(mix=True)
+            for name, handle in pooled + handles:
                 assert handle.result(timeout=120).embeddings == oracle(
                     small_er, name
                 )
         finally:
             sys.setswitchinterval(interval)
+            pool.release.set()
             svc.shutdown()
             pool.shutdown()
         stats = svc.stats()
-        assert stats.submitted == stats.completed == 240
-        assert stats.in_flight == 0 and svc._riders == 0
-        assert 0 < pool.peak <= 3
-        assert stats.worker_calls < 240  # sets did form
-        assert stats.metrics["repro_jobs_per_call_sum"] == 240
+        assert stats.submitted == stats.completed == 6 + 240
+        assert stats.in_flight == 0
+        assert pool.peak == 3
+        assert stats.worker_calls == 6 + 40
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +588,7 @@ class TestRunTimeModel:
 
 
 # ---------------------------------------------------------------------------
-# trace alignment and lifetime of a finished set
+# trace alignment and lifetime of a finished burst
 # ---------------------------------------------------------------------------
 
 
@@ -518,32 +607,32 @@ def paused_burst(svc, gid, n=12):
 
 
 class TestSetAftermath:
-    def test_set_mates_do_not_overlap_in_the_trace(self, medium_er):
-        # one worker: a call starts when it is dispatched, which is what
-        # anchoring worker spans at the dispatch timestamp assumes
+    def test_a_run_here_lies_inside_its_job_span(self, small_er):
+        # spans recorded on the dispatcher share the service's clock: they
+        # are adopted where they are, not re-anchored at the dispatch
+        # timestamp as a pool process's are
         with QueryService(
-            mode="process", max_workers=1, start_paused=True,
-            observability=True,
+            mode="process", max_workers=2, observability=True
         ) as svc:
-            gid = svc.register_graph(medium_er, "g")
-            paused_burst(svc, gid)
-            assert max(e["set_size"] for e in dispatched(svc)) > 1
-            runs: dict[int, list[tuple[float, float]]] = {}
-            for event in svc.export_trace():
-                if event.get("name") == "worker.run_job":
-                    runs.setdefault(event["args"]["pid"], []).append(
-                        (event["ts"], event["ts"] + event["dur"])
-                    )
-        assert sum(len(spans) for spans in runs.values()) == 12
-        for spans in runs.values():
-            spans.sort()
-            for (_, end), (start, _) in zip(spans, spans[1:]):
-                assert start >= end - 1.0  # µs; float rounding only
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            svc.count(gid, PATTERNS["3CF"], use_cache=False, engine="batched")
+            assert [e["where"] for e in dispatched(svc)] == ["service"]
+            spans = svc._observation.tracer.finished()
+        (job,) = [sp for sp in spans if sp.name == "service.job"]
+        (queued,) = [sp for sp in spans if sp.name == "service.queued"]
+        (run,) = [sp for sp in spans if sp.name == "worker.run_job"]
+        assert run.parent_id == queued.parent_id == job.span_id
+        # the run began after dispatch ended the queued span, and ended
+        # before the job settled
+        assert queued.end <= run.start <= run.end <= job.end
 
     def test_a_drained_burst_pins_no_graph_record(self, small_er):
         svc = QueryService(mode="process", max_workers=2, start_paused=True)
         try:
             gid = svc.register_graph(small_er, "g")
+            # half the shapes run here, half in the pool
+            warm(svc, small_er, LIGHT[:2])
             asleep = threading.Event()
             real_wait = svc._cond.wait
 
@@ -554,7 +643,9 @@ class TestSetAftermath:
 
             svc._cond.wait = wait
             paused_burst(svc, gid)
-            assert max(e["set_size"] for e in dispatched(svc)) > 1
+            assert {e["where"] for e in dispatched(svc)} == {
+                "service", "pool"
+            }
             # the dispatcher has found the queue empty and gone to sleep
             # with whatever its loop still holds
             asleep.clear()
