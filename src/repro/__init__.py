@@ -95,7 +95,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "ShardWorker": "repro.cluster",
         "ClusterHealth": "repro.cluster",
         "RetryPolicy": "repro.cluster",
-        "HedgePolicy": "repro.cluster",
         "ReplicaState": "repro.cluster",
         "HealthProber": "repro.cluster",
         "ResilienceConfig": "repro.resilience",

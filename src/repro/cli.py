@@ -15,8 +15,6 @@ Gives the library a shell-level surface mirroring the paper artifact's
     python -m repro trace --export out.json
     python -m repro health --chaos --prometheus
     python -m repro cluster --shards 4 --kill 2
-    python -m repro top --shards 3 --iterations 2
-    python -m repro flight --dump
 
 ``stats`` and ``health`` accept ``--json`` for machine-readable output.
 
@@ -407,101 +405,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_cluster(args: argparse.Namespace, **extra):
-    """A small observability-enabled LocalCluster over a generated graph."""
-    from .cluster import LocalCluster
-    from .graph.generators import erdos_renyi
-
-    cluster = LocalCluster(
-        num_shards=args.shards,
-        observability=True,
-        max_workers=1,
-        **extra,
-    )
-    graph = erdos_renyi(
-        args.nodes, args.degree, seed=13, name="obs-demo"
-    )
-    gid = cluster.coordinator.register_graph(graph)
-    return cluster, gid
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live cluster dashboard: health, SLOs, shard stats, flight counts.
-
-    Polls a demo cluster ``--iterations`` times (bounded so CI can run
-    it), driving one query per tick so the SLO windows and federated
-    metrics have fresh samples to show.  Think ``top(1)`` for the
-    scatter/gather plane.
-    """
-    import time as _time
-
-    from .patterns.pattern import PATTERNS
-
-    patterns = [PATTERNS[n] for n in ("3CF", "TT", "DIA", "WEDGE")]
-    cluster, gid = _demo_cluster(args)
-    with cluster:
-        coord = cluster.coordinator
-        for tick in range(args.iterations):
-            pattern = patterns[tick % len(patterns)]
-            report = coord.query(gid, pattern, use_cache=False)
-            health = coord.health()
-            print(f"-- tick {tick + 1}/{args.iterations} "
-                  f"({pattern.name}: {report.embeddings} embeddings) --")
-            print(health.summary())
-            stats = coord.stats()
-            for name in sorted(stats):
-                st = stats[name]
-                line = (
-                    f"  {name}: queries={st['queries']} mode={st['mode']}"
-                    if st is not None
-                    else f"  {name}: UNREACHABLE"
-                )
-                print(line)
-            counts = coord.flight.counts()
-            if counts:
-                rendered = ", ".join(
-                    f"{k}={v}" for k, v in sorted(counts.items())
-                )
-                print(f"  flight: {rendered}")
-            if tick + 1 < args.iterations and args.interval > 0:
-                _time.sleep(args.interval)
-    return 0
-
-
-def _cmd_flight(args: argparse.Namespace) -> int:
-    """Chaos demo surfacing the flight recorder's job-lifecycle ring.
-
-    Kills one shard mid-run, drives enough queries to trip its breaker,
-    and prints the coordinator's flight-event ring.  With ``--dump`` the
-    full ring is written to a JSON file (the same format the recorder
-    auto-dumps when cluster health degrades).
-    """
-    from .patterns.pattern import PATTERNS
-
-    cluster, gid = _demo_cluster(args)
-    with cluster:
-        coord = cluster.coordinator
-        coord.query(gid, PATTERNS["3CF"], use_cache=False)
-        killed = cluster.kill_shard(args.kill)
-        print(f"killed {killed}; driving queries through the hole...")
-        for name in ("TT", "DIA"):
-            coord.query(gid, PATTERNS[name], use_cache=False)
-        health = coord.health()
-        print(health.summary())
-        print()
-        print(f"flight recorder ({len(coord.flight)} events):")
-        for event in coord.flight:
-            data = ", ".join(
-                f"{k}={v}" for k, v in sorted(event.data.items())
-            )
-            print(f"  {event.kind:<18} {data}")
-        if args.dump is not None:
-            path = coord.flight.dump(args.dump or None, reason="cli")
-            print()
-            print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -662,40 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chaos: kill this shard index before the "
                               "last pattern (-1 = don't)")
     cluster.set_defaults(func=_cmd_cluster)
-
-    top = sub.add_parser(
-        "top",
-        help="live cluster dashboard: health, SLOs, shards, flight counts",
-    )
-    top.add_argument("--shards", type=int, default=3,
-                     help="number of shard workers in the demo cluster")
-    top.add_argument("--nodes", type=int, default=120,
-                     help="vertices of the generated demo graph")
-    top.add_argument("--degree", type=float, default=8.0,
-                     help="average degree of the demo graph")
-    top.add_argument("--iterations", type=int, default=3,
-                     help="dashboard refreshes before exiting")
-    top.add_argument("--interval", type=float, default=0.0,
-                     help="seconds to sleep between refreshes")
-    top.set_defaults(func=_cmd_top)
-
-    flight = sub.add_parser(
-        "flight",
-        help="chaos demo printing the coordinator's flight-event ring",
-    )
-    flight.add_argument("--shards", type=int, default=3,
-                        help="number of shard workers in the demo cluster")
-    flight.add_argument("--nodes", type=int, default=120,
-                        help="vertices of the generated demo graph")
-    flight.add_argument("--degree", type=float, default=8.0,
-                        help="average degree of the demo graph")
-    flight.add_argument("--kill", type=int, default=1,
-                        help="shard index to kill mid-run")
-    flight.add_argument("--dump", nargs="?", const="", default=None,
-                        metavar="PATH",
-                        help="write the flight ring to PATH "
-                             "(default: flight-coordinator.json)")
-    flight.set_defaults(func=_cmd_flight)
 
     return parser
 

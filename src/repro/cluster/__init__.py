@@ -21,7 +21,7 @@ Quickstart::
 
 from .comm import available_transports, get_transport, register_transport
 from .coordinator import ClusterHealth, Coordinator, LocalCluster
-from .merge import dedupe_replies, merge_replies, merge_reports
+from .merge import merge_replies, merge_reports
 from .partition import (
     ShardSpec,
     contiguous_cuts,
@@ -31,7 +31,6 @@ from .partition import (
 )
 from .replication import (
     HealthProber,
-    HedgePolicy,
     ReplicaGroup,
     ReplicaState,
     RetryPolicy,
@@ -42,7 +41,6 @@ __all__ = [
     "ClusterHealth",
     "Coordinator",
     "HealthProber",
-    "HedgePolicy",
     "LocalCluster",
     "ReplicaGroup",
     "ReplicaState",
@@ -51,7 +49,6 @@ __all__ = [
     "ShardWorker",
     "available_transports",
     "contiguous_cuts",
-    "dedupe_replies",
     "get_transport",
     "halo_vertices",
     "induced_subgraph",

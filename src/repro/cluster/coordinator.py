@@ -16,10 +16,7 @@ Resilience reuses the service layer's own machinery at cluster scope:
   :class:`~repro.cluster.replication.ReplicaGroup`: a failed subquery
   **fails over** to the next-healthiest replica (immediately within the
   first pass, with capped exponential backoff between retry rounds, all
-  bounded by a per-query deadline budget), and an optional
-  :class:`~repro.cluster.replication.HedgePolicy` duplicates straggler
-  subqueries to a second replica, first success wins, the loser's reply
-  dropped before the merge;
+  bounded by a per-query deadline budget);
 * a shard whose *every* replica fails degrades the query instead of
   failing it: the merged report carries
   ``notes["cluster"]["partial"] = True`` plus the failed shard names,
@@ -48,9 +45,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -64,8 +59,6 @@ from ..obs.cluster import TraceContext, new_trace_id
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.federation import FederatedMetrics, MetricsDeltaTracker
 from ..obs.flight import FlightRecorder
-from ..obs.slo import DEFAULT_SLOS, REPLICATED_SLOS, SLOStatus, SLOTracker
-from ..obs.summary import Window
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
 from ..resilience import BreakerBoard, BreakerState, HealthReport, \
@@ -76,8 +69,8 @@ from ..service.cache import pattern_cache_key
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
 from .partition import ShardSpec, make_shards
-from .replication import HealthProber, HedgePolicy, ReplicaGroup, \
-    ReplicaState, RetryPolicy
+from .replication import HealthProber, ReplicaGroup, ReplicaState, \
+    RetryPolicy
 from .worker import ShardWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,9 +84,6 @@ __all__ = ["Coordinator", "ClusterHealth", "LocalCluster"]
 #: per-shard execution profiles retained for PE-lane trace export
 PROFILE_LIMIT = 256
 
-#: recent per-shard request latencies kept for hedge-delay estimation
-LATENCY_WINDOW = 256
-
 #: consecutive comm failures that open a replica's breaker, and how long
 #: it then stays open before one probe request is let through
 BREAKER_FAILURE_THRESHOLD = 2
@@ -105,9 +95,6 @@ BREAKER_RECOVERY_SECONDS = 30.0
 DEADLINE_SAFETY = 8.0
 #: minimum prediction-derived scatter deadline (seconds)
 DEADLINE_FLOOR = 1.0
-#: cold-start hedge delay = predicted shard latency × this factor (used
-#: before the latency window has enough samples for the percentile rule)
-HEDGE_PREDICTION_FACTOR = 2.0
 #: how long the health prober waits for one ping reply (seconds)
 PROBE_TIMEOUT = 5.0
 
@@ -121,8 +108,6 @@ class ClusterHealth:
     shards: "Mapping[str, HealthReport | None]" = field(default_factory=dict)
     #: coordinator-side comm breaker snapshots, keyed by replica name
     breakers: "Mapping[str, BreakerSnapshot]" = field(default_factory=dict)
-    #: SLO name → point-in-time status (empty when no tracker is wired)
-    slo: "Mapping[str, SLOStatus]" = field(default_factory=dict)
     #: shard group → replica → routing state ("healthy"/"suspect"/"evicted")
     replicas: "Mapping[str, Mapping[str, str]]" = field(default_factory=dict)
 
@@ -130,12 +115,6 @@ class ClusterHealth:
     def dead(self) -> tuple[str, ...]:
         return tuple(
             sorted(n for n, r in self.shards.items() if r is None)
-        )
-
-    @property
-    def slo_violations(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(n for n, st in self.slo.items() if not st.met)
         )
 
     @property
@@ -170,8 +149,6 @@ class ClusterHealth:
             for replica, state in sorted(self.replicas[group].items()):
                 if state != "healthy":
                     lines.append(f"  replica {replica}: {state}")
-        for name in sorted(self.slo):
-            lines.append(f"  slo {self.slo[name].line()}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -202,10 +179,6 @@ class ClusterHealth:
                     "last_failure_reason": snap.last_failure_reason,
                 }
                 for name, snap in self.breakers.items()
-            },
-            "slo": {
-                name: status.to_dict()
-                for name, status in self.slo.items()
             },
             "replicas": {
                 group: dict(states)
@@ -334,7 +307,6 @@ class Coordinator:
         observability: bool = False,
         flight_dir: "str | Path | None" = None,
         retry: "RetryPolicy | None" = None,
-        hedge: "HedgePolicy | None" = None,
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_recoveries: int = 2,
@@ -349,7 +321,6 @@ class Coordinator:
         )
         self.request_timeout = request_timeout
         self.retry = retry or RetryPolicy()
-        self.hedge = hedge or HedgePolicy()
         self._groups: "list[_ShardGroup]" = []
         self._replicas: "list[_Replica]" = []
         self._replica_by_name: "dict[str, _Replica]" = {}
@@ -414,36 +385,19 @@ class Coordinator:
         #: coordinator's own registry under shard="coordinator"
         self.federation = FederatedMetrics()
         self._self_delta = MetricsDeltaTracker(self.metrics)
-        self.slo = SLOTracker(
-            REPLICATED_SLOS if self._replicated else DEFAULT_SLOS
-        )
         self._tracer = Tracer() if observability else None
         #: (shard name, profile) pairs for per-shard PE trace lanes
         self._profiles: "deque[tuple[str, ExecutionProfile]]" = deque(
             maxlen=PROFILE_LIMIT
         )
-        #: per-shard recent request latencies (feeds the hedge delay)
-        self._latency: "dict[str, Window]" = {
-            sg.name: Window(LATENCY_WINDOW) for sg in self._groups
-        }
         #: per-shard cost model: trained from each shard's measured
         #: subquery latency, keyed by (graph@shard, canonical pattern);
-        #: drives prediction-derived scatter deadlines and cold-start
-        #: hedge delays, and its accuracy histogram lands in metrics
+        #: drives prediction-derived scatter deadlines, and its accuracy
+        #: histogram lands in metrics
         self.predictor = CostPredictor(registry=self.metrics)
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(self._groups), len(self._replicas)),
             thread_name_prefix="cluster-scatter",
-        )
-        # hedged calls run on their own pool: a hedge submitted from a
-        # scatter thread must never deadlock behind sibling scatters
-        self._hedge_pool = (
-            ThreadPoolExecutor(
-                max_workers=max(2 * len(self._replicas), 4),
-                thread_name_prefix="cluster-hedge",
-            )
-            if self.hedge.enabled
-            else None
         )
         self.prober = HealthProber(
             self._probe_ping,
@@ -600,47 +554,24 @@ class Coordinator:
         payload: dict,
         span: "Span | None",
         budget: "float | None",
-        predicted: float,
     ) -> "tuple[object, dict]":
-        """One query's subquery against one shard group, with
-        failover/hedging.
+        """One query's subquery against one shard group, with failover.
 
         Returns ``(reply value, meta)`` where meta records which
-        replica served and how many failovers/hedges it took.  Raises
-        :class:`ClusterError` only when every candidate replica failed
-        within the retry and deadline budget.  ``budget`` overrides the
-        retry deadline budget (prediction-derived scatter deadlines);
-        ``predicted`` seeds the hedge delay before the latency window
-        has enough samples for the percentile rule.
+        replica served, how many failovers it took and how long the
+        serving call ran.  Raises :class:`ClusterError` only when every
+        candidate replica failed within the retry and deadline budget.
+        ``budget`` overrides the retry deadline budget
+        (prediction-derived scatter deadlines).
         """
         candidates = self._candidates(sg, payload["graph_id"])
         deadline = time.monotonic() + (
             budget if budget is not None else self._deadline_budget()
         )
-        hedge_delay = None
         try:
-            if self._hedge_pool is not None and len(candidates) >= 2:
-                hedge_delay = self.hedge.delay(self._latency[sg.name])
-                if hedge_delay is None and predicted > 0.0:
-                    # cold start: no latency history yet, but the cost
-                    # model already knows roughly how long this shard
-                    # should take — hedge when the primary runs well past
-                    # its prediction
-                    hedge_delay = min(
-                        max(
-                            predicted * HEDGE_PREDICTION_FACTOR,
-                            self.hedge.min_delay,
-                        ),
-                        self.hedge.max_delay,
-                    )
-            if hedge_delay is not None:
-                value, meta = self._hedged_request(
-                    sg, candidates, payload, deadline, hedge_delay
-                )
-            else:
-                value, meta = self._failover_request(
-                    sg, candidates, payload, deadline
-                )
+            value, meta = self._failover_request(
+                sg, candidates, payload, deadline
+            )
         except BaseException as exc:
             self._end_scatter_span(span, type(exc).__name__)
             raise
@@ -669,27 +600,6 @@ class Coordinator:
             self._failover_dumped = True
             self.flight.auto_dump("replica-failover")
 
-    def _timed_call(
-        self, sg: _ShardGroup, replica: _Replica, payload: dict,
-        deadline: float,
-    ):
-        """Returns ``(value, elapsed_seconds)`` — the measured latency
-        feeds both the hedge window and the cost predictor."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise ClusterError(
-                f"shard {sg.name!r} deadline budget exhausted before "
-                f"calling {replica.name!r}"
-            )
-        started = time.perf_counter()
-        value = self._call(
-            replica, payload,
-            timeout=min(self.request_timeout, remaining),
-        )
-        elapsed = time.perf_counter() - started
-        self._latency[sg.name].add(elapsed)
-        return value, elapsed
-
     def _failover_request(
         self,
         sg: _ShardGroup,
@@ -711,9 +621,17 @@ class Coordinator:
                 if pause > 0:
                     time.sleep(min(pause, max(remaining, 0.0)))
             replica = candidates[attempt % len(candidates)]
+            remaining = deadline - time.monotonic()
+            started = time.perf_counter()
             try:
-                value, elapsed = self._timed_call(
-                    sg, replica, payload, deadline
+                if remaining <= 0:
+                    raise ClusterError(
+                        f"shard {sg.name!r} deadline budget exhausted "
+                        f"before calling {replica.name!r}"
+                    )
+                value = self._call(
+                    replica, payload,
+                    timeout=min(self.request_timeout, remaining),
                 )
             except (CommError, ClusterError) as exc:
                 errors[replica.name] = repr(exc)
@@ -726,123 +644,13 @@ class Coordinator:
             return value, {
                 "replica": replica.name,
                 "failovers": attempt,
-                "hedged": False,
-                "elapsed": elapsed,
+                "elapsed": time.perf_counter() - started,
             }
         raise ClusterError(
             f"shard {sg.name!r} failed on every replica within its "
             f"retry budget ({attempts} attempt(s)): "
             f"{errors or 'deadline exhausted'}"
         )
-
-    def _hedged_request(
-        self,
-        sg: _ShardGroup,
-        candidates: "list[_Replica]",
-        payload: dict,
-        deadline: float,
-        hedge_delay: float,
-    ) -> "tuple[object, dict]":
-        """Primary + (after ``hedge_delay``) one duplicate; first
-        success wins, the loser's late reply is dropped and counted —
-        exactly-once merging is preserved because only the winner's
-        reply leaves this method."""
-        assert self._hedge_pool is not None
-        primary, backup = candidates[0], candidates[1]
-        pending: "dict[Future, _Replica]" = {}
-        errors: dict[str, str] = {}
-        f_primary = self._hedge_pool.submit(
-            self._timed_call, sg, primary, payload, deadline
-        )
-        pending[f_primary] = primary
-        try:
-            value, elapsed = f_primary.result(timeout=hedge_delay)
-            return value, {
-                "replica": primary.name, "failovers": 0, "hedged": False,
-                "elapsed": elapsed,
-            }
-        except FutureTimeoutError:
-            pass  # straggler: hedge fires below
-        except (CommError, ClusterError) as exc:
-            # primary failed outright before the hedge delay — this is
-            # plain failover territory, not a hedge
-            errors[primary.name] = repr(exc)
-            pending.pop(f_primary, None)
-            self._note_failover(
-                sg, primary.name, backup.name, type(exc).__name__
-            )
-            value, meta = self._failover_request(
-                sg, candidates[1:], payload, deadline
-            )
-            meta["failovers"] += 1
-            return value, meta
-        self.metrics.counter(
-            "repro_cluster_hedged_queries_total",
-            "straggler subqueries duplicated to a second replica",
-        ).inc()
-        self.flight.record(
-            "hedged_query",
-            shard=sg.name,
-            primary=primary.name,
-            hedge=backup.name,
-            delay_s=round(hedge_delay, 4),
-        )
-        f_backup = self._hedge_pool.submit(
-            self._timed_call, sg, backup, payload, deadline
-        )
-        pending[f_backup] = backup
-        winner: "tuple[object, float, _Replica] | None" = None
-        while pending and winner is None:
-            remaining = deadline - time.monotonic()
-            done, _ = futures_wait(
-                list(pending),
-                timeout=max(remaining, 0.0) if remaining > 0 else 0.0,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                break  # deadline exhausted with requests still in flight
-            for future in done:
-                replica = pending.pop(future)
-                try:
-                    value, elapsed = future.result()
-                except (CommError, ClusterError) as exc:
-                    errors[replica.name] = repr(exc)
-                    continue
-                winner = (value, elapsed, replica)
-                break
-        if winner is None:
-            raise ClusterError(
-                f"shard {sg.name!r} hedged subquery failed on both "
-                f"replicas: {errors or 'deadline exhausted'}"
-            )
-        value, elapsed, replica = winner
-        for future, loser in pending.items():
-            future.add_done_callback(
-                self._make_hedge_drop(sg, loser)
-            )
-        return value, {
-            "replica": replica.name,
-            "failovers": 0,
-            "hedged": True,
-            "elapsed": elapsed,
-        }
-
-    def _make_hedge_drop(self, sg: _ShardGroup, loser: _Replica):
-        def _drop(future: Future) -> None:
-            exc = future.exception()
-            if exc is None:
-                # the loser also answered correctly; its reply is
-                # discarded here, before any merge could see it
-                self.metrics.counter(
-                    "repro_cluster_hedged_duplicates_dropped_total",
-                    "correct duplicate replies dropped after a hedge",
-                ).inc()
-                self.flight.record(
-                    "hedged_duplicate_dropped",
-                    shard=sg.name,
-                    replica=loser.name,
-                )
-        return _drop
 
     # -- probe-driven membership -------------------------------------------
 
@@ -1069,7 +877,6 @@ class Coordinator:
             "repro_cluster_query_seconds",
             "end-to-end scatter/gather query latency",
         ).observe(elapsed)
-        self.slo.record(elapsed, ok=not outcome["partial"])
         if not replies:
             raise ClusterError(
                 f"query {pattern.name!r} on {graph_id!r} failed on every "
@@ -1139,7 +946,7 @@ class Coordinator:
     ) -> tuple:
         """Send one shard its subquery; returns ``(shard group,
         placement, scatter span, future)`` for the gather."""
-        _, est, budget = prediction
+        budget = prediction[2]
         sspan = None
         trace_ctx = None
         if self._tracer is not None:
@@ -1164,7 +971,6 @@ class Coordinator:
             {**payload, "trace": trace_ctx},
             sspan,
             budget,
-            est.seconds,
         )
         return sg, placement, sspan, future
 
@@ -1174,11 +980,11 @@ class Coordinator:
     ) -> "tuple[list, dict]":
         """One fold over the shard replies: the ``(root range, report)``
         pairs to merge, and the outcome half of ``notes["cluster"]`` —
-        who served, failed over, hedged or failed."""
+        who served, failed over or failed."""
         replies: "list[tuple[tuple[int, int], SimReport]]" = []
         failed: dict[str, str] = {}
         served_by: dict[str, str] = {}
-        failovers = hedged = 0
+        failovers = 0
         for sg, placement, sspan, future in scattered:
             try:
                 envelope, meta = future.result()
@@ -1193,7 +999,6 @@ class Coordinator:
                 continue
             self._record_shard_success(sg.name)
             failovers += meta["failovers"]
-            hedged += bool(meta["hedged"])
             served_by[sg.name] = meta["replica"]
             feats, est, _ = predictions[sg.name]
             if meta["elapsed"]:
@@ -1235,7 +1040,6 @@ class Coordinator:
             "failures": failed,
             "served_by": served_by,
             "failovers": failovers,
-            "hedged": hedged,
         }
 
     def _adopt_shard_trace(
@@ -1287,12 +1091,12 @@ class Coordinator:
     def health(self) -> ClusterHealth:
         """Gather per-replica health; aggregate to one cluster state.
 
-        Replica replies piggyback metrics deltas (federated here) and
-        the SLO tracker's statuses join the report: a burning error
-        budget degrades the cluster even while every replica is
-        individually healthy.  A non-healthy aggregate records a flight
-        event and — once per state, when a flight dir is configured —
-        auto-dumps the coordinator's ring.
+        Replica replies piggyback metrics deltas (federated here).  A
+        dead or evicted replica, or a non-closed breaker, degrades the
+        cluster even while every reachable replica is individually
+        healthy.  A non-healthy aggregate records a flight event and —
+        once per state, when a flight dir is configured — auto-dumps the
+        coordinator's ring.
         """
         results = self._scatter(
             [(r, {"op": "health"}) for r in self._replicas]
@@ -1318,13 +1122,11 @@ class Coordinator:
             state=worst,
             shards=shards,
             breakers=self._breakers.snapshots(),
-            slo=self.slo.evaluate(),
             replicas=self.replica_states(),
         )
         if worst is HealthState.HEALTHY and (
             health.dead
             or health.evicted
-            or health.slo_violations
             or any(s.state != "closed" for s in health.breakers.values())
         ):
             health = replace(health, state=HealthState.DEGRADED)
@@ -1334,24 +1136,9 @@ class Coordinator:
                 "health_degraded",
                 state=state,
                 dead=list(health.dead),
-                slo_violations=list(health.slo_violations),
             )
             self.flight.auto_dump(f"health-{state}")
         return health
-
-    def stats(self) -> dict:
-        """Per-replica worker stats (``op: stats``) keyed by name.
-
-        Unreachable replicas map to None — the ``top`` dashboard
-        renders them as DEAD rows instead of erroring out.
-        """
-        results = self._scatter(
-            [(r, {"op": "stats"}) for r in self._replicas]
-        )
-        return {
-            replica.name: (None if exc is not None else value)
-            for replica, value, exc in results
-        }
 
     def predictor_snapshot(self) -> dict:
         """Accuracy + coverage of the coordinator's per-shard cost model.
@@ -1456,8 +1243,6 @@ class Coordinator:
         for replica in self._replicas:
             replica.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "Coordinator":
         return self
@@ -1502,7 +1287,6 @@ class LocalCluster:
         flight_dir: "str | Path | None" = None,
         replicas: int | None = None,
         retry: "RetryPolicy | None" = None,
-        hedge: "HedgePolicy | None" = None,
         probe_interval: float = 0.0,
         probe_failures: int = 3,
         probe_recoveries: int = 2,
@@ -1556,7 +1340,6 @@ class LocalCluster:
             request_timeout=request_timeout,
             flight_dir=flight_dir,
             retry=retry,
-            hedge=hedge,
             probe_interval=probe_interval,
             probe_failures=probe_failures,
             probe_recoveries=probe_recoveries,

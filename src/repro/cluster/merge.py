@@ -9,28 +9,22 @@ fields (``siu_busy_cycles``, ``num_sius``) sum, which keeps the derived
 
 Replication adds an *exactly-once* obligation the plain fold cannot
 see: with replica groups, two workers legitimately hold the **same**
-owned root range, and a retried or hedged subquery can produce two
-correct answers for it.  Summing both would double-count every
-embedding rooted in that range — silently, since the merged total still
-"looks like a number".  The range-tagged entry points guard against
-this:
-
-* :func:`dedupe_replies` — first answer per root range wins, later
-  duplicates are dropped (with a callback so the coordinator can count
-  them: hedged losers are *expected* duplicates, not bugs);
-* :func:`merge_replies` — refuses duplicate or overlapping ranges with
-  a typed :class:`~repro.errors.ClusterError`; the last line of defence
-  right before the fold.
+owned root range, so a bug that let two replicas' answers for one shard
+through would double-count every embedding rooted in that range —
+silently, since the merged total still "looks like a number".
+:func:`merge_replies` is the guard: it refuses duplicate or overlapping
+ranges with a typed :class:`~repro.errors.ClusterError`, right before
+the fold.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import ClusterError
 from ..sim.report import SimReport
 
-__all__ = ["merge_reports", "merge_replies", "dedupe_replies"]
+__all__ = ["merge_reports", "merge_replies"]
 
 #: one range-tagged shard answer: ((lo, hi) owned root range, report)
 Reply = tuple[tuple[int, int], SimReport]
@@ -85,33 +79,6 @@ def merge_reports(
     return merged
 
 
-def dedupe_replies(
-    replies: Sequence[Reply],
-    on_duplicate: "Callable[[tuple[int, int], SimReport], None] | None" = None,
-) -> list[Reply]:
-    """Keep the first answer per root range; drop later duplicates.
-
-    The expected source of duplicates is a hedged subquery whose loser
-    replica also answered — a correct reply that must still be thrown
-    away.  ``on_duplicate`` receives each dropped ``(range, report)``
-    so the caller can increment its duplicate counter.  Only *exact*
-    range duplicates are deduped: overlapping-but-unequal ranges are a
-    partitioning bug, not a race, and are left for
-    :func:`merge_replies` to reject loudly.
-    """
-    seen: set[tuple[int, int]] = set()
-    kept: list[Reply] = []
-    for rng, report in replies:
-        key = (int(rng[0]), int(rng[1]))
-        if key in seen:
-            if on_duplicate is not None:
-                on_duplicate(key, report)
-            continue
-        seen.add(key)
-        kept.append((key, report))
-    return kept
-
-
 def merge_replies(
     replies: Sequence[Reply],
     graph_name: str = "",
@@ -136,9 +103,8 @@ def merge_replies(
     for rng in ranges:
         if rng in seen:
             raise ClusterError(
-                f"root range [{rng[0]}, {rng[1]}) answered twice — a "
-                f"replica duplicate escaped dedupe; refusing to "
-                f"double-count"
+                f"root range [{rng[0]}, {rng[1]}) answered twice — "
+                f"refusing to double-count"
             )
         seen.add(rng)
     ordered = sorted(ranges)

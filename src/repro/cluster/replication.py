@@ -1,4 +1,4 @@
-"""Replica groups, retry/hedge policies, and probe-driven membership.
+"""Replica groups, the retry policy, and probe-driven membership.
 
 The coordinator's failover layer.  Pattern-matching work over a vertex
 range is stateless and re-routable — any replica holding the same
@@ -14,13 +14,9 @@ up:
 * :class:`RetryPolicy` — how hard one scattered subquery tries: one
   pass over the candidate replicas per *round* (failover to the next
   replica is immediate), capped exponential backoff between rounds,
-  everything bounded by a per-query deadline budget.
-* :class:`HedgePolicy` — tail-latency insurance: when the primary's
-  reply is slower than a recent-latency percentile, duplicate the
-  subquery to the next-healthiest replica and take the first success.
-  Both replicas own the identical root range, so the loser's reply is
-  dropped (never merged twice — the exactly-once guard in
-  :mod:`repro.cluster.merge` backstops this).
+  everything bounded by a per-query deadline budget.  A replica that is
+  slow but alive is waited out, not duplicated: only a failure moves
+  the subquery on, so exactly one reply per shard reaches the merge.
 * :class:`HealthProber` — background membership: consecutive failed
   pings evict a replica, consecutive passes bring it back (the
   coordinator re-registers graphs on rejoin before routing resumes).
@@ -37,11 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..errors import ClusterError
-from ..obs.summary import Window, percentile
 
 __all__ = [
     "HealthProber",
-    "HedgePolicy",
     "ReplicaGroup",
     "ReplicaState",
     "RetryPolicy",
@@ -96,49 +90,6 @@ class RetryPolicy:
         return min(
             self.base * self.multiplier ** (round_index - 1), self.cap
         )
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When to duplicate a straggler subquery to a second replica.
-
-    The hedge fires after the ``percentile``-th percentile of the
-    shard's recent request latencies (clamped to
-    ``[min_delay, max_delay]``) — the classic tail-at-scale recipe: the
-    duplicate only spends a second replica's work on requests already
-    slower than almost all recent ones.  Below ``min_samples`` observed
-    latencies the estimate is noise and hedging stays off.
-    """
-
-    enabled: bool = False
-    percentile: float = 99.0
-    min_samples: int = 16
-    min_delay: float = 0.02
-    max_delay: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.percentile <= 100:
-            raise ClusterError(
-                f"hedge percentile must be in (0, 100], "
-                f"got {self.percentile}"
-            )
-        if self.min_delay < 0 or self.max_delay < self.min_delay:
-            raise ClusterError(
-                f"hedge delays must satisfy 0 <= min <= max, got "
-                f"[{self.min_delay}, {self.max_delay}]"
-            )
-        if self.min_samples < 0:
-            raise ClusterError("min_samples must be >= 0")
-
-    def delay(self, window: "Window") -> float | None:
-        """Seconds to wait before hedging, or None (don't hedge yet)."""
-        if not self.enabled:
-            return None
-        values = window.values()
-        if len(values) < self.min_samples:
-            return None
-        p = percentile(values, self.percentile) if values else 0.0
-        return min(max(p, self.min_delay), self.max_delay)
 
 
 class ReplicaGroup:

@@ -49,7 +49,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .profile import ExecutionProfile, build_profile
-from .slo import DEFAULT_SLOS, SLO, SLOStatus, SLOTracker
 from .summary import DEFAULT_PERCENTILES, Window, percentile, summarize
 from .tracing import Span, Tracer, current_span
 
@@ -58,7 +57,6 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PERCENTILES",
-    "DEFAULT_SLOS",
     "ExecutionProfile",
     "FLIGHT_DIR_ENV",
     "FederatedMetrics",
@@ -70,9 +68,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "Observation",
-    "SLO",
-    "SLOStatus",
-    "SLOTracker",
     "Span",
     "TraceContext",
     "Tracer",

@@ -18,8 +18,9 @@ tree; manual :meth:`FlightRecorder.dump` always works.  Each distinct
 ``reason`` dumps at most once per recorder, so a flapping health check
 cannot spam the disk.
 
-Surfaced via ``python -m repro top`` (live dashboard) and
-``python -m repro flight --dump``.
+Read back with :meth:`FlightRecorder.events` / :meth:`FlightRecorder.counts`
+(``python -m repro health --json`` prints the service's counts) and,
+for a live shard, ``Coordinator.shard_flight``.
 """
 
 from __future__ import annotations

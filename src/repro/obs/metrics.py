@@ -17,8 +17,6 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from .summary import DEFAULT_PERCENTILES, percentile
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -351,7 +349,3 @@ class MetricsRegistry:
             for sample_name, value in metric.samples():
                 lines.append(f"{sample_name} {value:g}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def percentile_of(self, samples, pct: float) -> float:
-        """Convenience passthrough to the shared nearest-rank helper."""
-        return percentile(samples, pct)

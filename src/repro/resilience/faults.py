@@ -343,7 +343,7 @@ def inject(injector: FaultInjector) -> Iterator[FaultInjector]:
 
 #: the process-wide comm-fault injector (None = no comm chaos, no cost).
 #: Module-global rather than a contextvar: transport requests run on
-#: scatter/hedge pool threads whose contexts never saw the arming scope.
+#: scatter pool threads whose contexts never saw the arming scope.
 _COMM_ACTIVE: FaultInjector | None = None
 _COMM_LOCK = threading.Lock()
 

@@ -189,6 +189,17 @@ class TestCluster:
         assert "cluster health: degraded" in out
         assert "UNREACHABLE" in out
 
+    def test_replica_kill_fails_over(self, capsys):
+        rc = main(
+            ["cluster", "--shards", "2", "--nodes", "60", "--degree", "6",
+             "--replicas", "2", "--kill", "0"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "killed shard0/r0" in out
+        assert "1 failover(s)" in out
+        assert "PARTIAL" not in out
+
     def test_transport_choice_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--transport", "smoke"])
@@ -217,46 +228,3 @@ class TestJsonFlags:
         # the flight-recorder counts ride along
         assert payload["flight"]["submit"] == 5
         assert payload["flight"]["done"] == 5
-
-
-class TestTopCommand:
-    def test_bounded_dashboard(self, capsys):
-        rc = main(
-            ["top", "--shards", "2", "--nodes", "40",
-             "--iterations", "2", "--interval", "0"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "tick 1/2" in out and "tick 2/2" in out
-        assert "cluster health: healthy" in out
-        assert "slo query_latency_p99" in out
-        assert "shard0: queries=2" in out
-
-
-class TestFlightCommand:
-    def test_chaos_run_prints_ring(self, capsys):
-        rc = main(
-            ["flight", "--shards", "2", "--nodes", "40", "--kill", "1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "killed shard1" in out
-        assert "flight recorder" in out
-        assert "breaker_trip" in out
-        assert "shard_kill" in out
-
-    def test_dump_writes_json(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "ring.json"
-        rc = main(
-            ["flight", "--shards", "2", "--nodes", "40",
-             "--dump", str(target)]
-        )
-        assert rc == 0
-        assert f"wrote {target}" in capsys.readouterr().out
-        payload = json.loads(target.read_text())
-        assert payload["recorder"] == "coordinator"
-        kinds = {e["kind"] for e in payload["events"]}
-        assert "shard_kill" in kinds and "breaker_trip" in kinds

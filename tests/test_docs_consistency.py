@@ -141,9 +141,9 @@ class TestReplicationDocs:
     def test_readme_section(self, readme):
         assert "### Replication & failover" in readme
         for phrase in (
-            "replicas=2", "RetryPolicy", "HedgePolicy",
+            "replicas=2", "RetryPolicy",
             "zero partial", "byte-identical", "served_by",
-            "replica_failovers_total", "hedged_queries_total",
+            "replica_failovers_total",
             "cluster.failovers",
             "python -m repro cluster --replicas 2",
         ):
@@ -152,19 +152,18 @@ class TestReplicationDocs:
     def test_architecture_section(self, architecture):
         assert "## Replication & failover" in architecture
         for phrase in (
-            "ReplicaGroup", "RetryPolicy", "HedgePolicy",
+            "ReplicaGroup", "RetryPolicy",
             "HealthProber", "exactly-once",
             "FRAME_BODY_TIMEOUT", "comm.send",
-            "repro_cluster_replica_state", "query_availability",
-            "probe_failures", "dedupe_replies",
+            "repro_cluster_replica_state",
+            "probe_failures",
         ):
             assert phrase in architecture, phrase
 
     def test_documented_replication_api_exists(self):
         import repro
 
-        for name in ("RetryPolicy", "HedgePolicy", "ReplicaState",
-                     "HealthProber"):
+        for name in ("RetryPolicy", "ReplicaState", "HealthProber"):
             assert hasattr(repro, name), name
 
     def test_replicas_one_semantics_documented(self, readme, architecture):
@@ -261,18 +260,16 @@ class TestClusterObservabilityDocs:
     def test_readme_section(self, readme):
         assert "### Observability across the cluster" in readme
         for phrase in (
-            "TraceContext", "python -m repro top",
-            "python -m repro flight --dump", 'shard="all"',
-            "flight recorder", "SLO", "obs.observability_overhead_ratio",
+            "TraceContext", 'shard="all"',
+            "flight recorder", "obs.observability_overhead_ratio",
         ):
             assert phrase in readme, phrase
 
     def test_architecture_section(self, architecture):
         assert "## Observability across the cluster" in architecture
         for phrase in (
-            "TraceContext", "MetricsSnapshot", "burn rate",
+            "TraceContext", "MetricsSnapshot",
             "FlightRecorder", "REPRO_FLIGHT_DIR", "re-anchor",
-            "error budget",
         ):
             assert phrase in architecture, phrase
 
@@ -281,7 +278,7 @@ class TestClusterObservabilityDocs:
 
         parser = build_parser()
         sub = parser._subparsers._group_actions[0]
-        for name in ("top", "flight", "stats", "health"):
+        for name in ("stats", "health"):
             assert name in sub.choices, name
             assert f"python -m repro {name}" in readme, name
         # the machine-readable flags exist on both surfaces
@@ -297,7 +294,7 @@ class TestClusterObservabilityDocs:
 
         for name in (
             "TraceContext", "MetricsSnapshot", "FederatedMetrics",
-            "SLO", "SLOTracker", "FlightRecorder", "collect_job_spans",
+            "FlightRecorder", "collect_job_spans",
         ):
             assert hasattr(obs, name), name
 

@@ -1,10 +1,10 @@
-"""Cluster-wide observability: trace propagation, federation, SLOs, flight.
+"""Cluster-wide observability: trace propagation, federation, flight.
 
 One distributed query must yield one coherent story: the coordinator's
 scatter spans, every shard's service → engine → simulator subtree
 (re-anchored to coordinator time), a federated Prometheus registry
-labelled by shard, SLO status in the health report, and a flight-recorder
-ring that dumps itself when chaos strikes.
+labelled by shard, and a flight-recorder ring that dumps itself when
+chaos strikes.
 """
 
 import json
@@ -21,8 +21,6 @@ from repro.obs import (
     FlightRecorder,
     MetricsDeltaTracker,
     MetricsRegistry,
-    SLO,
-    SLOTracker,
     TraceContext,
     Tracer,
     collect_job_spans,
@@ -81,66 +79,6 @@ class TestCollectJobSpans:
         with tracer.span("service.job", job_id=1):
             pass
         assert collect_job_spans(tracer.finished(), 99) == []
-
-
-# -- SLO engine -------------------------------------------------------------
-
-
-class TestSLO:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLO("x", "throughput", 1.0)
-        with pytest.raises(ValueError):
-            SLO("x", "latency", 0.0)
-        with pytest.raises(ValueError):
-            SLO("x", "latency", 1.0, percentile=0.0)
-        with pytest.raises(ValueError):
-            SLO("x", "error_rate", 1.5)
-
-    def test_budget_fraction(self):
-        lat = SLO("lat", "latency", 1.0, percentile=99.0)
-        assert lat.budget_fraction == pytest.approx(0.01)
-        err = SLO("err", "error_rate", 0.02)
-        assert err.budget_fraction == pytest.approx(0.02)
-
-    def test_no_samples_is_met(self):
-        tracker = SLOTracker((SLO("lat", "latency", 1.0),))
-        status = tracker.evaluate()["lat"]
-        assert status.met and status.burn_rate == 0.0
-        assert status.samples == 0
-        assert tracker.violated() == []
-
-    def test_latency_violation_and_burn(self):
-        tracker = SLOTracker(
-            (SLO("lat", "latency", 0.1, percentile=50.0),)
-        )
-        for _ in range(10):
-            tracker.record(1.0)
-        status = tracker.evaluate()["lat"]
-        assert not status.met
-        assert status.observed == pytest.approx(1.0)
-        # every sample busts the target: bad_fraction 1.0 over a 0.5
-        # budget → 2x burn
-        assert status.burn_rate == pytest.approx(2.0)
-        assert [s.name for s in tracker.violated()] == ["lat"]
-
-    def test_error_rate(self):
-        tracker = SLOTracker((SLO("err", "error_rate", 0.25),))
-        for ok in (True, True, False, False):
-            tracker.record(0.01, ok=ok)
-        status = tracker.evaluate()["err"]
-        assert status.observed == pytest.approx(0.5)
-        assert not status.met
-        assert status.burn_rate == pytest.approx(2.0)
-
-    def test_status_renders(self):
-        tracker = SLOTracker((SLO("lat", "latency", 1.0),))
-        tracker.record(0.05)
-        status = tracker.evaluate()["lat"]
-        assert "lat" in status.line() and "OK" in status.line()
-        d = status.to_dict()
-        assert d["met"] is True and d["kind"] == "latency"
-        assert "lat" in tracker.summary()
 
 
 # -- flight recorder --------------------------------------------------------
@@ -467,7 +405,7 @@ class TestFederationOverCluster:
                 buckets(f"shard{i}").get(le, 0.0) for i in range(3)
             ), le
 
-    def test_health_federates_and_reports_slo(self):
+    def test_health_federates_and_reports_state(self):
         with LocalCluster(
             num_shards=2, observability=True, max_workers=1
         ) as cluster:
@@ -476,24 +414,12 @@ class TestFederationOverCluster:
             coord.query(gid, PATTERNS["3CF"], use_cache=False)
             health = coord.health()
             assert health.state is HealthState.HEALTHY
-            assert set(health.slo) == {
-                "query_latency_p99", "query_error_rate"
-            }
-            assert all(s.met for s in health.slo.values())
-            assert "slo query_latency_p99" in health.summary()
             d = health.to_dict()
             assert d["state"] == "healthy"
-            assert d["slo"]["query_error_rate"]["met"] is True
-
-    def test_slo_violation_degrades_health(self):
-        with LocalCluster(num_shards=2, max_workers=1) as cluster:
-            coord = cluster.coordinator
-            for _ in range(5):
-                coord.slo.record(0.01, ok=False)
-            health = coord.health()
-            assert health.state is HealthState.DEGRADED
-            assert "query_error_rate" in health.slo_violations
-            assert coord.flight.events("health_degraded")
+            # every shard's metric deltas land under its own label
+            text = coord.federation.render()
+            for shard in ("shard0", "shard1"):
+                assert f'shard="{shard}"' in text, shard
 
 
 class TestClusterFlight:

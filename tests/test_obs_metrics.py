@@ -223,11 +223,6 @@ class TestMetricsRegistry:
         assert 'lat_bucket{engine="event",le="+Inf"} 1' in text
         assert 'lat_count{engine="event"} 1' in text
 
-    def test_percentile_of_passthrough(self):
-        reg = MetricsRegistry()
-        assert reg.percentile_of([3.0, 1.0], 100) == 3.0
-        assert reg.percentile_of([], 50) == 0.0
-
     def test_default_percentiles_constant(self):
         assert DEFAULT_PERCENTILES == (50, 90, 99)
 

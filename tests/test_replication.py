@@ -1,4 +1,4 @@
-"""Replica groups, failover, hedging, probing, exactly-once merging.
+"""Replica groups, failover, probing, exactly-once merging.
 
 The headline chaos property: with ``cluster_replicas >= 2``, killing any
 single replica mid-workload yields **byte-identical** counts to a
@@ -13,25 +13,16 @@ import pytest
 
 from repro.cluster import (
     HealthProber,
-    HedgePolicy,
     LocalCluster,
     ReplicaGroup,
     ReplicaState,
     RetryPolicy,
-    dedupe_replies,
     merge_replies,
 )
 from repro.core.config import xset_default
 from repro.engine import available_engines
 from repro.errors import ClusterError, ConfigError
 from repro.graph import erdos_renyi
-from repro.obs.slo import (
-    AVAILABILITY_SLO,
-    DEFAULT_SLOS,
-    REPLICATED_SLOS,
-    SLO,
-    SLOTracker,
-)
 from repro.patterns import PATTERNS, build_plan
 from repro.resilience import (
     FaultInjector,
@@ -81,50 +72,6 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ClusterError):
             RetryPolicy(deadline=0.0)
-
-
-class TestHedgePolicy:
-    def test_disabled_never_hedges(self):
-        from repro.obs.summary import Window
-
-        w = Window(16)
-        for _ in range(16):
-            w.add(0.5)
-        assert HedgePolicy(enabled=False).delay(w) is None
-
-    def test_needs_samples(self):
-        from repro.obs.summary import Window
-
-        w = Window(16)
-        w.add(0.5)
-        policy = HedgePolicy(enabled=True, min_samples=4)
-        assert policy.delay(w) is None
-        for _ in range(3):
-            w.add(0.5)
-        assert policy.delay(w) is not None
-
-    def test_delay_clamped(self):
-        from repro.obs.summary import Window
-
-        w = Window(16)
-        for _ in range(8):
-            w.add(100.0)  # absurd p99
-        policy = HedgePolicy(
-            enabled=True, min_samples=4, min_delay=0.01, max_delay=0.25
-        )
-        assert policy.delay(w) == pytest.approx(0.25)
-        w2 = Window(16)
-        for _ in range(8):
-            w2.add(1e-6)  # near-zero p99
-        assert policy.delay(w2) == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ClusterError):
-            HedgePolicy(percentile=0.0)
-        with pytest.raises(ClusterError):
-            HedgePolicy(min_delay=0.5, max_delay=0.1)
-        with pytest.raises(ClusterError):
-            HedgePolicy(min_samples=-1)
 
 
 class TestReplicaGroup:
@@ -274,29 +221,8 @@ class TestMergeReplies:
         with pytest.raises(ClusterError):
             merge_replies([])
 
-    def test_dedupe_drops_hedged_duplicate(self):
-        dropped = []
-        kept = dedupe_replies(
-            [
-                self._reply(0, 10, 3),
-                self._reply(10, 20, 4),
-                self._reply(0, 10, 3),  # the hedge loser's late answer
-            ],
-            on_duplicate=lambda rng, rep: dropped.append(rng),
-        )
-        assert len(kept) == 2
-        assert dropped == [(0, 10)]
-        assert merge_replies(kept).embeddings == 7
 
-    def test_dedupe_keeps_first_answer(self):
-        kept = dedupe_replies(
-            [self._reply(0, 10, 3), self._reply(0, 10, 999)]
-        )
-        assert len(kept) == 1
-        assert kept[0][1].embeddings == 3
-
-
-# -- config / SLO surface ---------------------------------------------------
+# -- config surface -------------------------------------------------------
 
 
 class TestReplicationConfig:
@@ -323,40 +249,6 @@ class TestReplicationConfig:
             ]
         with LocalCluster(num_shards=2, config=cfg) as c:
             assert [w.name for w in c.workers] == ["shard0", "shard1"]
-
-
-class TestAvailabilitySLO:
-    def test_kind_evaluates(self):
-        tracker = SLOTracker((AVAILABILITY_SLO,), window=64)
-        for _ in range(999):
-            tracker.record(0.01, ok=True)
-        status = tracker.evaluate()["query_availability"]
-        assert status.met and status.observed == 1.0
-        tracker2 = SLOTracker(
-            (SLO(name="a", kind="availability", target=0.9),), window=10
-        )
-        for i in range(10):
-            tracker2.record(0.01, ok=(i % 2 == 0))
-        status = tracker2.evaluate()["a"]
-        assert not status.met
-        assert status.observed == pytest.approx(0.5)
-        assert status.burn_rate == pytest.approx(0.5 / 0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLO(name="a", kind="availability", target=1.5)
-
-    def test_replicated_coordinator_tracks_availability(self):
-        cfg = xset_default(engine="batched")
-        with LocalCluster(num_shards=2, config=cfg, replicas=2) as c:
-            names = {s.name for s in c.coordinator.slo.slos}
-            assert "query_availability" in names
-        with LocalCluster(num_shards=2, config=cfg) as c:
-            names = {s.name for s in c.coordinator.slo.slos}
-            assert names == {s.name for s in DEFAULT_SLOS}
-
-    def test_replicated_slos_superset(self):
-        assert set(DEFAULT_SLOS) < set(REPLICATED_SLOS)
 
 
 # -- the headline chaos property --------------------------------------------
@@ -498,6 +390,39 @@ class TestFailover:
             assert info["partial"] is True
             assert info["failed_shards"] == ["shard1"]
 
+    def test_straggling_primary_is_waited_out(self):
+        """A slow replica is not a dead one: the primary's answer is
+        awaited, nothing fails over, and one reply is merged."""
+        g = erdos_renyi(50, 6.0, seed=5)
+        expected = _reference(g, PATTERNS["3CF"])
+        cfg = xset_default(engine="batched")
+        # tcp: its request timeouts are real (inproc calls the handler
+        # synchronously), so taking slowness for failure would show here
+        with LocalCluster(
+            num_shards=1, config=cfg, transport="tcp", mode="thread",
+            max_workers=1, replicas=2, retry=FAST_RETRY,
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            cluster.worker_groups[0][0].service.arm_faults(
+                FaultPlan(seed=3, specs=(
+                    FaultSpec(site="worker.run", kind=FaultKind.HANG,
+                              seconds=0.2),
+                ))
+            )
+            started = time.monotonic()
+            report = coord.query(gid, PATTERNS["3CF"])
+            assert time.monotonic() - started >= 0.2  # it did straggle
+            info = report.notes["cluster"]
+            assert report.embeddings == expected
+            assert info["partial"] is False
+            assert info["failovers"] == 0
+            assert info["served_by"]["shard0"] == "shard0/r0"
+            assert info["ok"] == 1  # exactly one reply merged
+            assert coord.metrics.counter(
+                "repro_cluster_replica_failovers_total"
+            ).value == 0
+
 
 # -- probe-driven membership -------------------------------------------------
 
@@ -614,72 +539,6 @@ class TestProberIntegration:
                 "shard1/r1"
             ] == "evicted"
             assert "shard1/r1" in health.summary()
-
-
-# -- hedged subqueries -------------------------------------------------------
-
-
-class TestHedging:
-    def test_straggler_hedged_exactly_once(self):
-        g = erdos_renyi(50, 6.0, seed=5)
-        expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=1, config=cfg, replicas=2, retry=FAST_RETRY,
-            hedge=HedgePolicy(
-                enabled=True, min_samples=0, min_delay=0.05,
-                max_delay=0.1,
-            ),
-        ) as cluster:
-            coord = cluster.coordinator
-            gid = coord.register_graph(g)
-            # make the primary a straggler: every job on its service
-            # hangs well past the hedge delay
-            cluster.worker_groups[0][0].service.arm_faults(
-                FaultPlan(specs=(
-                    FaultSpec(site="worker.run", kind=FaultKind.HANG,
-                              seconds=0.6),
-                ))
-            )
-            report = coord.query(gid, PATTERNS["3CF"])
-            assert report.embeddings == expected  # exactly once
-            assert report.notes["cluster"]["partial"] is False
-            assert report.notes["cluster"]["hedged"] == 1
-            assert (
-                report.notes["cluster"]["served_by"]["shard0"]
-                == "shard0/r1"
-            )
-            assert coord.metrics.counter(
-                "repro_cluster_hedged_queries_total"
-            ).value == 1
-            assert coord.flight.events("hedged_query")
-            # the primary eventually answers too; its duplicate is
-            # dropped and counted, never merged
-            _eventually(lambda: coord.metrics.counter(
-                "repro_cluster_hedged_duplicates_dropped_total"
-            ).value >= 1)
-            assert coord.metrics.counter(
-                "repro_cluster_hedged_duplicates_dropped_total"
-            ).value == 1
-            assert coord.flight.events("hedged_duplicate_dropped")
-
-    def test_fast_primary_never_hedges(self):
-        g = erdos_renyi(50, 6.0, seed=5)
-        cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=1, config=cfg, replicas=2, retry=FAST_RETRY,
-            hedge=HedgePolicy(
-                enabled=True, min_samples=0, min_delay=5.0,
-                max_delay=5.0,
-            ),
-        ) as cluster:
-            coord = cluster.coordinator
-            gid = coord.register_graph(g)
-            report = coord.query(gid, PATTERNS["3CF"])
-            assert report.notes["cluster"]["hedged"] == 0
-            assert coord.metrics.counter(
-                "repro_cluster_hedged_queries_total"
-            ).value == 0
 
 
 # -- comm-level fault injection ----------------------------------------------
