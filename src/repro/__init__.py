@@ -16,7 +16,6 @@ Quickstart::
 """
 
 from .errors import (
-    AdmissionError,
     CircuitOpenError,
     ClusterError,
     CommClosedError,
@@ -43,7 +42,6 @@ from .errors import (
 __version__ = "1.5.0"
 
 __all__ = [
-    "AdmissionError",
     "CircuitOpenError",
     "ClusterError",
     "CommClosedError",
@@ -86,8 +84,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "QueryService": "repro.service",
         "JobHandle": "repro.service",
         "JobStatus": "repro.service",
-        "SchedulingConfig": "repro.sched.adaptive",
-        "AdmissionPolicy": "repro.sched.adaptive",
         "CostPredictor": "repro.sched.adaptive",
         "CostEstimate": "repro.sched.adaptive",
         "Coordinator": "repro.cluster",

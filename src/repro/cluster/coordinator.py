@@ -16,7 +16,7 @@ Resilience reuses the service layer's own machinery at cluster scope:
   :class:`~repro.cluster.replication.ReplicaGroup`: a failed subquery
   **fails over** to the next-healthiest replica (immediately within the
   first pass, with capped exponential backoff between retry rounds, all
-  bounded by a per-query deadline budget);
+  bounded by ``request_timeout`` per subquery);
 * a shard whose *every* replica fails degrades the query instead of
   failing it: the merged report carries
   ``notes["cluster"]["partial"] = True`` plus the failed shard names,
@@ -91,7 +91,7 @@ BREAKER_RECOVERY_SECONDS = 30.0
 
 #: scatter deadline budget = predicted shard latency × this safety factor
 #: (applied only to profile-backed predictions, clamped to
-#: [DEADLINE_FLOOR, the configured deadline budget])
+#: [DEADLINE_FLOOR, request_timeout])
 DEADLINE_SAFETY = 8.0
 #: minimum prediction-derived scatter deadline (seconds)
 DEADLINE_FLOOR = 1.0
@@ -541,13 +541,6 @@ class Coordinator:
             ranked = routable or ranked
         return [self._replica_by_name[name] for name in ranked]
 
-    def _deadline_budget(self) -> float:
-        return (
-            self.retry.deadline
-            if self.retry.deadline is not None
-            else self.request_timeout
-        )
-
     def _shard_request(
         self,
         sg: _ShardGroup,
@@ -561,12 +554,12 @@ class Coordinator:
         replica served, how many failovers it took and how long the
         serving call ran.  Raises :class:`ClusterError` only when every
         candidate replica failed within the retry and deadline budget.
-        ``budget`` overrides the retry deadline budget
+        ``budget`` overrides ``request_timeout`` as that deadline budget
         (prediction-derived scatter deadlines).
         """
         candidates = self._candidates(sg, payload["graph_id"])
         deadline = time.monotonic() + (
-            budget if budget is not None else self._deadline_budget()
+            budget if budget is not None else self.request_timeout
         )
         try:
             value, meta = self._failover_request(
@@ -934,7 +927,7 @@ class Coordinator:
                 # conservative prior would cut off legitimately slow
                 # first-contact queries
                 budget = min(
-                    self._deadline_budget(),
+                    self.request_timeout,
                     max(est.seconds * DEADLINE_SAFETY, DEADLINE_FLOOR),
                 )
             predictions[sg.name] = (feats, est, budget)

@@ -14,7 +14,8 @@ up:
 * :class:`RetryPolicy` — how hard one scattered subquery tries: one
   pass over the candidate replicas per *round* (failover to the next
   replica is immediate), capped exponential backoff between rounds,
-  everything bounded by a per-query deadline budget.  A replica that is
+  everything bounded by the coordinator's ``request_timeout`` (or a
+  tighter prediction-derived budget).  A replica that is
   slow but alive is waited out, not duplicated: only a failure moves
   the subquery on, so exactly one reply per shard reaches the merge.
 * :class:`HealthProber` — background membership: consecutive failed
@@ -58,16 +59,15 @@ class RetryPolicy:
     within a round, failover to the next replica is immediate — the
     backoff ``base * multiplier**(round-1)``, capped at ``cap``, applies
     *between* rounds, when every candidate has already failed once and
-    hammering them again immediately would just burn the deadline.
-    ``deadline`` is the per-subquery wall-clock budget; ``None`` defers
-    to the coordinator's ``request_timeout``.
+    hammering them again immediately would just burn the deadline.  The
+    per-subquery wall-clock budget is the coordinator's
+    ``request_timeout``.
     """
 
     rounds: int = 2
     base: float = 0.05
     multiplier: float = 4.0
     cap: float = 2.0
-    deadline: float | None = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -77,10 +77,6 @@ class RetryPolicy:
         if self.multiplier < 1.0:
             raise ClusterError(
                 f"backoff multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ClusterError(
-                f"deadline must be positive, got {self.deadline}"
             )
 
     def backoff(self, round_index: int) -> float:

@@ -73,17 +73,6 @@ class LoadShedError(ServiceError):
     """
 
 
-class AdmissionError(ServiceError):
-    """Admission control rejected this submission at the door.
-
-    Raised at submit time when the query's projected completion — queue
-    backlog drain plus its own predicted cost — cannot meet the caller's
-    deadline.  Unlike :class:`LoadShedError` this is a per-query, cost-
-    model-informed decision: resubmit with a longer deadline, a lighter
-    pattern, or wait for the backlog to drain.
-    """
-
-
 class CircuitOpenError(ServiceError):
     """The target engine's circuit breaker is open and no fallback ran."""
 

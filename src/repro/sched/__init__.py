@@ -2,9 +2,9 @@
 
 Two scheduling layers live here: the paper's per-PE hardware schedulers
 (:mod:`repro.sched.policies`) and the service-level adaptive stack
-(:mod:`repro.sched.adaptive` — cost predictor, engine auto-selection,
-cost-ranked dispatch, deadline-aware admission control).  The adaptive
-names are re-exported lazily so importing ``repro.sched`` for
+(:mod:`repro.sched.adaptive` — cost predictor and engine
+auto-selection, whose predictions rank the service's job queue).  The
+adaptive names are re-exported lazily so importing ``repro.sched`` for
 :class:`SimTask` stays cheap.
 """
 
@@ -19,7 +19,6 @@ from .policies import (
 from .task import SimTask, TaskSetState
 
 __all__ = [
-    "AdmissionPolicy",
     "BarrierFreeScheduler",
     "CostEstimate",
     "CostPredictor",
@@ -27,7 +26,6 @@ __all__ = [
     "PseudoDFSScheduler",
     "QueryFeatures",
     "SchedulerBase",
-    "SchedulingConfig",
     "ShogunScheduler",
     "SimTask",
     "TaskSetState",
@@ -40,11 +38,9 @@ __all__ = [
 #: adaptive-layer names resolved on first attribute access
 _ADAPTIVE = frozenset(
     {
-        "AdmissionPolicy",
         "CostEstimate",
         "CostPredictor",
         "QueryFeatures",
-        "SchedulingConfig",
         "auto_engine",
         "query_features",
         "select_engine",

@@ -3,8 +3,8 @@
 The hardware scheduler (``repro.sched.policies``) decides which task a PE
 runs next inside one simulated accelerator; this package makes the same
 decision one level up, for the *service*: which engine runs a query,
-in which order queued queries dispatch, and whether a deadline-bearing
-query should be admitted at all.  The pieces:
+and how costly a queued query is predicted to be — the key the job
+queue (:mod:`repro.service.scheduler`) dispatches by.  The pieces:
 
 * :mod:`~repro.sched.adaptive.features` — deterministic, relabeling-
   invariant feature extraction per ``(graph fingerprint, canonical
@@ -13,15 +13,9 @@ query should be admitted at all.  The pieces:
   (per-shape EWMA → learned engine throughput → conservative prior) with
   self-reported accuracy;
 * :mod:`~repro.sched.adaptive.selector` — ``engine="auto"`` resolution
-  from predicted cost and breaker state;
-* :mod:`~repro.sched.adaptive.admission` — deadline-aware admission
-  control raising a typed :class:`~repro.errors.AdmissionError`;
-* :mod:`~repro.sched.adaptive.config` — the ``SchedulingConfig`` bundle
-  the :class:`~repro.service.service.QueryService` consumes.
+  from predicted cost and breaker state.
 """
 
-from .admission import AdmissionPolicy
-from .config import QUEUE_POLICIES, SchedulingConfig
 from .features import (
     PlanFeatures,
     QueryFeatures,
@@ -40,15 +34,12 @@ from .selector import AUTO_ENGINE, AUTO_PREFERENCE, auto_engine, select_engine
 __all__ = [
     "AUTO_ENGINE",
     "AUTO_PREFERENCE",
-    "AdmissionPolicy",
     "CostEstimate",
     "CostPredictor",
     "DEFAULT_ENGINE_SPEED",
     "ERROR_RATIO_BUCKETS",
     "PlanFeatures",
-    "QUEUE_POLICIES",
     "QueryFeatures",
-    "SchedulingConfig",
     "analytic_work",
     "auto_engine",
     "plan_features",

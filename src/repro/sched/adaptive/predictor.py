@@ -16,8 +16,9 @@ Three prediction tiers, most specific first:
     Nothing observed yet: a conservative static throughput table (codegen
     fastest, batched next, the event simulator orders of magnitude
     slower), divided by a safety margin so unseen shapes are
-    *over*-estimated — the admission controller should reject on the
-    pessimistic side, never accept work it cannot finish.
+    *over*-estimated — in the cost-ranked job queue an unmeasured shape
+    then sorts behind measured cheap work instead of jumping ahead of it
+    on a guess, and its first run replaces the guess with a measurement.
 
 Accuracy is self-reported: every completed job records its
 ``predicted / actual`` ratio into a fixed-bucket error histogram

@@ -5,8 +5,9 @@ surface rather than a one-shot kernel call.  The pieces:
 
 * :class:`GraphRegistry` — register a :class:`~repro.graph.csr.CSRGraph`
   once, reference it by id; workers cache deserialised graphs per process.
-* :class:`JobQueue` + dispatcher — bounded priority/FIFO queue with
-  deadlines, typed backpressure and crash retries (``repro.service.scheduler``).
+* :class:`JobQueue` + dispatcher — bounded cost-ranked queue with an
+  aging bound, deadlines, typed backpressure and crash retries
+  (``repro.service.scheduler``).
 * :class:`ResultCache` — LRU over ``(graph fingerprint, canonical pattern,
   config)``, invalidated/delta-patched on graph updates.
 * :class:`QueryService` — the facade tying them together, with
@@ -23,16 +24,14 @@ Quickstart::
         print(svc.stats().summary())
 """
 
-from ..sched.adaptive import AdmissionPolicy, SchedulingConfig
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRecord, GraphRegistry
-from .scheduler import JobQueue, RetryPolicy
+from .scheduler import JobQueue
 from .service import MODES, InlineExecutor, QueryService
 from .stats import LatencyRecorder, ServiceStats
 
 __all__ = [
-    "AdmissionPolicy",
     "CacheKey",
     "GraphRecord",
     "GraphRegistry",
@@ -45,8 +44,6 @@ __all__ = [
     "MODES",
     "QueryService",
     "ResultCache",
-    "RetryPolicy",
-    "SchedulingConfig",
     "ServiceStats",
     "pattern_cache_key",
 ]

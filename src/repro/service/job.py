@@ -203,17 +203,13 @@ class Job:
     #: when the job completes); None when the adaptive layer is off
     features: Any = None
     #: service-clock timestamp of the most recent queue push (queue-wait
-    #: accounting and the cost policy's anti-starvation aging bound)
+    #: accounting and the queue's anti-starvation aging bound)
     enqueued_at: float = 0.0
     #: queue-internal: True once pop() handed the job out — the heap and
     #: the aging deque cross-reference each other through this flag
     taken: bool = False
 
-    def sort_key(self) -> tuple[int, int]:
-        """FIFO heap order: lower priority value first, then submit order."""
-        return (self.priority, self.seq)
-
     def cost_key(self) -> tuple[int, float, int]:
-        """Cost heap order: priority, then shortest predicted job, then
-        submit order — identical predictions degrade to FIFO."""
+        """Heap order: priority, then shortest predicted job, then submit
+        order — identical predictions dispatch first come, first served."""
         return (self.priority, self.predicted_seconds, self.seq)

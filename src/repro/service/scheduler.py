@@ -1,20 +1,13 @@
-"""Job queue and retry policy for the service dispatcher.
+"""The service's job queue: one dispatch rule, cost-ranked with aging.
 
-The queue is a bounded binary heap with two dispatch policies:
-
-``fifo``
-    Ordered by ``(priority, submit seq)`` — lower priority values
-    dispatch first, FIFO within a priority class.  The process-level
-    analogue of the X-SET scheduler's in-order TaskSet draining, and the
-    pre-adaptive service behaviour.
-``cost``
-    Ordered by ``(priority, predicted seconds, submit seq)`` — shortest
-    predicted job first within a priority class, so one heavy clique
-    query stops blowing the p99 of hundreds of cheap triangle counts.
-    Jobs with identical predictions degrade to FIFO, and an
-    **anti-starvation aging bound** guarantees progress: a job queued
-    longer than ``age_limit`` seconds dispatches ahead of cheaper
-    newcomers (tracked in arrival order through a side deque).
+The queue is a bounded binary heap ordered by ``(priority, predicted
+seconds, submit seq)`` — shortest predicted job first within a priority
+class, so one heavy clique query stops blowing the p99 of hundreds of
+cheap triangle counts.  Jobs with identical predictions dispatch in
+submit order, and an **anti-starvation aging bound** guarantees
+progress: a job queued longer than ``age_limit`` seconds dispatches
+ahead of cheaper newcomers (tracked in arrival order through a side
+deque).
 
 Backpressure is a typed error, never a blocking submit: a full queue
 raises :class:`~repro.errors.QueueFullError` so callers can shed load
@@ -33,62 +26,49 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 from ..errors import QueueFullError
 from .job import Job, JobStatus
 
-__all__ = ["JobQueue", "RetryPolicy"]
+__all__ = ["AGE_LIMIT_SECONDS", "JobQueue"]
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-backoff for worker crashes.
-
-    Only *crash-shaped* failures (a worker process dying, the pool
-    breaking) are retried; ordinary exceptions from the engine are
-    deterministic and propagate immediately.
-    """
-
-    max_retries: int = 2
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-
-    def backoff_for(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (1-based)."""
-        return self.backoff_seconds * self.backoff_factor ** (attempt - 1)
+#: a job queued longer than this (seconds on the service clock) dispatches
+#: ahead of cheaper newcomers — bounds starvation of heavy jobs under a
+#: stream of light ones
+AGE_LIMIT_SECONDS = 2.0
 
 
 class JobQueue:
-    """Bounded priority queue of :class:`Job` records (fifo/cost policy)."""
+    """Bounded cost-ranked queue of :class:`Job` records, with aging.
+
+    ``policy`` names the one dispatch rule, ``"cost"``; any other value
+    raises ``ValueError``.
+    """
 
     def __init__(
         self,
         limit: int = 256,
         on_timeout=None,
         *,
-        policy: str = "fifo",
-        age_limit: float | None = None,
+        policy: str = "cost",
+        age_limit: float = AGE_LIMIT_SECONDS,
     ) -> None:
-        if policy not in ("fifo", "cost"):
+        if policy != "cost":
             raise ValueError(
-                f"unknown queue policy {policy!r}; available: fifo, cost"
+                f"unknown queue policy {policy!r}; available: cost"
             )
         self.limit = max(int(limit), 1)
-        self.policy = policy
         #: seconds after which a queued job outranks cheaper newcomers
-        #: (cost policy only; None disables aging)
         self.age_limit = age_limit
         self._heap: list[tuple[tuple, int, Job]] = []
-        #: arrival-order view for the aging bound (cost policy only)
-        self._arrivals: deque[Job] = deque()
+        #: arrival-order view for the aging bound: ``(enqueued_at, job)``
+        #: per push, so the entry of an earlier push of a requeued job is
+        #: recognisably stale
+        self._arrivals: deque[tuple[float, Job]] = deque()
         self._live = 0
         self._lock = threading.Lock()
         #: called with each job whose queue deadline expired (stats hook)
         self._on_timeout = on_timeout
-
-    def _key(self, job: Job) -> tuple:
-        return job.cost_key() if self.policy == "cost" else job.sort_key()
 
     @staticmethod
     def _pending(job: Job) -> bool:
@@ -108,25 +88,23 @@ class JobQueue:
                     f"retry later or raise queue_limit"
                 )
             job.taken = False
-            heapq.heappush(self._heap, (self._key(job), job.seq, job))
-            if self.policy == "cost" and self.age_limit is not None:
-                self._arrivals.append(job)
+            heapq.heappush(self._heap, (job.cost_key(), job.seq, job))
+            self._arrivals.append((job.enqueued_at, job))
             self._live += 1
 
     def _take_starving(self, now: float, fits) -> tuple[str, Job] | None:
         """Arrival-order head older than the aging bound, if dispatchable.
 
-        Called under the lock.  Prunes taken/finished heads as it goes;
-        returns ``("run", job)`` for a starving runnable job (removed and
-        marked taken), ``("timeout", job)`` when the starving head's
-        own deadline expired (caller finishes it outside the lock) or
-        ``("stay", job)`` for a runnable head that ``fits`` refuses.
+        Called under the lock.  Prunes taken/finished heads, and entries
+        of a job pushed again since, as it goes; returns ``("run", job)``
+        for a starving runnable job (removed and marked taken),
+        ``("timeout", job)`` when the starving head's own deadline expired
+        (caller finishes it outside the lock) or ``("stay", job)`` for a
+        runnable head that ``fits`` refuses.
         """
-        if self.policy != "cost" or self.age_limit is None:
-            return None
         while self._arrivals:
-            job = self._arrivals[0]
-            if not self._pending(job):
+            stamp, job = self._arrivals[0]
+            if stamp != job.enqueued_at or not self._pending(job):
                 self._arrivals.popleft()
                 continue
             if now - job.enqueued_at < self.age_limit:
@@ -151,11 +129,11 @@ class JobQueue:
         passed (``job.deadline < now``) to ``TIMEOUT``, and leaves jobs
         whose retry backoff (``job.not_before``) has not yet elapsed in
         the queue — everything is assessed lazily, at dispatch time,
-        against the injected clock.  Under the cost policy, a job queued
-        past ``age_limit`` seconds dispatches first regardless of its
-        predicted cost (anti-starvation).  With ``fits``, a next runnable
-        job it refuses is not handed out: it stays queued as it was (key,
-        ``seq``, place in the aging order) and None is returned.
+        against the injected clock.  A job queued past ``age_limit``
+        seconds dispatches first regardless of its predicted cost
+        (anti-starvation).  With ``fits``, a next runnable job it refuses
+        is not handed out: it stays queued as it was (key, ``seq``, place
+        in the aging order) and None is returned.
         """
         deferred: list[Job] = []
         try:
@@ -200,7 +178,7 @@ class JobQueue:
                 with self._lock:
                     for job in deferred:
                         heapq.heappush(
-                            self._heap, (self._key(job), job.seq, job)
+                            self._heap, (job.cost_key(), job.seq, job)
                         )
                         self._live += 1
 
@@ -222,19 +200,6 @@ class JobQueue:
             live = sum(1 for _, _, job in self._heap if self._pending(job))
             self._live = live
             return live
-
-    def predicted_backlog(self) -> float:
-        """Summed predicted seconds of every live queued job.
-
-        The admission controller's backlog estimate: how much predicted
-        work is already waiting (jobs with no prediction contribute 0).
-        """
-        with self._lock:
-            return sum(
-                job.predicted_seconds
-                for _, _, job in self._heap
-                if self._pending(job)
-            )
 
     def __len__(self) -> int:
         return self.depth()

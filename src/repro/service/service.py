@@ -36,9 +36,12 @@ Semantics
   enforced while the job is *queued* (expired jobs never dispatch).  A job
   already on a worker runs to completion — results arriving after the
   deadline are still delivered.
+* **Dispatch order**: cost-ranked within a priority class, with an aging
+  bound (:mod:`repro.service.scheduler`); there is no other order.
 * **Retries**: crash-shaped failures (a dying worker / broken pool) are
-  retried with exponential backoff up to ``RetryPolicy.max_retries``;
-  deterministic engine exceptions propagate immediately.
+  retried ``MAX_RETRIES`` times with doubling backoff from
+  ``RETRY_BACKOFF_SECONDS``; deterministic engine exceptions propagate
+  immediately.
 * **Caching**: results are cached by ``(graph fingerprint, canonical
   pattern, config)`` with LRU eviction; graph updates invalidate — or,
   through :meth:`QueryService.dynamic_session`, delta-patch — entries.
@@ -68,7 +71,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..core.config import SystemConfig, xset_default
 from ..core.incremental import IncrementalGPM
 from ..errors import (
-    AdmissionError,
     CircuitOpenError,
     InjectedCrashError,
     LoadShedError,
@@ -80,12 +82,7 @@ from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.flight import FlightRecorder
 from ..patterns.plan import build_plan
-from ..sched.adaptive import (
-    CostPredictor,
-    SchedulingConfig,
-    query_features,
-    select_engine,
-)
+from ..sched.adaptive import CostPredictor, query_features, select_engine
 from ..resilience import (
     BreakerBoard,
     BreakerState,
@@ -99,7 +96,7 @@ from ..resilience.degradation import SHED_MIN_PRIORITY
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
-from .scheduler import JobQueue, RetryPolicy
+from .scheduler import JobQueue
 from .stats import LatencyRecorder, ServiceStats
 from .worker import run_job
 
@@ -119,6 +116,11 @@ MODES = ("process", "thread", "inline")
 
 #: exception types treated as "the worker died" → retried with backoff
 _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
+
+#: crash-shaped failures one job is retried after, and the backoff before
+#: its first retry; each further retry waits twice as long as the last
+MAX_RETRIES = 2
+RETRY_BACKOFF_SECONDS = 0.05
 
 _CACHE_HELP = "result-cache outcome of cached submits"
 
@@ -144,10 +146,6 @@ _COUNTS = {
     ),
     "abandoned": (
         "repro_jobs_abandoned_total", "running jobs abandoned by the watchdog"
-    ),
-    "rejected": (
-        "repro_jobs_rejected_total",
-        "submissions rejected by admission control",
     ),
     "worker_calls": (
         "repro_worker_calls_total",
@@ -212,14 +210,12 @@ class QueryService:
         max_workers: int | None = None,
         queue_limit: int = 256,
         cache_capacity: int = 512,
-        retry: RetryPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         executor=None,
         start_paused: bool = False,
         observability: bool = False,
         resilience: ResilienceConfig | None = None,
-        scheduling: SchedulingConfig | None = None,
     ) -> None:
         if mode not in MODES:
             raise ServiceError(
@@ -233,15 +229,12 @@ class QueryService:
         if max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.retry = retry or RetryPolicy()
         self._clock = clock
         self._sleep = sleep
         self._executor = executor
         self._owns_executor = executor is None
         self._registry = GraphRegistry()
         self._cache = ResultCache(cache_capacity)
-        # -- adaptive scheduling (cost model, dispatch policy, admission) --
-        self.scheduling = scheduling or SchedulingConfig()
         self._queue = JobQueue(
             queue_limit,
             # the queue reaps jobs whose deadline passed while they waited
@@ -249,15 +242,13 @@ class QueryService:
             on_timeout=lambda job: self._settle(
                 job, JobStatus.TIMEOUT, reaped=True, where="queued"
             ),
-            policy=self.scheduling.policy,
-            age_limit=self.scheduling.age_limit_seconds,
         )
         # metrics always exist (they are cheap, per-job bookkeeping);
         # span tracing + per-query profiling is opt-in via observability=
         self.metrics = MetricsRegistry()
         self._latency = LatencyRecorder(registry=self.metrics)
         #: online cost model trained from every completed job; drives
-        #: engine auto-selection, cost-ranked dispatch and admission
+        #: engine auto-selection and cost-ranked dispatch
         self.predictor = CostPredictor(registry=self.metrics)
         self._observation: Observation | None = (
             Observation(
@@ -371,7 +362,8 @@ class QueryService:
     ) -> JobHandle:
         """Enqueue one query; returns immediately with a :class:`JobHandle`.
 
-        ``priority``: lower runs first (FIFO within a class).  ``timeout``
+        ``priority``: lower runs first (cheapest predicted first within a
+        class, see :mod:`repro.service.scheduler`).  ``timeout``
         is a queue deadline in seconds on the service clock.  ``engine`` /
         ``config`` override the service defaults for this job only.
         ``root_range`` restricts matching to search trees rooted in the
@@ -423,7 +415,6 @@ class QueryService:
                 return job.handle
         job.enqueued_at = self._clock()
         if timeout is not None:
-            self._admit(job, timeout)
             job.deadline = job.enqueued_at + timeout
         if job.span is not None:
             job.queued_span = self._observation.tracer.start_span(
@@ -449,38 +440,6 @@ class QueryService:
         else:
             self._ensure_dispatcher()
         return job.handle
-
-    def _admit(self, job: Job, timeout: float) -> None:
-        """Reject-at-submit: a deadline the predicted completion time
-        cannot meet (given the work already queued) fails NOW with a typed
-        :class:`~repro.errors.AdmissionError` instead of timing out after
-        consuming resources."""
-        admission = self.scheduling.admission
-        if not admission.enabled:
-            return
-        handle = job.handle
-        try:
-            admission.check(
-                timeout=timeout,
-                predicted_seconds=job.predicted_seconds,
-                backlog_seconds=self._queue.predicted_backlog(),
-                workers=self.max_workers,
-                describe=f"{handle.pattern_name!r} on {handle.graph_id!r}",
-            )
-        except AdmissionError:
-            self._count("rejected")
-            self.flight.record(
-                "admission_reject",
-                job_id=handle.job_id,
-                graph_id=handle.graph_id,
-                pattern=handle.pattern_name,
-                timeout=timeout,
-                predicted_seconds=job.predicted_seconds,
-            )
-            if job.span is not None:
-                job.span.set_attr("outcome", "rejected")
-                self._observation.tracer.end_span(job.span)
-            raise
 
     def _resolve(
         self,
@@ -1091,7 +1050,7 @@ class QueryService:
                 # the worker died before it could ship notes home; count
                 # the injected crash from the typed error's site instead
                 self._note_injected({f"{exc.site}:crash": 1})
-            if job.attempts <= self.retry.max_retries:
+            if job.attempts <= MAX_RETRIES:
                 logger.warning(
                     "job %d (%s on %s) crashed on attempt %d, retrying: %s",
                     job.handle.job_id, job.handle.pattern_name,
@@ -1106,7 +1065,7 @@ class QueryService:
                 )
                 self._requeue(
                     job,
-                    self.retry.backoff_for(job.attempts),
+                    RETRY_BACKOFF_SECONDS * 2 ** (job.attempts - 1),
                     retry=job.attempts,
                 )
                 return
@@ -1129,7 +1088,7 @@ class QueryService:
                 return
             exc = WorkerCrashError(
                 f"job {job.handle.job_id} crashed {job.attempts} time(s); "
-                f"retries exhausted ({self.retry.max_retries}): {exc}"
+                f"retries exhausted ({MAX_RETRIES}): {exc}"
             )
         self._settle(job, JobStatus.FAILED, error=exc)
 
@@ -1338,7 +1297,6 @@ class QueryService:
                 faults_injected=self._total("faults_injected"),
                 health=health.name.lower(),
                 dispatcher_stuck=self._dispatcher_stuck,
-                rejected=self._total("rejected"),
                 worker_calls=self._total("worker_calls"),
                 auto_selected={
                     key[1]: self._total("auto_selected", key[1])

@@ -128,8 +128,6 @@ class ServiceStats:
     #: True when shutdown() could not join the dispatcher thread
     dispatcher_stuck: bool = False
     # -- adaptive scheduling (repro.sched.adaptive) ------------------------
-    #: submissions rejected by deadline-aware admission control
-    rejected: int = 0
     #: pool calls made, one per job the dispatcher did not run itself
     worker_calls: int = 0
     #: ``engine="auto"`` resolutions per chosen engine
@@ -187,15 +185,12 @@ class ServiceStats:
                 f"queue wait: p50 {qw['p50'] * 1e3:.2f}ms  "
                 f"p99 {qw['p99'] * 1e3:.2f}ms  (n={qw['count']:.0f})"
             )
-        if self.rejected or self.auto_selected:
+        if self.auto_selected:
             auto = ", ".join(
                 f"{engine}={n}"
                 for engine, n in sorted(self.auto_selected.items())
             )
-            lines.append(
-                f"adaptive: {self.rejected} admission-rejected"
-                + (f", auto-selected {auto}" if auto else "")
-            )
+            lines.append(f"adaptive: auto-selected {auto}")
         if self.predictor.get("count"):
             pred = self.predictor
             lines.append(

@@ -1,14 +1,13 @@
-"""Adaptive scheduling tests: cost model, auto-selection, dispatch, admission.
+"""Adaptive scheduling tests: cost model, auto-selection, dispatch.
 
-Covers the four pillars of the adaptive stack in isolation and then
+Covers the three pillars of the adaptive stack in isolation and then
 end-to-end through the service and the cluster coordinator:
 
 - :class:`CostPredictor` tier fallback (profile → throughput → prior),
   conservative priors, and self-reported accuracy;
 - ``engine="auto"`` selection, including breaker composition;
-- the job queue's cost policy (shortest-predicted-first, FIFO tie-break,
-  anti-starvation aging bound) and its predicted-backlog view;
-- deadline-aware admission control and its typed rejection.
+- the job queue's one dispatch rule (shortest-predicted-first, submit
+  order on ties, anti-starvation aging bound).
 """
 
 from __future__ import annotations
@@ -16,13 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import XSetAccelerator
-from repro.errors import AdmissionError
 from repro.graph.generators import erdos_renyi
 from repro.patterns.pattern import PATTERNS
 from repro.sched.adaptive import (
-    AdmissionPolicy,
     CostPredictor,
-    SchedulingConfig,
     analytic_work,
     auto_engine,
     query_features,
@@ -31,7 +27,7 @@ from repro.sched.adaptive import (
 from repro.sched.adaptive.predictor import DEFAULT_ENGINE_SPEED
 from repro.service import QueryService, pattern_cache_key
 from repro.service.job import Job, JobHandle, JobStatus
-from repro.service.scheduler import JobQueue
+from repro.service.scheduler import AGE_LIMIT_SECONDS, JobQueue
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -172,7 +168,7 @@ def _job(seq, predicted=0.0, priority=0, enqueued_at=0.0, deadline=None):
 
 class TestCostQueue:
     def test_shortest_predicted_first(self):
-        q = JobQueue(policy="cost")
+        q = JobQueue()
         heavy = _job(1, predicted=5.0)
         light = _job(2, predicted=0.01)
         q.push(heavy)
@@ -181,7 +177,7 @@ class TestCostQueue:
         assert q.pop(now=0.0) is heavy
 
     def test_equal_predictions_degrade_to_fifo(self):
-        q = JobQueue(policy="cost")
+        q = JobQueue()
         first = _job(1, predicted=1.0)
         second = _job(2, predicted=1.0)
         q.push(second)
@@ -189,7 +185,7 @@ class TestCostQueue:
         assert q.pop(now=0.0) is first
 
     def test_priority_class_dominates_cost(self):
-        q = JobQueue(policy="cost")
+        q = JobQueue()
         cheap_background = _job(1, predicted=0.01, priority=5)
         heavy_interactive = _job(2, predicted=9.0, priority=0)
         q.push(cheap_background)
@@ -197,7 +193,7 @@ class TestCostQueue:
         assert q.pop(now=0.0) is heavy_interactive
 
     def test_aging_bound_prevents_starvation(self):
-        q = JobQueue(policy="cost", age_limit=1.0)
+        q = JobQueue(age_limit=1.0)
         heavy = _job(1, predicted=100.0, enqueued_at=0.0)
         q.push(heavy)
         fresh = [_job(2 + i, predicted=0.001, enqueued_at=5.0)
@@ -209,7 +205,7 @@ class TestCostQueue:
         assert q.pop(now=5.0) is fresh[0]
 
     def test_young_heavy_job_waits(self):
-        q = JobQueue(policy="cost", age_limit=10.0)
+        q = JobQueue(age_limit=10.0)
         heavy = _job(1, predicted=100.0, enqueued_at=0.0)
         light = _job(2, predicted=0.001, enqueued_at=0.5)
         q.push(heavy)
@@ -218,7 +214,7 @@ class TestCostQueue:
 
     def test_starving_job_with_expired_deadline_times_out(self):
         reaped = []
-        q = JobQueue(on_timeout=reaped.append, policy="cost", age_limit=1.0)
+        q = JobQueue(on_timeout=reaped.append, age_limit=1.0)
         doomed = _job(1, predicted=100.0, enqueued_at=0.0, deadline=2.0)
         light = _job(2, predicted=0.001, enqueued_at=5.0)
         q.push(doomed)
@@ -227,83 +223,32 @@ class TestCostQueue:
         assert doomed.handle.status is JobStatus.TIMEOUT
         assert reaped == [doomed]
 
-    def test_predicted_backlog_sums_live_jobs(self):
-        q = JobQueue(policy="cost")
-        q.push(_job(1, predicted=2.0))
-        q.push(_job(2, predicted=0.5))
-        cancelled = _job(3, predicted=7.0)
-        q.push(cancelled)
-        cancelled.handle._finish(JobStatus.CANCELLED)
-        assert q.predicted_backlog() == pytest.approx(2.5)
+    def test_a_requeued_job_does_not_block_older_starving_jobs(self):
+        # a crash retry pushes a job again with a fresh enqueued_at; the
+        # arrival entry of its first push must not come back as the
+        # aging head, young-looking, and hide the jobs queued behind it
+        q = JobQueue()
+        retried = _job(1, predicted=0.01, enqueued_at=0.0)
+        starving = _job(2, predicted=5.0, enqueued_at=0.1)
+        q.push(retried)
+        q.push(starving)
+        assert q.pop(now=0.2) is retried
+        retried.handle._set_running()
+        retried.handle._requeue()  # what the service does on a crash
+        retried.enqueued_at = 0.3
+        q.push(retried)
+        for i in range(5):
+            q.push(_job(3 + i, predicted=0.001, enqueued_at=2.15))
+        # 2.1 s in the queue against the 2.0 s bound
+        assert q.pop(now=2.2) is starving
+        assert q.pop(now=2.2).predicted_seconds == 0.001
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown queue policy"):
-            JobQueue(policy="sjf")
-
-
-class TestAdmissionPolicy:
-    def test_disabled_policy_admits_everything(self):
-        policy = AdmissionPolicy(enabled=False)
-        projected = policy.check(
-            timeout=0.001, predicted_seconds=100.0,
-            backlog_seconds=1000.0, workers=1,
-        )
-        assert projected > 0.001  # projection computed, rejection skipped
-
-    def test_projection_math(self):
-        policy = AdmissionPolicy(enabled=True, safety_factor=2.0)
-        projected = policy.projected_completion(
-            predicted_seconds=1.0, backlog_seconds=8.0, workers=4,
-        )
-        assert projected == pytest.approx(8.0 / 4 + 1.0 * 2.0)
-
-    def test_unmeetable_deadline_raises_typed_error(self):
-        policy = AdmissionPolicy(enabled=True)
-        with pytest.raises(AdmissionError, match="cannot meet"):
-            policy.check(
-                timeout=0.5, predicted_seconds=10.0,
-                backlog_seconds=0.0, workers=1, describe="'TT' on 'g'",
-            )
-
-    def test_meetable_deadline_admitted(self):
-        policy = AdmissionPolicy(enabled=True)
-        assert policy.check(
-            timeout=60.0, predicted_seconds=1.0,
-            backlog_seconds=2.0, workers=2,
-        ) < 60.0
-
-    def test_min_deadline_carve_out(self):
-        policy = AdmissionPolicy(enabled=True, min_deadline_seconds=1.0)
-        # sub-threshold deadlines are allowed to try even when doomed
-        policy.check(
-            timeout=0.5, predicted_seconds=10.0,
-            backlog_seconds=0.0, workers=1,
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="safety_factor"):
-            AdmissionPolicy(safety_factor=0.0)
-        with pytest.raises(ValueError, match="min_deadline_seconds"):
-            AdmissionPolicy(min_deadline_seconds=-1.0)
-
-    def test_admission_error_is_service_error(self):
-        from repro.errors import ServiceError
-
-        assert issubclass(AdmissionError, ServiceError)
-
-
-class TestSchedulingConfig:
-    def test_defaults(self):
-        cfg = SchedulingConfig()
-        assert cfg.policy == "cost"
-        assert cfg.age_limit_seconds == 2.0
-        assert not cfg.admission.enabled
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown queue policy"):
-            SchedulingConfig(policy="lifo")
-        with pytest.raises(ValueError, match="age_limit_seconds"):
-            SchedulingConfig(age_limit_seconds=0.0)
+        assert JobQueue().age_limit == AGE_LIMIT_SECONDS == 2.0
+        JobQueue(256, policy="cost", age_limit=2.0)  # the e2e leaf probe
+        for policy in ("fifo", "sjf"):
+            with pytest.raises(ValueError, match="unknown queue policy"):
+                JobQueue(policy=policy)
 
 
 class TestServiceAdaptive:
@@ -347,62 +292,6 @@ class TestServiceAdaptive:
         assert stats.queue_wait["p99"] >= 0.0
         assert "queue wait" in stats.summary()
         assert "repro_job_queue_wait_seconds" in metrics
-
-    def test_admission_rejects_doomed_deadline(self, graph):
-        scheduling = SchedulingConfig(
-            admission=AdmissionPolicy(enabled=True)
-        )
-        with QueryService(
-            mode="thread", max_workers=1, start_paused=True,
-            scheduling=scheduling,
-        ) as svc:
-            gid = svc.register_graph(graph)
-            # build predicted backlog: profile the shape, then queue it
-            svc.resume()
-            svc.count(gid, PATTERNS["TT"], engine="batched",
-                      use_cache=False)
-            svc.pause()
-            backlog = [
-                svc.submit(gid, PATTERNS["TT"], engine="batched",
-                           use_cache=False)
-                for _ in range(3)
-            ]
-            with pytest.raises(AdmissionError):
-                svc.submit(gid, PATTERNS["WEDGE"], engine="batched",
-                           use_cache=False, timeout=1e-7)
-            # no deadline → always admitted, regardless of backlog
-            ok = svc.submit(gid, PATTERNS["WEDGE"], engine="batched",
-                            use_cache=False)
-            svc.resume()
-            for handle in backlog:
-                handle.result(timeout=120)
-            ok.result(timeout=120)
-            stats = svc.stats()
-        assert stats.rejected == 1
-        assert "1 admission-rejected" in stats.summary()
-
-    def test_rejection_does_not_consume_queue_space(self, graph):
-        scheduling = SchedulingConfig(
-            admission=AdmissionPolicy(enabled=True)
-        )
-        with QueryService(
-            mode="thread", max_workers=1, start_paused=True,
-            scheduling=scheduling,
-        ) as svc:
-            gid = svc.register_graph(graph)
-            svc.resume()
-            svc.count(gid, PATTERNS["TT"], engine="batched",
-                      use_cache=False)
-            svc.pause()
-            svc.submit(gid, PATTERNS["TT"], engine="batched",
-                       use_cache=False)
-            depth = svc.stats().queue_depth
-            with pytest.raises(AdmissionError):
-                svc.submit(gid, PATTERNS["TT"], engine="batched",
-                           use_cache=False, timeout=1e-7)
-            assert svc.stats().queue_depth == depth
-            svc.resume()
-
 
 class TestCoordinatorPredictions:
     def test_scatter_carries_predictions_and_trains(self, graph):

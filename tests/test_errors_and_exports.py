@@ -18,7 +18,7 @@ class TestErrorHierarchy:
             "SchedulerError",
             "MemoryModelError",
             "ServiceError",
-            "AdmissionError",
+            "LoadShedError",
             "QueueFullError",
             "JobTimeoutError",
             "JobCancelledError",
@@ -41,7 +41,7 @@ class TestErrorHierarchy:
     def test_service_errors_are_service_errors(self):
         for name in ("QueueFullError", "JobTimeoutError",
                      "JobCancelledError", "WorkerCrashError",
-                     "AdmissionError"):
+                     "LoadShedError"):
             assert issubclass(getattr(errors, name), errors.ServiceError)
 
     def test_cluster_errors_nest_under_service_error(self):

@@ -70,8 +70,6 @@ class TestRetryPolicy:
             RetryPolicy(base=-0.1)
         with pytest.raises(ClusterError):
             RetryPolicy(multiplier=0.5)
-        with pytest.raises(ClusterError):
-            RetryPolicy(deadline=0.0)
 
 
 class TestReplicaGroup:

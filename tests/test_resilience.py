@@ -40,6 +40,7 @@ from repro.resilience import (
     inject,
 )
 from repro.service import InlineExecutor, JobStatus, QueryService
+from repro.service.service import MAX_RETRIES
 
 
 class FakeClock:
@@ -472,7 +473,7 @@ class TestBreakerRouting:
         assert handle.engine == "event"
         stats = svc.stats()
         assert stats.rerouted == 1
-        assert stats.retries == svc.retry.max_retries
+        assert stats.retries == MAX_RETRIES
         assert stats.failed == 0
 
 

@@ -14,7 +14,6 @@ from repro.core.api import XSetAccelerator
 from repro.errors import ServiceError
 from repro.graph.generators import erdos_renyi
 from repro.patterns.pattern import PATTERNS, Pattern
-from repro.sched.adaptive import SchedulingConfig
 from repro.service import (
     GraphRegistry,
     InlineExecutor,
@@ -232,22 +231,27 @@ class TestPriorities:
                 handle.result(timeout=60)
         assert executor.dispatched == ["WEDGE", "P3", "3CF"]
 
-    def test_fifo_within_priority(self, service_graphs, direct_counts):
+    def test_cost_order_within_priority(self, service_graphs, direct_counts):
         executor = RecordingExecutor()
-        names = ("3CF", "WEDGE", "P3")
+        names = ("TT", "3CF", "WEDGE", "P3")
         with QueryService(
             mode="inline", start_paused=True, executor=executor,
-            scheduling=SchedulingConfig(policy="fifo"),
         ) as svc:
             gid = svc.register_graph(service_graphs[0])
             handles = [
                 svc.submit(gid, PATTERNS[name], engine="batched")
                 for name in names
             ]
+            # one priority class: the heap ranks by predicted cost alone
+            by_cost = [
+                job.handle.pattern_name
+                for _, _, job in sorted(svc._queue._heap)
+            ]
             svc.resume()
             counts = [h.result(timeout=60).embeddings for h in handles]
-        assert executor.dispatched == ["3CF", "WEDGE", "P3"]
-        # the policy orders dispatch, never what is counted
+        assert by_cost != list(names)  # the order is not submit order
+        assert executor.dispatched == by_cost
+        # the rule orders dispatch, never what is counted
         assert counts == [direct_counts[(gid, name)] for name in names]
 
 

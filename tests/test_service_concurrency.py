@@ -36,7 +36,6 @@ from hypothesis.stateful import (
 
 from repro.core.api import XSetAccelerator
 from repro.errors import (
-    AdmissionError,
     JobCancelledError,
     JobTimeoutError,
     LoadShedError,
@@ -47,7 +46,6 @@ from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
 from repro.resilience import ResilienceConfig
-from repro.sched.adaptive import AdmissionPolicy, SchedulingConfig
 from repro.service import (
     InlineExecutor,
     Job,
@@ -56,6 +54,7 @@ from repro.service import (
     JobStatus,
     QueryService,
 )
+from repro.service import service as service_module
 from repro.sim.report import SimReport
 
 
@@ -134,7 +133,7 @@ class TestWorkerCrashRetry:
             handle.result()
         stats = svc.stats()
         assert stats.failed == 1
-        assert stats.retries == svc.retry.max_retries
+        assert stats.retries == service_module.MAX_RETRIES
 
     def test_pool_mode_backoff_never_sleeps_in_callback(self, graph):
         # pool modes run _on_done on the executor's completion thread;
@@ -506,8 +505,8 @@ class ScriptedExecutor(InlineExecutor):
 
 
 #: submit() refusals: typed, and the submission is counted nowhere else
-REFUSALS = (AdmissionError, LoadShedError, QueueFullError)
-#: too short for any prediction to meet / long enough to queue for a while
+REFUSALS = (LoadShedError, QueueFullError)
+#: expires at the first clock step / long enough to queue for a while
 SHORT, LONG = 1e-9, 30.0
 
 
@@ -535,9 +534,6 @@ class JobLifecycle(RuleBasedStateMachine):
             sleep=RecordingSleep(),
             executor=self.executor,
             resilience=ResilienceConfig(fallbacks=(("batched", "event"),)),
-            scheduling=SchedulingConfig(
-                policy="fifo", admission=AdmissionPolicy(enabled=True)
-            ),
         )
         self.gid = self.svc.register_graph(self.graph, graph_id="g")
         self.handles: list[JobHandle] = []
@@ -636,7 +632,6 @@ class JobLifecycle(RuleBasedStateMachine):
             "retries": "repro_job_retries_total",
             "shed": "repro_jobs_shed_total",
             "abandoned": "repro_jobs_abandoned_total",
-            "rejected": "repro_jobs_rejected_total",
         }
         for field, name in series.items():
             assert getattr(s, field) == s.metrics.get(name, 0), field
@@ -680,14 +675,13 @@ class TestCountsAgreeWithSeries:
     """The three disagreements the walk above turned up, one case each."""
 
     def test_refused_submission_is_not_counted_as_submitted(self, graph):
-        svc, gid = make_service(graph, scheduling=SchedulingConfig(
-            admission=AdmissionPolicy(enabled=True)
-        ))
-        with pytest.raises(AdmissionError):
-            svc.submit(gid, PATTERNS["3CF"], timeout=SHORT)
+        svc, gid = make_service(graph, queue_limit=1, start_paused=True)
+        svc.submit(gid, PATTERNS["3CF"], use_cache=False)
+        with pytest.raises(QueueFullError):
+            svc.submit(gid, PATTERNS["WEDGE"], use_cache=False)
         stats = svc.stats()
-        assert stats.rejected == 1 and stats.submitted == 0
-        assert stats.metrics.get("repro_jobs_submitted_total", 0) == 0
+        assert stats.submitted == 1 and stats.queue_depth == 1
+        assert stats.metrics["repro_jobs_submitted_total"] == 1
         svc.shutdown()
 
     def test_requeue_into_a_full_queue_fails_like_any_failure(self):

@@ -25,11 +25,7 @@ from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
 from repro.patterns.plan import build_plan
 from repro.resilience import FaultKind, FaultPlan, FaultSpec, ResilienceConfig
-from repro.sched.adaptive import (
-    CostPredictor,
-    SchedulingConfig,
-    query_features,
-)
+from repro.sched.adaptive import CostPredictor, query_features
 from repro.service import (
     InlineExecutor,
     Job,
@@ -37,7 +33,6 @@ from repro.service import (
     JobQueue,
     JobStatus,
     QueryService,
-    RetryPolicy,
 )
 from repro.service import service as service_module
 from repro.service import worker
@@ -128,7 +123,7 @@ class TestPopSet:
     def test_sets_follow_policy_order_and_the_refused_job_keeps_its_place(
         self,
     ):
-        queue = JobQueue(limit=16, policy="cost")
+        queue = JobQueue(limit=16)
         # two heavy jobs tie on cost: FIFO by seq decides, also after a
         # refusal
         costs = {1: 0.3, 2: 0.1, 3: 0.2, 4: 5.0, 5: 5.0, 6: 7.0, 7: 0.5}
@@ -147,19 +142,19 @@ class TestPopSet:
         ]
 
     def test_a_heavy_job_ends_the_set_before_it(self):
-        queue = JobQueue(limit=8, policy="fifo")
+        queue = JobQueue(limit=8)
         for i, cost in enumerate([0.1, 0.1, 5.0, 0.1], start=1):
-            queue.push(queued(i, cost))
-        # fifo order is not jumped: the cheap job behind the heavy one
-        # waits for a pool worker too
-        assert ids(past_a_full_pool(queue, 0.0)) == [1, 2]
+            # the heavy job alone is in the more urgent priority class
+            queue.push(queued(i, cost, priority=0 if cost > 1 else 1))
+        # the refused head is not jumped: the cheap jobs behind the heavy
+        # one wait for a pool worker too
         assert past_a_full_pool(queue, 0.0) == []
         assert ids([queue.pop(0.0)]) == [3]
-        assert ids(past_a_full_pool(queue, 0.0)) == [4]
+        assert ids(past_a_full_pool(queue, 0.0)) == [1, 2, 4]
 
     def test_tombstone_deadline_and_backoff_inside_the_run(self):
         reaped = []
-        queue = JobQueue(limit=8, on_timeout=reaped.append, policy="cost")
+        queue = JobQueue(limit=8, on_timeout=reaped.append)
         first = queued(1, 0.1)
         cancelled = queued(2, 0.2)
         expired = queued(3, 0.3, deadline=5.0)
@@ -177,7 +172,7 @@ class TestPopSet:
         assert ids(past_a_full_pool(queue, 20.0)) == [4]
 
     def test_a_starving_head_joins_the_set_ahead_of_cheaper_jobs(self):
-        queue = JobQueue(limit=8, policy="cost", age_limit=2.0)
+        queue = JobQueue(limit=8)
         old_a = queued(1, 0.8, enqueued_at=0.0)
         old_b = queued(2, 0.9, enqueued_at=1.0)
         for job in (old_a, old_b, queued(3, 0.1, enqueued_at=9.0),
@@ -188,7 +183,7 @@ class TestPopSet:
         assert ids(past_a_full_pool(queue, 10.0)) == [1, 2, 3, 4]
 
     def test_a_starving_head_that_is_refused_stays_the_head(self):
-        queue = JobQueue(limit=8, policy="cost", age_limit=2.0)
+        queue = JobQueue(limit=8)
         heavy = queued(2, 5.0, enqueued_at=1.0)
         for job in (queued(1, 0.8, enqueued_at=0.0), heavy,
                     queued(3, 0.1, enqueued_at=9.0)):
@@ -276,7 +271,11 @@ class TestSeededMix:
 
 
 class TestChaosSplit:
-    def test_faulted_jobs_run_in_the_pool_and_the_rest_here(self, small_er):
+    def test_faulted_jobs_run_in_the_pool_and_the_rest_here(
+        self, small_er, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_RETRIES", 8)
+        monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
         specs = (
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.3),
             FaultSpec(site="worker.run", kind=FaultKind.HANG, rate=0.3,
@@ -284,7 +283,6 @@ class TestChaosSplit:
         )
         svc = QueryService(
             mode="process", max_workers=2, start_paused=True,
-            retry=RetryPolicy(max_retries=8, backoff_seconds=0.0),
             # crashes must not open the breaker: it would send every job
             # to the pool, and the fault draw is what is under test
             resilience=ResilienceConfig(failure_threshold=10**6),
@@ -354,21 +352,22 @@ class BreaksFirstCalls(InlineExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-def paused_fifo_service(graph, executor):
+def paused_service(graph, executor):
     svc = QueryService(
         mode="process", max_workers=1, start_paused=True, executor=executor,
-        retry=RetryPolicy(backoff_seconds=0.0),
-        scheduling=SchedulingConfig(policy="fifo"),
     )
     return svc, svc.register_graph(graph, "g")
 
 
 class TestSetFailures:
-    def test_a_crashed_call_retries_each_of_its_jobs(self, small_er):
+    def test_a_crashed_call_retries_each_of_its_jobs(
+        self, small_er, monkeypatch
+    ):
         # a pool call carries one job: the job of every call that dies is
         # retried, and only it
+        monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
         executor = BreaksFirstCalls()
-        svc, gid = paused_fifo_service(small_er, executor)
+        svc, gid = paused_service(small_er, executor)
         try:
             handles = [
                 svc.submit(
@@ -404,7 +403,7 @@ class TestSetFailures:
             )
 
         monkeypatch.setattr(service_module, "run_job", run_job)
-        svc, gid = paused_fifo_service(small_er, InlineExecutor())
+        svc, gid = paused_service(small_er, InlineExecutor())
         try:
             names = ["3CF", "DIA", "WEDGE"]
             warm(svc, small_er, names)
