@@ -90,9 +90,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "LocalCluster": "repro.cluster",
         "ShardWorker": "repro.cluster",
         "ClusterHealth": "repro.cluster",
-        "RetryPolicy": "repro.cluster",
-        "ReplicaState": "repro.cluster",
-        "HealthProber": "repro.cluster",
         "ResilienceConfig": "repro.resilience",
         "FaultPlan": "repro.resilience",
         "FaultSpec": "repro.resilience",

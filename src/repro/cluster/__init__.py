@@ -29,22 +29,12 @@ from .partition import (
     induced_subgraph,
     make_shards,
 )
-from .replication import (
-    HealthProber,
-    ReplicaGroup,
-    ReplicaState,
-    RetryPolicy,
-)
 from .worker import ShardWorker
 
 __all__ = [
     "ClusterHealth",
     "Coordinator",
-    "HealthProber",
     "LocalCluster",
-    "ReplicaGroup",
-    "ReplicaState",
-    "RetryPolicy",
     "ShardSpec",
     "ShardWorker",
     "available_transports",

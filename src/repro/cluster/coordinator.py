@@ -10,25 +10,21 @@ on a thread pool) and the replies gather through the exactly-once
 Resilience reuses the service layer's own machinery at cluster scope:
 
 * every *replica* gets a :class:`~repro.resilience.BreakerBoard` circuit
-  — comm failures and timeouts trip it, and an open breaker skips the
-  replica without burning a timeout on a peer known to be down;
-* with ``cluster_replicas >= 2`` each shard is a
-  :class:`~repro.cluster.replication.ReplicaGroup`: a failed subquery
-  **fails over** to the next-healthiest replica (immediately within the
-  first pass, with capped exponential backoff between retry rounds, all
-  bounded by ``request_timeout`` per subquery);
+  — its one health record: comm failures and timeouts trip it, an open
+  breaker skips the replica without burning a timeout on a peer known
+  to be down, and after ``BREAKER_RECOVERY_SECONDS`` one half-open
+  request decides whether it takes traffic again;
+* with ``cluster_replicas >= 2`` a failed subquery **fails over** to
+  the sibling with the fewest consecutive comm failures (immediately
+  within a pass, ``FAILOVER_BACKOFF_SECONDS`` between the
+  ``FAILOVER_ROUNDS`` passes, all bounded by ``request_timeout`` per
+  subquery);
 * a shard whose *every* replica fails degrades the query instead of
   failing it: the merged report carries
   ``notes["cluster"]["partial"] = True`` plus the failed shard names,
   and only a query with **zero** surviving shards raises
   :class:`~repro.errors.ClusterError` — with a single replica per shard
   this is exactly the pre-replication behaviour;
-* a :class:`~repro.cluster.replication.HealthProber` (opt-in via
-  ``probe_interval``) pings replicas over dedicated connections, evicts
-  them from rotation after ``probe_failures`` consecutive failures, and
-  reintegrates them after passing probes — re-registering every graph
-  on the rejoining replica first, so it never serves a query it cannot
-  answer;
 * :meth:`Coordinator.health` gathers per-replica
   :class:`~repro.resilience.HealthReport`\\ s into a
   :class:`ClusterHealth` whose state is the worst replica state, forced
@@ -69,8 +65,6 @@ from ..service.cache import pattern_cache_key
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
 from .partition import ShardSpec, make_shards
-from .replication import HealthProber, ReplicaGroup, ReplicaState, \
-    RetryPolicy
 from .worker import ShardWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,14 +83,17 @@ PROFILE_LIMIT = 256
 BREAKER_FAILURE_THRESHOLD = 2
 BREAKER_RECOVERY_SECONDS = 30.0
 
+#: passes one subquery makes over its shard's replicas, and the pause
+#: before each pass after the first
+FAILOVER_ROUNDS = 2
+FAILOVER_BACKOFF_SECONDS = 0.05
+
 #: scatter deadline budget = predicted shard latency × this safety factor
 #: (applied only to profile-backed predictions, clamped to
 #: [DEADLINE_FLOOR, request_timeout])
 DEADLINE_SAFETY = 8.0
 #: minimum prediction-derived scatter deadline (seconds)
 DEADLINE_FLOOR = 1.0
-#: how long the health prober waits for one ping reply (seconds)
-PROBE_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,12 @@ class ClusterHealth:
     shards: "Mapping[str, HealthReport | None]" = field(default_factory=dict)
     #: coordinator-side comm breaker snapshots, keyed by replica name
     breakers: "Mapping[str, BreakerSnapshot]" = field(default_factory=dict)
-    #: shard group → replica → routing state ("healthy"/"suspect"/"evicted")
-    replicas: "Mapping[str, Mapping[str, str]]" = field(default_factory=dict)
 
     @property
     def dead(self) -> tuple[str, ...]:
         return tuple(
             sorted(n for n, r in self.shards.items() if r is None)
         )
-
-    @property
-    def evicted(self) -> tuple[str, ...]:
-        return tuple(sorted(
-            replica
-            for group in self.replicas.values()
-            for replica, state in group.items()
-            if state == "evicted"
-        ))
 
     def summary(self) -> str:
         lines = [
@@ -145,10 +131,6 @@ class ClusterHealth:
         for name, snap in sorted(self.breakers.items()):
             if snap.state != "closed":
                 lines.append(f"  breaker[{name}]: {snap.state}")
-        for group in sorted(self.replicas):
-            for replica, state in sorted(self.replicas[group].items()):
-                if state != "healthy":
-                    lines.append(f"  replica {replica}: {state}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -180,10 +162,6 @@ class ClusterHealth:
                 }
                 for name, snap in self.breakers.items()
             },
-            "replicas": {
-                group: dict(states)
-                for group, states in self.replicas.items()
-            },
         }
 
 
@@ -196,42 +174,23 @@ class _Replica:
     shard: str
     transport: Transport
     conn: "Connection | None" = None
-    probe_conn: "Connection | None" = None
 
-    def _fresh(self, conn: "Connection | None") -> "Connection | None":
+    def connection(self) -> Connection:
+        """The connection to this replica, re-dialled if poisoned."""
         # a poisoned tcp connection flags itself closed; an inproc
         # connection survives listener kill/reopen and never needs
         # replacing, so the flag check covers both
-        if conn is not None and not getattr(conn, "_closed", False):
-            return conn
-        return None
-
-    def connection(self) -> Connection:
-        """The data-plane connection, re-dialled if poisoned."""
-        conn = self._fresh(self.conn)
-        if conn is None:
-            conn = self.transport.connect(self.address)
-            self.conn = conn
-        return conn
-
-    def probe_connection(self) -> Connection:
-        """A dedicated probe connection: a slow query on the data plane
-        must never make a liveness ping look like a death."""
-        conn = self._fresh(self.probe_conn)
-        if conn is None:
-            conn = self.transport.connect(self.address)
-            self.probe_conn = conn
-        return conn
+        if self.conn is None or getattr(self.conn, "_closed", False):
+            self.conn = self.transport.connect(self.address)
+        return self.conn
 
     def close(self) -> None:
-        for conn in (self.conn, self.probe_conn):
-            if conn is not None:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
+        if self.conn is not None:
+            try:
+                self.conn.close()
+            except Exception:
+                pass
         self.conn = None
-        self.probe_conn = None
 
 
 @dataclass
@@ -240,7 +199,6 @@ class _ShardGroup:
 
     name: str
     replicas: "list[_Replica]"
-    group: ReplicaGroup
 
 
 @dataclass(frozen=True)
@@ -253,7 +211,7 @@ class _ShardPlacement:
     local_lo: int
     local_hi: int
     halo_hops: int
-    #: retained for re-shipping the slice to a rejoining replica
+    #: the shipped slice; its graph prices the shard's subqueries
     spec: ShardSpec
 
     @property
@@ -306,10 +264,6 @@ class Coordinator:
         request_timeout: float = 120.0,
         observability: bool = False,
         flight_dir: "str | Path | None" = None,
-        retry: "RetryPolicy | None" = None,
-        probe_interval: float = 0.0,
-        probe_failures: int = 3,
-        probe_recoveries: int = 2,
     ) -> None:
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -320,15 +274,13 @@ class Coordinator:
             else transport
         )
         self.request_timeout = request_timeout
-        self.retry = retry or RetryPolicy()
         self._groups: "list[_ShardGroup]" = []
         self._replicas: "list[_Replica]" = []
-        self._replica_by_name: "dict[str, _Replica]" = {}
-        self._group_by_replica: "dict[str, _ShardGroup]" = {}
+        names: set[str] = set()
         for name, members in _normalize_shards(shards):
             replicas = []
             for rname, addr in members:
-                if rname in self._replica_by_name:
+                if rname in names:
                     raise ClusterError(
                         f"duplicate replica name {rname!r}"
                     )
@@ -339,20 +291,13 @@ class Coordinator:
                 try:
                     replica.connection()
                 except CommError:
-                    # tolerated: the replica may come up later; the
-                    # breaker/prober decide what that means
+                    # tolerated: the replica may come up later; its
+                    # breaker decides what that means
                     pass
                 replicas.append(replica)
-                self._replica_by_name[rname] = replica
-            sg = _ShardGroup(
-                name=name,
-                replicas=replicas,
-                group=ReplicaGroup(name, [r.name for r in replicas]),
-            )
-            self._groups.append(sg)
+                names.add(rname)
+            self._groups.append(_ShardGroup(name=name, replicas=replicas))
             self._replicas.extend(replicas)
-            for replica in replicas:
-                self._group_by_replica[replica.name] = sg
         self._replicated = any(len(sg.replicas) > 1 for sg in self._groups)
         #: graph_id → per-shard placements (order matches self._groups)
         self._graphs: dict[str, list[_ShardPlacement]] = {}
@@ -379,8 +324,6 @@ class Coordinator:
         self.metrics.gauge(
             "repro_cluster_replicas", "shard replicas in this cluster"
         ).set(len(self._replicas))
-        for sg in self._groups:
-            self._sync_replica_gauges(sg)
         #: shard metric deltas merged under a shard= label, plus the
         #: coordinator's own registry under shard="coordinator"
         self.federation = FederatedMetrics()
@@ -399,17 +342,6 @@ class Coordinator:
             max_workers=max(len(self._groups), len(self._replicas)),
             thread_name_prefix="cluster-scatter",
         )
-        self.prober = HealthProber(
-            self._probe_ping,
-            [r.name for r in self._replicas],
-            probe_failures=probe_failures,
-            probe_recoveries=probe_recoveries,
-            interval=probe_interval if probe_interval > 0 else 1.0,
-            on_evict=self._evict_replica,
-            on_rejoin=self._rejoin_replica,
-        )
-        if probe_interval > 0:
-            self.prober.start()
         self._shutdown = False
 
     # -- internals ---------------------------------------------------------
@@ -448,15 +380,6 @@ class Coordinator:
             self._open_incidents.discard(name)
             self.flight.record("shard_recovered", shard=name)
 
-    def _sync_replica_gauges(self, sg: _ShardGroup) -> None:
-        for replica, state in sg.group.states().items():
-            self.metrics.gauge(
-                "repro_cluster_replica_state",
-                "replica routing state (0 healthy / 1 suspect / 2 evicted)",
-                shard=sg.name,
-                replica=replica,
-            ).set(state.value)
-
     def _call(
         self,
         replica: _Replica,
@@ -464,7 +387,6 @@ class Coordinator:
         timeout: float | None = None,
     ):
         """One breaker-guarded request to one replica."""
-        sg = self._group_by_replica[replica.name]
         breaker = self._breakers.for_engine(replica.name)
         if not breaker.allow():
             raise ClusterError(
@@ -480,18 +402,12 @@ class Coordinator:
             )
         except CommError as exc:
             breaker.record_failure(type(exc).__name__)
-            sg.group.mark_failure(replica.name)
-            self._sync_replica_gauges(sg)
             self.metrics.counter(
                 "repro_cluster_shard_failures_total",
                 "scatter requests lost to comm failures",
             ).inc()
             raise
         breaker.record_success()
-        prior = sg.group.state(replica.name)
-        sg.group.mark_success(replica.name)
-        if prior is not ReplicaState.HEALTHY:
-            self._sync_replica_gauges(sg)
         return value
 
     def _scatter(
@@ -524,22 +440,15 @@ class Coordinator:
     def _candidates(
         self, sg: _ShardGroup, graph_id: str
     ) -> "list[_Replica]":
-        """Failover order for one subquery: healthiest first, evicted
-        out of rotation, restricted to replicas actually holding the
-        graph (a rejoined-but-not-yet-re-registered replica must never
-        be asked for a graph it lost)."""
-        ranked = sg.group.ranked()
-        holding = self._registered.get(graph_id)
-        if holding:
-            routable = [r for r in ranked if r in holding]
-            if not routable:
-                # every registered holder is evicted: last resort, try
-                # them anyway rather than dropping the shard
-                routable = [
-                    r for r in sg.group.replica_names if r in holding
-                ]
-            ranked = routable or ranked
-        return [self._replica_by_name[name] for name in ranked]
+        """Failover order for one subquery: the group's replicas that
+        hold the graph, fewest consecutive comm failures first, then
+        configured order (the sort is stable)."""
+        holding = self._registered.get(graph_id, ())
+        return sorted(
+            (r for r in sg.replicas if r.name in holding),
+            key=lambda r: self._breakers.for_engine(r.name)
+            .snapshot().consecutive_failures,
+        )
 
     def _shard_request(
         self,
@@ -601,18 +510,16 @@ class Coordinator:
         deadline: float,
     ) -> "tuple[object, dict]":
         errors: dict[str, str] = {}
-        attempts = len(candidates) * self.retry.rounds
+        failovers = 0
+        attempts = len(candidates) * FAILOVER_ROUNDS
         for attempt in range(attempts):
-            round_index = attempt // len(candidates)
             if attempt and attempt % len(candidates) == 0:
                 # wrapped around: every candidate failed this round —
-                # back off (capped exponential) before hammering again
-                pause = self.retry.backoff(round_index)
+                # pause before hammering them again
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                if pause > 0:
-                    time.sleep(min(pause, max(remaining, 0.0)))
+                time.sleep(min(FAILOVER_BACKOFF_SECONDS, remaining))
             replica = candidates[attempt % len(candidates)]
             remaining = deadline - time.monotonic()
             started = time.perf_counter()
@@ -628,15 +535,17 @@ class Coordinator:
                 )
             except (CommError, ClusterError) as exc:
                 errors[replica.name] = repr(exc)
-                if attempt + 1 < attempts:
-                    nxt = candidates[(attempt + 1) % len(candidates)]
+                nxt = candidates[(attempt + 1) % len(candidates)]
+                if attempt + 1 < attempts and nxt is not replica:
+                    # a retry on the same replica is not a hand-off
+                    failovers += 1
                     self._note_failover(
                         sg, replica.name, nxt.name, type(exc).__name__
                     )
                 continue
             return value, {
                 "replica": replica.name,
-                "failovers": attempt,
+                "failovers": failovers,
                 "elapsed": time.perf_counter() - started,
             }
         raise ClusterError(
@@ -644,75 +553,6 @@ class Coordinator:
             f"retry budget ({attempts} attempt(s)): "
             f"{errors or 'deadline exhausted'}"
         )
-
-    # -- probe-driven membership -------------------------------------------
-
-    def _probe_ping(self, replica_name: str) -> bool:
-        replica = self._replica_by_name[replica_name]
-        try:
-            reply = replica.probe_connection().request(
-                {"op": "ping"}, timeout=PROBE_TIMEOUT
-            )
-        except Exception:
-            return False
-        return reply == "pong"
-
-    def _evict_replica(self, replica_name: str) -> None:
-        sg = self._group_by_replica[replica_name]
-        sg.group.evict(replica_name)
-        self._sync_replica_gauges(sg)
-        self.metrics.counter(
-            "repro_cluster_replica_evictions_total",
-            "replicas evicted after consecutive failed probes",
-        ).inc()
-        self.flight.record(
-            "replica_evicted", shard=sg.name, replica=replica_name
-        )
-
-    def _rejoin_replica(self, replica_name: str) -> bool:
-        """Reintegrate a recovered replica (prober callback).
-
-        Graphs are re-registered *before* the replica re-enters
-        rotation; any re-registration failure vetoes the rejoin (the
-        prober keeps it evicted and retries after its next passing
-        probes).
-        """
-        replica = self._replica_by_name[replica_name]
-        sg = self._group_by_replica[replica_name]
-        shard_index = next(
-            i for i, g in enumerate(self._groups) if g is sg
-        )
-        for gid, placements in self._graphs.items():
-            try:
-                replica.connection().request(
-                    _register_payload(gid, placements[shard_index].spec),
-                    timeout=self.request_timeout,
-                )
-            except Exception as exc:
-                self.flight.record(
-                    "replica_rejoin_failed",
-                    shard=sg.name,
-                    replica=replica_name,
-                    graph_id=gid,
-                    error=repr(exc),
-                )
-                return False
-            self._registered.setdefault(gid, set()).add(replica_name)
-        sg.group.reintegrate(replica_name)
-        # the probe proved liveness and the graphs are back: waiting
-        # out the breaker's recovery window would skip a replica known
-        # to be healthy
-        self._breakers.for_engine(replica_name).reset()
-        self._sync_replica_gauges(sg)
-        self.metrics.counter(
-            "repro_cluster_replica_rejoins_total",
-            "replicas reintegrated after passing recovery probes",
-        ).inc()
-        self.flight.record(
-            "replica_rejoined", shard=sg.name, replica=replica_name
-        )
-        self._record_shard_success(replica_name)
-        return True
 
     # -- graph lifecycle ---------------------------------------------------
 
@@ -724,8 +564,8 @@ class Coordinator:
         Every replica of a shard group receives the identical slice.  A
         shard group with **zero** successful replicas fails the whole
         registration (rolled back everywhere); a group that registered
-        on at least one replica tolerates failed siblings — the prober
-        re-registers them on rejoin.
+        on at least one replica tolerates failed siblings, which serve
+        this graph only once it is registered again.
         """
         gid = graph_id or graph.name
         if gid in self._graphs:
@@ -769,8 +609,8 @@ class Coordinator:
             )
         for replica, _, exc in results:
             if exc is not None:
-                # the group survives on its siblings; the failed
-                # replica re-registers via the prober's rejoin path
+                # the group survives on its siblings; routing skips
+                # the failed replica for this graph
                 self._record_shard_failure(
                     replica.name,
                     op="register",
@@ -1085,7 +925,7 @@ class Coordinator:
         """Gather per-replica health; aggregate to one cluster state.
 
         Replica replies piggyback metrics deltas (federated here).  A
-        dead or evicted replica, or a non-closed breaker, degrades the
+        dead replica, or a non-closed breaker, degrades the
         cluster even while every reachable replica is individually
         healthy.  A non-healthy aggregate records a flight event and —
         once per state, when a flight dir is configured — auto-dumps the
@@ -1115,11 +955,9 @@ class Coordinator:
             state=worst,
             shards=shards,
             breakers=self._breakers.snapshots(),
-            replicas=self.replica_states(),
         )
         if worst is HealthState.HEALTHY and (
             health.dead
-            or health.evicted
             or any(s.state != "closed" for s in health.breakers.values())
         ):
             health = replace(health, state=HealthState.DEGRADED)
@@ -1144,23 +982,6 @@ class Coordinator:
         """
         return self.predictor.snapshot()
 
-    def shard_flight(self, shard: str) -> dict:
-        """Fetch one live shard's flight-recorder ring (``op: flight``).
-
-        ``shard`` may name a replica directly, or a shard group — the
-        group resolves to its current preferred replica.
-        """
-        replica = self._replica_by_name.get(shard)
-        if replica is None:
-            for sg in self._groups:
-                if sg.name == shard:
-                    ranked = sg.group.ranked()
-                    replica = self._replica_by_name[ranked[0]]
-                    break
-        if replica is None:
-            raise ClusterError(f"unknown shard {shard!r}")
-        return self._call(replica, {"op": "flight"})
-
     # -- observability surfaces --------------------------------------------
 
     @property
@@ -1171,16 +992,6 @@ class Coordinator:
     def replicated(self) -> bool:
         """True when any shard group has more than one replica."""
         return self._replicated
-
-    def replica_states(self) -> dict[str, dict[str, str]]:
-        """``{shard: {replica: state}}`` routing view (CLI/tests)."""
-        return {
-            sg.name: {
-                name: state.name.lower()
-                for name, state in sg.group.states().items()
-            }
-            for sg in self._groups
-        }
 
     def metrics_text(self) -> str:
         """One Prometheus exposition for the whole cluster.
@@ -1231,7 +1042,6 @@ class Coordinator:
         if self._shutdown:
             return
         self._shutdown = True
-        self.prober.stop()
         self._scatter([(r, {"op": "shutdown"}) for r in self._replicas])
         for replica in self._replicas:
             replica.close()
@@ -1279,10 +1089,6 @@ class LocalCluster:
         request_timeout: float = 120.0,
         flight_dir: "str | Path | None" = None,
         replicas: int | None = None,
-        retry: "RetryPolicy | None" = None,
-        probe_interval: float = 0.0,
-        probe_failures: int = 3,
-        probe_recoveries: int = 2,
     ) -> None:
         self.config = config or xset_default()
         if num_shards is None:
@@ -1332,10 +1138,6 @@ class LocalCluster:
             observability=observability,
             request_timeout=request_timeout,
             flight_dir=flight_dir,
-            retry=retry,
-            probe_interval=probe_interval,
-            probe_failures=probe_failures,
-            probe_recoveries=probe_recoveries,
         )
 
     def kill_shard(self, index: int) -> str:

@@ -19,7 +19,6 @@ Ops (payload ``{"op": ..., ...}`` → reply value):
 ``health``      envelope: the service's :class:`HealthReport` + metrics
                 delta + flight-event counts
 ``stats``       small dict (jobs run, cache hits, mode, pid)
-``flight``      the service's flight-recorder ring as a JSON-able dict
 ``shutdown``    stop the service, close the listener → ``True``
 
 ``query`` and ``health`` replies are *envelopes* (dicts) rather than
@@ -110,8 +109,8 @@ class ShardWorker:
     def _op_register(self, payload: dict) -> str:
         if payload["graph_id"] in self._owned:
             # idempotent re-registration: a replica that missed an
-            # unregister while dead (or is being re-seeded on rejoin)
-            # replaces its copy instead of erroring the rejoin away
+            # unregister while dead replaces its copy instead of
+            # erroring the registration away
             self.service.unregister_graph(payload["graph_id"])
             self._owned.pop(payload["graph_id"], None)
         graph_id = self.service.register_graph(
@@ -189,10 +188,6 @@ class ShardWorker:
             "flight": self.service.flight.counts(),
         }
 
-    def _op_flight(self, payload: dict) -> dict:
-        """The shard service's flight-recorder ring (JSON-able)."""
-        return self.service.flight.to_payload()
-
     def _op_stats(self, payload: dict) -> dict:
         import os
 
@@ -219,9 +214,10 @@ class ShardWorker:
         """Recovery: come back up on the same address after :meth:`kill`.
 
         The service (graphs, cache, metrics) survived the "crash" —
-        what died was the wire.  Real deployments restart the process
-        and re-register; the coordinator's rejoin path re-ships graphs
-        either way, so tests exercise the same protocol.
+        what died was the wire.  The coordinator takes the replica back
+        through its comm breaker: at once if the breaker is closed,
+        after the recovery window if it opened.  A graph registered
+        while the replica was down reaches it only when re-registered.
         """
         if self._closed:
             raise ClusterError(

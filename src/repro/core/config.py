@@ -69,7 +69,7 @@ class SystemConfig:
     #: be >= the deepest plan's stop level for exact per-root counts; the
     #: coordinator validates this per query.
     cluster_halo_hops: int = 4
-    #: workers per shard group (repro.cluster.replication); 1 = no
+    #: workers per shard group (repro.cluster.coordinator); 1 = no
     #: replication, >= 2 buys automatic failover on replica death
     cluster_replicas: int = 1
 

@@ -19,8 +19,8 @@ tree; manual :meth:`FlightRecorder.dump` always works.  Each distinct
 cannot spam the disk.
 
 Read back with :meth:`FlightRecorder.events` / :meth:`FlightRecorder.counts`
-(``python -m repro health --json`` prints the service's counts) and,
-for a live shard, ``Coordinator.shard_flight``.
+(``python -m repro health --json`` prints the service's counts; a shard's
+counts ride its ``health`` reply) or from a :meth:`FlightRecorder.dump`.
 """
 
 from __future__ import annotations

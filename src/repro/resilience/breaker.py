@@ -136,20 +136,6 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self._set_state(BreakerState.OPEN)
 
-    def reset(self) -> None:
-        """Force-close the breaker (an operator action, not a probe).
-
-        Used when an out-of-band signal proves the guarded peer is back
-        — e.g. the cluster prober reintegrating a replica after it
-        passed its recovery probes *and* re-registered its graphs.
-        Waiting out ``recovery_seconds`` would keep skipping a replica
-        known to be healthy.
-        """
-        with self._lock:
-            self._consecutive = 0
-            self._probes_in_flight = 0
-            self._set_state(BreakerState.CLOSED)
-
     # -- introspection ------------------------------------------------------
 
     @property

@@ -5,7 +5,7 @@ produce *typed* :class:`~repro.errors.CommError` failures — never a
 wedged reader — because failover can only route around failures it can
 see.  Covers both directions (server reading a bad client, client
 reading a bad server) plus the listener ``reopen`` / worker ``revive``
-recovery path the prober relies on.
+recovery path a revived replica comes back through.
 """
 
 import socket

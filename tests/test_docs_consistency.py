@@ -141,7 +141,7 @@ class TestReplicationDocs:
     def test_readme_section(self, readme):
         assert "### Replication & failover" in readme
         for phrase in (
-            "replicas=2", "RetryPolicy",
+            "replicas=2", "FAILOVER_ROUNDS", "BREAKER_RECOVERY_SECONDS",
             "zero partial", "byte-identical", "served_by",
             "replica_failovers_total",
             "cluster.failovers",
@@ -152,19 +152,20 @@ class TestReplicationDocs:
     def test_architecture_section(self, architecture):
         assert "## Replication & failover" in architecture
         for phrase in (
-            "ReplicaGroup", "RetryPolicy",
-            "HealthProber", "exactly-once",
+            "FAILOVER_ROUNDS", "FAILOVER_BACKOFF_SECONDS",
+            "BREAKER_RECOVERY_SECONDS", "half-open", "exactly-once",
             "FRAME_BODY_TIMEOUT", "comm.send",
-            "repro_cluster_replica_state",
-            "probe_failures",
         ):
             assert phrase in architecture, phrase
 
     def test_documented_replication_api_exists(self):
-        import repro
+        from repro.cluster import coordinator
 
-        for name in ("RetryPolicy", "ReplicaState", "HealthProber"):
-            assert hasattr(repro, name), name
+        for name in (
+            "FAILOVER_ROUNDS", "FAILOVER_BACKOFF_SECONDS",
+            "BREAKER_RECOVERY_SECONDS",
+        ):
+            assert hasattr(coordinator, name), name
 
     def test_replicas_one_semantics_documented(self, readme, architecture):
         # the compat contract: replicas=1 is the pre-replication cluster

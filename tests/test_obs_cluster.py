@@ -455,17 +455,6 @@ class TestClusterFlight:
             ]
             assert trip and trip[0]["shard"] == killed
 
-    def test_shard_flight_op(self):
-        with LocalCluster(num_shards=2, max_workers=1) as cluster:
-            coord = cluster.coordinator
-            gid = coord.register_graph(demo_graph())
-            coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            payload = coord.shard_flight("shard0")
-            kinds = {e["kind"] for e in payload["events"]}
-            assert {"submit", "dispatch", "done"} <= kinds
-            with pytest.raises(ClusterError):
-                coord.shard_flight("nope")
-
     def test_all_shards_lost_dumps_and_raises(self, tmp_path):
         with LocalCluster(
             num_shards=2, max_workers=1, flight_dir=tmp_path

@@ -1,4 +1,4 @@
-"""Replica groups, failover, probing, exactly-once merging.
+"""Replica groups, failover, breaker-driven recovery, exactly-once merging.
 
 The headline chaos property: with ``cluster_replicas >= 2``, killing any
 single replica mid-workload yields **byte-identical** counts to a
@@ -11,14 +11,7 @@ import time
 
 import pytest
 
-from repro.cluster import (
-    HealthProber,
-    LocalCluster,
-    ReplicaGroup,
-    ReplicaState,
-    RetryPolicy,
-    merge_replies,
-)
+from repro.cluster import LocalCluster, coordinator, merge_replies
 from repro.core.config import xset_default
 from repro.engine import available_engines
 from repro.errors import ClusterError, ConfigError
@@ -38,149 +31,6 @@ from repro.sim.report import SimReport
 def _reference(graph, pattern, engine="batched"):
     cfg = xset_default(engine=engine)
     return run_on_soc(graph, build_plan(pattern), cfg).embeddings
-
-
-#: a retry policy with test-friendly backoff (milliseconds, not seconds)
-FAST_RETRY = RetryPolicy(rounds=2, base=0.01, multiplier=2.0, cap=0.05)
-
-
-def _eventually(condition, seconds=10.0):
-    """Poll until ``condition()`` holds or the time is up; returns it."""
-    deadline = time.monotonic() + seconds
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return condition()
-
-
-# -- policy objects ---------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_backoff_schedule(self):
-        p = RetryPolicy(rounds=3, base=0.1, multiplier=4.0, cap=1.0)
-        assert p.backoff(0) == 0.0
-        assert p.backoff(1) == pytest.approx(0.1)
-        assert p.backoff(2) == pytest.approx(0.4)
-        assert p.backoff(3) == pytest.approx(1.0)  # capped (1.6 -> 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ClusterError):
-            RetryPolicy(rounds=0)
-        with pytest.raises(ClusterError):
-            RetryPolicy(base=-0.1)
-        with pytest.raises(ClusterError):
-            RetryPolicy(multiplier=0.5)
-
-
-class TestReplicaGroup:
-    def test_configured_order_when_healthy(self):
-        g = ReplicaGroup("s0", ["a", "b", "c"])
-        assert g.ranked() == ["a", "b", "c"]
-
-    def test_failure_demotes(self):
-        g = ReplicaGroup("s0", ["a", "b"])
-        assert g.mark_failure("a") is ReplicaState.SUSPECT
-        assert g.ranked() == ["b", "a"]
-        g.mark_success("a")
-        assert g.ranked() == ["a", "b"]
-
-    def test_evict_and_reintegrate(self):
-        g = ReplicaGroup("s0", ["a", "b"])
-        assert g.evict("a") is True
-        assert g.evict("a") is False  # already evicted
-        assert g.ranked() == ["b"]
-        # a success on an evicted replica does not readmit it
-        g.mark_success("a")
-        assert g.state("a") is ReplicaState.EVICTED
-        assert g.reintegrate("a") is True
-        assert g.ranked() == ["a", "b"]
-
-    def test_all_evicted_falls_back_to_everyone(self):
-        g = ReplicaGroup("s0", ["a", "b"])
-        g.evict("a")
-        g.evict("b")
-        assert g.ranked() == ["a", "b"]
-
-    def test_validation(self):
-        with pytest.raises(ClusterError):
-            ReplicaGroup("s0", [])
-        with pytest.raises(ClusterError):
-            ReplicaGroup("s0", ["a", "a"])
-        with pytest.raises(ClusterError):
-            ReplicaGroup("s0", ["a"]).state("nope")
-
-
-class TestHealthProber:
-    def test_evicts_after_consecutive_failures(self):
-        alive = {"a": True, "b": True}
-        evicted, rejoined = [], []
-        prober = HealthProber(
-            lambda r: alive[r],
-            ["a", "b"],
-            probe_failures=3,
-            probe_recoveries=2,
-            on_evict=evicted.append,
-            on_rejoin=lambda r: rejoined.append(r) or True,
-        )
-        alive["a"] = False
-        prober.step()
-        prober.step()
-        assert prober.evicted == ()  # 2 < probe_failures
-        prober.step()
-        assert prober.evicted == ("a",)
-        assert evicted == ["a"]
-        # recovery: two consecutive passing probes
-        alive["a"] = True
-        prober.step()
-        assert prober.evicted == ("a",)
-        prober.step()
-        assert prober.evicted == ()
-        assert rejoined == ["a"]
-
-    def test_flap_resets_counters(self):
-        alive = {"a": True}
-        prober = HealthProber(
-            lambda r: alive[r], ["a"], probe_failures=3,
-            probe_recoveries=2,
-        )
-        alive["a"] = False
-        prober.step()
-        prober.step()
-        alive["a"] = True
-        prober.step()  # pass resets the failure streak
-        alive["a"] = False
-        prober.step()
-        prober.step()
-        assert prober.evicted == ()
-
-    def test_rejoin_veto_keeps_evicted(self):
-        alive = {"a": False}
-        accept = {"value": False}
-        prober = HealthProber(
-            lambda r: alive[r], ["a"], probe_failures=1,
-            probe_recoveries=1,
-            on_rejoin=lambda r: accept["value"],
-        )
-        prober.step()
-        assert prober.evicted == ("a",)
-        alive["a"] = True
-        prober.step()
-        assert prober.evicted == ("a",)  # vetoed
-        accept["value"] = True
-        prober.step()
-        assert prober.evicted == ()
-
-    def test_ping_exception_counts_as_failure(self):
-        def boom(_):
-            raise RuntimeError("probe transport died")
-
-        prober = HealthProber(boom, ["a"], probe_failures=1)
-        assert prober.step() == {"a": False}
-        assert prober.evicted == ("a",)
-
-    def test_validation(self):
-        with pytest.raises(ClusterError):
-            HealthProber(lambda r: True, ["a"], probe_failures=0)
 
 
 # -- exactly-once merge guards (satellite: merge.py under replicas) ---------
@@ -272,7 +122,6 @@ class TestFailover:
             mode=mode,
             max_workers=1,
             replicas=2,
-            retry=FAST_RETRY,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -305,7 +154,7 @@ class TestFailover:
         mode = "inline" if transport == "inproc" else "thread"
         with LocalCluster(
             num_shards=2, config=cfg, transport=transport, mode=mode,
-            max_workers=1, replicas=2, retry=FAST_RETRY,
+            max_workers=1, replicas=2,
         ) as cluster:
             gid = cluster.coordinator.register_graph(g)
             cluster.kill_replica(1, 0)
@@ -319,7 +168,7 @@ class TestFailover:
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=3, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=3, config=cfg, replicas=2,
         ) as cluster:
             gid = cluster.coordinator.register_graph(g)
             for shard in range(3):
@@ -333,7 +182,7 @@ class TestFailover:
         g = erdos_renyi(60, 6.0, seed=4)
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=2, config=cfg, replicas=2,
             flight_dir=tmp_path,
         ) as cluster:
             coord = cluster.coordinator
@@ -348,7 +197,6 @@ class TestFailover:
             assert events[0].data["from_replica"] == "shard0/r0"
             text = coord.metrics_text()
             assert "repro_cluster_replica_failovers_total" in text
-            assert "repro_cluster_replica_state" in text
             # the first failover auto-dumps the black box
             dump = tmp_path / "flight-coordinator-replica-failover.json"
             kinds = {
@@ -360,7 +208,7 @@ class TestFailover:
         g = erdos_renyi(60, 6.0, seed=4)
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=2, config=cfg, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -378,7 +226,7 @@ class TestFailover:
         g = erdos_renyi(60, 6.0, seed=4)
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=2, config=cfg, retry=FAST_RETRY,
+            num_shards=2, config=cfg,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -398,7 +246,7 @@ class TestFailover:
         # synchronously), so taking slowness for failure would show here
         with LocalCluster(
             num_shards=1, config=cfg, transport="tcp", mode="thread",
-            max_workers=1, replicas=2, retry=FAST_RETRY,
+            max_workers=1, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -421,122 +269,80 @@ class TestFailover:
                 "repro_cluster_replica_failovers_total"
             ).value == 0
 
+    def test_single_replica_retry_is_not_a_failover(self):
+        """replicas=1: a retry goes back to the shard's only replica, so
+        nothing is handed off — no failover counted, noted or recorded."""
+        g = erdos_renyi(60, 6.0, seed=4)
+        expected = _reference(g, PATTERNS["3CF"])
+        cfg = xset_default(engine="batched")
+        with LocalCluster(num_shards=2, config=cfg) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            # a transient frame drop: the retry on the same replica serves
+            injector = FaultInjector((
+                FaultSpec(site="comm.send", kind=FaultKind.DROP),
+            ))
+            with inject_comm(injector):
+                report = coord.query(gid, PATTERNS["3CF"])
+            assert injector.events.get("comm.send:drop") == 1
+            assert report.embeddings == expected
+            assert report.notes["cluster"]["partial"] is False
+            assert report.notes["cluster"]["failovers"] == 0
+            # a dead shard: every retry fails on the same replica
+            cluster.kill_shard(1)
+            report = coord.query(gid, PATTERNS["3CF"])
+            assert report.notes["cluster"]["failed_shards"] == ["shard1"]
+            assert coord.metrics.counter(
+                "repro_cluster_replica_failovers_total"
+            ).value == 0
+            assert coord.flight.events("replica_failover") == []
 
-# -- probe-driven membership -------------------------------------------------
+    def test_failed_replica_ranks_behind_its_sibling(self):
+        g = erdos_renyi(50, 6.0, seed=6)
+        cfg = xset_default(engine="batched")
+        with LocalCluster(num_shards=1, config=cfg, replicas=2) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
 
+            def order():
+                return [
+                    r.name for r in coord._candidates(coord._groups[0], gid)
+                ]
 
-class TestProberIntegration:
-    def test_evict_rejoin_cycle(self):
+            assert order() == ["shard0/r0", "shard0/r1"]
+            cluster.kill_replica(0, 0)
+            coord.query(gid, PATTERNS["3CF"])
+            assert order() == ["shard0/r1", "shard0/r0"]
+            # one success clears the streak: configured order again
+            cluster.revive_replica(0, 0)
+            coord.health()
+            assert order() == ["shard0/r0", "shard0/r1"]
+
+    def test_revived_replica_serves_after_its_breaker_recovers(
+        self, monkeypatch
+    ):
+        """A killed replica comes back through its comm breaker: once
+        the recovery window has passed, one half-open request lets it
+        serve again."""
+        monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(60, 6.0, seed=17)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
-            probe_failures=2, probe_recoveries=2,
-        ) as cluster:
+        with LocalCluster(num_shards=2, config=cfg, replicas=2) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
             cluster.kill_replica(0, 0)
-            coord.prober.step()
-            coord.prober.step()
-            assert coord.prober.evicted == ("shard0/r0",)
-            states = coord.replica_states()
-            assert states["shard0"]["shard0/r0"] == "evicted"
-            assert coord.flight.events("replica_evicted")
-            # evicted replica is out of rotation: no failover needed
+            coord.query(gid, PATTERNS["3CF"])  # r0 fails once, r1 serves
+            coord.health()  # r0's second failure opens its breaker
+            trips = coord.flight.events("breaker_trip")
+            assert [e.data["shard"] for e in trips] == ["shard0/r0"]
+            cluster.revive_replica(0, 0)
+            cluster.kill_replica(0, 1)
             report = coord.query(gid, PATTERNS["3CF"])
+            info = report.notes["cluster"]
             assert report.embeddings == expected
-            assert report.notes["cluster"]["failovers"] == 0
-            assert (
-                report.notes["cluster"]["served_by"]["shard0"]
-                == "shard0/r1"
-            )
-            # recovery: revive, pass probes, rejoin re-registers + resets
-            cluster.revive_replica(0, 0)
-            coord.prober.step()
-            coord.prober.step()
-            assert coord.prober.evicted == ()
-            assert (
-                coord.replica_states()["shard0"]["shard0/r0"]
-                == "healthy"
-            )
-            assert coord.flight.events("replica_rejoined")
-            assert coord.metrics.counter(
-                "repro_cluster_replica_evictions_total"
-            ).value == 1
-            assert coord.metrics.counter(
-                "repro_cluster_replica_rejoins_total"
-            ).value == 1
-            # the rejoined primary serves again, exactly
-            report = coord.query(gid, PATTERNS["3CF"])
-            assert report.embeddings == expected
-            assert (
-                report.notes["cluster"]["served_by"]["shard0"]
-                == "shard0/r0"
-            )
-
-    def test_rejoin_reships_graphs_registered_while_dead(self):
-        g1 = erdos_renyi(50, 6.0, seed=2, name="g1")
-        g2 = erdos_renyi(50, 6.0, seed=3, name="g2")
-        expected = _reference(g2, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
-            probe_failures=1, probe_recoveries=1,
-        ) as cluster:
-            coord = cluster.coordinator
-            coord.register_graph(g1)
-            cluster.kill_replica(0, 0)
-            coord.prober.step()
-            assert coord.prober.evicted == ("shard0/r0",)
-            # registered while shard0/r0 was dead: only the sibling holds it
-            gid2 = coord.register_graph(g2)
-            cluster.revive_replica(0, 0)
-            coord.prober.step()
-            assert coord.prober.evicted == ()
-            # the rejoined primary must now hold g2 and serve it exactly
-            report = coord.query(gid2, PATTERNS["3CF"])
-            assert report.embeddings == expected
-            assert (
-                report.notes["cluster"]["served_by"]["shard0"]
-                == "shard0/r0"
-            )
-            assert report.notes["cluster"]["partial"] is False
-
-    def test_live_prober_evicts_then_rejoins(self):
-        """The same cycle on the prober's own thread (``probe_interval``
-        > 0) instead of hand-driven ``step()`` calls."""
-        with LocalCluster(
-            num_shards=1, config=xset_default(engine="batched"),
-            replicas=2, retry=FAST_RETRY, probe_interval=0.02,
-            probe_failures=2, probe_recoveries=2,
-        ) as cluster:
-            prober = cluster.coordinator.prober
-            victim = cluster.kill_replica(0, 0)
-            assert _eventually(lambda: victim in prober.evicted)
-            cluster.revive_replica(0, 0)
-            assert _eventually(lambda: victim not in prober.evicted)
-
-    def test_health_reports_replica_states(self):
-        cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=2, config=cfg, replicas=2, retry=FAST_RETRY,
-            probe_failures=1,
-        ) as cluster:
-            coord = cluster.coordinator
-            health = coord.health()
-            assert health.replicas["shard0"]["shard0/r0"] == "healthy"
-            assert health.evicted == ()
-            cluster.kill_replica(1, 1)
-            coord.prober.step()
-            health = coord.health()
-            assert health.replicas["shard1"]["shard1/r1"] == "evicted"
-            assert "shard1/r1" in health.evicted
-            assert health.state.name != "HEALTHY"
-            assert health.to_dict()["replicas"]["shard1"][
-                "shard1/r1"
-            ] == "evicted"
-            assert "shard1/r1" in health.summary()
+            assert info["partial"] is False
+            assert info["served_by"]["shard0"] == "shard0/r0"
 
 
 # -- comm-level fault injection ----------------------------------------------
@@ -548,7 +354,7 @@ class TestCommFaultFailover:
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=1, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=1, config=cfg, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -569,7 +375,7 @@ class TestCommFaultFailover:
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=1, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=1, config=cfg, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -587,7 +393,7 @@ class TestCommFaultFailover:
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="batched")
         with LocalCluster(
-            num_shards=1, config=cfg, replicas=2, retry=FAST_RETRY,
+            num_shards=1, config=cfg, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -606,7 +412,7 @@ class TestCommFaultFailover:
         cfg = xset_default(engine="batched")
         with LocalCluster(
             num_shards=1, config=cfg, transport="tcp", mode="thread",
-            max_workers=1, replicas=2, retry=FAST_RETRY,
+            max_workers=1, replicas=2,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -625,12 +431,13 @@ class TestCommFaultFailover:
 
 
 class TestIncidentDedupe:
-    def test_one_shard_failure_event_per_incident(self):
+    def test_one_shard_failure_event_per_incident(self, monkeypatch):
+        # the revived shard is let back in by its breaker's half-open
+        # request, not after a 30 s recovery window
+        monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(50, 6.0, seed=7)
         cfg = xset_default(engine="batched")
-        with LocalCluster(
-            num_shards=2, config=cfg, retry=FAST_RETRY,
-        ) as cluster:
+        with LocalCluster(num_shards=2, config=cfg) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
             cluster.kill_shard(1)
@@ -644,7 +451,6 @@ class TestIncidentDedupe:
             assert len(failures) == 1  # one incident, one event
             # recovery closes the incident...
             cluster.revive_replica(1, 0)
-            coord._breakers.for_engine("shard1").reset()
             report = coord.query(gid, PATTERNS["3CF"])
             assert report.notes["cluster"]["partial"] is False
             assert coord.flight.events("shard_recovered")
