@@ -2,14 +2,14 @@
 """Resilience tour: seeded chaos against the query service, verified live.
 
 Computes clean reference counts for a handful of patterns, then replays
-the same queries through a :class:`QueryService` running the hardened
-resilience profile while a deterministic :class:`FaultPlan` injects
-worker crashes, silent bit-flips in the batched engine's result, and
-memory stalls.  The demo asserts — not just prints — that every query
-still comes back with the *correct* embedding count, then shows how each
-one survived: retried after an injected crash, cross-checked and served
-from the verifying engine, or rerouted once the batched engine's circuit
-breaker opened.
+the same queries through a :class:`QueryService` that cross-checks every
+query on the event engine while a deterministic :class:`FaultPlan`
+injects worker crashes, silent bit-flips in the batched engine's result,
+and memory stalls.  The demo asserts — not just prints — that every
+query still comes back with the *correct* embedding count from the
+batched engine it named, then shows how each one survived: retried on
+batched after an injected crash, or cross-checked and served from the
+verifying engine.
 
 Because the plan is seeded, the run is reproducible: same seed, same
 faults, same recovery story every time.
@@ -19,7 +19,7 @@ Usage::
     python examples/chaos_demo.py [--seed 2024] [--scale 1.0]
 
 Set ``REPRO_LOG=INFO`` (or pass ``-v``) to watch the service log the
-crashes, reroutes and breaker trips as they happen.
+crashes, retries and breaker trips as they happen.
 """
 
 import argparse
@@ -28,12 +28,7 @@ from repro.core.api import XSetAccelerator
 from repro.graph import erdos_renyi
 from repro.obs import configure_logging
 from repro.patterns import PATTERNS
-from repro.resilience import (
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    ResilienceConfig,
-)
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.service import QueryService
 
 DEMO_PATTERNS = ("3CF", "TT", "WEDGE", "DIA", "CYC")
@@ -61,10 +56,9 @@ def main() -> None:
         ).embeddings
         print(f"  {name:6s} {expected[name]}")
 
-    # the hardened profile: batched falls back to event when its breaker
-    # opens, open breakers fail fast, and every query is cross-checked
-    # on the other engine (verify_fraction=1.0 for the demo's sake;
-    # production would sample a fraction).
+    # a crash is retried on batched in a fresh worker, and every query is
+    # cross-checked on the event engine (verify_fraction=1.0 for the
+    # demo's sake; production would sample a fraction).
     plan = FaultPlan(seed=args.seed, specs=(
         FaultSpec(site="worker.run", kind=FaultKind.CRASH,
                   rate=0.5, max_fires=2),
@@ -76,10 +70,7 @@ def main() -> None:
     print(f"\nreplaying under chaos (seed={args.seed}): worker crashes, "
           "bit-flips in the batched datapath, memory stalls\n")
 
-    with QueryService(
-        mode="inline",
-        resilience=ResilienceConfig.hardened(verify_fraction=1.0),
-    ) as service:
+    with QueryService(mode="inline", verify_fraction=1.0) as service:
         gid = service.register_graph(graph)
         service.arm_faults(plan)
         for name in DEMO_PATTERNS:
@@ -89,9 +80,10 @@ def main() -> None:
             assert report.embeddings == expected[name], (
                 f"{name}: {report.embeddings} != {expected[name]}"
             )
+            assert handle.engine == "batched"
             story = []
-            if handle.engine != "batched":
-                story.append(f"rerouted to {handle.engine}")
+            if handle.attempts > 1:
+                story.append(f"retried on batched x{handle.attempts - 1}")
             injected = report.notes.get("injected", {})
             for event, n in injected.items():
                 story.append(f"injected {event} x{n}")
@@ -103,7 +95,7 @@ def main() -> None:
         print("\nevery count survived the chaos plan.\n")
         print(service.health().summary())
         stats = service.stats()
-        print(f"\nretries={stats.retries} rerouted={stats.rerouted} "
+        print(f"\nretries={stats.retries} "
               f"crosscheck_mismatches={stats.crosscheck_mismatches} "
               f"faults_injected={stats.faults_injected}")
 

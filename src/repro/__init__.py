@@ -16,7 +16,6 @@ Quickstart::
 """
 
 from .errors import (
-    CircuitOpenError,
     ClusterError,
     CommClosedError,
     CommError,
@@ -27,7 +26,6 @@ from .errors import (
     InjectedCrashError,
     JobCancelledError,
     JobTimeoutError,
-    LoadShedError,
     MemoryModelError,
     PatternError,
     PlanError,
@@ -42,7 +40,6 @@ from .errors import (
 __version__ = "1.5.0"
 
 __all__ = [
-    "CircuitOpenError",
     "ClusterError",
     "CommClosedError",
     "CommError",
@@ -53,7 +50,6 @@ __all__ = [
     "InjectedCrashError",
     "JobCancelledError",
     "JobTimeoutError",
-    "LoadShedError",
     "MemoryModelError",
     "PatternError",
     "PlanError",
@@ -90,7 +86,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "LocalCluster": "repro.cluster",
         "ShardWorker": "repro.cluster",
         "ClusterHealth": "repro.cluster",
-        "ResilienceConfig": "repro.resilience",
         "FaultPlan": "repro.resilience",
         "FaultSpec": "repro.resilience",
         "FaultKind": "repro.resilience",

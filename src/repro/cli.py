@@ -270,33 +270,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_health(args: argparse.Namespace) -> int:
     """Run a demo workload and print the service's health report.
 
-    With ``--chaos`` the service runs the hardened resilience profile
-    (fallback routing, 100% cross-checking, fail-fast breakers) with a
-    deterministic seeded fault plan armed — crashes, corrupted counts and
-    memory stalls — so the report shows the degradation machinery doing
-    its job.  Without it, a clean service reports ``healthy`` across the
-    board.
+    With ``--chaos`` every query is cross-checked on the event engine and
+    a deterministic seeded fault plan is armed — crashes, corrupted
+    counts and memory stalls — so the report shows crashes retried and
+    wrong counts caught.  Without it, a clean service reports ``healthy``
+    across the board.
     """
     from .graph.generators import erdos_renyi
     from .patterns.pattern import PATTERNS
-    from .resilience import (
-        FaultKind,
-        FaultPlan,
-        FaultSpec,
-        ResilienceConfig,
-    )
+    from .resilience import FaultKind, FaultPlan, FaultSpec
     from .service import QueryService
 
-    resilience = (
-        ResilienceConfig.hardened(verify_fraction=1.0)
-        if args.chaos
-        else ResilienceConfig()
-    )
     graph = erdos_renyi(
         args.nodes, args.degree, seed=7, name="health-demo"
     )
     patterns = [PATTERNS[n] for n in ("3CF", "TT", "DIA", "WEDGE", "CYC")]
-    with QueryService(mode="inline", resilience=resilience) as service:
+    with QueryService(
+        mode="inline", verify_fraction=1.0 if args.chaos else 0.0
+    ) as service:
         gid = service.register_graph(graph)
         if args.chaos:
             service.arm_faults(FaultPlan(seed=args.seed, specs=(
@@ -425,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--sius", type=int, default=0)
     from .engine import available_engines
 
-    # "auto" resolves per query from the cost model (see repro.sched.adaptive)
-    engine_choices = ("auto", *available_engines())
+    engine_choices = available_engines()
 
     count.add_argument(
         "--engine",
@@ -526,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--engine", choices=engine_choices,
                         default="batched")
     health.add_argument("--chaos", action="store_true",
-                        help="arm a deterministic fault plan under the "
-                             "hardened resilience profile")
+                        help="arm a deterministic fault plan and "
+                             "cross-check every query")
     health.add_argument("--seed", type=int, default=1234,
                         help="fault-plan seed used with --chaos")
     health.add_argument("--prometheus", action="store_true",

@@ -60,7 +60,6 @@ from ..patterns.plan import build_plan
 from ..resilience import BreakerBoard, BreakerState, HealthReport, \
     HealthState
 from ..sched.adaptive import CostPredictor, query_features
-from ..sched.adaptive.selector import auto_engine
 from ..service.cache import pattern_cache_key
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
@@ -146,9 +145,7 @@ class ClusterHealth:
                         "queue_depth": report.queue_depth,
                         "queue_limit": report.queue_limit,
                         "in_flight": report.in_flight,
-                        "shed": report.shed,
                         "abandoned": report.abandoned,
-                        "rerouted": report.rerouted,
                     }
                 )
                 for name, report in self.shards.items()
@@ -667,8 +664,6 @@ class Coordinator:
         """
         cfg = config or self.config
         predict_engine = engine or cfg.engine
-        if predict_engine == "auto":
-            predict_engine = auto_engine()
         targets, predictions = self._prepare_query(
             graph_id, pattern, induced, predict_engine
         )

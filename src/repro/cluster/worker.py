@@ -38,7 +38,7 @@ after a dead host.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.config import SystemConfig
 from ..errors import ClusterError
@@ -46,9 +46,6 @@ from ..obs.cluster import TraceContext, collect_job_spans
 from ..obs.federation import MetricsDeltaTracker
 from ..service.service import QueryService
 from .comm.base import Transport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..resilience import ResilienceConfig
 
 __all__ = ["ShardWorker"]
 
@@ -65,7 +62,6 @@ class ShardWorker:
         mode: str = "inline",
         max_workers: int | None = None,
         observability: bool = False,
-        resilience: "ResilienceConfig | None" = None,
     ) -> None:
         self.name = name
         self.service = QueryService(
@@ -73,7 +69,6 @@ class ShardWorker:
             mode=mode,
             max_workers=max_workers,
             observability=observability,
-            resilience=resilience,
         )
         #: graph_id → owned local root range ``[lo, hi)``
         self._owned: dict[str, tuple[int, int]] = {}

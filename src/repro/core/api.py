@@ -36,10 +36,9 @@ class XSetAccelerator:
     ``engine`` picks the execution backend for ``count``-style runs:
     ``"event"`` (default — cycle-approximate event-driven simulation),
     ``"batched"`` (vectorised frontier expansion, analytic timing; much
-    faster when only counts matter), ``"codegen"`` (the batched expansion
-    compiled per plan, same report) or ``"auto"`` (the fastest registered
-    backend; counts are identical on all of them).  See
-    :mod:`repro.engine`.
+    faster when only counts matter) or ``"codegen"`` (the batched
+    expansion compiled per plan, same report); counts are identical on
+    all of them.  See :mod:`repro.engine`.
     """
 
     def __init__(

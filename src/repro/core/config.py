@@ -57,10 +57,9 @@ class SystemConfig:
     root_partition: str = "round-robin"
     #: execution engine: "event" (cycle-approximate event-driven
     #: simulation), "batched" (vectorised frontier expansion with analytic
-    #: timing), "codegen" (plan-compiled NumPy kernels, same counts and
-    #: timing model as batched) or "auto" (resolved per run from predicted
-    #: cost and breaker state — see repro.sched.adaptive; every backend
-    #: returns byte-identical counts, so auto never changes a result)
+    #: timing) or "codegen" (plan-compiled NumPy kernels, same counts and
+    #: timing model as batched); every backend returns byte-identical
+    #: counts, and a run always uses the one named here
     engine: str = "event"
     #: number of query-cluster shards (repro.cluster); 0 = single node,
     #: no cluster layer involved
@@ -88,10 +87,10 @@ class SystemConfig:
             raise ConfigError(
                 f"unknown root partition {self.root_partition!r}"
             )
-        if self.engine != "auto" and self.engine not in available_engines():
+        if self.engine not in available_engines():
             raise ConfigError(
                 f"unknown execution engine {self.engine!r}; "
-                f"available: auto, {', '.join(available_engines())}"
+                f"available: {', '.join(available_engines())}"
             )
 
     def memory_config(self) -> MemoryConfig:

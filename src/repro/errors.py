@@ -64,19 +64,6 @@ class WorkerCrashError(ServiceError):
     """A pool worker died while running a job (retries exhausted)."""
 
 
-class LoadShedError(ServiceError):
-    """An overloaded service shed this low-priority submission.
-
-    Raised at submit time while the service is in the OVERLOADED
-    degradation state; retry later or resubmit with a higher priority
-    (lower priority value).
-    """
-
-
-class CircuitOpenError(ServiceError):
-    """The target engine's circuit breaker is open and no fallback ran."""
-
-
 class FaultInjectionError(ServiceError):
     """A fault plan or spec is malformed (resilience test harness)."""
 

@@ -12,20 +12,20 @@ mechanisms, each wired through the service / engine / simulator layers:
   ``active() is None`` check, so an unarmed system pays nothing.
 * **Circuit breakers** (:mod:`~repro.resilience.breaker`) — per-engine
   closed → open → half-open state machines tripped by crash-shaped or
-  wrong-result failures, with configurable fallback routing (batched →
-  event by default in the hardened profile).
+  wrong-result failures.  They are advisory: a job always runs on the
+  engine it names, a crash is retried there in a fresh worker, and an
+  open breaker marks the service degraded.
 * **Watchdog** (:mod:`~repro.resilience.watchdog`) — enforces deadlines
   on *running* jobs: hung workers are abandoned, their waiters finished
   with ``TIMEOUT``, broken pools replaced.
-* **Degradation + load shedding** (:mod:`~repro.resilience.degradation`)
-  — a healthy/degraded/overloaded state machine over queue depth and
-  breaker states; overloaded services shed low-priority submissions with
-  a typed :class:`~repro.errors.LoadShedError`.
+* **Degradation** (:mod:`~repro.resilience.degradation`) — a
+  healthy/degraded/overloaded state over queue depth and breaker states,
+  reported by ``health()`` and read by the cluster coordinator.
 
-All of it is driven by one frozen :class:`ResilienceConfig`
-(:meth:`ResilienceConfig.hardened` is the fully armed profile) and
-observable through the service's metrics registry, spans and the
-``python -m repro health`` CLI.
+The service's one resilience setting is
+``QueryService(verify_fraction=...)``, the share of jobs cross-checked
+on the event engine.  Everything is observable through the service's
+metrics registry, spans and the ``python -m repro health`` CLI.
 """
 
 from .breaker import (
@@ -51,7 +51,6 @@ from .faults import (
     inject,
     inject_comm,
 )
-from .policy import DEFAULT_FALLBACKS, ResilienceConfig
 from .watchdog import Watchdog
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "BreakerState",
     "COMM_SITES",
     "CircuitBreaker",
-    "DEFAULT_FALLBACKS",
     "FAULT_SITES",
     "FaultInjector",
     "FaultKind",
@@ -68,7 +66,6 @@ __all__ = [
     "FaultSpec",
     "HealthReport",
     "HealthState",
-    "ResilienceConfig",
     "Watchdog",
     "active",
     "assess",

@@ -1,11 +1,14 @@
 """Per-engine circuit breakers: closed → open → half-open → closed.
 
 A :class:`CircuitBreaker` watches one execution engine.  Consecutive
-crash-shaped or wrong-result failures trip it OPEN; while open the
-dispatcher stops sending jobs to the engine (routing them to the
-configured fallback instead).  After ``recovery_seconds`` the breaker
-lets a bounded number of *probe* jobs through (HALF_OPEN); one success
-closes it, one failure re-opens it and restarts the recovery clock.
+crash-shaped or wrong-result failures trip it OPEN.  The service's
+breakers are advisory: a job still runs on the engine it names, but
+while the breaker is not closed the service reports itself degraded and
+runs no job of that engine on its dispatcher thread.  After
+``recovery_seconds`` the breaker lets a bounded number of *probe* jobs
+through (HALF_OPEN); one success closes it, one failure re-opens it and
+restarts the recovery clock.  The cluster coordinator holds one breaker
+per replica, and there a refusing breaker skips the replica.
 
 The clock is injectable (the service passes its own), so recovery
 windows are testable without real sleeps, and every transition is
@@ -32,7 +35,7 @@ class BreakerState(enum.Enum):
 
     CLOSED = 0     #: healthy — requests flow normally
     HALF_OPEN = 1  #: probing — a bounded number of trial requests allowed
-    OPEN = 2       #: tripped — requests are rerouted or failed fast
+    OPEN = 2       #: tripped — allow() refuses until the recovery window
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,22 @@
-"""Service health assessment and load-shedding policy.
+"""Service health assessment.
 
-The service continuously classifies itself into one of three states from
-two cheap signals — queue occupancy and breaker states:
+The service classifies itself into one of three states from two cheap
+signals — queue occupancy and breaker states:
 
 ``HEALTHY``
     Queue below the degraded watermark, every breaker closed.
 ``DEGRADED``
     Queue above the degraded watermark *or* at least one engine breaker
-    open/half-open (some capacity lost; the service still accepts all
-    work).
+    open/half-open.
 ``OVERLOADED``
-    Queue above the overload watermark.  Submissions whose priority is at
-    or below the shed floor (numerically ``>= SHED_MIN_PRIORITY``;
-    higher number = less important) are *shed* with a typed
-    :class:`~repro.errors.LoadShedError` before they ever enqueue, so the
-    queue drains toward the important work — the service-level analogue
-    of the paper's "keep every PE busy with useful work" argument.
+    Queue above the overload watermark.
 
-The state is recomputed on demand (submit time, ``stats()``, ``health()``)
-from a snapshot of the signals; there is no background thread to race.
+The state is a report, not a policy: the service accepts work in every
+state, and a full queue is its one backpressure signal
+(:class:`~repro.errors.QueueFullError`).  The cluster coordinator reads
+the state of each shard.  It is recomputed on demand (``stats()``,
+``health()``) from a snapshot of the signals; there is no background
+thread to race.
 """
 
 from __future__ import annotations
@@ -32,13 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["HealthState", "HealthReport", "assess"]
 
-#: while OVERLOADED, submissions with ``priority >= this`` are shed
-#: (lower priority value = more important, matching the job queue)
-SHED_MIN_PRIORITY = 1
-
 #: queue occupancy (fraction of the limit) at or above which = DEGRADED
 QUEUE_DEGRADED_FRACTION = 0.5
-#: queue occupancy at or above which = OVERLOADED (shedding kicks in)
+#: queue occupancy at or above which = OVERLOADED
 QUEUE_OVERLOADED_FRACTION = 0.9
 
 
@@ -75,9 +69,7 @@ class HealthReport:
     queue_limit: int
     in_flight: int
     breakers: Mapping[str, "BreakerSnapshot"] = field(default_factory=dict)
-    shed: int = 0
     abandoned: int = 0
-    rerouted: int = 0
     crosscheck_mismatches: int = 0
     faults_injected: int = 0
     dispatcher_stuck: bool = False
@@ -97,8 +89,7 @@ class HealthReport:
                 f"({self.queue_fraction:.0%}), in flight {self.in_flight}"
             ),
             (
-                f"shed {self.shed}, abandoned {self.abandoned}, "
-                f"rerouted {self.rerouted}, "
+                f"abandoned {self.abandoned}, "
                 f"cross-check mismatches {self.crosscheck_mismatches}, "
                 f"faults injected {self.faults_injected}"
             ),

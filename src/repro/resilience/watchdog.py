@@ -45,16 +45,8 @@ DEFAULT_INTERVAL = 0.05
 class Watchdog:
     """Registry of running jobs + deadline scanning + optional thread."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        *,
-        interval: float = DEFAULT_INTERVAL,
-        enforce_deadlines: bool = True,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.interval = interval
-        self.enforce_deadlines = enforce_deadlines
         self._running: dict[int, tuple["Job", "Future | None"]] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -102,8 +94,6 @@ class Watchdog:
         releasing waiters with ``TIMEOUT``, freeing the in-flight slot
         and recording metrics.
         """
-        if not self.enforce_deadlines:
-            return []
         now = self._clock()
         with self._lock:
             expired = [
@@ -124,7 +114,8 @@ class Watchdog:
     # -- background thread --------------------------------------------------
 
     def start(self, tick: Callable[[], None]) -> None:
-        """Run ``tick`` every ``interval`` seconds until :meth:`stop`."""
+        """Run ``tick`` every ``DEFAULT_INTERVAL`` seconds until
+        :meth:`stop`."""
         with self._lock:
             if self._thread is not None:
                 return
@@ -138,7 +129,7 @@ class Watchdog:
             self._thread.start()
 
     def _loop(self, tick: Callable[[], None]) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(DEFAULT_INTERVAL):
             try:
                 tick()
             except Exception:  # pragma: no cover - defensive

@@ -2,8 +2,8 @@
 
 Two scheduling layers live here: the paper's per-PE hardware schedulers
 (:mod:`repro.sched.policies`) and the service-level adaptive stack
-(:mod:`repro.sched.adaptive` — cost predictor and engine
-auto-selection, whose predictions rank the service's job queue).  The
+(:mod:`repro.sched.adaptive` — the cost predictor whose predictions
+rank the service's job queue).  The
 adaptive names are re-exported lazily so importing ``repro.sched`` for
 :class:`SimTask` stays cheap.
 """
@@ -29,22 +29,13 @@ __all__ = [
     "ShogunScheduler",
     "SimTask",
     "TaskSetState",
-    "auto_engine",
     "make_scheduler",
     "query_features",
-    "select_engine",
 ]
 
 #: adaptive-layer names resolved on first attribute access
 _ADAPTIVE = frozenset(
-    {
-        "CostEstimate",
-        "CostPredictor",
-        "QueryFeatures",
-        "auto_engine",
-        "query_features",
-        "select_engine",
-    }
+    {"CostEstimate", "CostPredictor", "QueryFeatures", "query_features"}
 )
 
 

@@ -2,18 +2,18 @@
 
 The hardware scheduler (``repro.sched.policies``) decides which task a PE
 runs next inside one simulated accelerator; this package makes the same
-decision one level up, for the *service*: which engine runs a query,
-and how costly a queued query is predicted to be — the key the job
-queue (:mod:`repro.service.scheduler`) dispatches by.  The pieces:
+decision one level up, for the *service*: how costly a queued query is
+predicted to be — the key the job queue (:mod:`repro.service.scheduler`)
+dispatches by, and what decides whether the dispatcher runs a job
+itself.  The engine is never chosen here: a job runs on the engine its
+config names.  The pieces:
 
 * :mod:`~repro.sched.adaptive.features` — deterministic, relabeling-
   invariant feature extraction per ``(graph fingerprint, canonical
   pattern)``;
 * :mod:`~repro.sched.adaptive.predictor` — the online cost model
   (per-shape EWMA → learned engine throughput → conservative prior) with
-  self-reported accuracy;
-* :mod:`~repro.sched.adaptive.selector` — ``engine="auto"`` resolution
-  from predicted cost and breaker state.
+  self-reported accuracy.
 """
 
 from .features import (
@@ -29,11 +29,8 @@ from .predictor import (
     CostEstimate,
     CostPredictor,
 )
-from .selector import AUTO_ENGINE, AUTO_PREFERENCE, auto_engine, select_engine
 
 __all__ = [
-    "AUTO_ENGINE",
-    "AUTO_PREFERENCE",
     "CostEstimate",
     "CostPredictor",
     "DEFAULT_ENGINE_SPEED",
@@ -41,8 +38,6 @@ __all__ = [
     "PlanFeatures",
     "QueryFeatures",
     "analytic_work",
-    "auto_engine",
     "plan_features",
     "query_features",
-    "select_engine",
 ]

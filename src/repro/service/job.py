@@ -186,8 +186,6 @@ class Job:
     #: half-open root-vertex range ``[lo, hi)`` restricting the search to
     #: embeddings rooted there (cluster shard subqueries); None = all roots
     root_range: "tuple[int, int] | None" = None
-    #: original engine when a breaker / crash-exhaustion rerouted the job
-    rerouted_from: str | None = None
     #: cross-check engine sampled for this job (resilience layer)
     verify_engine: str | None = None
     #: fault specs assigned by the armed plan for the current attempt

@@ -40,8 +40,9 @@ Semantics
   bound (:mod:`repro.service.scheduler`); there is no other order.
 * **Retries**: crash-shaped failures (a dying worker / broken pool) are
   retried ``MAX_RETRIES`` times with doubling backoff from
-  ``RETRY_BACKOFF_SECONDS``; deterministic engine exceptions propagate
-  immediately.
+  ``RETRY_BACKOFF_SECONDS``, on the same engine in a fresh worker;
+  deterministic engine exceptions propagate immediately.  A job always
+  runs on the engine its config names.
 * **Caching**: results are cached by ``(graph fingerprint, canonical
   pattern, config)`` with LRU eviction; graph updates invalidate — or,
   through :meth:`QueryService.dynamic_session`, delta-patch — entries.
@@ -71,9 +72,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..core.config import SystemConfig, xset_default
 from ..core.incremental import IncrementalGPM
 from ..errors import (
-    CircuitOpenError,
     InjectedCrashError,
-    LoadShedError,
     QueueFullError,
     ServiceError,
     WorkerCrashError,
@@ -82,17 +81,15 @@ from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.flight import FlightRecorder
 from ..patterns.plan import build_plan
-from ..sched.adaptive import CostPredictor, query_features, select_engine
+from ..sched.adaptive import CostPredictor, query_features
 from ..resilience import (
     BreakerBoard,
     BreakerState,
     HealthReport,
     HealthState,
-    ResilienceConfig,
     Watchdog,
     assess,
 )
-from ..resilience.degradation import SHED_MIN_PRIORITY
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
@@ -122,6 +119,11 @@ _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
 MAX_RETRIES = 2
 RETRY_BACKOFF_SECONDS = 0.05
 
+#: consecutive crash or wrong-result failures that open an engine's
+#: breaker, and the seconds it stays open before one half-open probe
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_RECOVERY_SECONDS = 30.0
+
 _CACHE_HELP = "result-cache outcome of cached submits"
 
 #: every count the service keeps, kept once: row → (series, help).  The
@@ -140,10 +142,6 @@ _COUNTS = {
     "timeout": ("repro_jobs_timed_out_total", "jobs whose deadline expired"),
     "submitted": ("repro_jobs_submitted_total", "jobs accepted by submit()"),
     "retries": ("repro_job_retries_total", "crash-shaped failures retried"),
-    "shed": (
-        "repro_jobs_shed_total",
-        "low-priority submissions shed while overloaded",
-    ),
     "abandoned": (
         "repro_jobs_abandoned_total", "running jobs abandoned by the watchdog"
     ),
@@ -152,16 +150,9 @@ _COUNTS = {
         "jobs sent to the pool, one executor call each",
     ),
     # the rows below carry labels, whose values the caller of _count gives
-    "rerouted": (
-        "repro_jobs_rerouted_total", "jobs rerouted to a fallback engine"
-    ),
     "faults_injected": (
         "repro_faults_injected_total",
         "injected faults observed by the service",
-    ),
-    "auto_selected": (
-        "repro_auto_engine_total",
-        'engine="auto" resolutions per chosen backend',
     ),
     "crosschecks": (
         "repro_crosschecks_total", "sampled cross-engine verification runs"
@@ -215,7 +206,7 @@ class QueryService:
         executor=None,
         start_paused: bool = False,
         observability: bool = False,
-        resilience: ResilienceConfig | None = None,
+        verify_fraction: float = 0.0,
     ) -> None:
         if mode not in MODES:
             raise ServiceError(
@@ -248,7 +239,7 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self._latency = LatencyRecorder(registry=self.metrics)
         #: online cost model trained from every completed job; drives
-        #: engine auto-selection and cost-ranked dispatch
+        #: cost-ranked dispatch and the light-job test
         self.predictor = CostPredictor(registry=self.metrics)
         self._observation: Observation | None = (
             Observation(
@@ -275,24 +266,18 @@ class QueryService:
         self._dispatcher_stuck = False
         #: (row of ``_COUNTS``, *label values) → that series' counter
         self._tally: "dict[tuple[str, ...], Counter]" = {}
-        # -- resilience layer (breakers, watchdog, shedding, fault plan) --
-        self.resilience = resilience or ResilienceConfig()
+        # -- resilience layer (breakers, watchdog, cross-check, fault plan) --
+        #: share of jobs, picked by job id, re-run on a second engine and
+        #: compared by count (``_sampled_verify``); 0.0 checks none
+        self.verify_fraction = verify_fraction
         self._fault_plan: "FaultPlan | None" = None
-        self._breakers: BreakerBoard | None = (
-            BreakerBoard(
-                failure_threshold=self.resilience.failure_threshold,
-                recovery_seconds=self.resilience.recovery_seconds,
-                clock=clock,
-                on_transition=self._on_breaker_transition,
-            )
-            if self.resilience.enabled
-            else None
+        self._breakers = BreakerBoard(
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            recovery_seconds=BREAKER_RECOVERY_SECONDS,
+            clock=clock,
+            on_transition=self._on_breaker_transition,
         )
-        self._watchdog = Watchdog(
-            clock,
-            interval=self.resilience.watchdog_interval,
-            enforce_deadlines=self.resilience.enabled,
-        )
+        self._watchdog = Watchdog(clock)
 
     def _on_breaker_transition(self, engine, old, new) -> None:
         """Breaker state changes land in the flight recorder (one append;
@@ -373,24 +358,6 @@ class QueryService:
         """
         if self._shutdown:
             raise ServiceError("service has been shut down")
-        if (
-            self.resilience.enabled
-            and priority >= SHED_MIN_PRIORITY
-            and self._health_state() is HealthState.OVERLOADED
-        ):
-            self._count("shed")
-            self.flight.record(
-                "shed",
-                graph_id=graph_id,
-                pattern=pattern.name,
-                priority=priority,
-                queue_depth=self._queue.depth(),
-            )
-            raise LoadShedError(
-                f"service overloaded (queue {self._queue.depth()}/"
-                f"{self._queue.limit}); shed priority-{priority} "
-                f"submission of {pattern.name!r} on {graph_id!r}"
-            )
         job = self._resolve(
             graph_id, pattern, induced, priority, engine, config, root_range
         )
@@ -470,27 +437,7 @@ class QueryService:
         plan = build_plan(pattern, induced=induced)
         pkey = pattern_cache_key(pattern, induced)
         features = query_features(record.graph, record.fingerprint, pkey)
-        board = self._breakers
-        if cfg.engine == "auto":
-            # pick the cheapest predicted backend whose breaker allows it;
-            # the concrete choice lands in cfg (and the cache key) so
-            # everything downstream sees a real engine, never the sentinel
-            estimate = select_engine(
-                self.predictor,
-                features,
-                allow=(
-                    None if board is None
-                    else lambda e: board.for_engine(e).allow()
-                ),
-            )
-            cfg = cfg.with_overrides(engine=estimate.engine)
-            self._count(
-                "auto_selected",
-                engine=estimate.engine,
-                source=estimate.source,
-            )
-        else:
-            estimate = self.predictor.predict(features, cfg.engine)
+        estimate = self.predictor.predict(features, cfg.engine)
         handle = JobHandle(
             job_id=next(self._job_ids),
             graph_id=graph_id,
@@ -813,24 +760,18 @@ class QueryService:
         the profile tier (this shape has run on this snapshot) and is under
         ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
         heavy query; it has no deadline (the watchdog cannot abandon a run
-        on this thread) and no cross-check; it was not rerouted and its
-        engine's breaker is closed; and the armed plan assigns its coming
-        attempt no fault (a HANG must not pin the dispatcher, and a CRASH
-        must kill a pool process, not the service).  Asked before
-        ``_begin``: by the queue's veto while the pool is full, and by
-        ``_dispatch``.
+        on this thread) and no cross-check; its engine's breaker is
+        closed; and the armed plan assigns its coming attempt no fault (a
+        HANG must not pin the dispatcher, and a CRASH must kill a pool
+        process, not the service).  Asked before ``_begin``: by the
+        queue's veto while the pool is full, and by ``_dispatch``.
         """
-        board = self._breakers
         return (
             job.predicted_source == "profile"
             and job.predicted_seconds < LIGHT_SECONDS
             and job.deadline is None
-            and job.rerouted_from is None
-            and (
-                board is None
-                or board.for_engine(job.config.engine).state
-                is BreakerState.CLOSED
-            )
+            and self._breakers.for_engine(job.config.engine).state
+            is BreakerState.CLOSED
             and self._sampled_verify(job) is None
             and not self._faults(job)
         )
@@ -869,12 +810,14 @@ class QueryService:
 
     def _begin(self, job: Job) -> bool:
         """Everything that happens to a job between the queue and its run.
-        False when the job is not to run after all (finished while queued,
-        or failed by routing)."""
+        False when the job finished while queued and is not to run."""
         if job.handle.status is not JobStatus.PENDING:
             return False
-        if not self._route(job):
-            return False
+        # the breaker is advisory: the job runs on its engine whatever the
+        # answer.  allow() is still asked because it is the only call that
+        # moves an OPEN breaker past its recovery window to HALF_OPEN, from
+        # where this job's outcome closes (or re-opens) it
+        self._breakers.for_engine(job.config.engine).allow()
         # this attempt's faults (drawn here unless _light already has);
         # the next attempt draws anew
         self._faults(job)
@@ -890,9 +833,7 @@ class QueryService:
         if job.queued_span is not None and self._observation is not None:
             self._observation.tracer.end_span(job.queued_span)
             job.queued_span = None
-        if job.verify_engine is None and job.rerouted_from is None:
-            # rerouted jobs are skipped — their fallback engine *is* the
-            # cross-check engine
+        if job.verify_engine is None:
             job.verify_engine = self._sampled_verify(job)
             if job.verify_engine is not None and job.span is not None:
                 job.span.set_attr("verify_engine", job.verify_engine)
@@ -944,85 +885,20 @@ class QueryService:
         self._watchdog.attach_future(job.handle.job_id, future)
         future.add_done_callback(lambda f: self._on_done(job, f))
 
-    def _route(self, job: Job) -> bool:
-        """Apply breaker routing; False when the job was failed instead.
-
-        An open breaker on the job's engine either reroutes it to the
-        configured fallback (if that engine's breaker allows), dispatches
-        anyway (advisory mode, the default), or — under ``fail_fast`` —
-        fails the job with a typed :class:`CircuitOpenError`.
-        """
-        board = self._breakers
-        if board is None:
-            return True
-        res = self.resilience
-        engine = job.config.engine
-        if board.for_engine(engine).allow():
-            return True
-        fallback = res.fallback_for(engine)
-        if (
-            fallback is not None
-            and job.rerouted_from is None
-            and board.for_engine(fallback).allow()
-        ):
-            self._reroute(job, engine, fallback, "breaker_open")
-            return True
-        if not res.fail_fast:
-            # advisory breaker: dispatch anyway; outcomes keep feeding the
-            # breaker so a recovered engine closes it again
-            return True
-        self._settle(
-            job,
-            JobStatus.FAILED,
-            error=CircuitOpenError(
-                f"engine {engine!r} breaker is open and no fallback is "
-                f"available for job {job.handle.job_id}"
-            ),
-        )
-        return False
-
-    def _reroute(
-        self, job: Job, engine: str, fallback: str, reason: str
-    ) -> None:
-        """Send the job to ``fallback`` instead of its configured engine."""
-        logger.warning(
-            "job %d (%s on %s) rerouted %s -> %s (%s)",
-            job.handle.job_id, job.handle.pattern_name, job.graph_id,
-            engine, fallback, reason,
-        )
-        job.config = job.config.with_overrides(engine=fallback)
-        job.rerouted_from = engine
-        job.handle.engine = fallback
-        if job.span is not None:
-            job.span.set_attr("rerouted_from", engine)
-            job.span.set_attr("reroute_reason", reason)
-        self._count("rerouted", from_engine=engine, to_engine=fallback)
-        self.flight.record(
-            "reroute",
-            job_id=job.handle.job_id,
-            from_engine=engine,
-            to_engine=fallback,
-            reason=reason,
-        )
-
     def _sampled_verify(self, job: Job) -> str | None:
         """The engine this job is cross-checked on, if it is sampled.
 
-        The decision is a pure function of ``(verify_seed, job_id)`` so a
-        replayed workload cross-checks exactly the same jobs regardless
-        of scheduling.
+        The decision is a pure function of the job id, so a replayed
+        workload cross-checks exactly the same jobs regardless of
+        scheduling.  The check runs on the event engine, the most
+        independent implementation; event jobs are checked on batched.
         """
-        res = self.resilience
-        if not res.enabled or res.verify_fraction <= 0.0:
+        if self.verify_fraction <= 0.0:
             return None
-        rng = random.Random(hash((res.verify_seed, job.handle.job_id)))
-        if rng.random() >= res.verify_fraction:
+        rng = random.Random(hash((0, job.handle.job_id)))
+        if rng.random() >= self.verify_fraction:
             return None
-        engine = job.config.engine
-        verify = res.fallback_for(engine)
-        if verify is None:
-            verify = "event" if engine != "event" else "batched"
-        return verify if verify != engine else None
+        return "event" if job.config.engine != "event" else "batched"
 
     def _on_done(self, job: Job, future: Future) -> None:
         if not self._watchdog.unwatch(job.handle.job_id):
@@ -1043,9 +919,9 @@ class QueryService:
             self._on_report(job, future.result())
             return
         if isinstance(exc, _CRASH_TYPES):
-            board = self._breakers
-            if board is not None:
-                board.for_engine(job.config.engine).record_failure("crash")
+            self._breakers.for_engine(job.config.engine).record_failure(
+                "crash"
+            )
             if isinstance(exc, InjectedCrashError):
                 # the worker died before it could ship notes home; count
                 # the injected crash from the typed error's site instead
@@ -1069,23 +945,6 @@ class QueryService:
                     retry=job.attempts,
                 )
                 return
-            fallback = self.resilience.fallback_for(job.config.engine)
-            if (
-                self.resilience.enabled
-                and fallback is not None
-                and job.rerouted_from is None
-                and (board is None or board.for_engine(fallback).allow())
-            ):
-                # last resort: retries on the primary engine are spent, but
-                # a fallback route exists — restart the attempt budget there
-                self._reroute(
-                    job, job.config.engine, fallback,
-                    "crash_retries_exhausted",
-                )
-                job.attempts = 0
-                job.handle.attempts = 0
-                self._requeue(job, 0.0, reroute=fallback)
-                return
             exc = WorkerCrashError(
                 f"job {job.handle.job_id} crashed {job.attempts} time(s); "
                 f"retries exhausted ({MAX_RETRIES}): {exc}"
@@ -1099,12 +958,11 @@ class QueryService:
         self._note_injected(notes.get("injected"))
         crosscheck = notes.get("crosscheck")
         mismatch = bool(crosscheck and crosscheck.get("mismatch"))
-        if self._breakers is not None:
-            breaker = self._breakers.for_engine(job.config.engine)
-            if mismatch:
-                breaker.record_failure("wrong_result")
-            else:
-                breaker.record_success()
+        breaker = self._breakers.for_engine(job.config.engine)
+        if mismatch:
+            breaker.record_failure("wrong_result")
+        else:
+            breaker.record_success()
         if mismatch:
             logger.error(
                 "job %d cross-check mismatch: %s counted %s but "
@@ -1120,10 +978,10 @@ class QueryService:
                 "crosschecks", result="mismatch" if mismatch else "match"
             )
         clean = not mismatch and not notes.get("injected")
-        if clean and job.rerouted_from is None:
-            # mismatched, fault-perturbed or rerouted reports must not
-            # poison the cache: their counts or timings are not what a
-            # clean run of the submitted (engine, config) would yield
+        if clean:
+            # mismatched or fault-perturbed reports must not poison the
+            # cache: their counts or timings are not what a clean run of
+            # the submitted (engine, config) would yield
             self._cache.put(job.cache_key, report)
         profile = getattr(report, "profile", None)
         ob = self._observation
@@ -1150,11 +1008,10 @@ class QueryService:
         if clean and job.features is not None and job.verify_engine is None:
             # clean single-engine run: valid training data for the
             # cost model (cross-checked jobs time two engines;
-            # fault-perturbed timings are noise).  Rerouted jobs
-            # train too — keyed by the engine that actually ran.  The
-            # model means run time: the worker's own measurement where
-            # the report carries one, since dispatch-to-settle also
-            # holds the pool round trip
+            # fault-perturbed timings are noise).  The model means run
+            # time: the worker's own measurement where the report
+            # carries one, since dispatch-to-settle also holds the pool
+            # round trip
             ran = getattr(report, "wall_seconds", 0.0) or elapsed
             self.predictor.observe(job.features, job.config.engine, ran)
             if job.predicted_seconds > 0.0:
@@ -1212,20 +1069,17 @@ class QueryService:
         so there is never a *running* job for a thread to observe —
         deterministic tests drive :meth:`check_watchdog` directly.
         """
-        if self.mode == "inline" or not self._watchdog.enforce_deadlines:
+        if self.mode == "inline":
             return
         self._watchdog.start(self.check_watchdog)
 
     def _health_state(self) -> HealthState:
         """Classify the service right now (queue occupancy + breakers)."""
-        if not self.resilience.enabled:
-            return HealthState.HEALTHY
-        breakers = (
-            self._breakers.states().values()
-            if self._breakers is not None
-            else ()
+        return assess(
+            self._queue.depth(),
+            self._queue.limit,
+            self._breakers.states().values(),
         )
-        return assess(self._queue.depth(), self._queue.limit, breakers)
 
     def health(self) -> HealthReport:
         """Point-in-time degradation report (state machine + counters)."""
@@ -1235,14 +1089,8 @@ class QueryService:
                 queue_depth=self._queue.depth(),
                 queue_limit=self._queue.limit,
                 in_flight=self._in_flight,
-                breakers=(
-                    self._breakers.snapshots()
-                    if self._breakers is not None
-                    else {}
-                ),
-                shed=self._total("shed"),
+                breakers=self._breakers.snapshots(),
                 abandoned=self._total("abandoned"),
-                rerouted=self._total("rerouted"),
                 crosscheck_mismatches=self._total("crosschecks", "mismatch"),
                 faults_injected=self._total("faults_injected"),
                 dispatcher_stuck=self._dispatcher_stuck,
@@ -1259,22 +1107,20 @@ class QueryService:
             "repro_in_flight", "jobs currently on workers"
         ).set(self._in_flight)
         health = self._health_state()
-        if self.resilience.enabled:
+        self.metrics.set_state_gauge(
+            "repro_health_state",
+            "service degradation state (1 = current)",
+            health.name.lower(),
+            [s.name.lower() for s in HealthState],
+        )
+        for engine, state in self._breakers.states().items():
             self.metrics.set_state_gauge(
-                "repro_health_state",
-                "service degradation state (1 = current)",
-                health.name.lower(),
-                [s.name.lower() for s in HealthState],
+                "repro_breaker_state",
+                "per-engine circuit breaker state (1 = current)",
+                state.name.lower(),
+                [s.name.lower() for s in BreakerState],
+                engine=engine,
             )
-            if self._breakers is not None:
-                for engine, state in self._breakers.states().items():
-                    self.metrics.set_state_gauge(
-                        "repro_breaker_state",
-                        "per-engine circuit breaker state (1 = current)",
-                        state.name.lower(),
-                        [s.name.lower() for s in BreakerState],
-                        engine=engine,
-                    )
         # one consistent read: _settle finishes and counts a job under _cond
         with self._cond:
             return ServiceStats(
@@ -1290,19 +1136,12 @@ class QueryService:
                 cancelled=self._total("cancelled"),
                 timed_out=self._total("timeout"),
                 retries=self._total("retries"),
-                shed=self._total("shed"),
                 abandoned=self._total("abandoned"),
-                rerouted=self._total("rerouted"),
                 crosscheck_mismatches=self._total("crosschecks", "mismatch"),
                 faults_injected=self._total("faults_injected"),
                 health=health.name.lower(),
                 dispatcher_stuck=self._dispatcher_stuck,
                 worker_calls=self._total("worker_calls"),
-                auto_selected={
-                    key[1]: self._total("auto_selected", key[1])
-                    for key in list(self._tally)
-                    if key[0] == "auto_selected"
-                },
                 queue_wait=self._latency.queue_wait_summary(),
                 predictor=self.predictor.snapshot(),
                 cache_size=len(self._cache),

@@ -113,11 +113,9 @@ class ServiceStats:
     cache_invalidations: int
     cache_hit_rate: float
     # -- resilience counters (zero on an undisturbed service) --------------
-    #: submissions shed while OVERLOADED
-    shed: int = 0
     #: running jobs abandoned by the watchdog
     abandoned: int = 0
-    #: jobs sent to a fallback engine (breaker open / retries exhausted)
+    #: never written: benchmarks/e2e/svc_base.py still reads it as 0
     rerouted: int = 0
     #: sampled cross-engine checks that disagreed on the count
     crosscheck_mismatches: int = 0
@@ -130,8 +128,6 @@ class ServiceStats:
     # -- adaptive scheduling (repro.sched.adaptive) ------------------------
     #: pool calls made, one per job the dispatcher did not run itself
     worker_calls: int = 0
-    #: ``engine="auto"`` resolutions per chosen engine
-    auto_selected: dict[str, int] = field(default_factory=dict)
     #: queue-wait percentiles (submit → dispatch) over the recent window
     queue_wait: dict[str, float] = field(default_factory=dict)
     #: cost-predictor self-assessment: accuracy window + model coverage
@@ -160,13 +156,13 @@ class ServiceStats:
             ),
         ]
         if (
-            self.health != "healthy" or self.shed or self.abandoned
-            or self.rerouted or self.crosscheck_mismatches
+            self.health != "healthy" or self.abandoned
+            or self.crosscheck_mismatches
             or self.faults_injected or self.dispatcher_stuck
         ):
             lines.append(
-                f"resilience: health={self.health}, {self.shed} shed, "
-                f"{self.abandoned} abandoned, {self.rerouted} rerouted, "
+                f"resilience: health={self.health}, "
+                f"{self.abandoned} abandoned, "
                 f"{self.crosscheck_mismatches} cross-check mismatches, "
                 f"{self.faults_injected} faults injected"
                 + (", DISPATCHER STUCK" if self.dispatcher_stuck else "")
@@ -185,12 +181,6 @@ class ServiceStats:
                 f"queue wait: p50 {qw['p50'] * 1e3:.2f}ms  "
                 f"p99 {qw['p99'] * 1e3:.2f}ms  (n={qw['count']:.0f})"
             )
-        if self.auto_selected:
-            auto = ", ".join(
-                f"{engine}={n}"
-                for engine, n in sorted(self.auto_selected.items())
-            )
-            lines.append(f"adaptive: auto-selected {auto}")
         if self.predictor.get("count"):
             pred = self.predictor
             lines.append(

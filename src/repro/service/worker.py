@@ -21,8 +21,9 @@ Resilience hooks (both default-off and free when unused):
   :class:`~repro.resilience.FaultInjector` is armed around the run so
   the ``worker.run`` / ``engine.*`` / ``memory.stream`` sites fire;
   whatever actually fired ships home in ``report.notes["injected"]``.
-* ``verify_engine`` — the sampled cross-check: the job is re-run on a
-  second engine and the exact embedding counts compared.  On a mismatch
+* ``verify_engine`` — the sampled cross-check: the job is re-run on the
+  event engine (batched for an event job), outside the fault scope, and
+  the exact embedding counts compared.  On a mismatch
   (silent corruption somewhere in the primary datapath) the *verified*
   report is returned instead, with both counts recorded in
   ``report.notes["crosscheck"]`` so the service can trip the primary
@@ -167,7 +168,7 @@ def run_job(
     with inject(injector) if injector is not None else nullcontext():
         if injector is not None:
             # site "worker.run": CRASH raises a crash-shaped error the
-            # service retries/reroutes, HANG stalls this worker
+            # service retries, HANG stalls this worker
             injector.fire("worker.run")
         report = _run_primary(graph, plan, config, observe_run, roots)
     # the cross-check runs outside the fault scope: it is the trusted

@@ -124,22 +124,13 @@ def run_on_soc(
 
     ``config.engine`` selects the backend: the default ``event`` engine is
     the full SoC flow (host + RoCC + event-driven accelerator simulation);
-    ``batched`` runs the vectorised frontier engine with analytic timing.
-    ``engine="auto"`` resolves here to the static fastest-first preference
-    (codegen > batched > event) — the query service resolves auto earlier,
-    per query, against its live cost predictor and breaker board.
-    ``roots`` optionally restricts matching to the given root vertices
-    (every engine supports it; the cluster layer's per-shard subqueries
-    are built on exactly this).
+    ``batched`` runs the vectorised frontier engine with analytic timing
+    and ``codegen`` its plan-compiled form.  ``roots`` optionally
+    restricts matching to the given root vertices (every engine supports
+    it; the cluster layer's per-shard subqueries are built on exactly
+    this).
     """
-    engine = config.engine
-    if engine == "auto":
-        from ..sched.adaptive.selector import auto_engine
-
-        engine = auto_engine()
-        # ship the resolved backend downstream: engines and reports must
-        # never see the "auto" sentinel
-        config = config.with_overrides(engine=engine)
+    engine = get_engine(config.engine)
     if roots is None:
-        return get_engine(engine).run(graph, plan, config)
-    return get_engine(engine).run(graph, plan, config, roots=roots)
+        return engine.run(graph, plan, config)
+    return engine.run(graph, plan, config, roots=roots)

@@ -1,11 +1,10 @@
-"""Adaptive scheduling tests: cost model, auto-selection, dispatch.
+"""Adaptive scheduling tests: cost model and dispatch.
 
-Covers the three pillars of the adaptive stack in isolation and then
+Covers the two pillars of the adaptive stack in isolation and then
 end-to-end through the service and the cluster coordinator:
 
 - :class:`CostPredictor` tier fallback (profile → throughput → prior),
   conservative priors, and self-reported accuracy;
-- ``engine="auto"`` selection, including breaker composition;
 - the job queue's one dispatch rule (shortest-predicted-first, submit
   order on ties, anti-starvation aging bound).
 """
@@ -17,13 +16,7 @@ import pytest
 from repro.core.api import XSetAccelerator
 from repro.graph.generators import erdos_renyi
 from repro.patterns.pattern import PATTERNS
-from repro.sched.adaptive import (
-    CostPredictor,
-    analytic_work,
-    auto_engine,
-    query_features,
-    select_engine,
-)
+from repro.sched.adaptive import CostPredictor, analytic_work, query_features
 from repro.sched.adaptive.predictor import DEFAULT_ENGINE_SPEED
 from repro.service import QueryService, pattern_cache_key
 from repro.service.job import Job, JobHandle, JobStatus
@@ -117,40 +110,6 @@ class TestCostPredictor:
             CostPredictor(alpha=0.0)
         with pytest.raises(ValueError, match="prior_margin"):
             CostPredictor(prior_margin=0.5)
-
-
-class TestEngineSelection:
-    def test_untrained_predictor_prefers_codegen(self, features):
-        est = select_engine(CostPredictor(), features)
-        assert est.engine == "codegen"
-
-    def test_profile_data_overrides_static_preference(self, features):
-        pred = CostPredictor()
-        pred.observe(features, "event", 1e-6)     # implausibly fast
-        pred.observe(features, "codegen", 10.0)   # implausibly slow
-        pred.observe(features, "batched", 10.0)
-        assert select_engine(pred, features).engine == "event"
-
-    def test_breaker_gate_excludes_engines(self, features):
-        est = select_engine(
-            CostPredictor(), features, allow=lambda e: e != "codegen"
-        )
-        assert est.engine == "batched"
-
-    def test_all_breakers_open_still_selects(self, features):
-        # advisory-breaker semantics: a fully-tripped board must not
-        # leave the service with no engine at all
-        est = select_engine(
-            CostPredictor(), features, allow=lambda e: False
-        )
-        assert est.engine == "codegen"
-
-    def test_static_auto_engine(self):
-        assert auto_engine() == "codegen"
-        assert auto_engine(candidates=("event",)) == "event"
-        assert auto_engine(candidates=("event", "batched")) == "batched"
-        with pytest.raises(ValueError, match="no execution engines"):
-            auto_engine(candidates=())
 
 
 def _job(seq, predicted=0.0, priority=0, enqueued_at=0.0, deadline=None):
@@ -252,26 +211,6 @@ class TestCostQueue:
 
 
 class TestServiceAdaptive:
-    def test_auto_engine_counts_match_batched(self, graph):
-        expected = XSetAccelerator(engine="batched").count(
-            graph, PATTERNS["3CF"]
-        ).embeddings
-        with QueryService(mode="inline") as svc:
-            gid = svc.register_graph(graph)
-            handle = svc.submit(gid, PATTERNS["3CF"], engine="auto")
-            report = handle.result(timeout=60)
-            # the sentinel never leaks: the handle carries the resolved
-            # backend and the count is byte-identical to batched
-            assert handle.engine in ("codegen", "batched", "event")
-            assert report.embeddings == expected
-            stats = svc.stats()
-        assert stats.auto_selected.get(handle.engine) == 1
-        assert "auto-selected" in stats.summary()
-        # the library facade resolves the same sentinel without a service
-        assert XSetAccelerator().count(
-            graph, PATTERNS["3CF"], engine="auto"
-        ).embeddings == expected
-
     def test_completed_jobs_train_the_predictor(self, graph):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(graph)

@@ -198,7 +198,7 @@ class TestAdaptiveSchedulingDocs:
     def test_readme_section(self, readme):
         assert "### Adaptive scheduling\n" in readme
         for phrase in (
-            'engine="auto"', "shortest-predicted-job-first",
+            "shortest-predicted-job-first",
             "anti-starvation", "AGE_LIMIT_SECONDS",
             "repro_predictor_error_ratio", "svc-burst",
         ):
@@ -232,19 +232,26 @@ class TestAdaptiveSchedulingDocs:
             in architecture
         )
 
-    def test_cli_engine_auto_matches_docs(self, readme):
+    def test_no_cli_engine_offers_auto(self, readme):
+        # a job runs on the engine it names: no --engine picks one
         from repro.cli import build_parser
+        from repro.engine import available_engines
 
         parser = build_parser()
         sub = parser._subparsers._group_actions[0]
-        for cmd in ("count", "serve", "stats", "cluster"):
-            engine_actions = [
-                action for action in sub.choices[cmd]._actions
-                if "--engine" in action.option_strings
-            ]
-            assert engine_actions and \
-                "auto" in engine_actions[0].choices, cmd
-        assert "--engine\n  auto" in readme or "--engine auto" in readme
+        offered = [
+            (cmd, tuple(action.choices))
+            for cmd, cmd_parser in sub.choices.items()
+            for action in cmd_parser._actions
+            if "--engine" in action.option_strings
+        ]
+        assert {cmd for cmd, _ in offered} >= {
+            "count", "serve", "stats", "cluster"
+        }
+        for cmd, choices in offered:
+            assert choices == available_engines(), cmd
+        assert 'engine="auto"' not in readme
+        assert "--engine auto" not in readme
 
     def test_referenced_files_exist(self, readme, architecture):
         for rel in (

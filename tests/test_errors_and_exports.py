@@ -18,7 +18,6 @@ class TestErrorHierarchy:
             "SchedulerError",
             "MemoryModelError",
             "ServiceError",
-            "LoadShedError",
             "QueueFullError",
             "JobTimeoutError",
             "JobCancelledError",
@@ -40,8 +39,7 @@ class TestErrorHierarchy:
 
     def test_service_errors_are_service_errors(self):
         for name in ("QueueFullError", "JobTimeoutError",
-                     "JobCancelledError", "WorkerCrashError",
-                     "LoadShedError"):
+                     "JobCancelledError", "WorkerCrashError"):
             assert issubclass(getattr(errors, name), errors.ServiceError)
 
     def test_cluster_errors_nest_under_service_error(self):

@@ -5,23 +5,21 @@ clocks, recorded sleeps and injectable executors keep every scenario
 single-threaded and sleep-free except where a real pool is the point.
 The closing chaos suite runs a seeded fault plan (crashes, hangs,
 corrupted counts, memory stalls) against all three service modes and
-asserts the service's core promise under fire: every query that is not
-shed still returns the *correct* embedding count, and no waiter hangs.
+asserts the service's core promise under fire: every query still returns
+the *correct* embedding count, and no waiter hangs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 
 import pytest
 
 from repro.core.api import XSetAccelerator
 from repro.errors import (
-    CircuitOpenError,
     FaultInjectionError,
     InjectedCrashError,
     JobTimeoutError,
-    LoadShedError,
     WorkerCrashError,
 )
 from repro.patterns.pattern import PATTERNS
@@ -33,14 +31,13 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     HealthState,
-    ResilienceConfig,
     Watchdog,
     active,
     assess,
     inject,
 )
-from repro.service import InlineExecutor, JobStatus, QueryService
-from repro.service.service import MAX_RETRIES
+from repro.service import JobStatus, QueryService
+from repro.service import service as service_module
 
 
 class FakeClock:
@@ -62,22 +59,6 @@ class RecordingSleep:
 
     def __call__(self, seconds: float) -> None:
         self.calls.append(seconds)
-
-
-class FlakyExecutor(InlineExecutor):
-    """Fails the first ``failures`` submissions like a dying worker."""
-
-    def __init__(self, failures: int) -> None:
-        self.failures = failures
-        self.submissions = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.submissions += 1
-        if self.submissions <= self.failures:
-            raise BrokenExecutor(
-                f"worker died (injected failure #{self.submissions})"
-            )
-        return super().submit(fn, *args, **kwargs)
 
 
 class HangingExecutor:
@@ -315,13 +296,6 @@ class TestWatchdog:
         assert dog.unwatch(8)        # completion first: scan finds nothing
         assert dog.scan() == []
 
-    def test_enforcement_off_never_abandons(self):
-        clock = FakeClock()
-        dog = Watchdog(clock, enforce_deadlines=False)
-        dog.watch(_StubJob(1, deadline=1.0))
-        clock.advance(100.0)
-        assert dog.scan() == []
-
 
 # ---------------------------------------------------------------------------
 # degradation state machine
@@ -371,122 +345,42 @@ class TestNonPositiveTimeout:
         assert job_spans[0].attrs["outcome"] == "timeout"
 
 
-class TestLoadShedding:
-    def test_overloaded_sheds_low_priority_only(self, graph):
-        svc, gid = make_service(
-            graph, queue_limit=10, start_paused=True
-        )
-        for _ in range(9):  # 9/10 >= the 0.9 overload watermark
-            svc.submit(gid, PATTERNS["3CF"], use_cache=False)
-        assert svc.health().state is HealthState.OVERLOADED
-        with pytest.raises(LoadShedError, match="overloaded"):
-            svc.submit(gid, PATTERNS["TT"], priority=1, use_cache=False)
-        # important work (priority < shed floor) is still accepted
-        keep = svc.submit(gid, PATTERNS["TT"], priority=0, use_cache=False)
-        stats = svc.stats()
-        assert stats.shed == 1
-        assert stats.metrics["repro_jobs_shed_total"] == 1.0
-        svc.resume()
-        assert keep.result(timeout=60).embeddings >= 0
-        svc.shutdown()
-
-    def test_disabled_profile_never_sheds(self, graph):
-        svc, gid = make_service(
-            graph, queue_limit=10, start_paused=True,
-            resilience=ResilienceConfig.disabled(),
-        )
-        for _ in range(9):
-            svc.submit(gid, PATTERNS["3CF"], use_cache=False)
-        svc.submit(gid, PATTERNS["TT"], priority=5, use_cache=False)
-        assert svc.stats().shed == 0
-        assert svc.stats().health == "healthy"
-
-
 class TestBreakerRouting:
     def trip(self, svc, engine):
         board = svc._breakers
-        for _ in range(svc.resilience.failure_threshold):
+        for _ in range(service_module.BREAKER_FAILURE_THRESHOLD):
             board.for_engine(engine).record_failure()
-
-    def test_open_breaker_reroutes_to_fallback(self, graph):
-        clock = FakeClock()
-        svc, gid = make_service(
-            graph, clock=clock,
-            resilience=ResilienceConfig(
-                fallbacks=(("batched", "event"),)
-            ),
-        )
-        self.trip(svc, "batched")
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
-                            use_cache=False)
-        report = handle.result(timeout=60)
-        expected = XSetAccelerator(engine="event").count(
-            graph, PATTERNS["3CF"]
-        ).embeddings
-        assert report.embeddings == expected
-        assert handle.engine == "event"
-        stats = svc.stats()
-        assert stats.rerouted == 1
-        assert stats.health == "degraded"  # one breaker is open
-
-    def test_fail_fast_without_fallback_raises_typed(self, graph):
-        clock = FakeClock()
-        svc, gid = make_service(
-            graph, clock=clock,
-            resilience=ResilienceConfig(fail_fast=True),
-        )
-        self.trip(svc, "batched")
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
-                            use_cache=False)
-        assert handle.status is JobStatus.FAILED
-        with pytest.raises(CircuitOpenError, match="breaker is open"):
-            handle.result()
 
     def test_advisory_default_dispatches_through_open_breaker(self, graph):
         clock = FakeClock()
-        svc, gid = make_service(graph, clock=clock)  # default profile
+        svc, gid = make_service(graph, clock=clock)
         self.trip(svc, "batched")
-        report = svc.count(gid, PATTERNS["3CF"], engine="batched",
-                           use_cache=False)
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+                            use_cache=False)
         expected = XSetAccelerator(engine="batched").count(
             graph, PATTERNS["3CF"]
         ).embeddings
-        assert report.embeddings == expected
-        assert svc.stats().rerouted == 0
+        assert handle.result(timeout=60).embeddings == expected
+        assert handle.engine == "batched"  # the engine it named
+        assert svc.stats().health == "degraded"  # one breaker is open
 
-    def test_crash_exhaustion_falls_back_to_second_engine(self, graph):
-        sleep = RecordingSleep()
-        executor = FlakyExecutor(failures=3)  # attempts 1..3 all crash
-        svc, gid = make_service(
-            graph, executor=executor, sleep=sleep,
-            resilience=ResilienceConfig(
-                fallbacks=(("batched", "event"),)
-            ),
-        )
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
-                            use_cache=False)
-        report = handle.result(timeout=60)
-        expected = XSetAccelerator(engine="event").count(
-            graph, PATTERNS["3CF"]
-        ).embeddings
-        assert report.embeddings == expected
-        assert handle.engine == "event"
-        stats = svc.stats()
-        assert stats.rerouted == 1
-        assert stats.retries == MAX_RETRIES
-        assert stats.failed == 0
+    def test_tripped_breaker_closes_after_the_recovery_window(self, graph):
+        clock = FakeClock()
+        svc, gid = make_service(graph, clock=clock)
+        self.trip(svc, "batched")
+        breaker = svc._breakers.for_engine("batched")
+        svc.count(gid, PATTERNS["3CF"], engine="batched", use_cache=False)
+        # a success inside the window leaves the breaker open
+        assert breaker.state is BreakerState.OPEN
+        clock.advance(service_module.BREAKER_RECOVERY_SECONDS + 1.0)
+        svc.count(gid, PATTERNS["3CF"], engine="batched", use_cache=False)
+        assert breaker.state is BreakerState.CLOSED
+        assert svc.health().state is HealthState.HEALTHY
 
 
 class TestCrossCheck:
-    def corrupt_config(self, **overrides):
-        overrides.setdefault("verify_fraction", 1.0)
-        overrides.setdefault("fallbacks", (("batched", "event"),))
-        return ResilienceConfig(**overrides)
-
     def test_mismatch_serves_verified_report(self, graph):
-        svc, gid = make_service(
-            graph, resilience=self.corrupt_config()
-        )
+        svc, gid = make_service(graph, verify_fraction=1.0)
         svc.arm_faults(FaultPlan(seed=1, specs=(
             FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
                       bit=5),
@@ -523,9 +417,8 @@ class TestCrossCheck:
         assert good.notes == {}
 
     def test_sampling_is_deterministic_per_job_id(self, graph):
-        cfg = self.corrupt_config(verify_fraction=0.5, verify_seed=9)
-        svc_a, gid_a = make_service(graph, resilience=cfg)
-        svc_b, gid_b = make_service(graph, resilience=cfg)
+        svc_a, gid_a = make_service(graph, verify_fraction=0.5)
+        svc_b, gid_b = make_service(graph, verify_fraction=0.5)
         checked = []
         for svc, gid in ((svc_a, gid_a), (svc_b, gid_b)):
             picks = []
@@ -573,30 +466,15 @@ class TestRunningDeadlineWatchdog:
         assert svc.check_watchdog() == 0
         assert handle.status is JobStatus.RUNNING
 
-    def test_disabled_profile_never_abandons(self, graph):
-        clock = FakeClock()
-        executor = HangingExecutor()
-        svc, gid = make_service(
-            graph, clock=clock, executor=executor,
-            resilience=ResilienceConfig.disabled(),
-        )
-        handle = svc.submit(gid, PATTERNS["3CF"], timeout=5.0,
-                            use_cache=False)
-        clock.advance(10.0)
-        assert svc.check_watchdog() == 0
-        assert handle.status is JobStatus.RUNNING
-
     def test_thread_mode_watchdog_thread_fires(self, graph):
         # a real hang (injected HANG > deadline) on a real thread pool:
-        # the background watchdog must release the waiter with TIMEOUT
-        svc = QueryService(
-            mode="thread", max_workers=1,
-            resilience=ResilienceConfig(watchdog_interval=0.01),
-        )
+        # the background watchdog must release the waiter with TIMEOUT.
+        # The hang outlasts the deadline 10x; shutdown() then waits it out
+        svc = QueryService(mode="thread", max_workers=1)
         gid = svc.register_graph(graph, graph_id="g")
         svc.arm_faults(FaultPlan(seed=0, specs=(
             FaultSpec(site="worker.run", kind=FaultKind.HANG,
-                      seconds=2.0),
+                      seconds=0.5),
         )))
         handle = svc.submit(gid, PATTERNS["3CF"], timeout=0.05,
                             use_cache=False)
@@ -643,34 +521,28 @@ class TestStuckDispatcherDetection:
 class TestUnarmedIsByteIdentical:
     @pytest.mark.parametrize("engine", ["batched", "event"])
     def test_default_resilience_matches_disabled(self, graph, engine):
-        reports = []
-        for cfg in (None, ResilienceConfig.disabled()):
-            svc, gid = make_service(graph, resilience=cfg)
-            reports.append(
-                svc.count(gid, PATTERNS["TT"], engine=engine,
-                          use_cache=False)
-            )
-        a, b = reports
-        assert a.embeddings == b.embeddings
-        assert a.cycles == b.cycles
-        assert a.tasks == b.tasks
-        assert a.set_ops == b.set_ops
-        assert a.notes == {} and b.notes == {}
-        # fully wired, selecting nothing: hardened, every armed spec rate 0
-        svc, gid = make_service(
-            graph, resilience=ResilienceConfig.hardened(verify_fraction=0.0)
-        )
+        # the default service (breakers, watchdog, no cross-check) against
+        # the layer out of the picture: a direct run of the same engine
+        direct = XSetAccelerator(engine=engine).count(graph, PATTERNS["TT"])
+        svc, gid = make_service(graph)
+        a = svc.count(gid, PATTERNS["TT"], engine=engine, use_cache=False)
+        # fully wired, selecting nothing: every armed spec at rate 0
         svc.arm_faults(FaultPlan(seed=0, specs=(
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.0),
             FaultSpec(site="memory.stream", kind=FaultKind.STALL, rate=0.0),
         )))
-        c = svc.count(gid, PATTERNS["TT"], engine=engine, use_cache=False)
-        assert (c.embeddings, c.cycles, c.tasks, c.set_ops, c.notes) == (
-            b.embeddings, b.cycles, b.tasks, b.set_ops, {}
-        )
+        b = svc.count(gid, PATTERNS["TT"], engine=engine, use_cache=False)
+        for report in (a, b):
+            assert (
+                report.embeddings, report.cycles, report.tasks,
+                report.set_ops, report.notes,
+            ) == (
+                direct.embeddings, direct.cycles, direct.tasks,
+                direct.set_ops, {},
+            )
         stats = svc.stats()
         assert stats.faults_injected == stats.failed == 0
-        assert stats.shed == stats.rerouted == stats.abandoned == 0
+        assert stats.retries == stats.abandoned == 0
         assert stats.crosscheck_mismatches == 0
 
     def test_stall_fault_only_changes_timing(self, graph):
@@ -729,7 +601,7 @@ CHAOS_PATTERNS = ("3CF", "TT", "WEDGE", "DIA")
 
 def chaos_plan(seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, specs=(
-        # two crash-shaped deaths somewhere in the run (retried/rerouted)
+        # two crash-shaped deaths somewhere in the run (retried)
         FaultSpec(site="worker.run", kind=FaultKind.CRASH,
                   rate=0.5, max_fires=2),
         # slow compute that still finishes correctly
@@ -755,7 +627,7 @@ def test_chaos_every_query_correct_no_waiter_hangs(graph, mode):
     svc = QueryService(
         mode=mode,
         max_workers=2 if mode != "inline" else None,
-        resilience=ResilienceConfig.hardened(verify_fraction=1.0),
+        verify_fraction=1.0,
     )
     try:
         gid = svc.register_graph(graph, graph_id="g")
@@ -788,10 +660,7 @@ def test_chaos_replay_is_deterministic(graph):
     """Same seed, same job ids => the same faults are assigned."""
     runs = []
     for _ in range(2):
-        svc, gid = make_service(
-            graph,
-            resilience=ResilienceConfig.hardened(verify_fraction=1.0),
-        )
+        svc, gid = make_service(graph, verify_fraction=1.0)
         plan = chaos_plan(seed=7)
         svc.arm_faults(plan)
         for name in CHAOS_PATTERNS:

@@ -38,14 +38,12 @@ from repro.core.api import XSetAccelerator
 from repro.errors import (
     JobCancelledError,
     JobTimeoutError,
-    LoadShedError,
     QueueFullError,
     WorkerCrashError,
 )
 from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
-from repro.resilience import ResilienceConfig
 from repro.service import (
     InlineExecutor,
     Job,
@@ -504,8 +502,6 @@ class ScriptedExecutor(InlineExecutor):
         return future
 
 
-#: submit() refusals: typed, and the submission is counted nowhere else
-REFUSALS = (LoadShedError, QueueFullError)
 #: expires at the first clock step / long enough to queue for a while
 SHORT, LONG = 1e-9, 30.0
 
@@ -533,7 +529,6 @@ class JobLifecycle(RuleBasedStateMachine):
             clock=self.clock,
             sleep=RecordingSleep(),
             executor=self.executor,
-            resilience=ResilienceConfig(fallbacks=(("batched", "event"),)),
         )
         self.gid = self.svc.register_graph(self.graph, graph_id="g")
         self.handles: list[JobHandle] = []
@@ -543,7 +538,7 @@ class JobLifecycle(RuleBasedStateMachine):
             self.handles.append(self.svc.submit(
                 self.gid, engine="batched", **kwargs
             ))
-        except REFUSALS:
+        except QueueFullError:  # the one refusal: counted nowhere else
             pass
 
     @rule(
@@ -630,15 +625,10 @@ class JobLifecycle(RuleBasedStateMachine):
             "timed_out": "repro_jobs_timed_out_total",
             "cancelled": "repro_jobs_cancelled_total",
             "retries": "repro_job_retries_total",
-            "shed": "repro_jobs_shed_total",
             "abandoned": "repro_jobs_abandoned_total",
         }
         for field, name in series.items():
             assert getattr(s, field) == s.metrics.get(name, 0), field
-        assert s.rerouted == sum(
-            value for key, value in s.metrics.items()
-            if key.startswith("repro_jobs_rerouted_total")
-        )
         # worker completions and cache hits are both completed jobs
         assert s.completed == (
             s.metrics.get("repro_jobs_completed_total", 0)

@@ -24,7 +24,7 @@ from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
 from repro.patterns.plan import build_plan
-from repro.resilience import FaultKind, FaultPlan, FaultSpec, ResilienceConfig
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.sched.adaptive import CostPredictor, query_features
 from repro.service import (
     InlineExecutor,
@@ -211,7 +211,7 @@ class TestSeededMix:
             mode="process", max_workers=2, start_paused=True,
             clock=FakeClock(), queue_limit=128,
             # one job in four is cross-checked, by job id
-            resilience=ResilienceConfig(verify_fraction=0.25, verify_seed=3),
+            verify_fraction=0.25,
         )
         try:
             for gid, graph in graphs.items():
@@ -276,17 +276,17 @@ class TestChaosSplit:
     ):
         monkeypatch.setattr(service_module, "MAX_RETRIES", 8)
         monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
+        # crashes must not open the breaker: it would send every job to
+        # the pool, and the fault draw is what is under test
+        monkeypatch.setattr(
+            service_module, "BREAKER_FAILURE_THRESHOLD", 10**6
+        )
         specs = (
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.3),
             FaultSpec(site="worker.run", kind=FaultKind.HANG, rate=0.3,
                       seconds=0.01),
         )
-        svc = QueryService(
-            mode="process", max_workers=2, start_paused=True,
-            # crashes must not open the breaker: it would send every job
-            # to the pool, and the fault draw is what is under test
-            resilience=ResilienceConfig(failure_threshold=10**6),
-        )
+        svc = QueryService(mode="process", max_workers=2, start_paused=True)
         try:
             gid = svc.register_graph(small_er, "g")
             warm(svc, small_er, LIGHT)
