@@ -18,7 +18,8 @@ Resilience reuses the service layer's own machinery at cluster scope:
   the sibling with the fewest consecutive comm failures (immediately
   within a pass, ``FAILOVER_BACKOFF_SECONDS`` between the
   ``FAILOVER_ROUNDS`` passes, all bounded by ``request_timeout`` per
-  subquery);
+  subquery — the coordinator keeps no cost model, so a slow but live
+  replica is waited out up to that bound);
 * a shard whose *every* replica fails degrades the query instead of
   failing it: the merged report carries
   ``notes["cluster"]["partial"] = True`` plus the failed shard names,
@@ -35,6 +36,11 @@ Flight-recorder hygiene: a shard that keeps failing under sustained
 chaos records **one** ``shard_failure`` event per incident (cleared by
 the next success, which records ``shard_recovered``) — the black box
 stays a readable story instead of one line per failed query.
+
+The coordinator's ``metrics`` registry holds its own series only; each
+shard service keeps its own.  A traced coordinator re-anchors every
+shard's span tree under its scatter span and keeps, like the service,
+at most ``TRACE_SPAN_LIMIT`` spans and ``PROFILE_LIMIT`` profiles.
 """
 
 from __future__ import annotations
@@ -51,16 +57,13 @@ from ..core.config import SystemConfig, xset_default
 from ..errors import ClusterError, CommError
 from ..graph.csr import CSRGraph
 from ..obs import MetricsRegistry, Tracer
-from ..obs.cluster import TraceContext, new_trace_id
 from ..obs.export import chrome_trace_events, write_chrome_trace
-from ..obs.federation import FederatedMetrics, MetricsDeltaTracker
 from ..obs.flight import FlightRecorder
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
 from ..resilience import BreakerBoard, BreakerState, HealthReport, \
     HealthState
-from ..sched.adaptive import CostPredictor, query_features
-from ..service.cache import pattern_cache_key
+from ..service import service
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
 from .partition import ShardSpec, make_shards
@@ -74,9 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Coordinator", "ClusterHealth", "LocalCluster"]
 
-#: per-shard execution profiles retained for PE-lane trace export
-PROFILE_LIMIT = 256
-
 #: consecutive comm failures that open a replica's breaker, and how long
 #: it then stays open before one probe request is let through
 BREAKER_FAILURE_THRESHOLD = 2
@@ -86,13 +86,6 @@ BREAKER_RECOVERY_SECONDS = 30.0
 #: before each pass after the first
 FAILOVER_ROUNDS = 2
 FAILOVER_BACKOFF_SECONDS = 0.05
-
-#: scatter deadline budget = predicted shard latency × this safety factor
-#: (applied only to profile-backed predictions, clamped to
-#: [DEADLINE_FLOOR, request_timeout])
-DEADLINE_SAFETY = 8.0
-#: minimum prediction-derived scatter deadline (seconds)
-DEADLINE_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -131,35 +124,6 @@ class ClusterHealth:
             if snap.state != "closed":
                 lines.append(f"  breaker[{name}]: {snap.state}")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """JSON-friendly view (CLI ``--json``, CI assertions)."""
-        return {
-            "state": self.state.name.lower(),
-            "dead": list(self.dead),
-            "shards": {
-                name: (
-                    None if report is None
-                    else {
-                        "state": report.state.name.lower(),
-                        "queue_depth": report.queue_depth,
-                        "queue_limit": report.queue_limit,
-                        "in_flight": report.in_flight,
-                        "abandoned": report.abandoned,
-                    }
-                )
-                for name, report in self.shards.items()
-            },
-            "breakers": {
-                name: {
-                    "state": snap.state,
-                    "failures": snap.failures,
-                    "consecutive_failures": snap.consecutive_failures,
-                    "last_failure_reason": snap.last_failure_reason,
-                }
-                for name, snap in self.breakers.items()
-            },
-        }
 
 
 @dataclass
@@ -205,11 +169,7 @@ class _ShardPlacement:
     shard: str
     lo: int
     hi: int
-    local_lo: int
-    local_hi: int
     halo_hops: int
-    #: the shipped slice; its graph prices the shard's subqueries
-    spec: ShardSpec
 
     @property
     def owned(self) -> int:
@@ -232,9 +192,8 @@ def _normalize_shards(
 ) -> "list[tuple[str, list[tuple[str, str]]]]":
     """Accept both shapes: ``(name, addr)`` and ``(name, [(replica,
     addr), ...])`` — the former is a single-replica group whose replica
-    keeps the shard's name, which is what keeps breaker keys, flight
-    events and federation labels identical to the pre-replication
-    coordinator."""
+    keeps the shard's name, which is what keeps breaker keys and flight
+    events identical to the pre-replication coordinator."""
     normalized: "list[tuple[str, list[tuple[str, str]]]]" = []
     for name, spec in shards:
         if isinstance(spec, str):
@@ -321,20 +280,16 @@ class Coordinator:
         self.metrics.gauge(
             "repro_cluster_replicas", "shard replicas in this cluster"
         ).set(len(self._replicas))
-        #: shard metric deltas merged under a shard= label, plus the
-        #: coordinator's own registry under shard="coordinator"
-        self.federation = FederatedMetrics()
-        self._self_delta = MetricsDeltaTracker(self.metrics)
-        self._tracer = Tracer() if observability else None
+        # bounded by the service's limits, read at construction so a
+        # test that shortens them shortens both
+        self._tracer = (
+            Tracer(max_spans=service.TRACE_SPAN_LIMIT)
+            if observability else None
+        )
         #: (shard name, profile) pairs for per-shard PE trace lanes
         self._profiles: "deque[tuple[str, ExecutionProfile]]" = deque(
-            maxlen=PROFILE_LIMIT
+            maxlen=service.PROFILE_LIMIT
         )
-        #: per-shard cost model: trained from each shard's measured
-        #: subquery latency, keyed by (graph@shard, canonical pattern);
-        #: drives prediction-derived scatter deadlines, and its accuracy
-        #: histogram lands in metrics
-        self.predictor = CostPredictor(registry=self.metrics)
         self._pool = ThreadPoolExecutor(
             max_workers=max(len(self._groups), len(self._replicas)),
             thread_name_prefix="cluster-scatter",
@@ -452,21 +407,16 @@ class Coordinator:
         sg: _ShardGroup,
         payload: dict,
         span: "Span | None",
-        budget: "float | None",
     ) -> "tuple[object, dict]":
         """One query's subquery against one shard group, with failover.
 
         Returns ``(reply value, meta)`` where meta records which
-        replica served, how many failovers it took and how long the
-        serving call ran.  Raises :class:`ClusterError` only when every
-        candidate replica failed within the retry and deadline budget.
-        ``budget`` overrides ``request_timeout`` as that deadline budget
-        (prediction-derived scatter deadlines).
+        replica served and how many failovers it took.  Raises
+        :class:`ClusterError` only when every candidate replica failed
+        within the retry budget and ``request_timeout``.
         """
         candidates = self._candidates(sg, payload["graph_id"])
-        deadline = time.monotonic() + (
-            budget if budget is not None else self.request_timeout
-        )
+        deadline = time.monotonic() + self.request_timeout
         try:
             value, meta = self._failover_request(
                 sg, candidates, payload, deadline
@@ -519,17 +469,13 @@ class Coordinator:
                 time.sleep(min(FAILOVER_BACKOFF_SECONDS, remaining))
             replica = candidates[attempt % len(candidates)]
             remaining = deadline - time.monotonic()
-            started = time.perf_counter()
             try:
                 if remaining <= 0:
                     raise ClusterError(
                         f"shard {sg.name!r} deadline budget exhausted "
                         f"before calling {replica.name!r}"
                     )
-                value = self._call(
-                    replica, payload,
-                    timeout=min(self.request_timeout, remaining),
-                )
+                value = self._call(replica, payload, timeout=remaining)
             except (CommError, ClusterError) as exc:
                 errors[replica.name] = repr(exc)
                 nxt = candidates[(attempt + 1) % len(candidates)]
@@ -540,11 +486,7 @@ class Coordinator:
                         sg, replica.name, nxt.name, type(exc).__name__
                     )
                 continue
-            return value, {
-                "replica": replica.name,
-                "failovers": failovers,
-                "elapsed": time.perf_counter() - started,
-            }
+            return value, {"replica": replica.name, "failovers": failovers}
         raise ClusterError(
             f"shard {sg.name!r} failed on every replica within its "
             f"retry budget ({attempts} attempt(s)): "
@@ -619,10 +561,7 @@ class Coordinator:
                 shard=sg.name,
                 lo=spec.lo,
                 hi=spec.hi,
-                local_lo=spec.local_lo,
-                local_hi=spec.local_hi,
                 halo_hops=spec.halo_hops,
-                spec=spec,
             )
             for sg, spec in zip(self._groups, specs)
         ]
@@ -663,14 +602,10 @@ class Coordinator:
         and names it.  Only a fully failed scatter raises.
         """
         cfg = config or self.config
-        predict_engine = engine or cfg.engine
-        targets, predictions = self._prepare_query(
-            graph_id, pattern, induced, predict_engine
-        )
+        targets = self._targets(graph_id, pattern, induced)
         self.metrics.counter(
             "repro_cluster_queries_total", "cluster queries accepted"
         ).inc()
-        trace_id = new_trace_id() if self._tracer is not None else None
         payload = {
             "op": "query",
             "graph_id": graph_id,
@@ -680,6 +615,7 @@ class Coordinator:
             "config": config,
             "use_cache": use_cache,
             "timeout": self.request_timeout,
+            "trace": self._tracer is not None,
         }
         started = time.perf_counter()
         with self._span(
@@ -687,18 +623,14 @@ class Coordinator:
             graph_id=graph_id,
             pattern=pattern.name,
             fan_out=len(targets),
-            trace_id=trace_id,
             lane="coordinator",
         ) as qspan:
             scattered = [
-                self._scatter_query(
-                    sg, placement, payload, predictions[sg.name],
-                    qspan, trace_id,
-                )
+                self._scatter_query(sg, placement, payload, qspan)
                 for sg, placement in targets
             ]
             replies, outcome = self._gather_query(
-                graph_id, pattern, predict_engine, predictions, scattered
+                graph_id, pattern, scattered
             )
         elapsed = time.perf_counter() - started
         self.metrics.histogram(
@@ -720,22 +652,14 @@ class Coordinator:
             "shards": len(self._graphs[graph_id]),
             "queried": len(targets),
             **outcome,
-            "predicted_seconds": {
-                name: round(est.seconds, 6)
-                for name, (_, est, _) in predictions.items()
-            },
         }
-        if trace_id is not None:
-            merged.notes["cluster"]["trace_id"] = trace_id
         return merged
 
-    def _prepare_query(
+    def _targets(
         self, graph_id: str, pattern: "Pattern", induced: "bool | None",
-        engine: str,
-    ) -> "tuple[list[tuple[_ShardGroup, _ShardPlacement]], dict]":
-        """The shards to ask, and per shard ``(features, estimate,
-        deadline budget)`` — each shard's slice has its own stats, so a
-        skewed partition legitimately predicts unevenly."""
+    ) -> "list[tuple[_ShardGroup, _ShardPlacement]]":
+        """The shards to ask: every one owning at least one root, once
+        the halo is known to be deep enough for the pattern."""
         placements = self._placements(graph_id)
         plan = build_plan(pattern, induced=induced)
         halo = min(p.halo_hops for p in placements)
@@ -746,37 +670,15 @@ class Coordinator:
                 f"re-register with cluster_halo_hops >= {plan.stop_level}"
             )
         by_name = {sg.name: sg for sg in self._groups}
-        targets = [
-            (by_name[p.shard], p) for p in placements if p.owned > 0
-        ]
-        pkey = pattern_cache_key(pattern, induced)
-        predictions: "dict[str, tuple]" = {}
-        for sg, placement in targets:
-            feats = query_features(
-                placement.spec.graph, f"{graph_id}@{sg.name}", pkey
-            )
-            est = self.predictor.predict(feats, engine)
-            budget = None
-            if est.source == "profile":
-                # only measured history tightens the deadline — the
-                # conservative prior would cut off legitimately slow
-                # first-contact queries
-                budget = min(
-                    self.request_timeout,
-                    max(est.seconds * DEADLINE_SAFETY, DEADLINE_FLOOR),
-                )
-            predictions[sg.name] = (feats, est, budget)
-        return targets, predictions
+        return [(by_name[p.shard], p) for p in placements if p.owned > 0]
 
     def _scatter_query(
         self, sg: _ShardGroup, placement: _ShardPlacement, payload: dict,
-        prediction: tuple, qspan: "Span | None", trace_id: "str | None",
+        qspan: "Span | None",
     ) -> tuple:
         """Send one shard its subquery; returns ``(shard group,
         placement, scatter span, future)`` for the gather."""
-        budget = prediction[2]
         sspan = None
-        trace_ctx = None
         if self._tracer is not None:
             # one manually-started scatter span per shard: it is the
             # ingest parent and its start is the re-anchor point for the
@@ -785,26 +687,13 @@ class Coordinator:
                 "cluster.scatter",
                 parent=qspan,
                 shard=sg.name,
-                trace_id=trace_id,
                 lane="coordinator",
             )
-            trace_ctx = TraceContext(
-                trace_id=trace_id,
-                parent_span_id=sspan.span_id,
-                anchor=time.time(),
-            )
-        future = self._pool.submit(
-            self._shard_request,
-            sg,
-            {**payload, "trace": trace_ctx},
-            sspan,
-            budget,
-        )
+        future = self._pool.submit(self._shard_request, sg, payload, sspan)
         return sg, placement, sspan, future
 
     def _gather_query(
-        self, graph_id: str, pattern: "Pattern", engine: str,
-        predictions: dict, scattered: "list[tuple]",
+        self, graph_id: str, pattern: "Pattern", scattered: "list[tuple]",
     ) -> "tuple[list, dict]":
         """One fold over the shard replies: the ``(root range, report)``
         pairs to merge, and the outcome half of ``notes["cluster"]`` —
@@ -828,16 +717,10 @@ class Coordinator:
             self._record_shard_success(sg.name)
             failovers += meta["failovers"]
             served_by[sg.name] = meta["replica"]
-            feats, est, _ = predictions[sg.name]
-            if meta["elapsed"]:
-                self.predictor.observe(feats, engine, meta["elapsed"])
-                if est.seconds > 0.0:
-                    self.predictor.record_accuracy(
-                        est.seconds, meta["elapsed"]
-                    )
-            self.federation.apply(envelope["shard"], envelope["metrics"])
             if self._tracer is not None:
-                self._adopt_shard_trace(sg.name, envelope, sspan)
+                self._adopt_shard_trace(
+                    sg.name, meta["replica"], envelope, sspan
+                )
             replies.append(
                 ((placement.lo, placement.hi), envelope["report"])
             )
@@ -871,7 +754,7 @@ class Coordinator:
         }
 
     def _adopt_shard_trace(
-        self, shard: str, envelope: dict, sspan: "Span | None"
+        self, shard: str, replica: str, envelope: dict, sspan: Span,
     ) -> None:
         """Re-anchor one shard's span tree under its scatter span.
 
@@ -879,28 +762,18 @@ class Coordinator:
         ``service.job``) lands exactly at the scatter span's start —
         shards have their own ``perf_counter`` origin, so only the
         coordinator timeline is meaningful after the merge.  Adopted
-        spans get ``shard``/``lane`` attributes so the Chrome export
-        gives each shard its own track.
+        spans get ``shard``/``replica``/``lane`` attributes so the
+        Chrome export gives each shard its own track.
         """
-        tracer = self._tracer
-        if tracer is None:
-            return
         profile = envelope.get("profile")
         if profile is not None:
             self._profiles.append((shard, profile))
-        spans = envelope.get("spans") or []
-        if not spans:
-            return
-        adopted = tracer.ingest(
-            spans,
-            parent=sspan,
-            align_to=sspan.start if sspan is not None else None,
+        adopted = self._tracer.ingest(
+            envelope.get("spans") or [], parent=sspan, align_to=sspan.start
         )
-        replica = envelope.get("shard")
         for sp in adopted:
             sp.attrs.setdefault("shard", shard)
-            if replica is not None:
-                sp.attrs.setdefault("replica", replica)
+            sp.attrs.setdefault("replica", replica)
             sp.attrs["lane"] = shard
 
     def count(self, graph_id: str, pattern: "Pattern", **kwargs) -> int:
@@ -919,8 +792,7 @@ class Coordinator:
     def health(self) -> ClusterHealth:
         """Gather per-replica health; aggregate to one cluster state.
 
-        Replica replies piggyback metrics deltas (federated here).  A
-        dead replica, or a non-closed breaker, degrades the
+        A dead replica, or a non-closed breaker, degrades the
         cluster even while every reachable replica is individually
         healthy.  A non-healthy aggregate records a flight event and —
         once per state, when a flight dir is configured — auto-dumps the
@@ -931,7 +803,7 @@ class Coordinator:
         )
         shards: dict[str, "HealthReport | None"] = {}
         worst = HealthState.HEALTHY
-        for replica, value, exc in results:
+        for replica, report, exc in results:
             if exc is not None:
                 shards[replica.name] = None
                 self._record_shard_failure(
@@ -941,8 +813,6 @@ class Coordinator:
                 )
                 continue
             self._record_shard_success(replica.name)
-            report = value["report"]
-            self.federation.apply(replica.name, value["metrics"])
             shards[replica.name] = report
             if report.state.value > worst.value:
                 worst = report.state
@@ -966,17 +836,6 @@ class Coordinator:
             self.flight.auto_dump(f"health-{state}")
         return health
 
-    def predictor_snapshot(self) -> dict:
-        """Accuracy + coverage of the coordinator's per-shard cost model.
-
-        The same shape as the service-level
-        ``QueryService.stats().predictor`` snapshot: the accuracy window
-        (predicted/actual ratio percentiles, fraction within 2x), the
-        number of observations, profiled shapes, and learned per-engine
-        throughput rates.
-        """
-        return self.predictor.snapshot()
-
     # -- observability surfaces --------------------------------------------
 
     @property
@@ -987,19 +846,6 @@ class Coordinator:
     def replicated(self) -> bool:
         """True when any shard group has more than one replica."""
         return self._replicated
-
-    def metrics_text(self) -> str:
-        """One Prometheus exposition for the whole cluster.
-
-        Shard series carry ``shard=<name>`` labels (with histogram
-        aggregates under ``shard="all"``); the coordinator's own
-        registry is folded in as ``shard="coordinator"`` through the
-        same delta path.
-        """
-        self.federation.apply(
-            "coordinator", self._self_delta.collect(), aggregate=False
-        )
-        return self.federation.render()
 
     def trace_events(self) -> list[dict]:
         """Chrome trace events: one merged cluster timeline.

@@ -13,20 +13,17 @@ Ops (payload ``{"op": ..., ...}`` → reply value):
 ``ping``        liveness probe → ``"pong"``
 ``register``    shard subgraph + owned local range → graph id
 ``unregister``  drop one shard graph (unlinks its shm segment)
-``query``       pattern/config → envelope: root-restricted
-                :class:`SimReport` + metrics delta (+ spans/profile when
-                the frame carried a :class:`~repro.obs.TraceContext`)
-``health``      envelope: the service's :class:`HealthReport` + metrics
-                delta + flight-event counts
+``query``       pattern/config → envelope: the root-restricted
+                :class:`SimReport`, plus the job's span tree and
+                profile when the frame carries ``"trace": True``
+``health``      the service's :class:`HealthReport`
 ``stats``       small dict (jobs run, cache hits, mode, pid)
 ``shutdown``    stop the service, close the listener → ``True``
 
-``query`` and ``health`` replies are *envelopes* (dicts) rather than
-bare values: every reply piggybacks a compact
-:class:`~repro.obs.MetricsSnapshot` delta so the coordinator's federated
-registry stays current without a separate scrape loop, and a traced
-query additionally ships the job's finished span tree + its
-:class:`~repro.obs.ExecutionProfile` for coordinator-side re-anchoring.
+A ``query`` reply is an *envelope* (a dict) rather than a bare report:
+a traced query also ships the job's finished span tree and its
+:class:`~repro.obs.ExecutionProfile` for coordinator-side
+re-anchoring.  The shard's metrics stay in its own service registry.
 
 :meth:`kill` simulates a crash for chaos tests: the listener drops dead
 (peers see :class:`~repro.errors.CommClosedError`) but the Python state
@@ -42,8 +39,8 @@ from typing import Any
 
 from ..core.config import SystemConfig
 from ..errors import ClusterError
-from ..obs.cluster import TraceContext, collect_job_spans
-from ..obs.federation import MetricsDeltaTracker
+from ..obs.cluster import collect_job_spans
+from ..resilience import HealthReport
 from ..service.service import QueryService
 from .comm.base import Transport
 
@@ -72,8 +69,6 @@ class ShardWorker:
         )
         #: graph_id → owned local root range ``[lo, hi)``
         self._owned: dict[str, tuple[int, int]] = {}
-        #: ships what changed in the service registry since the last reply
-        self._metrics_delta = MetricsDeltaTracker(self.service.metrics)
         self._queries = 0
         self._killed = False
         self._closed = False
@@ -131,7 +126,6 @@ class ShardWorker:
                 f"shard {self.name!r} has no registered shard graph "
                 f"{graph_id!r}"
             )
-        trace: "TraceContext | None" = payload.get("trace")
         handle = self.service.submit(
             graph_id,
             payload["pattern"],
@@ -148,40 +142,18 @@ class ShardWorker:
         # envelope ships it explicitly (spans stripped — the span tree
         # travels once, in the "spans" field)
         report.profile = None
-        envelope: dict[str, Any] = {
-            "report": report,
-            "shard": self.name,
-            "metrics": self._metrics_delta.collect(),
-        }
+        envelope: dict[str, Any] = {"report": report}
         ob = self.service._observation
-        if trace is not None and ob is not None:
-            spans = collect_job_spans(
+        if payload.get("trace") and ob is not None:
+            envelope["spans"] = collect_job_spans(
                 ob.tracer.finished(), handle.job_id
             )
-            for sp in spans:
-                if sp.parent_id is None:
-                    # stamp the propagated context on the shard-local
-                    # roots: re-parenting happens coordinator-side, this
-                    # is the diagnostic record of what arrived
-                    sp.attrs.setdefault("trace_id", trace.trace_id)
-                    sp.attrs.setdefault(
-                        "coordinator_parent", trace.parent_span_id
-                    )
-                    sp.attrs.setdefault(
-                        "clock_skew_s", round(trace.skew(), 6)
-                    )
-            envelope["spans"] = spans
             if profile is not None:
                 envelope["profile"] = replace(profile, spans=[])
         return envelope
 
-    def _op_health(self, payload: dict) -> dict:
-        return {
-            "report": self.service.health(),
-            "shard": self.name,
-            "metrics": self._metrics_delta.collect(),
-            "flight": self.service.flight.counts(),
-        }
+    def _op_health(self, payload: dict) -> HealthReport:
+        return self.service.health()
 
     def _op_stats(self, payload: dict) -> dict:
         import os

@@ -3,11 +3,15 @@
 One vocabulary for every layer's instrumentation:
 
 * :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms;
-  thread-safe, snapshot-able, Prometheus text exposition.
+  thread-safe, snapshot-able, Prometheus text exposition.  Every service
+  and every cluster coordinator keeps its own; nothing merges them.
 * :class:`Tracer` / :class:`Span` — structured spans with contextvars
   propagation, so one query's spans nest service → worker → engine →
   simulator across layers (and, via :meth:`Tracer.ingest`, across
-  processes).
+  processes; :func:`collect_job_spans` cuts one job's tree out of a
+  shard's tracer for the coordinator to re-anchor).
+* :class:`FlightRecorder` — a bounded ring of lifecycle events that
+  dumps itself to JSON when something goes wrong.
 * :func:`observe` / :func:`current` — the observation context.  All hot
   paths are guarded by ``current() is None``; with no active observation
   the instrumentation costs one attribute load.
@@ -30,15 +34,9 @@ Quickstart::
     write_chrome_trace("trace.json", profile.spans, profile.pe_events)
 """
 
-from .cluster import TraceContext, collect_job_spans, new_trace_id
+from .cluster import collect_job_spans
 from .context import Observation, current, enabled, observe, span
 from .export import chrome_trace_events, write_chrome_trace
-from .federation import (
-    AGGREGATE_SHARD,
-    FederatedMetrics,
-    MetricsDeltaTracker,
-    MetricsSnapshot,
-)
 from .flight import FLIGHT_DIR_ENV, FlightEvent, FlightRecorder
 from .logsetup import configure_logging
 from .metrics import (
@@ -53,23 +51,18 @@ from .summary import DEFAULT_PERCENTILES, Window, percentile, summarize
 from .tracing import Span, Tracer, current_span
 
 __all__ = [
-    "AGGREGATE_SHARD",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PERCENTILES",
     "ExecutionProfile",
     "FLIGHT_DIR_ENV",
-    "FederatedMetrics",
     "FlightEvent",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "MetricsDeltaTracker",
     "MetricsRegistry",
-    "MetricsSnapshot",
     "Observation",
     "Span",
-    "TraceContext",
     "Tracer",
     "Window",
     "build_profile",
@@ -79,7 +72,6 @@ __all__ = [
     "current",
     "current_span",
     "enabled",
-    "new_trace_id",
     "observe",
     "percentile",
     "span",

@@ -1,66 +1,27 @@
-"""Cluster-wide tracing plumbing: trace contexts over the comm layer.
+"""Cluster-wide tracing plumbing: one job's span tree over the comm layer.
 
-PR 3's tracer stops at the process-tree boundary: the service already
-stitches worker-*process* spans back under the job span via
-:meth:`~repro.obs.tracing.Tracer.ingest`, but a sharded query crosses a
-*comm* boundary (inproc or tcp pickle frames) where nothing carried the
-trace.  This module is the small, transport-agnostic piece that closes
-the gap:
-
-* :class:`TraceContext` — the picklable trace envelope a coordinator
-  attaches to a ``query`` frame: trace id, the parent (scatter) span id
-  in the coordinator's id space, and the coordinator's wall-clock
-  anchor.  Shards never interpret the parent id — re-parenting happens
-  coordinator-side on ingest — but they stamp it (plus their measured
-  clock skew vs the anchor) onto their root span for diagnostics.
-* :func:`collect_job_spans` — given a shard service's finished spans,
-  extract exactly one job's span tree (the ``service.job`` root whose
-  ``job_id`` matches, plus every descendant).  This is what a
-  :class:`~repro.cluster.worker.ShardWorker` ships home in the reply
-  envelope; the coordinator re-anchors the batch onto the scatter
-  span's timeline so all shards render in coordinator time.
-
-Everything here is data-shaping over plain dataclasses: no locks, no
-transport knowledge, trivially testable.
+The service stitches worker-*process* spans back under the job span via
+:meth:`~repro.obs.tracing.Tracer.ingest`; a sharded query also crosses a
+*comm* boundary (inproc or tcp frames).  A traced ``query`` frame says
+only ``"trace": True``: the shard runs the job normally and
+:func:`collect_job_spans` extracts exactly that job's span tree (the
+``service.job`` root whose ``job_id`` matches, plus every descendant)
+for a :class:`~repro.cluster.worker.ShardWorker` to ship home in the
+reply envelope.  The coordinator re-parents the batch under its scatter
+span and re-anchors it onto that span's timeline, so every shard
+renders in coordinator time — no id or clock crosses the wire.
 """
 
 from __future__ import annotations
 
-import time
-import uuid
-from dataclasses import dataclass
 from typing import Sequence
 
 from .tracing import Span
 
-__all__ = ["TraceContext", "collect_job_spans", "new_trace_id"]
+__all__ = ["collect_job_spans"]
 
 #: span name of the service-side job root (the shard-tree anchor)
 JOB_ROOT_SPAN = "service.job"
-
-
-def new_trace_id() -> str:
-    """A fresh 32-hex-char trace id (uuid4, W3C-trace-context sized)."""
-    return uuid.uuid4().hex
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The trace envelope carried inside a comm ``query`` frame.
-
-    ``anchor`` is the coordinator's ``time.time()`` at dispatch; a shard
-    computes ``skew = time.time() - anchor`` on receipt.  Wall-clock
-    skew is diagnostic only — span re-anchoring uses the scatter span's
-    ``perf_counter`` timeline, never wall clocks.
-    """
-
-    trace_id: str
-    parent_span_id: int | None = None
-    anchor: float = 0.0
-
-    def skew(self, now: float | None = None) -> float:
-        """Receiver-side wall-clock offset vs the coordinator anchor."""
-        return (time.time() if now is None else now) - self.anchor
 
 
 def collect_job_spans(

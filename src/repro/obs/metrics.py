@@ -164,38 +164,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def raw_counts(self) -> tuple[int, ...]:
-        """Non-cumulative per-bucket counts; the last slot is ``+Inf``.
-
-        This is the mergeable representation: two histograms with the
-        same bounds federate by summing these slot-wise (never by
-        combining quantile estimates).
-        """
-        with self._lock:
-            return tuple(self._counts)
-
-    def add_counts(
-        self, counts: Iterable[int], sum_: float, count: int
-    ) -> None:
-        """Merge another histogram's raw per-bucket counts into this one.
-
-        ``counts`` must be non-cumulative with the same length as
-        :meth:`raw_counts` (i.e. the bucket bounds must match).
-        """
-        added = [int(c) for c in counts]
-        if len(added) != len(self._counts):
-            raise ValueError(
-                f"bucket mismatch merging into {self.name!r}: "
-                f"got {len(added)} slots, have {len(self._counts)}"
-            )
-        if any(c < 0 for c in added) or count < 0:
-            raise ValueError("histogram merge counts must be >= 0")
-        with self._lock:
-            for i, c in enumerate(added):
-                self._counts[i] += c
-            self._sum += float(sum_)
-            self._count += int(count)
-
     def bucket_counts(self) -> dict[float, int]:
         """Cumulative count per upper bound (``inf`` for the last)."""
         with self._lock:
@@ -314,10 +282,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def iter_metrics(self) -> list[object]:
-        """Stable-ordered list of every live metric object."""
-        return self._sorted_metrics()
 
     def _sorted_metrics(self) -> list[object]:
         with self._lock:

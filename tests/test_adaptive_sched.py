@@ -1,7 +1,7 @@
 """Adaptive scheduling tests: cost model and dispatch.
 
 Covers the two pillars of the adaptive stack in isolation and then
-end-to-end through the service and the cluster coordinator:
+end-to-end through the service (the one place a cost model lives):
 
 - :class:`CostPredictor` tier fallback (profile → throughput → prior),
   conservative priors, and self-reported accuracy;
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.api import XSetAccelerator
 from repro.graph.generators import erdos_renyi
 from repro.patterns.pattern import PATTERNS
 from repro.sched.adaptive import CostPredictor, analytic_work, query_features
@@ -231,28 +230,3 @@ class TestServiceAdaptive:
         assert stats.queue_wait["p99"] >= 0.0
         assert "queue wait" in stats.summary()
         assert "repro_job_queue_wait_seconds" in metrics
-
-class TestCoordinatorPredictions:
-    def test_scatter_carries_predictions_and_trains(self, graph):
-        from repro.cluster import LocalCluster
-
-        expected = XSetAccelerator().count(
-            graph, PATTERNS["3CF"]
-        ).embeddings
-        with LocalCluster(num_shards=2) as cluster:
-            coord = cluster.coordinator
-            gid = coord.register_graph(graph)
-            report = coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            notes = report.notes["cluster"]
-            assert report.embeddings == expected
-            assert set(notes["predicted_seconds"]) == \
-                {"shard0", "shard1"}
-            assert all(
-                v >= 0.0 for v in notes["predicted_seconds"].values()
-            )
-            # per-shard elapsed times fed the coordinator's model
-            snap = coord.predictor_snapshot()
-            assert snap["observations"] == 2
-            # a repeat query now predicts from the profile tier
-            coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            assert coord.predictor_snapshot()["observations"] == 4

@@ -226,6 +226,9 @@ class TestAdaptiveSchedulingDocs:
         from repro.service import scheduler, service
 
         assert f"AGE_LIMIT_SECONDS = {scheduler.AGE_LIMIT_SECONDS}" in readme
+        # the coordinator prices nothing: one cost model, the service's
+        assert "keeps no cost model" in readme
+        assert 'notes["cluster"]["predicted_seconds"]' not in architecture
         assert f"`MAX_RETRIES` ({service.MAX_RETRIES})" in architecture
         assert (
             f"`RETRY_BACKOFF_SECONDS` ({service.RETRY_BACKOFF_SECONDS} s)"
@@ -267,15 +270,16 @@ class TestClusterObservabilityDocs:
     def test_readme_section(self, readme):
         assert "### Observability across the cluster" in readme
         for phrase in (
-            "TraceContext", 'shard="all"',
-            "flight recorder", "obs.observability_overhead_ratio",
+            '"trace": True', "re-anchor", "TRACE_SPAN_LIMIT",
+            "flight recorder", "obs.observability_overhead_ratio", "L3obs",
         ):
             assert phrase in readme, phrase
+        assert "coord.metrics_text()" not in readme
 
     def test_architecture_section(self, architecture):
         assert "## Observability across the cluster" in architecture
         for phrase in (
-            "TraceContext", "MetricsSnapshot",
+            '"trace": True', "TRACE_SPAN_LIMIT",
             "FlightRecorder", "REPRO_FLIGHT_DIR", "re-anchor",
         ):
             assert phrase in architecture, phrase
@@ -299,11 +303,11 @@ class TestClusterObservabilityDocs:
     def test_documented_obs_api_exists(self):
         from repro import obs
 
-        for name in (
-            "TraceContext", "MetricsSnapshot", "FederatedMetrics",
-            "FlightRecorder", "collect_job_spans",
-        ):
+        for name in ("FlightRecorder", "collect_job_spans"):
             assert hasattr(obs, name), name
+        # one registry per process: nothing ships or merges metric deltas
+        for name in ("TraceContext", "MetricsSnapshot", "FederatedMetrics"):
+            assert not hasattr(obs, name), name
 
     def test_referenced_files_exist(self, readme, architecture):
         for rel in (
@@ -387,6 +391,34 @@ class TestStructure:
             and ast.unparse(node.func.value) != "self"
         )
         assert submitted == ["run_job"]
+
+    def test_the_cluster_keeps_no_cost_model(self):
+        """Nothing under ``cluster/`` imports ``sched.adaptive``: each
+        process has one cost model, its service's, and the coordinator
+        gives every subquery the whole ``request_timeout``."""
+        package = ROOT / "src" / "repro"
+        imported = set()
+        for path in (package / "cluster").rglob("*.py"):
+            parts = ("repro",) + path.relative_to(package).parent.parts
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    base = (
+                        parts[:len(parts) - node.level + 1]
+                        if node.level else ()
+                    )
+                    module = ".".join(
+                        base + ((node.module,) if node.module else ())
+                    )
+                    imported.add(module)
+                    imported |= {
+                        f"{module}.{alias.name}" for alias in node.names
+                    }
+        assert "repro.cluster.partition" in imported  # resolved at all
+        assert not {
+            m for m in imported if m.startswith("repro.sched.adaptive")
+        }
 
     def test_the_event_replay_does_no_set_work(self):
         """The event engine's NumPy set work happens once per chunk, when

@@ -1,10 +1,9 @@
-"""Cluster-wide observability: trace propagation, federation, flight.
+"""Cluster-wide observability: span shipping, health, flight.
 
 One distributed query must yield one coherent story: the coordinator's
 scatter spans, every shard's service → engine → simulator subtree
-(re-anchored to coordinator time), a federated Prometheus registry
-labelled by shard, and a flight-recorder ring that dumps itself when
-chaos strikes.
+(re-anchored to coordinator time), per-replica health reports, and a
+flight-recorder ring that dumps itself when chaos strikes.
 """
 
 import json
@@ -15,20 +14,11 @@ from repro.cluster import LocalCluster
 from repro.core.config import xset_default
 from repro.errors import ClusterError
 from repro.graph import erdos_renyi
-from repro.obs import (
-    AGGREGATE_SHARD,
-    FederatedMetrics,
-    FlightRecorder,
-    MetricsDeltaTracker,
-    MetricsRegistry,
-    TraceContext,
-    Tracer,
-    collect_job_spans,
-    new_trace_id,
-)
+from repro.obs import FlightRecorder, Tracer, collect_job_spans
 from repro.obs.flight import FLIGHT_DIR_ENV
 from repro.patterns import PATTERNS, build_plan
 from repro.resilience import HealthState
+from repro.service import service
 from repro.sim.host import run_on_soc
 
 
@@ -36,23 +26,7 @@ def demo_graph(n=60, deg=6.0, seed=11):
     return erdos_renyi(n, deg, seed=seed, name=f"obsdemo{n}")
 
 
-# -- trace context ----------------------------------------------------------
-
-
-class TestTraceContext:
-    def test_trace_ids_are_unique_hex(self):
-        ids = {new_trace_id() for _ in range(64)}
-        assert len(ids) == 64
-        assert all(int(t, 16) >= 0 for t in ids)
-
-    def test_skew_measures_distance_from_anchor(self):
-        ctx = TraceContext(trace_id="t", parent_span_id=7, anchor=100.0)
-        assert ctx.skew(now=100.5) == pytest.approx(0.5)
-
-    def test_frozen(self):
-        ctx = TraceContext(trace_id="t")
-        with pytest.raises(AttributeError):
-            ctx.trace_id = "other"
+# -- one job's span tree ----------------------------------------------------
 
 
 class TestCollectJobSpans:
@@ -136,105 +110,6 @@ class TestFlightRecorder:
         assert rec.auto_dump("env") is not None
 
 
-# -- metrics federation -----------------------------------------------------
-
-
-class TestMetricsDelta:
-    def test_counter_deltas(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        reg.counter("jobs", "jobs").inc(3)
-        snap = tracker.collect()
-        assert dict(
-            (name, value) for name, _, value in snap.counters
-        ) == {"jobs": 3.0}
-        reg.counter("jobs", "jobs").inc(2)
-        snap = tracker.collect()
-        assert snap.counters[0][2] == 2.0  # delta, not absolute
-
-    def test_unchanged_registry_is_empty_snapshot(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        reg.gauge("depth", "queue depth").set(4)
-        assert not tracker.collect().empty
-        assert tracker.collect().empty
-
-    def test_gauges_ship_absolutes(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        reg.gauge("depth", "d").set(4)
-        tracker.collect()
-        reg.gauge("depth", "d").set(2)
-        snap = tracker.collect()
-        assert snap.gauges[0][2] == 2.0
-
-    def test_histogram_deltas(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        hist = reg.histogram("lat", "latency", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(5.0)
-        name, labels, bounds, counts, sum_, count = (
-            tracker.collect().histograms[0]
-        )
-        assert bounds == (0.1, 1.0)
-        assert counts == (1, 0, 1)  # non-cumulative slots incl. +Inf
-        assert count == 2
-        hist.observe(0.5)
-        _, _, _, counts, _, count = tracker.collect().histograms[0]
-        assert counts == (0, 1, 0) and count == 1
-
-
-class TestFederatedMetrics:
-    def test_shard_label_and_aggregate(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        reg.counter("jobs", "jobs").inc(3)
-        fed = FederatedMetrics()
-        fed.apply("shard0", tracker.collect())
-        reg.counter("jobs", "jobs").inc(4)
-        fed.apply("shard1", tracker.collect())
-        snap = fed.snapshot()
-        assert snap['jobs{shard="shard0"}'] == 3.0
-        assert snap['jobs{shard="shard1"}'] == 4.0
-
-    def test_histogram_aggregate_sums(self):
-        fed = FederatedMetrics()
-        for shard, values in (
-            ("shard0", (0.05, 0.5)), ("shard1", (0.05, 5.0))
-        ):
-            reg = MetricsRegistry()
-            tracker = MetricsDeltaTracker(reg)
-            hist = reg.histogram("lat", "l", buckets=(0.1, 1.0))
-            for v in values:
-                hist.observe(v)
-            fed.apply(shard, tracker.collect())
-        per_shard = [
-            fed.registry.histogram("lat", buckets=(0.1, 1.0), shard=s)
-            for s in ("shard0", "shard1")
-        ]
-        agg = fed.registry.histogram(
-            "lat", buckets=(0.1, 1.0), shard=AGGREGATE_SHARD
-        )
-        for slot in range(3):
-            assert agg.raw_counts()[slot] == sum(
-                h.raw_counts()[slot] for h in per_shard
-            )
-
-    def test_apply_without_aggregate(self):
-        reg = MetricsRegistry()
-        tracker = MetricsDeltaTracker(reg)
-        reg.histogram("lat", "l", buckets=(1.0,)).observe(0.5)
-        fed = FederatedMetrics()
-        fed.apply("coordinator", tracker.collect(), aggregate=False)
-        assert AGGREGATE_SHARD not in fed.render()
-
-    def test_none_snapshot_is_noop(self):
-        fed = FederatedMetrics()
-        fed.apply("shard0", None)
-        assert len(fed.registry) == 0
-
-
 # -- the merged cluster trace -----------------------------------------------
 
 
@@ -255,13 +130,11 @@ class TestClusterTracing:
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(graph)
-            report = coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            trace_id = report.notes["cluster"]["trace_id"]
+            coord.query(gid, PATTERNS["3CF"], use_cache=False)
             _, by_name = _span_index(coord)
 
         assert len(by_name["cluster.query"]) == 1
         qspan = by_name["cluster.query"][0]
-        assert qspan.attrs["trace_id"] == trace_id
 
         # span coverage scales with the shard count, one subtree each
         shard_names = {f"shard{i}" for i in range(shards)}
@@ -270,13 +143,12 @@ class TestClusterTracing:
             assert len(group) == shards, name
             assert {sp.attrs["shard"] for sp in group} == shard_names
 
-        # every scatter span hangs off the query root and carries the id
+        # every scatter span hangs off the query root
         scatter = {
             sp.attrs["shard"]: sp for sp in by_name["cluster.scatter"]
         }
         for sspan in scatter.values():
             assert sspan.parent_id == qspan.span_id
-            assert sspan.attrs["trace_id"] == trace_id
             assert sspan.attrs["outcome"] == "ok"
 
         # each shard's job root was re-parented under its scatter span
@@ -286,9 +158,8 @@ class TestClusterTracing:
             assert jspan.parent_id == sspan.span_id
             assert jspan.start >= sspan.start - 1e-9
             assert jspan.end <= sspan.end + 1e-9
-            assert jspan.attrs["trace_id"] == trace_id
             assert jspan.attrs["lane"] == jspan.attrs["shard"]
-            assert "clock_skew_s" in jspan.attrs
+            assert jspan.attrs["replica"] == jspan.attrs["shard"]
 
     def test_counts_identical_traced_and_untraced(self):
         graph = demo_graph(80, 8.0)
@@ -347,10 +218,27 @@ class TestClusterTracing:
         with LocalCluster(num_shards=2, max_workers=1) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(demo_graph())
-            report = coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            assert "trace_id" not in report.notes["cluster"]
+            coord.query(gid, PATTERNS["3CF"], use_cache=False)
             with pytest.raises(ClusterError):
                 coord.trace_events()
+
+    def test_coordinator_trace_is_bounded(self, monkeypatch):
+        """A long-lived traced coordinator keeps the most recent spans
+        only, bounded like the service's own tracer."""
+        monkeypatch.setattr(service, "TRACE_SPAN_LIMIT", 40)
+        with LocalCluster(
+            num_shards=1, observability=True, max_workers=1
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(demo_graph())
+            for _ in range(12):
+                coord.query(gid, PATTERNS["3CF"], use_cache=False)
+            spans, by_name = _span_index(coord)
+        assert len(spans) == 40
+        # the newest query's whole tree survives the eviction
+        assert spans[-1] is by_name["cluster.query"][-1]
+        assert by_name["service.job"][-1].parent_id == \
+            by_name["cluster.scatter"][-1].span_id
 
     def test_tcp_transport_ships_spans(self):
         graph = demo_graph()
@@ -367,59 +255,25 @@ class TestClusterTracing:
 
 
 class TestFederationOverCluster:
-    def test_metrics_text_labels_every_series(self):
-        graph = demo_graph()
-        with LocalCluster(
-            num_shards=3, observability=True, max_workers=1
-        ) as cluster:
-            coord = cluster.coordinator
-            gid = coord.register_graph(graph)
-            for name in ("3CF", "TT"):
-                coord.query(gid, PATTERNS[name], use_cache=False)
-            text = coord.metrics_text()
-
-        samples = [
-            line for line in text.splitlines()
-            if line and not line.startswith("#")
-        ]
-        assert samples
-        assert all('shard="' in line for line in samples)
-
-        # federated latency buckets: shard="all" equals the shard sums
-        def buckets(shard):
-            out = {}
-            for line in samples:
-                if (
-                    line.startswith("repro_job_latency_seconds_bucket")
-                    and f'shard="{shard}"' in line
-                ):
-                    series, value = line.rsplit(" ", 1)
-                    le = series.split('le="')[1].split('"')[0]
-                    out[le] = out.get(le, 0.0) + float(value)
-            return out
-
-        agg = buckets("all")
-        assert agg  # the aggregate series exists
-        for le, value in agg.items():
-            assert value == sum(
-                buckets(f"shard{i}").get(le, 0.0) for i in range(3)
-            ), le
-
     def test_health_federates_and_reports_state(self):
+        """One report per replica, straight from its own service; the
+        cluster state is the worst of them."""
         with LocalCluster(
-            num_shards=2, observability=True, max_workers=1
+            num_shards=2, replicas=2, max_workers=1
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(demo_graph())
             coord.query(gid, PATTERNS["3CF"], use_cache=False)
             health = coord.health()
-            assert health.state is HealthState.HEALTHY
-            d = health.to_dict()
-            assert d["state"] == "healthy"
-            # every shard's metric deltas land under its own label
-            text = coord.federation.render()
-            for shard in ("shard0", "shard1"):
-                assert f'shard="{shard}"' in text, shard
+        assert health.state is HealthState.HEALTHY
+        assert health.dead == ()
+        assert sorted(health.shards) == [
+            "shard0/r0", "shard0/r1", "shard1/r0", "shard1/r1"
+        ]
+        for report in health.shards.values():
+            assert report.state is HealthState.HEALTHY
+            assert report.queue_depth == 0 and report.in_flight == 0
+        assert "4/4 shards reachable" in health.summary()
 
 
 class TestClusterFlight:

@@ -254,35 +254,3 @@ class TestPrometheusExposition:
     def test_empty_registry_renders_valid_text(self):
         # an exposition with no series is just an empty body
         assert MetricsRegistry().render_prometheus() == ""
-
-    def test_empty_federated_registry_renders_valid_text(self):
-        from repro.obs.federation import FederatedMetrics
-
-        text = FederatedMetrics().render()
-        assert not [
-            line for line in text.splitlines()
-            if line and not line.startswith("#")
-        ]
-
-    def test_merged_histogram_buckets_stay_monotone(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", "l", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        # merge a remote shard's raw (non-cumulative) slot counts
-        hist.add_counts((2, 1, 3), 9.5, 6)
-        snap = reg.snapshot()
-        series = [
-            snap['lat_bucket{le="0.1"}'],
-            snap['lat_bucket{le="1"}'],
-            snap['lat_bucket{le="+Inf"}'],
-        ]
-        assert series == sorted(series)  # cumulative ⇒ non-decreasing
-        assert series[-1] == snap["lat_count"] == 7.0
-
-    def test_add_counts_rejects_bad_shapes(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", "l", buckets=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            hist.add_counts((1, 2), 1.0, 3)  # wrong slot count
-        with pytest.raises(ValueError):
-            hist.add_counts((1, -1, 0), 1.0, 0)  # negative slot
