@@ -9,7 +9,8 @@ move — is a :class:`Transport`:
   with synchronous handler calls.  Deterministic, zero-copy, no sockets;
   what the tests and the default local cluster run on.
 * ``tcp`` (:mod:`repro.cluster.comm.tcp`) — length-prefixed pickle frames
-  over asyncio TCP streams on a background event loop, for shards in
+  over blocking sockets, one round trip on the caller's thread per
+  request and one serving thread per accepted connection, for shards in
   other processes or on other hosts.
 
 Failure vocabulary is shared: a gone peer (refused, reset, listener
@@ -59,6 +60,12 @@ class Connection(Protocol):
 
     def request(self, payload: Any, timeout: float | None = None) -> Any:
         """Send ``payload``; block for the reply (one in flight at a time)."""
+        ...
+
+    @property
+    def closed(self) -> bool:
+        """True once the connection was closed or poisoned by a failed
+        request; a closed connection never serves again."""
         ...
 
     def close(self) -> None: ...

@@ -78,6 +78,10 @@ class InprocConnection:
         self._listener = listener
         self._closed = False
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def request(self, payload: Any, timeout: float | None = None) -> Any:
         # timeout is accepted for interface parity; a synchronous handler
         # call cannot be interrupted, so it is not enforced here

@@ -1,19 +1,26 @@
-"""TCP transport: length-prefixed pickle frames over asyncio streams.
+"""TCP transport: length-prefixed pickle frames over blocking sockets.
 
-One background event-loop thread (daemon, started lazily, shared by every
-listener and connection in the process) owns all sockets.  The framing is
-an 8-byte big-endian length prefix followed by a pickle body — see
+One request is one socket round trip on the caller's thread: the client
+sends its frame and reads the reply itself, against a deadline derived
+from ``timeout``.  A listener runs one accept thread, and each accepted
+connection gets one serving thread that loops — read a frame, call the
+handler, write ``("ok", value)`` or ``("err", exc)`` — so a shard
+worker's ``query`` op, which blocks for the whole engine run, holds up
+only its own connection.  Handler exceptions re-raise client-side,
+matching the in-process transport's propagation semantics.  The framing
+is an 8-byte big-endian length prefix followed by a pickle body — see
 :mod:`repro.cluster.comm.base` for the helpers and the size cap.
 
-Handlers are executed on a small thread pool, *not* on the event loop: a
-shard worker's ``query`` op blocks for the whole engine run, and parking
-it on the loop would serialise the cluster.  Handler exceptions travel
-back as ``("err", exc)`` frames and re-raise client-side, matching the
-in-process transport's propagation semantics.
+Header reads take whatever the kernel holds, not exactly eight bytes:
+closing a socket with unread bytes makes Linux reset the peer instead
+of closing it cleanly.  A body is received straight into a buffer of
+the frame's size (up to :data:`_BODY_RESERVE`, doubled as bytes arrive
+beyond it).
 
 A request that times out poisons its connection (the reply may arrive
 mid-frame later), so the connection closes itself and the caller gets
-:class:`~repro.errors.CommTimeoutError`; reconnecting is the caller's
+:class:`~repro.errors.CommTimeoutError`; a gone peer raises
+:class:`~repro.errors.CommClosedError`.  Reconnecting is the caller's
 policy (the coordinator's breakers handle exactly this).
 
 Two hardening rules keep a hostile or corrupt stream from wedging a
@@ -21,23 +28,24 @@ reader:
 
 * **per-frame body timeout** — once a length prefix arrives, the body
   must follow within :data:`FRAME_BODY_TIMEOUT` seconds.  Waiting for a
-  *header* may block forever (an idle connection is healthy); waiting
-  mid-frame may not (a peer that sent a prefix and stalled is broken or
-  lying about the length).
+  *header* may block forever on the server (an idle connection is
+  healthy); waiting mid-frame may not (a peer that sent a prefix and
+  stalled is broken or lying about the length).
 * **typed corrupt-frame failure** — an over-cap length prefix or an
   undecodable body raises :class:`~repro.errors.CommError`; the server
   closes that connection (frames can never re-align on a poisoned
   stream) but keeps serving other peers.
 
-:meth:`TCPListener.reopen` rebinds the same port after a chaos
-:meth:`close` — the stand-in for a crashed shard host coming back.
+:meth:`TCPListener.close` aborts established connections too, and
+:meth:`TCPListener.reopen` rebinds the same port — the stand-in for a
+crashed shard host coming back.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from typing import Any
 
 from ...errors import CommClosedError, CommError, CommTimeoutError
@@ -53,133 +61,182 @@ from .base import (
 
 __all__ = ["TCPTransport", "TCPListener", "TCPConnection"]
 
-#: worker threads per listener for blocking handler calls
-HANDLER_THREADS = 8
-
 #: seconds a reader waits for the *body* after its length prefix arrived
 #: (module attribute, read per frame, so chaos tests can shrink it)
 FRAME_BODY_TIMEOUT = 30.0
 
-_loop_lock = threading.Lock()
-_loop: asyncio.AbstractEventLoop | None = None
+#: bytes asked of the kernel per header read
+_RECV_CHUNK = 1 << 16
+
+#: body bytes reserved before they arrive: a length prefix is untrusted
+#: (it may claim gigabytes and send nothing), so a larger body grows by
+#: doubling as it comes in
+_BODY_RESERVE = 1 << 20
 
 
-def _get_loop() -> asyncio.AbstractEventLoop:
-    """The process-wide comm event loop (started on first use)."""
-    global _loop
-    with _loop_lock:
-        if _loop is None or _loop.is_closed():
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="repro-comm-loop", daemon=True
-            )
-            thread.start()
-            _loop = loop
-        return _loop
+class _FrameSocket:
+    """One connected blocking socket with buffered frame reads."""
 
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        #: bytes received past the last frame boundary
+        self._pending = b""
 
-def _run(coro, timeout: float | None = None):
-    """Run ``coro`` on the comm loop from a synchronous caller."""
-    future = asyncio.run_coroutine_threadsafe(coro, _get_loop())
-    try:
-        return future.result(timeout)
-    except TimeoutError:
-        future.cancel()
-        raise CommTimeoutError(
-            f"comm request did not complete within {timeout}s"
-        ) from None
+    def _settimeout(self, deadline: float | None) -> None:
+        if deadline is None:
+            self.sock.settimeout(None)
+            return
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        self.sock.settimeout(left)
 
+    def send(self, frame: bytes, deadline: float | None) -> None:
+        self._settimeout(deadline)
+        self.sock.sendall(frame)
 
-async def _read_frame(reader: asyncio.StreamReader) -> Any:
-    header = await reader.readexactly(FRAME_HEADER.size)
-    size = frame_size(header)
-    try:
-        body = await asyncio.wait_for(
-            reader.readexactly(size), timeout=FRAME_BODY_TIMEOUT
-        )
-    except asyncio.TimeoutError:
-        raise CommTimeoutError(
-            f"frame body ({size} bytes) did not arrive within "
-            f"{FRAME_BODY_TIMEOUT}s of its length prefix"
-        ) from None
-    return decode_body(body)
+    def read_frame(self, deadline: float | None) -> Any:
+        """Read one frame; the whole frame is due by ``deadline`` (None:
+        wait for the header forever) and its body within
+        :data:`FRAME_BODY_TIMEOUT` of the header.
+
+        Raises :class:`TimeoutError` when ``deadline`` passes,
+        :class:`CommTimeoutError` when the body stalls,
+        :class:`CommClosedError` on a clean close by the peer and
+        :class:`CommError` on a corrupt frame.
+        """
+        pending = self._pending
+        while len(pending) < FRAME_HEADER.size:
+            self._settimeout(deadline)
+            chunk = self.sock.recv(_RECV_CHUNK)
+            if not chunk:
+                raise CommClosedError("peer closed the connection")
+            pending += chunk
+        size = frame_size(pending[: FRAME_HEADER.size])
+        start = FRAME_HEADER.size
+        got = min(len(pending) - start, size)
+        body = bytearray(min(size, _BODY_RESERVE))
+        body[:got] = pending[start:start + got]
+        self._pending = pending[start + got:]
+        body_deadline = time.monotonic() + FRAME_BODY_TIMEOUT
+        if deadline is not None:
+            body_deadline = min(body_deadline, deadline)
+        while got < size:
+            if got == len(body):  # the reserve is full: double it
+                body += bytes(min(got, size - got))
+            try:
+                self._settimeout(body_deadline)
+                n = self.sock.recv_into(memoryview(body)[got:])
+            except TimeoutError:
+                if deadline is not None and body_deadline == deadline:
+                    raise
+                raise CommTimeoutError(
+                    f"frame body ({size} bytes) did not arrive within "
+                    f"{FRAME_BODY_TIMEOUT}s of its length prefix"
+                ) from None
+            if n == 0:
+                raise CommClosedError("peer closed the connection mid-frame")
+            got += n
+        return decode_body(body)
+
+    def abort(self) -> None:
+        """Shut the socket down both ways, waking any blocked reader."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        self.abort()
+        self.sock.close()
 
 
 class TCPListener:
     def __init__(self, handler: Handler, name: str = "") -> None:
         self._handler = handler
         self._name = name
-        self._pool = self._make_pool()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._closed = False
-        self._server: asyncio.AbstractServer = _run(
-            asyncio.start_server(self._serve, host="127.0.0.1", port=0)
-        )
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._peers: set[_FrameSocket] = set()
+        self._port = 0
+        self._bind()
+        host, port = self._server.getsockname()[:2]
         self._port = port
         self._address = f"tcp://{host}:{port}"
 
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=HANDLER_THREADS,
-            thread_name_prefix=f"comm-{self._name or 'listener'}",
+    def _bind(self) -> None:
+        self._server = socket.create_server(("127.0.0.1", self._port))
+        self._closed = False
+        self._acceptor = threading.Thread(
+            target=self._accept_loop,
+            args=(self._server,),
+            name=f"comm-{self._name or 'listener'}-accept",
+            daemon=True,
         )
+        self._acceptor.start()
 
     @property
     def address(self) -> str:
         return self._address
 
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        loop = asyncio.get_running_loop()
+    def _accept_loop(self, server: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = server.accept()
+            except OSError:
+                return  # the listening socket was shut down by close()
+            peer = _FrameSocket(sock)
+            with self._lock:
+                if self._closed:
+                    peer.close()
+                    return
+                self._peers.add(peer)
+            threading.Thread(
+                target=self._serve,
+                args=(peer,),
+                name=f"comm-{self._name or 'listener'}",
+                daemon=True,
+            ).start()
+
+    def _serve(self, peer: _FrameSocket) -> None:
         try:
             while True:
                 try:
-                    payload = await _read_frame(reader)
-                except CommError:
-                    # corrupt length prefix, undecodable body, or a
-                    # mid-frame stall: the stream can never re-align on
-                    # a frame boundary again — drop this peer (typed,
-                    # deliberate, logged by the close), keep serving
-                    # everyone else
-                    break
+                    payload = peer.read_frame(None)
+                except (CommError, OSError):
+                    # a clean close, a reset, a corrupt length prefix, an
+                    # undecodable body or a mid-frame stall: the stream
+                    # can never re-align on a frame boundary again — drop
+                    # this peer, keep serving everyone else
+                    return
                 try:
-                    result = await loop.run_in_executor(
-                        self._pool, self._handler, payload
-                    )
-                    reply = ("ok", result)
+                    reply = ("ok", self._handler(payload))
                 except Exception as exc:
                     reply = ("err", exc)
-                writer.write(encode_frame(reply))
-                await writer.drain()
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.CancelledError,
-        ):
-            pass
+                peer.send(encode_frame(reply), None)
+        except OSError:
+            pass  # the peer went away while we answered
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            with self._lock:
+                self._peers.discard(peer)
+            peer.close()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-
-        async def _shut() -> None:
-            self._server.close()
-            # abort established connections too: a "killed" shard must
-            # look dead to peers mid-conversation, not just to new dials
-            for writer in list(self._writers):
-                writer.close()
-            await self._server.wait_closed()
-
-        _run(_shut(), timeout=5.0)
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            peers = list(self._peers)
+        # abort established connections too: a "killed" shard must look
+        # dead to peers mid-conversation, not just to new dials
+        for peer in peers:
+            peer.abort()
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self._server.close()
+        self._acceptor.join(timeout=5.0)
 
     def reopen(self) -> None:
         """Rebind the same port after :meth:`close` (a restarted peer).
@@ -188,16 +245,8 @@ class TCPListener:
         their streams poisoned — so callers reconnect, exactly as they
         would to a rebooted host.
         """
-        if not self._closed:
-            return
-        self._pool = self._make_pool()
-        self._server = _run(
-            asyncio.start_server(
-                self._serve, host="127.0.0.1", port=self._port
-            ),
-            timeout=10.0,
-        )
-        self._closed = False
+        if self._closed:
+            self._bind()
 
 
 class TCPConnection:
@@ -206,53 +255,51 @@ class TCPConnection:
             raise CommError(f"not a tcp:// address: {address!r}")
         host, _, port = address[len("tcp://"):].rpartition(":")
         try:
-            self._reader, self._writer = _run(
-                asyncio.open_connection(host, int(port)), timeout=10.0
-            )
-        except (ConnectionError, OSError) as exc:
+            sock = socket.create_connection((host, int(port)), timeout=10.0)
+        except OSError as exc:
             raise CommClosedError(
                 f"cannot connect to {address}: {exc}"
             ) from exc
+        self._sock = _FrameSocket(sock)
         self._address = address
         self._lock = threading.Lock()  # one request in flight at a time
         self._closed = False
 
-    async def _roundtrip(self, frame: bytes) -> Any:
-        self._writer.write(frame)
-        await self._writer.drain()
-        return await _read_frame(self._reader)
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def request(self, payload: Any, timeout: float | None = None) -> Any:
         with self._lock:
             if self._closed:
                 raise CommClosedError("connection is closed")
+            deadline = None if timeout is None else time.monotonic() + timeout
             frame = encode_frame(payload)
             inj = _faults.comm_active()
             if inj is not None:
                 inj.comm("comm.send")
                 frame = inj.corrupt_frame("comm.send", frame)
             try:
-                status, value = _run(self._roundtrip(frame), timeout)
-            except CommTimeoutError:
+                self._sock.send(frame, deadline)
+                status, value = self._sock.read_frame(deadline)
+            except TimeoutError:
                 # the reply may still arrive mid-frame later; this stream
                 # can never be trusted again
                 self.close()
-                raise
-            except CommError:
-                # typed corrupt-reply failure (bad prefix / garbage
-                # body): same poisoning rule — close, reconnecting is
-                # the caller's policy
-                self.close()
-                raise
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ) as exc:
+                raise CommTimeoutError(
+                    f"comm request did not complete within {timeout}s"
+                ) from None
+            except (CommClosedError, OSError) as exc:
                 self.close()
                 raise CommClosedError(
                     f"peer at {self._address} is gone: {exc!r}"
                 ) from exc
+            except CommError:
+                # a stalled body or a corrupt reply (bad prefix / garbage
+                # body): same poisoning rule — close, reconnecting is the
+                # caller's policy
+                self.close()
+                raise
             if inj is not None:
                 inj.comm("comm.recv")
         if status == "err":
@@ -263,15 +310,7 @@ class TCPConnection:
         if self._closed:
             return
         self._closed = True
-        writer = self._writer
-
-        async def _close() -> None:
-            writer.close()
-
-        try:
-            _run(_close(), timeout=5.0)
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
+        self._sock.close()
 
 
 class TCPTransport:

@@ -141,7 +141,7 @@ class _Replica:
         # a poisoned tcp connection flags itself closed; an inproc
         # connection survives listener kill/reopen and never needs
         # replacing, so the flag check covers both
-        if self.conn is None or getattr(self.conn, "_closed", False):
+        if self.conn is None or self.conn.closed:
             self.conn = self.transport.connect(self.address)
         return self.conn
 

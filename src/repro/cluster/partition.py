@@ -125,9 +125,18 @@ def make_shards(
         contiguous_cuts(graph.degrees, num_shards)
     ):
         vertices = halo_vertices(graph, lo, hi, halo_hops)
-        sub = induced_subgraph(
-            graph, vertices, name=f"{graph.name}:shard{index}"
-        )
+        name = f"{graph.name}:shard{index}"
+        if vertices.size == graph.num_vertices:
+            # the halo is the whole graph: compacting arange(n) is the
+            # identity, so the slice shares the input's arrays
+            sub = CSRGraph(
+                indptr=graph.indptr,
+                indices=graph.indices,
+                name=name,
+                labels=graph.labels,
+            )
+        else:
+            sub = induced_subgraph(graph, vertices, name=name)
         local_lo = int(np.searchsorted(vertices, lo))
         local_hi = int(np.searchsorted(vertices, hi))
         specs.append(

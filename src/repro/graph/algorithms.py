@@ -126,16 +126,21 @@ def largest_component(graph: CSRGraph) -> CSRGraph:
 
 def neighborhood(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
     """Sorted IDs of the vertices within ``hops`` hops of ``seeds``
-    (level-synchronous BFS, one row gather per hop)."""
+    (level-synchronous BFS, one row gather and one mask pass per hop)."""
     visited = np.zeros(graph.num_vertices, dtype=bool)
     visited[seeds] = True
-    frontier = np.asarray(seeds, dtype=np.int64)
+    frontier = np.flatnonzero(visited)
+    reached = frontier.size
     for _ in range(hops):
-        if frontier.size == 0:
+        if frontier.size == 0 or reached == graph.num_vertices:
             break
         nbrs, _ = graph.gather_rows(frontier)
-        frontier = np.unique(nbrs[~visited[nbrs]])
-        visited[frontier] = True
+        new = np.zeros(graph.num_vertices, dtype=bool)
+        new[nbrs] = True
+        new &= ~visited
+        frontier = np.flatnonzero(new)
+        visited |= new
+        reached += frontier.size
     return np.flatnonzero(visited)
 
 

@@ -353,10 +353,12 @@ class CSRGraph:
         labels follow their vertices.
         """
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        keep = np.zeros(self.num_vertices, dtype=bool)
-        keep[vertices] = True
+        # rank table: local ID of each kept vertex, -1 elsewhere
+        rank = np.full(self.num_vertices, -1, dtype=np.int32)
+        rank[vertices] = np.arange(vertices.size, dtype=np.int32)
         nbrs, row_of = self.gather_rows(vertices)
-        inside = keep[nbrs]
+        local = rank[nbrs]
+        inside = local >= 0
         indptr = np.zeros(vertices.size + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(row_of[inside], minlength=vertices.size),
@@ -364,7 +366,7 @@ class CSRGraph:
         )
         return CSRGraph(
             indptr=indptr,
-            indices=np.searchsorted(vertices, nbrs[inside]),
+            indices=local[inside],
             name=f"{self.name}-induced" if name is None else name,
             labels=None if self.labels is None else self.labels[vertices],
         )
