@@ -53,7 +53,11 @@ class QueueFullError(ServiceError):
 
 
 class JobTimeoutError(ServiceError):
-    """A job's deadline expired before the service could run it."""
+    """A job did not finish within the caller's ``result(timeout=)`` wait.
+
+    The bound is the waiter's, not the job's: the job keeps running and
+    a later ``result()`` can still return its report.
+    """
 
 
 class JobCancelledError(ServiceError):

@@ -2,7 +2,7 @@
 
 Metrics tell you *how much*; traces tell you *where time went*; the
 flight recorder tells you *what happened, in order* — the last N
-submit / dispatch / retry / timeout / breaker-trip / shard-kill events,
+submit / dispatch / retry / failed / breaker-trip / shard-kill events,
 cheap enough to record unconditionally (one deque append per event) and
 bounded so an always-on recorder can never grow without limit.
 

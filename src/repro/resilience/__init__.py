@@ -2,7 +2,7 @@
 
 X-SET's datapath keeps every PE busy as long as nothing goes wrong; a
 production service on top of it must also survive the failures the
-paper's simulator never models.  This package supplies the four
+paper's simulator never models.  This package supplies three
 mechanisms, each wired through the service / engine / simulator layers:
 
 * **Deterministic fault injection** (:mod:`~repro.resilience.faults`) —
@@ -15,9 +15,6 @@ mechanisms, each wired through the service / engine / simulator layers:
   wrong-result failures.  They are advisory: a job always runs on the
   engine it names, a crash is retried there in a fresh worker, and an
   open breaker marks the service degraded.
-* **Watchdog** (:mod:`~repro.resilience.watchdog`) — enforces deadlines
-  on *running* jobs: hung workers are abandoned, their waiters finished
-  with ``TIMEOUT``, broken pools replaced.
 * **Degradation** (:mod:`~repro.resilience.degradation`) — a
   healthy/degraded/overloaded state over queue depth and breaker states,
   reported by ``health()`` and read by the cluster coordinator.
@@ -51,7 +48,6 @@ from .faults import (
     inject,
     inject_comm,
 )
-from .watchdog import Watchdog
 
 __all__ = [
     "BreakerBoard",
@@ -66,7 +62,6 @@ __all__ = [
     "FaultSpec",
     "HealthReport",
     "HealthState",
-    "Watchdog",
     "active",
     "assess",
     "comm_active",

@@ -69,7 +69,6 @@ class HealthReport:
     queue_limit: int
     in_flight: int
     breakers: Mapping[str, "BreakerSnapshot"] = field(default_factory=dict)
-    abandoned: int = 0
     crosscheck_mismatches: int = 0
     faults_injected: int = 0
     dispatcher_stuck: bool = False
@@ -89,7 +88,6 @@ class HealthReport:
                 f"({self.queue_fraction:.0%}), in flight {self.in_flight}"
             ),
             (
-                f"abandoned {self.abandoned}, "
                 f"cross-check mismatches {self.crosscheck_mismatches}, "
                 f"faults injected {self.faults_injected}"
             ),

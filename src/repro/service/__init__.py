@@ -6,7 +6,7 @@ surface rather than a one-shot kernel call.  The pieces:
 * :class:`GraphRegistry` — register a :class:`~repro.graph.csr.CSRGraph`
   once, reference it by id; workers cache deserialised graphs per process.
 * :class:`JobQueue` + dispatcher — bounded cost-ranked queue with an
-  aging bound, deadlines, typed backpressure and crash retries
+  aging bound, typed backpressure and crash retries
   (``repro.service.scheduler``).
 * :class:`ResultCache` — LRU over ``(graph fingerprint, canonical pattern,
   config)``, invalidated/delta-patched on graph updates.

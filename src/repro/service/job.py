@@ -3,8 +3,8 @@
 A job is one ``graph_id × pattern × config`` query.  Submitting returns a
 :class:`JobHandle` immediately; the handle is a future-like object with
 status, a blocking ``result()``, and best-effort ``cancel()``.  The
-internal :class:`Job` record carries the scheduling bookkeeping (priority,
-deadline, attempt count) and never leaves the service.
+internal :class:`Job` record carries the scheduling bookkeeping (cost
+prediction, retry backoff, attempt count) and never leaves the service.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ class JobStatus(enum.Enum):
     DONE = "done"            # result available (possibly from cache)
     FAILED = "failed"        # raised, retries exhausted
     CANCELLED = "cancelled"  # cancelled while queued
-    TIMEOUT = "timeout"      # deadline expired (queued, or running under
-                             # the resilience watchdog)
 
     @property
     def terminal(self) -> bool:
@@ -126,8 +124,8 @@ class JobHandle:
         """Block for the report; raise the job's failure if it has one.
 
         ``timeout`` bounds only this wait (raising
-        :class:`~repro.errors.JobTimeoutError` on expiry) — it is
-        independent of the job's own deadline.
+        :class:`~repro.errors.JobTimeoutError` on expiry); the job itself
+        has no deadline and keeps running.
         """
         if not self._done.wait(timeout):
             raise JobTimeoutError(
@@ -140,10 +138,6 @@ class JobHandle:
             return self._report
         if status is JobStatus.CANCELLED:
             raise JobCancelledError(f"job {self.job_id} was cancelled")
-        if status is JobStatus.TIMEOUT:
-            raise JobTimeoutError(
-                f"job {self.job_id} deadline expired before it finished"
-            )
         assert self._error is not None
         raise self._error
 
@@ -164,10 +158,7 @@ class Job:
     plan: "MatchingPlan"
     config: "SystemConfig"
     cache_key: Any
-    priority: int = 0
     seq: int = 0
-    #: absolute deadline on the service clock, or None
-    deadline: float | None = None
     #: earliest dispatch time on the service clock (crash-retry backoff)
     not_before: float | None = None
     attempts: int = 0
@@ -207,7 +198,7 @@ class Job:
     #: the aging deque cross-reference each other through this flag
     taken: bool = False
 
-    def cost_key(self) -> tuple[int, float, int]:
-        """Heap order: priority, then shortest predicted job, then submit
-        order — identical predictions dispatch first come, first served."""
-        return (self.priority, self.predicted_seconds, self.seq)
+    def cost_key(self) -> tuple[float, int]:
+        """Heap order: shortest predicted job first, then submit order —
+        identical predictions dispatch first come, first served."""
+        return (self.predicted_seconds, self.seq)

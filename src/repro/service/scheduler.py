@@ -1,9 +1,8 @@
 """The service's job queue: one dispatch rule, cost-ranked with aging.
 
-The queue is a bounded binary heap ordered by ``(priority, predicted
-seconds, submit seq)`` — shortest predicted job first within a priority
-class, so one heavy clique query stops blowing the p99 of hundreds of
-cheap triangle counts.  Jobs with identical predictions dispatch in
+The queue is a bounded binary heap ordered by ``(predicted seconds,
+submit seq)`` — shortest predicted job first, so one heavy clique query
+stops blowing the p99 of hundreds of cheap triangle counts.  Jobs with identical predictions dispatch in
 submit order, and an **anti-starvation aging bound** guarantees
 progress: a job queued longer than ``age_limit`` seconds dispatches
 ahead of cheaper newcomers (tracked in arrival order through a side
@@ -14,11 +13,10 @@ raises :class:`~repro.errors.QueueFullError` so callers can shed load
 (the paper's "heavy traffic" framing demands the service itself stay
 responsive).
 
-Cancelled jobs are removed lazily (tombstoned), deadline-expired jobs are
-reaped at pop time, and crash-retried jobs waiting out their backoff
-(``Job.not_before``) are deferred in place — all against the
-caller-supplied clock, which keeps every timing decision injectable and
-the concurrency tests sleep-free.
+Cancelled jobs are removed lazily (tombstoned), and crash-retried jobs
+waiting out their backoff (``Job.not_before``) are deferred in place —
+against the caller-supplied clock, which keeps every timing decision
+injectable and the concurrency tests sleep-free.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ class JobQueue:
     def __init__(
         self,
         limit: int = 256,
-        on_timeout=None,
         *,
         policy: str = "cost",
         age_limit: float = AGE_LIMIT_SECONDS,
@@ -65,10 +62,7 @@ class JobQueue:
         #: per push, so the entry of an earlier push of a requeued job is
         #: recognisably stale
         self._arrivals: deque[tuple[float, Job]] = deque()
-        self._live = 0
         self._lock = threading.Lock()
-        #: called with each job whose queue deadline expired (stats hook)
-        self._on_timeout = on_timeout
 
     @staticmethod
     def _pending(job: Job) -> bool:
@@ -76,13 +70,12 @@ class JobQueue:
 
     def push(self, job: Job) -> None:
         with self._lock:
-            if self._live >= self.limit:
-                # the fast counter includes cancelled tombstones; recount
-                # before rejecting so cancellations free queue space
-                self._live = sum(
-                    1 for _, _, j in self._heap if self._pending(j)
-                )
-            if self._live >= self.limit:
+            # the heap also holds cancelled tombstones and jobs taken
+            # through the aging path, so its length only bounds the
+            # pending count: recount before rejecting
+            if len(self._heap) >= self.limit and sum(
+                1 for _, _, j in self._heap if self._pending(j)
+            ) >= self.limit:
                 raise QueueFullError(
                     f"service queue is full ({self.limit} jobs pending); "
                     f"retry later or raise queue_limit"
@@ -90,17 +83,14 @@ class JobQueue:
             job.taken = False
             heapq.heappush(self._heap, (job.cost_key(), job.seq, job))
             self._arrivals.append((job.enqueued_at, job))
-            self._live += 1
 
     def _take_starving(self, now: float, fits) -> tuple[str, Job] | None:
         """Arrival-order head older than the aging bound, if dispatchable.
 
         Called under the lock.  Prunes taken/finished heads, and entries
         of a job pushed again since, as it goes; returns ``("run", job)``
-        for a starving runnable job (removed and marked taken),
-        ``("timeout", job)`` when the starving head's own deadline expired
-        (caller finishes it outside the lock) or ``("stay", job)`` for a
-        runnable head that ``fits`` refuses.
+        for a starving runnable job (removed and marked taken) or
+        ``("stay", job)`` for a runnable head that ``fits`` refuses.
         """
         while self._arrivals:
             stamp, job = self._arrivals[0]
@@ -109,10 +99,6 @@ class JobQueue:
                 continue
             if now - job.enqueued_at < self.age_limit:
                 return None  # youngest-possible head is not starving yet
-            if job.deadline is not None and now > job.deadline:
-                self._arrivals.popleft()
-                job.taken = True
-                return ("timeout", job)
             if job.not_before is not None and now < job.not_before:
                 return None  # parked on retry backoff; cannot jump ahead
             if fits is not None and not fits(job):
@@ -125,13 +111,11 @@ class JobQueue:
     def pop(self, now: float, fits=None) -> Job | None:
         """Next runnable job, or None.
 
-        Skips cancelled tombstones, moves queued jobs whose deadline has
-        passed (``job.deadline < now``) to ``TIMEOUT``, and leaves jobs
-        whose retry backoff (``job.not_before``) has not yet elapsed in
-        the queue — everything is assessed lazily, at dispatch time,
-        against the injected clock.  A job queued past ``age_limit``
-        seconds dispatches first regardless of its predicted cost
-        (anti-starvation).  With ``fits``, a next runnable job it refuses
+        Skips cancelled tombstones and leaves jobs whose retry backoff
+        (``job.not_before``) has not yet elapsed in the queue — both
+        assessed lazily, at dispatch time, against the injected clock.
+        A job queued past ``age_limit`` seconds dispatches first
+        regardless of its predicted cost (anti-starvation).  With ``fits``, a next runnable job it refuses
         is not handed out: it stays queued as it was (key, ``seq``, place
         in the aging order) and None is returned.
         """
@@ -142,29 +126,15 @@ class JobQueue:
                     starving = self._take_starving(now, fits)
                 if starving is not None:
                     verdict, job = starving
-                    if verdict == "stay":
-                        return None
-                    if verdict == "timeout":
-                        if job.handle._finish(JobStatus.TIMEOUT) and \
-                                self._on_timeout is not None:
-                            self._on_timeout(job)
-                        continue
-                    return job
+                    return job if verdict == "run" else None
                 with self._lock:
                     if not self._heap:
                         return None
                     _, _, job = heapq.heappop(self._heap)
-                    self._live -= 1
                 if job.taken:
                     continue  # already handed out through the aging path
                 if job.handle.status is not JobStatus.PENDING:
                     continue  # cancelled (or otherwise finished) while queued
-                if job.deadline is not None and now > job.deadline:
-                    job.taken = True
-                    if job.handle._finish(JobStatus.TIMEOUT) and \
-                            self._on_timeout is not None:
-                        self._on_timeout(job)
-                    continue
                 if job.not_before is not None and now < job.not_before:
                     deferred.append(job)  # backoff pending; stays queued
                     continue
@@ -180,7 +150,6 @@ class JobQueue:
                         heapq.heappush(
                             self._heap, (job.cost_key(), job.seq, job)
                         )
-                        self._live += 1
 
     def drain(self) -> list[Job]:
         """Remove and return every still-pending job, backoff or not.
@@ -191,15 +160,12 @@ class JobQueue:
         with self._lock:
             heap, self._heap = self._heap, []
             self._arrivals.clear()
-            self._live = 0
         return [job for _, _, job in heap if self._pending(job)]
 
     def depth(self) -> int:
         """Live (non-tombstoned) queued jobs."""
         with self._lock:
-            live = sum(1 for _, _, job in self._heap if self._pending(job))
-            self._live = live
-            return live
+            return sum(1 for _, _, job in self._heap if self._pending(job))
 
     def __len__(self) -> int:
         return self.depth()

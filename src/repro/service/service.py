@@ -1,7 +1,7 @@
 """The :class:`QueryService`: async GPM queries over a worker pool.
 
 This is the process-level analogue of the X-SET scheduler: independent
-jobs (``graph_id × pattern × config``) flow through a bounded priority
+jobs (``graph_id × pattern × config``) flow through a bounded cost-ranked
 queue into a pool of workers, with no barrier between jobs — exactly the
 barrier-free philosophy of the hardware, lifted to Python processes.
 
@@ -32,12 +32,11 @@ Semantics
 ---------
 * **Backpressure**: a full queue raises ``QueueFullError`` — submits never
   block.
-* **Deadlines**: ``timeout=`` sets a deadline on the service clock; it is
-  enforced while the job is *queued* (expired jobs never dispatch).  A job
-  already on a worker runs to completion — results arriving after the
-  deadline are still delivered.
-* **Dispatch order**: cost-ranked within a priority class, with an aging
-  bound (:mod:`repro.service.scheduler`); there is no other order.
+* **No deadlines, no priority classes**: a dispatched job runs to
+  completion; ``JobHandle.result(timeout=)`` bounds only the caller's
+  wait.
+* **Dispatch order**: cost-ranked, with an aging bound
+  (:mod:`repro.service.scheduler`); there is no other order.
 * **Retries**: crash-shaped failures (a dying worker / broken pool) are
   retried ``MAX_RETRIES`` times with doubling backoff from
   ``RETRY_BACKOFF_SECONDS``, on the same engine in a fresh worker;
@@ -87,7 +86,6 @@ from ..resilience import (
     BreakerState,
     HealthReport,
     HealthState,
-    Watchdog,
     assess,
 )
 from .cache import CacheKey, ResultCache, pattern_cache_key
@@ -139,12 +137,8 @@ _COUNTS = {
     "cancelled": (
         "repro_jobs_cancelled_total", "jobs cancelled before they finished"
     ),
-    "timeout": ("repro_jobs_timed_out_total", "jobs whose deadline expired"),
     "submitted": ("repro_jobs_submitted_total", "jobs accepted by submit()"),
     "retries": ("repro_job_retries_total", "crash-shaped failures retried"),
-    "abandoned": (
-        "repro_jobs_abandoned_total", "running jobs abandoned by the watchdog"
-    ),
     "worker_calls": (
         "repro_worker_calls_total",
         "jobs sent to the pool, one executor call each",
@@ -226,14 +220,7 @@ class QueryService:
         self._owns_executor = executor is None
         self._registry = GraphRegistry()
         self._cache = ResultCache(cache_capacity)
-        self._queue = JobQueue(
-            queue_limit,
-            # the queue reaps jobs whose deadline passed while they waited
-            # and hands each one over to be accounted for
-            on_timeout=lambda job: self._settle(
-                job, JobStatus.TIMEOUT, reaped=True, where="queued"
-            ),
-        )
+        self._queue = JobQueue(queue_limit)
         # metrics always exist (they are cheap, per-job bookkeeping);
         # span tracing + per-query profiling is opt-in via observability=
         self.metrics = MetricsRegistry()
@@ -266,7 +253,7 @@ class QueryService:
         self._dispatcher_stuck = False
         #: (row of ``_COUNTS``, *label values) → that series' counter
         self._tally: "dict[tuple[str, ...], Counter]" = {}
-        # -- resilience layer (breakers, watchdog, cross-check, fault plan) --
+        # -- resilience layer (breakers, cross-check, fault plan) ------------
         #: share of jobs, picked by job id, re-run on a second engine and
         #: compared by count (``_sampled_verify``); 0.0 checks none
         self.verify_fraction = verify_fraction
@@ -277,7 +264,6 @@ class QueryService:
             clock=clock,
             on_transition=self._on_breaker_transition,
         )
-        self._watchdog = Watchdog(clock)
 
     def _on_breaker_transition(self, engine, old, new) -> None:
         """Breaker state changes land in the flight recorder (one append;
@@ -338,8 +324,6 @@ class QueryService:
         pattern: "Pattern",
         *,
         induced: bool | None = None,
-        priority: int = 0,
-        timeout: float | None = None,
         engine: str | None = None,
         config: SystemConfig | None = None,
         use_cache: bool = True,
@@ -347,10 +331,9 @@ class QueryService:
     ) -> JobHandle:
         """Enqueue one query; returns immediately with a :class:`JobHandle`.
 
-        ``priority``: lower runs first (cheapest predicted first within a
-        class, see :mod:`repro.service.scheduler`).  ``timeout``
-        is a queue deadline in seconds on the service clock.  ``engine`` /
-        ``config`` override the service defaults for this job only.
+        Jobs dispatch cheapest predicted first (see
+        :mod:`repro.service.scheduler`).  ``engine`` / ``config`` override
+        the service defaults for this job only.
         ``root_range`` restricts matching to search trees rooted in the
         half-open vertex range ``[lo, hi)`` — the cluster layer's shard
         workers submit exactly such root-partitioned subqueries.
@@ -359,14 +342,8 @@ class QueryService:
         if self._shutdown:
             raise ServiceError("service has been shut down")
         job = self._resolve(
-            graph_id, pattern, induced, priority, engine, config, root_range
+            graph_id, pattern, induced, engine, config, root_range
         )
-        if timeout is not None and timeout <= 0:
-            # a non-positive deadline can never be met: finish the job as
-            # TIMEOUT here instead of enqueueing work that is already dead
-            self._count("submitted")
-            self._settle(job, JobStatus.TIMEOUT, where="submit")
-            return job.handle
         if use_cache:
             cached = self._cache.get(job.cache_key)
             if cached is None:
@@ -381,8 +358,6 @@ class QueryService:
                 )
                 return job.handle
         job.enqueued_at = self._clock()
-        if timeout is not None:
-            job.deadline = job.enqueued_at + timeout
         if job.span is not None:
             job.queued_span = self._observation.tracer.start_span(
                 "service.queued", parent=job.span
@@ -399,7 +374,6 @@ class QueryService:
                 graph_id=graph_id,
                 pattern=pattern.name,
                 engine=job.config.engine,
-                priority=priority,
             )
             self._cond.notify_all()
         if self.mode == "inline":
@@ -413,7 +387,6 @@ class QueryService:
         graph_id: str,
         pattern: "Pattern",
         induced: bool | None,
-        priority: int,
         engine: str | None,
         config: SystemConfig | None,
         root_range: tuple[int, int] | None,
@@ -458,7 +431,6 @@ class QueryService:
                 config_key=cfg.cache_key(),
                 root_key=root_range,
             ),
-            priority=priority,
             root_range=root_range,
             seq=next(self._seq),
             record=record,  # snapshot pinned at submit time
@@ -565,7 +537,6 @@ class QueryService:
         report: "SimReport | None" = None,
         error: BaseException | None = None,
         expect: JobStatus | None = None,
-        reaped: bool = False,
         **event,
     ) -> bool:
         """Move a job to its terminal ``status`` — the one place that does.
@@ -575,11 +546,10 @@ class QueryService:
         event, which carries ``event``.  Returns False, having counted
         nothing, when the handle was already terminal — or, with
         ``expect``, not exactly in that state, which is the compare-and-set
-        ``cancel()`` relies on.  ``reaped`` marks a job the queue has
-        already moved to TIMEOUT and only needs accounting for.  A bare
-        handle (``cancel()`` holds nothing else) has no spans to close.
-        Callable from any thread: the submitter, the dispatcher, the
-        executor's callback thread and the watchdog all end jobs here.
+        ``cancel()`` relies on.  A bare handle (``cancel()`` holds nothing
+        else) has no spans to close.  Callable from any thread: the
+        submitter, the dispatcher and the executor's callback thread all
+        end jobs here.
         """
         job = target if isinstance(target, Job) else None
         handle = target if job is None else job.handle
@@ -598,24 +568,18 @@ class QueryService:
         with self._cond:
             # finished and counted under the lock stats() takes: whoever
             # result() wakes finds this job already in the counts
-            abandoned = (
-                status is JobStatus.TIMEOUT
-                and handle.status is JobStatus.RUNNING
-            )
             if expect is not None:
                 won = handle._finish_if(expect, status, error)
             else:
-                won = reaped or handle._finish(status, report, error)
+                won = handle._finish(status, report, error)
             if not won:
                 return False
             # a cache hit completes a job without a worker completing it
             self._count("cache_hits" if handle.from_cache else status.value)
-            if abandoned:
-                self._count("abandoned")
             if error is not None:
                 event["error"] = type(error).__name__
             self.flight.record(
-                "abandoned" if abandoned else status.value,
+                status.value,
                 job_id=handle.job_id,
                 engine=handle.engine,
                 **event,
@@ -759,8 +723,7 @@ class QueryService:
         Only a warm, plain, sub-millisecond one: its prediction comes from
         the profile tier (this shape has run on this snapshot) and is under
         ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
-        heavy query; it has no deadline (the watchdog cannot abandon a run
-        on this thread) and no cross-check; its engine's breaker is
+        heavy query; it has no cross-check; its engine's breaker is
         closed; and the armed plan assigns its coming attempt no fault (a
         HANG must not pin the dispatcher, and a CRASH must kill a pool
         process, not the service).  Asked before ``_begin``: by the
@@ -769,7 +732,6 @@ class QueryService:
         return (
             job.predicted_source == "profile"
             and job.predicted_seconds < LIGHT_SECONDS
-            and job.deadline is None
             and self._breakers.for_engine(job.config.engine).state
             is BreakerState.CLOSED
             and self._sampled_verify(job) is None
@@ -839,12 +801,6 @@ class QueryService:
                 job.span.set_attr("verify_engine", job.verify_engine)
         with self._cond:
             self._in_flight += 1
-        # watch BEFORE the executor submit: inline futures complete (and
-        # run _on_done) synchronously, and _on_done's unwatch() is the
-        # ownership handshake that keeps the accounting single-owner
-        self._watchdog.watch(job)
-        if job.deadline is not None:
-            self._ensure_watchdog_thread()
         return True
 
     def _launch(self, job: Job) -> None:
@@ -882,7 +838,6 @@ class QueryService:
         except BaseException as exc:  # pool already broken at submit time
             future = Future()
             future.set_exception(exc)
-        self._watchdog.attach_future(job.handle.job_id, future)
         future.add_done_callback(lambda f: self._on_done(job, f))
 
     def _sampled_verify(self, job: Job) -> str | None:
@@ -901,11 +856,7 @@ class QueryService:
         return "event" if job.config.engine != "event" else "batched"
 
     def _on_done(self, job: Job, future: Future) -> None:
-        if not self._watchdog.unwatch(job.handle.job_id):
-            # the watchdog already abandoned this job (running-deadline
-            # expiry): it owned the in-flight slot and finished the
-            # waiters with TIMEOUT, so this late result is dropped
-            return
+        """The one place a dispatched job is settled (or retried)."""
         with self._cond:
             self._in_flight -= 1
             self._cond.notify_all()
@@ -1037,42 +988,6 @@ class QueryService:
             site, _, kind = key.partition(":")
             self._count("faults_injected", count, site=site, kind=kind)
 
-    def check_watchdog(self) -> int:
-        """One watchdog pass: abandon running jobs past their deadline.
-
-        The background watchdog thread calls this on an interval in pool
-        modes; deterministic tests call it directly against a fake clock.
-        Returns how many jobs were abandoned on this pass.  Abandoned
-        jobs free their in-flight slot and finish their waiters with
-        ``TIMEOUT``; the (possibly hung) worker future is cancelled
-        best-effort and any late result it produces is dropped by the
-        unwatch handshake in ``_on_done``.
-        """
-        expired = self._watchdog.scan()
-        for job, future in expired:
-            if future is not None:
-                future.cancel()
-            self._settle(job, JobStatus.TIMEOUT, attempt=job.attempts)
-            with self._cond:
-                self._in_flight -= 1
-                self._cond.notify_all()
-        if expired:
-            # a worker stuck in a hung job may have broken the pool (or we
-            # may simply want fresh capacity); replace it if so
-            self._rebuild_executor_if_broken()
-        return len(expired)
-
-    def _ensure_watchdog_thread(self) -> None:
-        """Start the background scan thread (pool modes only).
-
-        Inline mode completes every job synchronously inside ``submit``,
-        so there is never a *running* job for a thread to observe —
-        deterministic tests drive :meth:`check_watchdog` directly.
-        """
-        if self.mode == "inline":
-            return
-        self._watchdog.start(self.check_watchdog)
-
     def _health_state(self) -> HealthState:
         """Classify the service right now (queue occupancy + breakers)."""
         return assess(
@@ -1090,7 +1005,6 @@ class QueryService:
                 queue_limit=self._queue.limit,
                 in_flight=self._in_flight,
                 breakers=self._breakers.snapshots(),
-                abandoned=self._total("abandoned"),
                 crosscheck_mismatches=self._total("crosschecks", "mismatch"),
                 faults_injected=self._total("faults_injected"),
                 dispatcher_stuck=self._dispatcher_stuck,
@@ -1134,9 +1048,7 @@ class QueryService:
                 completed=self._total("done") + self._total("cache_hits"),
                 failed=self._total("failed"),
                 cancelled=self._total("cancelled"),
-                timed_out=self._total("timeout"),
                 retries=self._total("retries"),
-                abandoned=self._total("abandoned"),
                 crosscheck_mismatches=self._total("crosschecks", "mismatch"),
                 faults_injected=self._total("faults_injected"),
                 health=health.name.lower(),
@@ -1202,8 +1114,8 @@ class QueryService:
 
         A dispatcher thread that fails to stop within ``join_timeout``
         seconds (a worker pinned by a hung job can block it on the
-        in-flight gate) is reported — logged with the ids of the jobs it
-        is stuck behind and surfaced as ``dispatcher_stuck`` in
+        in-flight gate) is reported — logged with the number of pool calls
+        still in flight and surfaced as ``dispatcher_stuck`` in
         :meth:`stats` / :meth:`health` — rather than waited on forever.
         """
         with self._cond:
@@ -1219,15 +1131,14 @@ class QueryService:
         if dispatcher is not None:
             dispatcher.join(timeout=join_timeout)
             if dispatcher.is_alive():
-                stuck_ids = self._watchdog.running_ids()
-                logger.warning(
-                    "dispatcher thread failed to stop within %.1fs; "
-                    "still-running job ids: %s",
-                    join_timeout, list(stuck_ids) or "none",
-                )
                 with self._cond:
                     self._dispatcher_stuck = True
-        self._watchdog.stop()
+                    in_flight = self._in_flight
+                logger.warning(
+                    "dispatcher thread failed to stop within %.1fs; "
+                    "%d pool call(s) still in flight",
+                    join_timeout, in_flight,
+                )
         with self._cond:
             executor = self._executor
             self._executor = None

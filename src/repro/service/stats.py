@@ -104,7 +104,6 @@ class ServiceStats:
     completed: int
     failed: int
     cancelled: int
-    timed_out: int
     retries: int
     cache_size: int
     cache_hits: int
@@ -113,9 +112,8 @@ class ServiceStats:
     cache_invalidations: int
     cache_hit_rate: float
     # -- resilience counters (zero on an undisturbed service) --------------
-    #: running jobs abandoned by the watchdog
-    abandoned: int = 0
-    #: never written: benchmarks/e2e/svc_base.py still reads it as 0
+    #: never written: benchmarks/e2e/svc_base.py still reads these as 0
+    timed_out: int = 0
     rerouted: int = 0
     #: sampled cross-engine checks that disagreed on the count
     crosscheck_mismatches: int = 0
@@ -145,7 +143,7 @@ class ServiceStats:
             (
                 f"jobs: {self.submitted} submitted, {self.completed} done, "
                 f"{self.failed} failed, {self.cancelled} cancelled, "
-                f"{self.timed_out} timed out, {self.retries} retries"
+                f"{self.retries} retries"
             ),
             (
                 f"cache: {self.cache_size} entries, {self.cache_hits} hits / "
@@ -156,13 +154,11 @@ class ServiceStats:
             ),
         ]
         if (
-            self.health != "healthy" or self.abandoned
-            or self.crosscheck_mismatches
+            self.health != "healthy" or self.crosscheck_mismatches
             or self.faults_injected or self.dispatcher_stuck
         ):
             lines.append(
                 f"resilience: health={self.health}, "
-                f"{self.abandoned} abandoned, "
                 f"{self.crosscheck_mismatches} cross-check mismatches, "
                 f"{self.faults_injected} faults injected"
                 + (", DISPATCHER STUCK" if self.dispatcher_stuck else "")

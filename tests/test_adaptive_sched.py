@@ -18,7 +18,7 @@ from repro.patterns.pattern import PATTERNS
 from repro.sched.adaptive import CostPredictor, analytic_work, query_features
 from repro.sched.adaptive.predictor import DEFAULT_ENGINE_SPEED
 from repro.service import QueryService, pattern_cache_key
-from repro.service.job import Job, JobHandle, JobStatus
+from repro.service.job import Job, JobHandle
 from repro.service.scheduler import AGE_LIMIT_SECONDS, JobQueue
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -111,15 +111,14 @@ class TestCostPredictor:
             CostPredictor(prior_margin=0.5)
 
 
-def _job(seq, predicted=0.0, priority=0, enqueued_at=0.0, deadline=None):
+def _job(seq, predicted=0.0, enqueued_at=0.0):
     handle = JobHandle(
         job_id=seq, graph_id="g", pattern_name=f"p{seq}",
         engine="batched", cancel_cb=lambda h: False,
     )
     return Job(
         handle=handle, graph_id="g", fingerprint="fp", plan=None,
-        config=None, cache_key=None, priority=priority, seq=seq,
-        deadline=deadline, predicted_seconds=predicted,
+        config=None, cache_key=None, seq=seq, predicted_seconds=predicted,
         enqueued_at=enqueued_at,
     )
 
@@ -142,14 +141,6 @@ class TestCostQueue:
         q.push(first)
         assert q.pop(now=0.0) is first
 
-    def test_priority_class_dominates_cost(self):
-        q = JobQueue()
-        cheap_background = _job(1, predicted=0.01, priority=5)
-        heavy_interactive = _job(2, predicted=9.0, priority=0)
-        q.push(cheap_background)
-        q.push(heavy_interactive)
-        assert q.pop(now=0.0) is heavy_interactive
-
     def test_aging_bound_prevents_starvation(self):
         q = JobQueue(age_limit=1.0)
         heavy = _job(1, predicted=100.0, enqueued_at=0.0)
@@ -169,17 +160,6 @@ class TestCostQueue:
         q.push(heavy)
         q.push(light)
         assert q.pop(now=1.0) is light
-
-    def test_starving_job_with_expired_deadline_times_out(self):
-        reaped = []
-        q = JobQueue(on_timeout=reaped.append, age_limit=1.0)
-        doomed = _job(1, predicted=100.0, enqueued_at=0.0, deadline=2.0)
-        light = _job(2, predicted=0.001, enqueued_at=5.0)
-        q.push(doomed)
-        q.push(light)
-        assert q.pop(now=5.0) is light
-        assert doomed.handle.status is JobStatus.TIMEOUT
-        assert reaped == [doomed]
 
     def test_a_requeued_job_does_not_block_older_starving_jobs(self):
         # a crash retry pushes a job again with a fresh enqueued_at; the

@@ -440,3 +440,19 @@ class TestStructure:
                 if isinstance(node, ast.Call)
             }
             assert not called & set_work, (rel, called & set_work)
+
+    def test_a_job_has_no_deadline_and_no_priority_class(self):
+        """One dispatch rule and no deadlines: ``submit`` takes neither
+        ``timeout`` nor ``priority``, nothing watches running jobs, and no
+        job settles as TIMEOUT — ``result(timeout=)`` bounds only the
+        caller's wait."""
+        import inspect
+
+        from repro import resilience
+        from repro.service import JobStatus, QueryService
+
+        params = inspect.signature(QueryService.submit).parameters
+        assert not {"timeout", "priority"} & set(params)
+        assert not hasattr(resilience, "Watchdog")
+        assert "Watchdog" not in resilience.__all__
+        assert "TIMEOUT" not in JobStatus.__members__

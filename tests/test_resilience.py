@@ -1,4 +1,4 @@
-"""The resilience layer: fault injection, breakers, watchdog, degradation.
+"""The resilience layer: fault injection, breakers, degradation.
 
 Deterministic chaos testing in the repo's established style — injectable
 clocks, recorded sleeps and injectable executors keep every scenario
@@ -11,15 +11,12 @@ the *correct* embedding count, and no waiter hangs.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-
 import pytest
 
 from repro.core.api import XSetAccelerator
 from repro.errors import (
     FaultInjectionError,
     InjectedCrashError,
-    JobTimeoutError,
     WorkerCrashError,
 )
 from repro.patterns.pattern import PATTERNS
@@ -31,7 +28,6 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     HealthState,
-    Watchdog,
     active,
     assess,
     inject,
@@ -59,22 +55,6 @@ class RecordingSleep:
 
     def __call__(self, seconds: float) -> None:
         self.calls.append(seconds)
-
-
-class HangingExecutor:
-    """Returns futures that never complete (a worker stuck forever)."""
-
-    def __init__(self) -> None:
-        self.futures: list[Future] = []
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        self.futures.append(future)
-        return future
-
-    def shutdown(self, wait: bool = True, **kwargs) -> None:
-        pass
 
 
 @pytest.fixture
@@ -254,50 +234,6 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# watchdog
-# ---------------------------------------------------------------------------
-
-
-class _StubJob:
-    """Just enough of a Job for the watchdog's table."""
-
-    class _Handle:
-        def __init__(self, job_id):
-            self.job_id = job_id
-            self.pattern_name = "3CF"
-
-    def __init__(self, job_id, deadline):
-        self.handle = self._Handle(job_id)
-        self.graph_id = "g"
-        self.deadline = deadline
-
-
-class TestWatchdog:
-    def test_scan_pops_only_expired(self):
-        clock = FakeClock()
-        dog = Watchdog(clock)
-        dog.watch(_StubJob(1, deadline=5.0))
-        dog.watch(_StubJob(2, deadline=50.0))
-        dog.watch(_StubJob(3, deadline=None))
-        clock.advance(10.0)
-        expired = dog.scan()
-        assert [job.handle.job_id for job, _ in expired] == [1]
-        assert dog.running_ids() == (2, 3)
-        assert dog.abandoned == 1
-
-    def test_unwatch_claims_ownership_exactly_once(self):
-        clock = FakeClock()
-        dog = Watchdog(clock)
-        dog.watch(_StubJob(7, deadline=1.0))
-        clock.advance(2.0)
-        assert dog.scan()            # watchdog claimed it...
-        assert not dog.unwatch(7)    # ...so the completion side must not
-        dog.watch(_StubJob(8, deadline=1.0))
-        assert dog.unwatch(8)        # completion first: scan finds nothing
-        assert dog.scan() == []
-
-
-# ---------------------------------------------------------------------------
 # degradation state machine
 # ---------------------------------------------------------------------------
 
@@ -320,29 +256,6 @@ class TestDegradation:
 # ---------------------------------------------------------------------------
 # service integration: satellites
 # ---------------------------------------------------------------------------
-
-
-class TestNonPositiveTimeout:
-    @pytest.mark.parametrize("timeout", [0, -1.0])
-    def test_rejected_at_submit_as_timeout(self, graph, timeout):
-        svc, gid = make_service(graph)
-        handle = svc.submit(gid, PATTERNS["3CF"], timeout=timeout)
-        assert handle.status is JobStatus.TIMEOUT
-        with pytest.raises(JobTimeoutError, match="deadline expired"):
-            handle.result()
-        stats = svc.stats()
-        assert stats.timed_out == 1
-        assert stats.submitted == 1
-        assert stats.completed == 0
-        assert stats.metrics['repro_jobs_timed_out_total'] == 1.0
-
-    def test_traced_submit_closes_span(self, graph):
-        svc, gid = make_service(graph, observability=True)
-        svc.submit(gid, PATTERNS["3CF"], timeout=0)
-        spans = svc._observation.tracer.finished()
-        job_spans = [s for s in spans if s.name == "service.job"]
-        assert len(job_spans) == 1
-        assert job_spans[0].attrs["outcome"] == "timeout"
 
 
 class TestBreakerRouting:
@@ -431,62 +344,6 @@ class TestCrossCheck:
         assert any(checked[0]) and not all(checked[0])
 
 
-class TestRunningDeadlineWatchdog:
-    def test_abandons_hung_job_and_drops_late_result(self, graph):
-        clock = FakeClock()
-        executor = HangingExecutor()
-        svc, gid = make_service(graph, clock=clock, executor=executor)
-        handle = svc.submit(gid, PATTERNS["3CF"], timeout=5.0,
-                            use_cache=False)
-        assert handle.status is JobStatus.RUNNING
-        assert svc.check_watchdog() == 0   # deadline not reached yet
-        clock.advance(10.0)
-        assert svc.check_watchdog() == 1
-        assert handle.status is JobStatus.TIMEOUT
-        with pytest.raises(JobTimeoutError, match="deadline expired"):
-            handle.result()
-        stats = svc.stats()
-        assert stats.abandoned == 1
-        assert stats.timed_out == 1
-        assert stats.in_flight == 0        # the slot was freed
-        assert stats.metrics["repro_jobs_abandoned_total"] == 1.0
-        # the hung worker finally answers: the unwatch handshake drops it
-        future = executor.futures[0]
-        if not future.cancelled():
-            future.set_result(object())
-        assert svc.stats().completed == 0
-        assert handle.status is JobStatus.TIMEOUT
-
-    def test_jobs_without_deadline_run_forever(self, graph):
-        clock = FakeClock()
-        executor = HangingExecutor()
-        svc, gid = make_service(graph, clock=clock, executor=executor)
-        handle = svc.submit(gid, PATTERNS["3CF"], use_cache=False)
-        clock.advance(1e6)
-        assert svc.check_watchdog() == 0
-        assert handle.status is JobStatus.RUNNING
-
-    def test_thread_mode_watchdog_thread_fires(self, graph):
-        # a real hang (injected HANG > deadline) on a real thread pool:
-        # the background watchdog must release the waiter with TIMEOUT.
-        # The hang outlasts the deadline 10x; shutdown() then waits it out
-        svc = QueryService(mode="thread", max_workers=1)
-        gid = svc.register_graph(graph, graph_id="g")
-        svc.arm_faults(FaultPlan(seed=0, specs=(
-            FaultSpec(site="worker.run", kind=FaultKind.HANG,
-                      seconds=0.5),
-        )))
-        handle = svc.submit(gid, PATTERNS["3CF"], timeout=0.05,
-                            use_cache=False)
-        with pytest.raises(JobTimeoutError):
-            handle.result(timeout=30)
-        assert handle.status is JobStatus.TIMEOUT
-        assert svc._watchdog.alive
-        assert svc.stats().abandoned == 1
-        svc.shutdown()
-        assert not svc._watchdog.alive
-
-
 class TestStuckDispatcherDetection:
     def test_shutdown_reports_unjoinable_dispatcher(self, graph, caplog):
         import logging
@@ -521,7 +378,7 @@ class TestStuckDispatcherDetection:
 class TestUnarmedIsByteIdentical:
     @pytest.mark.parametrize("engine", ["batched", "event"])
     def test_default_resilience_matches_disabled(self, graph, engine):
-        # the default service (breakers, watchdog, no cross-check) against
+        # the default service (breakers, no cross-check) against
         # the layer out of the picture: a direct run of the same engine
         direct = XSetAccelerator(engine=engine).count(graph, PATTERNS["TT"])
         svc, gid = make_service(graph)
@@ -542,7 +399,7 @@ class TestUnarmedIsByteIdentical:
             )
         stats = svc.stats()
         assert stats.faults_injected == stats.failed == 0
-        assert stats.retries == stats.abandoned == 0
+        assert stats.retries == 0
         assert stats.crosscheck_mismatches == 0
 
     def test_stall_fault_only_changes_timing(self, graph):

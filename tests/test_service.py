@@ -1,4 +1,4 @@
-"""Query-service tests: equivalence, caching, registry, priorities, stats.
+"""Query-service tests: equivalence, caching, registry, dispatch order, stats.
 
 The acceptance property lives here: for every registered pattern on two
 generated graphs, the service returns counts identical to direct
@@ -17,7 +17,6 @@ from repro.patterns.pattern import PATTERNS, Pattern
 from repro.service import (
     GraphRegistry,
     InlineExecutor,
-    JobStatus,
     QueryService,
     pattern_cache_key,
 )
@@ -211,27 +210,8 @@ class RecordingExecutor(InlineExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-class TestPriorities:
-    def test_lower_priority_value_runs_first(self, service_graphs):
-        executor = RecordingExecutor()
-        with QueryService(
-            mode="inline", start_paused=True, executor=executor
-        ) as svc:
-            gid = svc.register_graph(service_graphs[0])
-            handles = [
-                svc.submit(
-                    gid, PATTERNS[name], engine="batched", priority=prio
-                )
-                for prio, name in ((5, "3CF"), (1, "WEDGE"), (3, "P3"))
-            ]
-            assert all(h.status is JobStatus.PENDING for h in handles)
-            assert svc.stats().queue_depth == 3
-            svc.resume()
-            for handle in handles:
-                handle.result(timeout=60)
-        assert executor.dispatched == ["WEDGE", "P3", "3CF"]
-
-    def test_cost_order_within_priority(self, service_graphs, direct_counts):
+class TestDispatchOrder:
+    def test_cost_order_changes_no_count(self, service_graphs, direct_counts):
         executor = RecordingExecutor()
         names = ("TT", "3CF", "WEDGE", "P3")
         with QueryService(
@@ -242,7 +222,7 @@ class TestPriorities:
                 svc.submit(gid, PATTERNS[name], engine="batched")
                 for name in names
             ]
-            # one priority class: the heap ranks by predicted cost alone
+            # the heap ranks by predicted cost alone
             by_cost = [
                 job.handle.pattern_name
                 for _, _, job in sorted(svc._queue._heap)

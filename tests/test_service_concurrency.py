@@ -2,13 +2,13 @@
 
 Every timing decision in the service flows through an injectable clock
 and sleep function, and the executor itself is injectable, so worker
-crashes, deadlines, backpressure and cache invalidation are all driven
-from a single thread here:
+crashes, backpressure and cache invalidation are all driven from a
+single thread here:
 
 * worker-crash retry: a flaky executor fails the first N submissions with
   a crash-shaped error; the service retries with recorded backoffs.
-* deadline: a paused service plus a hand-advanced clock expires queued
-  jobs without ever running them.
+* wait bound: ``result(timeout=)`` gives up on the caller's wait, not on
+  the job.
 * backpressure: a paused service with a tiny queue raises QueueFullError.
 * invalidation: edge updates through ``dynamic_session`` purge (and
   delta-patch) cached results.
@@ -208,30 +208,7 @@ class TestWorkerCrashRetry:
 
 
 class TestDeadlines:
-    def test_queued_job_expires_without_running(self, graph):
-        clock = FakeClock()
-        executor = InlineExecutor()
-        svc, gid = make_service(
-            graph, executor=executor, clock=clock, start_paused=True
-        )
-        handle = svc.submit(gid, PATTERNS["3CF"], timeout=5.0)
-        assert handle.status is JobStatus.PENDING
-        clock.advance(10.0)
-        svc.resume()
-        assert handle.status is JobStatus.TIMEOUT
-        with pytest.raises(JobTimeoutError, match="deadline expired"):
-            handle.result()
-        assert svc.stats().timed_out == 1
-
-    def test_job_within_deadline_runs(self, graph):
-        clock = FakeClock()
-        svc, gid = make_service(graph, clock=clock, start_paused=True)
-        handle = svc.submit(
-            gid, PATTERNS["3CF"], engine="batched", timeout=5.0
-        )
-        clock.advance(1.0)
-        svc.resume()
-        assert handle.result().embeddings >= 0
+    """A job has no deadline; the one left is the caller's wait."""
 
     def test_result_wait_timeout_is_independent(self, graph):
         svc, gid = make_service(graph, start_paused=True)
@@ -258,6 +235,55 @@ class TestBackpressure:
         assert first.cancel()
         svc.submit(gid, PATTERNS["P3"])  # fits: the cancelled slot freed
         svc.shutdown()
+
+    def test_queue_never_holds_more_than_its_limit(self):
+        """Cancelled tombstones and jobs taken through the aging path stay
+        in the heap until popped; neither may make room for more pending
+        jobs than ``limit``."""
+        seq = iter(range(100))
+
+        def job(predicted, enqueued_at=0.0):
+            i = next(seq)
+            handle = JobHandle(
+                job_id=i, graph_id="g", pattern_name="3CF",
+                engine="batched", cancel_cb=lambda h: False,
+            )
+            return Job(
+                handle=handle, graph_id="g", fingerprint="fp", plan=None,
+                config=None, cache_key=None, seq=i,
+                predicted_seconds=predicted, enqueued_at=enqueued_at,
+            )
+
+        def fill(queue):
+            while True:
+                try:
+                    queue.push(job(9.0))
+                except QueueFullError:
+                    return queue.depth()
+
+        # two tombstones: depth() (every stats()/health() asks it) and a
+        # pop that steps over both
+        queue = JobQueue(limit=4)
+        jobs = [job(0.1 * i) for i in range(4)]
+        for j in jobs:
+            queue.push(j)
+        for j in jobs[:2]:
+            j.handle._finish(JobStatus.CANCELLED)
+        assert queue.depth() == 2
+        assert queue.pop(0.0) is jobs[2]
+        assert fill(queue) == 4
+
+        # a starving job handed out through the aging path
+        queue = JobQueue(limit=2, age_limit=1.0)
+        old, new = job(5.0, enqueued_at=0.0), job(0.1, enqueued_at=9.5)
+        queue.push(old)
+        queue.push(new)
+        assert queue.pop(10.0) is old
+        assert queue.depth() == 1
+        assert queue.pop(10.0) is new
+        assert fill(queue) == 2
+        assert queue.pop(10.0).predicted_seconds == 9.0  # steps over old
+        assert fill(queue) == 2
 
 
 class TestCancellation:
@@ -502,10 +528,6 @@ class ScriptedExecutor(InlineExecutor):
         return future
 
 
-#: expires at the first clock step / long enough to queue for a while
-SHORT, LONG = 1e-9, 30.0
-
-
 class JobLifecycle(RuleBasedStateMachine):
     """Random walks over submit / cancel / crash / hang / pause / clock.
 
@@ -543,37 +565,28 @@ class JobLifecycle(RuleBasedStateMachine):
 
     @rule(
         pattern=st.sampled_from(["3CF", "WEDGE", "DIA"]),
-        priority=st.integers(0, 1),
-        timeout=st.sampled_from([None, 0, SHORT, LONG]),
         use_cache=st.booleans(),
     )
-    def submit(self, pattern, priority, timeout, use_cache):
-        self._submit(
-            pattern=PATTERNS[pattern], priority=priority, timeout=timeout,
-            use_cache=use_cache,
-        )
+    def submit(self, pattern, use_cache):
+        self._submit(pattern=PATTERNS[pattern], use_cache=use_cache)
 
     @precondition(lambda self: self.handles)
     @rule(data=st.data())
     def cancel(self, data):
         data.draw(st.sampled_from(self.handles)).cancel()
 
-    @rule(seconds=st.sampled_from([1.0, 60.0]), scan=st.booleans())
-    def advance_clock(self, seconds, scan):
+    @rule(seconds=st.sampled_from([1.0, 60.0]))
+    def advance_clock(self, seconds):
         self.clock.advance(seconds)
-        if scan:  # what the watchdog thread does in the pool modes
-            self.svc.check_watchdog()
 
     @rule(n=st.integers(1, 4))
     def crash_next_submits(self, n):
         self.executor.crashes = n
 
-    @rule(timeout=st.sampled_from([None, LONG]))
-    def submit_to_a_worker_that_hangs(self, timeout):
+    @rule()
+    def submit_to_a_worker_that_hangs(self):
         self.executor.hangs = 1
-        self._submit(
-            pattern=PATTERNS["CYC"], timeout=timeout, use_cache=False
-        )
+        self._submit(pattern=PATTERNS["CYC"], use_cache=False)
 
     @rule()
     def crash_while_a_client_fills_the_queue(self):
@@ -596,23 +609,17 @@ class JobLifecycle(RuleBasedStateMachine):
     def resume(self):
         self.svc.resume()
 
-    @rule()
-    def check_watchdog(self):
-        self.svc.check_watchdog()
-
     @precondition(lambda self: self.executor.hung)
     @rule()
     def hung_worker_answers(self):
-        future = self.executor.hung.pop(0)
-        if not future.cancelled():  # the watchdog cancels what it abandons
-            future.set_result(SimReport(embeddings=7))
+        self.executor.hung.pop(0).set_result(SimReport(embeddings=7))
 
     @invariant()
     def every_job_is_in_exactly_one_place(self):
         s = self.svc.stats()
         assert s.submitted == len(self.handles)
         assert s.submitted == (
-            s.completed + s.failed + s.cancelled + s.timed_out
+            s.completed + s.failed + s.cancelled
             + s.queue_depth + s.in_flight
         ), s.summary()
 
@@ -622,10 +629,8 @@ class JobLifecycle(RuleBasedStateMachine):
         series = {
             "submitted": "repro_jobs_submitted_total",
             "failed": "repro_jobs_failed_total",
-            "timed_out": "repro_jobs_timed_out_total",
             "cancelled": "repro_jobs_cancelled_total",
             "retries": "repro_job_retries_total",
-            "abandoned": "repro_jobs_abandoned_total",
         }
         for field, name in series.items():
             assert getattr(s, field) == s.metrics.get(name, 0), field

@@ -143,29 +143,30 @@ class TestPopSet:
 
     def test_a_heavy_job_ends_the_set_before_it(self):
         queue = JobQueue(limit=8)
-        for i, cost in enumerate([0.1, 0.1, 5.0, 0.1], start=1):
-            # the heavy job alone is in the more urgent priority class
-            queue.push(queued(i, cost, priority=0 if cost > 1 else 1))
-        # the refused head is not jumped: the cheap jobs behind the heavy
-        # one wait for a pool worker too
-        assert past_a_full_pool(queue, 0.0) == []
-        assert ids([queue.pop(0.0)]) == [3]
-        assert ids(past_a_full_pool(queue, 0.0)) == [1, 2, 4]
+        for i, cost in enumerate([0.2, 0.2, 0.1, 0.2], start=1):
+            # the cheapest job carries an armed fault: the service's rule
+            # sends it to the pool like a heavy one
+            queue.push(queued(i, cost, faults=("hang",) if i == 3 else None))
 
-    def test_tombstone_deadline_and_backoff_inside_the_run(self):
-        reaped = []
-        queue = JobQueue(limit=8, on_timeout=reaped.append)
+        def unfaulted(job):
+            return cheap(job) and not job.faults
+
+        # the refused head is not jumped: the cheap jobs behind it wait
+        # for a pool worker too
+        assert past_a_full_pool(queue, 0.0, unfaulted) == []
+        assert ids([queue.pop(0.0)]) == [3]
+        assert ids(past_a_full_pool(queue, 0.0, unfaulted)) == [1, 2, 4]
+
+    def test_tombstone_and_backoff_inside_the_run(self):
+        queue = JobQueue(limit=8)
         first = queued(1, 0.1)
         cancelled = queued(2, 0.2)
-        expired = queued(3, 0.3, deadline=5.0)
         parked = queued(4, 0.4, not_before=20.0)
         last = queued(5, 0.5)
-        for job in (first, cancelled, expired, parked, last):
+        for job in (first, cancelled, parked, last):
             queue.push(job)
         cancelled.handle._finish(JobStatus.CANCELLED)
         assert ids(past_a_full_pool(queue, 10.0)) == [1, 5]
-        assert reaped == [expired]
-        assert expired.handle.status is JobStatus.TIMEOUT
         # the job on backoff was stepped over, not dropped and not run
         assert queue.depth() == 1
         assert past_a_full_pool(queue, 10.0) == []
@@ -222,14 +223,12 @@ class TestSeededMix:
             for _ in range(48):
                 gid = rng.choice(sorted(graphs))
                 name = rng.choice(LIGHT)
-                kind = rng.choice(["light"] * 4 + ["heavy", "deadline"])
+                kind = rng.choice(["light"] * 4 + ["heavy"])
                 handle = svc.submit(
                     gid, PATTERNS[name], use_cache=False,
-                    priority=rng.choice([0, 0, 0, 1]),
                     # the event engine has no profile: a prior, 50x the
                     # vectorised ones'
                     engine="event" if kind == "heavy" else "batched",
-                    timeout=30.0 if kind == "deadline" else None,
                 )
                 submitted.append((handle, gid, name, kind))
             # what one-by-one dispatch would do: the heap, in heap order
@@ -242,7 +241,7 @@ class TestSeededMix:
                 assert report.embeddings == oracle(graphs[gid], name)
             stats = svc.stats()
             assert stats.submitted == stats.completed == len(submitted)
-            assert stats.retries == stats.failed == stats.timed_out == 0
+            assert stats.retries == stats.failed == 0
             events = dispatched(svc)
             assert [event["job_id"] for event in events] == expected
             where = {event["job_id"]: event["where"] for event in events}
@@ -251,8 +250,8 @@ class TestSeededMix:
                 if "crosscheck" in handle.result().notes
             }
             assert checked
-            # here: warm, no deadline, not cross-checked; everything else
-            # (cold, heavy, deadline, cross-checked) in the pool
+            # here: warm and not cross-checked; everything else (cold,
+            # heavy, cross-checked) in the pool
             assert where == {
                 handle.job_id: (
                     "service"
@@ -473,6 +472,9 @@ class TestSetAccounting:
         )
         gid = svc.register_graph(small_er, "g")
         warm(svc, small_er, LIGHT[:3])
+        # TT is profiled heavy: it goes to the pool, and queues behind
+        # every light job
+        warm(svc, small_er, ["TT"], seconds=0.5)
         # and the cost model stays where warm() put it: a run slowed by
         # the switching must not turn a light shape heavy mid-test
         monkeypatch.setattr(svc.predictor, "observe", lambda *args: None)
@@ -480,24 +482,20 @@ class TestSetAccounting:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            # a deadline sends a warm shape to the pool; priority 1 queues
-            # these behind every light job
             pooled = [
-                (name, svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched",
-                    priority=1, timeout=120.0,
+                ("TT", svc.submit(
+                    gid, PATTERNS["TT"], use_cache=False, engine="batched",
                 ))
-                for name in LIGHT[:3] * 2
+                for _ in range(6)
             ]
 
             def client(offset, mix):
                 for i in range(30):
-                    name = LIGHT[(offset + i) % 3]
                     heavy = mix and i % 3 == 0
+                    name = "TT" if heavy else LIGHT[(offset + i) % 3]
                     handles.append((name, svc.submit(
                         gid, PATTERNS[name], use_cache=False,
                         engine="batched",
-                        timeout=120.0 if heavy else None,
                     )))
 
             def clients(mix):
