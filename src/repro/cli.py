@@ -320,9 +320,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
         if args.json:
             import json
 
-            payload = _jsonable(service.health())
-            payload["flight"] = service.flight.counts()
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(
+                _jsonable(service.health()), indent=2, sort_keys=True
+            ))
             return 0
         print()
         print(service.health().summary())
@@ -524,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also dump the metrics registry in "
                              "Prometheus text format")
     health.add_argument("--json", action="store_true",
-                        help="print the health report (plus flight-event "
-                             "counts) as JSON")
+                        help="print the health report as JSON")
     health.set_defaults(func=_cmd_health)
 
     cluster = sub.add_parser(

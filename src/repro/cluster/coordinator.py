@@ -32,15 +32,14 @@ Resilience reuses the service layer's own machinery at cluster scope:
   to at least ``DEGRADED`` while any replica is unreachable or any
   breaker is non-closed.
 
-Flight-recorder hygiene: a shard that keeps failing under sustained
-chaos records **one** ``shard_failure`` event per incident (cleared by
-the next success, which records ``shard_recovered``) — the black box
-stays a readable story instead of one line per failed query.
-
-The coordinator's ``metrics`` registry holds its own series only; each
-shard service keeps its own.  A traced coordinator re-anchors every
-shard's span tree under its scatter span and keeps, like the service,
-at most ``TRACE_SPAN_LIMIT`` spans and ``PROFILE_LIMIT`` profiles.
+What happened is kept once: failovers, partial results and lost
+requests are counters in the coordinator's ``metrics`` registry,
+breaker trips are :meth:`Coordinator.health`'s breaker snapshots, and
+who served each shard rides ``notes["cluster"]``.  The registry holds
+the coordinator's own series only; each shard service keeps its own.
+A traced coordinator re-anchors every shard's span tree under its
+scatter span and keeps, like the service, at most ``TRACE_SPAN_LIMIT``
+spans and ``PROFILE_LIMIT`` profiles.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.config import SystemConfig, xset_default
@@ -58,11 +56,9 @@ from ..errors import ClusterError, CommError
 from ..graph.csr import CSRGraph
 from ..obs import MetricsRegistry, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
-from ..obs.flight import FlightRecorder
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
-from ..resilience import BreakerBoard, BreakerState, HealthReport, \
-    HealthState
+from ..resilience import BreakerBoard, HealthReport, HealthState
 from ..service import service
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
@@ -192,8 +188,8 @@ def _normalize_shards(
 ) -> "list[tuple[str, list[tuple[str, str]]]]":
     """Accept both shapes: ``(name, addr)`` and ``(name, [(replica,
     addr), ...])`` — the former is a single-replica group whose replica
-    keeps the shard's name, which is what keeps breaker keys and flight
-    events identical to the pre-replication coordinator."""
+    keeps the shard's name, which is what keeps breaker keys identical
+    to the pre-replication coordinator."""
     normalized: "list[tuple[str, list[tuple[str, str]]]]" = []
     for name, spec in shards:
         if isinstance(spec, str):
@@ -219,7 +215,6 @@ class Coordinator:
         *,
         request_timeout: float = 120.0,
         observability: bool = False,
-        flight_dir: "str | Path | None" = None,
     ) -> None:
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -259,19 +254,9 @@ class Coordinator:
         self._graphs: dict[str, list[_ShardPlacement]] = {}
         #: graph_id → replica names currently holding a registered copy
         self._registered: dict[str, set[str]] = {}
-        # flight recorder before the breakers: the transition callback
-        # writes into it
-        self.flight = FlightRecorder(
-            name="coordinator", flight_dir=flight_dir
-        )
-        #: shards/replicas with an open failure incident (dedupes
-        #: shard_failure flight events under sustained chaos)
-        self._open_incidents: set[str] = set()
-        self._failover_dumped = False
         self._breakers = BreakerBoard(
             failure_threshold=BREAKER_FAILURE_THRESHOLD,
             recovery_seconds=BREAKER_RECOVERY_SECONDS,
-            on_transition=self._on_breaker_transition,
         )
         self.metrics = MetricsRegistry()
         self.metrics.gauge(
@@ -303,34 +288,10 @@ class Coordinator:
             return nullcontext()
         return self._tracer.span(name, **attrs)
 
-    def _on_breaker_transition(self, shard, old, new) -> None:
-        """Comm-breaker transitions land in the flight recorder."""
-        self.flight.record(
-            "breaker_trip" if new is BreakerState.OPEN
-            else "breaker_transition",
-            shard=shard,
-            from_state=old.name.lower(),
-            to_state=new.name.lower(),
-        )
-
     def _end_scatter_span(self, span: "Span | None", outcome: str) -> None:
         if span is not None and self._tracer is not None:
             span.set_attr("outcome", outcome)
             self._tracer.end_span(span)
-
-    def _record_shard_failure(self, name: str, **data) -> None:
-        """First failure of an incident records a flight event; repeats
-        under the same open incident stay out of the ring so sustained
-        chaos cannot wash the black box out with one line per query."""
-        if name in self._open_incidents:
-            return
-        self._open_incidents.add(name)
-        self.flight.record("shard_failure", shard=name, **data)
-
-    def _record_shard_success(self, name: str) -> None:
-        if name in self._open_incidents:
-            self._open_incidents.discard(name)
-            self.flight.record("shard_recovered", shard=name)
 
     def _call(
         self,
@@ -431,24 +392,6 @@ class Coordinator:
         self._end_scatter_span(span, "ok")
         return value, meta
 
-    def _note_failover(
-        self, sg: _ShardGroup, source: str, target: str, error: str
-    ) -> None:
-        self.metrics.counter(
-            "repro_cluster_replica_failovers_total",
-            "subqueries failed over to another replica",
-        ).inc()
-        self.flight.record(
-            "replica_failover",
-            shard=sg.name,
-            from_replica=source,
-            to_replica=target,
-            error=error,
-        )
-        if not self._failover_dumped:
-            self._failover_dumped = True
-            self.flight.auto_dump("replica-failover")
-
     def _failover_request(
         self,
         sg: _ShardGroup,
@@ -482,9 +425,10 @@ class Coordinator:
                 if attempt + 1 < attempts and nxt is not replica:
                     # a retry on the same replica is not a hand-off
                     failovers += 1
-                    self._note_failover(
-                        sg, replica.name, nxt.name, type(exc).__name__
-                    )
+                    self.metrics.counter(
+                        "repro_cluster_replica_failovers_total",
+                        "subqueries failed over to another replica",
+                    ).inc()
                 continue
             return value, {"replica": replica.name, "failovers": failovers}
         raise ClusterError(
@@ -546,16 +490,8 @@ class Coordinator:
                 f"failed to register {gid!r} on shard(s) "
                 f"{', '.join(group_failures)}"
             )
-        for replica, _, exc in results:
-            if exc is not None:
-                # the group survives on its siblings; routing skips
-                # the failed replica for this graph
-                self._record_shard_failure(
-                    replica.name,
-                    op="register",
-                    graph_id=gid,
-                    error=repr(exc),
-                )
+        # a group survives failed replicas on its siblings; routing skips
+        # a replica missing from ok_replicas for this graph
         self._graphs[gid] = [
             _ShardPlacement(
                 shard=sg.name,
@@ -629,9 +565,7 @@ class Coordinator:
                 self._scatter_query(sg, placement, payload, qspan)
                 for sg, placement in targets
             ]
-            replies, outcome = self._gather_query(
-                graph_id, pattern, scattered
-            )
+            replies, outcome = self._gather_query(scattered)
         elapsed = time.perf_counter() - started
         self.metrics.histogram(
             "repro_cluster_query_seconds",
@@ -692,9 +626,7 @@ class Coordinator:
         future = self._pool.submit(self._shard_request, sg, payload, sspan)
         return sg, placement, sspan, future
 
-    def _gather_query(
-        self, graph_id: str, pattern: "Pattern", scattered: "list[tuple]",
-    ) -> "tuple[list, dict]":
+    def _gather_query(self, scattered: "list[tuple]") -> "tuple[list, dict]":
         """One fold over the shard replies: the ``(root range, report)``
         pairs to merge, and the outcome half of ``notes["cluster"]`` —
         who served, failed over or failed."""
@@ -707,14 +639,7 @@ class Coordinator:
                 envelope, meta = future.result()
             except BaseException as exc:
                 failed[sg.name] = repr(exc)
-                self._record_shard_failure(
-                    sg.name,
-                    op="query",
-                    graph_id=graph_id,
-                    error=repr(exc),
-                )
                 continue
-            self._record_shard_success(sg.name)
             failovers += meta["failovers"]
             served_by[sg.name] = meta["replica"]
             if self._tracer is not None:
@@ -724,26 +649,11 @@ class Coordinator:
             replies.append(
                 ((placement.lo, placement.hi), envelope["report"])
             )
-        if not replies:
-            self.flight.record(
-                "query_failed",
-                graph_id=graph_id,
-                pattern=pattern.name,
-                failed_shards=sorted(failed),
-            )
-            self.flight.auto_dump("query-failed")
-        elif failed:
+        if replies and failed:
             self.metrics.counter(
                 "repro_cluster_partial_results_total",
                 "merged results missing at least one shard",
             ).inc()
-            self.flight.record(
-                "partial_result",
-                graph_id=graph_id,
-                pattern=pattern.name,
-                failed_shards=sorted(failed),
-            )
-            self.flight.auto_dump("shard-failure")
         return replies, {
             "ok": len(replies),
             "partial": bool(failed),
@@ -794,9 +704,7 @@ class Coordinator:
 
         A dead replica, or a non-closed breaker, degrades the
         cluster even while every reachable replica is individually
-        healthy.  A non-healthy aggregate records a flight event and —
-        once per state, when a flight dir is configured — auto-dumps the
-        coordinator's ring.
+        healthy.
         """
         results = self._scatter(
             [(r, {"op": "health"}) for r in self._replicas]
@@ -806,13 +714,7 @@ class Coordinator:
         for replica, report, exc in results:
             if exc is not None:
                 shards[replica.name] = None
-                self._record_shard_failure(
-                    replica.name,
-                    op="health",
-                    error=repr(exc),
-                )
                 continue
-            self._record_shard_success(replica.name)
             shards[replica.name] = report
             if report.state.value > worst.value:
                 worst = report.state
@@ -826,14 +728,6 @@ class Coordinator:
             or any(s.state != "closed" for s in health.breakers.values())
         ):
             health = replace(health, state=HealthState.DEGRADED)
-        if health.state is not HealthState.HEALTHY:
-            state = health.state.name.lower()
-            self.flight.record(
-                "health_degraded",
-                state=state,
-                dead=list(health.dead),
-            )
-            self.flight.auto_dump(f"health-{state}")
         return health
 
     # -- observability surfaces --------------------------------------------
@@ -846,17 +740,6 @@ class Coordinator:
     def replicated(self) -> bool:
         """True when any shard group has more than one replica."""
         return self._replicated
-
-    def trace_events(self) -> list[dict]:
-        """Chrome trace events: one merged cluster timeline.
-
-        Coordinator spans share the ``coordinator`` lane; each shard's
-        re-anchored span tree gets its own lane; each shard's PE
-        activity (from shipped profiles) gets its own
-        ``accelerator (cycles) — <shard>`` process.
-        """
-        spans, pe_groups = self._trace_sources()
-        return chrome_trace_events(spans, pe_groups=pe_groups)
 
     def _trace_sources(self) -> "tuple[list[Span], dict[str, list]]":
         """Finished spans, and each shard's PE activity under its name."""
@@ -872,10 +755,16 @@ class Coordinator:
 
     def export_trace(self, path: str | None = None) -> list[dict]:
         """The merged cluster Chrome/Perfetto trace; written when ``path``
-        is given.  Always returns the event list."""
-        if path is None:
-            return self.trace_events()
+        is given.  Always returns the event list.
+
+        Coordinator spans share the ``coordinator`` lane; each shard's
+        re-anchored span tree gets its own lane; each shard's PE
+        activity (from shipped profiles) gets its own
+        ``accelerator (cycles) — <shard>`` process.
+        """
         spans, pe_groups = self._trace_sources()
+        if path is None:
+            return chrome_trace_events(spans, pe_groups=pe_groups)
         return write_chrome_trace(path, spans, pe_groups=pe_groups)
 
     def shutdown(self) -> None:
@@ -928,7 +817,6 @@ class LocalCluster:
         max_workers: int | None = None,
         observability: bool = False,
         request_timeout: float = 120.0,
-        flight_dir: "str | Path | None" = None,
         replicas: int | None = None,
     ) -> None:
         self.config = config or xset_default()
@@ -978,7 +866,6 @@ class LocalCluster:
             self.config,
             observability=observability,
             request_timeout=request_timeout,
-            flight_dir=flight_dir,
         )
 
     def kill_shard(self, index: int) -> str:
@@ -992,7 +879,6 @@ class LocalCluster:
         """Chaos: make one replica unreachable; returns its name."""
         worker = self.worker_groups[shard_index][replica_index]
         worker.kill()
-        self.coordinator.flight.record("shard_kill", shard=worker.name)
         return worker.name
 
     def revive_replica(
@@ -1001,9 +887,6 @@ class LocalCluster:
         """Recovery: bring a killed replica back on its old address."""
         worker = self.worker_groups[shard_index][replica_index]
         worker.revive()
-        self.coordinator.flight.record(
-            "shard_revive", shard=worker.name
-        )
         return worker.name
 
     def shutdown(self) -> None:

@@ -10,8 +10,6 @@ One vocabulary for every layer's instrumentation:
   simulator across layers (and, via :meth:`Tracer.ingest`, across
   processes; :func:`collect_job_spans` cuts one job's tree out of a
   shard's tracer for the coordinator to re-anchor).
-* :class:`FlightRecorder` — a bounded ring of lifecycle events that
-  dumps itself to JSON when something goes wrong.
 * :func:`observe` / :func:`current` — the observation context.  All hot
   paths are guarded by ``current() is None``; with no active observation
   the instrumentation costs one attribute load.
@@ -37,7 +35,6 @@ Quickstart::
 from .cluster import collect_job_spans
 from .context import Observation, current, enabled, observe, span
 from .export import chrome_trace_events, write_chrome_trace
-from .flight import FLIGHT_DIR_ENV, FlightEvent, FlightRecorder
 from .logsetup import configure_logging
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -55,9 +52,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PERCENTILES",
     "ExecutionProfile",
-    "FLIGHT_DIR_ENV",
-    "FlightEvent",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -11,9 +11,9 @@ restarts the recovery clock.  The cluster coordinator holds one breaker
 per replica, and there a refusing breaker skips the replica.
 
 The clock is injectable (the service passes its own), so recovery
-windows are testable without real sleeps, and every transition is
-observable: the service exports one state gauge per engine plus a
-transition counter.
+windows are testable without real sleeps, and the service exports one
+state gauge per engine; :meth:`CircuitBreaker.snapshot` is the record
+of a breaker's state and failure history.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         recovery_seconds: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[
-            [str, BreakerState, BreakerState], None
-        ] | None = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -70,11 +67,6 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
         self._clock = clock
-        #: called as (engine, old_state, new_state) on every transition,
-        #: while the breaker lock is held — keep it cheap and never call
-        #: back into the breaker (the flight recorder's deque append is
-        #: the intended shape)
-        self._on_transition = on_transition
         self._state = BreakerState.CLOSED
         self._consecutive = 0
         self._failures = 0
@@ -82,18 +74,9 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._last_reason: str | None = None
-        self._transitions = 0
         self._lock = threading.Lock()
 
     # -- state machine ------------------------------------------------------
-
-    def _set_state(self, state: BreakerState) -> None:
-        if state is not self._state:
-            old = self._state
-            self._state = state
-            self._transitions += 1
-            if self._on_transition is not None:
-                self._on_transition(self.engine, old, state)
 
     def allow(self) -> bool:
         """May a job be dispatched to this engine right now?
@@ -107,7 +90,7 @@ class CircuitBreaker:
             if self._state is BreakerState.OPEN:
                 if self._clock() - self._opened_at < self.recovery_seconds:
                     return False
-                self._set_state(BreakerState.HALF_OPEN)
+                self._state = BreakerState.HALF_OPEN
                 self._probes_in_flight = 0
             # HALF_OPEN: bounded concurrent probes
             if self._probes_in_flight >= HALF_OPEN_PROBES:
@@ -121,7 +104,7 @@ class CircuitBreaker:
             self._consecutive = 0
             if self._state is BreakerState.HALF_OPEN:
                 self._probes_in_flight = max(self._probes_in_flight - 1, 0)
-                self._set_state(BreakerState.CLOSED)
+                self._state = BreakerState.CLOSED
 
     def record_failure(self, reason: str = "crash") -> None:
         with self._lock:
@@ -131,13 +114,13 @@ class CircuitBreaker:
             if self._state is BreakerState.HALF_OPEN:
                 self._probes_in_flight = max(self._probes_in_flight - 1, 0)
                 self._opened_at = self._clock()
-                self._set_state(BreakerState.OPEN)
+                self._state = BreakerState.OPEN
             elif (
                 self._state is BreakerState.CLOSED
                 and self._consecutive >= self.failure_threshold
             ):
                 self._opened_at = self._clock()
-                self._set_state(BreakerState.OPEN)
+                self._state = BreakerState.OPEN
 
     # -- introspection ------------------------------------------------------
 
@@ -152,11 +135,6 @@ class CircuitBreaker:
             ):
                 return BreakerState.HALF_OPEN
             return self._state
-
-    @property
-    def transitions(self) -> int:
-        with self._lock:
-            return self._transitions
 
     def snapshot(self) -> BreakerSnapshot:
         state = self.state  # resolves the lazy OPEN → HALF_OPEN edge
@@ -180,15 +158,11 @@ class BreakerBoard:
         failure_threshold: int = 3,
         recovery_seconds: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[
-            [str, BreakerState, BreakerState], None
-        ] | None = None,
     ) -> None:
         self._kwargs = dict(
             failure_threshold=failure_threshold,
             recovery_seconds=recovery_seconds,
             clock=clock,
-            on_transition=on_transition,
         )
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()

@@ -80,7 +80,13 @@ class JobQueue:
                     f"service queue is full ({self.limit} jobs pending); "
                     f"retry later or raise queue_limit"
                 )
-            job.taken = False
+            if job.taken:
+                # a requeue.  A take through the aging path left this
+                # job's old entry in the heap; clearing ``taken`` would
+                # revive it as a second pending copy, so drop it first
+                self._heap = [e for e in self._heap if e[2] is not job]
+                heapq.heapify(self._heap)
+                job.taken = False
             heapq.heappush(self._heap, (job.cost_key(), job.seq, job))
             self._arrivals.append((job.enqueued_at, job))
 

@@ -26,7 +26,12 @@ warm, plain, sub-millisecond job (see ``QueryService._light``) runs on
 the dispatcher thread itself, against the live graph, with no round trip
 to a worker; every other job is one pool call.  Only pool calls count
 against ``max_workers``, so light jobs keep flowing while the pool is
-busy with heavy ones.
+busy with heavy ones.  A traced job's ``service.job`` span records the
+choice as its ``where`` attribute.
+
+Every job event has one record: outcomes, retries and cache traffic are
+the ``repro_*_total`` counters, breaker state is
+:meth:`QueryService.health`'s snapshots, and the rest is the span tree.
 
 Semantics
 ---------
@@ -78,7 +83,6 @@ from ..errors import (
 )
 from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
-from ..obs.flight import FlightRecorder
 from ..patterns.plan import build_plan
 from ..sched.adaptive import CostPredictor, query_features
 from ..resilience import (
@@ -239,10 +243,6 @@ class QueryService:
         self._profiles: deque["ExecutionProfile"] = deque(
             maxlen=PROFILE_LIMIT
         )
-        # the flight recorder is always on, like the metrics: one bounded
-        # deque append per lifecycle event, dumped on demand or when the
-        # cluster layer sees this service degrade
-        self.flight = FlightRecorder(name=f"service-{mode}")
         self._seq = itertools.count()
         self._job_ids = itertools.count(1)
         self._cond = threading.Condition()
@@ -262,19 +262,6 @@ class QueryService:
             failure_threshold=BREAKER_FAILURE_THRESHOLD,
             recovery_seconds=BREAKER_RECOVERY_SECONDS,
             clock=clock,
-            on_transition=self._on_breaker_transition,
-        )
-
-    def _on_breaker_transition(self, engine, old, new) -> None:
-        """Breaker state changes land in the flight recorder (one append;
-        called with the breaker lock held, so nothing heavier belongs
-        here)."""
-        self.flight.record(
-            "breaker_trip" if new is BreakerState.OPEN
-            else "breaker_transition",
-            engine=engine,
-            from_state=old.name.lower(),
-            to_state=new.name.lower(),
         )
 
     # -- graph registry ----------------------------------------------------
@@ -353,9 +340,7 @@ class QueryService:
                 if job.span is not None:
                     job.span.set_attr("cache_hit", True)
                 self._count("submitted")
-                self._settle(
-                    job, JobStatus.DONE, report=cached, from_cache=True
-                )
+                self._settle(job, JobStatus.DONE, report=cached)
                 return job.handle
         job.enqueued_at = self._clock()
         if job.span is not None:
@@ -368,13 +353,6 @@ class QueryService:
             # downstream of the queue can count the same job
             self._queue.push(job)
             self._count("submitted")
-            self.flight.record(
-                "submit",
-                job_id=job.handle.job_id,
-                graph_id=graph_id,
-                pattern=pattern.name,
-                engine=job.config.engine,
-            )
             self._cond.notify_all()
         if self.mode == "inline":
             self._drain_inline()
@@ -537,14 +515,12 @@ class QueryService:
         report: "SimReport | None" = None,
         error: BaseException | None = None,
         expect: JobStatus | None = None,
-        **event,
     ) -> bool:
         """Move a job to its terminal ``status`` — the one place that does.
 
         Closes the job's spans, finishes the handle (releasing its
-        waiters), bumps the outcome's count and writes the terminal flight
-        event, which carries ``event``.  Returns False, having counted
-        nothing, when the handle was already terminal — or, with
+        waiters) and bumps the outcome's count.  Returns False, having
+        counted nothing, when the handle was already terminal — or, with
         ``expect``, not exactly in that state, which is the compare-and-set
         ``cancel()`` relies on.  A bare handle (``cancel()`` holds nothing
         else) has no spans to close.  Callable from any thread: the
@@ -576,14 +552,6 @@ class QueryService:
                 return False
             # a cache hit completes a job without a worker completing it
             self._count("cache_hits" if handle.from_cache else status.value)
-            if error is not None:
-                event["error"] = type(error).__name__
-            self.flight.record(
-                status.value,
-                job_id=handle.job_id,
-                engine=handle.engine,
-                **event,
-            )
         if status is not JobStatus.DONE:
             logger.log(
                 logging.ERROR if status is JobStatus.FAILED else logging.INFO,
@@ -810,13 +778,8 @@ class QueryService:
         here = job.where == "service"
         if not here:
             self._count("worker_calls")
-        self.flight.record(
-            "dispatch",
-            job_id=job.handle.job_id,
-            engine=job.config.engine,
-            attempt=job.attempts,
-            where=job.where,
-        )
+        if job.span is not None:
+            job.span.set_attr("where", job.where)
         try:
             future = (
                 InlineExecutor() if here else self._get_executor()
@@ -884,12 +847,6 @@ class QueryService:
                     job.graph_id, job.attempts, exc,
                 )
                 self._count("retries")
-                self.flight.record(
-                    "retry",
-                    job_id=job.handle.job_id,
-                    attempt=job.attempts,
-                    error=type(exc).__name__,
-                )
                 self._requeue(
                     job,
                     RETRY_BACKOFF_SECONDS * 2 ** (job.attempts - 1),
@@ -951,9 +908,7 @@ class QueryService:
             )
             self._profiles.append(profile)
         elapsed = time.perf_counter() - job.dispatched_at
-        if not self._settle(
-            job, JobStatus.DONE, report=report, seconds=elapsed
-        ):
+        if not self._settle(job, JobStatus.DONE, report=report):
             return
         self._latency.record(job.config.engine, elapsed)
         if clean and job.features is not None and job.verify_engine is None:
@@ -1093,10 +1048,6 @@ class QueryService:
             pe_events.extend(profile.pe_events)
         return ob.tracer.finished(), pe_events
 
-    def trace_events(self) -> list[dict]:
-        """Chrome trace events for all finished spans + PE activity."""
-        return chrome_trace_events(*self._trace_sources())
-
     def export_trace(self, path: str | None = None) -> "list[dict] | None":
         """Write (or return) the unified Chrome/Perfetto trace.
 
@@ -1105,7 +1056,7 @@ class QueryService:
         :class:`~repro.errors.ServiceError` when tracing is disabled.
         """
         if path is None:
-            return self.trace_events()
+            return chrome_trace_events(*self._trace_sources())
         write_chrome_trace(path, *self._trace_sources())
         return None
 

@@ -225,6 +225,6 @@ class TestJsonFlags:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"] == "healthy"
-        # the flight-recorder counts ride along
-        assert payload["flight"]["submit"] == 5
-        assert payload["flight"]["done"] == 5
+        # the five demo queries are in the engine breaker's record
+        assert payload["breakers"]["batched"]["successes"] == 5
+        assert "flight" not in payload

@@ -271,18 +271,21 @@ class TestClusterObservabilityDocs:
         assert "### Observability across the cluster" in readme
         for phrase in (
             '"trace": True', "re-anchor", "TRACE_SPAN_LIMIT",
-            "flight recorder", "obs.observability_overhead_ratio", "L3obs",
+            "BreakerSnapshot", "obs.observability_overhead_ratio", "L3obs",
         ):
             assert phrase in readme, phrase
-        assert "coord.metrics_text()" not in readme
+        for gone in ("coord.metrics_text()", "REPRO_FLIGHT_DIR", "flight_dir"):
+            assert gone not in readme, gone
 
     def test_architecture_section(self, architecture):
         assert "## Observability across the cluster" in architecture
         for phrase in (
             '"trace": True', "TRACE_SPAN_LIMIT",
-            "FlightRecorder", "REPRO_FLIGHT_DIR", "re-anchor",
+            "BreakerSnapshot", "re-anchor",
         ):
             assert phrase in architecture, phrase
+        for gone in ("FlightRecorder", "REPRO_FLIGHT_DIR", "flight_dir"):
+            assert gone not in architecture, gone
 
     def test_cli_surface_matches_docs(self, readme):
         from repro.cli import build_parser
@@ -303,10 +306,13 @@ class TestClusterObservabilityDocs:
     def test_documented_obs_api_exists(self):
         from repro import obs
 
-        for name in ("FlightRecorder", "collect_job_spans"):
-            assert hasattr(obs, name), name
-        # one registry per process: nothing ships or merges metric deltas
-        for name in ("TraceContext", "MetricsSnapshot", "FederatedMetrics"):
+        assert hasattr(obs, "collect_job_spans")
+        # one registry per process: nothing ships or merges metric
+        # deltas; and one record per event: no flight-recorder ring
+        for name in (
+            "TraceContext", "MetricsSnapshot", "FederatedMetrics",
+            "FlightRecorder", "FlightEvent", "FLIGHT_DIR_ENV",
+        ):
             assert not hasattr(obs, name), name
 
     def test_referenced_files_exist(self, readme, architecture):
@@ -456,3 +462,35 @@ class TestStructure:
         assert not hasattr(resilience, "Watchdog")
         assert "Watchdog" not in resilience.__all__
         assert "TIMEOUT" not in JobStatus.__members__
+
+    def test_each_event_has_one_record(self):
+        """No flight recorder: job outcomes and failovers are counters,
+        breaker trips are breaker snapshots, and where a job ran is a
+        span attribute.  Nothing brings back the ring, its ``flight`` /
+        ``flight_dir`` members on the service, coordinator or local
+        cluster, or the breakers' ``on_transition`` hook that fed it."""
+        import importlib.util
+        import inspect
+
+        from repro.cluster import Coordinator, LocalCluster
+        from repro.resilience import BreakerBoard, CircuitBreaker
+        from repro.service import QueryService
+
+        assert importlib.util.find_spec("repro.obs.flight") is None
+        for cls in (QueryService, Coordinator, LocalCluster):
+            params = inspect.signature(cls.__init__).parameters
+            assert not {"flight", "flight_dir"} & set(params), cls
+            assert not hasattr(cls, "flight"), cls
+        for cls in (CircuitBreaker, BreakerBoard):
+            params = inspect.signature(cls.__init__).parameters
+            assert "on_transition" not in params, cls
+        # nor is one assigned or read anywhere in the package
+        package = ROOT / "src" / "repro"
+        members = {
+            (path.relative_to(package).as_posix(), node.attr)
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"flight", "flight_dir", "_on_transition"}
+        }
+        assert members == set()

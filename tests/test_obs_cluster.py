@@ -1,9 +1,9 @@
-"""Cluster-wide observability: span shipping, health, flight.
+"""Cluster-wide observability: span shipping, health, chaos.
 
 One distributed query must yield one coherent story: the coordinator's
 scatter spans, every shard's service → engine → simulator subtree
-(re-anchored to coordinator time), per-replica health reports, and a
-flight-recorder ring that dumps itself when chaos strikes.
+(re-anchored to coordinator time), per-replica health reports with
+their breaker snapshots, and the counters a lost shard leaves behind.
 """
 
 import json
@@ -14,8 +14,7 @@ from repro.cluster import LocalCluster
 from repro.core.config import xset_default
 from repro.errors import ClusterError
 from repro.graph import erdos_renyi
-from repro.obs import FlightRecorder, Tracer, collect_job_spans
-from repro.obs.flight import FLIGHT_DIR_ENV
+from repro.obs import Tracer, collect_job_spans
 from repro.patterns import PATTERNS, build_plan
 from repro.resilience import HealthState
 from repro.service import service
@@ -53,61 +52,6 @@ class TestCollectJobSpans:
         with tracer.span("service.job", job_id=1):
             pass
         assert collect_job_spans(tracer.finished(), 99) == []
-
-
-# -- flight recorder --------------------------------------------------------
-
-
-class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        rec = FlightRecorder("t", capacity=4)
-        for i in range(10):
-            rec.record("tick", i=i)
-        assert len(rec) == 4
-        assert [e.data["i"] for e in rec] == [6, 7, 8, 9]
-
-    def test_counts_and_kind_filter(self):
-        rec = FlightRecorder("t")
-        rec.record("submit", job_id=1)
-        rec.record("submit", job_id=2)
-        rec.record("done", job_id=1)
-        assert rec.counts() == {"done": 1, "submit": 2}
-        assert [e.data["job_id"] for e in rec.events("submit")] == [1, 2]
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder("t", capacity=0)
-
-    def test_manual_dump(self, tmp_path):
-        rec = FlightRecorder("svc", flight_dir=tmp_path)
-        rec.record("submit", job_id=1)
-        path = rec.dump(reason="test")
-        assert path == tmp_path / "flight-svc.json"
-        payload = json.loads(path.read_text())
-        assert payload["recorder"] == "svc"
-        assert payload["reason"] == "test"
-        assert payload["events"][0]["kind"] == "submit"
-        assert rec.dumps == [path]
-
-    def test_auto_dump_requires_dir_and_dedupes(self, tmp_path):
-        rec = FlightRecorder("svc")
-        rec.record("boom")
-        assert rec.auto_dump("crash") is None  # no dir configured
-
-        rec = FlightRecorder("svc", flight_dir=tmp_path)
-        rec.record("boom")
-        first = rec.auto_dump("crash!")
-        assert first is not None and first.exists()
-        assert first.name == "flight-svc-crash-.json"  # sanitized
-        assert rec.auto_dump("crash!") is None  # deduped per reason
-        rec.clear()
-        assert rec.auto_dump("crash!") is not None  # clear resets dedup
-
-    def test_env_var_configures_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
-        rec = FlightRecorder("svc")
-        assert rec.flight_dir == tmp_path
-        assert rec.auto_dump("env") is not None
 
 
 # -- the merged cluster trace -----------------------------------------------
@@ -190,7 +134,7 @@ class TestClusterTracing:
             coord = cluster.coordinator
             gid = coord.register_graph(graph)
             coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            events = coord.trace_events()
+            events = coord.export_trace()
             out = tmp_path / "cluster-trace.json"
             coord.export_trace(out)
 
@@ -220,7 +164,7 @@ class TestClusterTracing:
             gid = coord.register_graph(demo_graph())
             coord.query(gid, PATTERNS["3CF"], use_cache=False)
             with pytest.raises(ClusterError):
-                coord.trace_events()
+                coord.export_trace()
 
     def test_coordinator_trace_is_bounded(self, monkeypatch):
         """A long-lived traced coordinator keeps the most recent spans
@@ -276,12 +220,11 @@ class TestFederationOverCluster:
         assert "4/4 shards reachable" in health.summary()
 
 
-class TestClusterFlight:
-    def test_kill_produces_black_box_dump(self, tmp_path):
+class TestClusterChaos:
+    def test_kill_trips_breaker_and_degrades_health(self):
         graph = demo_graph()
         with LocalCluster(
             num_shards=3, observability=True, max_workers=1,
-            flight_dir=tmp_path,
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(graph)
@@ -291,33 +234,29 @@ class TestClusterFlight:
             for name in ("TT", "DIA"):
                 report = coord.query(gid, PATTERNS[name], use_cache=False)
                 assert report.notes["cluster"]["partial"]
+                assert report.notes["cluster"]["failed_shards"] == [killed]
             health = coord.health()
             assert health.state is not HealthState.HEALTHY
             assert killed in health.dead
-
-            dump = tmp_path / "flight-coordinator-health-degraded.json"
-            assert dump.exists()
-            payload = json.loads(dump.read_text())
-            kinds = {e["kind"] for e in payload["events"]}
+            assert health.breakers[killed].state == "open"
+            assert health.breakers[killed].failures >= 2
             assert {
-                "shard_kill", "shard_failure", "partial_result",
-                "breaker_trip", "health_degraded",
-            } <= kinds
-            trip = [
-                e for e in payload["events"]
-                if e["kind"] == "breaker_trip"
-            ]
-            assert trip and trip[0]["shard"] == killed
+                name for name, snap in health.breakers.items()
+                if snap.state != "closed"
+            } == {killed}
+            assert coord.metrics.counter(
+                "repro_cluster_partial_results_total"
+            ).value == 2
 
-    def test_all_shards_lost_dumps_and_raises(self, tmp_path):
-        with LocalCluster(
-            num_shards=2, max_workers=1, flight_dir=tmp_path
-        ) as cluster:
+    def test_all_shards_lost_raises(self):
+        with LocalCluster(num_shards=2, max_workers=1) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(demo_graph())
             cluster.kill_shard(0)
             cluster.kill_shard(1)
             with pytest.raises(ClusterError):
                 coord.query(gid, PATTERNS["3CF"], use_cache=False)
-            dump = tmp_path / "flight-coordinator-query-failed.json"
-            assert dump.exists()
+            # a failed query is no partial result
+            assert coord.metrics.counter(
+                "repro_cluster_partial_results_total"
+            ).value == 0

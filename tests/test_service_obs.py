@@ -68,7 +68,7 @@ class TestEndToEnd:
         )
         assert report.embeddings > 0
 
-    def test_disabled_is_byte_identical_and_silent(self, graph):
+    def test_disabled_is_byte_identical_and_silent(self, graph, tmp_path):
         with QueryService(mode="inline", observability=True) as svc:
             gid = svc.register_graph(graph)
             traced = svc.count(gid, PATTERNS["3CF"], engine="event")
@@ -80,7 +80,8 @@ class TestEndToEnd:
             with pytest.raises(ServiceError):
                 svc.export_trace()
             with pytest.raises(ServiceError):
-                svc.trace_events()
+                svc.export_trace(str(tmp_path / "trace.json"))
+        assert not (tmp_path / "trace.json").exists()
         assert plain.embeddings == traced.embeddings
         assert plain.cycles == traced.cycles
         assert plain.tasks == traced.tasks

@@ -110,8 +110,26 @@ def warm(svc, graph, names, seconds=2e-4) -> None:
         svc.predictor.observe(features, "batched", seconds)
 
 
+@pytest.fixture(autouse=True)
+def dispatch_log(monkeypatch):
+    """Log every dispatch on the service that made it: ``_launch`` is
+    where a job leaves for where ``_dispatch`` put it."""
+    launch = QueryService._launch
+
+    def logged(self, job):
+        self.__dict__.setdefault("_dispatch_log", []).append({
+            "job_id": job.handle.job_id,
+            "attempt": job.attempts,
+            "where": job.where,
+        })
+        launch(self, job)
+
+    monkeypatch.setattr(QueryService, "_launch", logged)
+
+
 def dispatched(svc) -> list[dict]:
-    return [dict(event.data) for event in svc.flight.events("dispatch")]
+    """``(job_id, attempt, where)`` of every dispatch, in order."""
+    return list(svc.__dict__.get("_dispatch_log", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +635,7 @@ class TestSetAftermath:
             assert [e["where"] for e in dispatched(svc)] == ["service"]
             spans = svc._observation.tracer.finished()
         (job,) = [sp for sp in spans if sp.name == "service.job"]
+        assert job.attrs["where"] == "service"  # the record of where it ran
         (queued,) = [sp for sp in spans if sp.name == "service.queued"]
         (run,) = [sp for sp in spans if sp.name == "worker.run_job"]
         assert run.parent_id == queued.parent_id == job.span_id
