@@ -164,9 +164,9 @@ class Job:
     attempts: int = 0
     #: wall-clock dispatch timestamp of the current attempt
     dispatched_at: float = field(default=0.0)
-    #: where the current attempt runs: "service" (on the dispatcher
-    #: thread) or "pool" (one call to the service's executor, which in
-    #: inline mode runs every job)
+    #: where the current attempt runs: "service" (in the service process,
+    #: on the dispatcher or the submitting thread) or "pool" (one call to
+    #: the service's executor, which in inline mode runs every job)
     where: str = ""
     #: registry record pinned at submit time (graph + payload snapshot)
     record: Any = None

@@ -21,13 +21,16 @@ Execution modes
     Synchronous execution inside ``submit`` — deterministic, used by tests
     and as the zero-overhead mode for single queries.
 
-In the two pool modes the dispatcher decides per job where it runs.  A
-warm, plain, sub-millisecond job (see ``QueryService._light``) runs on
-the dispatcher thread itself, against the live graph, with no round trip
-to a worker; every other job is one pool call.  Only pool calls count
-against ``max_workers``, so light jobs keep flowing while the pool is
-busy with heavy ones.  A traced job's ``service.job`` span records the
-choice as its ``where`` attribute.
+In the two pool modes the service decides per job where it runs.  A
+warm, plain, sub-millisecond job (see ``QueryService._light``) runs in
+the service process, against the live graph, with no round trip to a
+worker: on the thread that submitted it when the service is idle (not
+paused, nothing queued, nothing in flight), so it has settled when
+``submit`` returns, and otherwise on the dispatcher thread.  Every other
+job is queued, and the dispatcher sends it to the pool as one call.  Light
+jobs take no pool worker, so they keep flowing while the pool is busy
+with heavy ones.  A traced job's ``service.job`` span records the choice
+as its ``where`` attribute (``service`` or ``pool``).
 
 Every job event has one record: outcomes, retries and cache traffic are
 the ``repro_*_total`` counters, breaker state is
@@ -159,7 +162,7 @@ _COUNTS = {
     "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
 }
 
-#: A job profiled under this many seconds runs on the dispatcher thread
+#: A job profiled under this many seconds runs in the service process
 #: instead of paying a pool round trip (≈0.65 ms of wake-ups around a
 #: 0.3 ms run); it is also the longest such a job holds up the next
 #: dispatch.  docs/ARCHITECTURE.md, *Where a job runs*, has the numbers.
@@ -318,7 +321,9 @@ class QueryService:
     ) -> JobHandle:
         """Enqueue one query; returns immediately with a :class:`JobHandle`.
 
-        Jobs dispatch cheapest predicted first (see
+        The exception is a warm light job on an idle service, which runs
+        here and has settled by the time its handle is returned (see
+        ``_run_if_idle``).  Jobs dispatch cheapest predicted first (see
         :mod:`repro.service.scheduler`).  ``engine`` / ``config`` override
         the service defaults for this job only.
         ``root_range`` restricts matching to search trees rooted in the
@@ -343,6 +348,8 @@ class QueryService:
                 self._settle(job, JobStatus.DONE, report=cached)
                 return job.handle
         job.enqueued_at = self._clock()
+        if self._run_if_idle(job):
+            return job.handle
         if job.span is not None:
             job.queued_span = self._observation.tracer.start_span(
                 "service.queued", parent=job.span
@@ -592,6 +599,10 @@ class QueryService:
         # loop, which pops the requeued job next
         with self._cond:
             self._cond.notify_all()
+        if self.mode != "inline":
+            # a job that crashed on its submitting thread may be the first
+            # this service ever queued
+            self._ensure_dispatcher()
 
     def _cancel(self, handle: JobHandle) -> bool:
         # compare-and-set: a job racing from PENDING to RUNNING between a
@@ -681,7 +692,8 @@ class QueryService:
         only one the dispatcher runs itself: a job the veto refuses stays
         at the head of the queue, so dispatch keeps policy order.  Jobs run
         here have settled before this is asked again, so ``_in_flight``
-        counts pool calls only."""
+        counts pool calls and at most one run on a submitting thread
+        (``_run_if_idle``), which ends within about ``LIGHT_SECONDS``."""
         full = self._in_flight >= self.max_workers
         return self._queue.pop(self._clock(), self._light if full else None)
 
@@ -695,7 +707,8 @@ class QueryService:
         closed; and the armed plan assigns its coming attempt no fault (a
         HANG must not pin the dispatcher, and a CRASH must kill a pool
         process, not the service).  Asked before ``_begin``: by the
-        queue's veto while the pool is full, and by ``_dispatch``.
+        queue's veto while the pool is full, by ``_dispatch``, and by
+        ``submit`` on an idle service (``_run_if_idle``).
         """
         return (
             job.predicted_source == "profile"
@@ -731,6 +744,41 @@ class QueryService:
             if job is None:
                 return
             self._dispatch(job)
+
+    def _run_if_idle(self, job: Job) -> bool:
+        """Run a light ``job`` on the submitting thread if the service is
+        idle: not paused, nothing queued, nothing in flight.  True when it
+        ran; it has settled by then.
+
+        Waking the dispatcher to run a job the submitter can run itself
+        costs two thread hops per query.  Pool jobs stay queued, so cost
+        order still decides a burst's first pool call.  The first look
+        takes no lock and reads the heap, not ``JobQueue.depth()`` (a lock
+        and a scan): on a busy service it costs a few attribute reads.
+        The look is confirmed under ``_cond``, which ``_begin`` takes again
+        to count the job in flight, so a concurrent submitter sees the
+        service busy.
+        """
+        if self.mode == "inline" or not self._idle() or not self._light(job):
+            return False
+        with self._cond:
+            if self._shutdown or not self._idle():
+                return False
+            self._count("submitted")
+            job.where = "service"
+            began = self._begin(job)
+        if began:
+            self._launch(job)
+        return True
+
+    def _idle(self) -> bool:
+        return not (self._paused or self._in_flight or self._queued())
+
+    def _queued(self) -> bool:
+        """Might a job be queued?  O(1) and lock-free, unlike
+        ``JobQueue.depth()``: the heap's length, which also counts
+        cancelled tombstones, so it errs towards "yes"."""
+        return bool(self._queue._heap)
 
     def _dispatch(self, job: Job) -> None:
         light = self.mode != "inline" and self._light(job)
@@ -772,9 +820,10 @@ class QueryService:
         return True
 
     def _launch(self, job: Job) -> None:
-        """Run ``job`` where ``_dispatch`` put it: on this thread (it has
-        settled when this returns), or as one pool call.  Either way it is
-        one :func:`run_job` through an executor, whose future settles it."""
+        """Run ``job`` where ``_dispatch`` or ``_run_if_idle`` put it: on
+        this thread (it has settled when this returns), or as one pool
+        call.  Either way it is one :func:`run_job` through an executor,
+        whose future settles it."""
         here = job.where == "service"
         if not here:
             self._count("worker_calls")
@@ -822,7 +871,11 @@ class QueryService:
         """The one place a dispatched job is settled (or retried)."""
         with self._cond:
             self._in_flight -= 1
-            self._cond.notify_all()
+            # a freed slot matters to the dispatcher only when a job waits
+            # for it: otherwise, as after every run on a submitting thread,
+            # the wake-up would only contend for the GIL
+            if self._queued():
+                self._cond.notify_all()
         if future.cancelled():
             # the executor dropped the job (e.g. cancel_futures on
             # shutdown); release waiters instead of hanging them forever
@@ -895,8 +948,9 @@ class QueryService:
         ob = self._observation
         if ob is not None and profile is not None:
             # a pool process has its own perf_counter origin, so its spans
-            # are re-anchored at the dispatch timestamp; runs on the
-            # dispatcher, threads and inline runs share this process's clock
+            # are re-anchored at the dispatch timestamp; runs in this
+            # process (dispatcher, submitter, pool thread or inline) share
+            # its clock
             ob.tracer.ingest(
                 profile.spans,
                 parent=job.span,
@@ -930,7 +984,7 @@ class QueryService:
 
         Each subsequent dispatch asks the plan which faults apply to that
         ``(job_id, attempt)`` and ships the specs to a pool worker (a job
-        with any never runs on the dispatcher); with no plan armed the
+        with any never runs in the service process); with no plan armed the
         dispatch path is one ``is None`` check and the worker path is
         byte-identical to normal operation.
         """

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING
@@ -61,6 +62,11 @@ _CACHE_FILLS = 0
 #: shared-memory attachments performed by this process
 _SHM_ATTACHES = 0
 
+#: held across a resolve's check, fill and store: threads resolving one
+#: new snapshot attach it once, instead of each attaching its own mapping
+#: and dropping all but one unclosed
+_GRAPH_LOCK = threading.Lock()
+
 
 def _cache_graph(
     graph_id: str,
@@ -85,18 +91,19 @@ def _resolve_graph(
     global _CACHE_FILLS, _SHM_ATTACHES
     if isinstance(payload, CSRGraph):
         return payload
-    cached = _GRAPH_CACHE.get(graph_id)
-    if cached is not None and cached[0] == fingerprint:
-        return cached[1]
-    if isinstance(payload, SharedGraphRef):
-        attached = attach_graph(payload)
-        _SHM_ATTACHES += 1
-        _cache_graph(graph_id, fingerprint, attached.graph, attached)
-        return attached.graph
-    graph = pickle.loads(payload)
-    _CACHE_FILLS += 1
-    _cache_graph(graph_id, fingerprint, graph, None)
-    return graph
+    with _GRAPH_LOCK:
+        cached = _GRAPH_CACHE.get(graph_id)
+        if cached is not None and cached[0] == fingerprint:
+            return cached[1]
+        if isinstance(payload, SharedGraphRef):
+            attached = attach_graph(payload)
+            _SHM_ATTACHES += 1
+            _cache_graph(graph_id, fingerprint, attached.graph, attached)
+            return attached.graph
+        graph = pickle.loads(payload)
+        _CACHE_FILLS += 1
+        _cache_graph(graph_id, fingerprint, graph, None)
+        return graph
 
 
 def _run_primary(

@@ -30,7 +30,7 @@ from repro.graph import (
     shm_available,
 )
 from repro.graph.store import DISABLE_ENV, GraphSegment
-from repro.service import QueryService
+from repro.service import QueryService, worker
 from repro.service.registry import GraphRecord, GraphRegistry
 from repro.service.worker import worker_graph_cache_info
 
@@ -324,3 +324,47 @@ class TestServiceIntegration:
             assert gid not in svc.graphs()
             with pytest.raises(FileNotFoundError):
                 attach_graph(ref)
+
+
+class TestWorkerGraphCache:
+    def test_threads_resolving_one_new_snapshot_attach_it_once(
+        self, small_er, monkeypatch
+    ):
+        # each thread waits inside its attach for the other: the
+        # interleaving in which both missed the cache, both attached, and
+        # the mapping that lost the store was dropped unclosed
+        barrier = threading.Barrier(2)
+        real_attach = worker.attach_graph
+
+        def attach(ref):
+            try:
+                barrier.wait(timeout=0.5)
+            except threading.BrokenBarrierError:
+                pass  # the other thread is held outside, on the cache
+            return real_attach(ref)
+
+        monkeypatch.setattr(worker, "attach_graph", attach)
+        segment = share_graph(small_er)
+        attaches = worker._SHM_ATTACHES
+        resolved = []
+
+        def resolve():
+            resolved.append(
+                worker._resolve_graph("race", "fp-race", segment.ref)
+            )
+
+        try:
+            threads = [threading.Thread(target=resolve) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert worker._SHM_ATTACHES == attaches + 1
+            assert len(resolved) == 2 and resolved[0] is resolved[1]
+        finally:
+            entry = worker._GRAPH_CACHE.pop("race", None)
+            if entry is not None:
+                entry[2].close()
+            worker._SHM_ATTACHES = attaches
+            segment.unlink()

@@ -1,6 +1,7 @@
 """Where a job runs: the dispatcher runs warm, plain, sub-millisecond jobs
-itself, in the service process; the pool gets everything else, one job
-per call.
+itself, in the service process, and an idle service runs them on the
+thread that submitted them; the pool gets everything else, one job per
+call.
 
 The queue side (``JobQueue.pop(now, fits)``, the veto the dispatcher pops
 with while every pool worker is busy) is driven single-threaded against a
@@ -19,7 +20,7 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import XSetError
+from repro.errors import WorkerCrashError, XSetError
 from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
@@ -113,7 +114,8 @@ def warm(svc, graph, names, seconds=2e-4) -> None:
 @pytest.fixture(autouse=True)
 def dispatch_log(monkeypatch):
     """Log every dispatch on the service that made it: ``_launch`` is
-    where a job leaves for where ``_dispatch`` put it."""
+    where a job leaves for where ``_dispatch`` put it, on the thread that
+    dispatched it."""
     launch = QueryService._launch
 
     def logged(self, job):
@@ -121,6 +123,7 @@ def dispatch_log(monkeypatch):
             "job_id": job.handle.job_id,
             "attempt": job.attempts,
             "where": job.where,
+            "thread": threading.current_thread(),
         })
         launch(self, job)
 
@@ -128,7 +131,7 @@ def dispatch_log(monkeypatch):
 
 
 def dispatched(svc) -> list[dict]:
-    """``(job_id, attempt, where)`` of every dispatch, in order."""
+    """``(job_id, attempt, where, thread)`` of every dispatch, in order."""
     return list(svc.__dict__.get("_dispatch_log", ()))
 
 
@@ -457,11 +460,14 @@ class HeldPool(ThreadPoolExecutor):
         self.lock = threading.Lock()
         self.open = self.peak = 0
         self.release = threading.Event()
+        #: set by the first call
+        self.called = threading.Event()
 
     def submit(self, fn, /, *args, **kwargs):
         with self.lock:
             self.open += 1
             self.peak = max(self.peak, self.open)
+        self.called.set()
         future = super().submit(self._held, fn, *args, **kwargs)
         # added before the service's own callback, so it also runs first:
         # a call is closed here before the service can send the next
@@ -625,14 +631,22 @@ class TestSetAftermath:
     def test_a_run_here_lies_inside_its_job_span(self, small_er):
         # spans recorded on the dispatcher share the service's clock: they
         # are adopted where they are, not re-anchored at the dispatch
-        # timestamp as a pool process's are
+        # timestamp as a pool process's are.  Submitted while paused, the
+        # job queues, and the dispatcher runs it
         with QueryService(
-            mode="process", max_workers=2, observability=True
+            mode="process", max_workers=2, observability=True,
+            start_paused=True,
         ) as svc:
             gid = svc.register_graph(small_er, "g")
             warm(svc, small_er, ["3CF"])
-            svc.count(gid, PATTERNS["3CF"], use_cache=False, engine="batched")
-            assert [e["where"] for e in dispatched(svc)] == ["service"]
+            handle = svc.submit(
+                gid, PATTERNS["3CF"], use_cache=False, engine="batched"
+            )
+            svc.resume()
+            handle.result(timeout=60)
+            (event,) = dispatched(svc)
+            assert event["where"] == "service"
+            assert event["thread"] is svc._dispatcher
             spans = svc._observation.tracer.finished()
         (job,) = [sp for sp in spans if sp.name == "service.job"]
         assert job.attrs["where"] == "service"  # the record of where it ran
@@ -674,5 +688,263 @@ class TestSetAftermath:
             # finalizer: here, inside update_graph, not whenever the
             # dispatcher next wakes
             assert old() is None
+        finally:
+            svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# (e) an idle service runs a light job on the thread that submitted it
+# ---------------------------------------------------------------------------
+
+
+def submit_3cf(svc, gid):
+    return svc.submit(gid, PATTERNS["3CF"], use_cache=False, engine="batched")
+
+
+class TestIdleRule:
+    def test_a_warm_light_job_has_settled_when_submit_returns(
+        self, small_er
+    ):
+        with QueryService(
+            mode="process", max_workers=2, observability=True
+        ) as svc:
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            handle = submit_3cf(svc, gid)
+            assert handle.status is JobStatus.DONE
+            assert handle.result().embeddings == oracle(small_er, "3CF")
+            (event,) = dispatched(svc)
+            assert event["where"] == "service"
+            assert event["thread"] is threading.current_thread()
+            # no dispatcher was woken and no pool was started
+            assert svc._dispatcher is None and svc._executor is None
+            stats = svc.stats()
+            assert stats.worker_calls == 0
+            assert stats.submitted == stats.completed == 1
+            spans = svc._observation.tracer.finished()
+        (job,) = [sp for sp in spans if sp.name == "service.job"]
+        assert job.attrs["where"] == "service"
+        assert not [sp for sp in spans if sp.name == "service.queued"]
+        (run,) = [sp for sp in spans if sp.name == "worker.run_job"]
+        assert run.parent_id == job.span_id
+        assert job.start <= run.start <= run.end <= job.end
+
+    @pytest.mark.parametrize("kind", ["cold", "heavy", "checked", "faulted"])
+    def test_any_other_job_is_queued_and_dispatched(self, small_er, kind):
+        svc = QueryService(
+            mode="process", max_workers=2, executor=InlineExecutor(),
+            verify_fraction=1.0 if kind == "checked" else 0.0,
+        )
+        try:
+            gid = svc.register_graph(small_er, "g")
+            if kind != "cold":
+                warm(svc, small_er, ["3CF"],
+                     seconds=0.5 if kind == "heavy" else 2e-4)
+            if kind == "faulted":
+                svc.arm_faults(FaultPlan(seed=1, specs=(FaultSpec(
+                    site="worker.run", kind=FaultKind.HANG, seconds=0.0,
+                ),)))
+            handle = submit_3cf(svc, gid)
+            assert handle.result(timeout=60).embeddings == oracle(
+                small_er, "3CF"
+            )
+            (event,) = dispatched(svc)
+            assert event["where"] == "pool"
+            assert event["thread"] is svc._dispatcher
+            assert svc.stats().worker_calls == 1
+        finally:
+            svc.shutdown()
+
+    def test_paused_a_warm_light_job_is_queued(self, small_er):
+        svc = QueryService(mode="process", max_workers=2, start_paused=True)
+        try:
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            handle = submit_3cf(svc, gid)
+            assert handle.status is JobStatus.PENDING
+            svc.resume()
+            assert handle.result(timeout=60).embeddings == oracle(
+                small_er, "3CF"
+            )
+            (event,) = dispatched(svc)
+            assert event["where"] == "service"
+            assert event["thread"] is svc._dispatcher
+        finally:
+            svc.shutdown()
+
+    def test_a_pool_call_in_flight_queues_a_warm_light_job(self, small_er):
+        pool = HeldPool(max_workers=2)
+        svc = QueryService(mode="process", max_workers=2, executor=pool)
+        try:
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            warm(svc, small_er, ["TT"], seconds=0.5)
+            held = svc.submit(
+                gid, PATTERNS["TT"], use_cache=False, engine="batched"
+            )
+            assert pool.called.wait(timeout=60)
+            handle = submit_3cf(svc, gid)
+            # the light job runs on the dispatcher past the held call
+            assert handle.result(timeout=60).embeddings == oracle(
+                small_er, "3CF"
+            )
+            assert not held.done()
+            pool.release.set()
+            assert held.result(timeout=60).embeddings == oracle(
+                small_er, "TT"
+            )
+            assert [(e["where"], e["thread"]) for e in dispatched(svc)] == [
+                ("pool", svc._dispatcher), ("service", svc._dispatcher),
+            ]
+        finally:
+            pool.release.set()
+            svc.shutdown()
+            pool.shutdown()
+
+    def test_a_queued_job_queues_a_warm_light_job(self, small_er):
+        # a crashed call leaves its job queued on its retry backoff, which
+        # the hand-advanced clock never ends: queued, with nothing in flight
+        clock = FakeClock()
+        svc = QueryService(
+            mode="process", max_workers=2, executor=BreaksFirstCalls(),
+            clock=clock,
+        )
+        requeued = threading.Event()
+        requeue = svc._requeue
+
+        def requeue_and_tell(job, delay, **attrs):
+            requeue(job, delay, **attrs)
+            requeued.set()
+
+        svc._requeue = requeue_and_tell
+        try:
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            parked = svc.submit(
+                gid, PATTERNS["TT"], use_cache=False, engine="batched"
+            )
+            assert requeued.wait(timeout=60)
+            assert svc._in_flight == 0 and svc._queue.depth() == 1
+            handle = submit_3cf(svc, gid)
+            assert handle.result(timeout=60).embeddings == oracle(
+                small_er, "3CF"
+            )
+            assert not parked.done()
+            clock.now = 1.0
+            assert parked.result(timeout=60).embeddings == oracle(
+                small_er, "TT"
+            )
+            assert [(e["where"], e["thread"]) for e in dispatched(svc)] == [
+                ("pool", svc._dispatcher),
+                ("service", svc._dispatcher),
+                ("pool", svc._dispatcher),
+            ]
+        finally:
+            svc.shutdown()
+
+    def test_eight_submitters_against_an_idle_service(
+        self, small_er, monkeypatch
+    ):
+        # closed-loop clients switching every 10 µs race each other to the
+        # idle test: at most one of them runs a job at a time, pool calls
+        # stay within the workers and every waiter is answered exactly
+        pool = HeldPool(max_workers=8)
+        pool.release.set()
+        svc = QueryService(
+            mode="process", max_workers=2, executor=pool, queue_limit=512
+        )
+        gid = svc.register_graph(small_er, "g")
+        warm(svc, small_er, LIGHT[:3])
+        warm(svc, small_er, ["TT"], seconds=0.5)
+        monkeypatch.setattr(svc.predictor, "observe", lambda *args: None)
+        clients: set[threading.Thread] = set()
+        lock = threading.Lock()
+        running = {"now": 0, "peak": 0}
+        real_run_job = service_module.run_job
+
+        def run_job(*args, **kwargs):
+            mine = threading.current_thread() in clients
+            if mine:
+                with lock:
+                    running["now"] += 1
+                    running["peak"] = max(running["peak"], running["now"])
+            try:
+                return real_run_job(*args, **kwargs)
+            finally:
+                if mine:
+                    with lock:
+                        running["now"] -= 1
+
+        monkeypatch.setattr(service_module, "run_job", run_job)
+        want = {name: oracle(small_er, name) for name in LIGHT}
+        wrong: list[tuple[str, int]] = []
+
+        def client(offset):
+            for i in range(30):
+                name = "TT" if i % 5 == 0 else LIGHT[(offset + i) % 3]
+                report = svc.submit(
+                    gid, PATTERNS[name], use_cache=False, engine="batched",
+                ).result(timeout=120)
+                if report.embeddings != want[name]:
+                    wrong.append((name, report.embeddings))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(k,)) for k in range(8)
+            ]
+            clients.update(threads)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown()
+            pool.shutdown()
+        assert wrong == []
+        stats = svc.stats()
+        assert stats.submitted == stats.completed == 8 * 30
+        assert stats.in_flight == 0
+        assert pool.peak <= svc.max_workers
+        assert stats.worker_calls == 8 * 6
+        assert running["peak"] <= 1
+
+    def test_a_crash_here_is_retried_by_the_dispatcher(
+        self, small_er, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
+        real_run_job = service_module.run_job
+        crashed: list[threading.Thread] = []
+
+        def run_job(*args, **kwargs):
+            if not crashed:
+                crashed.append(threading.current_thread())
+                raise WorkerCrashError("worker died under 3CF (injected)")
+            return real_run_job(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "run_job", run_job)
+        svc = QueryService(
+            mode="process", max_workers=2, executor=InlineExecutor()
+        )
+        try:
+            gid = svc.register_graph(small_er, "g")
+            warm(svc, small_er, ["3CF"])
+            handle = submit_3cf(svc, gid)
+            assert crashed == [threading.current_thread()]
+            # the requeue started the dispatcher, which runs the retry
+            assert handle.result(timeout=60).embeddings == oracle(
+                small_er, "3CF"
+            )
+            assert handle.status is JobStatus.DONE and handle.attempts == 2
+            assert [(e["where"], e["thread"]) for e in dispatched(svc)] == [
+                ("service", threading.current_thread()),
+                ("service", svc._dispatcher),
+            ]
+            stats = svc.stats()
+            assert (stats.completed, stats.failed, stats.retries) == (1, 0, 1)
+            assert stats.worker_calls == 0
         finally:
             svc.shutdown()
