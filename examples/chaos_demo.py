@@ -19,7 +19,7 @@ Usage::
     python examples/chaos_demo.py [--seed 2024] [--scale 1.0]
 
 Set ``REPRO_LOG=INFO`` (or pass ``-v``) to watch the service log the
-crashes, retries and breaker trips as they happen.
+crashes, retries and caught mismatches as they happen.
 """
 
 import argparse

@@ -7,10 +7,10 @@ query then scatters as per-shard root-restricted subqueries (fanned out
 on a thread pool) and the replies gather through the exactly-once
 :func:`repro.cluster.merge.merge_replies`.
 
-Resilience reuses the service layer's own machinery at cluster scope:
+Resilience at cluster scope:
 
-* every *replica* gets a :class:`~repro.resilience.BreakerBoard` circuit
-  — its one health record: comm failures and timeouts trip it, an open
+* every *replica* gets a comm breaker (:mod:`repro.cluster.breaker`),
+  its one health record: comm failures and timeouts trip it, an open
   breaker skips the replica without burning a timeout on a peer known
   to be down, and after ``BREAKER_RECOVERY_SECONDS`` one half-open
   request decides whether it takes traffic again;
@@ -58,8 +58,9 @@ from ..obs import MetricsRegistry, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
-from ..resilience import BreakerBoard, HealthReport, HealthState
+from ..resilience import HealthReport, HealthState
 from ..service import service
+from .breaker import BreakerBoard, BreakerSnapshot
 from .comm.base import Connection, Transport, get_transport
 from .merge import merge_replies
 from .partition import ShardSpec, make_shards
@@ -68,7 +69,6 @@ from .worker import ShardWorker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import ExecutionProfile
     from ..patterns.pattern import Pattern
-    from ..resilience.breaker import BreakerSnapshot
     from ..sim.report import SimReport
 
 __all__ = ["Coordinator", "ClusterHealth", "LocalCluster"]
@@ -92,7 +92,7 @@ class ClusterHealth:
     #: replica name → its service's health report, or None if unreachable
     shards: "Mapping[str, HealthReport | None]" = field(default_factory=dict)
     #: coordinator-side comm breaker snapshots, keyed by replica name
-    breakers: "Mapping[str, BreakerSnapshot]" = field(default_factory=dict)
+    breakers: Mapping[str, BreakerSnapshot] = field(default_factory=dict)
 
     @property
     def dead(self) -> tuple[str, ...]:
@@ -300,7 +300,7 @@ class Coordinator:
         timeout: float | None = None,
     ):
         """One breaker-guarded request to one replica."""
-        breaker = self._breakers.for_engine(replica.name)
+        breaker = self._breakers.for_replica(replica.name)
         if not breaker.allow():
             raise ClusterError(
                 f"shard {replica.name!r} breaker is open "
@@ -359,7 +359,7 @@ class Coordinator:
         holding = self._registered.get(graph_id, ())
         return sorted(
             (r for r in sg.replicas if r.name in holding),
-            key=lambda r: self._breakers.for_engine(r.name)
+            key=lambda r: self._breakers.for_replica(r.name)
             .snapshot().consecutive_failures,
         )
 

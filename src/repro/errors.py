@@ -91,8 +91,9 @@ class CommTimeoutError(CommError):
 class InjectedCrashError(WorkerCrashError):
     """A deterministic injected worker crash (chaos testing).
 
-    Subclasses :class:`WorkerCrashError` so the service's retry /
-    breaker paths treat it exactly like a real dying worker.  Carries
+    Subclasses :class:`WorkerCrashError` so the service's retry path and
+    its per-engine failure record treat it exactly like a real dying
+    worker.  Carries
     the fault ``site`` so the service can label its fault counters.
     """
 

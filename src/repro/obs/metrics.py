@@ -265,18 +265,16 @@ class MetricsRegistry:
         help_: str,
         current: str,
         states: Iterable[str],
-        **labels: str,
     ) -> None:
         """Export an enum as a Prometheus StateSet-style gauge family.
 
         One gauge per state (label ``state=<s>``) holding 1 for the
         current state and 0 for every other — the convention dashboards
-        use to render breaker / health state machines without magic
-        numbers.  Used by the resilience layer for breaker and service
-        health states.
+        use to render a state machine without magic numbers.  Used for
+        the service's health state.
         """
         for state in states:
-            self.gauge(name, help_, state=state, **labels).set(
+            self.gauge(name, help_, state=state).set(
                 1.0 if state == current else 0.0
             )
 

@@ -2,35 +2,31 @@
 
 X-SET's datapath keeps every PE busy as long as nothing goes wrong; a
 production service on top of it must also survive the failures the
-paper's simulator never models.  This package supplies three
-mechanisms, each wired through the service / engine / simulator layers:
+paper's simulator never models.  This package supplies two mechanisms,
+each wired through the service / engine / simulator layers:
 
 * **Deterministic fault injection** (:mod:`~repro.resilience.faults`) —
   a seeded :class:`FaultPlan` assigns crashes, hangs, corrupted counts
   and memory stalls to jobs; named sites in the worker path, both
   engines and the memory hierarchy apply them with a single
   ``active() is None`` check, so an unarmed system pays nothing.
-* **Circuit breakers** (:mod:`~repro.resilience.breaker`) — per-engine
-  closed → open → half-open state machines tripped by crash-shaped or
-  wrong-result failures.  They are advisory: a job always runs on the
-  engine it names, a crash is retried there in a fresh worker, and an
-  open breaker marks the service degraded.
 * **Degradation** (:mod:`~repro.resilience.degradation`) — a
-  healthy/degraded/overloaded state over queue depth and breaker states,
-  reported by ``health()`` and read by the cluster coordinator.
+  healthy/degraded/overloaded state over queue depth and the engines
+  the service records as failing, reported by ``health()`` and read by
+  the cluster coordinator.
 
-The service's one resilience setting is
-``QueryService(verify_fraction=...)``, the share of jobs cross-checked
-on the event engine.  Everything is observable through the service's
-metrics registry, spans and the ``python -m repro health`` CLI.
+The service keeps one failure record per engine: the crashes and wrong
+results since that engine's last clean run.  A job always runs on the
+engine it names and a crash is retried there in a fresh worker; an
+engine at ``ENGINE_FAILURE_LIMIT`` marks the service degraded and runs
+in the pool until a run of it is clean.  The service's one resilience
+setting is ``QueryService(verify_fraction=...)``, the share of jobs
+cross-checked on the event engine.  Everything is observable through
+the service's metrics registry, spans and the ``python -m repro
+health`` CLI.  The cluster's comm breakers live in
+:mod:`repro.cluster.breaker`.
 """
 
-from .breaker import (
-    BreakerBoard,
-    BreakerSnapshot,
-    BreakerState,
-    CircuitBreaker,
-)
 from .degradation import (
     HealthReport,
     HealthState,
@@ -50,11 +46,7 @@ from .faults import (
 )
 
 __all__ = [
-    "BreakerBoard",
-    "BreakerSnapshot",
-    "BreakerState",
     "COMM_SITES",
-    "CircuitBreaker",
     "FAULT_SITES",
     "FaultInjector",
     "FaultKind",

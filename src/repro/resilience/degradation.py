@@ -1,13 +1,15 @@
 """Service health assessment.
 
 The service classifies itself into one of three states from two cheap
-signals — queue occupancy and breaker states:
+signals — queue occupancy and whether any engine is failing (has
+crashed or returned a wrong result ``ENGINE_FAILURE_LIMIT`` times since
+its last clean run):
 
 ``HEALTHY``
-    Queue below the degraded watermark, every breaker closed.
+    Queue below the degraded watermark, no engine failing.
 ``DEGRADED``
-    Queue above the degraded watermark *or* at least one engine breaker
-    open/half-open.
+    Queue above the degraded watermark *or* at least one engine
+    failing.
 ``OVERLOADED``
     Queue above the overload watermark.
 
@@ -23,10 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .breaker import BreakerSnapshot, BreakerState
+from typing import Mapping
 
 __all__ = ["HealthState", "HealthReport", "assess"]
 
@@ -47,15 +46,13 @@ class HealthState(enum.Enum):
 def assess(
     queue_depth: int,
     queue_limit: int,
-    breaker_states: Iterable["BreakerState"],
+    failing: bool,
 ) -> HealthState:
     """Classify the service from one snapshot of its signals."""
     fraction = queue_depth / queue_limit if queue_limit > 0 else 0.0
     if fraction >= QUEUE_OVERLOADED_FRACTION:
         return HealthState.OVERLOADED
-    if fraction >= QUEUE_DEGRADED_FRACTION:
-        return HealthState.DEGRADED
-    if any(state.value != 0 for state in breaker_states):
+    if failing or fraction >= QUEUE_DEGRADED_FRACTION:
         return HealthState.DEGRADED
     return HealthState.HEALTHY
 
@@ -68,7 +65,9 @@ class HealthReport:
     queue_depth: int
     queue_limit: int
     in_flight: int
-    breakers: Mapping[str, "BreakerSnapshot"] = field(default_factory=dict)
+    #: engine → crash or wrong-result failures since its last clean run,
+    #: for the engines with any
+    engine_failures: Mapping[str, int] = field(default_factory=dict)
     crosscheck_mismatches: int = 0
     faults_injected: int = 0
     dispatcher_stuck: bool = False
@@ -92,16 +91,9 @@ class HealthReport:
                 f"faults injected {self.faults_injected}"
             ),
         ]
-        for engine, snap in sorted(self.breakers.items()):
-            reason = (
-                f", last failure: {snap.last_failure_reason}"
-                if snap.last_failure_reason
-                else ""
-            )
+        for engine, failures in sorted(self.engine_failures.items()):
             lines.append(
-                f"breaker[{engine}]: {snap.state} "
-                f"({snap.failures} failures / {snap.successes} successes"
-                f"{reason})"
+                f"engine[{engine}]: {failures} consecutive failures"
             )
         if self.dispatcher_stuck:
             lines.append("WARNING: dispatcher thread failed to join")

@@ -33,8 +33,9 @@ with heavy ones.  A traced job's ``service.job`` span records the choice
 as its ``where`` attribute (``service`` or ``pool``).
 
 Every job event has one record: outcomes, retries and cache traffic are
-the ``repro_*_total`` counters, breaker state is
-:meth:`QueryService.health`'s snapshots, and the rest is the span tree.
+the ``repro_*_total`` counters, an engine's crashes and wrong results
+since its last clean run are :meth:`QueryService.health`'s
+``engine_failures``, and the rest is the span tree.
 
 Semantics
 ---------
@@ -50,6 +51,10 @@ Semantics
   ``RETRY_BACKOFF_SECONDS``, on the same engine in a fresh worker;
   deterministic engine exceptions propagate immediately.  A job always
   runs on the engine its config names.
+* **Failing engines**: an engine that has crashed or returned a wrong
+  result ``ENGINE_FAILURE_LIMIT`` times since its last clean run marks
+  the service degraded, and its jobs run in the pool, where a crash
+  cannot take the service down, until one of them runs clean.
 * **Caching**: results are cached by ``(graph fingerprint, canonical
   pattern, config)`` with LRU eviction; graph updates invalidate — or,
   through :meth:`QueryService.dynamic_session`, delta-patch — entries.
@@ -88,13 +93,7 @@ from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..patterns.plan import build_plan
 from ..sched.adaptive import CostPredictor, query_features
-from ..resilience import (
-    BreakerBoard,
-    BreakerState,
-    HealthReport,
-    HealthState,
-    assess,
-)
+from ..resilience import HealthReport, HealthState, assess
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
@@ -124,10 +123,10 @@ _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
 MAX_RETRIES = 2
 RETRY_BACKOFF_SECONDS = 0.05
 
-#: consecutive crash or wrong-result failures that open an engine's
-#: breaker, and the seconds it stays open before one half-open probe
-BREAKER_FAILURE_THRESHOLD = 3
-BREAKER_RECOVERY_SECONDS = 30.0
+#: crash or wrong-result failures of one engine since its last clean run
+#: at which it is failing: it marks the service degraded, and its jobs run
+#: in the pool until one of them runs clean
+ENGINE_FAILURE_LIMIT = 3
 
 _CACHE_HELP = "result-cache outcome of cached submits"
 
@@ -256,16 +255,14 @@ class QueryService:
         self._dispatcher_stuck = False
         #: (row of ``_COUNTS``, *label values) → that series' counter
         self._tally: "dict[tuple[str, ...], Counter]" = {}
-        # -- resilience layer (breakers, cross-check, fault plan) ------------
+        # -- resilience layer (failure records, cross-check, fault plan) -----
         #: share of jobs, picked by job id, re-run on a second engine and
         #: compared by count (``_sampled_verify``); 0.0 checks none
         self.verify_fraction = verify_fraction
         self._fault_plan: "FaultPlan | None" = None
-        self._breakers = BreakerBoard(
-            failure_threshold=BREAKER_FAILURE_THRESHOLD,
-            recovery_seconds=BREAKER_RECOVERY_SECONDS,
-            clock=clock,
-        )
+        #: engine → crash or wrong-result failures since its last clean
+        #: run, for the engines with any; written under ``_cond``
+        self._engine_failures: dict[str, int] = {}
 
     # -- graph registry ----------------------------------------------------
 
@@ -703,18 +700,19 @@ class QueryService:
         Only a warm, plain, sub-millisecond one: its prediction comes from
         the profile tier (this shape has run on this snapshot) and is under
         ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
-        heavy query; it has no cross-check; its engine's breaker is
-        closed; and the armed plan assigns its coming attempt no fault (a
-        HANG must not pin the dispatcher, and a CRASH must kill a pool
-        process, not the service).  Asked before ``_begin``: by the
-        queue's veto while the pool is full, by ``_dispatch``, and by
-        ``submit`` on an idle service (``_run_if_idle``).
+        heavy query; it has no cross-check; its engine is not failing (a
+        crashing engine runs in the pool until a run of it is clean); and
+        the armed plan assigns its coming attempt no fault (a HANG must
+        not pin the dispatcher, and a CRASH must kill a pool process, not
+        the service).  Asked before ``_begin``: by the queue's veto while
+        the pool is full, by ``_dispatch``, and by ``submit`` on an idle
+        service (``_run_if_idle``).
         """
         return (
             job.predicted_source == "profile"
             and job.predicted_seconds < LIGHT_SECONDS
-            and self._breakers.for_engine(job.config.engine).state
-            is BreakerState.CLOSED
+            and self._engine_failures.get(job.config.engine, 0)
+            < ENGINE_FAILURE_LIMIT
             and self._sampled_verify(job) is None
             and not self._faults(job)
         )
@@ -791,11 +789,6 @@ class QueryService:
         False when the job finished while queued and is not to run."""
         if job.handle.status is not JobStatus.PENDING:
             return False
-        # the breaker is advisory: the job runs on its engine whatever the
-        # answer.  allow() is still asked because it is the only call that
-        # moves an OPEN breaker past its recovery window to HALF_OPEN, from
-        # where this job's outcome closes (or re-opens) it
-        self._breakers.for_engine(job.config.engine).allow()
         # this attempt's faults (drawn here unless _light already has);
         # the next attempt draws anew
         self._faults(job)
@@ -886,9 +879,7 @@ class QueryService:
             self._on_report(job, future.result())
             return
         if isinstance(exc, _CRASH_TYPES):
-            self._breakers.for_engine(job.config.engine).record_failure(
-                "crash"
-            )
+            self._record_run(job.config.engine, failed=True)
             if isinstance(exc, InjectedCrashError):
                 # the worker died before it could ship notes home; count
                 # the injected crash from the typed error's site instead
@@ -913,17 +904,13 @@ class QueryService:
         self._settle(job, JobStatus.FAILED, error=exc)
 
     def _on_report(self, job: Job, report: "SimReport") -> None:
-        """A worker returned: feed the breaker, the cache, the trace and
-        the cost model, then settle the job DONE."""
+        """A worker returned: feed the engine's failure record, the cache,
+        the trace and the cost model, then settle the job DONE."""
         notes = getattr(report, "notes", None) or {}
         self._note_injected(notes.get("injected"))
         crosscheck = notes.get("crosscheck")
         mismatch = bool(crosscheck and crosscheck.get("mismatch"))
-        breaker = self._breakers.for_engine(job.config.engine)
-        if mismatch:
-            breaker.record_failure("wrong_result")
-        else:
-            breaker.record_success()
+        self._record_run(job.config.engine, failed=mismatch)
         if mismatch:
             logger.error(
                 "job %d cross-check mismatch: %s counted %s but "
@@ -997,23 +984,41 @@ class QueryService:
             site, _, kind = key.partition(":")
             self._count("faults_injected", count, site=site, kind=kind)
 
-    def _health_state(self) -> HealthState:
-        """Classify the service right now (queue occupancy + breakers)."""
+    def _record_run(self, engine: str, *, failed: bool) -> None:
+        """One run's outcome into its engine's failure record: a crash or
+        a wrong result adds one, any other report clears it."""
+        with self._cond:
+            if failed:
+                self._engine_failures[engine] = (
+                    self._engine_failures.get(engine, 0) + 1
+                )
+            else:
+                self._engine_failures.pop(engine, None)
+
+    def _health_state(self, depth: int) -> HealthState:
+        """Classify the service from one read of its queue depth and its
+        engines' failure records; the caller holds ``_cond``."""
         return assess(
-            self._queue.depth(),
+            depth,
             self._queue.limit,
-            self._breakers.states().values(),
+            any(
+                failures >= ENGINE_FAILURE_LIMIT
+                for failures in self._engine_failures.values()
+            ),
         )
 
     def health(self) -> HealthReport:
-        """Point-in-time degradation report (state machine + counters)."""
+        """Point-in-time degradation report (state + counters)."""
         with self._cond:
+            # one read of the depth: the dispatcher pops outside _cond,
+            # so a second read could disagree with the state
+            depth = self._queue.depth()
             return HealthReport(
-                state=self._health_state(),
-                queue_depth=self._queue.depth(),
+                state=self._health_state(depth),
+                queue_depth=depth,
                 queue_limit=self._queue.limit,
                 in_flight=self._in_flight,
-                breakers=self._breakers.snapshots(),
+                engine_failures=dict(self._engine_failures),
                 crosscheck_mismatches=self._total("crosschecks", "mismatch"),
                 faults_injected=self._total("faults_injected"),
                 dispatcher_stuck=self._dispatcher_stuck,
@@ -1023,34 +1028,28 @@ class QueryService:
 
     def stats(self) -> ServiceStats:
         """Point-in-time snapshot of queue, pool, cache and latencies."""
-        self.metrics.gauge(
-            "repro_queue_depth", "jobs currently queued"
-        ).set(self._queue.depth())
-        self.metrics.gauge(
-            "repro_in_flight", "jobs currently on workers"
-        ).set(self._in_flight)
-        health = self._health_state()
-        self.metrics.set_state_gauge(
-            "repro_health_state",
-            "service degradation state (1 = current)",
-            health.name.lower(),
-            [s.name.lower() for s in HealthState],
-        )
-        for engine, state in self._breakers.states().items():
-            self.metrics.set_state_gauge(
-                "repro_breaker_state",
-                "per-engine circuit breaker state (1 = current)",
-                state.name.lower(),
-                [s.name.lower() for s in BreakerState],
-                engine=engine,
-            )
-        # one consistent read: _settle finishes and counts a job under _cond
+        # one consistent read: _settle finishes and counts a job under
+        # _cond, and the depth is read once (see health())
         with self._cond:
+            depth = self._queue.depth()
+            health = self._health_state(depth)
+            self.metrics.gauge(
+                "repro_queue_depth", "jobs currently queued"
+            ).set(depth)
+            self.metrics.gauge(
+                "repro_in_flight", "jobs currently on workers"
+            ).set(self._in_flight)
+            self.metrics.set_state_gauge(
+                "repro_health_state",
+                "service degradation state (1 = current)",
+                health.name.lower(),
+                [s.name.lower() for s in HealthState],
+            )
             return ServiceStats(
                 mode=self.mode,
                 workers=self.max_workers,
                 graphs=len(self._registry),
-                queue_depth=self._queue.depth(),
+                queue_depth=depth,
                 in_flight=self._in_flight,
                 submitted=self._total("submitted"),
                 # a cache hit completes a job without a worker doing so

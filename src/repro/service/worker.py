@@ -26,8 +26,8 @@ Resilience hooks (both default-off and free when unused):
   the exact embedding counts compared.  On a mismatch
   (silent corruption somewhere in the primary datapath) the *verified*
   report is returned instead, with both counts recorded in
-  ``report.notes["crosscheck"]`` so the service can trip the primary
-  engine's breaker.
+  ``report.notes["crosscheck"]`` so the service can count a failure of
+  the primary engine.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def run_job(
         if mismatch:
             # silent corruption detected: serve the independently computed
             # report (the verify engine re-ran outside the fault scope's
-            # one-shot corruptions) and let the service trip the breaker
+            # one-shot corruptions); the service counts the mismatch as a
+            # failure of the primary engine
             verify_report.notes.update(report.notes)
             report = verify_report
         report.notes["crosscheck"] = crosscheck

@@ -426,6 +426,31 @@ class TestStructure:
             m for m in imported if m.startswith("repro.sched.adaptive")
         }
 
+    def test_only_the_cluster_keeps_breakers(self):
+        """The coordinator's per-replica comm breakers are the only
+        breakers: no module under ``src/repro/`` outside ``cluster/``
+        imports or names one.  The service keeps a failure count per
+        engine instead."""
+        package = ROOT / "src" / "repro"
+        breaker = {"BreakerBoard", "CircuitBreaker", "BreakerState"}
+        named = set()
+        for path in package.rglob("*.py"):
+            rel = path.relative_to(package)
+            if rel.parts[0] == "cluster":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {a.name.split(".")[-1] for a in node.names}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                named |= {(rel.as_posix(), n) for n in names & breaker}
+        assert named == set()
+        assert not (package / "resilience" / "breaker.py").exists()
+
     def test_the_event_replay_does_no_set_work(self):
         """The event engine's NumPy set work happens once per chunk, when
         ``engine.functional.trace_chunk`` traces it; the event loop, the
@@ -473,7 +498,7 @@ class TestStructure:
         import inspect
 
         from repro.cluster import Coordinator, LocalCluster
-        from repro.resilience import BreakerBoard, CircuitBreaker
+        from repro.cluster.breaker import BreakerBoard, CircuitBreaker
         from repro.service import QueryService
 
         assert importlib.util.find_spec("repro.obs.flight") is None

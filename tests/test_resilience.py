@@ -1,4 +1,4 @@
-"""The resilience layer: fault injection, breakers, degradation.
+"""The resilience layer: fault injection, engine failures, degradation.
 
 Deterministic chaos testing in the repo's established style — injectable
 clocks, recorded sleeps and injectable executors keep every scenario
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.breaker import BreakerState, CircuitBreaker
 from repro.core.api import XSetAccelerator
 from repro.errors import (
     FaultInjectionError,
@@ -21,8 +22,6 @@ from repro.errors import (
 )
 from repro.patterns.pattern import PATTERNS
 from repro.resilience import (
-    BreakerState,
-    CircuitBreaker,
     FaultInjector,
     FaultKind,
     FaultPlan,
@@ -240,17 +239,38 @@ class TestCircuitBreaker:
 
 class TestDegradation:
     def test_watermarks(self):
-        assert assess(0, 100, ()) is HealthState.HEALTHY
-        assert assess(49, 100, ()) is HealthState.HEALTHY
-        assert assess(50, 100, ()) is HealthState.DEGRADED
-        assert assess(90, 100, ()) is HealthState.OVERLOADED
+        assert assess(0, 100, False) is HealthState.HEALTHY
+        assert assess(49, 100, False) is HealthState.HEALTHY
+        assert assess(50, 100, False) is HealthState.DEGRADED
+        assert assess(90, 100, False) is HealthState.OVERLOADED
 
-    def test_any_non_closed_breaker_degrades(self):
-        states = (BreakerState.CLOSED, BreakerState.OPEN)
-        assert assess(0, 100, states) is HealthState.DEGRADED
-        assert assess(
-            0, 100, (BreakerState.HALF_OPEN,)
-        ) is HealthState.DEGRADED
+    def test_any_failing_engine_degrades(self):
+        assert assess(0, 100, True) is HealthState.DEGRADED
+        assert assess(49, 100, True) is HealthState.DEGRADED
+        assert assess(90, 100, True) is HealthState.OVERLOADED
+
+    def test_the_state_is_that_of_the_reported_depth(
+        self, graph, monkeypatch
+    ):
+        """The dispatcher pops outside the service's lock, so the queue
+        depth can change between two reads: one report reads it once."""
+        import itertools
+
+        from repro.service import JobQueue
+
+        svc, _ = make_service(graph, queue_limit=256)
+        for report in ("health", "stats"):
+            depths = itertools.chain([10], itertools.repeat(240))
+            monkeypatch.setattr(JobQueue, "depth", lambda q: next(depths))
+            if report == "health":
+                health = svc.health()
+                assert (health.queue_depth, health.state) == (
+                    10, HealthState.HEALTHY
+                )
+            else:
+                stats = svc.stats()
+                assert (stats.queue_depth, stats.health) == (10, "healthy")
+                assert stats.metrics["repro_queue_depth"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +278,34 @@ class TestDegradation:
 # ---------------------------------------------------------------------------
 
 
-class TestBreakerRouting:
-    def trip(self, svc, engine):
-        board = svc._breakers
-        for _ in range(service_module.BREAKER_FAILURE_THRESHOLD):
-            board.for_engine(engine).record_failure()
+def fail_engine(svc, gid, monkeypatch, engine="batched"):
+    """Give ``engine`` ``ENGINE_FAILURE_LIMIT`` failures: one job whose
+    every attempt crashes, until it fails with its retries spent."""
+    limit = service_module.ENGINE_FAILURE_LIMIT
+    monkeypatch.setattr(service_module, "MAX_RETRIES", limit - 1)
+    monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
+    svc.arm_faults(FaultPlan(seed=0, specs=(
+        FaultSpec(site="worker.run", kind=FaultKind.CRASH, max_fires=limit),
+    )))
+    handle = svc.submit(gid, PATTERNS["3CF"], engine=engine,
+                        use_cache=False)
+    with pytest.raises(WorkerCrashError):
+        handle.result(timeout=60)
+    svc.arm_faults(None)
+    assert svc.health().engine_failures == {engine: limit}
 
-    def test_advisory_default_dispatches_through_open_breaker(self, graph):
-        clock = FakeClock()
-        svc, gid = make_service(graph, clock=clock)
-        self.trip(svc, "batched")
+
+class TestEngineFailures:
+    def test_a_failing_engine_still_runs_its_jobs(self, graph, monkeypatch):
+        svc, gid = make_service(graph)
+        fail_engine(svc, gid, monkeypatch)
+        health = svc.health()
+        assert health.state is HealthState.DEGRADED
+        assert (
+            f"engine[batched]: {service_module.ENGINE_FAILURE_LIMIT} "
+            "consecutive failures"
+        ) in health.summary()
+        assert svc.stats().health == "degraded"
         handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
                             use_cache=False)
         expected = XSetAccelerator(engine="batched").count(
@@ -275,20 +313,82 @@ class TestBreakerRouting:
         ).embeddings
         assert handle.result(timeout=60).embeddings == expected
         assert handle.engine == "batched"  # the engine it named
-        assert svc.stats().health == "degraded"  # one breaker is open
 
-    def test_tripped_breaker_closes_after_the_recovery_window(self, graph):
-        clock = FakeClock()
-        svc, gid = make_service(graph, clock=clock)
-        self.trip(svc, "batched")
-        breaker = svc._breakers.for_engine("batched")
-        svc.count(gid, PATTERNS["3CF"], engine="batched", use_cache=False)
-        # a success inside the window leaves the breaker open
-        assert breaker.state is BreakerState.OPEN
-        clock.advance(service_module.BREAKER_RECOVERY_SECONDS + 1.0)
-        svc.count(gid, PATTERNS["3CF"], engine="batched", use_cache=False)
-        assert breaker.state is BreakerState.CLOSED
-        assert svc.health().state is HealthState.HEALTHY
+    def test_a_clean_run_clears_the_record(self, graph, monkeypatch):
+        """A failing engine's warm light job runs in the pool, not on the
+        submitting thread; that run's success clears the record, and the
+        next such job runs in the service process again."""
+        from repro.sched.adaptive import query_features
+        from repro.service.cache import pattern_cache_key
+
+        svc, gid = make_service(graph, mode="process", max_workers=1,
+                                observability=True)
+        with svc:
+            features = query_features(
+                graph, graph.fingerprint(),
+                pattern_cache_key(PATTERNS["3CF"], None),
+            )
+            svc.predictor.observe(features, "batched", 2e-4)
+            # keep the shape light whatever the pool run measures
+            monkeypatch.setattr(svc.predictor, "observe", lambda *a: None)
+            fail_engine(svc, gid, monkeypatch)
+            assert svc.health().state is HealthState.DEGRADED
+            idle = []
+            run_if_idle = svc._run_if_idle
+            monkeypatch.setattr(
+                svc, "_run_if_idle",
+                lambda job: idle.append(run_if_idle(job)) or idle[-1],
+            )
+
+            def where(handle):
+                (span,) = [
+                    sp for sp in svc._observation.tracer.finished()
+                    if sp.name == "service.job"
+                    and sp.attrs["job_id"] == handle.job_id
+                ]
+                return span.attrs["where"]
+
+            assert svc._idle()
+            pooled = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+                                use_cache=False)
+            pooled.result(timeout=60)
+            assert where(pooled) == "pool"
+            assert idle == [False]  # refused on an idle service
+            health = svc.health()
+            assert health.state is HealthState.HEALTHY
+            assert health.engine_failures == {}
+            here = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+                              use_cache=False)
+            assert here.status is JobStatus.DONE  # ran on this thread
+            assert where(here) == "service"
+            assert idle == [False, True]
+
+    def test_concurrent_crashes_are_all_counted(self, graph, monkeypatch):
+        """Pool threads settle crashes concurrently; each one reaches the
+        engine's record."""
+        import sys
+
+        def crash(*args, **kwargs):
+            raise WorkerCrashError("worker died (injected)")
+
+        monkeypatch.setattr(service_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr(service_module, "run_job", crash)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(mode="thread", max_workers=8) as svc:
+                gid = svc.register_graph(graph, graph_id="g")
+                handles = [
+                    svc.submit(gid, PATTERNS["3CF"], engine="batched",
+                               use_cache=False)
+                    for _ in range(64)
+                ]
+                for handle in handles:
+                    with pytest.raises(WorkerCrashError):
+                        handle.result(timeout=60)
+                assert svc.health().engine_failures == {"batched": 64}
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCrossCheck:
@@ -309,9 +409,8 @@ class TestCrossCheck:
         stats = svc.stats()
         assert stats.crosscheck_mismatches == 1
         assert stats.faults_injected == 1
-        board = svc._breakers
-        snap = board.for_engine("batched").snapshot()
-        assert snap.last_failure_reason == "wrong_result"
+        # a wrong result is one failure of the primary engine
+        assert svc.health().engine_failures == {"batched": 1}
 
     def test_corrupted_reports_never_poison_the_cache(self, graph):
         svc, gid = make_service(graph)  # verify off: corruption lands
@@ -378,7 +477,7 @@ class TestStuckDispatcherDetection:
 class TestUnarmedIsByteIdentical:
     @pytest.mark.parametrize("engine", ["batched", "event"])
     def test_default_resilience_matches_disabled(self, graph, engine):
-        # the default service (breakers, no cross-check) against
+        # the default service (failure records, no cross-check) against
         # the layer out of the picture: a direct run of the same engine
         direct = XSetAccelerator(engine=engine).count(graph, PATTERNS["TT"])
         svc, gid = make_service(graph)

@@ -296,11 +296,9 @@ class TestChaosSplit:
     ):
         monkeypatch.setattr(service_module, "MAX_RETRIES", 8)
         monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
-        # crashes must not open the breaker: it would send every job to
-        # the pool, and the fault draw is what is under test
-        monkeypatch.setattr(
-            service_module, "BREAKER_FAILURE_THRESHOLD", 10**6
-        )
+        # crashes must not make the engine failing: that would send every
+        # job to the pool, and the fault draw is what is under test
+        monkeypatch.setattr(service_module, "ENGINE_FAILURE_LIMIT", 10**6)
         specs = (
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.3),
             FaultSpec(site="worker.run", kind=FaultKind.HANG, rate=0.3,
