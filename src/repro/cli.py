@@ -271,9 +271,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
     """Run a demo workload and print the service's health report.
 
     With ``--chaos`` every query is cross-checked on the event engine and
-    a deterministic seeded fault plan is armed — crashes, corrupted
-    counts and memory stalls — so the report shows crashes retried and
-    wrong counts caught.  Without it, a clean service reports ``healthy``
+    a deterministic seeded fault plan is armed — worker crashes and
+    corrupted counts, both on the engine the queries run on — so the
+    report shows crashes retried and wrong counts caught.  Without it, a clean service reports ``healthy``
     across the board.
     """
     from .graph.generators import erdos_renyi
@@ -295,8 +295,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
                           rate=0.4, max_fires=2),
                 FaultSpec(site=f"engine.{args.engine}",
                           kind=FaultKind.CORRUPT, rate=0.4, bit=2),
-                FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                          rate=0.25, factor=8.0),
             )))
         for pattern in patterns:
             try:

@@ -121,10 +121,8 @@ class Histogram:
     """Fixed-bucket cumulative histogram (Prometheus semantics).
 
     ``observe(v)`` increments every bucket whose upper bound is >= ``v``
-    plus the implicit ``+Inf`` bucket; ``quantile(q)`` answers with the
-    upper bound of the first bucket containing the requested rank — a
-    coarse but monotone estimate good enough for dashboards.  Exact
-    windowed percentiles live in :class:`repro.obs.summary.Window`.
+    plus the implicit ``+Inf`` bucket.  Percentiles live in
+    :mod:`repro.obs.summary`.
     """
 
     kind = "histogram"
@@ -175,21 +173,6 @@ class Histogram:
             cumulative[bound] = running
         cumulative[float("inf")] = running + counts[-1]
         return cumulative
-
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile sample."""
-        with self._lock:
-            counts = list(self._counts)
-            total = self._count
-        if total == 0:
-            return 0.0
-        rank = max(1, round(q * total))
-        running = 0
-        for bound, n in zip(self.bounds, counts):
-            running += n
-            if running >= rank:
-                return bound
-        return self.bounds[-1]  # +Inf bucket: report the largest finite bound
 
     def samples(self) -> list[tuple[str, float]]:
         suffix = _label_suffix(self.labels)

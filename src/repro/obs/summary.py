@@ -1,9 +1,10 @@
 """Shared summary math: the one nearest-rank percentile implementation.
 
-Every percentile the repo reports — service latency summaries, histogram
-quantile estimates, span-duration tables in profile renderings — goes
-through :func:`percentile`, so all surfaces agree on edge-case semantics
-(empty windows report 0, a single sample is every percentile of itself).
+Every percentile the repo reports — service latency summaries and
+span-duration tables in profile renderings — goes through
+:func:`percentile`, so all surfaces agree on edge-case semantics (empty
+windows report 0, a single sample is every percentile of itself).
+Histograms report only their buckets, sum and count.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 A job is one ``graph_id × pattern × config`` query.  Submitting returns a
 :class:`JobHandle` immediately; the handle is a future-like object with
-status, a blocking ``result()``, and best-effort ``cancel()``.  The
-internal :class:`Job` record carries the scheduling bookkeeping (cost
-prediction, retry backoff, attempt count) and never leaves the service.
+status, a blocking ``result()``, and ``cancel()``, which succeeds exactly
+while the job is still in the service's queue.  The internal :class:`Job`
+record carries the scheduling bookkeeping (cost prediction, retry
+backoff, attempt count) and never leaves the service.
 """
 
 from __future__ import annotations
@@ -80,23 +81,6 @@ class JobHandle:
                 return False
             self._status = status
             self._report = report
-            self._error = error
-        self._done.set()
-        return True
-
-    def _finish_if(self, expected: JobStatus, status: JobStatus,
-                   error: BaseException | None = None) -> bool:
-        """Atomic ``expected`` → terminal ``status`` transition.
-
-        Unlike :meth:`_finish`, refuses unless the handle is *exactly* in
-        ``expected`` — the check and the transition happen under one lock
-        acquisition, so a job racing from PENDING to RUNNING cannot be
-        cancelled out from under a live worker.
-        """
-        with self._lock:
-            if self._status is not expected:
-                return False
-            self._status = status
             self._error = error
         self._done.set()
         return True
@@ -194,11 +178,8 @@ class Job:
     #: service-clock timestamp of the most recent queue push (queue-wait
     #: accounting and the queue's anti-starvation aging bound)
     enqueued_at: float = 0.0
-    #: queue-internal: True once pop() handed the job out — the heap and
-    #: the aging deque cross-reference each other through this flag
-    taken: bool = False
 
     def cost_key(self) -> tuple[float, int]:
-        """Heap order: shortest predicted job first, then submit order —
+        """Queue order: shortest predicted job first, then submit order —
         identical predictions dispatch first come, first served."""
         return (self.predicted_seconds, self.seq)

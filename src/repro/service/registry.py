@@ -135,7 +135,7 @@ class GraphRegistry:
         """Register ``graph``; returns its id (defaults to ``graph.name``).
 
         Re-registering the identical graph under the same id is a no-op;
-        registering a *different* graph under a taken id raises — use
+        registering a *different* graph under an id in use raises — use
         :meth:`update` to replace a graph deliberately.
         """
         gid = graph_id or graph.name

@@ -1,32 +1,31 @@
 """The service's job queue: one dispatch rule, cost-ranked with aging.
 
-The queue is a bounded binary heap ordered by ``(predicted seconds,
-submit seq)`` — shortest predicted job first, so one heavy clique query
-stops blowing the p99 of hundreds of cheap triangle counts.  Jobs with identical predictions dispatch in
-submit order, and an **anti-starvation aging bound** guarantees
-progress: a job queued longer than ``age_limit`` seconds dispatches
-ahead of cheaper newcomers (tracked in arrival order through a side
-deque).
+The queue is one bounded list of ``(cost key, push number, job)``, kept
+sorted under one lock: shortest predicted job first, so one heavy clique
+query stops blowing the p99 of hundreds of cheap triangle counts, and
+identical predictions in submit order.  An **anti-starvation aging
+bound** guarantees progress: the earliest-pushed job, once queued longer
+than ``age_limit`` seconds, dispatches ahead of cheaper newcomers.
+
+A job is pending exactly while it is in the list.  A pop, a cancel
+(:meth:`JobQueue.remove`) and a shutdown drain each take it out, so the
+list's length is the pending count and no flag has to agree with it.
+A crash-retried job waiting out its backoff (``Job.not_before``, against
+the caller-supplied clock, which keeps the tests sleep-free) stays put.
 
 Backpressure is a typed error, never a blocking submit: a full queue
-raises :class:`~repro.errors.QueueFullError` so callers can shed load
-(the paper's "heavy traffic" framing demands the service itself stay
-responsive).
-
-Cancelled jobs are removed lazily (tombstoned), and crash-retried jobs
-waiting out their backoff (``Job.not_before``) are deferred in place —
-against the caller-supplied clock, which keeps every timing decision
-injectable and the concurrency tests sleep-free.
+raises :class:`~repro.errors.QueueFullError` so callers can shed load.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import itertools
 import threading
-from collections import deque
+from operator import itemgetter
 
 from ..errors import QueueFullError
-from .job import Job, JobStatus
+from .job import Job, JobHandle
 
 __all__ = ["AGE_LIMIT_SECONDS", "JobQueue"]
 
@@ -57,121 +56,75 @@ class JobQueue:
         self.limit = max(int(limit), 1)
         #: seconds after which a queued job outranks cheaper newcomers
         self.age_limit = age_limit
-        self._heap: list[tuple[tuple, int, Job]] = []
-        #: arrival-order view for the aging bound: ``(enqueued_at, job)``
-        #: per push, so the entry of an earlier push of a requeued job is
-        #: recognisably stale
-        self._arrivals: deque[tuple[float, Job]] = deque()
+        #: the pending jobs, sorted; push numbers give the arrival order
+        self._entries: list[tuple[tuple, int, Job]] = []
+        self._pushes = itertools.count()
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _pending(job: Job) -> bool:
-        return not job.taken and job.handle.status is JobStatus.PENDING
 
     def push(self, job: Job) -> None:
         with self._lock:
-            # the heap also holds cancelled tombstones and jobs taken
-            # through the aging path, so its length only bounds the
-            # pending count: recount before rejecting
-            if len(self._heap) >= self.limit and sum(
-                1 for _, _, j in self._heap if self._pending(j)
-            ) >= self.limit:
+            if len(self._entries) >= self.limit:
                 raise QueueFullError(
                     f"service queue is full ({self.limit} jobs pending); "
                     f"retry later or raise queue_limit"
                 )
-            if job.taken:
-                # a requeue.  A take through the aging path left this
-                # job's old entry in the heap; clearing ``taken`` would
-                # revive it as a second pending copy, so drop it first
-                self._heap = [e for e in self._heap if e[2] is not job]
-                heapq.heapify(self._heap)
-                job.taken = False
-            heapq.heappush(self._heap, (job.cost_key(), job.seq, job))
-            self._arrivals.append((job.enqueued_at, job))
-
-    def _take_starving(self, now: float, fits) -> tuple[str, Job] | None:
-        """Arrival-order head older than the aging bound, if dispatchable.
-
-        Called under the lock.  Prunes taken/finished heads, and entries
-        of a job pushed again since, as it goes; returns ``("run", job)``
-        for a starving runnable job (removed and marked taken) or
-        ``("stay", job)`` for a runnable head that ``fits`` refuses.
-        """
-        while self._arrivals:
-            stamp, job = self._arrivals[0]
-            if stamp != job.enqueued_at or not self._pending(job):
-                self._arrivals.popleft()
-                continue
-            if now - job.enqueued_at < self.age_limit:
-                return None  # youngest-possible head is not starving yet
-            if job.not_before is not None and now < job.not_before:
-                return None  # parked on retry backoff; cannot jump ahead
-            if fits is not None and not fits(job):
-                return ("stay", job)
-            self._arrivals.popleft()
-            job.taken = True
-            return ("run", job)
-        return None
+            bisect.insort(
+                self._entries, (job.cost_key(), next(self._pushes), job)
+            )
 
     def pop(self, now: float, fits=None) -> Job | None:
-        """Next runnable job, or None.
+        """Next runnable job, removed from the queue, or None.
 
-        Skips cancelled tombstones and leaves jobs whose retry backoff
-        (``job.not_before``) has not yet elapsed in the queue — both
-        assessed lazily, at dispatch time, against the injected clock.
-        A job queued past ``age_limit`` seconds dispatches first
-        regardless of its predicted cost (anti-starvation).  With ``fits``, a next runnable job it refuses
-        is not handed out: it stays queued as it was (key, ``seq``, place
-        in the aging order) and None is returned.
+        The earliest-pushed job goes first once it has waited
+        ``age_limit`` seconds, unless it is parked on its retry backoff
+        (``job.not_before`` still ahead of ``now``); otherwise the
+        cheapest job not parked on backoff goes.  With ``fits``, a job it
+        refuses is not handed out: it stays where it is and None is
+        returned.
         """
-        deferred: list[Job] = []
-        try:
-            while True:
-                with self._lock:
-                    starving = self._take_starving(now, fits)
-                if starving is not None:
-                    verdict, job = starving
-                    return job if verdict == "run" else None
-                with self._lock:
-                    if not self._heap:
-                        return None
-                    _, _, job = heapq.heappop(self._heap)
-                if job.taken:
-                    continue  # already handed out through the aging path
-                if job.handle.status is not JobStatus.PENDING:
-                    continue  # cancelled (or otherwise finished) while queued
-                if job.not_before is not None and now < job.not_before:
-                    deferred.append(job)  # backoff pending; stays queued
-                    continue
-                if fits is not None and not fits(job):
-                    deferred.append(job)
+        with self._lock:
+            entries = self._entries
+            if not entries:
+                return None
+            entry = min(entries, key=itemgetter(1))  # earliest pushed
+            job = entry[2]
+            if now - job.enqueued_at < self.age_limit or _parked(job, now):
+                entry = next(
+                    (e for e in entries if not _parked(e[2], now)), None
+                )
+                if entry is None:
                     return None
-                job.taken = True
-                return job
-        finally:
-            if deferred:
-                with self._lock:
-                    for job in deferred:
-                        heapq.heappush(
-                            self._heap, (job.cost_key(), job.seq, job)
-                        )
+                job = entry[2]
+            if fits is not None and not fits(job):
+                return None
+            entries.remove(entry)
+            return job
+
+    def remove(self, handle: JobHandle) -> Job | None:
+        """Take the job of ``handle`` out of the queue: the job, or None
+        when it is not queued (popped, drained or never pushed)."""
+        with self._lock:
+            for i, entry in enumerate(self._entries):
+                if entry[2].handle is handle:
+                    del self._entries[i]
+                    return entry[2]
+        return None
 
     def drain(self) -> list[Job]:
-        """Remove and return every still-pending job, backoff or not.
+        """Remove and return every queued job, backoff or not.
 
         Shutdown path: unlike :meth:`pop` this never defers, so waiters
         of a job parked on its retry backoff are released too.
         """
         with self._lock:
-            heap, self._heap = self._heap, []
-            self._arrivals.clear()
-        return [job for _, _, job in heap if self._pending(job)]
+            entries, self._entries = self._entries, []
+        return [job for _, _, job in entries]
 
     def depth(self) -> int:
-        """Live (non-tombstoned) queued jobs."""
-        with self._lock:
-            return sum(1 for _, _, job in self._heap if self._pending(job))
+        """Queued jobs.  O(1) and lock-free: one read of the list."""
+        return len(self._entries)
 
-    def __len__(self) -> int:
-        return self.depth()
+
+def _parked(job: Job, now: float) -> bool:
+    """Is ``job`` waiting out a retry backoff at ``now``?"""
+    return job.not_before is not None and now < job.not_before

@@ -513,28 +513,23 @@ class QueryService:
 
     def _settle(
         self,
-        target: "Job | JobHandle",
+        job: Job,
         status: JobStatus,
         *,
         report: "SimReport | None" = None,
         error: BaseException | None = None,
-        expect: JobStatus | None = None,
     ) -> bool:
         """Move a job to its terminal ``status`` — the one place that does.
 
         Closes the job's spans, finishes the handle (releasing its
         waiters) and bumps the outcome's count.  Returns False, having
-        counted nothing, when the handle was already terminal — or, with
-        ``expect``, not exactly in that state, which is the compare-and-set
-        ``cancel()`` relies on.  A bare handle (``cancel()`` holds nothing
-        else) has no spans to close.  Callable from any thread: the
-        submitter, the dispatcher and the executor's callback thread all
-        end jobs here.
+        counted nothing, when the handle was already terminal.  Callable
+        from any thread: the submitter, the dispatcher, the executor's
+        callback thread and a cancelling caller all end jobs here.
         """
-        job = target if isinstance(target, Job) else None
-        handle = target if job is None else job.handle
+        handle = job.handle
         ob = self._observation
-        if job is not None and ob is not None and job.span is not None:
+        if ob is not None and job.span is not None:
             # spans close before the waiters wake, so a trace exported
             # right after result() already holds this job (queued child
             # first)
@@ -548,11 +543,7 @@ class QueryService:
         with self._cond:
             # finished and counted under the lock stats() takes: whoever
             # result() wakes finds this job already in the counts
-            if expect is not None:
-                won = handle._finish_if(expect, status, error)
-            else:
-                won = handle._finish(status, report, error)
-            if not won:
+            if not handle._finish(status, report, error):
                 return False
             # a cache hit completes a job without a worker completing it
             self._count("cache_hits" if handle.from_cache else status.value)
@@ -602,12 +593,10 @@ class QueryService:
             self._ensure_dispatcher()
 
     def _cancel(self, handle: JobHandle) -> bool:
-        # compare-and-set: a job racing from PENDING to RUNNING between a
-        # status check and the transition must NOT be marked cancelled
-        # while its worker keeps executing
-        return self._settle(
-            handle, JobStatus.CANCELLED, expect=JobStatus.PENDING
-        )
+        # a job is cancellable exactly while it is queued: whoever takes it
+        # out of the queue first (this, a pop or shutdown's drain) owns it
+        job = self._queue.remove(handle)
+        return job is not None and self._settle(job, JobStatus.CANCELLED)
 
     def pause(self) -> None:
         """Stop dispatching; queued jobs accumulate (tests, maintenance)."""
@@ -751,10 +740,10 @@ class QueryService:
         Waking the dispatcher to run a job the submitter can run itself
         costs two thread hops per query.  Pool jobs stay queued, so cost
         order still decides a burst's first pool call.  The first look
-        takes no lock and reads the heap, not ``JobQueue.depth()`` (a lock
-        and a scan): on a busy service it costs a few attribute reads.
-        The look is confirmed under ``_cond``, which ``_begin`` takes again
-        to count the job in flight, so a concurrent submitter sees the
+        takes no lock (``JobQueue.depth()`` is one read of the queue's
+        length): on a busy service it costs a few attribute reads.  The
+        look is confirmed under ``_cond``, which ``_begin`` takes again to
+        count the job in flight, so a concurrent submitter sees the
         service busy.
         """
         if self.mode == "inline" or not self._idle() or not self._light(job):
@@ -764,31 +753,23 @@ class QueryService:
                 return False
             self._count("submitted")
             job.where = "service"
-            began = self._begin(job)
-        if began:
-            self._launch(job)
+            self._begin(job)
+        self._launch(job)
         return True
 
     def _idle(self) -> bool:
-        return not (self._paused or self._in_flight or self._queued())
-
-    def _queued(self) -> bool:
-        """Might a job be queued?  O(1) and lock-free, unlike
-        ``JobQueue.depth()``: the heap's length, which also counts
-        cancelled tombstones, so it errs towards "yes"."""
-        return bool(self._queue._heap)
+        return not (self._paused or self._in_flight or self._queue.depth())
 
     def _dispatch(self, job: Job) -> None:
         light = self.mode != "inline" and self._light(job)
         job.where = "service" if light else "pool"
-        if self._begin(job):
-            self._launch(job)
+        self._begin(job)
+        self._launch(job)
 
-    def _begin(self, job: Job) -> bool:
+    def _begin(self, job: Job) -> None:
         """Everything that happens to a job between the queue and its run.
-        False when the job finished while queued and is not to run."""
-        if job.handle.status is not JobStatus.PENDING:
-            return False
+        A job out of the queue is pending: a cancel or a shutdown could
+        only have finished it by taking it out first."""
         # this attempt's faults (drawn here unless _light already has);
         # the next attempt draws anew
         self._faults(job)
@@ -810,7 +791,6 @@ class QueryService:
                 job.span.set_attr("verify_engine", job.verify_engine)
         with self._cond:
             self._in_flight += 1
-        return True
 
     def _launch(self, job: Job) -> None:
         """Run ``job`` where ``_dispatch`` or ``_run_if_idle`` put it: on
@@ -867,7 +847,7 @@ class QueryService:
             # a freed slot matters to the dispatcher only when a job waits
             # for it: otherwise, as after every run on a submitting thread,
             # the wake-up would only contend for the GIL
-            if self._queued():
+            if self._queue.depth():
                 self._cond.notify_all()
         if future.cancelled():
             # the executor dropped the job (e.g. cancel_futures on

@@ -205,6 +205,37 @@ class TestCluster:
             build_parser().parse_args(["cluster", "--transport", "smoke"])
 
 
+class TestHealthChaos:
+    def test_every_armed_fault_fires(self, capsys, monkeypatch):
+        """A fault armed at a site the demo's engine never passes through
+        shows up as a zero series, or none: each must have fired."""
+        from repro.service import QueryService
+
+        armed = []
+        arm = QueryService.arm_faults
+
+        def recording(self, plan):
+            armed.append(plan)
+            arm(self, plan)
+
+        monkeypatch.setattr(QueryService, "arm_faults", recording)
+        assert main(["health", "--chaos", "--prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert "FAILED" not in out
+        series = dict(
+            line.rsplit(" ", 1) for line in out.splitlines()
+            if line.startswith("repro_faults_injected_total{")
+        )
+        (plan,) = armed
+        assert plan.specs
+        for spec in plan.specs:
+            name = (
+                f'repro_faults_injected_total{{kind="{spec.kind.value}",'
+                f'site="{spec.site}"}}'
+            )
+            assert float(series.get(name, 0)) > 0, name
+
+
 class TestJsonFlags:
     def test_stats_json(self, capsys):
         import json

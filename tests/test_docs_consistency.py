@@ -1,6 +1,7 @@
 """Documentation consistency: the docs describe what actually exists."""
 
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -519,3 +520,28 @@ class TestStructure:
             and node.attr in {"flight", "flight_dir", "_on_transition"}
         }
         assert members == set()
+
+    def test_a_job_is_pending_exactly_while_it_is_queued(self):
+        """The queue's list is the pending state: no tombstones, no
+        ``taken`` flag beside it and no compare-and-set cancel, so
+        nothing in the service can disagree with it."""
+        from repro.service import Job, JobHandle, JobQueue
+
+        assert "taken" not in {f.name for f in dataclasses.fields(Job)}
+        assert not hasattr(JobHandle, "_finish_if")
+        assert not hasattr(JobQueue, "__len__")
+        package = ROOT / "src" / "repro" / "service"
+        gone = {"_heap", "taken", "_finish_if", "_take_starving", "expect"}
+        named = {
+            (path.name, name)
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in (
+                [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else [node.arg] if isinstance(node, (ast.arg, ast.keyword))
+                else []
+            )
+            if name in gone
+        }
+        assert named == set()

@@ -62,6 +62,12 @@ class TestExamples:
         assert "ui.perfetto.dev" in out
         assert out_file.exists()
 
+    def test_chaos_demo_fires_every_armed_fault(self, capsys):
+        # the demo asserts every count, a retry and that each armed fault
+        # was injected
+        out = run_example("chaos_demo.py", ["--scale", "0.5"], capsys)
+        assert "every count survived the chaos plan" in out
+
     def test_examples_importable(self):
         """Every example compiles (no syntax errors, imports resolve)."""
         import py_compile

@@ -222,10 +222,9 @@ class TestDispatchOrder:
                 svc.submit(gid, PATTERNS[name], engine="batched")
                 for name in names
             ]
-            # the heap ranks by predicted cost alone
+            # the queue ranks by predicted cost alone
             by_cost = [
-                job.handle.pattern_name
-                for _, _, job in sorted(svc._queue._heap)
+                job.handle.pattern_name for _, _, job in svc._queue._entries
             ]
             svc.resume()
             counts = [h.result(timeout=60).embeddings for h in handles]

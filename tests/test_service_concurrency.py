@@ -20,12 +20,13 @@ single thread here:
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -256,9 +257,8 @@ class TestBackpressure:
         svc.shutdown()
 
     def test_queue_never_holds_more_than_its_limit(self):
-        """Cancelled tombstones and jobs taken through the aging path stay
-        in the heap until popped; neither may make room for more pending
-        jobs than ``limit``."""
+        """Neither a cancel nor a take through the aging path may make room
+        for more pending jobs than ``limit``, nor leave less."""
         job = queued_jobs()
 
         def fill(queue):
@@ -268,14 +268,15 @@ class TestBackpressure:
                 except QueueFullError:
                     return queue.depth()
 
-        # two tombstones: depth() (every stats()/health() asks it) and a
-        # pop that steps over both
+        # two cancels: depth() (every stats()/health() asks it) and the
+        # next pop see neither
         queue = JobQueue(limit=4)
         jobs = [job(0.1 * i) for i in range(4)]
         for j in jobs:
             queue.push(j)
         for j in jobs[:2]:
-            j.handle._finish(JobStatus.CANCELLED)
+            assert queue.remove(j.handle) is j
+        assert queue.remove(jobs[0].handle) is None  # once only
         assert queue.depth() == 2
         assert queue.pop(0.0) is jobs[2]
         assert fill(queue) == 4
@@ -330,15 +331,31 @@ class TestCancellation:
         svc.shutdown()
 
     def test_cancel_is_atomic_against_running_transition(self, graph):
-        # a job that reached RUNNING between cancel()'s check and its
-        # transition must NOT be marked cancelled under a live worker
-        svc, gid = make_service(graph, start_paused=True)
-        handle = svc.submit(gid, PATTERNS["3CF"])
-        handle._set_running()  # simulate the dispatcher winning the race
-        assert handle.cancel() is False
-        assert handle.status is JobStatus.RUNNING
-        assert svc.stats().cancelled == 0
-        handle._finish(JobStatus.FAILED, error=RuntimeError("unwind"))
+        # whoever takes a job out of the queue first owns it: a job the
+        # dispatcher popped cannot be cancelled and still runs, and a
+        # queued job is cancelled exactly once and never dispatched
+        refused = []
+
+        class CancellingExecutor(InlineExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                refused.append(popped.cancel())  # popped, not yet run
+                return super().submit(fn, *args, **kwargs)
+
+        svc, gid = make_service(
+            graph, start_paused=True, executor=CancellingExecutor()
+        )
+        popped = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        queued = svc.submit(gid, PATTERNS["WEDGE"], engine="batched")
+        assert queued.cancel() is True
+        assert queued.cancel() is False
+        svc.resume()
+        assert popped.result(timeout=60).embeddings == \
+            XSetAccelerator(engine="batched").count(
+                graph, PATTERNS["3CF"]).embeddings
+        assert refused == [False]  # one dispatch: the cancelled job's none
+        assert queued.status is JobStatus.CANCELLED
+        stats = svc.stats()
+        assert (stats.cancelled, stats.completed) == (1, 1)
         svc.shutdown()
 
     def test_executor_cancelled_future_releases_waiters(self, graph):
@@ -513,9 +530,9 @@ class TestPerSubmitConstants:
         same = dataclasses.replace(PATTERNS["DIA"])  # equal, not identical
         for pattern in (PATTERNS["DIA"], same, PATTERNS["3CF"]):
             svc.submit(gid, pattern)
-        dia, dia2, tri = (
-            job for _, _, job in sorted(svc._queue._heap, key=lambda e: e[1])
-        )
+        # the queue's entries, in push order
+        entries = sorted(svc._queue._entries, key=lambda entry: entry[1])
+        dia, dia2, tri = (job for _, _, job in entries)
         assert dia.plan is dia2.plan and dia.plan is not tri.plan
         assert dia.cache_key.config_key is svc.config.cache_key()
         assert dia2.cache_key.config_key is tri.cache_key.config_key
@@ -727,3 +744,203 @@ class TestCountsAgreeWithSeries:
         assert stats.cancelled == 1
         assert stats.metrics["repro_jobs_cancelled_total"] == 1
         svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# the queue against a reference model, and cancels racing a live dispatcher
+# ---------------------------------------------------------------------------
+
+
+class ReferenceQueue:
+    """The dispatch rule as plainly as it can be said: jobs in push order;
+    the earliest-pushed goes once it has waited ``age_limit`` unless it is
+    on backoff, else the cheapest not on backoff; a refused job stays."""
+
+    def __init__(self, limit: int, age_limit: float) -> None:
+        self.limit, self.age_limit, self.jobs = limit, age_limit, []
+
+    def push(self, job: Job) -> None:
+        if len(self.jobs) >= self.limit:
+            raise QueueFullError("full")
+        self.jobs.append(job)
+
+    def pop(self, now, fits=None):
+        def parked(job):
+            return job.not_before is not None and now < job.not_before
+
+        runnable = [job for job in self.jobs if not parked(job)]
+        if not runnable:
+            return None
+        head = self.jobs[0]
+        if now - head.enqueued_at < self.age_limit or parked(head):
+            head = min(runnable, key=Job.cost_key)
+        if fits is not None and not fits(head):
+            return None
+        return self.remove(head.handle)
+
+    def remove(self, handle):
+        for i, job in enumerate(self.jobs):
+            if job.handle is handle:
+                return self.jobs.pop(i)
+        return None
+
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from([0.1, 0.5, 0.5, 3.0]),  # cost, with ties
+            st.sampled_from([None, 0.0, 1.5, 4.0]),  # backoff, if any
+        ),
+        st.tuples(st.just("pop"), st.sampled_from([None, 0, 1, 2])),
+        st.tuples(st.just("remove"), st.integers(0, 40)),
+        st.tuples(st.just("requeue"), st.integers(0, 40)),
+        st.tuples(st.just("tick"), st.sampled_from([0.5, 1.0, 2.5])),
+        st.tuples(st.just("drain")),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+class TestQueueAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ops=queue_ops)
+    def test_every_result_and_depth_match_the_reference(self, ops):
+        queue, ref = JobQueue(limit=5, age_limit=2.0), ReferenceQueue(5, 2.0)
+        now, jobs, running = 0.0, [], []
+
+        def both(call, *args):
+            outcomes = []
+            for q in (queue, ref):
+                try:
+                    outcomes.append(getattr(q, call)(*args))
+                except QueueFullError:
+                    outcomes.append(QueueFullError)
+            assert outcomes[0] is outcomes[1], (call, args)
+            return outcomes[0]
+
+        for op, *args in ops:
+            if op == "push":
+                cost, backoff = args
+                handle = JobHandle(
+                    job_id=len(jobs), graph_id="g", pattern_name="3CF",
+                    engine="batched", cancel_cb=lambda h: False,
+                )
+                job = Job(
+                    handle=handle, graph_id="g", fingerprint="fp",
+                    plan=None, config=None, cache_key=None, seq=len(jobs),
+                    predicted_seconds=cost, enqueued_at=now,
+                    not_before=None if backoff is None else now + backoff,
+                )
+                jobs.append(job)
+                both("push", job)
+            elif op == "pop":
+                # a veto that refuses one job in three, or none
+                salt = args[0]
+                fits = None if salt is None else (
+                    lambda job: (job.seq + salt) % 3 != 0
+                )
+                job = both("pop", now, fits)
+                if job is not None:
+                    job.handle._set_running()
+                    running.append(job)
+            elif op == "remove" and jobs:
+                both("remove", jobs[args[0] % len(jobs)].handle)
+            elif op == "requeue" and running:
+                # what the service does with a crashed job
+                job = running.pop(args[0] % len(running))
+                job.handle._requeue()
+                job.enqueued_at = now
+                if both("push", job) is QueueFullError:
+                    job.handle._finish(JobStatus.FAILED, error=RuntimeError())
+            elif op == "tick":
+                now += args[0]
+            elif op == "drain":
+                drained = queue.drain()
+                assert sorted(j.seq for j in drained) == \
+                    sorted(j.seq for j in ref.jobs)
+                ref.jobs = []
+            assert queue.depth() == len(ref.jobs)
+
+
+class TestCancelRace:
+    def test_every_handle_settles_once_under_racing_cancels(
+        self, graph, monkeypatch
+    ):
+        """Eight threads submit and cancel while the dispatcher pops: a
+        job settles once, cancelled only while queued, never both run
+        and cancelled."""
+        finished: dict[int, int] = {}
+        finish = JobHandle._finish
+
+        def counted(handle, status, *args, **kwargs):
+            won = finish(handle, status, *args, **kwargs)
+            if won:
+                finished[handle.job_id] = finished.get(handle.job_id, 0) + 1
+            return won
+
+        launched: set[int] = set()
+        launch = QueryService._launch
+
+        def logged(self, job):
+            launched.add(job.handle.job_id)
+            launch(self, job)
+
+        monkeypatch.setattr(JobHandle, "_finish", counted)
+        monkeypatch.setattr(QueryService, "_launch", logged)
+        svc, gid = make_service(
+            graph, mode="thread", max_workers=2,
+            executor=ScriptedExecutor(), queue_limit=8 * 40,
+        )
+        handles: list[JobHandle] = []
+        cancelled: list[JobHandle] = []
+        lock = threading.Lock()
+
+        def client(seed):
+            rng = np.random.default_rng(seed)
+            mine = []
+            for _ in range(40):
+                mine.append(svc.submit(
+                    gid, PATTERNS[("3CF", "WEDGE", "DIA")[rng.integers(3)]],
+                    use_cache=False,
+                ))
+                if rng.random() < 0.5:
+                    target = mine[rng.integers(len(mine))]
+                    if target.cancel():
+                        with lock:
+                            cancelled.append(target)
+            with lock:
+                handles.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for handle in handles:
+            try:
+                handle.result(timeout=60)
+            except JobCancelledError:
+                pass
+        stats = svc.stats()
+        svc.shutdown()
+        assert len(handles) == stats.submitted == 8 * 40
+        assert all(finished[h.job_id] == 1 for h in handles)
+        assert len({id(h) for h in cancelled}) == len(cancelled)
+        assert {id(h) for h in cancelled} == {
+            id(h) for h in handles if h.status is JobStatus.CANCELLED
+        }
+        assert not launched & {h.job_id for h in cancelled}
+        assert len(launched) == stats.completed
+        assert stats.completed + stats.cancelled == stats.submitted
+        assert stats.cancelled == len(cancelled) > 0

@@ -92,6 +92,11 @@ def past_a_full_pool(queue, now, fits=cheap) -> list[Job]:
     return jobs
 
 
+def in_queue(queue) -> list[Job]:
+    """The queue's jobs, in its cost order."""
+    return [job for _, _, job in queue._entries]
+
+
 def oracle(graph, name) -> int:
     return count_embeddings(graph, build_plan(PATTERNS[name])).embeddings
 
@@ -152,10 +157,11 @@ class TestPopSet:
         for job in jobs.values():
             queue.push(job)
         assert ids(past_a_full_pool(queue, 0.0)) == [2, 3, 1, 7]
-        # job 4 was looked at and refused: it is still the next one out,
-        # ahead of its later twin, under its own seq
+        # job 4 was looked at and refused: it is still queued, the next
+        # one out, ahead of its later twin, under its own seq
         assert queue.depth() == 3
-        assert jobs[4].seq == 4 and not jobs[4].taken
+        assert in_queue(queue) == [jobs[4], jobs[5], jobs[6]]
+        assert jobs[4].seq == 4
         assert past_a_full_pool(queue, 0.0) == []
         # a pool worker frees up: the head goes unasked
         assert [queue.pop(0.0) for _ in range(4)] == [
@@ -178,7 +184,7 @@ class TestPopSet:
         assert ids([queue.pop(0.0)]) == [3]
         assert ids(past_a_full_pool(queue, 0.0, unfaulted)) == [1, 2, 4]
 
-    def test_tombstone_and_backoff_inside_the_run(self):
+    def test_a_cancelled_job_and_backoff_inside_the_run(self):
         queue = JobQueue(limit=8)
         first = queued(1, 0.1)
         cancelled = queued(2, 0.2)
@@ -186,7 +192,7 @@ class TestPopSet:
         last = queued(5, 0.5)
         for job in (first, cancelled, parked, last):
             queue.push(job)
-        cancelled.handle._finish(JobStatus.CANCELLED)
+        assert queue.remove(cancelled.handle) is cancelled
         assert ids(past_a_full_pool(queue, 10.0)) == [1, 5]
         # the job on backoff was stepped over, not dropped and not run
         assert queue.depth() == 1
@@ -211,7 +217,9 @@ class TestPopSet:
                     queued(3, 0.1, enqueued_at=9.0)):
             queue.push(job)
         assert ids(past_a_full_pool(queue, 10.0)) == [1]
-        assert not heavy.taken and queue.depth() == 2
+        # the refused head is still queued, under its own seq
+        assert heavy in in_queue(queue) and queue.depth() == 2
+        assert heavy.seq == 2
         # the cheap newcomer does not jump the starving head
         assert past_a_full_pool(queue, 10.0) == []
         assert queue.pop(10.0) is heavy
@@ -252,9 +260,8 @@ class TestSeededMix:
                     engine="event" if kind == "heavy" else "batched",
                 )
                 submitted.append((handle, gid, name, kind))
-            # what one-by-one dispatch would do: the heap, in heap order
-            queue = sorted(svc._queue._heap, key=lambda entry: entry[:2])
-            expected = [job.handle.job_id for _, _, job in queue]
+            # what one-by-one dispatch would do: the queue, in its order
+            expected = [job.handle.job_id for _, _, job in svc._queue._entries]
             svc.resume()
             for handle, gid, name, _ in submitted:
                 report = handle.result(timeout=120)
