@@ -4,12 +4,13 @@
 Computes clean reference counts for a handful of patterns, then replays
 the same queries through a :class:`QueryService` that cross-checks every
 query on the event engine while a deterministic :class:`FaultPlan`
-injects worker crashes and silent bit-flips in the batched engine's
-result.  The demo asserts — not just prints — that every query still
-comes back with the *correct* embedding count from the batched engine it
-named, and that every armed fault fired, then shows how each query
-survived: retried on batched after an injected crash, or cross-checked
-and served from the verifying engine.
+injects worker crashes and silent bit-flips in the count each batched
+run returns, both at the worker's fault site ``worker.run``.  The demo
+asserts — not just prints — that every query still comes back with the
+*correct* embedding count from the batched engine it named, and that
+every armed fault fired, then shows how each query survived: retried on
+batched after an injected crash, or cross-checked and served from the
+verifying engine.
 
 Because the plan is seeded, the run is reproducible: same seed, same
 faults, same recovery story every time.
@@ -58,18 +59,17 @@ def main() -> None:
 
     # a crash is retried on batched in a fresh worker, and every query is
     # cross-checked on the event engine (verify_fraction=1.0 for the
-    # demo's sake; production would sample a fraction).  Only faults at
-    # sites the batched run passes through are armed: the event engine's
-    # cross-check runs outside the plan, so a memory stall would never
-    # fire.  The first two attempts crash, whatever the seed.
+    # demo's sake; production would sample a fraction).  Faults fire in
+    # the worker, around the batched run; the event engine's cross-check
+    # is never faulted.  The first two attempts crash, whatever the seed.
     plan = FaultPlan(seed=args.seed, specs=(
         FaultSpec(site="worker.run", kind=FaultKind.CRASH,
                   rate=1.0, max_fires=2),
-        FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
+        FaultSpec(site="worker.run", kind=FaultKind.CORRUPT,
                   rate=0.5, bit=3),
     ))
     print(f"\nreplaying under chaos (seed={args.seed}): worker crashes, "
-          "bit-flips in the batched datapath\n")
+          "bit-flips in the batched count\n")
 
     with QueryService(mode="inline", verify_fraction=1.0) as service:
         gid = service.register_graph(graph)

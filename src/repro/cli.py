@@ -272,9 +272,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
     With ``--chaos`` every query is cross-checked on the event engine and
     a deterministic seeded fault plan is armed — worker crashes and
-    corrupted counts, both on the engine the queries run on — so the
-    report shows crashes retried and wrong counts caught.  Without it, a clean service reports ``healthy``
-    across the board.
+    corrupted counts, both at the worker's one fault site ``worker.run``
+    — so the report shows crashes retried and wrong counts caught.
+    Without it, a clean service reports ``healthy`` across the board.
     """
     from .graph.generators import erdos_renyi
     from .patterns.pattern import PATTERNS
@@ -293,8 +293,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
             service.arm_faults(FaultPlan(seed=args.seed, specs=(
                 FaultSpec(site="worker.run", kind=FaultKind.CRASH,
                           rate=0.4, max_fires=2),
-                FaultSpec(site=f"engine.{args.engine}",
-                          kind=FaultKind.CORRUPT, rate=0.4, bit=2),
+                FaultSpec(site="worker.run", kind=FaultKind.CORRUPT,
+                          rate=0.4, bit=2),
             )))
         for pattern in patterns:
             try:

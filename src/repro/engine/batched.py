@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs import context as _obs
-from ..resilience import faults as _faults
 from ..siu.models import make_siu
 from .base import Engine, register_engine
 from .functional import FrontierExpander, FrontierLevel, sweep_frontier
@@ -67,15 +66,9 @@ class BatchedEngine(Engine):
         from ..sim.report import SimReport
 
         t_wall = _time.perf_counter()
-        site = f"engine.{self.name}"
         # guarded hot-path hook: with no active observation this is one
         # attribute load, and no span / accumulator code runs at all
         ob = _obs.current()
-        # fault site "engine.<name>": CRASH/HANG fire before the sweep,
-        # CORRUPT flips a bit in the final count after it (soft error)
-        inj = _faults.active()
-        if inj is not None:
-            inj.fire(site)
         siu = make_siu(
             config.siu_kind, config.segment_width, config.bitmap_width
         )
@@ -85,7 +78,7 @@ class BatchedEngine(Engine):
             merged = self._sweep(expander, all_roots, None)
         else:
             with ob.tracer.span(
-                site,
+                f"engine.{self.name}",
                 graph=graph.name,
                 pattern=plan.pattern.name,
                 roots=int(all_roots.shape[0]),
@@ -99,8 +92,6 @@ class BatchedEngine(Engine):
             num_sius=config.num_pes * config.sius_per_pe,
         )
         annotate_frontier_report(report, merged, graph, config, siu)
-        if inj is not None:
-            inj.corrupt(site, report)
         report.wall_seconds = _time.perf_counter() - t_wall
         return report
 

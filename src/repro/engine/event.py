@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs import context as _obs
-from ..resilience import faults as _faults
 from .base import Engine, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,16 +43,7 @@ class EventEngine(Engine):
     ) -> "SimReport":
         from ..sim.host import HostModel
 
-        # fault site "engine.event": CRASH/HANG before the simulation,
-        # CORRUPT on the final count after it; the "memory.stream" site
-        # inside the hierarchy fires during the run itself
-        inj = _faults.active()
-        if inj is not None:
-            inj.fire("engine.event")
         with _obs.span(
             "engine.event", graph=graph.name, pattern=plan.pattern.name
         ):
-            report = HostModel(config).run(graph, plan, roots=roots)
-        if inj is not None:
-            inj.corrupt("engine.event", report)
-        return report
+            return HostModel(config).run(graph, plan, roots=roots)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import MemoryModelError
-from ..resilience import faults as _faults
 from .cache import WORDS_PER_LINE, CacheConfig, CacheModel
 from .cacti import estimate_sram
 from .dram import DRAMConfig, DRAMModel
@@ -91,9 +90,6 @@ class MemoryHierarchy:
              float(c.config.hit_latency), c.config.banks)
             for c in self.private
         ]
-        #: the armed fault injector whose ``memory.stream`` STALL inflates
-        #: every stream; the simulator pins it at the start of each run
-        self.injector: _faults.FaultInjector | None = None
 
     # -- scratch allocation -------------------------------------------------
 
@@ -141,7 +137,7 @@ class MemoryHierarchy:
         stats.misses += private_misses
         first_latency = hit_latency
         bank_cycles = (n_lines + banks - 1) // banks
-        if not missed and self.injector is None:
+        if not missed:
             return first_latency, float(bank_cycles)
         shared = self.shared
         shared_banks = shared.config.banks
@@ -172,16 +168,9 @@ class MemoryHierarchy:
             else 0
         )
         dram_cycles = max(dram_finish - now - first_latency, 0.0)
-        stream_cycles = float(
+        return first_latency, float(
             max(bank_cycles, shared_cycles, dram_cycles, shared_queue)
         )
-        # fault-injection site "memory.stream", read once per run into
-        # ``injector`` by the simulator (None: no faults, no cost)
-        if self.injector is not None:
-            first_latency, stream_cycles = self.injector.stall(
-                "memory.stream", first_latency, stream_cycles
-            )
-        return first_latency, stream_cycles
 
     def stream_write(
         self, now: float, pe: int, addr_words: int, n_words: int

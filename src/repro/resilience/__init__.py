@@ -2,14 +2,14 @@
 
 X-SET's datapath keeps every PE busy as long as nothing goes wrong; a
 production service on top of it must also survive the failures the
-paper's simulator never models.  This package supplies two mechanisms,
-each wired through the service / engine / simulator layers:
+paper's simulator never models.  This package supplies two mechanisms:
 
 * **Deterministic fault injection** (:mod:`~repro.resilience.faults`) —
-  a seeded :class:`FaultPlan` assigns crashes, hangs, corrupted counts
-  and memory stalls to jobs; named sites in the worker path, both
-  engines and the memory hierarchy apply them with a single
-  ``active() is None`` check, so an unarmed system pays nothing.
+  a seeded :class:`FaultPlan` assigns crashes, hangs and corrupted
+  counts to jobs, which ``run_job`` applies at its one site
+  ``worker.run``, and drops, delays and corrupt frames to the cluster's
+  wire (``comm.send`` / ``comm.recv``).  The engines, the simulator and
+  the memory model carry no hook, so an unarmed system pays nothing.
 * **Degradation** (:mod:`~repro.resilience.degradation`) — a
   healthy/degraded/overloaded state over queue depth and the engines
   the service records as failing, reported by ``health()`` and read by
@@ -39,9 +39,7 @@ from .faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    active,
     comm_active,
-    inject,
     inject_comm,
 )
 
@@ -54,9 +52,7 @@ __all__ = [
     "FaultSpec",
     "HealthReport",
     "HealthState",
-    "active",
     "assess",
     "comm_active",
-    "inject",
     "inject_comm",
 ]

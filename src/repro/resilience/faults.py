@@ -8,36 +8,20 @@ pure function of ``(seed, job_id, attempt)``, so a chaos run replays
 identically regardless of thread or process scheduling.
 
 The assigned specs travel to the worker (they are small frozen
-dataclasses, picklable across a process pool), where a
-:class:`FaultInjector` is armed in a :mod:`contextvars` variable for the
-duration of the job.  Instrumented layers check the active injector with
-the same single-``None``-check pattern the observability hooks use::
-
-    inj = _faults.active()
-    if inj is not None:
-        inj.fire("engine.batched")          # CRASH / HANG, before compute
-    ...
-    if inj is not None:
-        inj.corrupt("engine.batched", report)   # CORRUPT, after compute
-
-With no plan armed, ``active()`` is one contextvar load returning None —
-the hot paths carry no other cost, which is what keeps the
-no-faults-armed byte-identical guarantee honest.
+dataclasses, picklable across a process pool), where
+:func:`repro.service.worker.run_job` builds a :class:`FaultInjector` and
+applies them around the job's run.  Nothing below the worker — engines,
+simulator, memory model — knows faults exist.
 
 Registered sites
 ----------------
 ``worker.run``
-    The pool-worker entry point (:func:`repro.service.worker.run_job`).
+    The worker entry point (:func:`repro.service.worker.run_job`).
     CRASH raises a crash-shaped error the service retry path sees exactly
-    like a dying worker; HANG stalls the worker thread/process.
-``engine.batched`` / ``engine.event``
-    The two execution backends.  CRASH/HANG fire before the run, CORRUPT
-    flips a bit in the final embedding count — the soft-error model for a
-    wide comparator datapath silently producing a wrong intersection.
-``memory.stream``
-    Every stream access of the simulated memory hierarchy.  STALL
-    multiplies both the fill latency and the occupancy cycles, modelling
-    a degraded (thermally throttled / contended) memory system.
+    like a dying worker and HANG stalls the worker, both before the run;
+    CORRUPT flips a bit in the run's embedding count after it, before
+    the cross-check — the soft-error model for a wide comparator
+    datapath silently producing a wrong intersection.
 ``comm.send`` / ``comm.recv``
     The cluster comm layer, client side: ``comm.send`` fires before a
     request frame leaves, ``comm.recv`` after the reply arrives.  DROP
@@ -47,10 +31,12 @@ Registered sites
     CORRUPT_FRAME flips a byte of the encoded frame's length prefix so
     the receiver exercises its corrupt-stream handling.
 
-    Comm faults are armed *globally* via :func:`inject_comm` rather than
-    through the per-job contextvar: scatter requests run on coordinator
-    pool threads that never see the submitting context, so a contextvar
-    could not reach them.
+    Comm faults are armed *globally* via :func:`inject_comm`: scatter
+    requests run on coordinator pool threads that never see the
+    submitting context.
+
+Every spec fires at most once per injector, on the first hit of its
+site.
 """
 
 from __future__ import annotations
@@ -60,8 +46,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..errors import CommClosedError, FaultInjectionError, InjectedCrashError
@@ -76,9 +61,7 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "active",
     "comm_active",
-    "inject",
     "inject_comm",
 ]
 
@@ -88,34 +71,29 @@ COMM_SITES = (
     "comm.recv",
 )
 
-#: injection sites registered by the instrumented layers
-FAULT_SITES = (
-    "worker.run",
-    "engine.batched",
-    "engine.codegen",
-    "engine.event",
-    "memory.stream",
-) + COMM_SITES
-
 
 class FaultKind(enum.Enum):
     """What goes wrong when a spec fires."""
 
     CRASH = "crash"      #: the worker dies mid-job (crash-shaped error)
-    HANG = "hang"        #: compute stalls for ``FaultSpec.seconds``
+    HANG = "hang"        #: the worker stalls for ``FaultSpec.seconds``
     CORRUPT = "corrupt"  #: bit-flip in the embedding count (soft error)
-    STALL = "stall"      #: memory latency inflated by ``FaultSpec.factor``
     DROP = "drop"        #: a comm frame is lost (CommClosedError)
     DELAY = "delay"      #: a comm frame is delayed ``FaultSpec.seconds``
     CORRUPT_FRAME = "corrupt-frame"  #: a byte of the length prefix flips
 
 
-#: one-shot kinds fire at most once per job; STALL applies to every hit
-_ONE_SHOT = (FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT)
+#: the kinds each site applies
+_SITE_KINDS = {
+    "worker.run": (FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT),
+    **dict.fromkeys(
+        COMM_SITES,
+        (FaultKind.DROP, FaultKind.DELAY, FaultKind.CORRUPT_FRAME),
+    ),
+}
 
-#: comm kinds are one-shot per injector too: a chaos scenario arms "the
-#: Nth frame is dropped", not an unbounded packet-loss model
-_COMM_KINDS = (FaultKind.DROP, FaultKind.DELAY, FaultKind.CORRUPT_FRAME)
+#: the sites faults fire at: the worker's entry point and the wire
+FAULT_SITES = tuple(_SITE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -126,30 +104,33 @@ class FaultSpec:
     (1.0 = every attempt); selection is a pure function of the plan seed
     and ``(job_id, attempt)``.  ``max_fires`` caps how many assignments
     the plan hands out in total, so a chaos scenario can be "the first N
-    jobs crash, then the system recovers".  ``on_hit`` picks which hit of
-    the site (0-based, within one job) triggers a one-shot kind.
+    jobs crash, then the system recovers".  A spec whose site is not
+    registered, or whose kind its site never applies, is rejected here.
     """
 
     site: str
     kind: FaultKind
     rate: float = 1.0
     max_fires: int | None = None
-    #: HANG: how long the compute stalls (wall seconds)
+    #: HANG / DELAY: how long the worker or the frame stalls (wall seconds)
     seconds: float = 0.05
-    #: STALL: multiplier applied to memory latencies
-    factor: float = 10.0
-    #: CORRUPT: which bit of the embedding count is flipped
+    #: CORRUPT: which bit of the embedding count is flipped;
+    #: CORRUPT_FRAME: which byte of the length prefix (mod 8)
     bit: int = 0
-    #: one-shot kinds: fire on this hit index of the site (0-based)
-    on_hit: int = 0
 
     def __post_init__(self) -> None:
+        if self.site not in FAULT_SITES:
+            raise FaultInjectionError(
+                f"unknown fault site {self.site!r}; one of {FAULT_SITES}"
+            )
+        if self.kind not in _SITE_KINDS[self.site]:
+            raise FaultInjectionError(
+                f"{self.kind.name} never fires at {self.site!r}"
+            )
         if not 0.0 <= self.rate <= 1.0:
             raise FaultInjectionError(
                 f"rate must be in [0, 1], got {self.rate}"
             )
-        if self.kind is FaultKind.STALL and self.factor <= 0:
-            raise FaultInjectionError("stall factor must be positive")
         if self.bit < 0:
             raise FaultInjectionError("corrupt bit index must be >= 0")
 
@@ -196,25 +177,14 @@ class FaultPlan:
             out.append(spec)
         return tuple(out)
 
-    def assigned(self) -> dict[str, int]:
-        """``{site:kind: n}`` assignments handed out so far."""
-        with self._lock:
-            counts = list(self._assigned)
-        return {
-            f"{spec.site}:{spec.kind.value}": n
-            for spec, n in zip(self.specs, counts)
-            if n
-        }
-
 
 class FaultInjector:
-    """Per-job applicator of the assigned specs (armed via :func:`inject`).
+    """Applicator of a set of specs, each fired at most once.
 
-    One-shot kinds (CRASH/HANG/CORRUPT) fire at most once per injector,
-    on the ``on_hit``-th hit of their site; STALL applies to every hit of
-    its site.  ``events`` records what actually fired, keyed
-    ``site:kind`` — the worker ships it home in ``report.notes`` so the
-    service can count injections in its metrics.
+    The worker builds one per job attempt; :func:`inject_comm` arms one
+    process-wide for the comm sites.  ``events`` records what actually
+    fired, keyed ``site:kind`` — the worker ships it home in
+    ``report.notes`` so the service can count injections in its metrics.
     """
 
     def __init__(
@@ -224,45 +194,35 @@ class FaultInjector:
     ) -> None:
         self._specs = tuple(specs)
         self._sleep = sleep
-        self._hits: dict[tuple[str, str], int] = {}
         self._spent: set[int] = set()
         #: ``{"site:kind": fire count}`` of everything that actually fired
         self.events: dict[str, int] = {}
 
-    def _record(self, spec: FaultSpec) -> None:
-        key = f"{spec.site}:{spec.kind.value}"
-        self.events[key] = self.events.get(key, 0) + 1
-
-    def _one_shot(self, site: str, group: str, kinds) -> Iterator[FaultSpec]:
-        """Specs of ``kinds`` due to fire on this hit of ``site``."""
-        hit = self._hits.get((site, group), 0)
-        self._hits[(site, group)] = hit + 1
+    def _due(self, site: str, kinds) -> Iterator[FaultSpec]:
+        """Unspent specs of ``kinds`` at ``site``, spent and recorded."""
         for i, spec in enumerate(self._specs):
             if (
                 spec.site == site
                 and spec.kind in kinds
                 and i not in self._spent
-                and spec.on_hit == hit
             ):
                 self._spent.add(i)
+                key = f"{spec.site}:{spec.kind.value}"
+                self.events[key] = self.events.get(key, 0) + 1
                 yield spec
 
-    # -- site hooks (called by the instrumented layers) --------------------
+    # -- site hooks --------------------------------------------------------
 
     def fire(self, site: str) -> None:
         """CRASH / HANG hook, called before the site's work runs."""
-        for spec in self._one_shot(
-            site, "enter", (FaultKind.CRASH, FaultKind.HANG)
-        ):
-            self._record(spec)
+        for spec in self._due(site, (FaultKind.CRASH, FaultKind.HANG)):
             if spec.kind is FaultKind.CRASH:
                 raise InjectedCrashError(site)
             self._sleep(spec.seconds)
 
     def corrupt(self, site: str, report: "SimReport") -> None:
         """CORRUPT hook: flip ``spec.bit`` of the final embedding count."""
-        for spec in self._one_shot(site, "corrupt", (FaultKind.CORRUPT,)):
-            self._record(spec)
+        for spec in self._due(site, (FaultKind.CORRUPT,)):
             report.embeddings ^= 1 << spec.bit
 
     def comm(self, site: str) -> None:
@@ -273,10 +233,7 @@ class FaultInjector:
         ``comm.recv`` the reply is lost after the peer did the work
         (the caller cannot tell the difference, which is the point).
         """
-        for spec in self._one_shot(
-            site, "comm", (FaultKind.DROP, FaultKind.DELAY)
-        ):
-            self._record(spec)
+        for spec in self._due(site, (FaultKind.DROP, FaultKind.DELAY)):
             if spec.kind is FaultKind.DROP:
                 raise CommClosedError(
                     f"injected frame drop at {site}"
@@ -292,53 +249,11 @@ class FaultInjector:
         the pickle body — either way the receiver must fail *typed*,
         not hang.
         """
-        for spec in self._one_shot(
-            site, "corrupt_frame", (FaultKind.CORRUPT_FRAME,)
-        ):
-            self._record(spec)
+        for spec in self._due(site, (FaultKind.CORRUPT_FRAME,)):
             mutated = bytearray(frame)
             mutated[spec.bit % 8] ^= 0xFF
             frame = bytes(mutated)
         return frame
-
-    def stall(
-        self, site: str, first_latency: float, stream_cycles: float
-    ) -> tuple[float, float]:
-        """STALL hook: inflate one stream access's latencies.
-
-        The inflation applies to *every* access of the site, but the
-        event is recorded once per injector — "this job ran on degraded
-        memory" is one fault, however many accesses it slowed.
-        """
-        for i, spec in enumerate(self._specs):
-            if spec.site == site and spec.kind is FaultKind.STALL:
-                if i not in self._spent:
-                    self._spent.add(i)
-                    self._record(spec)
-                first_latency *= spec.factor
-                stream_cycles *= spec.factor
-        return first_latency, stream_cycles
-
-
-#: the injector armed for the current execution context, if any
-_ACTIVE: ContextVar[FaultInjector | None] = ContextVar(
-    "repro_fault_injector", default=None
-)
-
-
-def active() -> FaultInjector | None:
-    """The armed injector of this context (None = no faults, no cost)."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def inject(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Arm ``injector`` for the scope of the ``with`` block."""
-    token = _ACTIVE.set(injector)
-    try:
-        yield injector
-    finally:
-        _ACTIVE.reset(token)
 
 
 #: the process-wide comm-fault injector (None = no comm chaos, no cost).

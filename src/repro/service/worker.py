@@ -17,12 +17,12 @@ three ways, resolved here per worker process:
 Resilience hooks (both default-off and free when unused):
 
 * ``faults`` — the job's assigned :class:`~repro.resilience.FaultSpec`
-  set, derived service-side from the armed seeded plan.  A
-  :class:`~repro.resilience.FaultInjector` is armed around the run so
-  the ``worker.run`` / ``engine.*`` / ``memory.stream`` sites fire;
+  set, derived service-side from the armed seeded plan.  This is the
+  one place a job's faults fire, all at site ``worker.run``: CRASH and
+  HANG before the primary run, CORRUPT on its count after it;
   whatever actually fired ships home in ``report.notes["injected"]``.
 * ``verify_engine`` — the sampled cross-check: the job is re-run on the
-  event engine (batched for an event job), outside the fault scope, and
+  event engine (batched for an event job), untouched by the faults, and
   the exact embedding counts compared.  On a mismatch
   (silent corruption somewhere in the primary datapath) the *verified*
   report is returned instead, with both counts recorded in
@@ -36,12 +36,11 @@ import os
 import pickle
 import threading
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from ..graph.csr import CSRGraph
 from ..graph.store import AttachedGraph, SharedGraphRef, attach_graph
-from ..resilience.faults import FaultInjector, FaultSpec, inject
+from ..resilience.faults import FaultInjector, FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import SystemConfig
@@ -114,7 +113,7 @@ def _run_primary(
     roots=None,
 ) -> "SimReport":
     """Run the job's own engine, timed; under observation also traced
-    and profiled.  No fault scope, no cross-check — the caller adds both."""
+    and profiled.  No faults, no cross-check — the caller adds both."""
     from ..sim.host import run_on_soc
 
     if not observe_run:
@@ -172,14 +171,18 @@ def run_job(
         else np.arange(root_range[0], root_range[1], dtype=np.int32)
     )
     injector = FaultInjector(faults) if faults else None
-    with inject(injector) if injector is not None else nullcontext():
-        if injector is not None:
-            # site "worker.run": CRASH raises a crash-shaped error the
-            # service retries, HANG stalls this worker
-            injector.fire("worker.run")
-        report = _run_primary(graph, plan, config, observe_run, roots)
-    # the cross-check runs outside the fault scope: it is the trusted
-    # independent recomputation, never subject to the job's injections
+    if injector is not None:
+        # site "worker.run": CRASH raises a crash-shaped error the
+        # service retries, HANG stalls this worker
+        injector.fire("worker.run")
+    report = _run_primary(graph, plan, config, observe_run, roots)
+    if injector is not None:
+        # CORRUPT: a soft error flips a bit of the primary's count
+        injector.corrupt("worker.run", report)
+        if injector.events:
+            report.notes["injected"] = injector.events
+    # the cross-check is the trusted independent recomputation, never
+    # subject to the job's injections
     verify_report: "SimReport | None" = None
     if verify_engine is not None and verify_engine != config.engine:
         verify_report = run_on_soc(
@@ -188,8 +191,6 @@ def run_job(
             config.with_overrides(engine=verify_engine),
             roots=roots,
         )
-    if injector is not None and injector.events:
-        report.notes["injected"] = dict(injector.events)
     if verify_report is not None:
         mismatch = verify_report.embeddings != report.embeddings
         crosscheck = {
@@ -201,9 +202,8 @@ def run_job(
         }
         if mismatch:
             # silent corruption detected: serve the independently computed
-            # report (the verify engine re-ran outside the fault scope's
-            # one-shot corruptions); the service counts the mismatch as a
-            # failure of the primary engine
+            # report; the service counts the mismatch as a failure of the
+            # primary engine
             verify_report.notes.update(report.notes)
             report = verify_report
         report.notes["crosscheck"] = crosscheck

@@ -43,11 +43,6 @@ class SystolicMergeArray:
         """All-to-all comparison requires N² comparators (paper Table 1)."""
         return self.segment_width**2
 
-    @property
-    def compact_resource(self) -> int:
-        """The compact triangle costs a further N²/2 latches (paper §5.4.2)."""
-        return self.segment_width**2 // 2
-
     def _keys(self, words: np.ndarray) -> np.ndarray:
         b = self.bitmap_width
         w = np.asarray(words, dtype=np.int64)

@@ -25,7 +25,6 @@ from ..graph.csr import CSRGraph
 from ..memory.hierarchy import MemoryHierarchy
 from ..obs import context as _obs
 from ..patterns.plan import MatchingPlan
-from ..resilience import faults as _faults
 from ..sched.policies import SchedulerBase, make_scheduler
 from ..sched.task import SimTask
 from ..siu.models import make_siu
@@ -136,9 +135,6 @@ class AcceleratorSim:
 
     def _run(self, start_tasks: list[SimTask] | None = None) -> SimReport:
         t_wall = _time.perf_counter()
-        # fault site "memory.stream": read once per run, then every stream
-        # of the executor's hierarchy checks the pinned injector
-        self.executor.memory.injector = _faults.active()
         self._distribute_roots(start_tasks)
         report = SimReport(
             config_name=self.config.name,

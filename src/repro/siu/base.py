@@ -34,10 +34,6 @@ class OpCost:
     words_in: int
     words_out: int
 
-    @property
-    def total_cycles(self) -> int:
-        return self.issue_cycles + self.pipeline_depth
-
 
 def block_keys(vertices: np.ndarray, bitmap_width: int) -> np.ndarray:
     """Word-stream keys of a sorted vertex set under BitmapCSR.

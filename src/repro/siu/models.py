@@ -70,11 +70,6 @@ class OrderAwareSIU(_WordCostMixin, SIUCostModel):
     def throughput(self) -> int:
         return self.segment_width
 
-    @property
-    def compact_resource(self) -> int:
-        """Binary-tree compactor: N·log2 N (paper §5.4.2)."""
-        return self.segment_width * self._log_n
-
     def cost_terms(
         self, wa: int, wb: int, i_end: int, j_end: int, matches: int,
         op: str, c_a: int | None = None, c_b: int | None = None,
@@ -146,11 +141,6 @@ class SystolicSIU(_WordCostMixin, SIUCostModel):
     @property
     def throughput(self) -> int:
         return self.segment_width
-
-    @property
-    def compact_resource(self) -> int:
-        """Output compact triangle: N²/2 (paper §5.4.2)."""
-        return self.segment_width**2 // 2
 
     def cost_terms(
         self, wa: int, wb: int, i_end: int, j_end: int, matches: int,

@@ -70,3 +70,24 @@ class TestRunners:
         )
         assert set(grid.reports) == {("PP", "3CF"), ("PP", "DIA")}
         assert grid.seconds("PP", "3CF") > 0
+
+
+class TestReporting:
+    def test_collect_from_explicit_dir(self, tmp_path):
+        from repro.analysis import collect_results, experiment_summary
+
+        (tmp_path / "fig12_software.txt").write_text("speedups here")
+        blocks = collect_results(tmp_path)
+        assert blocks == {"fig12_software": "speedups here"}
+        report = experiment_summary(tmp_path)
+        assert "fig12_software" in report
+        assert "not yet regenerated" in report
+
+    def test_empty_dir_message(self, tmp_path):
+        from repro.analysis import experiment_summary
+
+        empty = tmp_path / "none"
+        empty.mkdir()
+        assert "no results" in experiment_summary(empty) or (
+            "not yet regenerated" in experiment_summary(empty)
+        )

@@ -360,6 +360,23 @@ class TestClaimTable:
                     ), token
 
 
+def _imports(path: Path) -> set[str]:
+    """Absolute names a module under ``src/repro`` imports: each module,
+    and each ``from`` import as ``module.name``."""
+    package = ROOT / "src" / "repro"
+    parts = ("repro",) + path.relative_to(package).parent.parts
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            imported.add(module)
+            imported |= {f"{module}.{alias.name}" for alias in node.names}
+    return imported
+
+
 class TestStructure:
     """Shapes of ``src/`` the docs promise, checked on the syntax tree."""
 
@@ -406,22 +423,7 @@ class TestStructure:
         package = ROOT / "src" / "repro"
         imported = set()
         for path in (package / "cluster").rglob("*.py"):
-            parts = ("repro",) + path.relative_to(package).parent.parts
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    imported |= {alias.name for alias in node.names}
-                elif isinstance(node, ast.ImportFrom):
-                    base = (
-                        parts[:len(parts) - node.level + 1]
-                        if node.level else ()
-                    )
-                    module = ".".join(
-                        base + ((node.module,) if node.module else ())
-                    )
-                    imported.add(module)
-                    imported |= {
-                        f"{module}.{alias.name}" for alias in node.names
-                    }
+            imported |= _imports(path)
         assert "repro.cluster.partition" in imported  # resolved at all
         assert not {
             m for m in imported if m.startswith("repro.sched.adaptive")
@@ -545,3 +547,29 @@ class TestStructure:
             if name in gone
         }
         assert named == set()
+
+    def test_faults_fire_only_in_run_job_and_on_the_wire(self):
+        """A job's faults fire in ``service/worker.py::run_job`` and the
+        cluster's on the wire: no module of the accelerator model imports
+        ``repro.resilience``, and only the worker builds an injector."""
+        package = ROOT / "src" / "repro"
+        below = ("engine", "sim", "memory", "setops", "siu", "sched",
+                 "patterns", "graph")
+        reaching = {
+            path.relative_to(package).as_posix()
+            for pkg in below
+            for path in (package / pkg).rglob("*.py")
+            if any(m.startswith("repro.resilience") for m in _imports(path))
+        }
+        assert reaching == set()
+        builders = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and "FaultInjector" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
+        }
+        assert builders == {"service/worker.py"}

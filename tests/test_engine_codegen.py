@@ -3,8 +3,7 @@
 Source-level specialisation is covered in ``test_patterns_codegen.py``;
 this file pins down the *engine* contract — equivalence with the other
 backends on labelled/enumerate/chunked workloads, report parity with
-``batched``, service dispatch, crash retry, the cross-check and the
-fault-injection site.
+``batched``, service dispatch, crash retry and the cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.engine.codegen import CodegenEngine
 from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
 from repro.patterns.executor import count_embeddings
-from repro.resilience import FAULT_SITES, FaultKind, FaultPlan, FaultSpec
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.service import QueryService
 
 
@@ -119,14 +118,11 @@ class TestApiSurface:
 
 
 class TestResilienceRouting:
-    def test_fault_site_registered(self):
-        assert "engine.codegen" in FAULT_SITES
-
     def test_injected_crash_site_fires(self, small_er):
         svc = QueryService(mode="inline")
         gid = svc.register_graph(small_er, "g")
         svc.arm_faults(FaultPlan(seed=1, specs=(
-            FaultSpec(site="engine.codegen", kind=FaultKind.CRASH,
+            FaultSpec(site="worker.run", kind=FaultKind.CRASH,
                       rate=1.0, max_fires=1),
         )))
         handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen",

@@ -4,7 +4,7 @@ Deterministic chaos testing in the repo's established style — injectable
 clocks, recorded sleeps and injectable executors keep every scenario
 single-threaded and sleep-free except where a real pool is the point.
 The closing chaos suite runs a seeded fault plan (crashes, hangs,
-corrupted counts, memory stalls) against all three service modes and
+corrupted counts) against all three service modes and
 asserts the service's core promise under fire: every query still returns
 the *correct* embedding count, and no waiter hangs.
 """
@@ -22,14 +22,13 @@ from repro.errors import (
 )
 from repro.patterns.pattern import PATTERNS
 from repro.resilience import (
+    FAULT_SITES,
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
     HealthState,
-    active,
     assess,
-    inject,
 )
 from repro.service import JobStatus, QueryService
 from repro.service import service as service_module
@@ -77,7 +76,7 @@ class TestFaultPlan:
     def test_for_job_is_deterministic(self):
         specs = (
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.5),
-            FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
+            FaultSpec(site="worker.run", kind=FaultKind.CORRUPT,
                       rate=0.3),
         )
         a = FaultPlan(seed=42, specs=specs)
@@ -108,16 +107,29 @@ class TestFaultPlan:
         ))
         hits = [bool(plan.for_job(j)) for j in range(1, 6)]
         assert hits == [True, True, False, False, False]
-        assert plan.assigned() == {"worker.run:crash": 2}
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(FaultInjectionError):
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=1.5)
         with pytest.raises(FaultInjectionError):
-            FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                      factor=0.0)
-        with pytest.raises(FaultInjectionError):
-            FaultSpec(site="engine.event", kind=FaultKind.CORRUPT, bit=-1)
+            FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, bit=-1)
+
+    def test_a_spec_that_can_never_fire_is_rejected(self):
+        """Faults fire only in ``run_job`` and on the wire: a spec naming
+        any other site, or a kind its site never applies, is refused at
+        construction instead of sitting silent in an armed plan."""
+        for site in ("engine.batched", "engine.event", "memory.stream"):
+            with pytest.raises(FaultInjectionError, match="site"):
+                FaultSpec(site=site, kind=FaultKind.CORRUPT)
+        for kind in (FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT):
+            for site in ("comm.send", "comm.recv"):
+                with pytest.raises(FaultInjectionError, match=kind.name):
+                    FaultSpec(site=site, kind=kind)
+        for kind in (FaultKind.DROP, FaultKind.DELAY,
+                     FaultKind.CORRUPT_FRAME):
+            with pytest.raises(FaultInjectionError, match=kind.name):
+                FaultSpec(site="worker.run", kind=kind)
+        assert FAULT_SITES == ("worker.run", "comm.send", "comm.recv")
 
 
 class TestFaultInjector:
@@ -137,42 +149,25 @@ class TestFaultInjector:
         err = pickle.loads(pickle.dumps(InjectedCrashError("engine.event")))
         assert err.site == "engine.event"
 
-    def test_one_shot_fires_once_on_selected_hit(self):
+    def test_a_spec_fires_once_on_its_sites_first_hit(self):
         sleep = RecordingSleep()
         inj = FaultInjector(
             (FaultSpec(site="worker.run", kind=FaultKind.HANG,
-                       seconds=0.25, on_hit=1),),
+                       seconds=0.25),),
             sleep=sleep,
         )
-        inj.fire("worker.run")   # hit 0: not yet
-        inj.fire("worker.run")   # hit 1: fires
+        inj.fire("worker.run")   # first hit: fires
         inj.fire("worker.run")   # spent
         assert sleep.calls == [0.25]
         assert inj.events == {"worker.run:hang": 1}
 
     def test_wrong_site_never_fires(self):
         inj = FaultInjector((
-            FaultSpec(site="engine.batched", kind=FaultKind.CRASH),
+            FaultSpec(site="comm.send", kind=FaultKind.DROP),
         ))
-        inj.fire("engine.event")
+        inj.comm("comm.recv")
         inj.fire("worker.run")
         assert inj.events == {}
-
-    def test_stall_inflates_every_access_counts_once(self):
-        inj = FaultInjector((
-            FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                      factor=4.0),
-        ))
-        assert inj.stall("memory.stream", 10.0, 100.0) == (40.0, 400.0)
-        assert inj.stall("memory.stream", 1.0, 2.0) == (4.0, 8.0)
-        assert inj.events == {"memory.stream:stall": 1}
-
-    def test_context_scoping(self):
-        inj = FaultInjector(())
-        assert active() is None
-        with inject(inj) as armed:
-            assert active() is armed
-        assert active() is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +390,7 @@ class TestCrossCheck:
     def test_mismatch_serves_verified_report(self, graph):
         svc, gid = make_service(graph, verify_fraction=1.0)
         svc.arm_faults(FaultPlan(seed=1, specs=(
-            FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
-                      bit=5),
+            FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, bit=5),
         )))
         report = svc.count(gid, PATTERNS["3CF"], engine="batched",
                            use_cache=False)
@@ -405,7 +399,7 @@ class TestCrossCheck:
         ).embeddings
         assert report.embeddings == expected  # the verified count won
         assert report.notes["crosscheck"]["mismatch"] is True
-        assert report.notes["injected"] == {"engine.batched:corrupt": 1}
+        assert report.notes["injected"] == {"worker.run:corrupt": 1}
         stats = svc.stats()
         assert stats.crosscheck_mismatches == 1
         assert stats.faults_injected == 1
@@ -415,8 +409,7 @@ class TestCrossCheck:
     def test_corrupted_reports_never_poison_the_cache(self, graph):
         svc, gid = make_service(graph)  # verify off: corruption lands
         svc.arm_faults(FaultPlan(seed=1, specs=(
-            FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
-                      bit=5),
+            FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, bit=5),
         )))
         expected = XSetAccelerator(engine="batched").count(
             graph, PATTERNS["3CF"]
@@ -485,7 +478,7 @@ class TestUnarmedIsByteIdentical:
         # fully wired, selecting nothing: every armed spec at rate 0
         svc.arm_faults(FaultPlan(seed=0, specs=(
             FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=0.0),
-            FaultSpec(site="memory.stream", kind=FaultKind.STALL, rate=0.0),
+            FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, rate=0.0),
         )))
         b = svc.count(gid, PATTERNS["TT"], engine=engine, use_cache=False)
         for report in (a, b):
@@ -500,52 +493,6 @@ class TestUnarmedIsByteIdentical:
         assert stats.faults_injected == stats.failed == 0
         assert stats.retries == 0
         assert stats.crosscheck_mismatches == 0
-
-    def test_stall_fault_only_changes_timing(self, graph):
-        svc, gid = make_service(graph)
-        clean = svc.count(gid, PATTERNS["3CF"], engine="event",
-                          use_cache=False)
-        svc.arm_faults(FaultPlan(seed=0, specs=(
-            FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                      factor=10.0),
-        )))
-        stalled = svc.count(gid, PATTERNS["3CF"], engine="event",
-                            use_cache=False)
-        assert stalled.embeddings == clean.embeddings
-        assert stalled.cycles > clean.cycles
-        assert stalled.notes["injected"] == {"memory.stream:stall": 1}
-
-
-class TestStallSiteReadOncePerRun:
-    """The simulator reads the ``memory.stream`` site once, at the start
-    of each run, and every stream of that run sees the pinned injector."""
-
-    #: 3CF on the 30-vertex ER graph under a factor-10 STALL; the value
-    #: the per-stream read of the site produced, to the digit
-    STALLED_CYCLES = 1128.3333333333333
-    STALL = FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                      factor=10.0)
-
-    def test_seeded_plan_through_the_service(self, graph):
-        svc, gid = make_service(graph)
-        svc.arm_faults(FaultPlan(seed=0, specs=(self.STALL,)))
-        stalled = svc.count(gid, PATTERNS["3CF"], engine="event",
-                            use_cache=False)
-        assert stalled.cycles == self.STALLED_CYCLES
-        assert stalled.notes["injected"] == {"memory.stream:stall": 1}
-
-    def test_armed_after_construction_is_seen_at_run(self, graph):
-        from repro.core import xset_default
-        from repro.patterns import build_plan
-        from repro.sim.accelerator import AcceleratorSim
-
-        sim = AcceleratorSim(graph, build_plan(PATTERNS["3CF"]),
-                             xset_default())
-        assert sim.memory.injector is None
-        with inject(FaultInjector((self.STALL,))) as inj:
-            report = sim.run()
-        assert report.cycles == self.STALLED_CYCLES
-        assert inj.events == {"memory.stream:stall": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +510,9 @@ def chaos_plan(seed: int) -> FaultPlan:
         # slow compute that still finishes correctly
         FaultSpec(site="worker.run", kind=FaultKind.HANG,
                   rate=0.3, seconds=0.02),
-        # silent bit-flips in the batched datapath (caught by cross-check)
-        FaultSpec(site="engine.batched", kind=FaultKind.CORRUPT,
+        # silent bit-flips in the batched count (caught by cross-check)
+        FaultSpec(site="worker.run", kind=FaultKind.CORRUPT,
                   rate=0.5, bit=4),
-        # degraded memory under the event engine
-        FaultSpec(site="memory.stream", kind=FaultKind.STALL,
-                  rate=0.3, factor=6.0),
     ))
 
 
@@ -613,14 +557,18 @@ def test_chaos_every_query_correct_no_waiter_hangs(graph, mode):
 
 
 def test_chaos_replay_is_deterministic(graph):
-    """Same seed, same job ids => the same faults are assigned."""
+    """Same seed, same job ids => the same faults are injected."""
     runs = []
     for _ in range(2):
         svc, gid = make_service(graph, verify_fraction=1.0)
-        plan = chaos_plan(seed=7)
-        svc.arm_faults(plan)
+        svc.arm_faults(chaos_plan(seed=7))
         for name in CHAOS_PATTERNS:
             svc.count(gid, PATTERNS[name], engine="batched",
                       use_cache=False)
-        runs.append(plan.assigned())
+        runs.append({
+            name: value
+            for name, value in svc.stats().metrics.items()
+            if name.startswith("repro_faults_injected_total")
+        })
+    assert runs[0]
     assert runs[0] == runs[1]
