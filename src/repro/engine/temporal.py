@@ -7,13 +7,14 @@ Two cost annotators live here, one per execution style:
     :meth:`~TaskCostAnnotator.op_costs` does not depend on the clock: the
     functional trace hands it one set operation's merge facts over a block
     of rows, and it asks the SIU model for every row's issue cycles at
-    once.  :meth:`~TaskCostAnnotator.annotate` replays one task in event
-    order: it streams the task's word sequences through the (stateful)
-    memory hierarchy — mirroring the Order-Aware SIU microarchitecture
-    (Figure 8): both input streams fetch in parallel through the private
-    cache while the core pipeline consumes them, so one operation costs
-    ``max(first word latencies) + max(compute issue, memory occupancy) +
-    pipeline depth`` — and stores its raw set.
+    once.  The rest are the tables and SIU constants the simulator's event
+    loop (:meth:`repro.sim.accelerator.AcceleratorSim._run`) reads when it
+    replays a task in event order: it streams the task's word sequences
+    through the (stateful) memory hierarchy — mirroring the Order-Aware SIU
+    microarchitecture (Figure 8): both input streams fetch in parallel
+    through the private cache while the core pipeline consumes them, so
+    one operation costs ``max(first word latencies) + max(compute issue,
+    memory occupancy) + pipeline depth`` — and stores its raw set.
 
 :func:`annotate_frontier_report`
     The aggregate analytic model the ``batched`` engine uses.  It converts
@@ -25,12 +26,9 @@ Two cost annotators live here, one per execution style:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..memory.hierarchy import MemoryHierarchy
 from ..patterns.plan import MatchingPlan
 from ..siu.base import SIUCostModel
 from .functional import FrontierLevel, OpFacts, level_steps, row_word_counts
@@ -39,7 +37,6 @@ __all__ = [
     "TASK_DISPATCH_CYCLES",
     "TASK_COMMIT_CYCLES",
     "WORD_BYTES",
-    "TaskOutcome",
     "TaskCostAnnotator",
     "annotate_frontier_report",
 ]
@@ -52,52 +49,33 @@ TASK_COMMIT_CYCLES = 1
 WORD_BYTES = 4
 
 
-@dataclass(slots=True)
-class TaskOutcome:
-    """What executing one task produced.
-
-    ``elapsed`` is the task's completion latency (when its children become
-    ready); ``occupancy`` is how long it blocks the SIU — a fully pipelined
-    unit frees up while its last operation drains, so the final operation's
-    pipeline-depth tail is latency but not occupancy.
-    """
-
-    elapsed: float
-    occupancy: float
-    count_delta: int
-    children: np.ndarray  # vertices to spawn at the next level
-    set_ops: int
-    comparisons: int
-    words_in: int
-    words_out: int
-    #: trace row of the first child (the others follow it); -1 for leaves
-    child_row: int = -1
-
-
 class TaskCostAnnotator:
-    """Exact per-task cycle charging against shared memory state."""
+    """Exact per-task cycle charging: SIU issue cycles per traced block,
+    and what the event loop reads once per run to replay a task."""
 
     def __init__(
         self, graph: CSRGraph, plan: MatchingPlan, siu: SIUCostModel,
-        memory: MemoryHierarchy, task_overhead_cycles: int = 0,
+        task_overhead_cycles: int = 0,
     ) -> None:
         self.siu = siu
-        self.memory = memory
-        self.task_overhead = task_overhead_cycles
         self._width = width = siu.bitmap_width
-        self._stop = plan.stop_level
-        self._steps = [None, *map(level_steps, plan.levels[1:])]
+        self.stop = plan.stop_level
+        #: per level ``(mode, source, positions)``: ``level_steps`` with
+        #: each set operation reduced to its operand's position
+        self.steps = [None, *(
+            (mode, source, tuple(p for _, p in ops))
+            for mode, source, ops in map(level_steps, plan.levels[1:])
+        )]
         # indexed per stream by the replay: lists are Python's fastest
-        self._row_words = graph.derived(
+        self.row_words = graph.derived(
             ("row_words", width), row_word_counts, graph, width
         ).tolist()
-        self._row_addr = (graph.indptr[:-1] + graph.base_address).tolist()
-        self._no_children = np.zeros(0, dtype=np.int32)
-        # SIU constants the replay reads once per task
-        self._dispatch = float(TASK_DISPATCH_CYCLES + task_overhead_cycles)
-        self._throughput = siu.throughput
-        self._depth = siu.pipeline_depth
-        self._tail_depth = (
+        self.row_addr = (graph.indptr[:-1] + graph.base_address).tolist()
+        # SIU constants the replay reads once per run
+        self.dispatch = float(TASK_DISPATCH_CYCLES + task_overhead_cycles)
+        self.throughput = siu.throughput
+        self.depth = siu.pipeline_depth
+        self.tail_depth = (
             float(siu.pipeline_depth) if siu.pipelined_across_ops else 0.0
         )
 
@@ -125,75 +103,6 @@ class TaskCostAnnotator:
             f.wa, f.wb, i_end, j_end, matches, f.kind, c_a=c_a, c_b=c_b
         )
         return cost.issue_cycles, cost.comparisons
-
-    def annotate(self, task, pe: int, now: float) -> TaskOutcome:
-        """Replay one traced task (``task.chunk``, ``task.row``): charge
-        its streams and SIU time against the shared memory state, then
-        store its raw set for its descendants."""
-        memory = self.memory
-        chunk, row, level = task.chunk, task.row, task.level
-        mode, source, ops = self._steps[level]
-        issue, comparisons, counts, raw_words, children = chunk._views[level]
-        row_addr, row_words = self._row_addr, self._row_words
-        emb = task.embedding
-        elapsed = self._dispatch
-        tail_depth = 0.0
-        words_out = 0
-
-        if mode == "neighbors":
-            u = emb[source]
-            src_addr, words_in = row_addr[u], row_words[u]
-        else:  # an ancestor's set, back out of the candidate buffer
-            anc = task.ancestor(source)
-            src_addr, words_in = anc.scratch_addr, anc.raw_words
-        first_a, stream_a = memory.stream_read(
-            now + elapsed, pe, src_addr, words_in
-        )
-        if not ops:
-            # a pure load or a reused set: stream it through the unit
-            scan = -(-words_in // self._throughput)
-            elapsed += first_a + max(scan, stream_a)
-            comparisons = 0
-        else:
-            comparisons = comparisons[row]
-            depth = self._depth
-            for k, (_, p) in enumerate(ops):
-                u = emb[p]
-                wb = row_words[u]
-                first_b, stream_b = memory.stream_read(
-                    now + elapsed, pe, row_addr[u], wb
-                )
-                words_in += wb
-                elapsed += (
-                    max(first_a, first_b)
-                    + max(issue[k][row], stream_a, stream_b)
-                    + depth
-                )
-                # subsequent ops read the previous result from the unit's
-                # local buffer: no further memory latency on the A side
-                first_a = stream_a = 0.0
-            tail_depth = self._tail_depth
-
-        count, kids, first = 0, self._no_children, -1
-        if level == self._stop:
-            count = counts[row]
-        else:
-            # store the raw candidate set for descendants, spawn children
-            task.raw_words = words_out = raw_words[row]
-            if words_out:
-                addr = task.scratch_addr = memory.allocate_scratch(
-                    pe, words_out
-                )
-                elapsed += memory.stream_write(
-                    now + elapsed, pe, addr, words_out
-                )[1]
-            first = children[row]
-            kids = chunk.vertices[level + 1][first : children[row + 1]]
-        elapsed += TASK_COMMIT_CYCLES
-        return TaskOutcome(  # positional: the field order above
-            elapsed, max(elapsed - tail_depth, 1.0), count, kids, len(ops),
-            comparisons, words_in, words_out, first,
-        )
 
 
 def annotate_frontier_report(

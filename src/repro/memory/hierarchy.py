@@ -119,7 +119,7 @@ class MemoryHierarchy:
         first = addr_words // WORDS_PER_LINE
         end = (addr_words + n_words - 1) // WORDS_PER_LINE + 1
         priv, sets, mask, ways, hit_latency, banks = self._private[pe]
-        missed = []
+        missed = None  # built at the first miss: most streams have none
         for line in range(first, end):
             way_set = sets[line & mask]
             if line in way_set:
@@ -129,48 +129,58 @@ class MemoryHierarchy:
             if len(way_set) >= ways:
                 del way_set[next(iter(way_set))]  # evict LRU
             way_set[line] = None
-            missed.append(line)
+            if missed is None:
+                missed = [line]
+            else:
+                missed.append(line)
         n_lines = end - first
-        private_misses = len(missed)
         stats = priv.stats
+        bank_cycles = (n_lines + banks - 1) // banks
+        if missed is None:
+            stats.hits += n_lines
+            return hit_latency, float(bank_cycles)
+        private_misses = len(missed)
         stats.hits += n_lines - private_misses
         stats.misses += private_misses
         first_latency = hit_latency
-        bank_cycles = (n_lines + banks - 1) // banks
-        if not missed:
-            return first_latency, float(bank_cycles)
         shared = self.shared
         shared_banks = shared.config.banks
         shared_hit = shared.config.hit_latency
         bank_busy = self._shared_bank_busy
+        request_dram = self.dram.request_line
         dram_finish = now
         shared_queue = 0.0
         for line in missed:
             # shared-cache bank port contention between PEs: each refill
             # occupies its bank for one cycle
             bank = line % shared_banks
-            wait = max(bank_busy[bank] - now, 0.0)
+            wait = bank_busy[bank] - now
+            if wait < 0.0:
+                wait = 0.0
             bank_busy[bank] = now + wait + 1.0
-            shared_queue = max(shared_queue, wait)
+            if wait > shared_queue:
+                shared_queue = wait
             if shared.access_line(line):
                 if line == first:
                     first_latency += shared_hit + wait
                 continue
-            finish = self.dram.request_line(now, line)
-            dram_finish = max(dram_finish, finish)
+            finish = request_dram(now, line)
+            if finish > dram_finish:
+                dram_finish = finish
             if line == first:
                 first_latency += shared_hit + wait + (finish - now)
         # Bandwidth-limited occupancy: bank throughput at each level plus
         # DRAM bus time already folded into dram_finish.
-        shared_cycles = (
-            (private_misses + shared_banks - 1) // shared_banks
-            if private_misses
-            else 0
-        )
-        dram_cycles = max(dram_finish - now - first_latency, 0.0)
-        return first_latency, float(
-            max(bank_cycles, shared_cycles, dram_cycles, shared_queue)
-        )
+        cycles = bank_cycles
+        shared_cycles = (private_misses + shared_banks - 1) // shared_banks
+        if shared_cycles > cycles:
+            cycles = shared_cycles
+        dram_cycles = dram_finish - now - first_latency  # < 0 never wins:
+        if dram_cycles > cycles:  # cycles >= bank_cycles >= 1
+            cycles = dram_cycles
+        if shared_queue > cycles:
+            cycles = shared_queue
+        return first_latency, float(cycles)
 
     def stream_write(
         self, now: float, pe: int, addr_words: int, n_words: int

@@ -40,6 +40,9 @@ class SchedulerBase(ABC):
     name = "base"
     #: extra dispatch cycles the PE adds per pop (centralised schedulers)
     dispatch_overhead = 0
+    #: cycles of stall the PE must insert at the next dispatch (the PE
+    #: resets it after reading it)
+    pending_stall = 0
 
     def __init__(self) -> None:
         self.in_flight = 0
@@ -220,11 +223,14 @@ class BarrierFreeScheduler(SchedulerBase):
         self._top = max(self._top, tasks[0].level)
 
     def _admit(self, parent: SimTask, children: list[SimTask]) -> None:
-        ts = TaskSetState(parent=parent, children=children)
-        self._active_sets += 1
-        self.peak_active_sets = max(self.peak_active_sets, self._active_sets)
-        self._levels[ts.level].append(ts)
-        self._top = max(self._top, ts.level)
+        ts = TaskSetState(parent, children)
+        active = self._active_sets = self._active_sets + 1
+        if active > self.peak_active_sets:
+            self.peak_active_sets = active
+        level = ts.level
+        self._levels[level].append(ts)
+        if level > self._top:
+            self._top = level
 
     def push_children(self, parent: SimTask, children: list[SimTask]) -> None:
         if not children:
@@ -236,10 +242,10 @@ class BarrierFreeScheduler(SchedulerBase):
 
     def pop(self) -> SimTask | None:
         # depth-first across levels, round-robin inside a level: take the
-        # first set of the deepest level with a pending task and free
-        # spawn width, and rotate the deque past it.  Retired sets leave
-        # their deque in on_complete, so every set here has work pending
-        # or in flight.
+        # first set of the deepest level with free spawn width, and rotate
+        # the deque past it.  A set leaves its deque with its last pending
+        # task (it is never eligible again), so every set here has work
+        # pending; it retires in on_complete, once that work is done.
         levels = self._levels
         top = self._top
         while top > 0 and not levels[top]:
@@ -249,25 +255,32 @@ class BarrierFreeScheduler(SchedulerBase):
         for level in range(top, -1, -1):
             sets = levels[level]
             for j, ts in enumerate(sets):
-                if ts.pending and ts.in_flight < width:
+                if ts.in_flight < width:
                     sets.rotate(-1 - j)
                     ts.in_flight += 1
                     self.in_flight += 1
-                    return ts.pending.popleft()
+                    pending = ts.pending
+                    task = pending.popleft()
+                    if not pending:
+                        sets.pop()
+                    return task
         return None
 
     def on_complete(self, task: SimTask) -> None:
-        super().on_complete(task)
+        # SchedulerBase.on_complete and TaskSetState.complete_one/retired,
+        # spelled out: this runs once per simulated task
+        self.in_flight -= 1
+        self.completed += 1
+        if self.in_flight < 0:
+            raise SchedulerError("in-flight count underflow")
         ts = task.task_set
         if ts is None:
             return
-        ts.complete_one()
-        if ts.retired:
-            try:
-                self._levels[ts.level].remove(ts)
-            except ValueError:
-                pass
-            if not ts.exempt:
+        ts.in_flight -= 1
+        if ts.in_flight <= 0:
+            if ts.in_flight < 0:
+                raise SchedulerError("task-set accounting underflow")
+            if not ts.pending and not ts.exempt:
                 self._active_sets -= 1
                 # capacity freed: admit a waiting spawn
                 if (
@@ -309,8 +322,6 @@ class ShogunScheduler(BarrierFreeScheduler):
         self.sync_stall = sync_stall
         self._since_sync = 0
         self._draining = False
-        #: cycles of stall the PE must insert at the next dispatch
-        self.pending_stall = 0
 
     def on_complete(self, task: SimTask) -> None:
         super().on_complete(task)

@@ -58,9 +58,10 @@ class SimTask:
         self.parent = parent
         if parent is None:
             self.embedding: tuple[int, ...] = (vertex,)
+            self.chunk = None
         else:
             self.embedding = parent.embedding + (vertex,)
-        self.chunk = None if parent is None else parent.chunk
+            self.chunk = parent.chunk
         self.row = row
         self.raw_set: np.ndarray | None = None
         self.raw_words: int = 0

@@ -459,17 +459,15 @@ class QueryService:
         graph_id: str,
         pattern: "Pattern",
         induced: bool | None = None,
-        delta_patch: bool = True,
     ) -> IncrementalGPM:
         """An :class:`IncrementalGPM` wired to this service's cache.
 
         Every ``insert_edge``/``remove_edge`` re-registers the updated
         snapshot under ``graph_id`` and invalidates cached results of the
-        old snapshot.  With ``delta_patch=True``, entries for *this*
-        pattern are immediately re-cached for the new fingerprint with the
-        incrementally maintained exact count (their timing fields are
-        carried over from the stale run and should be treated as
-        approximate).
+        old snapshot.  Entries for *this* pattern are immediately re-cached
+        for the new fingerprint with the incrementally maintained exact
+        count (their timing fields are carried over from the stale run and
+        should be treated as approximate).
         """
         record = self._registry.get(graph_id)
         pkey = pattern_cache_key(pattern, induced)
@@ -477,8 +475,6 @@ class QueryService:
         def on_update(gpm: IncrementalGPM, u, v, inserted, delta) -> None:
             old_fp, new_fp = self._registry.update(graph_id, gpm.snapshot())
             dropped = self._cache.invalidate_fingerprint(old_fp)
-            if not delta_patch:
-                return
             for key, report in dropped:
                 # root-restricted (cluster shard) entries hold partial
                 # counts; the maintained total must not overwrite them

@@ -1,12 +1,12 @@
 """Event-driven accelerator simulation: PEs, RoCC interface, host model."""
 
 from .accelerator import AcceleratorSim
-from .hwexec import HardwareTaskExecutor, TaskOutcome
+from .hwexec import HardwareTaskExecutor
 from .host import HostModel, run_on_soc
 from .report import SimReport
 from .rocc import RoCCInstruction, RoCCInterface
 from .trace import ActivityTrace, TraceEvent
-from .validation import CrossValidation, ExactTaskExecutor, cross_validate
+from .validation import CrossValidation, cross_validate
 
 __all__ = [
     "AcceleratorSim",
@@ -17,9 +17,7 @@ __all__ = [
     "RoCCInstruction",
     "RoCCInterface",
     "CrossValidation",
-    "ExactTaskExecutor",
     "SimReport",
-    "TaskOutcome",
     "cross_validate",
     "run_on_soc",
 ]

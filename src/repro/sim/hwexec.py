@@ -5,14 +5,11 @@ cache state, so they are not worked out per task: the **functional
 layer** traces a chunk of start tasks' subtrees in bulk NumPy
 (:func:`repro.engine.functional.trace_chunk`, priced by
 :meth:`~repro.engine.temporal.TaskCostAnnotator.op_costs`), and the
-**temporal layer** replays one task per :meth:`execute` against the
-shared memory hierarchy (:meth:`~repro.engine.temporal.TaskCostAnnotator.
-annotate`).  Start tasks are traced lazily in distribution order, a chunk
-sized from the previous one; a hand-made task whose parent has a row is
-looked up among the parent's children, any other is a chunk of one.
-
-:class:`TaskOutcome` is defined in :mod:`repro.engine.temporal`;
-``repro.sim`` exports it from here, next to the executor that returns it.
+**temporal layer**, the simulator's event loop
+(:meth:`repro.sim.accelerator.AcceleratorSim._run`), replays one task at a
+time against the shared memory hierarchy.  Start tasks are traced lazily
+in distribution order, a chunk sized from the previous one; every other
+task is spawned with its row of its parent's chunk.
 """
 
 from __future__ import annotations
@@ -23,14 +20,13 @@ from time import perf_counter
 import numpy as np
 
 from ..engine.functional import ChunkTrace, trace_chunk
-from ..engine.temporal import TaskCostAnnotator, TaskOutcome
+from ..engine.temporal import TaskCostAnnotator
 from ..graph.csr import CSRGraph
-from ..memory.hierarchy import MemoryHierarchy
 from ..obs import context as _obs
 from ..patterns.plan import MatchingPlan
 from ..siu.base import SIUCostModel, block_keys
 
-__all__ = ["TaskOutcome", "HardwareTaskExecutor"]
+__all__ = ["HardwareTaskExecutor"]
 
 #: start tasks in a run's first chunk
 TRACE_FIRST_CHUNK = 64
@@ -39,27 +35,19 @@ TRACE_CHUNK_TASKS = 1 << 13
 
 
 class HardwareTaskExecutor:
-    """Executes tasks by replaying their chunk's trace against the clock."""
+    """Gives a run's start tasks their chunk and row, tracing on demand."""
 
     def __init__(
         self,
         graph: CSRGraph,
         plan: MatchingPlan,
         siu: SIUCostModel,
-        memory: MemoryHierarchy,
         task_overhead_cycles: int = 0,
     ) -> None:
         self.graph = graph
         self.plan = plan
-        self.siu = siu
-        self.memory = memory
         self._width = siu.bitmap_width
-        self._annotator = TaskCostAnnotator(
-            graph, plan, siu, memory, task_overhead_cycles
-        )
-        # guarded hot-path hook: pinned once at construction so the
-        # per-task fast path below is a single None check when disabled
-        self._obs = _obs.current()
+        self.costs = TaskCostAnnotator(graph, plan, siu, task_overhead_cycles)
         self.start([])
 
     def set_words(self, vertices: np.ndarray) -> int:
@@ -68,37 +56,20 @@ class HardwareTaskExecutor:
 
     def start(self, tasks: list) -> None:
         """Take a run's start tasks in distribution order; each is traced,
-        with the chunk that follows it, when it is first executed."""
+        with the chunk that follows it, when it is first located."""
         self._starts = list(tasks)
-        self._pending = {t.task_id for t in self._starts}
         for t in self._starts:
             t.chunk, t.row = None, -1  # a trace of an earlier run is stale
         self._next = 0
         self._chunk = TRACE_FIRST_CHUNK
+        self._obs = _obs.current()
+        #: wall seconds this run has spent tracing
+        self.trace_seconds = 0.0
 
-    def execute(self, task, pe: int, now: float) -> TaskOutcome:
-        """Run one task on PE ``pe`` starting at time ``now``."""
-        if task.row < 0:
-            self._locate(task)
-        outcome = self._annotator.annotate(task, pe, now)
-        if self._obs is not None:
-            self._obs.level_add(
-                task.level,
-                tasks=1,
-                elements=outcome.words_in,
-                comparisons=outcome.comparisons,
-            )
-        return outcome
-
-    def _locate(self, task) -> None:
-        """Give ``task`` a chunk and row, tracing where none has one."""
-        parent = task.parent
-        if task.chunk is not None:
-            task.row = task.chunk.child_row(parent.level, parent.row,
-                                            task.vertex)
-        if task.row < 0 and task.task_id not in self._pending:
-            self._trace([task])
-        while task.row < 0:  # trace up to it, in distribution order
+    def locate(self, task) -> None:
+        """Give start task ``task`` a chunk and row: trace the chunks of
+        start tasks up to it, in distribution order."""
+        while task.row < 0:
             lo = self._next
             level = self._starts[lo].level  # one chunk starts at one level
             group = list(takewhile(
@@ -116,10 +87,12 @@ class HardwareTaskExecutor:
         with _obs.span("sim.trace", level=group[0].level, starts=len(group)):
             chunk = trace_chunk(
                 self.graph, self.plan, group, self._width,
-                self._annotator.op_costs,
+                self.costs.op_costs,
             )
+        seconds = perf_counter() - t0
+        self.trace_seconds += seconds
         if self._obs is not None:
-            self._obs.add_stage("event_trace", perf_counter() - t0)
+            self._obs.add_stage("event_trace", seconds)
         for row, t in enumerate(group):
             t.chunk, t.row = chunk, row
         return chunk

@@ -2,12 +2,13 @@
 
 The paper validates its fast SystemC simulator against RTL simulation on
 small test cases (§7.1.1).  This module replays the same methodology one
-level up: an :class:`ExactTaskExecutor` executes every task by *streaming
-the actual word sequences through the element-level pipeline models* of
-:mod:`repro.setops` (the "RTL" of this reproduction), while the production
-:class:`~repro.sim.hwexec.HardwareTaskExecutor` uses the analytic cost
-formulas.  :func:`cross_validate` runs a workload through both and reports
-the cycle-count discrepancy, which tests pin to a small tolerance.
+level up: every set operation of a workload is streamed, as its actual word
+sequences, through the element-level pipeline models of :mod:`repro.setops`
+(the "RTL" of this reproduction), and the total is compared with the
+analytic cost formulas the event simulator charges.  Issue cycles do not
+depend on the schedule, so both sums run over ``walk_tasks``' op records;
+:func:`cross_validate` reports the discrepancy, which tests pin to a small
+tolerance, and checks the simulated run's embeddings against the walk.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.config import SystemConfig
-from ..engine.functional import expand_task, walk_tasks
+from ..engine.functional import walk_tasks
 from ..graph import bitmapcsr
 from ..graph.csr import CSRGraph
-from ..memory.hierarchy import MemoryHierarchy
 from ..patterns.plan import MatchingPlan
 from ..setops.bitonic import OrderAwarePipeline
 from ..setops.merge_queue import MergeQueuePipeline
@@ -26,9 +26,8 @@ from ..setops.systolic import SystolicMergeArray
 from ..siu.base import consumed_extents, merge_boundaries
 from ..siu.models import make_siu
 from .accelerator import AcceleratorSim
-from .hwexec import HardwareTaskExecutor, TaskOutcome
 
-__all__ = ["ExactTaskExecutor", "CrossValidation", "cross_validate"]
+__all__ = ["CrossValidation", "cross_validate"]
 
 #: the element-level pipelines' names for the two set operations
 _PIPE_OP = {"set_int": "intersect", "set_diff": "difference"}
@@ -40,38 +39,6 @@ def _exact_pipeline(config: SystemConfig):
     if config.siu_kind == "sma":
         return SystolicMergeArray(config.segment_width, config.bitmap_width)
     return MergeQueuePipeline(config.bitmap_width)
-
-
-class ExactTaskExecutor(HardwareTaskExecutor):
-    """Task executor whose per-op cycle counts come from the exact pipelines.
-
-    Much slower than the analytic executor (it materialises BitmapCSR word
-    streams and walks them element by element), so it is reserved for
-    validation on small graphs.
-    """
-
-    def __init__(self, graph, plan, siu, memory, config: SystemConfig,
-                 task_overhead_cycles: int = 0) -> None:
-        super().__init__(graph, plan, siu, memory,
-                         task_overhead_cycles=task_overhead_cycles)
-        self._pipe = _exact_pipeline(config)
-        #: cumulative exact issue cycles measured op by op
-        self.exact_issue_cycles = 0
-
-    def execute(self, task, pe: int, now: float) -> TaskOutcome:
-        # run the analytic path for the simulation itself...
-        outcome = super().execute(task, pe, now)
-        # ...then stream its ops (the functional step is idempotent, so
-        # asking it again is exact) through the element-level pipeline
-        width = self._width
-        for rec in expand_task(self.graph, self.plan, task).ops:
-            trace = self._pipe.run(
-                bitmapcsr.encode(rec.a, width),
-                bitmapcsr.encode(rec.b, width),
-                _PIPE_OP[rec.kind],
-            )
-            self.exact_issue_cycles += trace.issue_cycles
-        return outcome
 
 
 @dataclass(frozen=True)
@@ -88,58 +55,40 @@ class CrossValidation:
 def cross_validate(
     graph: CSRGraph, plan: MatchingPlan, config: SystemConfig
 ) -> CrossValidation:
-    """Run one workload through both executors and compare.
+    """Run one workload through the simulator and the exact pipelines.
 
     The comparison metric is total *issue cycles* across all set operations
-    — the quantity the analytic formulas approximate.  Memory timing and
-    scheduling are identical in both runs by construction.
+    — the quantity the analytic formulas approximate.  The exact pipelines
+    are much slower than the analytic model (they materialise BitmapCSR
+    word streams and walk them element by element), so this is reserved
+    for validation on small graphs.
     """
-    # analytic run
-    sim = AcceleratorSim(graph, plan, config)
-    report = sim.run()
-
-    # exact replay
-    memory = MemoryHierarchy(config.memory_config())
+    report = AcceleratorSim(graph, plan, config).run()
+    pipe = _exact_pipeline(config)
     siu = make_siu(config.siu_kind, config.segment_width,
                    config.bitmap_width)
-    exact = ExactTaskExecutor(
-        graph, plan, siu, memory, config,
-        task_overhead_cycles=config.task_overhead_cycles,
-    )
-    sim2 = AcceleratorSim(graph, plan, config)
-    sim2.executor = exact
-    report2 = sim2.run()
-
-    # the cost model's issue cycles for the same ops
-    analytic_issue = _analytic_issue_cycles(graph, plan, config)
-    err = (
-        abs(analytic_issue - exact.exact_issue_cycles)
-        / max(exact.exact_issue_cycles, 1)
-    )
-    return CrossValidation(
-        analytic_cycles=report.cycles,
-        exact_issue_cycles=exact.exact_issue_cycles,
-        analytic_comparisons=report.comparisons,
-        embeddings_match=report.embeddings == report2.embeddings,
-        relative_issue_error=err,
-    )
-
-
-def _analytic_issue_cycles(
-    graph: CSRGraph, plan: MatchingPlan, config: SystemConfig
-) -> int:
-    """Total analytic issue cycles over every op of the workload."""
-    siu = make_siu(config.siu_kind, config.segment_width,
-                   config.bitmap_width)
-    total = 0
+    width = config.bitmap_width
+    exact_issue = analytic_issue = embeddings = 0
     for _, expansion in walk_tasks(graph, plan, plan.stop_level):
+        embeddings += expansion.count
         for rec in expansion.ops:
+            exact_issue += pipe.run(
+                bitmapcsr.encode(rec.a, width),
+                bitmapcsr.encode(rec.b, width),
+                _PIPE_OP[rec.kind],
+            ).issue_cycles
             ka, kb = siu._streams(rec.a, rec.b)
             i_end, j_end, matches = merge_boundaries(ka, kb)
             c_a, c_b = consumed_extents(ka, kb)
-            cost = siu.cost_terms(
+            analytic_issue += siu.cost_terms(
                 int(ka.size), int(kb.size), i_end, j_end, matches, rec.kind,
                 c_a=c_a, c_b=c_b,
-            )
-            total += cost.issue_cycles
-    return total
+            ).issue_cycles
+    err = abs(analytic_issue - exact_issue) / max(exact_issue, 1)
+    return CrossValidation(
+        analytic_cycles=report.cycles,
+        exact_issue_cycles=exact_issue,
+        analytic_comparisons=report.comparisons,
+        embeddings_match=report.embeddings == embeddings,
+        relative_issue_error=err,
+    )

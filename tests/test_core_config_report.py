@@ -136,10 +136,10 @@ class TestRootPartitioning:
         loads = [
             sum(
                 g.degree(t.vertex)
-                for ts in pe.scheduler._levels[1]
+                for ts in sched._levels[1]
                 for t in ts.pending
             )
-            for pe in sim._pes
+            for sched in sim.schedulers
         ]
         assert max(loads) <= 1.5 * (sum(loads) / len(loads)) + 100
 

@@ -133,7 +133,7 @@ def _record(graph, pattern, roots, design, config) -> dict:
     }
 
 
-def _observed(graph, pattern, roots, config) -> dict:
+def _observed(graph, pattern, roots, config) -> tuple:
     with observe() as ob:
         report = run_on_soc(graph, build_plan(pattern), config, roots)
     profile = build_profile(report, ob, "event")
@@ -141,7 +141,7 @@ def _observed(graph, pattern, roots, config) -> dict:
         "tasks": profile.level_tasks,
         "elements": profile.level_elements,
         "comparisons": profile.level_comparisons,
-    }, profile
+    }, profile, report
 
 
 @pytest.fixture(scope="module")
@@ -262,11 +262,17 @@ def test_observed_profile_matches_golden(golden):
     cases = {key: rest for key, *rest in _cases()}
     for key in OBSERVED:
         graph, pattern, roots, _, config = cases[key]
-        levels, profile = _observed(graph, pattern, roots, config)
+        levels, profile, report = _observed(graph, pattern, roots, config)
         want = golden[f"profile/{key}"]
         assert json.loads(json.dumps(levels)) == want, key
+        # observing the run changes none of its statistics
+        assert [getattr(report, f) for f in STAT_FIELDS] == (
+            golden[key]["stats"]
+        ), key
+        assert report.per_pe_busy == golden[key]["per_pe_busy"], key
         # the trace build is its own stage and span, beside the replay
         assert profile.stages["event_trace"] > 0, key
+        assert profile.stages["event_replay"] > 0, key
         assert any(sp.name == "sim.trace" for sp in profile.spans), key
 
 

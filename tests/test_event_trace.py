@@ -13,13 +13,8 @@ import tracemalloc
 
 import numpy as np
 
-from repro.engine.functional import (
-    TRACE_BLOCK_ELEMENTS,
-    expand_task,
-    trace_chunk,
-)
+from repro.engine.functional import TRACE_BLOCK_ELEMENTS, trace_chunk
 from repro.graph import powerlaw_graph
-from repro.memory import MemoryConfig, MemoryHierarchy
 from repro.patterns import PATTERNS, build_plan
 from repro.sched.task import SimTask
 from repro.sim.hwexec import HardwareTaskExecutor
@@ -40,16 +35,13 @@ def test_hub_trace_is_blocked_and_compact():
     )
     hub = int(np.argmax(graph.degrees))
     plan = build_plan(PATTERNS["TT"])
-    executor = HardwareTaskExecutor(
-        graph, plan, make_siu("order-aware", 8, 8),
-        MemoryHierarchy(MemoryConfig(num_pes=1)),
-    )
+    executor = HardwareTaskExecutor(graph, plan, make_siu("order-aware", 8, 8))
     leaf_elements = []
 
     def cost(facts):
         if facts.level == plan.stop_level and facts.op == 0:
             leaf_elements.append(int(facts.na.sum()))
-        return executor._annotator.op_costs(facts)
+        return executor.costs.op_costs(facts)
 
     trace_chunk(graph, plan, [SimTask(1, hub, None)], 8, cost)  # warm
     leaf_elements.clear()
@@ -70,24 +62,3 @@ def test_hub_trace_is_blocked_and_compact():
     assert retained - before <= TASK_BYTES * tasks + 64 * 1024
     build = peak - retained
     assert build <= BUILD_BYTES_PER_ELEMENT * TRACE_BLOCK_ELEMENTS
-
-
-def test_a_task_off_the_trace_is_a_chunk_of_one(toy_graph):
-    """A hand-made task its traced parent never spawned is traced on its
-    own, the parent's set recomputed (a traced task keeps none)."""
-    plan = build_plan(PATTERNS["4CF"])
-    executor = HardwareTaskExecutor(
-        toy_graph, plan, make_siu("order-aware", 8),
-        MemoryHierarchy(MemoryConfig(num_pes=1)),
-    )
-    root = SimTask(1, 4, None)
-    executor.execute(root, pe=0, now=0.0)
-    assert root.raw_set is None
-    stray = SimTask(2, 5, root)  # 5 > 4: the symmetry bound cut it
-    outcome = executor.execute(stray, pe=0, now=5.0)
-    assert stray.chunk is not root.chunk and stray.row == 0
-    chain = SimTask(1, 4, None)
-    expand_task(toy_graph, plan, chain)
-    want = expand_task(toy_graph, plan, SimTask(2, 5, chain))
-    assert outcome.children.tolist() == want.filtered.tolist()
-    assert outcome.set_ops == len(want.ops)

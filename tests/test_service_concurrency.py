@@ -393,11 +393,12 @@ class TestCancellation:
 
 class TestCacheInvalidation:
     def test_dynamic_update_invalidates(self, graph):
+        """A write drops the cached entries of every other pattern on the
+        old snapshot, and patches the session's own."""
         svc, gid = make_service(graph)
+        svc.count(gid, PATTERNS["DIA"], engine="batched")  # cached
         before = svc.count(gid, PATTERNS["3CF"], engine="batched")
-        session = svc.dynamic_session(
-            gid, PATTERNS["3CF"], delta_patch=False
-        )
+        session = svc.dynamic_session(gid, PATTERNS["3CF"])
         u, v = next(
             (u, v)
             for u in range(graph.num_vertices)
@@ -405,16 +406,18 @@ class TestCacheInvalidation:
             if not graph.has_edge(u, v)
         )
         delta = session.insert_edge(u, v)
-        assert svc.stats().cache_invalidations >= 1
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        assert svc.stats().cache_invalidations >= 2
+        handle = svc.submit(gid, PATTERNS["DIA"], engine="batched")
         after = handle.result()
         assert not handle.from_cache
-        assert after.embeddings == before.embeddings + delta
         # cross-check against a fresh count on the updated snapshot
         fresh = XSetAccelerator(engine="batched").count(
-            session.snapshot(), PATTERNS["3CF"]
+            session.snapshot(), PATTERNS["DIA"]
         )
         assert after.embeddings == fresh.embeddings
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        assert handle.result().embeddings == before.embeddings + delta
+        assert handle.from_cache
         svc.shutdown()
 
     def test_dynamic_update_delta_patches(self, graph):

@@ -1,13 +1,14 @@
-"""Unit tests for the hardware task executor."""
+"""Unit tests for the hardware task replay: what one simulated task
+charges and spawns, and the executor's word counts."""
 
 import numpy as np
 import pytest
 
 from repro.core import xset_default
 from repro.engine.functional import row_word_counts
-from repro.memory import MemoryConfig, MemoryHierarchy
 from repro.patterns import PATTERNS, build_plan
 from repro.sched.task import SimTask
+from repro.sim import AcceleratorSim
 from repro.sim.hwexec import HardwareTaskExecutor
 from repro.siu import make_siu
 
@@ -15,9 +16,8 @@ from repro.siu import make_siu
 @pytest.fixture
 def executor(toy_graph):
     plan = build_plan(PATTERNS["3CF"])
-    memory = MemoryHierarchy(MemoryConfig(num_pes=1))
     siu = make_siu("order-aware", 8, bitmap_width=0)
-    return HardwareTaskExecutor(toy_graph, plan, siu, memory)
+    return HardwareTaskExecutor(toy_graph, plan, siu)
 
 
 class TestRowWordCounts:
@@ -75,76 +75,85 @@ class TestRowWordCounts:
         assert row_word_counts(g, 0).tolist() == [1, 1, 0]
 
 
-class TestExecute:
-    def test_load_level_task(self, executor, toy_graph):
-        task = SimTask(level=1, vertex=4, parent=None)
-        outcome = executor.execute(task, pe=0, now=0.0)
-        # level 1 of the triangle plan loads N(u0) and spawns filtered kids
-        assert outcome.set_ops == 0
-        assert outcome.count_delta == 0
-        # filter is u1 < u0: neighbours of 4 below 4
-        assert sorted(outcome.children.tolist()) == [0, 2, 3]
-        assert outcome.elapsed > 0
-        assert outcome.occupancy <= outcome.elapsed
+def _run(graph, pattern, start_tasks, **overrides):
+    """Replay ``start_tasks`` on one PE with one SIU; returns the simulator,
+    its report and the children each task spawned, by parent embedding."""
+    config = xset_default(num_pes=1, sius_per_pe=1, bitmap_width=0,
+                          **overrides)
+    sim = AcceleratorSim(graph, build_plan(PATTERNS[pattern]), config,
+                         collect_trace=True)
+    spawned = {}
+    sched = sim.schedulers[0]
+    push = sched.push_children
 
-    def test_leaf_count_task(self, executor, toy_graph):
-        root = SimTask(level=1, vertex=4, parent=None)
-        executor.execute(root, pe=0, now=0.0)
-        leaf = SimTask(level=2, vertex=3, parent=root)
-        outcome = executor.execute(leaf, pe=0, now=10.0)
+    def record(parent, children):
+        spawned[parent.embedding] = children
+        push(parent, children)
+
+    sched.push_children = record
+    return sim, sim.run(start_tasks), spawned
+
+
+def _leaf_start():
+    """Leaf (4, 3) of the triangle plan, handed over as a start task."""
+    return SimTask(level=2, vertex=3, parent=SimTask(1, 4, None))
+
+
+class TestExecute:
+    def test_load_level_task(self, toy_graph):
+        sim, report, spawned = _run(
+            toy_graph, "3CF", [SimTask(level=1, vertex=4, parent=None)]
+        )
+        # level 1 of the triangle plan loads N(u0) and spawns filtered kids
+        # (filter is u1 < u0: neighbours of 4 below 4), one op per leaf
+        assert [t.vertex for t in spawned[(4,)]] == [0, 2, 3]
+        assert sim.trace.level_histogram() == {1: 1, 2: 3}
+        assert report.set_ops == 3
+        load = sim.trace.events[0]
+        assert load.level == 1 and load.duration > 0
+        assert report.per_pe_busy[0] <= sum(
+            e.duration for e in sim.trace.events
+        )
+
+    def test_leaf_count_task(self, toy_graph):
+        _, report, spawned = _run(toy_graph, "3CF", [_leaf_start()])
         # triangle leaf: |N(4) ∩ N(3)| with < u1 filter
-        assert outcome.set_ops == 1
-        assert outcome.children.size == 0
-        assert outcome.count_delta == 1  # vertex 2 < 3 completes (4,3,2)
+        assert report.tasks == 1 and report.set_ops == 1
+        assert spawned == {}
+        assert report.embeddings == 1  # vertex 2 < 3 completes (4,3,2)
 
     def test_intermediate_set_stored(self, toy_graph):
-        plan = build_plan(PATTERNS["4CF"])
-        memory = MemoryHierarchy(MemoryConfig(num_pes=1))
-        ex = HardwareTaskExecutor(
-            toy_graph, plan, make_siu("order-aware", 8), memory
-        )
         root = SimTask(level=1, vertex=4, parent=None)
-        ex.execute(root, pe=0, now=0.0)
+        _, report, spawned = _run(toy_graph, "4CF", [root])
         # N(4) = {0, 2, 3, 5}, one word per vertex without BitmapCSR
         assert root.raw_words == toy_graph.degree(4)
         assert root.scratch_addr != 0
-        mid = SimTask(level=2, vertex=3, parent=root)
-        out = ex.execute(mid, pe=0, now=5.0)
+        mid = next(t for t in spawned[(4,)] if t.vertex == 3)
         # N(4) ∩ N(3) = {2, 5}, stored for level-3 reuse
         assert mid.raw_words == 2
         assert mid.scratch_addr > root.scratch_addr
-        assert out.words_out == mid.raw_words
+        assert report.words_out == root.raw_words + sum(
+            t.raw_words for t in spawned[(4,)]
+        )
 
-    def test_occupancy_excludes_pipeline_tail(self, executor):
-        root = SimTask(level=1, vertex=4, parent=None)
-        executor.execute(root, pe=0, now=0.0)
-        leaf = SimTask(level=2, vertex=3, parent=root)
-        outcome = executor.execute(leaf, pe=0, now=10.0)
-        depth = executor.siu.pipeline_depth
-        assert outcome.elapsed - outcome.occupancy == pytest.approx(depth)
+    def test_occupancy_excludes_pipeline_tail(self, toy_graph):
+        sim, report, _ = _run(toy_graph, "3CF", [_leaf_start()])
+        (leaf,) = sim.trace.events
+        depth = sim.siu.pipeline_depth
+        assert leaf.duration - report.per_pe_busy[0] == pytest.approx(depth)
 
     def test_task_overhead_charged(self, toy_graph):
-        plan = build_plan(PATTERNS["3CF"])
-        mem = MemoryHierarchy(MemoryConfig(num_pes=1))
-        fast = HardwareTaskExecutor(
-            toy_graph, plan, make_siu("order-aware", 8), mem
-        )
-        mem2 = MemoryHierarchy(MemoryConfig(num_pes=1))
-        slow = HardwareTaskExecutor(
-            toy_graph, plan, make_siu("order-aware", 8), mem2,
-            task_overhead_cycles=10,
-        )
-        t1 = SimTask(level=1, vertex=4, parent=None)
-        t2 = SimTask(level=1, vertex=4, parent=None)
-        a = fast.execute(t1, 0, 0.0)
-        b = slow.execute(t2, 0, 0.0)
-        assert b.elapsed == pytest.approx(a.elapsed + 10)
+        fast, a, _ = _run(toy_graph, "3CF", [SimTask(1, 4, None)])
+        slow, b, _ = _run(toy_graph, "3CF", [SimTask(1, 4, None)],
+                          task_overhead_cycles=10)
+        assert b.tasks == a.tasks == 4
+        for e, f in zip(fast.trace.events, slow.trace.events):
+            assert f.duration == pytest.approx(e.duration + 10)
 
     def test_set_words_bitmap(self, toy_graph):
         plan = build_plan(PATTERNS["3CF"])
-        mem = MemoryHierarchy(MemoryConfig(num_pes=1))
         ex = HardwareTaskExecutor(
-            toy_graph, plan, make_siu("order-aware", 8, bitmap_width=8), mem
+            toy_graph, plan, make_siu("order-aware", 8, bitmap_width=8)
         )
         assert ex.set_words(np.array([0, 1, 2, 7])) == 1
         assert ex.set_words(np.array([0, 8, 16])) == 3
@@ -158,11 +167,10 @@ class TestExecute:
     def test_set_words_matches_row_word_counts(self, skewed_graph):
         """set_words on a neighbour row agrees with the bulk row counts."""
         plan = build_plan(PATTERNS["3CF"])
-        mem = MemoryHierarchy(MemoryConfig(num_pes=1))
         for width in (0, 4, 16):
             ex = HardwareTaskExecutor(
                 skewed_graph, plan,
-                make_siu("order-aware", 8, bitmap_width=width), mem,
+                make_siu("order-aware", 8, bitmap_width=width),
             )
             counts = row_word_counts(skewed_graph, width)
             for v in range(0, skewed_graph.num_vertices, 23):

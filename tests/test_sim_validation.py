@@ -5,7 +5,8 @@ import pytest
 from repro.core import xset_default
 from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
-from repro.sim.validation import ExactTaskExecutor, cross_validate
+from repro.sim import run_on_soc
+from repro.sim.validation import cross_validate
 
 
 def _config(kind: str):
@@ -28,22 +29,17 @@ def test_analytic_matches_exact_pipelines(kind, pattern):
 
 
 def test_exact_executor_is_a_drop_in(medium_er):
-    """The exact executor plugs into the simulator and changes no counts."""
-    from repro.memory import MemoryHierarchy
+    """The exact pipelines stream every operation of the workload, and the
+    simulated run counts what the reference executor counts."""
     from repro.patterns import count_embeddings
-    from repro.sim import AcceleratorSim
-    from repro.siu import make_siu
 
-    cfg = _config("order-aware")
     plan = build_plan(PATTERNS["3CF"])
-    sim = AcceleratorSim(medium_er, plan, cfg)
-    sim.executor = ExactTaskExecutor(
-        medium_er, plan, make_siu("order-aware", 8, 8),
-        MemoryHierarchy(cfg.memory_config()), cfg,
-    )
-    report = sim.run()
+    cv = cross_validate(medium_er, plan, _config("order-aware"))
+    assert cv.exact_issue_cycles > 0
+    assert cv.embeddings_match
+    report = run_on_soc(medium_er, plan, _config("order-aware"))
     assert report.embeddings == count_embeddings(medium_er, plan).embeddings
-    assert sim.executor.exact_issue_cycles > 0
+    assert cv.analytic_comparisons == report.comparisons
 
 
 def test_plain_csr_also_exact():
