@@ -2,18 +2,19 @@
 
 X-SET's datapath keeps every PE busy as long as nothing goes wrong; a
 production service on top of it must also survive the failures the
-paper's simulator never models.  This package supplies two mechanisms:
+paper's simulator never models.  This package supplies deterministic
+fault injection (:mod:`~repro.resilience.faults`): a seeded
+:class:`FaultPlan` assigns crashes, hangs and corrupted counts to jobs,
+which ``run_job`` applies at its one site ``worker.run``, and drops,
+delays and corrupt frames to the cluster's wire (``comm.send`` /
+``comm.recv``).  The engines, the simulator and the memory model carry
+no hook, so an unarmed system pays nothing.
 
-* **Deterministic fault injection** (:mod:`~repro.resilience.faults`) —
-  a seeded :class:`FaultPlan` assigns crashes, hangs and corrupted
-  counts to jobs, which ``run_job`` applies at its one site
-  ``worker.run``, and drops, delays and corrupt frames to the cluster's
-  wire (``comm.send`` / ``comm.recv``).  The engines, the simulator and
-  the memory model carry no hook, so an unarmed system pays nothing.
-* **Degradation** (:mod:`~repro.resilience.degradation`) — a
-  healthy/degraded/overloaded state over queue depth and the engines
-  the service records as failing, reported by ``health()`` and read by
-  the cluster coordinator.
+The service's health classification (healthy, degraded, overloaded) is a
+decision of its dispatch core, ``DispatchState.health`` in
+:mod:`repro.service.core`; :class:`HealthState` and :class:`HealthReport`
+live in :mod:`repro.service` and are re-exported here for the cluster
+coordinator and older imports.
 
 The service keeps one failure record per engine: the crashes and wrong
 results since that engine's last clean run.  A job always runs on the
@@ -27,11 +28,6 @@ health`` CLI.  The cluster's comm breakers live in
 :mod:`repro.cluster.breaker`.
 """
 
-from .degradation import (
-    HealthReport,
-    HealthState,
-    assess,
-)
 from .faults import (
     COMM_SITES,
     FAULT_SITES,
@@ -42,6 +38,8 @@ from .faults import (
     comm_active,
     inject_comm,
 )
+from ..service.core import HealthState
+from ..service.stats import HealthReport
 
 __all__ = [
     "COMM_SITES",
@@ -52,7 +50,6 @@ __all__ = [
     "FaultSpec",
     "HealthReport",
     "HealthState",
-    "assess",
     "comm_active",
     "inject_comm",
 ]

@@ -5,9 +5,10 @@ surface rather than a one-shot kernel call.  The pieces:
 
 * :class:`GraphRegistry` — register a :class:`~repro.graph.csr.CSRGraph`
   once, reference it by id; workers cache deserialised graphs per process.
-* :class:`JobQueue` + dispatcher — bounded cost-ranked queue with an
-  aging bound, typed backpressure and crash retries
-  (``repro.service.scheduler``).
+* :class:`JobQueue` — bounded cost-ranked queue with an aging bound and
+  typed backpressure (``repro.service.scheduler``), owned by the dispatch
+  core, ``DispatchState`` (``repro.service.core``): where and when each
+  job runs, crash retries and the :class:`HealthState` classification.
 * :class:`ResultCache` — LRU over ``(graph fingerprint, canonical pattern,
   config)``, invalidated/delta-patched on graph updates.
 * :class:`QueryService` — the facade tying them together, with
@@ -25,16 +26,19 @@ Quickstart::
 """
 
 from .cache import CacheKey, ResultCache, pattern_cache_key
+from .core import HealthState
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRecord, GraphRegistry
 from .scheduler import JobQueue
 from .service import MODES, InlineExecutor, QueryService
-from .stats import LatencyRecorder, ServiceStats
+from .stats import HealthReport, LatencyRecorder, ServiceStats
 
 __all__ = [
     "CacheKey",
     "GraphRecord",
     "GraphRegistry",
+    "HealthReport",
+    "HealthState",
     "InlineExecutor",
     "Job",
     "JobHandle",

@@ -1,7 +1,7 @@
 """The service's job queue: one dispatch rule, cost-ranked with aging.
 
 The queue is one bounded list of ``(cost key, push number, job)``, kept
-sorted under one lock: shortest predicted job first, so one heavy clique
+sorted: shortest predicted job first, so one heavy clique
 query stops blowing the p99 of hundreds of cheap triangle counts, and
 identical predictions in submit order.  An **anti-starvation aging
 bound** guarantees progress: the earliest-pushed job, once queued longer
@@ -15,13 +15,16 @@ the caller-supplied clock, which keeps the tests sleep-free) stays put.
 
 Backpressure is a typed error, never a blocking submit: a full queue
 raises :class:`~repro.errors.QueueFullError` so callers can shed load.
+
+The queue takes no lock of its own: its one owner in the service is the
+dispatch core (:mod:`repro.service.core`), which the service calls only
+under its one lock.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import threading
 from operator import itemgetter
 
 from ..errors import QueueFullError
@@ -59,18 +62,16 @@ class JobQueue:
         #: the pending jobs, sorted; push numbers give the arrival order
         self._entries: list[tuple[tuple, int, Job]] = []
         self._pushes = itertools.count()
-        self._lock = threading.Lock()
 
     def push(self, job: Job) -> None:
-        with self._lock:
-            if len(self._entries) >= self.limit:
-                raise QueueFullError(
-                    f"service queue is full ({self.limit} jobs pending); "
-                    f"retry later or raise queue_limit"
-                )
-            bisect.insort(
-                self._entries, (job.cost_key(), next(self._pushes), job)
+        if len(self._entries) >= self.limit:
+            raise QueueFullError(
+                f"service queue is full ({self.limit} jobs pending); "
+                f"retry later or raise queue_limit"
             )
+        bisect.insort(
+            self._entries, (job.cost_key(), next(self._pushes), job)
+        )
 
     def pop(self, now: float, fits=None) -> Job | None:
         """Next runnable job, removed from the queue, or None.
@@ -82,32 +83,30 @@ class JobQueue:
         refuses is not handed out: it stays where it is and None is
         returned.
         """
-        with self._lock:
-            entries = self._entries
-            if not entries:
+        entries = self._entries
+        if not entries:
+            return None
+        entry = min(entries, key=itemgetter(1))  # earliest pushed
+        job = entry[2]
+        if now - job.enqueued_at < self.age_limit or _parked(job, now):
+            entry = next(
+                (e for e in entries if not _parked(e[2], now)), None
+            )
+            if entry is None:
                 return None
-            entry = min(entries, key=itemgetter(1))  # earliest pushed
             job = entry[2]
-            if now - job.enqueued_at < self.age_limit or _parked(job, now):
-                entry = next(
-                    (e for e in entries if not _parked(e[2], now)), None
-                )
-                if entry is None:
-                    return None
-                job = entry[2]
-            if fits is not None and not fits(job):
-                return None
-            entries.remove(entry)
-            return job
+        if fits is not None and not fits(job):
+            return None
+        entries.remove(entry)
+        return job
 
     def remove(self, handle: JobHandle) -> Job | None:
         """Take the job of ``handle`` out of the queue: the job, or None
         when it is not queued (popped, drained or never pushed)."""
-        with self._lock:
-            for i, entry in enumerate(self._entries):
-                if entry[2].handle is handle:
-                    del self._entries[i]
-                    return entry[2]
+        for i, entry in enumerate(self._entries):
+            if entry[2].handle is handle:
+                del self._entries[i]
+                return entry[2]
         return None
 
     def drain(self) -> list[Job]:
@@ -116,12 +115,22 @@ class JobQueue:
         Shutdown path: unlike :meth:`pop` this never defers, so waiters
         of a job parked on its retry backoff are released too.
         """
-        with self._lock:
-            entries, self._entries = self._entries, []
+        entries, self._entries = self._entries, []
         return [job for _, _, job in entries]
 
+    def parked_until(self, now: float) -> float | None:
+        """When the first job parked on its retry backoff at ``now`` gets
+        runnable, or None when no job is parked."""
+        return min(
+            (
+                e[2].not_before for e in self._entries
+                if _parked(e[2], now)
+            ),
+            default=None,
+        )
+
     def depth(self) -> int:
-        """Queued jobs.  O(1) and lock-free: one read of the list."""
+        """Queued jobs.  O(1): the list's length."""
         return len(self._entries)
 
 

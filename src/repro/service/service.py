@@ -21,16 +21,22 @@ Execution modes
     Synchronous execution inside ``submit`` — deterministic, used by tests
     and as the zero-overhead mode for single queries.
 
-In the two pool modes the service decides per job where it runs.  A
-warm, plain, sub-millisecond job (see ``QueryService._light``) runs in
-the service process, against the live graph, with no round trip to a
-worker: on the thread that submitted it when the service is idle (not
-paused, nothing queued, nothing in flight), so it has settled when
-``submit`` returns, and otherwise on the dispatcher thread.  Every other
-job is queued, and the dispatcher sends it to the pool as one call.  Light
-jobs take no pool worker, so they keep flowing while the pool is busy
-with heavy ones.  A traced job's ``service.job`` span records the choice
-as its ``where`` attribute (``service`` or ``pool``).
+Where and when each job runs is decided by one thread-free state
+machine, :class:`~repro.service.core.DispatchState`; this module is its
+shell.  The shell owns the lock around it, the dispatcher thread and the
+executor, and applies each answer: it runs a job (``_launch``), ends one
+(``_settle``), and emits the spans, counts, cache fills and cost-model
+training that go with it.  Every job that runs is started by
+``DispatchState.admit`` ("run here") or by ``DispatchState.next``, whose
+one loop is ``_pump``.
+
+In the two pool modes a warm, plain, sub-millisecond job runs in the
+service process, against the live graph, with no round trip to a worker:
+on the thread that submitted it when the service is idle, so it has
+settled when ``submit`` returns, and otherwise on the dispatcher thread.
+Every other job is queued, and the dispatcher sends it to the pool as one
+call.  A traced job's ``service.job`` span records the choice as its
+``where`` attribute (``service`` or ``pool``).
 
 Every job event has one record: outcomes, retries and cache traffic are
 the ``repro_*_total`` counters, an engine's crashes and wrong results
@@ -46,15 +52,12 @@ Semantics
   wait.
 * **Dispatch order**: cost-ranked, with an aging bound
   (:mod:`repro.service.scheduler`); there is no other order.
-* **Retries**: crash-shaped failures (a dying worker / broken pool) are
-  retried ``MAX_RETRIES`` times with doubling backoff from
-  ``RETRY_BACKOFF_SECONDS``, on the same engine in a fresh worker;
-  deterministic engine exceptions propagate immediately.  A job always
-  runs on the engine its config names.
-* **Failing engines**: an engine that has crashed or returned a wrong
-  result ``ENGINE_FAILURE_LIMIT`` times since its last clean run marks
-  the service degraded, and its jobs run in the pool, where a crash
-  cannot take the service down, until one of them runs clean.
+* **Retries and failing engines**: crash-shaped failures (a dying worker
+  or broken pool) are retried on the same engine in a fresh worker, and
+  an engine that keeps failing runs in the pool until a run of it is
+  clean (``DispatchState.done``); deterministic engine exceptions
+  propagate immediately.  A job always runs on the engine its config
+  names.
 * **Caching**: results are cached by ``(graph fingerprint, canonical
   pattern, config)`` with LRU eviction; graph updates invalidate — or,
   through :meth:`QueryService.dynamic_session`, delta-patch — entries.
@@ -68,7 +71,6 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -93,17 +95,26 @@ from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..patterns.plan import build_plan
 from ..sched.adaptive import CostPredictor, query_features
-from ..resilience import HealthReport, HealthState, assess
 from .cache import CacheKey, ResultCache, pattern_cache_key
+from .core import DispatchState, HealthState, Outcome, Requeue
+
+# the dispatch rules' constants live with the rules; they are re-exported
+# here, where callers and the docs have always found them (tests patch
+# them on ``core``, which reads them)
+from .core import (  # noqa: F401
+    ENGINE_FAILURE_LIMIT,
+    LIGHT_SECONDS,
+    MAX_RETRIES,
+    RETRY_BACKOFF_SECONDS,
+)
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
-from .scheduler import JobQueue
-from .stats import LatencyRecorder, ServiceStats
+from .stats import HealthReport, LatencyRecorder, ServiceStats, Tally
 from .worker import run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
-    from ..obs import Counter, ExecutionProfile
+    from ..obs import ExecutionProfile
     from ..patterns.pattern import Pattern
     from ..resilience import FaultPlan
     from ..sim.report import SimReport
@@ -117,55 +128,6 @@ MODES = ("process", "thread", "inline")
 
 #: exception types treated as "the worker died" → retried with backoff
 _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
-
-#: crash-shaped failures one job is retried after, and the backoff before
-#: its first retry; each further retry waits twice as long as the last
-MAX_RETRIES = 2
-RETRY_BACKOFF_SECONDS = 0.05
-
-#: crash or wrong-result failures of one engine since its last clean run
-#: at which it is failing: it marks the service degraded, and its jobs run
-#: in the pool until one of them runs clean
-ENGINE_FAILURE_LIMIT = 3
-
-_CACHE_HELP = "result-cache outcome of cached submits"
-
-#: every count the service keeps, kept once: row → (series, help).  The
-#: series' own counter is the store — ``QueryService._count`` is the only
-#: writer and ``stats()`` / ``health()`` read the same counters back, so an
-#: integer and its series cannot drift apart
-_COUNTS = {
-    # terminal outcomes, named by the JobStatus value a job settles in
-    "done": ("repro_jobs_completed_total", "jobs finished successfully"),
-    "failed": (
-        "repro_jobs_failed_total", "jobs that exhausted their retries"
-    ),
-    "cancelled": (
-        "repro_jobs_cancelled_total", "jobs cancelled before they finished"
-    ),
-    "submitted": ("repro_jobs_submitted_total", "jobs accepted by submit()"),
-    "retries": ("repro_job_retries_total", "crash-shaped failures retried"),
-    "worker_calls": (
-        "repro_worker_calls_total",
-        "jobs sent to the pool, one executor call each",
-    ),
-    # the rows below carry labels, whose values the caller of _count gives
-    "faults_injected": (
-        "repro_faults_injected_total",
-        "injected faults observed by the service",
-    ),
-    "crosschecks": (
-        "repro_crosschecks_total", "sampled cross-engine verification runs"
-    ),
-    "cache_hits": ("repro_cache_hits_total", _CACHE_HELP),
-    "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
-}
-
-#: A job profiled under this many seconds runs in the service process
-#: instead of paying a pool round trip (≈0.65 ms of wake-ups around a
-#: 0.3 ms run); it is also the longest such a job holds up the next
-#: dispatch.  docs/ARCHITECTURE.md, *Where a job runs*, has the numbers.
-LIGHT_SECONDS = 0.001
 
 #: finished spans retained by a traced service (most recent history)
 TRACE_SPAN_LIMIT = 20_000
@@ -226,10 +188,18 @@ class QueryService:
         self._owns_executor = executor is None
         self._registry = GraphRegistry()
         self._cache = ResultCache(cache_capacity)
-        self._queue = JobQueue(queue_limit)
+        #: every dispatch decision; called only under ``_cond``
+        self._core = DispatchState(
+            queue_limit,
+            max_workers,
+            in_process=mode != "inline",
+            verify_fraction=verify_fraction,
+            paused=start_paused,
+        )
         # metrics always exist (they are cheap, per-job bookkeeping);
         # span tracing + per-query profiling is opt-in via observability=
         self.metrics = MetricsRegistry()
+        self._tally = Tally(self.metrics)
         self._latency = LatencyRecorder(registry=self.metrics)
         #: online cost model trained from every completed job; drives
         #: cost-ranked dispatch and the light-job test
@@ -245,24 +215,10 @@ class QueryService:
         self._profiles: deque["ExecutionProfile"] = deque(
             maxlen=PROFILE_LIMIT
         )
-        self._seq = itertools.count()
         self._job_ids = itertools.count(1)
         self._cond = threading.Condition()
         self._dispatcher: threading.Thread | None = None
-        self._paused = start_paused
-        self._shutdown = False
-        self._in_flight = 0
         self._dispatcher_stuck = False
-        #: (row of ``_COUNTS``, *label values) → that series' counter
-        self._tally: "dict[tuple[str, ...], Counter]" = {}
-        # -- resilience layer (failure records, cross-check, fault plan) -----
-        #: share of jobs, picked by job id, re-run on a second engine and
-        #: compared by count (``_sampled_verify``); 0.0 checks none
-        self.verify_fraction = verify_fraction
-        self._fault_plan: "FaultPlan | None" = None
-        #: engine → crash or wrong-result failures since its last clean
-        #: run, for the engines with any; written under ``_cond``
-        self._engine_failures: dict[str, int] = {}
 
     # -- graph registry ----------------------------------------------------
 
@@ -319,16 +275,17 @@ class QueryService:
         """Enqueue one query; returns immediately with a :class:`JobHandle`.
 
         The exception is a warm light job on an idle service, which runs
-        here and has settled by the time its handle is returned (see
-        ``_run_if_idle``).  Jobs dispatch cheapest predicted first (see
-        :mod:`repro.service.scheduler`).  ``engine`` / ``config`` override
-        the service defaults for this job only.
+        here and has settled by the time its handle is returned (the idle
+        rule, ``DispatchState.admit``).  Jobs dispatch cheapest predicted
+        first (see :mod:`repro.service.scheduler`).  ``engine`` /
+        ``config`` override the service defaults for this job only.
         ``root_range`` restricts matching to search trees rooted in the
         half-open vertex range ``[lo, hi)`` — the cluster layer's shard
         workers submit exactly such root-partitioned subqueries.
-        Raises :class:`~repro.errors.QueueFullError` under backpressure.
+        Raises :class:`~repro.errors.QueueFullError` under backpressure
+        and :class:`~repro.errors.ServiceError` after :meth:`shutdown`.
         """
-        if self._shutdown:
+        if self._core.closed:  # early and cheap; ``admit`` is the check
             raise ServiceError("service has been shut down")
         job = self._resolve(
             graph_id, pattern, induced, engine, config, root_range
@@ -336,32 +293,31 @@ class QueryService:
         if use_cache:
             cached = self._cache.get(job.cache_key)
             if cached is None:
-                self._count("cache_misses")
+                self._tally.count("cache_misses")
             else:
                 job.handle.from_cache = True
                 if job.span is not None:
                     job.span.set_attr("cache_hit", True)
-                self._count("submitted")
+                self._tally.count("submitted")
                 self._settle(job, JobStatus.DONE, report=cached)
                 return job.handle
-        job.enqueued_at = self._clock()
-        if self._run_if_idle(job):
-            return job.handle
-        if job.span is not None:
-            job.queued_span = self._observation.tracer.start_span(
-                "service.queued", parent=job.span
-            )
         with self._cond:
-            # accepted only once the push went through (QueueFullError
-            # propagates under backpressure), and counted before anything
-            # downstream of the queue can count the same job
-            self._queue.push(job)
-            self._count("submitted")
-            self._cond.notify_all()
-        if self.mode == "inline":
-            self._drain_inline()
-        else:
-            self._ensure_dispatcher()
+            # accepted only once the core took it (QueueFullError and,
+            # after shutdown, ServiceError propagate), and counted before
+            # anything downstream of the queue can count the same job
+            here = self._core.admit(job, self._clock())
+            self._tally.count("submitted")
+            if not here:
+                if job.span is not None:
+                    job.queued_span = self._observation.tracer.start_span(
+                        "service.queued", parent=job.span
+                    )
+                self._cond.notify_all()
+        if here:
+            self._launch(job)
+        if not job.handle.done():
+            # queued, or run here and requeued after a crash
+            self._kick()
         return job.handle
 
     def _resolve(
@@ -414,7 +370,7 @@ class QueryService:
                 root_key=root_range,
             ),
             root_range=root_range,
-            seq=next(self._seq),
+            seq=handle.job_id,  # submit order
             record=record,  # snapshot pinned at submit time
             predicted_seconds=estimate.seconds,
             predicted_source=estimate.source,
@@ -488,25 +444,6 @@ class QueryService:
 
     # -- scheduling internals ----------------------------------------------
 
-    def _count(self, name: str, n: int = 1, **labels: str) -> None:
-        """Bump one row of ``_COUNTS`` (its series appears on first use)."""
-        key = (name, *labels.values())
-        counter = self._tally.get(key)
-        if counter is None:
-            counter = self._tally[key] = self.metrics.counter(
-                *_COUNTS[name], **labels
-            )
-        counter.inc(n)
-
-    def _total(self, name: str, *labels: str) -> int:
-        """One row's count, summed over the label values left open."""
-        row = (name, *labels)
-        return sum(
-            int(counter.value)
-            for key, counter in list(self._tally.items())
-            if key[:len(row)] == row
-        )
-
     def _settle(
         self,
         job: Job,
@@ -542,7 +479,9 @@ class QueryService:
             if not handle._finish(status, report, error):
                 return False
             # a cache hit completes a job without a worker completing it
-            self._count("cache_hits" if handle.from_cache else status.value)
+            self._tally.count(
+                "cache_hits" if handle.from_cache else status.value
+            )
         if status is not JobStatus.DONE:
             logger.log(
                 logging.ERROR if status is JobStatus.FAILED else logging.INFO,
@@ -552,59 +491,21 @@ class QueryService:
             )
         return True
 
-    def _requeue(self, job: Job, delay: float, **span_attrs) -> None:
-        """Put a crashed job back on the queue, runnable after ``delay``.
-
-        The one re-push: a queue that filled up in the meantime fails the
-        job (typed, counted and recorded like any other failure).
-        """
-        if self._observation is not None and job.span is not None:
-            job.queued_span = self._observation.tracer.start_span(
-                "service.queued", parent=job.span, **span_attrs
-            )
-        if delay and self.mode == "inline":
-            # synchronous mode: this callback runs on the submitting
-            # thread, so sleeping delays no other completion
-            self._sleep(delay)
-            delay = 0.0
-        # pool modes run this callback on the executor's completion
-        # thread — sleeping there would serialise every in-flight
-        # completion behind the backoff, so defer via the queue
-        job.not_before = self._clock() + delay if delay else None
-        self._rebuild_executor_if_broken()
-        job.handle._requeue()
-        job.enqueued_at = self._clock()
-        try:
-            self._queue.push(job)
-        except QueueFullError as full:
-            self._settle(job, JobStatus.FAILED, error=full)
-            return
-        # inline mode needs no kick: _on_done runs inside _drain_inline's
-        # loop, which pops the requeued job next
-        with self._cond:
-            self._cond.notify_all()
-        if self.mode != "inline":
-            # a job that crashed on its submitting thread may be the first
-            # this service ever queued
-            self._ensure_dispatcher()
-
     def _cancel(self, handle: JobHandle) -> bool:
-        # a job is cancellable exactly while it is queued: whoever takes it
-        # out of the queue first (this, a pop or shutdown's drain) owns it
-        job = self._queue.remove(handle)
+        with self._cond:
+            job = self._core.cancel(handle)
         return job is not None and self._settle(job, JobStatus.CANCELLED)
 
     def pause(self) -> None:
         """Stop dispatching; queued jobs accumulate (tests, maintenance)."""
         with self._cond:
-            self._paused = True
+            self._core.pause()
 
     def resume(self) -> None:
         with self._cond:
-            self._paused = False
+            self._core.resume()
             self._cond.notify_all()
-        if self.mode == "inline":
-            self._drain_inline()
+        self._kick()
 
     def _make_executor(self):
         if self.mode == "process":
@@ -633,144 +534,62 @@ class QueryService:
             self._executor = None
         executor.shutdown(wait=False)
 
-    def _ensure_dispatcher(self) -> None:
+    def _kick(self) -> None:
+        """Have queued jobs started.  Inline mode has no dispatcher: the
+        caller's thread pumps them, now.  The pool modes start the
+        dispatcher thread on first use; it pumps until shutdown, woken
+        through ``_cond`` by whoever changed what ``next`` would say."""
+        if self.mode == "inline":
+            self._pump()
+            return
         with self._cond:
-            if self._dispatcher is not None or self._shutdown:
+            if self._dispatcher is not None or self._core.closed:
                 return
             self._dispatcher = threading.Thread(
-                target=self._dispatcher_loop,
+                target=self._pump,
                 name="repro-service-dispatcher",
                 daemon=True,
             )
             self._dispatcher.start()
 
-    def _dispatcher_loop(self) -> None:
+    def _pump(self) -> None:
+        """The one loop that starts queued jobs: it runs every job
+        ``DispatchState.next`` begins through ``_launch``.
+
+        In inline mode it runs on the caller's thread until nothing is
+        left to start; when only jobs on a retry backoff remain, it sleeps
+        (the injected ``sleep``) to the core's wake time, since no other
+        thread would start them.  In the pool modes it is the dispatcher
+        thread: it waits on ``_cond`` until notified or until the wake
+        time, and returns at shutdown.
+        """
+        inline = self.mode == "inline"
+        now = self._clock()
         while True:
             with self._cond:
-                while not self._shutdown and self._paused:
-                    self._cond.wait(0.05)
-                if self._shutdown:
-                    return
-            job = self._next_job()
-            if job is None:
-                with self._cond:
-                    # pushers enqueue and finished pool calls free their
-                    # slot, then notify, under this lock: look again
-                    # holding it, or what changed since is slept on
-                    job = self._next_job()
-                    if job is None:
-                        if not self._shutdown:
-                            self._cond.wait(0.05)
-                        elif self._in_flight == 0:
-                            return
-                        continue
-            self._dispatch(job)
-            # a pause would otherwise sleep naming the job, which keeps its
-            # pinned graph record alive
-            del job
-
-    def _next_job(self) -> "Job | None":
-        """The next job to dispatch.  While every pool worker is busy,
-        only one the dispatcher runs itself: a job the veto refuses stays
-        at the head of the queue, so dispatch keeps policy order.  Jobs run
-        here have settled before this is asked again, so ``_in_flight``
-        counts pool calls and at most one run on a submitting thread
-        (``_run_if_idle``), which ends within about ``LIGHT_SECONDS``."""
-        full = self._in_flight >= self.max_workers
-        return self._queue.pop(self._clock(), self._light if full else None)
-
-    def _light(self, job: Job) -> bool:
-        """Does the dispatcher run ``job`` itself, in the service process?
-
-        Only a warm, plain, sub-millisecond one: its prediction comes from
-        the profile tier (this shape has run on this snapshot) and is under
-        ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
-        heavy query; it has no cross-check; its engine is not failing (a
-        crashing engine runs in the pool until a run of it is clean); and
-        the armed plan assigns its coming attempt no fault (a HANG must
-        not pin the dispatcher, and a CRASH must kill a pool process, not
-        the service).  Asked before ``_begin``: by the queue's veto while
-        the pool is full, by ``_dispatch``, and by ``submit`` on an idle
-        service (``_run_if_idle``).
-        """
-        return (
-            job.predicted_source == "profile"
-            and job.predicted_seconds < LIGHT_SECONDS
-            and self._engine_failures.get(job.config.engine, 0)
-            < ENGINE_FAILURE_LIMIT
-            and self._sampled_verify(job) is None
-            and not self._faults(job)
-        )
-
-    def _faults(self, job: Job) -> "tuple | None":
-        """The armed plan's faults for the job's coming attempt.
-
-        Drawn once per attempt: a draw spends the plan's ``max_fires``
-        budget, and ``_light`` may ask about a queued job many times before
-        ``_begin`` runs the attempt.  With no plan armed the job keeps what
-        it has.
-        """
-        plan = self._fault_plan
-        if plan is not None and not job.faults_drawn:
-            job.faults = (
-                plan.for_job(job.handle.job_id, job.attempts + 1) or None
-            )
-            job.faults_drawn = True
-        return job.faults
-
-    def _drain_inline(self) -> None:
-        while True:
-            with self._cond:
-                if self._paused or self._shutdown:
-                    return
-            job = self._queue.pop(self._clock())
-            if job is None:
+                act = self._core.next(now)
+                while not (inline or isinstance(act, Job)):
+                    if self._core.closed:
+                        return
+                    self._cond.wait(None if act is None else act - now)
+                    now = self._clock()
+                    act = self._core.next(now)
+            if isinstance(act, Job):
+                self._launch(act)
+                now = self._clock()
+            elif act is None:
                 return
-            self._dispatch(job)
+            else:
+                self._sleep(act - now)
+                now = act
 
-    def _run_if_idle(self, job: Job) -> bool:
-        """Run a light ``job`` on the submitting thread if the service is
-        idle: not paused, nothing queued, nothing in flight.  True when it
-        ran; it has settled by then.
-
-        Waking the dispatcher to run a job the submitter can run itself
-        costs two thread hops per query.  Pool jobs stay queued, so cost
-        order still decides a burst's first pool call.  The first look
-        takes no lock (``JobQueue.depth()`` is one read of the queue's
-        length): on a busy service it costs a few attribute reads.  The
-        look is confirmed under ``_cond``, which ``_begin`` takes again to
-        count the job in flight, so a concurrent submitter sees the
-        service busy.
-        """
-        if self.mode == "inline" or not self._idle() or not self._light(job):
-            return False
-        with self._cond:
-            if self._shutdown or not self._idle():
-                return False
-            self._count("submitted")
-            job.where = "service"
-            self._begin(job)
-        self._launch(job)
-        return True
-
-    def _idle(self) -> bool:
-        return not (self._paused or self._in_flight or self._queue.depth())
-
-    def _dispatch(self, job: Job) -> None:
-        light = self.mode != "inline" and self._light(job)
-        job.where = "service" if light else "pool"
-        self._begin(job)
-        self._launch(job)
-
-    def _begin(self, job: Job) -> None:
-        """Everything that happens to a job between the queue and its run.
-        A job out of the queue is pending: a cancel or a shutdown could
-        only have finished it by taking it out first."""
-        # this attempt's faults (drawn here unless _light already has);
-        # the next attempt draws anew
-        self._faults(job)
-        job.faults_drawn = False
-        job.attempts += 1
+    def _launch(self, job: Job) -> None:
+        """Run a job the core has begun, where it put it: on this thread
+        (it has settled, or been requeued, when this returns), or as one
+        pool call.  Either way it is one :func:`run_job` through an
+        executor, whose future ends the attempt in ``_on_done``.  The one
+        routine that starts a job: ``submit`` applies the core's "run
+        here" through it, ``_pump`` every job ``next`` begins."""
         job.handle.attempts = job.attempts
         job.handle._set_running()
         job.dispatched_at = time.perf_counter()
@@ -778,26 +597,17 @@ class QueryService:
             self._latency.record_queue_wait(
                 max(self._clock() - job.enqueued_at, 0.0)
             )
-        if job.queued_span is not None and self._observation is not None:
-            self._observation.tracer.end_span(job.queued_span)
-            job.queued_span = None
-        if job.verify_engine is None:
-            job.verify_engine = self._sampled_verify(job)
-            if job.verify_engine is not None and job.span is not None:
+        ob = self._observation
+        if ob is not None and job.span is not None:
+            if job.queued_span is not None:
+                ob.tracer.end_span(job.queued_span)
+                job.queued_span = None
+            if job.verify_engine is not None:
                 job.span.set_attr("verify_engine", job.verify_engine)
-        with self._cond:
-            self._in_flight += 1
-
-    def _launch(self, job: Job) -> None:
-        """Run ``job`` where ``_dispatch`` or ``_run_if_idle`` put it: on
-        this thread (it has settled when this returns), or as one pool
-        call.  Either way it is one :func:`run_job` through an executor,
-        whose future settles it."""
+            job.span.set_attr("where", job.where)
         here = job.where == "service"
         if not here:
-            self._count("worker_calls")
-        if job.span is not None:
-            job.span.set_attr("where", job.where)
+            self._tally.count("worker_calls")
         try:
             future = (
                 InlineExecutor() if here else self._get_executor()
@@ -821,73 +631,66 @@ class QueryService:
             future.set_exception(exc)
         future.add_done_callback(lambda f: self._on_done(job, f))
 
-    def _sampled_verify(self, job: Job) -> str | None:
-        """The engine this job is cross-checked on, if it is sampled.
-
-        The decision is a pure function of the job id, so a replayed
-        workload cross-checks exactly the same jobs regardless of
-        scheduling.  The check runs on the event engine, the most
-        independent implementation; event jobs are checked on batched.
-        """
-        if self.verify_fraction <= 0.0:
-            return None
-        rng = random.Random(hash((0, job.handle.job_id)))
-        if rng.random() >= self.verify_fraction:
-            return None
-        return "event" if job.config.engine != "event" else "batched"
-
     def _on_done(self, job: Job, future: Future) -> None:
-        """The one place a dispatched job is settled (or retried)."""
-        with self._cond:
-            self._in_flight -= 1
-            # a freed slot matters to the dispatcher only when a job waits
-            # for it: otherwise, as after every run on a submitting thread,
-            # the wake-up would only contend for the GIL
-            if self._queue.depth():
-                self._cond.notify_all()
+        """The one place an attempt ends: the shell classifies it, the
+        core decides (``DispatchState.done``), and the verdict — a
+        settle, or a retry already back in the queue — is applied here."""
+        report = error = None
+        notes: dict = {}
         if future.cancelled():
             # the executor dropped the job (e.g. cancel_futures on
             # shutdown); release waiters instead of hanging them forever
-            self._settle(job, JobStatus.CANCELLED)
-            return
-        exc = future.exception()
-        if exc is None:
-            self._on_report(job, future.result())
-            return
-        if isinstance(exc, _CRASH_TYPES):
-            self._record_run(job.config.engine, failed=True)
-            if isinstance(exc, InjectedCrashError):
+            outcome = Outcome.CANCELLED
+        elif (error := future.exception()) is None:
+            report = future.result()
+            notes = getattr(report, "notes", None) or {}
+            mismatch = (notes.get("crosscheck") or {}).get("mismatch")
+            outcome = Outcome.WRONG if mismatch else Outcome.OK
+        elif isinstance(error, _CRASH_TYPES):
+            outcome = Outcome.CRASH
+            # before the retry can be popped: it must land on live workers
+            self._rebuild_executor_if_broken()
+            if isinstance(error, InjectedCrashError):
                 # the worker died before it could ship notes home; count
                 # the injected crash from the typed error's site instead
-                self._note_injected({f"{exc.site}:crash": 1})
-            if job.attempts <= MAX_RETRIES:
-                logger.warning(
-                    "job %d (%s on %s) crashed on attempt %d, retrying: %s",
-                    job.handle.job_id, job.handle.pattern_name,
-                    job.graph_id, job.attempts, exc,
-                )
-                self._count("retries")
-                self._requeue(
-                    job,
-                    RETRY_BACKOFF_SECONDS * 2 ** (job.attempts - 1),
-                    retry=job.attempts,
-                )
-                return
-            exc = WorkerCrashError(
-                f"job {job.handle.job_id} crashed {job.attempts} time(s); "
-                f"retries exhausted ({MAX_RETRIES}): {exc}"
+                notes = {"injected": {f"{error.site}:crash": 1}}
+        else:
+            outcome = Outcome.ERROR
+        for key, n in (notes.get("injected") or {}).items():
+            site, _, kind = key.partition(":")
+            self._tally.count("faults_injected", n, site=site, kind=kind)
+        with self._cond:
+            verdict = self._core.done(job, outcome, self._clock(), error)
+            requeued = isinstance(verdict, Requeue)
+            # a retry is counted once decided, also when the queue refused
+            # it, and before the dispatcher can pop it
+            retried = requeued or isinstance(verdict.error, QueueFullError)
+            if retried:
+                self._tally.count("retries")
+            if requeued:
+                job.handle._requeue()
+                if self._observation is not None and job.span is not None:
+                    job.queued_span = self._observation.tracer.start_span(
+                        "service.queued", parent=job.span, retry=job.attempts
+                    )
+            # a freed slot matters to the dispatcher only when a job waits
+            # for it: otherwise, as after every run on a submitting thread,
+            # the wake-up would only contend for the GIL
+            if self._core.queue.depth():
+                self._cond.notify_all()
+        if retried:
+            logger.warning(
+                "job %d (%s on %s) crashed on attempt %d, retrying: %s",
+                job.handle.job_id, job.handle.pattern_name,
+                job.graph_id, job.attempts, error,
             )
-        self._settle(job, JobStatus.FAILED, error=exc)
-
-    def _on_report(self, job: Job, report: "SimReport") -> None:
-        """A worker returned: feed the engine's failure record, the cache,
-        the trace and the cost model, then settle the job DONE."""
-        notes = getattr(report, "notes", None) or {}
-        self._note_injected(notes.get("injected"))
+        if requeued:
+            return
+        if verdict.status is not JobStatus.DONE:
+            self._settle(job, verdict.status, error=verdict.error)
+            return
         crosscheck = notes.get("crosscheck")
-        mismatch = bool(crosscheck and crosscheck.get("mismatch"))
-        self._record_run(job.config.engine, failed=mismatch)
-        if mismatch:
+        if outcome is Outcome.WRONG:
             logger.error(
                 "job %d cross-check mismatch: %s counted %s but "
                 "%s counted %s; serving the verified report",
@@ -898,10 +701,11 @@ class QueryService:
                 crosscheck.get("verify_count"),
             )
         if crosscheck is not None:
-            self._count(
-                "crosschecks", result="mismatch" if mismatch else "match"
+            self._tally.count(
+                "crosschecks",
+                result="mismatch" if outcome is Outcome.WRONG else "match",
             )
-        clean = not mismatch and not notes.get("injected")
+        clean = outcome is Outcome.OK and not notes.get("injected")
         if clean:
             # mismatched or fault-perturbed reports must not poison the
             # cache: their counts or timings are not what a clean run of
@@ -952,51 +756,23 @@ class QueryService:
         byte-identical to normal operation.
         """
         with self._cond:
-            self._fault_plan = plan
-
-    def _note_injected(self, events: "dict[str, int] | None") -> None:
-        """Fold a worker's ``site:kind`` fault events into the metrics."""
-        for key, count in (events or {}).items():
-            site, _, kind = key.partition(":")
-            self._count("faults_injected", count, site=site, kind=kind)
-
-    def _record_run(self, engine: str, *, failed: bool) -> None:
-        """One run's outcome into its engine's failure record: a crash or
-        a wrong result adds one, any other report clears it."""
-        with self._cond:
-            if failed:
-                self._engine_failures[engine] = (
-                    self._engine_failures.get(engine, 0) + 1
-                )
-            else:
-                self._engine_failures.pop(engine, None)
-
-    def _health_state(self, depth: int) -> HealthState:
-        """Classify the service from one read of its queue depth and its
-        engines' failure records; the caller holds ``_cond``."""
-        return assess(
-            depth,
-            self._queue.limit,
-            any(
-                failures >= ENGINE_FAILURE_LIMIT
-                for failures in self._engine_failures.values()
-            ),
-        )
+            self._core.arm(plan)
 
     def health(self) -> HealthReport:
         """Point-in-time degradation report (state + counters)."""
+        total = self._tally.total
         with self._cond:
-            # one read of the depth: the dispatcher pops outside _cond,
-            # so a second read could disagree with the state
-            depth = self._queue.depth()
+            # one read of the depth, so the state is that of the depth
+            # reported
+            depth = self._core.queue.depth()
             return HealthReport(
-                state=self._health_state(depth),
+                state=self._core.health(depth),
                 queue_depth=depth,
-                queue_limit=self._queue.limit,
-                in_flight=self._in_flight,
-                engine_failures=dict(self._engine_failures),
-                crosscheck_mismatches=self._total("crosschecks", "mismatch"),
-                faults_injected=self._total("faults_injected"),
+                queue_limit=self._core.queue.limit,
+                in_flight=self._core.in_flight,
+                engine_failures=dict(self._core.failures),
+                crosscheck_mismatches=total("crosschecks", "mismatch"),
+                faults_injected=total("faults_injected"),
                 dispatcher_stuck=self._dispatcher_stuck,
             )
 
@@ -1004,17 +780,18 @@ class QueryService:
 
     def stats(self) -> ServiceStats:
         """Point-in-time snapshot of queue, pool, cache and latencies."""
+        total = self._tally.total
         # one consistent read: _settle finishes and counts a job under
         # _cond, and the depth is read once (see health())
         with self._cond:
-            depth = self._queue.depth()
-            health = self._health_state(depth)
+            depth = self._core.queue.depth()
+            health = self._core.health(depth)
             self.metrics.gauge(
                 "repro_queue_depth", "jobs currently queued"
             ).set(depth)
             self.metrics.gauge(
                 "repro_in_flight", "jobs currently on workers"
-            ).set(self._in_flight)
+            ).set(self._core.in_flight)
             self.metrics.set_state_gauge(
                 "repro_health_state",
                 "service degradation state (1 = current)",
@@ -1026,18 +803,18 @@ class QueryService:
                 workers=self.max_workers,
                 graphs=len(self._registry),
                 queue_depth=depth,
-                in_flight=self._in_flight,
-                submitted=self._total("submitted"),
+                in_flight=self._core.in_flight,
+                submitted=total("submitted"),
                 # a cache hit completes a job without a worker doing so
-                completed=self._total("done") + self._total("cache_hits"),
-                failed=self._total("failed"),
-                cancelled=self._total("cancelled"),
-                retries=self._total("retries"),
-                crosscheck_mismatches=self._total("crosschecks", "mismatch"),
-                faults_injected=self._total("faults_injected"),
+                completed=total("done") + total("cache_hits"),
+                failed=total("failed"),
+                cancelled=total("cancelled"),
+                retries=total("retries"),
+                crosscheck_mismatches=total("crosschecks", "mismatch"),
+                faults_injected=total("faults_injected"),
                 health=health.name.lower(),
                 dispatcher_stuck=self._dispatcher_stuck,
-                worker_calls=self._total("worker_calls"),
+                worker_calls=total("worker_calls"),
                 queue_wait=self._latency.queue_wait_summary(),
                 predictor=self.predictor.snapshot(),
                 cache_size=len(self._cache),
@@ -1064,19 +841,6 @@ class QueryService:
         """Recent :class:`ExecutionProfile`\\ s (newest last, bounded)."""
         return list(self._profiles)
 
-    def _trace_sources(self) -> "tuple[list, list[tuple]]":
-        """Finished spans and PE activity events, the trace's two inputs."""
-        ob = self._observation
-        if ob is None:
-            raise ServiceError(
-                "tracing is disabled; construct the service with "
-                "observability=True"
-            )
-        pe_events: list[tuple] = []
-        for profile in self._profiles:
-            pe_events.extend(profile.pe_events)
-        return ob.tracer.finished(), pe_events
-
     def export_trace(self, path: str | None = None) -> "list[dict] | None":
         """Write (or return) the unified Chrome/Perfetto trace.
 
@@ -1084,9 +848,19 @@ class QueryService:
         without it the raw event list comes back.  Raises
         :class:`~repro.errors.ServiceError` when tracing is disabled.
         """
+        if self._observation is None:
+            raise ServiceError(
+                "tracing is disabled; construct the service with "
+                "observability=True"
+            )
+        # finished spans and PE activity events, the trace's two inputs
+        sources = (
+            self._observation.tracer.finished(),
+            [event for prof in self._profiles for event in prof.pe_events],
+        )
         if path is None:
-            return chrome_trace_events(*self._trace_sources())
-        write_chrome_trace(path, *self._trace_sources())
+            return chrome_trace_events(*sources)
+        write_chrome_trace(path, *sources)
         return None
 
     def shutdown(self, wait: bool = True, join_timeout: float = 5.0) -> None:
@@ -1099,21 +873,21 @@ class QueryService:
         :meth:`stats` / :meth:`health` — rather than waited on forever.
         """
         with self._cond:
-            if self._shutdown:
+            if self._core.closed:
                 return
-            self._shutdown = True
+            drained = self._core.close()
             self._cond.notify_all()
             dispatcher = self._dispatcher
         # queued-but-never-run jobs (including any parked on a retry
         # backoff, which pop() would defer) must not hang their waiters
-        for job in self._queue.drain():
+        for job in drained:
             self._settle(job, JobStatus.CANCELLED)
         if dispatcher is not None:
             dispatcher.join(timeout=join_timeout)
             if dispatcher.is_alive():
                 with self._cond:
                     self._dispatcher_stuck = True
-                    in_flight = self._in_flight
+                    in_flight = self._core.in_flight
                 logger.warning(
                     "dispatcher thread failed to stop within %.1fs; "
                     "%d pool call(s) still in flight",

@@ -1,8 +1,10 @@
 """Introspection surface: counters, latency percentiles, stats snapshot.
 
 ``QueryService.stats()`` returns one immutable :class:`ServiceStats`
-snapshot.  Latencies are recorded per engine over a bounded window so a
-long-lived service reports *recent* behaviour, not its lifetime average.
+snapshot and ``QueryService.health()`` one :class:`HealthReport`; every
+count behind them is a :class:`Tally` row.  Latencies are recorded per
+engine over a bounded window so a long-lived service reports *recent*
+behaviour, not its lifetime average.
 
 Since the observability layer landed, the recorder is built on the shared
 :mod:`repro.obs` vocabulary instead of ad-hoc math: samples live in
@@ -17,11 +19,81 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from ..obs.summary import Window, percentile
+from .core import HealthState
 
-__all__ = ["LatencyRecorder", "ServiceStats", "percentile"]
+__all__ = [
+    "HealthReport", "LatencyRecorder", "ServiceStats", "Tally", "percentile",
+]
+
+_CACHE_HELP = "result-cache outcome of cached submits"
+
+#: every count the service keeps, kept once: row → (series, help)
+_COUNTS = {
+    # terminal outcomes, named by the JobStatus value a job settles in
+    "done": ("repro_jobs_completed_total", "jobs finished successfully"),
+    "failed": (
+        "repro_jobs_failed_total", "jobs that exhausted their retries"
+    ),
+    "cancelled": (
+        "repro_jobs_cancelled_total", "jobs cancelled before they finished"
+    ),
+    "submitted": ("repro_jobs_submitted_total", "jobs accepted by submit()"),
+    "retries": ("repro_job_retries_total", "crash-shaped failures retried"),
+    "worker_calls": (
+        "repro_worker_calls_total",
+        "jobs sent to the pool, one executor call each",
+    ),
+    # the rows below carry labels, whose values the caller of count gives
+    "faults_injected": (
+        "repro_faults_injected_total",
+        "injected faults observed by the service",
+    ),
+    "crosschecks": (
+        "repro_crosschecks_total", "sampled cross-engine verification runs"
+    ),
+    "cache_hits": ("repro_cache_hits_total", _CACHE_HELP),
+    "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
+}
+
+
+
+class Tally:
+    """The service's counts, one row of ``_COUNTS`` each, kept once.
+
+    The series' own counter is the store: :meth:`count` is the only
+    writer and ``stats()`` / ``health()`` read the same counters back
+    through :meth:`total`, so an integer and its series cannot drift
+    apart.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        #: (row, *label values) → that series' counter
+        self._counters: dict[tuple[str, ...], Counter] = {}
+
+    def count(self, name: str, n: int = 1, **labels: str) -> None:
+        """Bump one row (its series appears on first use)."""
+        key = (name, *labels.values())
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self._registry.counter(
+                *_COUNTS[name], **labels
+            )
+        counter.inc(n)
+
+    def total(self, name: str, *labels: str) -> int:
+        """One row's count, summed over the label values left open."""
+        row = (name, *labels)
+        return sum(
+            int(counter.value)
+            for key, counter in list(self._counters.items())
+            if key[:len(row)] == row
+        )
+
 
 #: latency samples kept per engine (ring buffer)
 LATENCY_WINDOW = 1024
@@ -184,4 +256,47 @@ class ServiceStats:
                 f"ratio p50 {pred['p50']:.2f} p99 {pred['p99']:.2f}, "
                 f"{pred.get('within_2x', 0.0):.0%} within 2x"
             )
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class HealthReport:
+    """Point-in-time health snapshot returned by ``QueryService.health()``."""
+
+    state: HealthState
+    queue_depth: int
+    queue_limit: int
+    in_flight: int
+    #: engine → crash or wrong-result failures since its last clean run,
+    #: for the engines with any
+    engine_failures: Mapping[str, int] = field(default_factory=dict)
+    crosscheck_mismatches: int = 0
+    faults_injected: int = 0
+    dispatcher_stuck: bool = False
+
+    @property
+    def queue_fraction(self) -> float:
+        return (
+            self.queue_depth / self.queue_limit if self.queue_limit else 0.0
+        )
+
+    def summary(self) -> str:
+        """Human-readable rendering (used by ``python -m repro health``)."""
+        lines = [
+            f"health: {self.state.name.lower()}",
+            (
+                f"queue {self.queue_depth}/{self.queue_limit} "
+                f"({self.queue_fraction:.0%}), in flight {self.in_flight}"
+            ),
+            (
+                f"cross-check mismatches {self.crosscheck_mismatches}, "
+                f"faults injected {self.faults_injected}"
+            ),
+        ]
+        for engine, failures in sorted(self.engine_failures.items()):
+            lines.append(
+                f"engine[{engine}]: {failures} consecutive failures"
+            )
+        if self.dispatcher_stuck:
+            lines.append("WARNING: dispatcher thread failed to join")
         return "\n".join(lines)

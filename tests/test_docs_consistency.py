@@ -416,6 +416,31 @@ class TestStructure:
         )
         assert submitted == ["run_job"]
 
+    def test_the_dispatch_core_holds_no_thread_clock_or_executor(self):
+        """Every dispatch decision is ``service/core.py``'s, fed events
+        with the time they happen at: it imports no thread, executor,
+        clock, logger or tracer, and it is the only caller of
+        ``JobQueue.push`` — the shell applies its answers, it does not
+        queue jobs itself."""
+        package = ROOT / "src" / "repro"
+        imported = _imports(package / "service" / "core.py")
+        forbidden = ("threading", "concurrent.futures", "time", "logging",
+                     "repro.obs")
+        assert not {
+            m for m in imported
+            for f in forbidden if m == f or m.startswith(f + ".")
+        }
+        assert "repro.service.scheduler.JobQueue" in imported  # resolved
+        pushers = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "push"
+        }
+        assert pushers == {"service/core.py"}
+
     def test_the_cluster_keeps_no_cost_model(self):
         """Nothing under ``cluster/`` imports ``sched.adaptive``: each
         process has one cost model, its service's, and the coordinator

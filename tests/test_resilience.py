@@ -28,10 +28,9 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     HealthState,
-    assess,
 )
 from repro.service import JobStatus, QueryService
-from repro.service import service as service_module
+from repro.service import core as core_module
 
 
 class FakeClock:
@@ -233,22 +232,14 @@ class TestCircuitBreaker:
 
 
 class TestDegradation:
-    def test_watermarks(self):
-        assert assess(0, 100, False) is HealthState.HEALTHY
-        assert assess(49, 100, False) is HealthState.HEALTHY
-        assert assess(50, 100, False) is HealthState.DEGRADED
-        assert assess(90, 100, False) is HealthState.OVERLOADED
-
-    def test_any_failing_engine_degrades(self):
-        assert assess(0, 100, True) is HealthState.DEGRADED
-        assert assess(49, 100, True) is HealthState.DEGRADED
-        assert assess(90, 100, True) is HealthState.OVERLOADED
+    """The classification itself is ``DispatchState.health``, tested in
+    ``test_service_core.py``."""
 
     def test_the_state_is_that_of_the_reported_depth(
         self, graph, monkeypatch
     ):
-        """The dispatcher pops outside the service's lock, so the queue
-        depth can change between two reads: one report reads it once."""
+        """The queue depth can change between two reads: one report
+        reads it once."""
         import itertools
 
         from repro.service import JobQueue
@@ -276,9 +267,9 @@ class TestDegradation:
 def fail_engine(svc, gid, monkeypatch, engine="batched"):
     """Give ``engine`` ``ENGINE_FAILURE_LIMIT`` failures: one job whose
     every attempt crashes, until it fails with its retries spent."""
-    limit = service_module.ENGINE_FAILURE_LIMIT
-    monkeypatch.setattr(service_module, "MAX_RETRIES", limit - 1)
-    monkeypatch.setattr(service_module, "RETRY_BACKOFF_SECONDS", 0.0)
+    limit = core_module.ENGINE_FAILURE_LIMIT
+    monkeypatch.setattr(core_module, "MAX_RETRIES", limit - 1)
+    monkeypatch.setattr(core_module, "RETRY_BACKOFF_SECONDS", 0.0)
     svc.arm_faults(FaultPlan(seed=0, specs=(
         FaultSpec(site="worker.run", kind=FaultKind.CRASH, max_fires=limit),
     )))
@@ -297,7 +288,7 @@ class TestEngineFailures:
         health = svc.health()
         assert health.state is HealthState.DEGRADED
         assert (
-            f"engine[batched]: {service_module.ENGINE_FAILURE_LIMIT} "
+            f"engine[batched]: {core_module.ENGINE_FAILURE_LIMIT} "
             "consecutive failures"
         ) in health.summary()
         assert svc.stats().health == "degraded"
@@ -328,12 +319,6 @@ class TestEngineFailures:
             monkeypatch.setattr(svc.predictor, "observe", lambda *a: None)
             fail_engine(svc, gid, monkeypatch)
             assert svc.health().state is HealthState.DEGRADED
-            idle = []
-            run_if_idle = svc._run_if_idle
-            monkeypatch.setattr(
-                svc, "_run_if_idle",
-                lambda job: idle.append(run_if_idle(job)) or idle[-1],
-            )
 
             def where(handle):
                 (span,) = [
@@ -343,12 +328,12 @@ class TestEngineFailures:
                 ]
                 return span.attrs["where"]
 
-            assert svc._idle()
+            health = svc.health()
+            assert health.queue_depth == health.in_flight == 0  # idle
             pooled = svc.submit(gid, PATTERNS["3CF"], engine="batched",
                                 use_cache=False)
             pooled.result(timeout=60)
-            assert where(pooled) == "pool"
-            assert idle == [False]  # refused on an idle service
+            assert where(pooled) == "pool"  # refused on an idle service
             health = svc.health()
             assert health.state is HealthState.HEALTHY
             assert health.engine_failures == {}
@@ -356,7 +341,6 @@ class TestEngineFailures:
                               use_cache=False)
             assert here.status is JobStatus.DONE  # ran on this thread
             assert where(here) == "service"
-            assert idle == [False, True]
 
     def test_concurrent_crashes_are_all_counted(self, graph, monkeypatch):
         """Pool threads settle crashes concurrently; each one reaches the
@@ -366,8 +350,8 @@ class TestEngineFailures:
         def crash(*args, **kwargs):
             raise WorkerCrashError("worker died (injected)")
 
-        monkeypatch.setattr(service_module, "MAX_RETRIES", 0)
-        monkeypatch.setattr(service_module, "run_job", crash)
+        monkeypatch.setattr(core_module, "MAX_RETRIES", 0)
+        monkeypatch.setattr("repro.service.service.run_job", crash)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

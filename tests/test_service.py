@@ -224,7 +224,7 @@ class TestDispatchOrder:
             ]
             # the queue ranks by predicted cost alone
             by_cost = [
-                job.handle.pattern_name for _, _, job in svc._queue._entries
+                job.handle.pattern_name for _, _, job in svc._core.queue._entries
             ]
             svc.resume()
             counts = [h.result(timeout=60).embeddings for h in handles]

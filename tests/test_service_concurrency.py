@@ -2,27 +2,26 @@
 
 Every timing decision in the service flows through an injectable clock
 and sleep function, and the executor itself is injectable, so worker
-crashes, backpressure and cache invalidation are all driven from a
-single thread here:
-
-* worker-crash retry: a flaky executor fails the first N submissions with
-  a crash-shaped error; the service retries with recorded backoffs.
-* wait bound: ``result(timeout=)`` gives up on the caller's wait, not on
-  the job.
-* backpressure: a paused service with a tiny queue raises QueueFullError.
-* invalidation: edge updates through ``dynamic_session`` purge (and
-  delta-patch) cached results.
-* lifecycle: a hypothesis state machine interleaves all of the above and
-  checks, after every step, that every job is counted exactly once and
-  that each count agrees with its metric series.
+crashes (retried with recorded backoffs), the caller's wait bound,
+backpressure, cache invalidation and a shutdown racing a submit or a
+crash are all driven from a single thread here.  A hypothesis state
+machine walks the dispatch core (``DispatchState``) on an integer clock
+and checks after every step that every job is in exactly one place, and
+the core's queue is checked against a reference model the same way.  One
+test drives real threads: eight clients against one service, for the
+shell's own locking.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 import threading
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from functools import partial
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,11 +39,14 @@ from repro.errors import (
     JobCancelledError,
     JobTimeoutError,
     QueueFullError,
+    ServiceError,
     WorkerCrashError,
 )
-from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
 from repro.patterns.pattern import PATTERNS
+from repro.patterns.plan import build_plan
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
+from repro.sched.adaptive import query_features
 from repro.service import (
     InlineExecutor,
     Job,
@@ -53,8 +55,10 @@ from repro.service import (
     JobStatus,
     QueryService,
 )
+from repro.service import core as core_module
 from repro.service import service as service_module
-from repro.sim.report import SimReport
+from repro.service.cache import pattern_cache_key
+from repro.service.core import DispatchState, Outcome, Requeue
 
 
 class FakeClock:
@@ -71,11 +75,17 @@ class FakeClock:
 
 
 class RecordingSleep:
+    """Records each sleep; with a ``clock`` set, it also advances it."""
+
+    clock: FakeClock | None = None
+
     def __init__(self) -> None:
         self.calls: list[float] = []
 
     def __call__(self, seconds: float) -> None:
         self.calls.append(seconds)
+        if self.clock is not None:
+            self.clock.advance(seconds)
 
 
 class FlakyExecutor(InlineExecutor):
@@ -106,11 +116,27 @@ def make_service(graph, **kwargs):
     return svc, gid
 
 
+def bare(job_id, predicted, source="profile", **fields) -> Job:
+    """A job record of no service, predicted at ``predicted`` seconds by
+    the cost model's ``source`` tier."""
+    return Job(
+        handle=JobHandle(job_id, "g", "3CF", "batched", lambda h: False),
+        graph_id="g", fingerprint="fp", plan=None,
+        config=SimpleNamespace(engine="batched"), cache_key=None,
+        seq=job_id, predicted_seconds=predicted, predicted_source=source,
+        **fields,
+    )
+
+
 class TestWorkerCrashRetry:
     def test_retries_until_success(self, graph):
-        sleep = RecordingSleep()
+        # inline, the service sleeps to each retry's wake time itself
+        clock, sleep = FakeClock(), RecordingSleep()
+        sleep.clock = clock
         executor = FlakyExecutor(failures=2)
-        svc, gid = make_service(graph, executor=executor, sleep=sleep)
+        svc, gid = make_service(
+            graph, executor=executor, clock=clock, sleep=sleep
+        )
         handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
         report = handle.result(timeout=60)
         assert report.embeddings == \
@@ -154,14 +180,7 @@ class TestWorkerCrashRetry:
         svc.shutdown()
 
     def test_queue_defers_job_until_not_before(self, graph):
-        handle = JobHandle(
-            job_id=1, graph_id="g", pattern_name="3CF",
-            engine="batched", cancel_cb=lambda h: False,
-        )
-        job = Job(
-            handle=handle, graph_id="g", fingerprint="fp", plan=None,
-            config=None, cache_key=None, not_before=5.0,
-        )
+        job = bare(1, 0.0, not_before=5.0)
         queue = JobQueue(limit=4)
         queue.push(job)
         assert queue.pop(0.0) is None  # backoff pending: deferred ...
@@ -170,14 +189,7 @@ class TestWorkerCrashRetry:
         assert queue.depth() == 0
 
     def test_shutdown_releases_job_parked_on_backoff(self, graph):
-        handle = JobHandle(
-            job_id=1, graph_id="g", pattern_name="3CF",
-            engine="batched", cancel_cb=lambda h: False,
-        )
-        job = Job(
-            handle=handle, graph_id="g", fingerprint="fp", plan=None,
-            config=None, cache_key=None, not_before=1e9,
-        )
+        job = bare(1, 0.0, not_before=1e9)
         queue = JobQueue(limit=4)
         queue.push(job)
         drained = queue.drain()  # the shutdown path: ignores not_before
@@ -190,8 +202,6 @@ class TestWorkerCrashRetry:
         class FailingExecutor(InlineExecutor):
             def submit(self, fn, /, *args, **kwargs):
                 calls.append(1)
-                from concurrent.futures import Future
-
                 future = Future()
                 future.set_exception(ValueError("engine bug"))
                 return future
@@ -220,22 +230,11 @@ class TestDeadlines:
 
 
 def queued_jobs():
-    """A factory of bare queued :class:`Job` records, numbered from 0."""
-    seq = iter(range(100))
-
-    def job(predicted, enqueued_at=0.0):
-        i = next(seq)
-        handle = JobHandle(
-            job_id=i, graph_id="g", pattern_name="3CF",
-            engine="batched", cancel_cb=lambda h: False,
-        )
-        return Job(
-            handle=handle, graph_id="g", fingerprint="fp", plan=None,
-            config=None, cache_key=None, seq=i,
-            predicted_seconds=predicted, enqueued_at=enqueued_at,
-        )
-
-    return job
+    """A factory of bare jobs, numbered from 0."""
+    seq = itertools.count()
+    return lambda predicted, enqueued_at=0.0: bare(
+        next(seq), predicted, enqueued_at=enqueued_at
+    )
 
 
 class TestBackpressure:
@@ -494,34 +493,32 @@ class TestCacheInvalidation:
 
 class TestDispatcherWakeup:
     def test_job_pushed_after_an_empty_pop_is_not_slept_on(self, graph):
-        # pushers enqueue and then notify; a push landing between the
-        # dispatcher's empty pop and its wait used to be slept on for the
-        # full poll interval.  Interpose on pop: the instant it comes back
-        # empty, submit a job (its notify finds no waiter), and require the
-        # dispatcher to find that job without entering Condition.wait.
+        # pushers enqueue and notify under the lock the dispatcher holds
+        # from its empty look at the core to its wait, so a push in
+        # between cannot be slept on: with no poll interval left, a lost
+        # notify would sleep forever.  Interpose on next: the instant it
+        # comes back empty, another thread submits a job
         svc, gid = make_service(graph, mode="thread", max_workers=2)
-        real_pop, real_wait = svc._queue.pop, svc._cond.wait
+        real_next = svc._core.next
         late: list[JobHandle] = []
         injected = threading.Event()
-        slept_on: list[JobStatus] = []
 
-        def pop(now, fits=None):
-            job = real_pop(now, fits)
-            if job is None and not late:
-                late.append(svc.submit(gid, PATTERNS["DIA"], engine="batched"))
+        submitter = threading.Thread(target=lambda: late.append(svc.submit(
+            gid, PATTERNS["DIA"], engine="batched"
+        )))
+
+        def next_(now):
+            act = real_next(now)
+            if act is None and not injected.is_set():
                 injected.set()
-            return job
+                submitter.start()
+            return act
 
-        def wait(timeout=None):
-            if late and threading.current_thread() is svc._dispatcher:
-                slept_on.append(late[0].status)
-            return real_wait(timeout)
-
-        svc._queue.pop, svc._cond.wait = pop, wait
+        svc._core.next = next_
         svc.submit(gid, PATTERNS["3CF"], engine="batched").result(timeout=60)
-        assert injected.wait(timeout=60)  # the next pop is the empty one
-        late[0].result(timeout=60)
-        assert JobStatus.PENDING not in slept_on
+        assert injected.wait(timeout=60)  # the next look is the empty one
+        submitter.join(timeout=60)
+        late[0].result(timeout=10)
         svc.shutdown()
 
 
@@ -534,7 +531,7 @@ class TestPerSubmitConstants:
         for pattern in (PATTERNS["DIA"], same, PATTERNS["3CF"]):
             svc.submit(gid, pattern)
         # the queue's entries, in push order
-        entries = sorted(svc._queue._entries, key=lambda entry: entry[1])
+        entries = sorted(svc._core.queue._entries, key=lambda entry: entry[1])
         dia, dia2, tri = (job for _, _, job in entries)
         assert dia.plan is dia2.plan and dia.plan is not tri.plan
         assert dia.cache_key.config_key is svc.config.cache_key()
@@ -542,168 +539,162 @@ class TestPerSubmitConstants:
         svc.shutdown()
 
 
+class TestShutdownRaces:
+    """Nothing pops the queue after shutdown: a job pushed then would be
+    pending forever, so none is."""
+
+    @pytest.mark.parametrize("mode", ["inline", "thread"])
+    def test_a_submit_racing_shutdown_is_refused(self, graph, mode):
+        svc, gid = make_service(graph, mode=mode)
+        resolve = svc._resolve
+
+        def resolve_then_shut_down(*args):
+            job = resolve(*args)
+            svc.shutdown(wait=False)  # lands before the job is taken
+            return job
+
+        svc._resolve = resolve_then_shut_down
+        with pytest.raises(ServiceError, match="shut down"):
+            svc.submit(gid, PATTERNS["3CF"], use_cache=False)
+        stats = svc.stats()
+        assert stats.submitted == 0 and stats.queue_depth == 0
+
+    def test_a_pool_call_crashing_after_shutdown_is_cancelled(self, graph):
+        futures: list[Future] = []
+        holding = SimpleNamespace(  # keeps every call's future unfinished
+            submit=lambda *args, **kw: futures.append(Future()) or futures[-1]
+        )
+        svc, gid = make_service(graph, executor=holding)
+        handle = svc.submit(gid, PATTERNS["3CF"], use_cache=False)
+        (future,) = futures
+        svc.shutdown(wait=False)
+        future.set_exception(BrokenExecutor("worker died after shutdown"))
+        with pytest.raises(JobCancelledError):
+            handle.result(timeout=2)
+        stats = svc.stats()
+        assert (stats.cancelled, stats.retries, stats.queue_depth) == (1, 0, 0)
+
+
 # ---------------------------------------------------------------------------
-# the job lifecycle as a state machine
+# the job lifecycle as a state machine, on the core
 # ---------------------------------------------------------------------------
 
 
-class ScriptedExecutor(InlineExecutor):
-    """Answers every job with a canned report — unless told otherwise.
-
-    ``crashes`` makes the next that-many submissions die like a broken
-    pool; ``hangs`` makes them never complete (the futures are kept in
-    ``hung``); ``before_crash`` runs once inside the next crashing call,
-    which is where a client racing a retry gets to fill the queue.
-    """
-
-    def __init__(self) -> None:
-        self.crashes = 0
-        self.hangs = 0
-        self.before_crash = None
-        self.hung: list[Future] = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        future: Future = Future()
-        if self.crashes:
-            self.crashes -= 1
-            hook, self.before_crash = self.before_crash, None
-            if hook is not None:
-                hook()
-            raise BrokenExecutor("worker died (scripted)")
-        if self.hangs:
-            self.hangs -= 1
-            self.hung.append(future)
-        else:
-            future.set_result(SimReport(embeddings=7))
-        return future
+def light(core, job) -> bool:
+    """The light rule, said plainly (``DispatchState`` is the code)."""
+    return (
+        job.predicted_source == "profile"
+        and job.predicted_seconds < core_module.LIGHT_SECONDS
+        and core.failures.get("batched", 0) < core_module.ENGINE_FAILURE_LIMIT
+        and not job.faults and not job.verify_engine
+    )
 
 
 class JobLifecycle(RuleBasedStateMachine):
-    """Random walks over submit / cancel / crash / hang / pause / clock.
-
-    The service is inline with an injected clock, sleep and executor, so
-    every walk is single-threaded and replays exactly.  After every step
-    each accepted job must be in exactly one place (a terminal count, the
-    queue, or a worker), every ``stats()`` count must equal its metric
-    series, and every FAILED handle must carry the error it failed with;
-    after shutdown no handle may be left waiting.
-    """
-
-    graph = erdos_renyi(30, 8.0, seed=11, name="er30")
+    """Random walks of submit / next / done / cancel / pause / arm / clock
+    / close events, fed to a ``DispatchState`` on an integer clock: after
+    every step each accepted job is in exactly one place (ended once, the
+    queue, or in flight), pool calls stay within the workers and a job
+    runs here only when light; after close no job is left waiting."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.clock = FakeClock()
-        self.executor = ScriptedExecutor()
-        self.svc = QueryService(
-            mode="inline",
-            queue_limit=3,
-            clock=self.clock,
-            sleep=RecordingSleep(),
-            executor=self.executor,
-        )
-        self.gid = self.svc.register_graph(self.graph, graph_id="g")
-        self.handles: list[JobHandle] = []
+        self.now = 0
+        self.core = DispatchState(3, max_workers=2)
+        self.accepted: list[Job] = []
+        self.running: list[Job] = []
+        self.ended: dict[int, JobStatus] = {}
 
-    def _submit(self, **kwargs) -> None:
-        try:
-            self.handles.append(self.svc.submit(
-                self.gid, engine="batched", **kwargs
-            ))
-        except QueueFullError:  # the one refusal: counted nowhere else
-            pass
+    def _begun(self, job: Job) -> None:
+        assert job.attempts >= 1
+        assert job.where == "pool" or light(self.core, job)
+        self.running.append(job)
+
+    def _end(self, job: Job, status: JobStatus) -> None:
+        assert job.handle.job_id not in self.ended  # once
+        self.ended[job.handle.job_id] = status
 
     @rule(
-        pattern=st.sampled_from(["3CF", "WEDGE", "DIA"]),
-        use_cache=st.booleans(),
+        ms=st.sampled_from([0.2, 0.5, 500.0]),
+        source=st.sampled_from(["profile", "prior"]),
     )
-    def submit(self, pattern, use_cache):
-        self._submit(pattern=PATTERNS[pattern], use_cache=use_cache)
+    def submit(self, ms, source):
+        job = bare(len(self.accepted) + 100, ms * 1e-3, source)
+        try:
+            here = self.core.admit(job, self.now)
+        except QueueFullError:  # the one refusal: counted nowhere else
+            assert self.core.queue.depth() == self.core.queue.limit
+            return
+        except ServiceError:
+            assert self.core.closed
+            return
+        self.accepted.append(job)
+        if here:
+            self._begun(job)
 
-    @precondition(lambda self: self.handles)
+    @rule()
+    def next(self):
+        act = self.core.next(self.now)
+        if isinstance(act, Job):
+            self._begun(act)
+        elif act is not None:
+            assert act > self.now  # a wake time is always ahead
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data(), outcome=st.sampled_from(list(Outcome)))
+    def done(self, data, outcome):
+        job = data.draw(st.sampled_from(self.running))
+        self.running.remove(job)
+        verdict = self.core.done(job, outcome, self.now, RuntimeError("x"))
+        if isinstance(verdict, Requeue):
+            assert outcome is Outcome.CRASH and not self.core.closed
+        else:
+            self._end(job, verdict.status)
+
+    @precondition(lambda self: self.accepted)
     @rule(data=st.data())
     def cancel(self, data):
-        data.draw(st.sampled_from(self.handles)).cancel()
+        job = data.draw(st.sampled_from(self.accepted))
+        if self.core.cancel(job.handle) is not None:
+            self._end(job, JobStatus.CANCELLED)
 
-    @rule(seconds=st.sampled_from([1.0, 60.0]))
+    @rule(seconds=st.sampled_from([1, 3]))
     def advance_clock(self, seconds):
-        self.clock.advance(seconds)
+        self.now += seconds
 
-    @rule(n=st.integers(1, 4))
-    def crash_next_submits(self, n):
-        self.executor.crashes = n
+    @rule(paused=st.booleans())
+    def pause_or_resume(self, paused):
+        self.core.pause() if paused else self.core.resume()
 
-    @rule()
-    def submit_to_a_worker_that_hangs(self):
-        self.executor.hangs = 1
-        self._submit(pattern=PATTERNS["CYC"], use_cache=False)
-
-    @rule()
-    def crash_while_a_client_fills_the_queue(self):
-        # the next dispatch dies, and before its retry is pushed back a
-        # client (here: from inside the dying call) takes every queue slot
-        def fill():
-            self.svc.pause()
-            for _ in range(self.svc._queue.limit):
-                self._submit(pattern=PATTERNS["TT"], use_cache=False)
-
-        self.executor.crashes = 1
-        self.executor.before_crash = fill
-        self._submit(pattern=PATTERNS["TT"], use_cache=False)
+    @rule(rate=st.sampled_from([0.0, 0.5]))
+    def arm(self, rate):
+        self.core.arm(FaultPlan(seed=3, specs=(FaultSpec(
+            site="worker.run", kind=FaultKind.CRASH, rate=rate,
+        ),)) if rate else None)
 
     @rule()
-    def pause(self):
-        self.svc.pause()
-
-    @rule()
-    def resume(self):
-        self.svc.resume()
-
-    @precondition(lambda self: self.executor.hung)
-    @rule()
-    def hung_worker_answers(self):
-        self.executor.hung.pop(0).set_result(SimReport(embeddings=7))
+    def close(self):
+        for job in self.core.close():
+            self._end(job, JobStatus.CANCELLED)
 
     @invariant()
     def every_job_is_in_exactly_one_place(self):
-        s = self.svc.stats()
-        assert s.submitted == len(self.handles)
-        assert s.submitted == (
-            s.completed + s.failed + s.cancelled
-            + s.queue_depth + s.in_flight
-        ), s.summary()
+        queued = [e[2].handle.job_id for e in self.core.queue._entries]
+        running = [job.handle.job_id for job in self.running]
+        places = queued + running + list(self.ended)
+        assert sorted(places) == sorted(j.handle.job_id for j in self.accepted)
+        assert self.core.in_flight == len(self.running)
 
     @invariant()
-    def every_count_equals_its_series(self):
-        s = self.svc.stats()
-        series = {
-            "submitted": "repro_jobs_submitted_total",
-            "failed": "repro_jobs_failed_total",
-            "cancelled": "repro_jobs_cancelled_total",
-            "retries": "repro_job_retries_total",
-        }
-        for field, name in series.items():
-            assert getattr(s, field) == s.metrics.get(name, 0), field
-        # worker completions and cache hits are both completed jobs
-        assert s.completed == (
-            s.metrics.get("repro_jobs_completed_total", 0)
-            + s.metrics.get("repro_cache_hits_total", 0)
-        )
-
-    @invariant()
-    def every_failure_carries_its_error(self):
-        for handle in self.handles:
-            if handle.status is JobStatus.FAILED:
-                assert handle.exception() is not None, handle
+    def pool_calls_stay_within_the_workers(self):
+        pooled = [job for job in self.running if job.where == "pool"]
+        assert len(pooled) <= self.core.max_workers
 
     def teardown(self):
-        while self.executor.hung:
-            self.hung_worker_answers()
-        self.svc.shutdown()
-        for handle in self.handles:
-            assert handle.status.terminal, handle  # never a hung waiter
-        self.every_job_is_in_exactly_one_place()
-        self.every_count_equals_its_series()
+        self.close()
+        for job in self.running:
+            self._end(job, self.core.done(job, Outcome.OK, self.now).status)
+        assert set(self.ended) == {job.handle.job_id for job in self.accepted}
 
 
 TestJobLifecycle = JobLifecycle.TestCase
@@ -714,7 +705,7 @@ TestJobLifecycle.settings = settings(
 
 
 class TestCountsAgreeWithSeries:
-    """The three disagreements the walk above turned up, one case each."""
+    """Three disagreements between a count and its series, one case each."""
 
     def test_refused_submission_is_not_counted_as_submitted(self, graph):
         svc, gid = make_service(graph, queue_limit=1, start_paused=True)
@@ -726,19 +717,30 @@ class TestCountsAgreeWithSeries:
         assert stats.metrics["repro_jobs_submitted_total"] == 1
         svc.shutdown()
 
-    def test_requeue_into_a_full_queue_fails_like_any_failure(self):
-        walk = JobLifecycle()
-        walk.crash_while_a_client_fills_the_queue()
-        (failed,) = [
-            h for h in walk.handles if h.status is JobStatus.FAILED
-        ]
+    def test_requeue_into_a_full_queue_fails_like_any_failure(self, graph):
+        # the next dispatch dies, and before its retry is pushed back a
+        # client (here: from inside the dying call) takes every queue slot
+        svc, gid = make_service(graph, queue_limit=3)
+        handles = []
+
+        class CrashesOnceAfterFilling(InlineExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                svc.pause()
+                for name in ("3CF", "WEDGE", "DIA"):
+                    handles.append(svc.submit(gid, PATTERNS[name]))
+                raise BrokenExecutor("worker died (scripted)")
+
+        svc._executor = CrashesOnceAfterFilling()
+        failed = svc.submit(gid, PATTERNS["TT"], use_cache=False)
         with pytest.raises(QueueFullError):
-            failed.result()
-        stats = walk.svc.stats()
+            failed.result(timeout=5)
+        stats = svc.stats()
         assert stats.failed == 1 and stats.retries == 1
         assert stats.metrics["repro_jobs_failed_total"] == 1
-        assert isinstance(failed.exception(), QueueFullError)
-        walk.teardown()
+        assert stats.metrics["repro_job_retries_total"] == 1
+        assert stats.submitted == 4 and stats.queue_depth == 3
+        svc.shutdown()
+        assert all(h.status is JobStatus.CANCELLED for h in handles)
 
     def test_cancelled_jobs_have_a_series(self, graph):
         svc, gid = make_service(graph, start_paused=True)
@@ -750,7 +752,7 @@ class TestCountsAgreeWithSeries:
 
 
 # ---------------------------------------------------------------------------
-# the queue against a reference model, and cancels racing a live dispatcher
+# the core's queue against a reference model
 # ---------------------------------------------------------------------------
 
 
@@ -761,8 +763,11 @@ class ReferenceQueue:
 
     def __init__(self, limit: int, age_limit: float) -> None:
         self.limit, self.age_limit, self.jobs = limit, age_limit, []
+        self.closed = False
 
     def push(self, job: Job) -> None:
+        if self.closed:
+            raise ServiceError("closed")
         if len(self.jobs) >= self.limit:
             raise QueueFullError("full")
         self.jobs.append(job)
@@ -772,13 +777,17 @@ class ReferenceQueue:
             return job.not_before is not None and now < job.not_before
 
         runnable = [job for job in self.jobs if not parked(job)]
+        wake = min(
+            (job.not_before for job in self.jobs if parked(job)),
+            default=None,
+        )
         if not runnable:
-            return None
+            return wake
         head = self.jobs[0]
         if now - head.enqueued_at < self.age_limit or parked(head):
             head = min(runnable, key=Job.cost_key)
         if fits is not None and not fits(head):
-            return None
+            return wake
         return self.remove(head.handle)
 
     def remove(self, handle):
@@ -792,13 +801,14 @@ queue_ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("push"),
-            st.sampled_from([0.1, 0.5, 0.5, 3.0]),  # cost, with ties
-            st.sampled_from([None, 0.0, 1.5, 4.0]),  # backoff, if any
+            st.sampled_from([0.1, 0.5, 0.5, 3.0]),  # ms, with ties
+            st.sampled_from([None, 0, 1, 4]),  # backoff, if any
         ),
-        st.tuples(st.just("pop"), st.sampled_from([None, 0, 1, 2])),
+        st.tuples(st.just("pop"), st.booleans()),  # with the pool full?
         st.tuples(st.just("remove"), st.integers(0, 40)),
         st.tuples(st.just("requeue"), st.integers(0, 40)),
-        st.tuples(st.just("tick"), st.sampled_from([0.5, 1.0, 2.5])),
+        st.tuples(st.just("finish"), st.integers(0, 40)),
+        st.tuples(st.just("tick"), st.sampled_from([1, 2, 3])),
         st.tuples(st.just("drain")),
     ),
     min_size=20,
@@ -810,70 +820,97 @@ class TestQueueAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(ops=queue_ops)
     def test_every_result_and_depth_match_the_reference(self, ops):
-        queue, ref = JobQueue(limit=5, age_limit=2.0), ReferenceQueue(5, 2.0)
-        now, jobs, running = 0.0, [], []
+        with mock.patch.object(core_module, "RETRY_BACKOFF_SECONDS", 1):
+            self.walk(ops)
 
-        def both(call, *args):
-            outcomes = []
-            for q in (queue, ref):
-                try:
-                    outcomes.append(getattr(q, call)(*args))
-                except QueueFullError:
-                    outcomes.append(QueueFullError)
-            assert outcomes[0] is outcomes[1], (call, args)
-            return outcomes[0]
+    def walk(self, ops):
+        core, ref = DispatchState(5), ReferenceQueue(5, 2.0)
+        # one call held in flight: the core is never idle, so every
+        # submit queues
+        blocker = bare(0, 0.5)
+        core.admit(blocker, 0)
+        assert core.next(0) is blocker
+        now, jobs, running, crashes = 0, [], [], 0
+
+        def refusal(call, *args):
+            try:
+                assert not call(*args)  # False (queued) or None
+            except (QueueFullError, ServiceError) as exc:
+                return type(exc)
+            return None
 
         for op, *args in ops:
             if op == "push":
-                cost, backoff = args
-                handle = JobHandle(
-                    job_id=len(jobs), graph_id="g", pattern_name="3CF",
-                    engine="batched", cancel_cb=lambda h: False,
-                )
-                job = Job(
-                    handle=handle, graph_id="g", fingerprint="fp",
-                    plan=None, config=None, cache_key=None, seq=len(jobs),
-                    predicted_seconds=cost, enqueued_at=now,
-                    not_before=None if backoff is None else now + backoff,
-                )
+                ms, backoff = args
+                job = bare(len(jobs) + 1, ms * 1e-3)
+                job.not_before = None if backoff is None else now + backoff
+                job.enqueued_at = now  # as the core's submit sets it
                 jobs.append(job)
-                both("push", job)
+                assert refusal(core.admit, job, now) == refusal(ref.push, job)
             elif op == "pop":
-                # a veto that refuses one job in three, or none
-                salt = args[0]
-                fits = None if salt is None else (
-                    lambda job: (job.seq + salt) % 3 != 0
-                )
-                job = both("pop", now, fits)
-                if job is not None:
-                    job.handle._set_running()
-                    running.append(job)
+                # a full pool pops through the light rule's veto
+                core.max_workers = core.in_flight if args[0] else 99
+                veto = partial(light, core) if args[0] else None
+                expected = ref.pop(now, veto)
+                act = core.next(now)
+                assert act is expected if isinstance(expected, Job) \
+                    else act == expected
+                if isinstance(act, Job):
+                    assert act.where == (
+                        "service" if light(core, act) else "pool"
+                    )
+                    running.append(act)
             elif op == "remove" and jobs:
-                both("remove", jobs[args[0] % len(jobs)].handle)
+                handle = jobs[args[0] % len(jobs)].handle
+                assert core.cancel(handle) is ref.remove(handle)
             elif op == "requeue" and running:
-                # what the service does with a crashed job
+                # what the core does with a crashed job: back off and
+                # queue it, unless its retries are spent or it is closed
                 job = running.pop(args[0] % len(running))
-                job.handle._requeue()
-                job.enqueued_at = now
-                if both("push", job) is QueueFullError:
-                    job.handle._finish(JobStatus.FAILED, error=RuntimeError())
+                crashes += 1
+                if job.attempts > core_module.MAX_RETRIES:
+                    expected = JobStatus.FAILED
+                elif ref.closed:
+                    expected = JobStatus.CANCELLED
+                elif len(ref.jobs) >= ref.limit:
+                    expected = JobStatus.FAILED  # the queue refused it
+                else:
+                    expected = Requeue(now + 2 ** (job.attempts - 1))
+                verdict = core.done(job, Outcome.CRASH, now)
+                if isinstance(expected, Requeue):
+                    assert verdict == expected
+                    ref.push(job)  # with the backoff the core gave it
+                else:
+                    assert verdict.status is expected
+            elif op == "finish" and running:
+                job = running.pop(args[0] % len(running))
+                assert core.done(job, Outcome.OK, now).status is JobStatus.DONE
+                crashes = 0
             elif op == "tick":
                 now += args[0]
             elif op == "drain":
-                drained = queue.drain()
+                drained = core.close()
                 assert sorted(j.seq for j in drained) == \
                     sorted(j.seq for j in ref.jobs)
-                ref.jobs = []
-            assert queue.depth() == len(ref.jobs)
+                ref.jobs, ref.closed = [], True
+            assert core.queue.depth() == len(ref.jobs)
+            assert core.failures.get("batched", 0) == crashes
+
+
+# ---------------------------------------------------------------------------
+# the shell under eight racing clients
+# ---------------------------------------------------------------------------
 
 
 class TestCancelRace:
     def test_every_handle_settles_once_under_racing_cancels(
         self, graph, monkeypatch
     ):
-        """Eight threads submit and cancel while the dispatcher pops: a
-        job settles once, cancelled only while queued, never both run
-        and cancelled."""
+        """Eight closed-loop clients, switching every 10 µs, submit warm
+        light and heavy jobs to one service and cancel some: a job
+        settles once, cancelled only while queued, never both run and
+        cancelled; pool calls stay within the workers, at most one job
+        runs on a submitting thread at a time, and every count is right."""
         finished: dict[int, int] = {}
         finish = JobHandle._finish
 
@@ -883,33 +920,66 @@ class TestCancelRace:
                 finished[handle.job_id] = finished.get(handle.job_id, 0) + 1
             return won
 
-        launched: set[int] = set()
-        launch = QueryService._launch
-
-        def logged(self, job):
-            launched.add(job.handle.job_id)
-            launch(self, job)
-
         monkeypatch.setattr(JobHandle, "_finish", counted)
-        monkeypatch.setattr(QueryService, "_launch", logged)
+        # more pool threads than workers: only the service's gate keeps
+        # its calls within max_workers
+        pool = ThreadPoolExecutor(max_workers=8)
         svc, gid = make_service(
-            graph, mode="thread", max_workers=2,
-            executor=ScriptedExecutor(), queue_limit=8 * 40,
+            graph, mode="thread", max_workers=2, executor=pool,
+            queue_limit=8 * 30,
         )
-        handles: list[JobHandle] = []
-        cancelled: list[JobHandle] = []
+        light_shapes = ("3CF", "WEDGE", "DIA")
+        for name, seconds in [(n, 2e-4) for n in light_shapes] + [("TT", .5)]:
+            features = query_features(
+                graph, graph.fingerprint(),
+                pattern_cache_key(PATTERNS[name], None),
+            )
+            svc.predictor.observe(features, "batched", seconds)
+        # the cost model stays where it was put: a run slowed by the
+        # switching must not turn a light shape heavy mid-test
+        monkeypatch.setattr(svc.predictor, "observe", lambda *args: None)
+        clients: set[threading.Thread] = set()
+        # runs at once, [now, peak], on a client thread and in the pool
+        running = {"client": [0, 0], "pool": [0, 0]}
+        real_run_job = service_module.run_job
         lock = threading.Lock()
+
+        def run_job(*args, **kwargs):
+            thread = threading.current_thread()
+            kind = "client" if thread in clients else (
+                "pool" if thread.name.startswith("ThreadPoolExecutor")
+                else "dispatcher"
+            )
+            count = running.setdefault(kind, [0, 0])
+            with lock:
+                count[0] += 1
+                count[1] = max(count)
+            try:
+                return real_run_job(*args, **kwargs)
+            finally:
+                with lock:
+                    count[0] -= 1
+
+        monkeypatch.setattr(service_module, "run_job", run_job)
+        want = {
+            name: count_embeddings(
+                graph, build_plan(PATTERNS[name])
+            ).embeddings
+            for name in light_shapes + ("TT",)
+        }
+        handles: list[tuple[str, JobHandle]] = []
+        cancelled: list[JobHandle] = []
 
         def client(seed):
             rng = np.random.default_rng(seed)
             mine = []
-            for _ in range(40):
-                mine.append(svc.submit(
-                    gid, PATTERNS[("3CF", "WEDGE", "DIA")[rng.integers(3)]],
-                    use_cache=False,
-                ))
+            for i in range(30):
+                name = "TT" if i % 5 == 0 else light_shapes[rng.integers(3)]
+                mine.append((name, svc.submit(
+                    gid, PATTERNS[name], use_cache=False, engine="batched",
+                )))
                 if rng.random() < 0.5:
-                    target = mine[rng.integers(len(mine))]
+                    target = mine[rng.integers(len(mine))][1]
                     if target.cancel():
                         with lock:
                             cancelled.append(target)
@@ -917,33 +987,40 @@ class TestCancelRace:
                 handles.extend(mine)
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        sys.setswitchinterval(1e-5)
         try:
             threads = [
                 threading.Thread(target=client, args=(seed,))
                 for seed in range(8)
             ]
+            clients.update(threads)
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=60)
+                thread.join(timeout=120)
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        for handle in handles:
+        for name, handle in handles:
             try:
-                handle.result(timeout=60)
+                assert handle.result(timeout=60).embeddings == want[name]
             except JobCancelledError:
                 pass
         stats = svc.stats()
         svc.shutdown()
-        assert len(handles) == stats.submitted == 8 * 40
-        assert all(finished[h.job_id] == 1 for h in handles)
-        assert len({id(h) for h in cancelled}) == len(cancelled)
+        pool.shutdown()
+        assert len(handles) == stats.submitted == 8 * 30
+        assert all(finished[h.job_id] == 1 for _, h in handles)
+        assert len({id(h) for h in cancelled}) == len(cancelled) > 0
         assert {id(h) for h in cancelled} == {
-            id(h) for h in handles if h.status is JobStatus.CANCELLED
+            id(h) for _, h in handles if h.status is JobStatus.CANCELLED
         }
-        assert not launched & {h.job_id for h in cancelled}
-        assert len(launched) == stats.completed
+        # a cancelled job was never started, every other one once
+        assert all(
+            h.attempts == (h.status is not JobStatus.CANCELLED)
+            for _, h in handles
+        )
         assert stats.completed + stats.cancelled == stats.submitted
-        assert stats.cancelled == len(cancelled) > 0
+        assert stats.in_flight == 0
+        assert 0 < running["pool"][1] <= svc.max_workers
+        assert running["client"][1] <= 1
