@@ -590,8 +590,7 @@ class FrontierExpander:
         # than the bit rows, AND + popcount them instead of gathering
         leaf = is_leaf and bit_leaf_sizes(
             graph, emb, lv.deps[0], lv.upper_bounds, lv.lower_bounds,
-            lv.exclude, probes, None if labels is None else lv.label,
-            1 + len(probes),
+            lv.exclude, probes, None if labels is None else lv.label, False,
         )
         if leaf:
             sizes, priors = leaf

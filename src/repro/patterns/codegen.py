@@ -289,13 +289,14 @@ def _emit_charge(w: list[str], p: int, prior: str, pad: str = "    ") -> None:
     w.append(f"{pad}out.comparisons += {prior} + other_words")
 
 
-def _emit_bit_leaf(w, lv, probes, collection, use_labels, elem_ops) -> None:
+def _emit_bit_leaf(w, lv, probes, collection, use_labels, reuses) -> None:
     """The word-parallel form of a terminal level, for wherever the density
-    rule prefers it: charge each probe the popcount it took in, and return."""
+    rule prefers it over the array form (``reuses``: parent-set reuse):
+    charge each probe the popcount it took in, and return."""
     w.append(
         f"    leaf = bit_leaf_sizes(graph, emb, {lv.deps[0]}, "
         f"{lv.upper_bounds}, {lv.lower_bounds}, {lv.exclude}, "
-        f"{tuple(probes)}, {lv.label if use_labels else None}, {elem_ops})"
+        f"{tuple(probes)}, {lv.label if use_labels else None}, {reuses})"
     )
     w.append("    if leaf:")
     w.append("        sizes, priors = leaf")
@@ -332,10 +333,7 @@ def _emit_level(
     ]
     reuses = _reuses_parent(levels, level, use_labels)
     if is_leaf:
-        # array work per candidate in the span: the gather and every probe,
-        # or on parent-set reuse half a gather and one probe fewer
-        ops = 0.5 * len(probes) if reuses else 1 + len(probes)
-        _emit_bit_leaf(w, lv, probes, collection, use_labels, ops)
+        _emit_bit_leaf(w, lv, probes, collection, use_labels, reuses)
     if reuses:
         # cand/owner still hold the parent's survivors, one per row of emb.
         # The probe that produced them is charged, not re-issued: its input

@@ -110,7 +110,7 @@ from .core import (  # noqa: F401
 from .job import Job, JobHandle, JobStatus
 from .registry import GraphRegistry
 from .stats import HealthReport, LatencyRecorder, ServiceStats, Tally
-from .worker import run_job
+from .worker import release_attachments, run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
@@ -219,6 +219,10 @@ class QueryService:
         self._cond = threading.Condition()
         self._dispatcher: threading.Thread | None = None
         self._dispatcher_stuck = False
+        #: ``(config key, engine)`` → the one overridden config submits share
+        self._engine_configs: dict[tuple, SystemConfig] = {}
+        #: set on a thread while it runs the inline ``_pump``
+        self._pumping = threading.local()
 
     # -- graph registry ----------------------------------------------------
 
@@ -336,7 +340,12 @@ class QueryService:
         record = self._registry.get(graph_id)
         cfg = config or self.config
         if engine is not None and engine != cfg.engine:
-            cfg = cfg.with_overrides(engine=engine)
+            key = (cfg.cache_key(), engine)
+            cfg = self._engine_configs.get(key) or (
+                self._engine_configs.setdefault(
+                    key, cfg.with_overrides(engine=engine)
+                )
+            )
         if root_range is not None:
             lo, hi = int(root_range[0]), int(root_range[1])
             if lo < 0 or hi < lo:
@@ -540,7 +549,12 @@ class QueryService:
         dispatcher thread on first use; it pumps until shutdown, woken
         through ``_cond`` by whoever changed what ``next`` would say."""
         if self.mode == "inline":
-            self._pump()
+            if not getattr(self._pumping, "on", False):  # not re-entered
+                self._pumping.on = True
+                try:
+                    self._pump()
+                finally:
+                    self._pumping.on = False
             return
         with self._cond:
             if self._dispatcher is not None or self._core.closed:
@@ -685,6 +699,10 @@ class QueryService:
                 job.graph_id, job.attempts, error,
             )
         if requeued:
+            if self.mode == "inline":
+                # no dispatcher: a future that failed after submit returned
+                # is retried only if this thread pumps it
+                self._kick()
             return
         if verdict.status is not JobStatus.DONE:
             self._settle(job, verdict.status, error=verdict.error)
@@ -898,6 +916,7 @@ class QueryService:
             self._executor = None
         if executor is not None and self._owns_executor:
             executor.shutdown(wait=wait)
+        release_attachments()
         # all workers are gone (or externally owned and done with our
         # jobs): unlink every shared-memory segment the registry created
         self._registry.close()

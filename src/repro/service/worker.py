@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..patterns.plan import MatchingPlan
     from ..sim.report import SimReport
 
-__all__ = ["run_job", "worker_graph_cache_info"]
+__all__ = ["release_attachments", "run_job", "worker_graph_cache_info"]
 
 #: per-process resolved graphs, keyed by graph_id.  One entry per id: an
 #: updated snapshot (new fingerprint) replaces the old.  The third slot
@@ -80,6 +80,15 @@ def _cache_graph(
         # the retired segment (the creator-side unlink already happened or
         # will happen; close() frees our address space either way)
         old[2].close()
+
+
+def release_attachments() -> None:
+    """Forget and close this process's shared-memory attachments (at a
+    service's shutdown); left open, each meets its graph's live views in
+    ``SharedMemory.__del__`` at exit, which prints ``BufferError``."""
+    with _GRAPH_LOCK:
+        for graph_id in [g for g, e in _GRAPH_CACHE.items() if e[2]]:
+            _GRAPH_CACHE.pop(graph_id)[2].close()
 
 
 def _resolve_graph(

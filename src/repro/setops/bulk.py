@@ -43,15 +43,23 @@ PACKED_ADJ_MAX_VERTICES = 16384
 #: accumulator, operand and mask rows stay in L2 together)
 BIT_CHUNK_WORDS = 1 << 15
 
-# Unit costs of :func:`bit_rows_cheaper`, measured once with each path forced
-# on the terminal levels of 3CF/DIA/WEDGE/4CF/CYC/TT over nine graphs (WV, PP,
-# AS scaled, Erdős–Rényi; 200-3000 vertices, 4-51 words and 0.2-115 candidates
-# per row; NumPy 2.4, one core).  Levels of 3 k+ rows: 0.6-1.4 ns per pass over
-# one word of a bit row, 5-20 ns per element operation on arrays; bit rows won
-# every case with word passes < 10x element operations, tied at 10-15x, lost
-# beyond.  The rule's sample took 7-12 us alone, 17-21 us in a 0.3 ms kernel.
+# Unit costs of :func:`bit_rows_cheaper`, fitted with each path forced on the
+# terminal levels of 3CF/DIA/WEDGE/4CF/CYC/TT over WV@0.08/0.18, PP@0.1/0.3,
+# AS@0.1 and Erdős–Rényi 200/6, 600/3, 1000/40, 3000/20, of 3CF/DIA/4CF over
+# WV@1.0 and LJ@1.0 (112 and 235 words per row), and of 4CF over 13 more
+# graphs (NumPy 2.4, one core, median of 5-7 alternating runs).  Per row of
+# levels of 3 k+ rows, bit rows took 78 ns + 1.2 ns per word pass and the
+# plain gather 88 ns + 17 ns per element operation: the per-row terms cancel;
+# bits won up to 13 word passes per element operation (WV@1.0 3CF and batched
+# 4CF, which the ratio 10 leaves on arrays) and lost from 13.7 (er3000/20
+# CYC).  Not so on the reuse leaf; its arrays / bits leaf time on 4CF: WV@0.12
+# 1.8, WV@0.18 1.2-1.9, WV@0.25 1.9, WV@0.35 1.5, LJ@0.25 1.2, AS@0.1 0.9-1.1,
+# er1500/20 0.9, MI@0.25 0.6, AS@0.25 0.5, LJ@1.0 0.7-0.9: ARRAY_ROW_NS > 49
+# sends WV@0.18 to bits, > 174 would send MI@0.25.  The rule's sample took
+# 7-12 us alone, 17-21 us in a kernel.
 BIT_WORD_NS = 1.0  #: per pass over one 64-bit word (gather + AND, popcount)
 ARRAY_ELEM_NS = 10.0  #: per candidate per gather or probe + compress
+ARRAY_ROW_NS = 100.0  #: per row regrouping a parent's survivors (reuse)
 RULE_NS = 20_000.0  #: a level whose bit rows cost less is not sampled
 RULE_SAMPLE_ROWS = 64  #: to twice as many; its searches run on cold keys
 
@@ -153,15 +161,17 @@ def row_bounds(rows: np.ndarray, upper: tuple, lower: tuple) -> tuple:
 
 def bit_rows_cheaper(
     graph: CSRGraph, width: int, emb: np.ndarray, src: int, upper: tuple,
-    lower: tuple, probes: int, elem_ops: float,
+    lower: tuple, probes: int, reuse: bool,
 ) -> bool:
     """Is a terminal level cheaper word-parallel than element by element?
 
     Bit rows (``width`` words each) cost one pass per operand — source,
-    bound masks, ``probes`` — and per popcount; arrays cost ``elem_ops``
-    element operations (the gather and every probe; fewer on parent-set
-    reuse) per candidate inside the level's :func:`row_spans`, estimated on
-    a strided sample of rows so that choosing costs ``RULE_NS`` at any size.
+    bound masks, ``probes`` — and per popcount.  Arrays cost, per candidate
+    inside the level's :func:`row_spans`, the gather and every probe; with
+    ``reuse`` (the level draws its candidates from its parent's survivors)
+    half a gather and one probe fewer, plus regrouping those survivors per
+    row.  Candidates are counted on a strided sample of rows, so that
+    choosing costs ``RULE_NS`` at any size.
     """
     passes = 2 + bool(upper) + bool(lower) + 2 * probes
     bit_ns = width * passes * BIT_WORD_NS  # per row
@@ -172,12 +182,15 @@ def bit_rows_cheaper(
     lo, hi = row_spans(
         graph, keys, rows[:, src], *row_bounds(rows, upper, lower)
     )
-    return bit_ns * lo.size < int((hi - lo).sum()) * elem_ops * ARRAY_ELEM_NS
+    elem_ops = 0.5 * probes if reuse else 1 + probes
+    row_ns = ARRAY_ROW_NS if reuse else 0.0
+    elem_ns = int((hi - lo).sum()) * elem_ops * ARRAY_ELEM_NS
+    return bit_ns * lo.size < row_ns * lo.size + elem_ns
 
 
 def bit_leaf_sizes(
     graph: CSRGraph, emb: np.ndarray, src: int, upper: tuple, lower: tuple,
-    exclude: tuple, probes: tuple | list, label: int | None, elem_ops: float,
+    exclude: tuple, probes: tuple | list, label: int | None, reuse: bool,
 ) -> tuple[np.ndarray, list[int]] | None:
     """Sizes of a terminal level's candidate sets, 64 candidates per AND —
     or None where :func:`bit_rows_cheaper` (or a missing bitset) says no.
@@ -187,13 +200,14 @@ def bit_leaf_sizes(
     ``upper`` bound columns, minus the ``exclude`` columns' vertices, among
     vertices labelled ``label`` (None: any), then intersected with (``anti``:
     minus) ``N(emb[i, p])`` for each ``(p, anti)`` of ``probes`` in order.
+    ``reuse`` says how the caller's array path would build the same sets.
     Returns the per-row sizes and, per probe, the total size of the sets it
     took in — what the element-at-a-time path reports as ``cand.size``.
     """
     bits = graph.derived("adj_bits", packed_adjacency, graph)
     if bits is None or not bit_rows_cheaper(
         graph, bits.shape[1] // 8, emb, src, upper, lower, len(probes),
-        elem_ops,
+        reuse,
     ):
         return None
     words = bits.view("<u8")

@@ -148,6 +148,41 @@ class TestWorkerCrashRetry:
         assert len(sleep.calls) == 2
         assert sleep.calls[1] == pytest.approx(2 * sleep.calls[0])
 
+    def test_a_crash_after_submit_returned_is_retried(self, graph):
+        # inline mode has no dispatcher: the thread that fails a pending
+        # future after submit returned must run the retry itself
+        clock, sleep = FakeClock(), RecordingSleep()
+        sleep.clock = clock
+        pending = Future()
+
+        class LateFailure(InlineExecutor):
+            calls = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 1:
+                    return pending
+                return super().submit(fn, *args, **kwargs)
+
+        svc, gid = make_service(
+            graph, executor=LateFailure(), clock=clock, sleep=sleep
+        )
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        assert not handle.done()
+        failer = threading.Thread(
+            target=pending.set_exception,
+            args=(BrokenExecutor("worker died after submit returned"),),
+        )
+        failer.start()
+        failer.join(timeout=60)
+        report = handle.result(timeout=5)
+        assert report.embeddings == \
+            XSetAccelerator(engine="batched").count(
+                graph, PATTERNS["3CF"]).embeddings
+        assert handle.attempts == 2
+        assert svc.stats().retries == 1
+        assert svc.stats().queue_depth == 0
+
     def test_retries_exhausted_fails_typed(self, graph):
         sleep = RecordingSleep()
         executor = FlakyExecutor(failures=100)
@@ -536,6 +571,20 @@ class TestPerSubmitConstants:
         assert dia.plan is dia2.plan and dia.plan is not tri.plan
         assert dia.cache_key.config_key is svc.config.cache_key()
         assert dia2.cache_key.config_key is tri.cache_key.config_key
+        svc.shutdown()
+
+    def test_an_engine_override_is_one_config(self, graph):
+        # submits naming an engine other than the service's share one
+        # overridden config, hence one config key
+        svc, gid = make_service(graph, start_paused=True)
+        assert svc.config.engine != "batched"
+        for pattern in (PATTERNS["DIA"], PATTERNS["3CF"]):
+            svc.submit(gid, pattern, engine="batched")
+        entries = sorted(svc._core.queue._entries, key=lambda entry: entry[1])
+        first, second = (job for _, _, job in entries)
+        assert first.config is second.config
+        assert first.config.engine == "batched"
+        assert first.cache_key.config_key is second.cache_key.config_key
         svc.shutdown()
 
 

@@ -13,7 +13,9 @@ and is waited on through job handles — no sleeps anywhere.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 import threading
 import weakref
@@ -22,6 +24,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.errors import WorkerCrashError, XSetError
 from repro.graph import erdos_renyi
 from repro.patterns.executor import count_embeddings
@@ -714,6 +717,36 @@ class TestSetAftermath:
             assert old() is None
         finally:
             svc.shutdown()
+
+    def test_shutdown_closes_what_an_in_process_executor_attached(self):
+        # a thread pool runs run_job here, so the pool-bound job attaches
+        # the registry's segment in this process; left open, its mapping
+        # meets the graph's live views at interpreter exit
+        script = (
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from repro.graph import erdos_renyi\n"
+            "from repro.patterns import PATTERNS\n"
+            "from repro.service import QueryService, worker\n"
+            "pool = ThreadPoolExecutor(1)\n"
+            "svc = QueryService(mode='process', max_workers=1, "
+            "executor=pool)\n"
+            "gid = svc.register_graph(erdos_renyi(60, 4.0, seed=1))\n"
+            "print(svc.submit(gid, PATTERNS['3CF']).result(60).embeddings)\n"
+            "assert worker.worker_graph_cache_info()['attaches'] == 1\n"
+            "svc.shutdown()\n"
+            "pool.shutdown()\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [
+            str(oracle(erdos_renyi(60, 4.0, seed=1), "3CF"))
+        ]
+        assert "BufferError" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core import xset_default
 from repro.engine import functional, get_engine
-from repro.graph import CSRGraph, erdos_renyi
+from repro.graph import CSRGraph, erdos_renyi, load_dataset
 from repro.patterns import PATTERNS, build_plan
+from repro.patterns.codegen import _reuses_parent
 from repro.patterns.plan import LevelSpec
 from repro.setops import bulk
 from repro.setops.bulk import (
@@ -264,3 +265,36 @@ class TestBitLeaf:
         graph._derived["adj_bits"] = None  # as packed_adjacency caps it
         emb = np.zeros((4, 2), dtype=np.int32)
         assert bit_leaf_sizes(graph, emb, 0, (), (), (), (), None, 1) is None
+
+
+def reuse_leaf_rule(graph):
+    """What the density rule says of 4CF's level-3 leaf in the form the
+    codegen kernel runs it, parent-set reuse, fed the real frontier."""
+    plan = build_plan(PATTERNS["4CF"])
+    level = plan.stop_level
+    assert level == 3 and _reuses_parent(plan.levels, level, False)
+    expander = functional.FrontierExpander(graph, plan)
+    emb = expander.roots()
+    for lv in range(1, level):
+        emb = expander.expand(lv, emb).embeddings
+    lv = plan.levels[level]
+    width = bulk.packed_adjacency(graph).shape[1] // 8
+    return bulk.bit_rows_cheaper(
+        graph, width, emb, lv.deps[0], lv.upper_bounds, lv.lower_bounds,
+        len(lv.deps) - 1, True,
+    )
+
+
+class TestDensityRule:
+    def test_the_reuse_leaf_on_wv_runs_on_bit_rows(self, monkeypatch):
+        # 100 k rows of 20 words, ~9 span candidates each: the reuse path's
+        # per-row regrouping is what tips it; priced per candidate only,
+        # the rule chose the slower arrays
+        graph = load_dataset("WV", scale=0.18)
+        assert reuse_leaf_rule(graph)
+        monkeypatch.setattr(bulk, "ARRAY_ROW_NS", 0.0)
+        assert not reuse_leaf_rule(graph)
+
+    def test_the_same_leaf_on_a_wide_sparse_graph_stays_on_arrays(self):
+        # 188 words per row against a handful of candidates
+        assert not reuse_leaf_rule(erdos_renyi(12000, 6.0, seed=1))
