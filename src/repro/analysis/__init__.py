@@ -5,10 +5,8 @@ from .experiments import (
     BENCH_DATASETS,
     BENCH_PATTERNS,
     DEFAULT_BENCH_SCALE,
-    GridResult,
     format_table,
     geomean,
-    run_grid,
     run_workload,
 )
 
@@ -18,9 +16,7 @@ __all__ = [
     "experiment_summary",
     "BENCH_PATTERNS",
     "DEFAULT_BENCH_SCALE",
-    "GridResult",
     "format_table",
     "geomean",
-    "run_grid",
     "run_workload",
 ]

@@ -11,7 +11,6 @@ used).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.config import SystemConfig, xset_default
@@ -27,7 +26,6 @@ __all__ = [
     "BENCH_DATASETS",
     "geomean",
     "run_workload",
-    "run_grid",
     "format_table",
 ]
 
@@ -57,35 +55,6 @@ def run_workload(
     graph = load_dataset(dataset, scale=scale)
     plan = build_plan(PATTERNS[pattern])
     return run_on_soc(graph, plan, config or xset_default())
-
-
-@dataclass
-class GridResult:
-    """Results of a dataset × pattern grid on one configuration."""
-
-    config: SystemConfig
-    scale: float
-    reports: dict[tuple[str, str], SimReport] = field(default_factory=dict)
-
-    def seconds(self, dataset: str, pattern: str) -> float:
-        return self.reports[(dataset, pattern)].seconds
-
-
-def run_grid(
-    config: SystemConfig | None = None,
-    datasets: Sequence[str] = BENCH_DATASETS,
-    patterns: Sequence[str] = BENCH_PATTERNS,
-    scale: float = DEFAULT_BENCH_SCALE,
-) -> GridResult:
-    """Simulate a full dataset × pattern grid on one configuration."""
-    cfg = config or xset_default()
-    result = GridResult(config=cfg, scale=scale)
-    for ds in datasets:
-        for pat in patterns:
-            result.reports[(ds, pat)] = run_workload(
-                ds, pat, config=cfg, scale=scale
-            )
-    return result
 
 
 def format_table(

@@ -13,7 +13,6 @@ from .software import (
     BaselineResult,
     CpuBaselineModel,
     GpuBaselineModel,
-    run_baseline,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "PUBLISHED_PE_AREA_MM2",
     "compare_accelerators",
     "compute_density_speedup",
-    "run_baseline",
 ]

@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.csr import CSRGraph
-from ..patterns.executor import ExecutionStats, count_embeddings
-from ..patterns.pattern import Pattern
-from ..patterns.plan import MatchingPlan, build_plan
+from ..patterns.executor import ExecutionStats
+from ..patterns.plan import MatchingPlan
 
 __all__ = [
     "BaselineResult",
@@ -39,7 +38,6 @@ __all__ = [
     "GRAPHPI",
     "GRAPHSET",
     "GLUMIN",
-    "run_baseline",
 ]
 
 WORD_BYTES = 4
@@ -163,16 +161,3 @@ GRAPHSET = CpuBaselineModel(
 )
 #: GLUMIN on the RTX 6000 Ada
 GLUMIN = GpuBaselineModel()
-
-
-def run_baseline(
-    model: CpuBaselineModel | GpuBaselineModel,
-    graph: CSRGraph,
-    pattern: Pattern,
-    plan: MatchingPlan | None = None,
-) -> BaselineResult:
-    """Execute the plan functionally and price it on ``model``."""
-    if plan is None:
-        plan = build_plan(pattern)
-    stats = count_embeddings(graph, plan)
-    return model.estimate(graph, plan, stats)

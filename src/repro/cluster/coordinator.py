@@ -183,33 +183,16 @@ def _register_payload(graph_id: str, spec: ShardSpec) -> dict:
     }
 
 
-def _normalize_shards(
-    shards: "Sequence[tuple[str, object]]",
-) -> "list[tuple[str, list[tuple[str, str]]]]":
-    """Accept both shapes: ``(name, addr)`` and ``(name, [(replica,
-    addr), ...])`` — the former is a single-replica group whose replica
-    keeps the shard's name, which is what keeps breaker keys identical
-    to the pre-replication coordinator."""
-    normalized: "list[tuple[str, list[tuple[str, str]]]]" = []
-    for name, spec in shards:
-        if isinstance(spec, str):
-            normalized.append((name, [(name, spec)]))
-        else:
-            members = [(str(r), str(a)) for r, a in spec]
-            if not members:
-                raise ClusterError(
-                    f"shard {name!r} has an empty replica list"
-                )
-            normalized.append((name, members))
-    return normalized
-
-
 class Coordinator:
-    """Scatter/gather front-end over a set of (replicated) shard workers."""
+    """Scatter/gather front-end over a set of (replicated) shard workers.
+
+    ``shards`` holds one ``(name, [(replica, address), ...])`` group per
+    shard, each with at least one replica.
+    """
 
     def __init__(
         self,
-        shards: "Sequence[tuple[str, object]]",
+        shards: "Sequence[tuple[str, Sequence[tuple[str, str]]]]",
         transport: "Transport | str",
         config: SystemConfig | None = None,
         *,
@@ -228,7 +211,11 @@ class Coordinator:
         self._groups: "list[_ShardGroup]" = []
         self._replicas: "list[_Replica]" = []
         names: set[str] = set()
-        for name, members in _normalize_shards(shards):
+        for name, members in shards:
+            if not members:
+                raise ClusterError(
+                    f"shard {name!r} has an empty replica list"
+                )
             replicas = []
             for rname, addr in members:
                 if rname in names:
@@ -249,7 +236,6 @@ class Coordinator:
                 names.add(rname)
             self._groups.append(_ShardGroup(name=name, replicas=replicas))
             self._replicas.extend(replicas)
-        self._replicated = any(len(sg.replicas) > 1 for sg in self._groups)
         #: graph_id → per-shard placements (order matches self._groups)
         self._graphs: dict[str, list[_ShardPlacement]] = {}
         #: graph_id → replica names currently holding a registered copy
@@ -735,11 +721,6 @@ class Coordinator:
     @property
     def observability(self) -> bool:
         return self._tracer is not None
-
-    @property
-    def replicated(self) -> bool:
-        """True when any shard group has more than one replica."""
-        return self._replicated
 
     def _trace_sources(self) -> "tuple[list[Span], dict[str, list]]":
         """Finished spans, and each shard's PE activity under its name."""

@@ -19,7 +19,7 @@ forms, each with one step function and one driver:
 * **bulk** — :meth:`FrontierExpander.expand` is the step (a whole frontier
   level through the kernels of :mod:`repro.setops.bulk`),
   :func:`sweep_frontier` the chunked level-by-level driver behind the
-  ``batched`` engine, :func:`expand_frontier` and the incremental counter.
+  ``batched`` engine and the incremental counter.
   The ``codegen`` backend drives the same sweep with plan-specialised
   compiled source (:mod:`repro.patterns.codegen`) as its step, using
   :class:`FrontierExpander` for the adjacency oracle, bound-to-span search
@@ -71,7 +71,6 @@ __all__ = [
     "trace_chunk",
     "FrontierLevel",
     "sweep_frontier",
-    "expand_frontier",
 ]
 
 
@@ -701,15 +700,3 @@ def sweep_frontier(
                     bit_rows=step.bit_rows,
                 )
     return merged
-
-
-def expand_frontier(
-    graph: CSRGraph,
-    plan: MatchingPlan,
-    roots: np.ndarray | None = None,
-    bitmap_width: int = 0,
-) -> list[FrontierLevel]:
-    """Run a full level-by-level expansion; returns the per-level records."""
-    ex = FrontierExpander(graph, plan, bitmap_width)
-    emb = ex.roots(roots)
-    return sweep_frontier(ex, emb, max(emb.shape[0], 1))

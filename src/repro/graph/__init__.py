@@ -1,19 +1,8 @@
 """Graph substrate: CSR storage, shared-memory store, BitmapCSR, datasets."""
 
-from .algorithms import (
-    connected_components,
-    core_numbers,
-    degeneracy,
-    degeneracy_order,
-    global_clustering,
-    k_core,
-    largest_component,
-    neighborhood,
-    relabeled_by_degeneracy,
-)
+from .algorithms import neighborhood
 from .bitmapcsr import (
     VALID_WIDTHS,
-    BitmapSet,
     count_vertices,
     decode,
     difference_words,
@@ -22,15 +11,13 @@ from .bitmapcsr import (
     intersect_words,
 )
 from .csr import CSRGraph, edges_to_csr
-from .datasets import DATASETS, DatasetSpec, dataset_names, dataset_table, load_dataset
+from .datasets import DATASETS, DatasetSpec, dataset_table, load_dataset
 from .generators import (
-    barabasi_albert,
     configuration_model,
     erdos_renyi,
     powerlaw_degree_sequence,
     powerlaw_graph,
 )
-from .interop import from_networkx, to_networkx
 from .io import load_edge_list, save_edge_list
 from .stats import GraphStats, degree_skewness, graph_stats
 from .store import (
@@ -39,7 +26,6 @@ from .store import (
     SharedGraphRef,
     attach_graph,
     share_graph,
-    shm_available,
 )
 
 __all__ = [
@@ -49,24 +35,12 @@ __all__ = [
     "SharedGraphRef",
     "attach_graph",
     "share_graph",
-    "shm_available",
-    "connected_components",
-    "core_numbers",
-    "degeneracy",
-    "degeneracy_order",
-    "global_clustering",
-    "k_core",
-    "largest_component",
-    "relabeled_by_degeneracy",
-    "BitmapSet",
     "CSRGraph",
     "DATASETS",
     "DatasetSpec",
     "GraphStats",
-    "barabasi_albert",
     "configuration_model",
     "count_vertices",
-    "dataset_names",
     "dataset_table",
     "decode",
     "degree_skewness",
@@ -75,7 +49,6 @@ __all__ = [
     "encode",
     "encoded_length",
     "erdos_renyi",
-    "from_networkx",
     "graph_stats",
     "intersect_words",
     "load_dataset",
@@ -84,5 +57,4 @@ __all__ = [
     "powerlaw_degree_sequence",
     "powerlaw_graph",
     "save_edge_list",
-    "to_networkx",
 ]

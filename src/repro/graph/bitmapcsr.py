@@ -15,15 +15,12 @@ SIU models, which consume the word counts these functions report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import GraphFormatError
 
 __all__ = [
     "VALID_WIDTHS",
-    "BitmapSet",
     "encode",
     "decode",
     "intersect_words",
@@ -154,44 +151,3 @@ def encoded_length(vertices: np.ndarray, width: int) -> int:
     if width == 0 or v.size == 0:
         return int(v.size)
     return int(np.unique(v // width).size)
-
-
-@dataclass(frozen=True)
-class BitmapSet:
-    """A sorted vertex set carried in BitmapCSR form.
-
-    Thin value object pairing the packed words with their bitmap width so the
-    scheduler's candidate buffers and the SIUs agree on the encoding.
-    """
-
-    words: np.ndarray
-    width: int
-
-    @classmethod
-    def from_vertices(cls, vertices: np.ndarray, width: int) -> "BitmapSet":
-        return cls(words=encode(vertices, width), width=width)
-
-    @property
-    def num_words(self) -> int:
-        return int(np.asarray(self.words).size)
-
-    @property
-    def num_vertices(self) -> int:
-        return count_vertices(self.words, self.width)
-
-    def vertices(self) -> np.ndarray:
-        return decode(self.words, self.width)
-
-    def intersect(self, other: "BitmapSet") -> "BitmapSet":
-        if self.width != other.width:
-            raise GraphFormatError("bitmap widths differ")
-        return BitmapSet(
-            intersect_words(self.words, other.words, self.width), self.width
-        )
-
-    def difference(self, other: "BitmapSet") -> "BitmapSet":
-        if self.width != other.width:
-            raise GraphFormatError("bitmap widths differ")
-        return BitmapSet(
-            difference_words(self.words, other.words, self.width), self.width
-        )

@@ -234,16 +234,6 @@ class CSRGraph:
                 if u < int(v):
                     yield (u, int(v))
 
-    # -- address-space model ----------------------------------------------
-
-    def row_address(self, v: int) -> int:
-        """Word address of vertex ``v``'s neighbour row."""
-        return self.base_address + int(self.indptr[v])
-
-    def row_extent(self, v: int) -> tuple[int, int]:
-        """``(word address, length in words)`` of the neighbour row."""
-        return self.row_address(v), self.degree(v)
-
     # -- transforms ---------------------------------------------------------
 
     def with_labels(self, labels) -> "CSRGraph":
@@ -255,12 +245,6 @@ class CSRGraph:
             base_address=self.base_address,
             labels=np.asarray(labels, dtype=np.int64),
         )
-
-    def label_of(self, v: int) -> int | None:
-        """Vertex ``v``'s label, or None for unlabelled graphs."""
-        if self.labels is None:
-            return None
-        return int(self.labels[v])
 
     def _spliced(self, u: int, v: int, insert: bool) -> "CSRGraph":
         """This graph with edge ``(u, v)`` present (``insert``) or absent.

@@ -27,8 +27,7 @@ from .csr import CSRGraph
 from .generators import powerlaw_graph
 from .stats import GraphStats, graph_stats
 
-__all__ = ["DatasetSpec", "DATASETS", "load_dataset", "dataset_table",
-           "dataset_names"]
+__all__ = ["DatasetSpec", "DATASETS", "load_dataset", "dataset_table"]
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ DATASETS: dict[str, DatasetSpec] = {
                     4.85e6, 6.90e7, 30.9, "scaled 320x"),
     ]
 }
-
-
-def dataset_names() -> list[str]:
-    """Dataset keys in the paper's Table-3 order."""
-    return list(DATASETS)
 
 
 @lru_cache(maxsize=32)

@@ -12,8 +12,6 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import GraphFormatError
@@ -21,7 +19,6 @@ from .csr import CSRGraph
 
 __all__ = [
     "erdos_renyi",
-    "barabasi_albert",
     "powerlaw_degree_sequence",
     "configuration_model",
     "powerlaw_graph",
@@ -46,31 +43,6 @@ def erdos_renyi(
     v = rng.integers(0, num_vertices, size=k, dtype=np.int64)
     mask = u != v
     edges = np.stack([u[mask], v[mask]], axis=1)[:target_edges]
-    return CSRGraph.from_edges(num_vertices, edges, name=name)
-
-
-def barabasi_albert(
-    num_vertices: int, edges_per_vertex: int, seed: int = 0, name: str = "ba"
-) -> CSRGraph:
-    """Preferential-attachment graph (linearised Barabási–Albert).
-
-    Each new vertex attaches to ``edges_per_vertex`` targets drawn from the
-    running endpoint list, which realises degree-proportional sampling.
-    """
-    m = edges_per_vertex
-    if num_vertices <= m:
-        raise GraphFormatError("barabasi_albert needs num_vertices > m")
-    rng = _rng(seed)
-    targets = list(range(m))
-    repeated: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for v in range(m, num_vertices):
-        for t in targets:
-            edges.append((v, t))
-        repeated.extend(targets)
-        repeated.extend([v] * m)
-        idx = rng.integers(0, len(repeated), size=m)
-        targets = [repeated[int(i)] for i in idx]
     return CSRGraph.from_edges(num_vertices, edges, name=name)
 
 

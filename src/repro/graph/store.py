@@ -31,10 +31,6 @@ registers it with the ``resource_tracker``, which would unlink it when the
 worker exits while the creator still serves it; :func:`attach_graph`
 therefore attaches with the registration suppressed (the standard
 workaround, see cpython#82300).
-
-Segments can be disabled wholesale with the ``REPRO_DISABLE_SHM``
-environment variable, in which case the service layer falls back to its
-pickle path.
 """
 
 from __future__ import annotations
@@ -43,10 +39,10 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..errors import GraphFormatError
 from .csr import CSRGraph
 
 __all__ = [
@@ -55,20 +51,7 @@ __all__ = [
     "SharedGraphRef",
     "attach_graph",
     "share_graph",
-    "shm_available",
 ]
-
-#: set (to any value) to force the pickle path everywhere
-DISABLE_ENV = "REPRO_DISABLE_SHM"
-
-try:  # pragma: no cover - import always succeeds on CPython >= 3.8
-    from multiprocessing import resource_tracker, shared_memory
-
-    _HAVE_SHM = True
-except ImportError:  # pragma: no cover - exotic platforms only
-    resource_tracker = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
-    _HAVE_SHM = False
 
 #: distinguishes segments of concurrent processes sharing one fingerprint
 _SEQ = itertools.count()
@@ -77,7 +60,7 @@ _SEQ = itertools.count()
 #: serialises the window in which :func:`attach_graph` has the tracker's
 #: ``register`` swapped out (segment creation must not fall into it)
 _ATTACH_LOCK = threading.Lock()
-_REGISTER = resource_tracker.register if _HAVE_SHM else None
+_REGISTER = resource_tracker.register
 
 
 def _after_fork_in_child() -> None:
@@ -96,13 +79,8 @@ def _after_fork_in_child() -> None:
     resource_tracker.register = _REGISTER
 
 
-if _HAVE_SHM and hasattr(os, "register_at_fork"):
+if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
-def shm_available() -> bool:
-    """True when the shared-memory backend can be used at all."""
-    return _HAVE_SHM and not os.environ.get(DISABLE_ENV)
 
 
 def _align8(nbytes: int) -> int:
@@ -179,11 +157,6 @@ class GraphSegment:
     @classmethod
     def create(cls, graph: CSRGraph) -> "GraphSegment":
         """Copy ``graph``'s arrays into a fresh shared-memory segment."""
-        if not shm_available():
-            raise GraphFormatError(
-                "shared-memory graph store unavailable "
-                f"(missing support or {DISABLE_ENV} set)"
-            )
         fingerprint = graph.fingerprint()
         ref = SharedGraphRef(
             # keyed by content fingerprint; pid + sequence make the name
@@ -279,8 +252,6 @@ def attach_graph(ref: SharedGraphRef) -> AttachedGraph:
     Raises ``FileNotFoundError`` when the creator already unlinked the
     segment (e.g. the graph was unregistered while this job was queued).
     """
-    if not _HAVE_SHM:  # pragma: no cover - exotic platforms only
-        raise GraphFormatError("shared-memory graph store unavailable")
     with _ATTACH_LOCK:
         # only the creator unlinks (see module docstring), so this process
         # must never register the name: under fork every process talks to

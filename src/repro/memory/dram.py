@@ -105,9 +105,3 @@ class DRAMModel:
         self.stats = DRAMStats()
         self._busy_until = [0.0] * self.config.channels
         self._open_row = [-1] * self.config.channels
-
-    def achieved_bandwidth_gbps(self, elapsed_cycles: float) -> float:
-        """Average consumed bandwidth over ``elapsed_cycles`` (GB/s @1 GHz)."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return self.stats.bytes_transferred / elapsed_cycles

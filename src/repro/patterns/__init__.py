@@ -23,7 +23,6 @@ from .iep import (
     SetSize,
     count_with_expression,
 )
-from .optimizer import PlanCostEstimate, estimate_plan_cost, optimize_plan
 from .pattern import MOTIF3, PATTERNS, Pattern, motif_patterns
 from .plan import (
     DEFAULT_INDUCED,
@@ -50,9 +49,6 @@ __all__ = [
     "encode_task_op",
     "render_task_list",
     "TaskOp",
-    "estimate_plan_cost",
-    "optimize_plan",
-    "PlanCostEstimate",
     "LevelSpec",
     "MOTIF3",
     "MatchingPlan",

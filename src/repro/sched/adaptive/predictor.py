@@ -40,6 +40,8 @@ __all__ = [
     "CostPredictor",
     "DEFAULT_ENGINE_SPEED",
     "ERROR_RATIO_BUCKETS",
+    "EWMA_ALPHA",
+    "PRIOR_MARGIN",
 ]
 
 #: prior work-units/second per engine — ordered by the measured backend
@@ -54,6 +56,13 @@ DEFAULT_ENGINE_SPEED = {
 #: prior throughput assumed for engines absent from the table (slowest
 #: known engine: unknown backends are treated as expensive until observed)
 FALLBACK_ENGINE_SPEED = 4.0e4
+
+#: the prior divides each engine's speed by this (>= 1, so an unseen shape
+#: is over-estimated)
+PRIOR_MARGIN = 4.0
+
+#: weight of a new observation in the profile and throughput EWMAs
+EWMA_ALPHA = 0.3
 
 #: fixed buckets for the predicted/actual ratio histogram (1.0 = perfect;
 #: log-spaced so under- and over-prediction tails are both visible)
@@ -75,19 +84,7 @@ class CostEstimate:
 class CostPredictor:
     """Thread-safe online cost model trained from completed jobs."""
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.3,
-        prior_margin: float = 4.0,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if prior_margin < 1.0:
-            raise ValueError("prior_margin must be >= 1.0 (conservative)")
-        self.alpha = alpha
-        self.prior_margin = prior_margin
+    def __init__(self, *, registry: MetricsRegistry | None = None) -> None:
         self._registry = registry if registry is not None else MetricsRegistry()
         #: (fingerprint, pattern_key, engine) → EWMA of observed seconds
         self._profiles: dict[tuple, float] = {}
@@ -123,7 +120,7 @@ class CostPredictor:
         else:
             speed = DEFAULT_ENGINE_SPEED.get(engine, FALLBACK_ENGINE_SPEED)
             estimate = CostEstimate(
-                work / (speed / self.prior_margin), "prior", engine
+                work / (speed / PRIOR_MARGIN), "prior", engine
             )
         self._registry.counter(
             "repro_predictions_total",
@@ -141,7 +138,6 @@ class CostPredictor:
         seconds = max(float(seconds), 1e-9)
         key = features.key() + (engine,)
         rate = analytic_work(features) / seconds
-        a = self.alpha
         with self._lock:
             prev = self._profiles.get(key)
             # a run has a floor (its work) and no ceiling: the first one
@@ -149,12 +145,12 @@ class CostPredictor:
             # sample under half the estimate replaces it, any other moves it
             self._profiles[key] = (
                 seconds if prev is None or seconds < 0.5 * prev
-                else prev + a * (seconds - prev)
+                else prev + EWMA_ALPHA * (seconds - prev)
             )
             speed, count = self._throughput.get(engine, (0.0, 0))
             self._throughput[engine] = (
                 (rate, 1) if count == 0
-                else (speed + a * (rate - speed), count + 1)
+                else (speed + EWMA_ALPHA * (rate - speed), count + 1)
             )
             self._observations += 1
         self._registry.counter(

@@ -255,11 +255,6 @@ class QueryService:
         self._registry.unregister(graph_id)
         return dropped
 
-    def invalidate_graph(self, graph_id: str) -> int:
-        """Explicitly drop cached results for ``graph_id``'s snapshot."""
-        record = self._registry.get(graph_id)
-        return len(self._cache.invalidate_fingerprint(record.fingerprint))
-
     def graphs(self) -> tuple[str, ...]:
         return self._registry.ids()
 
@@ -607,10 +602,9 @@ class QueryService:
         job.handle.attempts = job.attempts
         job.handle._set_running()
         job.dispatched_at = time.perf_counter()
-        if job.enqueued_at:
-            self._latency.record_queue_wait(
-                max(self._clock() - job.enqueued_at, 0.0)
-            )
+        self._latency.record_queue_wait(
+            max(self._clock() - job.enqueued_at, 0.0)
+        )
         ob = self._observation
         if ob is not None and job.span is not None:
             if job.queued_span is not None:

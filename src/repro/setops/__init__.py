@@ -12,7 +12,6 @@ from .bulk import (
 from .merge_queue import MergeQueuePipeline
 from .reference import (
     difference_sorted,
-    galloping_comparison_count,
     intersect_count,
     intersect_sorted,
     merge_comparison_count,
@@ -35,7 +34,6 @@ __all__ = [
     "bulk_membership",
     "difference_sorted",
     "edge_keys",
-    "galloping_comparison_count",
     "gather_rows",
     "intersect_count",
     "intersect_sorted",

@@ -15,7 +15,6 @@ __all__ = [
     "difference_sorted",
     "intersect_count",
     "merge_comparison_count",
-    "galloping_comparison_count",
 ]
 
 
@@ -68,17 +67,3 @@ def merge_comparison_count(len_a: int, len_b: int, len_common: int) -> int:
     if len_a == 0 or len_b == 0:
         return 0
     return max(len_a + len_b - len_common - 1, min(len_a, len_b))
-
-
-def galloping_comparison_count(len_small: int, len_big: int) -> int:
-    """Comparisons for galloping (binary-probe) intersection.
-
-    Used when one input is much shorter: each of the ``len_small`` elements
-    costs ``~log2(len_big)`` probes.  CPU systems switch to this regime for
-    skewed input lengths, which the software baseline models replicate.
-    """
-    import math
-
-    if len_small == 0 or len_big == 0:
-        return 0
-    return int(len_small * max(1.0, math.log2(len_big + 1)))

@@ -17,14 +17,12 @@ from __future__ import annotations
 from itertools import takewhile
 from time import perf_counter
 
-import numpy as np
-
 from ..engine.functional import ChunkTrace, trace_chunk
 from ..engine.temporal import TaskCostAnnotator
 from ..graph.csr import CSRGraph
 from ..obs import context as _obs
 from ..patterns.plan import MatchingPlan
-from ..siu.base import SIUCostModel, block_keys
+from ..siu.base import SIUCostModel
 
 __all__ = ["HardwareTaskExecutor"]
 
@@ -49,10 +47,6 @@ class HardwareTaskExecutor:
         self._width = siu.bitmap_width
         self.costs = TaskCostAnnotator(graph, plan, siu, task_overhead_cycles)
         self.start([])
-
-    def set_words(self, vertices: np.ndarray) -> int:
-        """Stream length in BitmapCSR words of an arbitrary sorted set."""
-        return int(block_keys(vertices, self._width).size)
 
     def start(self, tasks: list) -> None:
         """Take a run's start tasks in distribution order; each is traced,

@@ -1,17 +1,13 @@
-"""Activity tracing: per-task execution spans and utilisation timelines.
+"""Activity tracing: per-task execution spans.
 
 When enabled, the simulator records one :class:`TraceEvent` per executed
-task.  The trace supports the analyses an architecture paper leans on —
-utilisation-over-time curves (how well the barrier-free scheduler keeps the
-SIUs fed), per-level work distribution, and a terminal-friendly Gantt
-rendering for small runs.
+task; ``Observation.pe_events`` exports them as each PE's activity in a
+query's trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["TraceEvent", "ActivityTrace"]
 
@@ -41,73 +37,3 @@ class ActivityTrace:
     def record(self, pe: int, level: int, start: float, end: float) -> None:
         self.events.append(TraceEvent(pe=pe, level=level, start=start,
                                       end=end))
-
-    @property
-    def makespan(self) -> float:
-        return max((e.end for e in self.events), default=0.0)
-
-    def utilization_timeline(self, bins: int = 50) -> np.ndarray:
-        """Mean busy fraction of all SIUs per time bin."""
-        span = self.makespan
-        if span <= 0 or not self.events:
-            return np.zeros(bins)
-        busy = np.zeros(bins)
-        width = span / bins
-        for e in self.events:
-            first = int(e.start / width)
-            last = min(int(e.end / width), bins - 1)
-            for b in range(first, last + 1):
-                lo = max(e.start, b * width)
-                hi = min(e.end, (b + 1) * width)
-                busy[b] += max(hi - lo, 0.0)
-        capacity = width * self.num_pes * self.sius_per_pe
-        return np.clip(busy / capacity, 0.0, 1.0)
-
-    def level_histogram(self) -> dict[int, int]:
-        """Number of executed tasks per search-tree level."""
-        out: dict[int, int] = {}
-        for e in self.events:
-            out[e.level] = out.get(e.level, 0) + 1
-        return dict(sorted(out.items()))
-
-    def level_busy_cycles(self) -> dict[int, float]:
-        """Total execution time attributed to each level."""
-        out: dict[int, float] = {}
-        for e in self.events:
-            out[e.level] = out.get(e.level, 0.0) + e.duration
-        return dict(sorted(out.items()))
-
-    def utilization_ascii(self, bins: int = 60, height: int = 8) -> str:
-        """Terminal sparkline of SIU utilisation over time."""
-        timeline = self.utilization_timeline(bins)
-        rows = []
-        for h in range(height, 0, -1):
-            threshold = h / height
-            row = "".join(
-                "█" if u >= threshold else " " for u in timeline
-            )
-            rows.append(f"{threshold:4.0%} |{row}|")
-        rows.append("      " + "-" * (bins + 1))
-        rows.append(f"      0 .. {self.makespan:.0f} cycles")
-        return "\n".join(rows)
-
-    def gantt_ascii(self, width: int = 80, max_pes: int = 8) -> str:
-        """Per-PE occupancy chart (how many tasks overlap per time slot)."""
-        span = self.makespan
-        if span <= 0:
-            return "(empty trace)"
-        marks = " .:-=+*#%@"
-        lines = []
-        for pe in range(min(self.num_pes, max_pes)):
-            slots = np.zeros(width)
-            for e in self.events:
-                if e.pe != pe:
-                    continue
-                first = int(e.start / span * (width - 1))
-                last = int(e.end / span * (width - 1))
-                slots[first : last + 1] += 1
-            line = "".join(
-                marks[min(int(s), len(marks) - 1)] for s in slots
-            )
-            lines.append(f"PE{pe:<3}|{line}|")
-        return "\n".join(lines)

@@ -16,7 +16,11 @@ import pytest
 from repro.graph.generators import erdos_renyi
 from repro.patterns.pattern import PATTERNS
 from repro.sched.adaptive import CostPredictor, analytic_work, query_features
-from repro.sched.adaptive.predictor import DEFAULT_ENGINE_SPEED
+from repro.sched.adaptive.predictor import (
+    DEFAULT_ENGINE_SPEED,
+    EWMA_ALPHA,
+    PRIOR_MARGIN,
+)
 from repro.service import QueryService, pattern_cache_key
 from repro.service.job import Job, JobHandle
 from repro.service.scheduler import AGE_LIMIT_SECONDS, JobQueue
@@ -43,7 +47,7 @@ class TestCostPredictor:
         # the margin makes the prior *over*-estimate: at least margin x
         # the raw work/speed projection
         raw = analytic_work(features) / DEFAULT_ENGINE_SPEED["batched"]
-        assert est.seconds == pytest.approx(raw * pred.prior_margin)
+        assert est.seconds == pytest.approx(raw * PRIOR_MARGIN)
 
     def test_prior_respects_engine_ranking(self, features):
         pred = CostPredictor()
@@ -61,11 +65,11 @@ class TestCostPredictor:
         assert est.seconds == pytest.approx(0.25)
 
     def test_profile_tier_is_an_ewma(self, features):
-        pred = CostPredictor(alpha=0.5)
+        pred = CostPredictor()
         pred.observe(features, "batched", 1.0)
         pred.observe(features, "batched", 2.0)
         assert pred.predict(features, "batched").seconds == \
-            pytest.approx(1.5)
+            pytest.approx(1.0 + EWMA_ALPHA * (2.0 - 1.0))
 
     def test_other_shape_falls_to_throughput_tier(self, graph, features):
         pred = CostPredictor()
@@ -105,10 +109,9 @@ class TestCostPredictor:
         assert "repro_predictor_error_ratio" in text
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            CostPredictor(alpha=0.0)
-        with pytest.raises(ValueError, match="prior_margin"):
-            CostPredictor(prior_margin=0.5)
+        # an EWMA weight in (0, 1], and a margin that over-estimates
+        assert 0.0 < EWMA_ALPHA <= 1.0
+        assert PRIOR_MARGIN >= 1.0
 
 
 def _job(seq, predicted=0.0, enqueued_at=0.0):
@@ -210,3 +213,14 @@ class TestServiceAdaptive:
         assert stats.queue_wait["p99"] >= 0.0
         assert "queue wait" in stats.summary()
         assert "repro_job_queue_wait_seconds" in metrics
+
+    def test_queue_wait_counts_jobs_enqueued_at_time_zero(self, graph):
+        # a clock that reads 0.0 stamps every job enqueued_at == 0.0; each
+        # launched job still waited, for zero seconds
+        with QueryService(mode="inline", clock=lambda: 0.0) as svc:
+            gid = svc.register_graph(graph)
+            svc.count(gid, PATTERNS["3CF"], engine="batched")
+            svc.count(gid, PATTERNS["WEDGE"], engine="batched")
+            wait = svc.stats().queue_wait
+        assert wait["count"] == 2
+        assert wait["p99"] == 0.0

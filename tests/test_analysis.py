@@ -7,10 +7,8 @@ import pytest
 from repro.analysis import (
     format_table,
     geomean,
-    run_grid,
     run_workload,
 )
-from repro.core import xset_default
 from repro.patterns import PATTERNS, build_plan
 
 
@@ -60,16 +58,6 @@ class TestRunners:
         a = build_plan(PATTERNS["3CF"])
         b = build_plan(PATTERNS["3CF"])
         assert a is b
-
-    def test_run_grid(self):
-        grid = run_grid(
-            config=xset_default(),
-            datasets=("PP",),
-            patterns=("3CF", "DIA"),
-            scale=0.05,
-        )
-        assert set(grid.reports) == {("PP", "3CF"), ("PP", "DIA")}
-        assert grid.seconds("PP", "3CF") > 0
 
 
 class TestReporting:

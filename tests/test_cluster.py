@@ -367,6 +367,10 @@ class TestCoordinator:
         with pytest.raises(ClusterError):
             Coordinator([], "inproc")
 
+    def test_a_shard_needs_a_replica(self):
+        with pytest.raises(ClusterError, match="empty replica list"):
+            Coordinator([("shard0", [])], "inproc")
+
     def test_cluster_shards_config_drives_local_cluster(self):
         cfg = xset_default(engine="batched", cluster_shards=3)
         with LocalCluster(config=cfg) as cluster:
@@ -465,11 +469,8 @@ class TestShmHygiene:
 
     def test_registry_close_unlinks_retired_records(self):
         """update() then close() must not orphan the old snapshot."""
-        from repro.graph.store import shm_available
         from repro.service.registry import GraphRegistry
 
-        if not shm_available():  # pragma: no cover - env-dependent
-            pytest.skip("shared memory unavailable")
         before = shm_segments()
         registry = GraphRegistry()
         g1 = erdos_renyi(40, 5.0, seed=1, name="retire")

@@ -377,6 +377,114 @@ def _imports(path: Path) -> set[str]:
     return imported
 
 
+#: Public names under ``src/repro`` that nothing in ``src/``,
+#: ``benchmarks/``, ``examples/`` or the CI workflow uses, each with what
+#: keeps it: a reference a test compares against, a seam a test drives, or
+#: an artefact of the paper.  Anything else without a user is deleted.
+KEPT = {
+    # references the tests compare the fast paths against
+    "cross_validate": "analytic SIU costs against the element-level "
+    "pipelines (tests/test_sim_validation.py)",
+    "SIUCostModel.op_cost": "exact word-stream cost of one set operation, "
+    "the oracle of tests/test_siu_models.py",
+    "_WordCostMixin.op_cost": "the SIU models' implementation of "
+    "SIUCostModel.op_cost",
+    "encoded_length": "BitmapCSR word count without materialising words, "
+    "checked against encode (tests/test_graph_bitmapcsr.py, "
+    "tests/test_sim_hwexec.py)",
+    "decode": "encode's inverse: the BitmapCSR word operations are checked "
+    "by decoding their results (tests/test_graph_bitmapcsr.py)",
+    "ChunkTrace.child_row": "locates a task in a trace, so "
+    "tests/test_event_golden.py can compare every traced set with the "
+    "per-task form",
+    "CacheModel.contains": "non-mutating LRU probe (tests/test_memory.py)",
+    "Pattern.relabeled": "isomorphic copy for the relabelling-invariance "
+    "tests (tests/test_patterns_pattern.py, "
+    "tests/test_predictor_features.py)",
+    "TaskSetState.ready": "task-set accounting probe "
+    "(tests/test_sched_policies.py, tests/test_sched_property.py)",
+    "TaskSetState.complete_one": "task-set accounting probe "
+    "(tests/test_sched_policies.py)",
+    # seams the tests drive
+    "Pattern.with_labels": "builds the labelled patterns of "
+    "tests/test_labeled_matching.py and the service and cluster tests",
+    "CSRGraph.with_labels": "builds the labelled graphs of "
+    "tests/test_labeled_matching.py and the service and cluster tests",
+    "current_span": "the active span, read by tests/test_obs_tracing.py's "
+    "nesting checks",
+    "worker_graph_cache_info": "attach-vs-pickle counters of a pool "
+    "worker (tests/test_graph_store.py, tests/test_service_sets.py)",
+    "kernel_cache_info": "codegen kernel-cache hits and misses "
+    "(tests/test_patterns_codegen.py)",
+    "QueryService.pause": "holds the queue so tests can stage jobs "
+    "(tests/test_service_concurrency.py, tests/test_service_core.py)",
+    "QueryService.resume": "releases a paused queue",
+    "inject_comm": "arms the wire fault sites for "
+    "tests/test_replication.py (ROADMAP item 5(a))",
+    "LocalCluster.revive_replica": "brings a killed replica back, so "
+    "tests/test_replication.py sees its breaker close",
+    "load_edge_list": "the public edge-list reader (ROADMAP item 5's fuzz "
+    "target)",
+    "save_edge_list": "the public edge-list writer, load_edge_list's "
+    "round trip",
+    # artefacts of the paper
+    "render_task_list": "the Fig. 10e task list as text "
+    "(tests/test_patterns_codegen.py)",
+    "encode_task_op": "the Fig. 10e packed task encoding",
+    "decode_task_op": "encode_task_op's inverse",
+    "Const": "IEP expression term (tests/test_patterns_iep.py, "
+    "tests/test_property_fullstack.py)",
+    "PairIntersection": "IEP expression term (tests/test_patterns_iep.py)",
+}
+
+
+def _definitions():
+    """``(path, key, node)`` for every public module-level function and
+    class under ``src/repro``, and every public method of a module-level
+    class (``key`` is ``Class.method``)."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if not node.name.startswith("_"):
+                yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not item.name.startswith("_"):
+                        yield path, f"{node.name}.{item.name}", item
+
+
+def _callee(node: ast.expr) -> str:
+    """The name a decorator (or a call) resolves to, without its module."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _uses() -> dict[str, list[tuple[Path, int]]]:
+    """Where each name is used in ``src/``, ``benchmarks/`` and
+    ``examples/``: every ``ast.Name``, ``ast.Attribute`` and import alias,
+    except the imports of package ``__init__`` files (re-exports)."""
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            reexports = path.name == "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias) and not reexports:
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                uses.setdefault(name, []).append((path, node.lineno))
+    return uses
+
+
 class TestStructure:
     """Shapes of ``src/`` the docs promise, checked on the syntax tree."""
 
@@ -598,3 +706,29 @@ class TestStructure:
             )
         }
         assert builders == {"service/worker.py"}
+
+    def test_every_public_name_has_a_user(self):
+        """Every public function, class and method under ``src/repro`` is
+        used outside its own body in ``src/``, ``benchmarks/`` or
+        ``examples/``, named by the CI workflow, registered by a
+        decorator, or kept in ``KEPT`` with its reason.  Matching is by
+        name alone, so a shared name only hides dead code; and a ``KEPT``
+        entry that gains a user or disappears must leave the dict."""
+        uses = _uses()
+        ci = set(re.findall(
+            r"\w+", (ROOT / ".github/workflows/ci.yml").read_text()
+        ))
+        unused = set()
+        for path, key, node in _definitions():
+            registered = any(
+                _callee(d).startswith("register") for d in node.decorator_list
+            )
+            if registered or node.name in ci or any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in uses.get(node.name, ())
+            ):
+                continue
+            unused.add(key)
+        assert sorted(unused - KEPT.keys()) == [], "delete or keep these"
+        assert sorted(KEPT.keys() - unused) == [], "stale KEPT entries"
+        assert len(KEPT) <= 30

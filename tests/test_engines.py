@@ -14,7 +14,7 @@ import pytest
 from repro.core import SystemConfig, XSetAccelerator, xset_default
 from repro.errors import ConfigError
 from repro.engine import Engine, available_engines, get_engine
-from repro.engine.functional import FrontierExpander, expand_frontier
+from repro.engine.functional import FrontierExpander, sweep_frontier
 from repro.graph import erdos_renyi, powerlaw_graph
 from repro.patterns import PATTERNS, build_plan
 from repro.patterns.executor import count_embeddings
@@ -193,7 +193,9 @@ class TestBatchedReport:
 class TestFrontierExpander:
     def test_expand_frontier_levels(self, medium_er):
         plan = build_plan(PATTERNS["3CF"])
-        levels = expand_frontier(medium_er, plan)
+        ex = FrontierExpander(medium_er, plan)
+        roots = ex.roots()
+        levels = sweep_frontier(ex, roots, roots.shape[0])
         assert [lv.level for lv in levels] == [1, 2]
         want = count_embeddings(medium_er, plan).embeddings
         assert levels[-1].count == want

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph import bitmapcsr as bc
-from repro.graph.bitmapcsr import BitmapSet
 
 WIDTHS = [w for w in bc.VALID_WIDTHS if w > 0]
 
@@ -100,26 +99,3 @@ class TestSetOps:
         b = bc.encode(np.array([1]), 8)
         got = bc.decode(bc.difference_words(a, b, 8), 8)
         assert got.tolist() == [0, 2]
-
-
-class TestBitmapSet:
-    def test_from_vertices(self):
-        s = BitmapSet.from_vertices(np.array([0, 1, 9]), 8)
-        assert s.num_vertices == 3
-        assert s.num_words == 2
-
-    def test_intersect_object(self):
-        a = BitmapSet.from_vertices(np.array([0, 1, 9]), 8)
-        b = BitmapSet.from_vertices(np.array([1, 9, 20]), 8)
-        assert a.intersect(b).vertices().tolist() == [1, 9]
-
-    def test_difference_object(self):
-        a = BitmapSet.from_vertices(np.array([0, 1, 9]), 8)
-        b = BitmapSet.from_vertices(np.array([1, 9, 20]), 8)
-        assert a.difference(b).vertices().tolist() == [0]
-
-    def test_width_mismatch_rejected(self):
-        a = BitmapSet.from_vertices(np.array([0]), 8)
-        b = BitmapSet.from_vertices(np.array([0]), 4)
-        with pytest.raises(GraphFormatError):
-            a.intersect(b)

@@ -84,11 +84,6 @@ class TestQueries:
         row = toy_graph.neighbors(2)
         assert row.base is toy_graph.indices
 
-    def test_row_extent(self, toy_graph):
-        addr, length = toy_graph.row_extent(3)
-        assert length == toy_graph.degree(3)
-        assert addr == toy_graph.base_address + int(toy_graph.indptr[3])
-
 
 class TestTransforms:
     def test_degree_relabel_preserves_structure(self, small_er):
@@ -131,10 +126,14 @@ class TestTransforms:
         assert labelled.induced_subgraph(keep, name="x").name == "x"
 
     def test_subgraph_algorithms_keep_labels(self, small_er):
-        from repro.graph import k_core, largest_component
+        from repro.graph import neighborhood
 
         labelled = small_er.with_labels(np.arange(small_er.num_vertices))
-        for sub in (k_core(labelled, 5), largest_component(labelled)):
+        for keep in (
+            np.flatnonzero(labelled.degrees >= 8),
+            neighborhood(labelled, np.array([0]), 1),
+        ):
+            sub = labelled.induced_subgraph(keep)
             # label = source ID, so each local edge names a source edge
             assert sub.num_edges > 0
             assert all(

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import (
-    barabasi_albert,
     configuration_model,
     erdos_renyi,
     powerlaw_degree_sequence,
@@ -34,21 +33,6 @@ class TestErdosRenyi:
     def test_tiny(self):
         g = erdos_renyi(1, 0.0, seed=0)
         assert g.num_edges == 0
-
-
-class TestBarabasiAlbert:
-    def test_basic(self):
-        g = barabasi_albert(200, 3, seed=4)
-        assert g.num_vertices == 200
-        assert g.num_edges <= 3 * 200
-
-    def test_hub_emerges(self):
-        g = barabasi_albert(500, 2, seed=4)
-        assert g.degrees.max() > 5 * g.degrees.mean()
-
-    def test_rejects_small_n(self):
-        with pytest.raises(GraphFormatError):
-            barabasi_albert(2, 3)
 
 
 class TestPowerlawSequence:

@@ -7,7 +7,6 @@ from repro.errors import GraphFormatError
 from repro.graph import (
     DATASETS,
     CSRGraph,
-    dataset_names,
     dataset_table,
     degree_skewness,
     graph_stats,
@@ -154,7 +153,7 @@ class TestDatasets:
 
     def test_registry_has_seven(self):
         assert len(DATASETS) == 7
-        assert dataset_names() == ["PP", "WV", "AS", "MI", "YT", "PA", "LJ"]
+        assert list(DATASETS) == ["PP", "WV", "AS", "MI", "YT", "PA", "LJ"]
 
     def test_load_small_scale(self):
         g = load_dataset("PP", scale=0.1)
@@ -188,4 +187,4 @@ class TestDatasets:
 
     def test_table_rows_in_order(self):
         names = [s.name for s in dataset_table(scale=0.1)]
-        assert names == dataset_names()
+        assert names == list(DATASETS)

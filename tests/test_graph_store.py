@@ -21,22 +21,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError, ServiceError
-from repro.graph import (
-    CSRGraph,
-    attach_graph,
-    erdos_renyi,
-    share_graph,
-    shm_available,
-)
-from repro.graph.store import DISABLE_ENV, GraphSegment
-from repro.service import QueryService, worker
+from repro.core import XSetAccelerator
+from repro.errors import ServiceError
+from repro.graph import CSRGraph, attach_graph, erdos_renyi, share_graph
+from repro.patterns import PATTERNS
+from repro.service import QueryService, registry, worker
 from repro.service.registry import GraphRecord, GraphRegistry
 from repro.service.worker import worker_graph_cache_info
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable on this platform"
-)
 
 
 def shm_segments() -> list[str]:
@@ -44,6 +35,15 @@ def shm_segments() -> list[str]:
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         pytest.skip("/dev/shm not available")
     return [f for f in os.listdir("/dev/shm") if f.startswith("xset-")]
+
+
+@pytest.fixture
+def segments_fail(monkeypatch):
+    """Every shared-memory segment the registry tries to create fails."""
+    def refuse(graph):
+        raise OSError("no space left on /dev/shm")
+
+    monkeypatch.setattr(registry, "share_graph", refuse)
 
 
 @pytest.fixture
@@ -163,11 +163,23 @@ class TestLifecycle:
             other.join(10.0)
             segment.unlink()
 
-    def test_disable_env_gates_creation(self, small_er, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert not shm_available()
-        with pytest.raises(GraphFormatError, match="unavailable"):
-            GraphSegment.create(small_er)
+    def test_a_failed_segment_ships_pickle_bytes(
+        self, small_er, segments_fail
+    ):
+        svc = QueryService(mode="process", max_workers=1)
+        try:
+            gid = svc.register_graph(small_er, "g")
+            got = svc.count(gid, PATTERNS["3CF"], use_cache=False)
+            record = svc._registry.get(gid)
+            assert isinstance(record.ship("process"), bytes)
+            assert not record.shared
+            info = svc._executor.submit(worker_graph_cache_info).result()
+            assert info["fills"] == 1 and info["attaches"] == 0
+        finally:
+            svc.shutdown()
+        assert got.embeddings == XSetAccelerator().count(
+            small_er, PATTERNS["3CF"]
+        ).embeddings
 
     def test_no_segments_leak_from_this_module(self):
         # meaningful because this file creates/unlinks many segments above
@@ -201,9 +213,8 @@ class TestGraphRecordShip:
             record.release()
 
     def test_process_ship_falls_back_to_pickle_when_disabled(
-        self, small_er, monkeypatch
+        self, small_er, segments_fail
     ):
-        monkeypatch.setenv(DISABLE_ENV, "1")
         record = self.make_record(small_er)
         payload = record.ship("process")
         assert isinstance(payload, bytes)
@@ -262,8 +273,6 @@ class TestRegistryLifecycle:
 
 class TestServiceIntegration:
     def test_thread_pool_never_builds_shipping_artifacts(self, medium_er):
-        from repro.patterns import PATTERNS
-
         with QueryService(mode="thread", max_workers=2) as svc:
             gid = svc.register_graph(medium_er, "g")
             svc.submit(gid, PATTERNS["3CF"]).result(timeout=60)
@@ -272,8 +281,6 @@ class TestServiceIntegration:
             assert not record.shared
 
     def test_process_pool_attaches_instead_of_unpickling(self, medium_er):
-        from repro.patterns import PATTERNS
-
         svc = QueryService(mode="process", max_workers=1)
         try:
             gid = svc.register_graph(medium_er, "g")
@@ -299,8 +306,6 @@ class TestServiceIntegration:
         assert shm_segments() == []
 
     def test_process_pool_counts_match_inline(self, medium_er):
-        from repro.patterns import PATTERNS
-
         with QueryService(mode="inline") as inline_svc:
             gid = inline_svc.register_graph(medium_er, "g")
             want = inline_svc.count(gid, PATTERNS["TT"]).embeddings
@@ -313,8 +318,6 @@ class TestServiceIntegration:
         assert got == want
 
     def test_unregister_graph_drops_segment_and_cache(self, small_er):
-        from repro.patterns import PATTERNS
-
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(small_er, "g")
             svc.count(gid, PATTERNS["3CF"])

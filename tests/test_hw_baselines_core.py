@@ -8,7 +8,6 @@ from repro.baselines import (
     GRAPHSET,
     compare_accelerators,
     compute_density_speedup,
-    run_baseline,
 )
 from repro.core import (
     XSetAccelerator,
@@ -84,28 +83,35 @@ class TestAreaModel:
         assert by_name["Order-Aware (ours)"]["latency_n"] == 8
 
 
+def _price(model, graph, pattern):
+    """``model``'s time for ``pattern`` on ``graph``, priced from the
+    reference walk as ``benchmarks/bench_fig12_software.py`` does."""
+    plan = build_plan(PATTERNS[pattern])
+    return model.estimate(graph, plan, count_embeddings(graph, plan))
+
+
 class TestSoftwareBaselines:
     def test_cpu_models_ordering(self, skewed_graph):
         """GraphSet must beat GraphPi on the same workload."""
-        pi = run_baseline(GRAPHPI, skewed_graph, PATTERNS["3CF"])
-        st = run_baseline(GRAPHSET, skewed_graph, PATTERNS["3CF"])
+        pi = _price(GRAPHPI, skewed_graph, "3CF")
+        st = _price(GRAPHSET, skewed_graph, "3CF")
         assert st.seconds < pi.seconds
         assert pi.embeddings == st.embeddings
 
     def test_gpu_model_runs(self, skewed_graph):
-        r = run_baseline(GLUMIN, skewed_graph, PATTERNS["3CF"])
+        r = _price(GLUMIN, skewed_graph, "3CF")
         assert r.seconds > 0
         assert r.bound in ("compute", "memory")
 
     def test_baseline_counts_exact(self, medium_er):
-        plan = build_plan(PATTERNS["DIA"])
-        want = count_embeddings(medium_er, plan).embeddings
-        r = run_baseline(GRAPHPI, medium_er, PATTERNS["DIA"], plan=plan)
-        assert r.embeddings == want
+        want = count_embeddings(
+            medium_er, build_plan(PATTERNS["DIA"])
+        ).embeddings
+        assert _price(GRAPHPI, medium_er, "DIA").embeddings == want
 
     def test_more_work_costs_more(self, medium_er, skewed_graph):
-        small = run_baseline(GRAPHPI, medium_er, PATTERNS["3CF"])
-        big = run_baseline(GRAPHPI, skewed_graph, PATTERNS["3CF"])
+        small = _price(GRAPHPI, medium_er, "3CF")
+        big = _price(GRAPHPI, skewed_graph, "3CF")
         assert big.seconds > small.seconds
 
 

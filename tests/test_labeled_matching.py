@@ -35,18 +35,13 @@ class TestLabelPlumbing:
         with pytest.raises(PatternError):
             PATTERNS["3CF"].with_labels([1, 2])
 
-    def test_label_of(self):
-        g = CSRGraph.from_edges(2, [(0, 1)]).with_labels([7, 9])
-        assert g.label_of(1) == 9
-        assert CSRGraph.from_edges(2, [(0, 1)]).label_of(0) is None
-
     def test_degree_relabel_moves_labels(self):
         g = CSRGraph.from_edges(
             4, [(0, 1), (0, 2), (0, 3), (1, 2)]
         ).with_labels([10, 11, 12, 13])
         h = g.relabeled_by_degree()
         # vertex 0 (degree 3) becomes vertex 0 after sorting; its label moves
-        assert h.label_of(0) == 10
+        assert h.labels[0] == 10
         assert sorted(h.labels.tolist()) == [10, 11, 12, 13]
 
 

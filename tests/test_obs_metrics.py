@@ -104,7 +104,7 @@ class TestCounterGauge:
         g = Gauge("depth")
         g.set(5)
         g.inc()
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 4.0
 
     def test_concurrent_counter(self):

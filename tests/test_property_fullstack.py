@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import xset_default
 from repro.engine.functional import (
     FrontierExpander,
-    expand_frontier,
     sweep_frontier,
     walk_tasks,
 )
@@ -122,12 +121,13 @@ class TestOneInterpreterAgainstTheReference:
         self, name, labelled, seed, n, degree
     ):
         g, plan, oracle = _random_case(name, labelled, seed, n, degree)
-        whole = expand_frontier(g, plan)
+        expander = FrontierExpander(g, plan)
+        roots = expander.roots()
+        whole = sweep_frontier(expander, roots, max(roots.shape[0], 1))
         assert whole[-1].count == oracle.embeddings
         assert [lv.tasks for lv in whole] == (
             oracle.per_level_tasks[: plan.stop_level]
         )
-        expander = FrontierExpander(g, plan)
         for root_chunk in (1, 7, 4096):
             swept = sweep_frontier(expander, expander.roots(), root_chunk)
             assert [

@@ -85,7 +85,6 @@ class TestReplicationConfig:
         with LocalCluster(config=cfg) as cluster:
             assert len(cluster.workers) == 4
             assert len(cluster.worker_groups) == 2
-            assert cluster.coordinator.replicated
 
     def test_replica_naming(self):
         cfg = xset_default(engine="batched")

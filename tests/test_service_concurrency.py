@@ -516,15 +516,6 @@ class TestCacheInvalidation:
         ).embeddings
         svc.shutdown()
 
-    def test_explicit_invalidate(self, graph):
-        svc, gid = make_service(graph)
-        svc.count(gid, PATTERNS["3CF"], engine="batched")
-        assert svc.invalidate_graph(gid) == 1
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
-        handle.result()
-        assert not handle.from_cache
-        svc.shutdown()
-
 
 class TestDispatcherWakeup:
     def test_job_pushed_after_an_empty_pop_is_not_slept_on(self, graph):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.setops import (
     difference_sorted,
-    galloping_comparison_count,
     intersect_count,
     intersect_sorted,
     merge_comparison_count,
@@ -72,12 +71,3 @@ class TestComparisonCounts:
     def test_merge_count_empty(self):
         assert merge_comparison_count(0, 9, 0) == 0
         assert merge_comparison_count(9, 0, 0) == 0
-
-    def test_galloping_scales_with_log(self):
-        small = galloping_comparison_count(10, 100)
-        big = galloping_comparison_count(10, 100_000)
-        assert big > small
-        assert big <= 10 * 18
-
-    def test_galloping_empty(self):
-        assert galloping_comparison_count(0, 50) == 0

@@ -1,5 +1,5 @@
 """Unit tests for the hardware task replay: what one simulated task
-charges and spawns, and the executor's word counts."""
+charges and spawns, and the bulk row word counts."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,6 @@ from repro.engine.functional import row_word_counts
 from repro.patterns import PATTERNS, build_plan
 from repro.sched.task import SimTask
 from repro.sim import AcceleratorSim
-from repro.sim.hwexec import HardwareTaskExecutor
-from repro.siu import make_siu
-
-
-@pytest.fixture
-def executor(toy_graph):
-    plan = build_plan(PATTERNS["3CF"])
-    siu = make_siu("order-aware", 8, bitmap_width=0)
-    return HardwareTaskExecutor(toy_graph, plan, siu)
 
 
 class TestRowWordCounts:
@@ -107,7 +98,7 @@ class TestExecute:
         # level 1 of the triangle plan loads N(u0) and spawns filtered kids
         # (filter is u1 < u0: neighbours of 4 below 4), one op per leaf
         assert [t.vertex for t in spawned[(4,)]] == [0, 2, 3]
-        assert sim.trace.level_histogram() == {1: 1, 2: 3}
+        assert sorted(e.level for e in sim.trace.events) == [1, 2, 2, 2]
         assert report.set_ops == 3
         load = sim.trace.events[0]
         assert load.level == 1 and load.duration > 0
@@ -149,30 +140,3 @@ class TestExecute:
         assert b.tasks == a.tasks == 4
         for e, f in zip(fast.trace.events, slow.trace.events):
             assert f.duration == pytest.approx(e.duration + 10)
-
-    def test_set_words_bitmap(self, toy_graph):
-        plan = build_plan(PATTERNS["3CF"])
-        ex = HardwareTaskExecutor(
-            toy_graph, plan, make_siu("order-aware", 8, bitmap_width=8)
-        )
-        assert ex.set_words(np.array([0, 1, 2, 7])) == 1
-        assert ex.set_words(np.array([0, 8, 16])) == 3
-        assert ex.set_words(np.array([], dtype=np.int64)) == 0
-
-    def test_set_words_width_zero_is_cardinality(self, executor):
-        # plain sorted-array streams: one word per element
-        assert executor.set_words(np.array([3, 9, 12, 40])) == 4
-        assert executor.set_words(np.array([], dtype=np.int64)) == 0
-
-    def test_set_words_matches_row_word_counts(self, skewed_graph):
-        """set_words on a neighbour row agrees with the bulk row counts."""
-        plan = build_plan(PATTERNS["3CF"])
-        for width in (0, 4, 16):
-            ex = HardwareTaskExecutor(
-                skewed_graph, plan,
-                make_siu("order-aware", 8, bitmap_width=width),
-            )
-            counts = row_word_counts(skewed_graph, width)
-            for v in range(0, skewed_graph.num_vertices, 23):
-                row = skewed_graph.neighbors(v)
-                assert ex.set_words(row) == counts[v], (v, width)

@@ -1,11 +1,13 @@
 """Tests for the activity-trace facility."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import xset_default
 from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
-from repro.sim import AcceleratorSim, ActivityTrace, TraceEvent
+from repro.sim import AcceleratorSim, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +28,7 @@ class TestCollection:
 
     def test_events_within_makespan(self, traced_sim):
         sim, report = traced_sim
-        assert sim.trace.makespan <= report.cycles + 1e-6
+        assert max(e.end for e in sim.trace.events) <= report.cycles + 1e-6
         for e in sim.trace.events:
             assert 0 <= e.start < e.end
 
@@ -40,37 +42,21 @@ class TestCollection:
 
     def test_level_histogram_matches_report(self, traced_sim):
         sim, report = traced_sim
-        hist = sim.trace.level_histogram()
+        hist = Counter(e.level for e in sim.trace.events)
         assert sum(hist.values()) == report.tasks
         assert set(hist) == {1, 2}  # triangle plan depth
 
 
 class TestAnalyses:
-    def test_utilization_bounded(self, traced_sim):
-        sim, _ = traced_sim
-        timeline = sim.trace.utilization_timeline(bins=20)
-        assert timeline.shape == (20,)
-        assert (timeline >= 0).all() and (timeline <= 1).all()
-
     def test_busy_cycles_by_level(self, traced_sim):
         sim, report = traced_sim
-        busy = sim.trace.level_busy_cycles()
+        busy = Counter()
+        for e in sim.trace.events:
+            busy[e.level] += e.duration
+        assert set(busy) == {1, 2} and min(busy.values()) > 0
         # per-event durations include pipeline tails, so the trace total is
         # at least the occupancy-based busy counter
         assert sum(busy.values()) >= report.siu_busy_cycles * 0.5
-
-    def test_ascii_renderings(self, traced_sim):
-        sim, _ = traced_sim
-        art = sim.trace.utilization_ascii(bins=30, height=4)
-        assert "cycles" in art
-        gantt = sim.trace.gantt_ascii(width=30, max_pes=2)
-        assert gantt.count("PE") == 2
-
-    def test_empty_trace(self):
-        t = ActivityTrace(num_pes=1, sius_per_pe=1)
-        assert t.makespan == 0.0
-        assert t.gantt_ascii() == "(empty trace)"
-        assert (t.utilization_timeline(10) == 0).all()
 
     def test_event_duration(self):
         e = TraceEvent(pe=0, level=1, start=5.0, end=9.0)
