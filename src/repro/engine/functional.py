@@ -51,6 +51,7 @@ from ..setops.bulk import (
     packed_adjacency,
     row_bounds,
     row_spans,
+    unbounded_excludes,
 )
 from ..setops.reference import difference_sorted, intersect_sorted
 
@@ -604,7 +605,11 @@ class FrontierExpander:
             # shrink the frontier before the dominant adjacency probes;
             # every filter is an independent per-element predicate, so the
             # surviving set is order-invariant
-            predicates = [cand != emb[:, p][owner] for p in lv.exclude]
+            predicates = [
+                cand != emb[:, p][owner] for p in unbounded_excludes(
+                    lv.exclude, lv.upper_bounds, lv.lower_bounds
+                )
+            ]
             if labels is not None:
                 predicates.append(labels[cand] == lv.label)
             if predicates:

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import PlanError
+from ..setops.bulk import unbounded_excludes
 from .plan import LevelSpec, MatchingPlan
 
 __all__ = ["TaskOp", "compile_task_list", "render_task_list",
@@ -353,7 +354,10 @@ def _emit_level(
     else:
         w.append("    cand, owner = gather_rows(graph, src)")
     # remaining cheap filters as pattern-constant predicates (none on reuse)
-    predicates = [f"cand != emb[:, {p}][owner]" for p in lv.exclude]
+    excludes = unbounded_excludes(
+        lv.exclude, lv.upper_bounds, lv.lower_bounds
+    )
+    predicates = [f"cand != emb[:, {p}][owner]" for p in excludes]
     if use_labels and lv.label is not None:
         predicates.append(f"graph.labels[cand] == {lv.label}")
     for i, pred in enumerate(predicates):

@@ -28,6 +28,7 @@ __all__ = [
     "packed_adjacency",
     "bulk_adjacency_bits",
     "bit_leaf_sizes",
+    "unbounded_excludes",
     "row_bounds",
     "row_spans",
     "gather_spans",
@@ -40,7 +41,8 @@ __all__ = [
 PACKED_ADJ_MAX_VERTICES = 16384
 
 #: words per temporary of :func:`bit_leaf_sizes` (256 KB: a chunk's
-#: accumulator, operand and mask rows stay in L2 together)
+#: accumulator, operand and mask rows stay in L2 together), counted at the
+#: full row width; a chunk reads only the word window its bounds leave
 BIT_CHUNK_WORDS = 1 << 15
 
 # Unit costs of :func:`bit_rows_cheaper`, fitted with each path forced on the
@@ -171,7 +173,9 @@ def bit_rows_cheaper(
     ``reuse`` (the level draws its candidates from its parent's survivors)
     half a gather and one probe fewer, plus regrouping those survivors per
     row.  Candidates are counted on a strided sample of rows, so that
-    choosing costs ``RULE_NS`` at any size.
+    choosing costs ``RULE_NS`` at any size.  Bit rows are priced at their
+    full width: :func:`bit_leaf_sizes` reads only the words its bounds
+    leave, so the price is an upper bound on what the leaf costs.
     """
     passes = 2 + bool(upper) + bool(lower) + 2 * probes
     bit_ns = width * passes * BIT_WORD_NS  # per row
@@ -186,6 +190,12 @@ def bit_rows_cheaper(
     row_ns = ARRAY_ROW_NS if reuse else 0.0
     elem_ns = int((hi - lo).sum()) * elem_ops * ARRAY_ELEM_NS
     return bit_ns * lo.size < row_ns * lo.size + elem_ns
+
+
+def unbounded_excludes(exclude: tuple, upper: tuple, lower: tuple) -> tuple:
+    """The ``exclude`` columns a level must still filter: a strict bound
+    column already drops its own vertex (``< u`` implies ``!= u``)."""
+    return tuple(p for p in exclude if p not in upper and p not in lower)
 
 
 def bit_leaf_sizes(
@@ -203,6 +213,12 @@ def bit_leaf_sizes(
     ``reuse`` says how the caller's array path would build the same sets.
     Returns the per-row sizes and, per probe, the total size of the sets it
     took in — what the element-at-a-time path reports as ``cand.size``.
+
+    Rows go through in chunks of ``BIT_CHUNK_WORDS`` full-width words, and
+    each chunk reads only the words ``[w0, w1)`` between its loosest
+    bounds, ``w1 = ceil(max upper / 64)`` and ``w0 = (min lower + 1) //
+    64`` (the whole row where a bound is absent): every bit outside is
+    zero in every row's set, so neither a size nor a prior changes.
     """
     bits = graph.derived("adj_bits", packed_adjacency, graph)
     if bits is None or not bit_rows_cheaper(
@@ -216,36 +232,65 @@ def bit_leaf_sizes(
     if label is not None:
         labels = np.pad(graph.labels == label, (0, width * 64 - n))
         labels = np.packbits(labels, bitorder="little").view("<u8")
-    # row sums as a float32 matvec: exact (sizes < 2**24) and several
-    # times faster than an integer reduce over a short axis
+    exclude = unbounded_excludes(exclude, upper, lower)
     ones = np.ones(width, dtype=np.float32)
-    sizes = np.empty(emb.shape[0], dtype=np.int64)
+    sizes = np.zeros(emb.shape[0], dtype=np.int64)
     priors = [0] * len(probes)
     step = max(BIT_CHUNK_WORDS // width, 1)
     for start in range(0, emb.shape[0], step):
         rows = emb[start : start + step]
-        # take() is twice as fast as fancy indexing on short rows
-        acc = words.take(rows[:, src], axis=0)
         below_v, above_v = row_bounds(rows, upper, lower)
+        # every bit outside the chunk's loosest bounds is zero in every
+        # set below, so only the words [w0, w1) between them are read
+        w0 = (int(above_v.min()) + 1) >> 6 if lower else 0
+        w1 = (int(below_v.max()) + 63) >> 6 if upper else width
+        if w0 >= w1:
+            continue  # no row has a candidate: its sizes and priors are 0
+        acc = _take_words(words, rows[:, src], w0, w1)
         if upper:
-            acc &= below.take(below_v, axis=0)
+            acc &= _take_words(below, below_v, w0, w1)
         if lower:
-            acc &= ~below.take(above_v + 1, axis=0)
+            acc &= ~_take_words(below, above_v + 1, w0, w1)
         for p in exclude:
-            v = rows[:, p]
-            acc[np.arange(v.size), v >> 6] &= ~(
-                np.uint64(1) << (v & 63).astype(np.uint64)
-            )
+            i, v = np.arange(rows.shape[0]), rows[:, p]
+            if w1 - w0 < width:  # a vertex outside is outside every bound
+                i = np.flatnonzero((v >= w0 << 6) & (v < w1 << 6))
+                v = v[i] - (w0 << 6)
+            acc[i, v >> 6] &= ~(np.uint64(1) << (v & 63).astype(np.uint64))
         if label is not None:
-            acc &= labels
+            acc &= labels[w0:w1]
         for k, (p, anti) in enumerate(probes):
             priors[k] += int(np.bitwise_count(acc).sum(dtype=np.uint32))
-            other = words.take(rows[:, p], axis=0)
+            other = _take_words(words, rows[:, p], w0, w1)
             acc &= ~other if anti else other
-        sizes[start : start + step] = (
-            np.bitwise_count(acc).astype(np.float32) @ ones
-        )
+        # row sums as a float32 matvec: exact (sizes < 2**24) and several
+        # times faster than an integer reduce over a short axis.  Its
+        # operands are popcounts (0-64) and ones, yet OpenBLAS's kernel has
+        # left the invalid flag raised on these exact sums (once in three
+        # tier-1 runs, never in isolation), so that flag alone is ignored
+        with np.errstate(invalid="ignore"):
+            sizes[start : start + step] = (
+                np.bitwise_count(acc).astype(np.float32) @ ones[w0:w1]
+            )
     return sizes, priors
+
+
+def _take_words(
+    table: np.ndarray, vertices: np.ndarray, w0: int, w1: int
+) -> np.ndarray:
+    """Rows ``vertices`` of the word table's columns ``[w0, w1)``.
+
+    take() is twice as fast as fancy indexing on short rows, but copies a
+    strided source whole first; a window is gathered as one opaque
+    ``w1 - w0``-word element per row instead, so it costs its own words.
+    """
+    if w1 - w0 == table.shape[1]:
+        return table.take(vertices, axis=0)
+    window = np.ndarray(
+        table.shape[:1], np.dtype((np.void, 8 * (w1 - w0))), table,
+        8 * w0, table.strides[:1],
+    )
+    return window[vertices].view(table.dtype).reshape(-1, w1 - w0)
 
 
 def row_spans(

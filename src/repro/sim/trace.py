@@ -21,10 +21,6 @@ class TraceEvent:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class ActivityTrace:

@@ -170,10 +170,11 @@ class TestGraphIndexMemo:
 @st.composite
 def graph_rows_and_level(draw):
     # small n makes random rows hit each other's neighbourhoods; word
-    # boundaries matter too: n = 64k - 1, 64k, 64k + 1
+    # boundaries matter too: n = 64k - 1, 64k, 64k + 1; and rows of 2-3
+    # words give the bounds of each chunk a window of words to leave
     n = draw(st.one_of(
         st.integers(1, 10), st.integers(11, 70),
-        st.sampled_from([63, 64, 65, 127, 128, 129]),
+        st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(65, 192),
     ))
     vertex = st.integers(0, n - 1)
     # sparse edge lists leave degree-0 rows
@@ -186,7 +187,7 @@ def graph_rows_and_level(draw):
             dtype=np.int64,
         )
     width = 4  # embedding columns any role may name, repeats allowed
-    rows = draw(st.integers(0, 12))
+    rows = draw(st.integers(0, 40))
     emb = np.array(
         draw(st.lists(
             st.lists(vertex, min_size=width, max_size=width),
@@ -214,7 +215,9 @@ def graph_rows_and_level(draw):
         levels=(None, level), stop_level=1,
         collection=draw(st.sampled_from(["count_last", "choose2"])),
     )
-    return graph, emb, plan, draw(st.sampled_from([0, 8]))
+    # a few words per chunk: many chunks, each with its own word window
+    chunk_words = draw(st.sampled_from([1, 2, 3, 4, bulk.BIT_CHUNK_WORDS]))
+    return graph, emb, plan, draw(st.sampled_from([0, 8])), chunk_words
 
 
 class TestBitLeaf:
@@ -223,18 +226,61 @@ class TestBitLeaf:
     def test_bit_rows_equal_the_array_path(self, case):
         # both representations called directly — the density rule is
         # bypassed, so this holds wherever the rule may later draw the line
-        graph, emb, plan, bitmap_width = case
+        graph, emb, plan, bitmap_width, chunk_words = case
         expander = functional.FrontierExpander(graph, plan, bitmap_width)
         got = {}
         for bits in (False, True):
             with mock.patch.object(
                 bulk, "bit_rows_cheaper", return_value=bits
-            ):
+            ), mock.patch.object(bulk, "BIT_CHUNK_WORDS", chunk_words):
                 step = expander.expand(1, emb)
             assert step.bit_rows == (emb.shape[0] if bits else 0)
             got[bits] = (step.count, step.set_ops, step.comparisons,
                          step.words_in, step.words_out)
         assert got[True] == got[False]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sizes_equal_an_integer_row_sum(self, seed, monkeypatch):
+        # the leaf sums each row's popcounts through a float32 matvec,
+        # exact while a size stays below 2**24; dense rows over many
+        # chunks of one or several rows, against an integer reduction
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 1200))
+        graph = erdos_renyi(n, n / 3, seed=seed)
+        emb = rng.integers(0, n, size=(int(rng.integers(1, 400)), 3))
+        monkeypatch.setattr(bulk, "bit_rows_cheaper", lambda *args: True)
+        monkeypatch.setattr(
+            bulk, "BIT_CHUNK_WORDS", int(rng.integers(1, 200))
+        )
+        words = bulk.packed_adjacency(graph).view("<u8")
+        acc = words[emb[:, 0]]
+        sizes, _ = bit_leaf_sizes(graph, emb, 0, (), (), (), (), None, 0)
+        assert np.array_equal(
+            sizes, np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+        )
+        acc = acc & prefix_masks(n)[emb[:, 1]]
+        sizes, priors = bit_leaf_sizes(
+            graph, emb, 0, (1,), (), (), ((2, False),), None, 0
+        )
+        assert priors == [int(np.bitwise_count(acc).sum(dtype=np.int64))]
+        acc &= words[emb[:, 2]]
+        assert np.array_equal(
+            sizes, np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+        )
+
+    def test_excluded_vertices_outside_the_window_are_skipped(
+        self, monkeypatch
+    ):
+        # complete graph on 3 words; the lower bounds leave words 1-2, so
+        # vertex 5 has no bit in the window (and 140 one to clear)
+        n = 192
+        graph = CSRGraph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+        )
+        emb = np.array([[191, 100, 5], [190, 130, 140]])
+        monkeypatch.setattr(bulk, "bit_rows_cheaper", lambda *args: True)
+        sizes, _ = bit_leaf_sizes(graph, emb, 0, (), (1,), (2,), (), None, 0)
+        assert sizes.tolist() == [90, 59]  # 101..190; 131..191 - {190, 140}
 
     def test_one_adjacency_buffer_and_one_mask_table_per_size(self):
         a = erdos_renyi(130, 7.0, seed=1)

@@ -101,9 +101,9 @@ class TestExecute:
         assert sorted(e.level for e in sim.trace.events) == [1, 2, 2, 2]
         assert report.set_ops == 3
         load = sim.trace.events[0]
-        assert load.level == 1 and load.duration > 0
+        assert load.level == 1 and load.end > load.start
         assert report.per_pe_busy[0] <= sum(
-            e.duration for e in sim.trace.events
+            e.end - e.start for e in sim.trace.events
         )
 
     def test_leaf_count_task(self, toy_graph):
@@ -131,7 +131,8 @@ class TestExecute:
         sim, report, _ = _run(toy_graph, "3CF", [_leaf_start()])
         (leaf,) = sim.trace.events
         depth = sim.siu.pipeline_depth
-        assert leaf.duration - report.per_pe_busy[0] == pytest.approx(depth)
+        busy = report.per_pe_busy[0]
+        assert leaf.end - leaf.start - busy == pytest.approx(depth)
 
     def test_task_overhead_charged(self, toy_graph):
         fast, a, _ = _run(toy_graph, "3CF", [SimTask(1, 4, None)])
@@ -139,4 +140,4 @@ class TestExecute:
                           task_overhead_cycles=10)
         assert b.tasks == a.tasks == 4
         for e, f in zip(fast.trace.events, slow.trace.events):
-            assert f.duration == pytest.approx(e.duration + 10)
+            assert f.end - f.start == pytest.approx(e.end - e.start + 10)

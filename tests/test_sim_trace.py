@@ -7,7 +7,7 @@ import pytest
 from repro.core import xset_default
 from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
-from repro.sim import AcceleratorSim, TraceEvent
+from repro.sim import AcceleratorSim, ActivityTrace, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +52,15 @@ class TestAnalyses:
         sim, report = traced_sim
         busy = Counter()
         for e in sim.trace.events:
-            busy[e.level] += e.duration
+            busy[e.level] += e.end - e.start
         assert set(busy) == {1, 2} and min(busy.values()) > 0
         # per-event durations include pipeline tails, so the trace total is
         # at least the occupancy-based busy counter
         assert sum(busy.values()) >= report.siu_busy_cycles * 0.5
 
     def test_event_duration(self):
-        e = TraceEvent(pe=0, level=1, start=5.0, end=9.0)
-        assert e.duration == 4.0
+        trace = ActivityTrace(num_pes=1, sius_per_pe=1)
+        trace.record(pe=0, level=1, start=5.0, end=9.0)
+        (e,) = trace.events
+        assert e == TraceEvent(pe=0, level=1, start=5.0, end=9.0)
+        assert e.end - e.start == 4.0
