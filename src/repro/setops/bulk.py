@@ -178,7 +178,8 @@ def bit_rows_cheaper(
     leave, so the price bounds the leaf's word traffic.  It does not cover
     the leaf's fixed cost per chunk (the window's bound reduce and the
     float-flag scope, a few microseconds), which rows of a few words
-    notice: er200's 3CF and DIA leaves run about 1.07x the full-width leaf.
+    notice: er200's 3CF and DIA kernels (4 words per row) take about 1.07x
+    as long as with a leaf that reads full rows and has neither.
     """
     passes = 2 + bool(upper) + bool(lower) + 2 * probes
     bit_ns = width * passes * BIT_WORD_NS  # per row
