@@ -81,7 +81,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "JobHandle": "repro.service",
         "JobStatus": "repro.service",
         "CostPredictor": "repro.sched.adaptive",
-        "CostEstimate": "repro.sched.adaptive",
         "Coordinator": "repro.cluster",
         "LocalCluster": "repro.cluster",
         "ShardWorker": "repro.cluster",

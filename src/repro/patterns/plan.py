@@ -87,13 +87,6 @@ class LevelSpec:
             return len(self.extra_deps) + len(self.extra_anti)
         return max(len(self.deps) - 1, 0) + len(self.anti_deps)
 
-    @property
-    def num_difference_ops(self) -> int:
-        """The set differences among :attr:`num_set_ops`."""
-        if self.reuse_from is not None:
-            return 0
-        return len(self.anti_deps if self.base is None else self.extra_anti)
-
     def signature(self) -> tuple[frozenset[int], frozenset[int]]:
         return frozenset(self.deps), frozenset(self.anti_deps)
 

@@ -20,11 +20,9 @@ from .task import SimTask, TaskSetState
 
 __all__ = [
     "BarrierFreeScheduler",
-    "CostEstimate",
     "CostPredictor",
     "DFSScheduler",
     "PseudoDFSScheduler",
-    "QueryFeatures",
     "SchedulerBase",
     "ShogunScheduler",
     "SimTask",
@@ -34,9 +32,7 @@ __all__ = [
 ]
 
 #: adaptive-layer names resolved on first attribute access
-_ADAPTIVE = frozenset(
-    {"CostEstimate", "CostPredictor", "QueryFeatures", "query_features"}
-)
+_ADAPTIVE = frozenset({"CostPredictor", "query_features"})
 
 
 def __getattr__(name):  # pragma: no cover - thin lazy-import shim

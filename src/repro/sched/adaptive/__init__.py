@@ -8,36 +8,14 @@ dispatches by, and what decides whether the dispatcher runs a job
 itself.  The engine is never chosen here: a job runs on the engine its
 config names.  The pieces:
 
-* :mod:`~repro.sched.adaptive.features` — deterministic, relabeling-
-  invariant feature extraction per ``(graph fingerprint, canonical
-  pattern)``;
-* :mod:`~repro.sched.adaptive.predictor` — the online cost model
-  (per-shape EWMA → learned engine throughput → conservative prior) with
+* :mod:`~repro.sched.adaptive.features` — a query's shape, the record's
+  key: ``(graph fingerprint, canonical pattern, root range)``;
+* :mod:`~repro.sched.adaptive.predictor` — the cost record: each shape's
+  fastest clean run per engine, ``math.inf`` for a shape never run, with
   self-reported accuracy.
 """
 
-from .features import (
-    PlanFeatures,
-    QueryFeatures,
-    analytic_work,
-    plan_features,
-    query_features,
-)
-from .predictor import (
-    DEFAULT_ENGINE_SPEED,
-    ERROR_RATIO_BUCKETS,
-    CostEstimate,
-    CostPredictor,
-)
+from .features import QueryFeatures, query_features
+from .predictor import CostPredictor
 
-__all__ = [
-    "CostEstimate",
-    "CostPredictor",
-    "DEFAULT_ENGINE_SPEED",
-    "ERROR_RATIO_BUCKETS",
-    "PlanFeatures",
-    "QueryFeatures",
-    "analytic_work",
-    "plan_features",
-    "query_features",
-]
+__all__ = ["CostPredictor", "QueryFeatures", "query_features"]

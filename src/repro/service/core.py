@@ -42,10 +42,11 @@ RETRY_BACKOFF_SECONDS = 0.05
 #: in the pool until one of them runs clean
 ENGINE_FAILURE_LIMIT = 3
 
-#: A job profiled under this many seconds runs in the service process
-#: instead of paying a pool round trip (≈0.65 ms of wake-ups around a
-#: 0.3 ms run); it is also the longest such a job holds up the next
-#: dispatch.  docs/ARCHITECTURE.md, *Where a job runs*, has the numbers.
+#: A job whose shape has run clean in under this many seconds runs in the
+#: service process instead of paying a pool round trip (≈0.65 ms of
+#: wake-ups around a 0.3 ms run); it is also the longest such a job holds
+#: up the next dispatch.  docs/ARCHITECTURE.md, *Where a job runs*, has
+#: the numbers.
 LIGHT_SECONDS = 0.001
 
 #: queue occupancy (fraction of the limit) at or above which = DEGRADED
@@ -266,18 +267,17 @@ class DispatchState:
     def _light(self, job: Job) -> bool:
         """Does ``job`` run in the service process?
 
-        Only a warm, plain, sub-millisecond one: its prediction comes from
-        the profile tier (this shape has run on this snapshot) and is under
-        ``LIGHT_SECONDS``, so one wrong guess cannot stall dispatch for a
-        heavy query; it has no cross-check; its engine is not failing (a
+        Only a warm, plain, sub-millisecond one: its price, the fastest
+        clean run of its shape, is under ``LIGHT_SECONDS`` (a shape that has
+        not run is priced ``math.inf``), so no guess can stall dispatch for
+        a heavy query; it has no cross-check; its engine is not failing (a
         crashing engine runs in the pool until a run of it is clean); and
         the armed plan assigns its coming attempt no fault (a HANG must
         not pin the dispatcher, and a CRASH must kill a pool process, not
         the service).
         """
         return (
-            job.predicted_source == "profile"
-            and job.predicted_seconds < LIGHT_SECONDS
+            job.predicted_seconds < LIGHT_SECONDS
             and self.failures.get(job.config.engine, 0) < ENGINE_FAILURE_LIMIT
             and self._verify_engine(job) is None
             and not self._faults(job)

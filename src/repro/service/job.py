@@ -11,6 +11,7 @@ backoff, attempt count) and never leaves the service.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -167,14 +168,9 @@ class Job:
     faults: Any = None
     #: True once ``faults`` holds the plan's draw for the coming attempt
     faults_drawn: bool = False
-    #: predicted wall seconds from the cost model (0.0 = no prediction)
-    predicted_seconds: float = 0.0
-    #: the cost model's tier behind the prediction: "profile" (this shape
-    #: has run on this snapshot), "throughput" or "prior"
-    predicted_source: str = ""
-    #: query feature vector used for the prediction (trains the predictor
-    #: when the job completes); None when the adaptive layer is off
-    features: Any = None
+    #: predicted wall seconds: the fastest clean run of this job's shape
+    #: (``math.inf`` = the shape has not run)
+    predicted_seconds: float = math.inf
     #: service-clock timestamp of the most recent queue push (queue-wait
     #: accounting and the queue's anti-starvation aging bound)
     enqueued_at: float = 0.0

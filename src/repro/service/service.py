@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 import threading
 import time
@@ -94,7 +95,7 @@ from ..errors import (
 from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..patterns.plan import build_plan
-from ..sched.adaptive import CostPredictor, query_features
+from ..sched.adaptive import CostPredictor, QueryFeatures
 from .cache import CacheKey, ResultCache, pattern_cache_key
 from .core import DispatchState, HealthState, Outcome, Requeue
 
@@ -152,6 +153,13 @@ class InlineExecutor:
         pass
 
 
+def _shape(job: Job) -> QueryFeatures:
+    """The cost record's key for ``job``, less its engine."""
+    return QueryFeatures(
+        job.fingerprint, job.cache_key.pattern_key, job.root_range
+    )
+
+
 class QueryService:
     """Async GPM query service: registry + scheduler + pool + cache."""
 
@@ -201,8 +209,8 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self._tally = Tally(self.metrics)
         self._latency = LatencyRecorder(registry=self.metrics)
-        #: online cost model trained from every completed job; drives
-        #: cost-ranked dispatch and the light-job test
+        #: each shape's fastest clean run; its price drives cost-ranked
+        #: dispatch and the light-job test
         self.predictor = CostPredictor(registry=self.metrics)
         self._observation: Observation | None = (
             Observation(
@@ -351,8 +359,6 @@ class QueryService:
             root_range = (lo, hi)
         plan = build_plan(pattern, induced=induced)
         pkey = pattern_cache_key(pattern, induced)
-        features = query_features(record.graph, record.fingerprint, pkey)
-        estimate = self.predictor.predict(features, cfg.engine)
         handle = JobHandle(
             job_id=next(self._job_ids),
             graph_id=graph_id,
@@ -361,7 +367,7 @@ class QueryService:
             cancel_cb=self._cancel,
         )
         ob = self._observation
-        return Job(
+        job = Job(
             handle=handle,
             graph_id=graph_id,
             fingerprint=record.fingerprint,
@@ -376,9 +382,6 @@ class QueryService:
             root_range=root_range,
             seq=handle.job_id,  # submit order
             record=record,  # snapshot pinned at submit time
-            predicted_seconds=estimate.seconds,
-            predicted_source=estimate.source,
-            features=features,
             span=(
                 ob.tracer.start_span(
                     "service.job",
@@ -391,6 +394,8 @@ class QueryService:
                 else None
             ),
         )
+        job.predicted_seconds = self.predictor.predict(_shape(job), cfg.engine)
+        return job
 
     def count(
         self, graph_id: str, pattern: "Pattern", **submit_kwargs
@@ -744,16 +749,16 @@ class QueryService:
         if not self._settle(job, JobStatus.DONE, report=report):
             return
         self._latency.record(job.config.engine, elapsed)
-        if clean and job.features is not None and job.verify_engine is None:
+        if clean and job.verify_engine is None:
             # clean single-engine run: valid training data for the
-            # cost model (cross-checked jobs time two engines;
-            # fault-perturbed timings are noise).  The model means run
+            # cost record (cross-checked jobs time two engines;
+            # fault-perturbed timings are noise).  The record means run
             # time: the worker's own measurement where the report
             # carries one, since dispatch-to-settle also holds the pool
-            # round trip
+            # round trip.  Only a measured shape's price has an accuracy
             ran = getattr(report, "wall_seconds", 0.0) or elapsed
-            self.predictor.observe(job.features, job.config.engine, ran)
-            if job.predicted_seconds > 0.0:
+            self.predictor.observe(_shape(job), job.config.engine, ran)
+            if job.predicted_seconds < math.inf:
                 self.predictor.record_accuracy(job.predicted_seconds, ran)
 
     # -- resilience --------------------------------------------------------

@@ -200,7 +200,7 @@ class ServiceStats:
     worker_calls: int = 0
     #: queue-wait percentiles (submit → dispatch) over the recent window
     queue_wait: dict[str, float] = field(default_factory=dict)
-    #: cost-predictor self-assessment: accuracy window + model coverage
+    #: cost-record self-assessment: accuracy window + record coverage
     predictor: dict = field(default_factory=dict)
     #: per-engine latency percentiles over the recent window
     latency: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -249,13 +249,20 @@ class ServiceStats:
                 f"queue wait: p50 {qw['p50'] * 1e3:.2f}ms  "
                 f"p99 {qw['p99'] * 1e3:.2f}ms  (n={qw['count']:.0f})"
             )
-        if self.predictor.get("count"):
-            pred = self.predictor
-            lines.append(
-                f"predictor: {pred.get('observations', 0):.0f} observed, "
-                f"ratio p50 {pred['p50']:.2f} p99 {pred['p99']:.2f}, "
-                f"{pred.get('within_2x', 0.0):.0%} within 2x"
+        pred = self.predictor
+        if pred.get("observations"):
+            # coverage whenever a run was observed; accuracy only once a
+            # measured shape ran again
+            line = (
+                f"predictor: {pred['observations']:.0f} observed runs "
+                f"of {pred['shapes']:.0f} shapes"
             )
+            if pred.get("count"):
+                line += (
+                    f", ratio p50 {pred['p50']:.2f} p99 {pred['p99']:.2f}, "
+                    f"{pred['within_2x']:.0%} within 2x"
+                )
+            lines.append(line)
         return "\n".join(lines)
 
 

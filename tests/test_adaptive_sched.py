@@ -1,26 +1,27 @@
-"""Adaptive scheduling tests: cost model and dispatch.
+"""Adaptive scheduling tests: cost record and dispatch.
 
 Covers the two pillars of the adaptive stack in isolation and then
 end-to-end through the service (the one place a cost model lives):
 
-- :class:`CostPredictor` tier fallback (profile → throughput → prior),
-  conservative priors, and self-reported accuracy;
+- :class:`CostPredictor`, the record of each query shape's fastest clean
+  run (``math.inf`` for a shape that has not run), and its self-reported
+  accuracy;
 - the job queue's one dispatch rule (shortest-predicted-first, submit
   order on ties, anti-starvation aging bound).
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi
+from repro.obs import MetricsRegistry
 from repro.patterns.pattern import PATTERNS
-from repro.sched.adaptive import CostPredictor, analytic_work, query_features
-from repro.sched.adaptive.predictor import (
-    DEFAULT_ENGINE_SPEED,
-    EWMA_ALPHA,
-    PRIOR_MARGIN,
-)
+from repro.sched.adaptive import CostPredictor, query_features
 from repro.service import QueryService, pattern_cache_key
 from repro.service.job import Job, JobHandle
 from repro.service.scheduler import AGE_LIMIT_SECONDS, JobQueue
@@ -40,49 +41,61 @@ def features(graph):
 
 
 class TestCostPredictor:
-    def test_unseen_shape_uses_conservative_prior(self, features):
-        pred = CostPredictor()
-        est = pred.predict(features, "batched")
-        assert est.source == "prior" and est.engine == "batched"
-        # the margin makes the prior *over*-estimate: at least margin x
-        # the raw work/speed projection
-        raw = analytic_work(features) / DEFAULT_ENGINE_SPEED["batched"]
-        assert est.seconds == pytest.approx(raw * PRIOR_MARGIN)
-
-    def test_prior_respects_engine_ranking(self, features):
-        pred = CostPredictor()
-        secs = {
-            e: pred.predict(features, e).seconds
-            for e in ("codegen", "batched", "event")
-        }
-        assert secs["codegen"] < secs["batched"] < secs["event"]
+    def test_an_unrun_shape_is_priced_inf(self, features):
+        # behind every measured job in the queue, and never light
+        assert CostPredictor().predict(features, "batched") == math.inf
 
     def test_observation_promotes_to_profile_tier(self, features):
         pred = CostPredictor()
         pred.observe(features, "batched", 0.25)
-        est = pred.predict(features, "batched")
-        assert est.source == "profile"
-        assert est.seconds == pytest.approx(0.25)
+        assert pred.predict(features, "batched") == pytest.approx(0.25)
 
-    def test_profile_tier_is_an_ewma(self, features):
-        pred = CostPredictor()
-        pred.observe(features, "batched", 1.0)
-        pred.observe(features, "batched", 2.0)
-        assert pred.predict(features, "batched").seconds == \
-            pytest.approx(1.0 + EWMA_ALPHA * (2.0 - 1.0))
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["3CF", "WEDGE"]), st.floats(1e-6, 10.0)
+            ),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_price_is_order_invariant(self, graph, runs, data):
+        # the same clean runs, fed in any order, price every shape alike:
+        # its fastest run
+        def shape(name):
+            key = pattern_cache_key(PATTERNS[name], None)
+            return query_features(graph, "fp-order", key)
 
-    def test_other_shape_falls_to_throughput_tier(self, graph, features):
+        def priced(order):
+            pred = CostPredictor()
+            for name, seconds in order:
+                pred.observe(shape(name), "batched", seconds)
+            return {
+                name: pred.predict(shape(name), "batched") for name, _ in runs
+            }
+
+        shuffled = data.draw(st.permutations(runs))
+        assert priced(shuffled) == priced(runs)
+        for name, price in priced(runs).items():
+            assert price == min(s for n, s in runs if n == name)
+
+    def test_other_shapes_stay_unpriced(self, graph, features):
         pred = CostPredictor()
         pred.observe(features, "batched", 0.1)
-        other = query_features(
-            graph, "fp-adaptive", pattern_cache_key(PATTERNS["TT"], None)
+        others = (
+            # another pattern, a root range of the same one, another
+            # snapshot of the graph
+            query_features(
+                graph, "fp-adaptive", pattern_cache_key(PATTERNS["TT"], None)
+            ),
+            query_features(graph, *features[:2], (0, 4)),
+            query_features(graph, "fp-other", features.pattern_key),
         )
-        est = pred.predict(other, "batched")
-        assert est.source == "throughput"
-        # the learned throughput tier scales with the work proxy
-        assert est.seconds > 0.0
-        # ...but only for the observed engine; others stay on the prior
-        assert pred.predict(other, "event").source == "prior"
+        for other in others:
+            assert pred.predict(other, "batched") == math.inf
+        # ...and the same shape on another engine
+        assert pred.predict(features, "event") == math.inf
 
     def test_accuracy_window(self, features):
         pred = CostPredictor()
@@ -95,23 +108,19 @@ class TestCostPredictor:
     def test_snapshot_shape(self, features):
         pred = CostPredictor()
         pred.observe(features, "batched", 0.1)
+        pred.observe(features, "batched", 0.2)
         pred.record_accuracy(0.1, 0.1)
         snap = pred.snapshot()
-        assert snap["observations"] == 1
-        assert snap["profiled_shapes"] == 1
-        assert "batched" in snap["throughput_units_per_s"]
+        assert snap["observations"] == 2
+        assert snap["shapes"] == 1
         assert snap["within_2x"] == 1.0
 
     def test_error_ratio_histogram_is_registered(self, features):
-        pred = CostPredictor()
+        registry = MetricsRegistry()
+        pred = CostPredictor(registry=registry)
         pred.record_accuracy(2.0, 1.0)
-        text = pred.registry.render_prometheus()
+        text = registry.render_prometheus()
         assert "repro_predictor_error_ratio" in text
-
-    def test_validation(self):
-        # an EWMA weight in (0, 1], and a margin that over-estimates
-        assert 0.0 < EWMA_ALPHA <= 1.0
-        assert PRIOR_MARGIN >= 1.0
 
 
 def _job(seq, predicted=0.0, enqueued_at=0.0):
@@ -145,16 +154,18 @@ class TestCostQueue:
         assert q.pop(now=0.0) is first
 
     def test_aging_bound_prevents_starvation(self):
-        q = JobQueue(age_limit=1.0)
-        heavy = _job(1, predicted=100.0, enqueued_at=0.0)
-        q.push(heavy)
-        fresh = [_job(2 + i, predicted=0.001, enqueued_at=5.0)
-                 for i in range(3)]
-        for job in fresh:
-            q.push(job)
-        # past the aging bound the heavy job outranks cheaper newcomers
-        assert q.pop(now=5.0) is heavy
-        assert q.pop(now=5.0) is fresh[0]
+        # a heavy job, and a shape that has not run (priced inf)
+        for price in (100.0, math.inf):
+            q = JobQueue(age_limit=1.0)
+            heavy = _job(1, predicted=price, enqueued_at=0.0)
+            q.push(heavy)
+            fresh = [_job(2 + i, predicted=0.001, enqueued_at=5.0)
+                     for i in range(3)]
+            for job in fresh:
+                q.push(job)
+            # past the aging bound the heavy job outranks cheaper newcomers
+            assert q.pop(now=5.0) is heavy
+            assert q.pop(now=5.0) is fresh[0]
 
     def test_young_heavy_job_waits(self):
         q = JobQueue(age_limit=10.0)
@@ -196,12 +207,16 @@ class TestServiceAdaptive:
     def test_completed_jobs_train_the_predictor(self, graph):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(graph)
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
-            svc.count(gid, PATTERNS["WEDGE"], engine="batched")
+            for name in ("3CF", "WEDGE", "3CF"):
+                svc.count(gid, PATTERNS[name], engine="batched",
+                          use_cache=False)
             snap = svc.stats().predictor
-        assert snap["observations"] == 2
-        assert snap["profiled_shapes"] == 2
-        assert snap["count"] == 2  # accuracy samples recorded too
+            summary = svc.stats().summary()
+        assert snap["observations"] == 3
+        assert snap["shapes"] == 2
+        # a first run had no price to score: only 3CF's second run did
+        assert snap["count"] == 1
+        assert "predictor: 3 observed runs of 2 shapes, ratio" in summary
 
     def test_queue_wait_histogram_in_stats(self, graph):
         with QueryService(mode="inline") as svc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 import threading
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
@@ -116,15 +117,14 @@ def make_service(graph, **kwargs):
     return svc, gid
 
 
-def bare(job_id, predicted, source="profile", **fields) -> Job:
-    """A job record of no service, predicted at ``predicted`` seconds by
-    the cost model's ``source`` tier."""
+def bare(job_id, predicted, **fields) -> Job:
+    """A job record of no service, priced at ``predicted`` seconds by the
+    cost record (``math.inf``: its shape has not run)."""
     return Job(
         handle=JobHandle(job_id, "g", "3CF", "batched", lambda h: False),
         graph_id="g", fingerprint="fp", plan=None,
         config=SimpleNamespace(engine="batched"), cache_key=None,
-        seq=job_id, predicted_seconds=predicted, predicted_source=source,
-        **fields,
+        seq=job_id, predicted_seconds=predicted, **fields,
     )
 
 
@@ -536,8 +536,10 @@ class TestDispatcherWakeup:
         def next_(now):
             act = real_next(now)
             if act is None and not injected.is_set():
-                injected.set()
+                # started before the event is set: the main thread joins
+                # the submitter as soon as it sees the event
                 submitter.start()
+                injected.set()
             return act
 
         svc._core.next = next_
@@ -623,8 +625,7 @@ class TestShutdownRaces:
 def light(core, job) -> bool:
     """The light rule, said plainly (``DispatchState`` is the code)."""
     return (
-        job.predicted_source == "profile"
-        and job.predicted_seconds < core_module.LIGHT_SECONDS
+        job.predicted_seconds < core_module.LIGHT_SECONDS
         and core.failures.get("batched", 0) < core_module.ENGINE_FAILURE_LIMIT
         and not job.faults and not job.verify_engine
     )
@@ -654,12 +655,9 @@ class JobLifecycle(RuleBasedStateMachine):
         assert job.handle.job_id not in self.ended  # once
         self.ended[job.handle.job_id] = status
 
-    @rule(
-        ms=st.sampled_from([0.2, 0.5, 500.0]),
-        source=st.sampled_from(["profile", "prior"]),
-    )
-    def submit(self, ms, source):
-        job = bare(len(self.accepted) + 100, ms * 1e-3, source)
+    @rule(ms=st.sampled_from([0.2, 0.5, 500.0, math.inf]))
+    def submit(self, ms):
+        job = bare(len(self.accepted) + 100, ms * 1e-3)
         try:
             here = self.core.admit(job, self.now)
         except QueueFullError:  # the one refusal: counted nowhere else

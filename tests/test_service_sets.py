@@ -13,6 +13,7 @@ and is waited on through job handles — no sleeps anywhere.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -72,15 +73,14 @@ class FakeClock:
         return self.now
 
 
-def profiled(job_id, ms=0.3, source="profile", **fields) -> Job:
-    """A job the cost model predicts at ``ms`` milliseconds from its
-    ``source`` tier: light when profiled under ``LIGHT_SECONDS``."""
+def profiled(job_id, ms=0.3, **fields) -> Job:
+    """A job whose shape's fastest clean run took ``ms`` milliseconds
+    (``math.inf``: it has not run): light under ``LIGHT_SECONDS``."""
     return Job(
         handle=JobHandle(job_id, "g", "3CF", "batched", lambda h: False),
         graph_id="g", fingerprint="fp", plan=None,
         config=SimpleNamespace(engine="batched"), cache_key=None,
-        seq=job_id, predicted_seconds=ms * 1e-3, predicted_source=source,
-        **fields,
+        seq=job_id, predicted_seconds=ms * 1e-3, **fields,
     )
 
 
@@ -117,9 +117,9 @@ def ids(jobs) -> list[int]:
 
 
 def warm(svc, graph, names, seconds=2e-4) -> None:
-    """Teach the cost model that each shape has run on ``graph`` in
-    ``seconds`` on the batched engine: its profile tier now calls the
-    shape light."""
+    """Teach the cost record that each shape has run on ``graph`` in
+    ``seconds`` on the batched engine: under ``LIGHT_SECONDS`` the shape
+    is now light."""
     for name in names:
         features = query_features(
             graph, graph.fingerprint(), pattern_cache_key(PATTERNS[name], None)
@@ -275,8 +275,7 @@ class TestSeededMix:
                 kind = rng.choice(["light"] * 4 + ["heavy"])
                 handle = svc.submit(
                     gid, PATTERNS[name], use_cache=False,
-                    # the event engine has no profile: a prior, 50x the
-                    # vectorised ones'
+                    # the event engine's shapes have not run: priced inf
                     engine="event" if kind == "heavy" else "batched",
                 )
                 submitted.append((handle, gid, name, kind))
@@ -610,11 +609,31 @@ class TestRunTimeModel:
         # fork + attach + compile, then two warm runs of the same shape
         for seconds in (0.118, 0.0003, 0.00031):
             predictor.observe(features, "codegen", seconds)
-        predicted = predictor.predict(features, "codegen").seconds
-        assert 0.00015 <= predicted <= 0.0006
-        # an ordinary slow sample still only moves the average
+        assert predictor.predict(features, "codegen") == 0.0003
+        # a slow sample does not move the fastest run
         predictor.observe(features, "codegen", 0.0006)
-        assert predictor.predict(features, "codegen").seconds < 0.0005
+        assert predictor.predict(features, "codegen") == 0.0003
+
+    def test_a_root_range_run_does_not_price_the_whole_graph(
+        self, small_er
+    ):
+        # a run restricted to a few roots, here 0.3 ms, is far cheaper
+        # than the whole graph: its price must not make the whole-graph
+        # job light
+        with QueryService(
+            mode="process", max_workers=1, executor=Canned(3e-4),
+        ) as svc:
+            gid = svc.register_graph(small_er, "g")
+            svc.count(gid, PATTERNS["4CF"], use_cache=False,
+                      root_range=(0, 4))
+            svc.count(gid, PATTERNS["4CF"], use_cache=False)
+            # the root range itself is priced: it is light now
+            svc.count(gid, PATTERNS["4CF"], use_cache=False,
+                      root_range=(0, 4))
+            events = dispatched(svc)
+            assert [event["where"] for event in events] == \
+                ["pool", "pool", "service"]
+            assert svc.stats().worker_calls == 2
 
     @pytest.mark.parametrize("wall_seconds", [0.25, 0.0])
     def test_the_service_trains_on_the_workers_own_time(
@@ -625,7 +644,7 @@ class TestRunTimeModel:
         ) as svc:
             gid = svc.register_graph(small_er, "g")
             svc.count(gid, PATTERNS["3CF"], use_cache=False)
-            (learned,) = svc.predictor._profiles.values()
+            (learned,) = svc.predictor._fastest.values()
         if wall_seconds:
             assert learned == wall_seconds
         else:
@@ -796,8 +815,7 @@ class TestIdleRule:
                 site="worker.run", kind=FaultKind.HANG, seconds=0.0,
             ),)))
         job = profiled(
-            1, ms=500 if kind == "heavy" else 0.2,
-            source="throughput" if kind == "cold" else "profile",
+            1, ms={"cold": math.inf, "heavy": 500}.get(kind, 0.2)
         )
         assert core.admit(job, 0) is False  # idle, and still queued
         assert core.next(0) is job and job.where == "pool"
