@@ -4,12 +4,12 @@
 Computes clean reference counts for a handful of patterns, then replays
 the same queries through a :class:`QueryService` that cross-checks every
 query on the event engine while a deterministic :class:`FaultPlan`
-injects worker crashes and silent bit-flips in the count each batched
+injects worker crashes and silent bit-flips in the count each codegen
 run returns, both at the worker's fault site ``worker.run``.  The demo
 asserts — not just prints — that every query still comes back with the
-*correct* embedding count from the batched engine it named, and that
+*correct* embedding count from the codegen engine it named, and that
 every armed fault fired, then shows how each query survived: retried on
-batched after an injected crash, or cross-checked and served from the
+codegen after an injected crash, or cross-checked and served from the
 verifying engine.
 
 Because the plan is seeded, the run is reproducible: same seed, same
@@ -52,15 +52,15 @@ def main() -> None:
     print("clean reference counts (no service, no faults):")
     expected = {}
     for name in DEMO_PATTERNS:
-        expected[name] = XSetAccelerator(engine="batched").count(
+        expected[name] = XSetAccelerator(engine="codegen").count(
             graph, PATTERNS[name]
         ).embeddings
         print(f"  {name:6s} {expected[name]}")
 
-    # a crash is retried on batched in a fresh worker, and every query is
+    # a crash is retried on codegen in a fresh worker, and every query is
     # cross-checked on the event engine (verify_fraction=1.0 for the
     # demo's sake; production would sample a fraction).  Faults fire in
-    # the worker, around the batched run; the event engine's cross-check
+    # the worker, around the codegen run; the event engine's cross-check
     # is never faulted.  The first two attempts crash, whatever the seed.
     plan = FaultPlan(seed=args.seed, specs=(
         FaultSpec(site="worker.run", kind=FaultKind.CRASH,
@@ -69,22 +69,22 @@ def main() -> None:
                   rate=0.5, bit=3),
     ))
     print(f"\nreplaying under chaos (seed={args.seed}): worker crashes, "
-          "bit-flips in the batched count\n")
+          "bit-flips in the codegen count\n")
 
     with QueryService(mode="inline", verify_fraction=1.0) as service:
         gid = service.register_graph(graph)
         service.arm_faults(plan)
         for name in DEMO_PATTERNS:
             handle = service.submit(gid, PATTERNS[name],
-                                    engine="batched", use_cache=False)
+                                    engine="codegen", use_cache=False)
             report = handle.result(timeout=120)
             assert report.embeddings == expected[name], (
                 f"{name}: {report.embeddings} != {expected[name]}"
             )
-            assert handle.engine == "batched"
+            assert handle.engine == "codegen"
             story = []
             if handle.attempts > 1:
-                story.append(f"retried on batched x{handle.attempts - 1}")
+                story.append(f"retried on codegen x{handle.attempts - 1}")
             injected = report.notes.get("injected", {})
             for event, n in injected.items():
                 story.append(f"injected {event} x{n}")

@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--degree", type=float, default=8.0,
                        help="average degree of the demo graphs")
     serve.add_argument("--engine", choices=engine_choices,
-                       default="batched")
+                       default="codegen")
     serve.set_defaults(func=_cmd_serve)
 
     stats = sub.add_parser(
@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--degree", type=float, default=8.0,
                         help="average degree of the demo graph")
     health.add_argument("--engine", choices=engine_choices,
-                        default="batched")
+                        default="codegen")
     health.add_argument("--chaos", action="store_true",
                         help="arm a deterministic fault plan and "
                              "cross-check every query")
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--degree", type=float, default=10.0,
                          help="average degree of the demo graph")
     cluster.add_argument("--engine", choices=engine_choices,
-                         default="batched")
+                         default="codegen")
     cluster.add_argument("--transport", choices=("inproc", "tcp"),
                          default="inproc",
                          help="comm transport between coordinator and "

@@ -34,11 +34,10 @@ class XSetAccelerator:
     """One configured X-SET SoC instance.
 
     ``engine`` picks the execution backend for ``count``-style runs:
-    ``"event"`` (default — cycle-approximate event-driven simulation),
-    ``"batched"`` (vectorised frontier expansion, analytic timing; much
-    faster when only counts matter) or ``"codegen"`` (the batched
-    expansion compiled per plan, same report); counts are identical on
-    all of them.  See :mod:`repro.engine`.
+    ``"event"`` (default — cycle-approximate event-driven simulation) or
+    ``"codegen"`` (plan-compiled frontier expansion, analytic timing; much
+    faster when only counts matter); counts are identical on both.  See
+    :mod:`repro.engine`.
     """
 
     def __init__(

@@ -56,10 +56,9 @@ class SystemConfig:
     #: a load-balancing extension for skewed graphs)
     root_partition: str = "round-robin"
     #: execution engine: "event" (cycle-approximate event-driven
-    #: simulation), "batched" (vectorised frontier expansion with analytic
-    #: timing) or "codegen" (plan-compiled NumPy kernels, same counts and
-    #: timing model as batched); every backend returns byte-identical
-    #: counts, and a run always uses the one named here
+    #: simulation) or "codegen" (plan-compiled NumPy kernels with analytic
+    #: timing); both return byte-identical counts, and a run always uses
+    #: the one named here
     engine: str = "event"
     #: number of query-cluster shards (repro.cluster); 0 = single node,
     #: no cluster layer involved

@@ -14,11 +14,11 @@ graphs GPM targets.
 The graph is held as one immutable :class:`CSRGraph` snapshot: a write
 replaces it by ``with_edge`` / ``without_edge`` (an array splice), extracts
 the ball once (vectorised BFS + induced-subgraph gather, labels kept) and
-counts it with and without the edge on the vectorised frontier expansion
-the ``batched`` engine runs.  A write therefore costs what the edge's
-neighbourhood costs plus one O(E) memcpy, with no per-edge Python object;
-the pure-Python reference executor is not used here, which leaves it an
-independent oracle for the maintained count.
+counts it with and without the edge through the plan's compiled kernel,
+in the chunked sweep the ``codegen`` engine runs.  A write therefore costs
+what the edge's neighbourhood costs plus one O(E) memcpy, with no per-edge
+Python object; the pure-Python reference executor is not used here, which
+leaves it an independent oracle for the maintained count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import deque
 
 import numpy as np
 
-from ..engine.batched import ROOT_CHUNK
+from ..engine.codegen import ROOT_CHUNK
 from ..engine.functional import FrontierExpander, sweep_frontier
 from ..graph.algorithms import neighborhood
 from ..graph.csr import CSRGraph

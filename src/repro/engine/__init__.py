@@ -1,18 +1,18 @@
-"""Pluggable execution engines: functional expansion × temporal modelling.
+"""Execution engines: functional expansion × temporal modelling.
 
 The engine layer splits plan execution into two orthogonal concerns —
 
 * :mod:`repro.engine.functional`: exact candidate-set expansion (what the
-  hardware computes), shared by every backend;
+  hardware computes), shared by both engines;
 * :mod:`repro.engine.temporal`: cycle-cost annotation (how long it takes),
-  exact per-task for the event simulator, aggregate-analytic for batched
-  and codegen execution —
+  exact per-task for the event simulator, aggregate-analytic for codegen
+  execution —
 
-and registers concrete backends behind one :class:`Engine` interface
-(``event``, ``batched`` and ``codegen`` — the last runs plan-compiled
-NumPy kernels emitted by :mod:`repro.patterns.codegen`).  Select a backend
-with ``SystemConfig(engine="batched")``, ``XSetAccelerator(engine=
-"batched")`` or ``python -m repro count --engine codegen``.
+and names the two engines behind one :class:`Engine` interface: ``event``
+and ``codegen`` (plan-compiled NumPy kernels emitted by
+:mod:`repro.patterns.codegen`, the one counting engine).  Select one with
+``SystemConfig(engine="codegen")``, ``XSetAccelerator(engine="codegen")``
+or ``python -m repro count --engine codegen``.
 """
 
 from .base import (
@@ -20,7 +20,6 @@ from .base import (
     available_engines,
     engine_descriptions,
     get_engine,
-    register_engine,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "available_engines",
     "engine_descriptions",
     "get_engine",
-    "register_engine",
 ]

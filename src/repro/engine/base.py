@@ -1,37 +1,31 @@
-"""The ``Engine`` interface and backend registry.
+"""The ``Engine`` interface and the engine table.
 
 An execution engine turns ``(graph, plan, config)`` into a
-:class:`~repro.sim.report.SimReport`.  Every engine computes the *same exact
-embedding counts* (the functional layer is shared — see
-:mod:`repro.engine.functional`); engines differ only in how they organise
-the work and how they model time:
+:class:`~repro.sim.report.SimReport`.  Both engines compute the *same exact
+embedding counts*; they differ in how they organise the work and how they
+model time:
 
 ``event``
     The cycle-approximate event-driven simulator (heap of task-completion
     events, per-task memory streams, scheduler contention).  The reference
     for architectural studies.
-``batched``
-    Level-synchronous frontier expansion with vectorised NumPy kernels and
-    aggregate analytic cycle charging.  Orders of magnitude faster in wall
-    clock; use it when only counts (or a coarse cycle estimate for a
-    design-space sweep) are needed.
 ``codegen``
-    The same frontier algebra, but emitted as plan-specialised NumPy
-    source and ``exec``-compiled (fused filters, pre-bound symmetry
-    breaks, unrolled level loop).  Counts and cycle aggregates identical
-    to ``batched``; lowest dispatch overhead of the three.
+    The one counting engine: level-synchronous frontier expansion through
+    plan-specialised NumPy source, emitted and ``exec``-compiled once per
+    plan (fused filters, pre-bound symmetry breaks, unrolled level loop),
+    with aggregate analytic cycle charging.  Orders of magnitude faster in
+    wall clock; use it when only counts (or a coarse cycle estimate for a
+    design-space sweep) are needed.
 
-Backends self-register through :func:`register_engine`; the built-ins are
-registered lazily by dotted path so importing this module stays cheap and
-free of circular imports.  A future backend (multiprocess sharding, GPU
-kernels, ...) is one ``@register_engine`` away.
+Engines are named in one static table and imported on first use, so
+importing this module stays cheap and free of circular imports.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
 
@@ -48,14 +42,13 @@ __all__ = [
     "available_engines",
     "engine_descriptions",
     "get_engine",
-    "register_engine",
 ]
 
 
 class Engine(ABC):
     """One way of executing a matching plan against a data graph."""
 
-    #: registry key and the value of ``SystemConfig.engine`` that selects it
+    #: table key and the value of ``SystemConfig.engine`` that selects it
     name: str = "engine"
 
     #: one-line human description shown by ``python -m repro engines``;
@@ -80,59 +73,42 @@ class Engine(ABC):
         """
 
 
-#: instantiated / registered engine classes by name
-_REGISTRY: dict[str, type[Engine]] = {}
+#: every engine by name, "module:Class", imported on first use
+_ENGINES: dict[str, str] = {
+    "event": "repro.engine.event:EventEngine",
+    "codegen": "repro.engine.codegen:CodegenEngine",
+}
+
+#: retired names :func:`get_engine` still resolves (never a config value);
+#: the benchmark's ``engine.batched_mcu`` rows are the last caller
+_ALIASES: dict[str, str] = {"batched": "codegen"}
 
 #: engine instances by name — engines are stateless, one instance suffices
 _INSTANCES: dict[str, Engine] = {}
 
-#: built-in backends resolved on first use ("module:attribute")
-_LAZY: dict[str, str] = {
-    "event": "repro.engine.event:EventEngine",
-    "batched": "repro.engine.batched:BatchedEngine",
-    "codegen": "repro.engine.codegen:CodegenEngine",
-}
-
-
-def register_engine(cls: type[Engine]) -> type[Engine]:
-    """Class decorator adding an :class:`Engine` subclass to the registry."""
-    name = getattr(cls, "name", None)
-    if not name or name == Engine.name:
-        raise ConfigError(
-            f"engine class {cls.__name__} must define a unique 'name'"
-        )
-    _REGISTRY[name] = cls
-    _INSTANCES.pop(name, None)
-    _LAZY.pop(name, None)
-    return cls
-
 
 def available_engines() -> tuple[str, ...]:
     """Names accepted by ``SystemConfig.engine`` / ``--engine``."""
-    return tuple(sorted(set(_REGISTRY) | set(_LAZY)))
+    return tuple(sorted(_ENGINES))
 
 
 def _engine_class(name: str) -> type[Engine]:
-    """Resolve (importing lazily if needed) the class behind ``name``."""
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        target = _LAZY.get(name)
-        if target is None:
-            raise ConfigError(
-                f"unknown execution engine {name!r}; "
-                f"available: {', '.join(available_engines())}"
-            )
-        module, _, attr = target.partition(":")
-        cls = getattr(import_module(module), attr)
-        _REGISTRY[name] = cls
-    return cls
+    """Import the class behind ``name``."""
+    target = _ENGINES.get(name)
+    if target is None:
+        raise ConfigError(
+            f"unknown execution engine {name!r}; "
+            f"available: {', '.join(available_engines())}"
+        )
+    module, _, attr = target.partition(":")
+    return getattr(import_module(module), attr)
 
 
 def engine_descriptions() -> dict[str, str]:
-    """``{name: one-line description}`` for every registered backend.
+    """``{name: one-line description}`` for every engine.
 
-    Resolves lazy backends (imports their modules), so keep this off the
-    library's hot import path — it exists for CLI/introspection surfaces.
+    Imports every engine's module, so keep this off the library's hot
+    import path — it exists for CLI/introspection surfaces.
     """
     out: dict[str, str] = {}
     for name in available_engines():
@@ -143,10 +119,9 @@ def engine_descriptions() -> dict[str, str]:
 
 
 def get_engine(name: str) -> Engine:
-    """The engine registered under ``name`` (one cached instance per name)."""
+    """The engine named ``name`` (one cached instance per engine)."""
+    name = _ALIASES.get(name, name)
     engine = _INSTANCES.get(name)
-    if engine is not None:
-        return engine
-    engine = _engine_class(name)()
-    _INSTANCES[name] = engine
+    if engine is None:
+        engine = _INSTANCES[name] = _engine_class(name)()
     return engine

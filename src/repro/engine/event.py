@@ -5,7 +5,7 @@ host (result collection, over-deep pattern splitting), RoCC instruction
 protocol, and the heap-driven multi-PE accelerator simulation with shared
 memory contention.  Reports are byte-for-byte identical to the
 pre-engine-layer code path; the engine class is a thin adapter that gives
-that path a registry name.
+that path an engine name.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs import context as _obs
-from .base import Engine, register_engine
+from .base import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import SystemConfig
@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EventEngine"]
 
 
-@register_engine
 class EventEngine(Engine):
     """Event-driven cycle-approximate execution (host + RoCC + PEs)."""
 

@@ -16,14 +16,13 @@ forms, each with one step function and one driver:
 * **traced** — :func:`trace_chunk` is the step (a chunk of the ``event``
   engine's start tasks, level by level with the per-task semantics, into
   a :class:`ChunkTrace`), ``sim.hwexec.HardwareTaskExecutor`` the driver;
-* **bulk** — :meth:`FrontierExpander.expand` is the step (a whole frontier
-  level through the kernels of :mod:`repro.setops.bulk`),
-  :func:`sweep_frontier` the chunked level-by-level driver behind the
-  ``batched`` engine and the incremental counter.
-  The ``codegen`` backend drives the same sweep with plan-specialised
-  compiled source (:mod:`repro.patterns.codegen`) as its step, using
-  :class:`FrontierExpander` for the adjacency oracle, bound-to-span search
-  and row-word geometry.
+* **bulk** — the plan's compiled kernel (:mod:`repro.patterns.codegen`),
+  called by :meth:`FrontierExpander.run_chunk`, is the step (every level
+  of a chunk of roots through the kernels of :mod:`repro.setops.bulk`),
+  :func:`sweep_frontier` the chunked driver behind the ``codegen`` engine
+  and the incremental counter.  :class:`FrontierExpander` holds the
+  graph-side state the kernel closes over: the adjacency oracle, the
+  bound-to-span search and the row-word geometry.
 
 Nothing here touches the memory hierarchy, the SIU models or the clock, so
 these kernels are trivially reusable by future backends (multiprocess
@@ -39,19 +38,17 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..graph.csr import CSRGraph, gather_spans
+from ..patterns.codegen import compile_plan_kernel
 from ..patterns.executor import apply_filters
 from ..patterns.plan import LevelSpec, MatchingPlan
 from ..sched.task import SimTask
 from ..setops.bulk import (
-    bit_leaf_sizes,
     bulk_adjacency,
     bulk_adjacency_bits,
     edge_keys,
-    gather_rows,
     packed_adjacency,
     row_bounds,
     row_spans,
-    unbounded_excludes,
 )
 from ..setops.reference import difference_sorted, intersect_sorted
 
@@ -495,7 +492,7 @@ def trace_chunk(
     return builder.finish()
 
 
-# -- whole-frontier expansion (batched backend) ------------------------------
+# -- whole-frontier expansion (codegen backend) ------------------------------
 
 
 @dataclass
@@ -522,7 +519,8 @@ class FrontierLevel:
 
 
 class FrontierExpander:
-    """Reusable bulk expansion state for one ``(graph, plan)`` pair."""
+    """Bulk expansion state for one ``(graph, plan)`` pair: the plan's
+    compiled kernel and the graph-side state it closes over."""
 
     def __init__(
         self, graph: CSRGraph, plan: MatchingPlan, bitmap_width: int = 0
@@ -541,11 +539,9 @@ class FrontierExpander:
         #: ``N(src[i])`` inside its bounds (:func:`row_spans`); public, like
         #: :meth:`adjacent`, because compiled plan kernels call it
         self.spans = partial(row_spans, graph, self._keys)
-
-    @property
-    def row_words(self) -> np.ndarray:
-        """BitmapCSR words per neighbour row (indexable by vertex)."""
-        return self._row_words
+        self._kernel = compile_plan_kernel(
+            plan, use_labels=graph.labels is not None
+        ).fn
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Boolean mask: does the edge ``(u[i], v[i])`` exist?
@@ -561,107 +557,14 @@ class FrontierExpander:
         """Level-0 frontier: one single-column row per (label-valid) root."""
         return plan_roots(self.graph, self.plan, vertices).reshape(-1, 1)
 
-    def expand(self, level: int, emb: np.ndarray) -> FrontierLevel:
-        """Expand every row of ``emb`` through plan level ``level`` at once.
-
-        Prefix-reuse annotations (``base``/``reuse_from``) are cache
-        optimisations for the one-task-at-a-time engines; the bulk
-        formulation computes each level directly from its full
-        ``deps``/``anti_deps`` (algebraically identical), so every level is
-        a rank-bounded gather plus a sequence of bulk masks — or, the last
-        level where its sets are dense, ANDs and popcounts over bit rows.
-        """
-        graph = self.graph
-        lv: LevelSpec = self.plan.levels[level]
-        n_rows = int(emb.shape[0])
-        out = FrontierLevel(
-            level=level, tasks=n_rows, embeddings=emb[:0], count=0
+    def run_chunk(self, emb: np.ndarray) -> list[FrontierLevel]:
+        """Every plan level of the level-0 frontier ``emb`` in one call of
+        the plan's compiled kernel, which returns as soon as a frontier
+        empties: one record per level reached, each carrying its surviving
+        ``embeddings`` (none on the leaf level)."""
+        return self._kernel(
+            self.graph, self.spans, self.adjacent, self._row_words, emb
         )
-        if n_rows == 0:
-            return out
-        rw = self._row_words
-        src = emb[:, lv.deps[0]]
-        out.words_in += int(rw[src].sum())
-        probes = [(p, False) for p in lv.deps[1:]]
-        probes += [(p, True) for p in lv.anti_deps]
-        is_leaf = level == self.plan.stop_level
-        labels = graph.labels if lv.label is not None else None
-        # a terminal level only needs set sizes: where its sets are denser
-        # than the bit rows, AND + popcount them instead of gathering
-        leaf = is_leaf and bit_leaf_sizes(
-            graph, emb, lv.deps[0], lv.upper_bounds, lv.lower_bounds,
-            lv.exclude, probes, None if labels is None else lv.label, False,
-        )
-        if leaf:
-            sizes, priors = leaf
-            out.bit_rows = n_rows
-            out.words_out = int(sizes.sum())
-        else:
-            # symmetry bounds select a span of the sorted row *before* the
-            # gather, so the neighbours they discard are never materialised
-            bounds = row_bounds(emb, lv.upper_bounds, lv.lower_bounds)
-            cand, owner = gather_rows(graph, src, *self.spans(src, *bounds))
-            # remaining cheap per-candidate filters — distinctness, labels —
-            # shrink the frontier before the dominant adjacency probes;
-            # every filter is an independent per-element predicate, so the
-            # surviving set is order-invariant
-            predicates = [
-                cand != emb[:, p][owner] for p in unbounded_excludes(
-                    lv.exclude, lv.upper_bounds, lv.lower_bounds
-                )
-            ]
-            if labels is not None:
-                predicates.append(labels[cand] == lv.label)
-            if predicates:
-                keep = predicates[0]
-                for extra in predicates[1:]:
-                    keep &= extra
-                # compress by index: far cheaper than two boolean-mask scans
-                keep = np.flatnonzero(keep)
-                cand = cand[keep]
-                owner = owner[keep]
-            # bulk intersections / differences against the other matched rows
-            priors = []
-            for p, invert in probes:
-                priors.append(int(cand.size))
-                keep = self.adjacent(emb[:, p][owner], cand)
-                if invert:
-                    np.logical_not(keep, out=keep)
-                keep = np.flatnonzero(keep)
-                cand = cand[keep]
-                owner = owner[keep]
-            out.words_out = int(cand.size)
-            if not is_leaf:
-                out.embeddings = np.column_stack([emb[owner], cand])
-            elif self.plan.collection == "choose2":
-                sizes = np.bincount(owner, minlength=n_rows)
-            else:
-                sizes = np.array([cand.size])
-        for (p, _), prior in zip(probes, priors):
-            # one B-stream read per task (row), as the event engine does
-            other_words = int(rw[emb[:, p]].sum())
-            out.words_in += other_words
-            out.set_ops += n_rows
-            out.comparisons += prior + other_words
-        if is_leaf:
-            out.count = int(leaf_count(sizes, self.plan.collection).sum())
-        return out
-
-
-def _expand_levels(
-    expander: FrontierExpander, ob, emb: np.ndarray
-) -> Iterator[FrontierLevel]:
-    """One chunk through the interpreted level loop, until it empties."""
-    for level in range(1, expander.plan.stop_level + 1):
-        if ob is None:
-            step = expander.expand(level, emb)
-        else:
-            with ob.tracer.span(f"engine.level{level}", level=level):
-                step = expander.expand(level, emb)
-        yield step
-        emb = step.embeddings
-        if emb.shape[0] == 0:
-            return
 
 
 def sweep_frontier(
@@ -669,25 +572,21 @@ def sweep_frontier(
     roots: np.ndarray,
     root_chunk: int,
     ob=None,
-    steps=None,
 ) -> list[FrontierLevel]:
-    """Expand the level-0 frontier ``roots`` a chunk of rows at a time;
-    returns one aggregate record per plan level (no ``embeddings``).
+    """Expand the level-0 frontier ``roots`` a chunk of rows at a time
+    through :meth:`FrontierExpander.run_chunk`; returns one aggregate
+    record per plan level (no ``embeddings``).
 
     Chunking bounds peak frontier memory on graphs whose intermediate
-    frontiers would otherwise explode.  ``steps(emb)`` yields one chunk's
-    level records in order: by default the interpreted loop over
-    :meth:`FrontierExpander.expand` (one span per level under the active
-    observation ``ob``); the ``codegen`` engine passes its compiled kernel.
+    frontiers would otherwise explode.  Under an active observation ``ob``
+    each chunk's level records are added to its per-level profile.
     """
-    if steps is None:
-        steps = partial(_expand_levels, expander, ob)
     merged = [
         FrontierLevel(level=lv, tasks=0, embeddings=roots[:0])
         for lv in range(1, expander.plan.stop_level + 1)
     ]
     for start in range(0, roots.shape[0], root_chunk):
-        for step in steps(roots[start : start + root_chunk]):
+        for step in expander.run_chunk(roots[start : start + root_chunk]):
             agg = merged[step.level - 1]
             agg.tasks += step.tasks
             agg.count += step.count

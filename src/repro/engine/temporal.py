@@ -17,7 +17,7 @@ Two cost annotators live here, one per execution style:
     memory occupancy) + pipeline depth`` — and stores its raw set.
 
 :func:`annotate_frontier_report`
-    The aggregate analytic model the ``batched`` engine uses.  It converts
+    The aggregate analytic model the ``codegen`` engine uses.  It converts
     per-level word/op totals into cycle estimates assuming perfectly
     load-balanced SIUs and bandwidth-limited DRAM streaming — good enough
     to rank design points in a sweep, and orders of magnitude cheaper than

@@ -11,12 +11,12 @@ the PE).
 
 Plan-compiled software kernels
 ------------------------------
-The same compilation idea applied to the software engines: where the
-``batched`` backend interprets a generic level loop against the plan's
-``LevelSpec`` tuples, :func:`emit_plan_source` emits *real NumPy source*
-specialised to one plan — the loop nest is unrolled per level, symmetry
-bounds become the span of a rank-bounded gather (a single bound position
-is one column, not a ``min``-reduce over a one-element axis),
+The same compilation idea applied to the software counting engine: rather
+than interpret a generic level loop against the plan's ``LevelSpec``
+tuples, :func:`emit_plan_source` emits *real NumPy source* specialised to
+one plan — the loop nest is unrolled per level, symmetry bounds become
+the span of a rank-bounded gather (a single bound position is one
+column, not a ``min``-reduce over a one-element axis),
 bound/exclude positions and labels are baked in as constants, the
 adjacency probes appear as straight-line statements, and a level that
 only extends its parent's stored set by one probe and one bound draws its
@@ -27,13 +27,13 @@ where bit rows are cheaper.  :func:`compile_plan_kernel` ``exec``-compiles
 that source and caches the result per :func:`kernel_cache_key` — plan
 structure plus the graph's labelledness; none of the ``SystemConfig``
 timing knobs reach the functional source, so every config shares one
-kernel per plan.  The generated algebra computes the same sets as
-``FrontierExpander.expand`` and charges every set operation the same
-input size — a reused probe's from its span, a bit row's from its
-popcount — so counts *and* the analytic cycle aggregates are
-byte-identical to the ``batched`` engine
-(the ``codegen`` backend in :mod:`repro.engine.codegen` is built on this
-guarantee, and the golden-aggregate test holds both to it).
+kernel per plan.  The kernel is the one bulk step of
+:mod:`repro.engine.functional` (``FrontierExpander.run_chunk``), behind
+the ``codegen`` backend in :mod:`repro.engine.codegen` and the incremental
+counter.  Every set operation is charged its input size — a reused
+probe's from its span, a bit row's from its popcount — and
+``tests/data/frontier_golden.json`` pins counts *and* the analytic cycle
+aggregates to the digit.
 
 Encoding layout (LSB first):
 
@@ -398,15 +398,13 @@ def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
     (both from :class:`~repro.engine.functional.FrontierExpander`), *rw*
     the per-vertex row-word counts and *emb* the level-0 frontier (one root
     per row).  It returns the per-level
-    :class:`~repro.engine.functional.FrontierLevel` records, identical in
-    counts and aggregates to interpreting the plan with
-    ``FrontierExpander.expand`` — but with the level loop unrolled, every
-    bound/exclude/label constant inlined, no per-level attribute dispatch,
-    and parent-set reuse wherever :func:`_reuses_parent` proves it exact.
+    :class:`~repro.engine.functional.FrontierLevel` records of the levels
+    it reached — the level loop unrolled, every bound/exclude/label
+    constant inlined, no per-level attribute dispatch, and parent-set reuse
+    wherever :func:`_reuses_parent` proves it exact.
 
     ``use_labels`` bakes the plan's label predicates in; pass False when
-    the target graph is unlabelled (the interpreter skips them too, so the
-    specialisation must match).
+    the target graph is unlabelled (it has no labels to test).
     """
     lines = [
         f'"""Plan-compiled kernel: pattern {plan.pattern.name}, '

@@ -20,7 +20,7 @@ Quickstart::
 
     with QueryService(mode="process") as svc:
         gid = svc.register_graph(graph)
-        handles = [svc.submit(gid, p, engine="batched") for p in patterns]
+        handles = [svc.submit(gid, p, engine="codegen") for p in patterns]
         reports = [h.result() for h in handles]
         print(svc.stats().summary())
 """

@@ -304,14 +304,14 @@ class DispatchState:
         A pure function of the job id, so a replayed workload
         cross-checks exactly the same jobs regardless of scheduling.  The
         check runs on the event engine, the most independent
-        implementation; event jobs are checked on batched.
+        implementation; event jobs are checked on codegen.
         """
         if self.verify_fraction <= 0.0:
             return None
         rng = random.Random(hash((0, job.handle.job_id)))
         if rng.random() >= self.verify_fraction:
             return None
-        return "event" if job.config.engine != "event" else "batched"
+        return "event" if job.config.engine != "event" else "codegen"
 
     def _begin(self, job: Job, where: str) -> None:
         """Start the job's next attempt ``where``: its faults (drawn here

@@ -22,7 +22,7 @@ Resilience hooks (both default-off and free when unused):
   HANG before the primary run, CORRUPT on its count after it;
   whatever actually fired ships home in ``report.notes["injected"]``.
 * ``verify_engine`` — the sampled cross-check: the job is re-run on the
-  event engine (batched for an event job), untouched by the faults, and
+  event engine (codegen for an event job), untouched by the faults, and
   the exact embedding counts compared.  On a mismatch
   (silent corruption somewhere in the primary datapath) the *verified*
   report is returned instead, with both counts recorded in

@@ -2,7 +2,7 @@
 
 The per-task kernels in :mod:`repro.setops.reference` intersect one pair of
 sorted sets; these kernels process *thousands of tasks in one NumPy call*,
-which is what makes the ``batched`` execution engine fast.  The key
+which is what makes the ``codegen`` execution engine fast.  The key
 representation is the packed edge-key array: an undirected CSR graph whose
 rows are sorted yields ``u * n + v`` keys that are globally sorted, so any
 batch of adjacency queries becomes one ``searchsorted`` — a bulk
@@ -52,8 +52,8 @@ BIT_CHUNK_WORDS = 1 << 15
 # graphs (NumPy 2.4, one core, median of 5-7 alternating runs).  Per row of
 # levels of 3 k+ rows, bit rows took 78 ns + 1.2 ns per word pass and the
 # plain gather 88 ns + 17 ns per element operation: the per-row terms cancel;
-# bits won up to 13 word passes per element operation (WV@1.0 3CF and batched
-# 4CF, which the ratio 10 leaves on arrays) and lost from 13.7 (er3000/20
+# bits won up to 13 word passes per element operation (WV@1.0 3CF, and 4CF's
+# leaf by a plain gather, which the ratio 10 leaves on arrays) and lost from 13.7 (er3000/20
 # CYC).  Not so on the reuse leaf; its arrays / bits leaf time on 4CF: WV@0.12
 # 1.8, WV@0.18 1.2-1.9, WV@0.25 1.9, WV@0.35 1.5, LJ@0.25 1.2, AS@0.1 0.9-1.1,
 # er1500/20 0.9, MI@0.25 0.6, AS@0.25 0.5, LJ@1.0 0.7-0.9: ARRAY_ROW_NS > 49

@@ -124,11 +124,10 @@ def run_on_soc(
 
     ``config.engine`` selects the backend: the default ``event`` engine is
     the full SoC flow (host + RoCC + event-driven accelerator simulation);
-    ``batched`` runs the vectorised frontier engine with analytic timing
-    and ``codegen`` its plan-compiled form.  ``roots`` optionally
-    restricts matching to the given root vertices (every engine supports
-    it; the cluster layer's per-shard subqueries are built on exactly
-    this).
+    ``codegen`` runs the plan-compiled frontier engine with analytic
+    timing.  ``roots`` optionally restricts matching to the given root
+    vertices (both engines support it; the cluster layer's per-shard
+    subqueries are built on exactly this).
     """
     engine = get_engine(config.engine)
     if roots is None:

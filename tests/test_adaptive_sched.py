@@ -43,12 +43,12 @@ def features(graph):
 class TestCostPredictor:
     def test_an_unrun_shape_is_priced_inf(self, features):
         # behind every measured job in the queue, and never light
-        assert CostPredictor().predict(features, "batched") == math.inf
+        assert CostPredictor().predict(features, "codegen") == math.inf
 
     def test_observation_promotes_to_profile_tier(self, features):
         pred = CostPredictor()
-        pred.observe(features, "batched", 0.25)
-        assert pred.predict(features, "batched") == pytest.approx(0.25)
+        pred.observe(features, "codegen", 0.25)
+        assert pred.predict(features, "codegen") == pytest.approx(0.25)
 
     @given(
         runs=st.lists(
@@ -70,9 +70,9 @@ class TestCostPredictor:
         def priced(order):
             pred = CostPredictor()
             for name, seconds in order:
-                pred.observe(shape(name), "batched", seconds)
+                pred.observe(shape(name), "codegen", seconds)
             return {
-                name: pred.predict(shape(name), "batched") for name, _ in runs
+                name: pred.predict(shape(name), "codegen") for name, _ in runs
             }
 
         shuffled = data.draw(st.permutations(runs))
@@ -82,7 +82,7 @@ class TestCostPredictor:
 
     def test_other_shapes_stay_unpriced(self, graph, features):
         pred = CostPredictor()
-        pred.observe(features, "batched", 0.1)
+        pred.observe(features, "codegen", 0.1)
         others = (
             # another pattern, a root range of the same one, another
             # snapshot of the graph
@@ -93,7 +93,7 @@ class TestCostPredictor:
             query_features(graph, "fp-other", features.pattern_key),
         )
         for other in others:
-            assert pred.predict(other, "batched") == math.inf
+            assert pred.predict(other, "codegen") == math.inf
         # ...and the same shape on another engine
         assert pred.predict(features, "event") == math.inf
 
@@ -107,8 +107,8 @@ class TestCostPredictor:
 
     def test_snapshot_shape(self, features):
         pred = CostPredictor()
-        pred.observe(features, "batched", 0.1)
-        pred.observe(features, "batched", 0.2)
+        pred.observe(features, "codegen", 0.1)
+        pred.observe(features, "codegen", 0.2)
         pred.record_accuracy(0.1, 0.1)
         snap = pred.snapshot()
         assert snap["observations"] == 2
@@ -126,7 +126,7 @@ class TestCostPredictor:
 def _job(seq, predicted=0.0, enqueued_at=0.0):
     handle = JobHandle(
         job_id=seq, graph_id="g", pattern_name=f"p{seq}",
-        engine="batched", cancel_cb=lambda h: False,
+        engine="codegen", cancel_cb=lambda h: False,
     )
     return Job(
         handle=handle, graph_id="g", fingerprint="fp", plan=None,
@@ -208,7 +208,7 @@ class TestServiceAdaptive:
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(graph)
             for name in ("3CF", "WEDGE", "3CF"):
-                svc.count(gid, PATTERNS[name], engine="batched",
+                svc.count(gid, PATTERNS[name], engine="codegen",
                           use_cache=False)
             snap = svc.stats().predictor
             summary = svc.stats().summary()
@@ -221,7 +221,7 @@ class TestServiceAdaptive:
     def test_queue_wait_histogram_in_stats(self, graph):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(graph)
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
             stats = svc.stats()
             metrics = svc.metrics.render_prometheus()
         assert stats.queue_wait["count"] == 1
@@ -234,8 +234,8 @@ class TestServiceAdaptive:
         # launched job still waited, for zero seconds
         with QueryService(mode="inline", clock=lambda: 0.0) as svc:
             gid = svc.register_graph(graph)
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
-            svc.count(gid, PATTERNS["WEDGE"], engine="batched")
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
+            svc.count(gid, PATTERNS["WEDGE"], engine="codegen")
             wait = svc.stats().queue_wait
         assert wait["count"] == 2
         assert wait["p99"] == 0.0

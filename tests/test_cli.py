@@ -79,7 +79,8 @@ class TestEnginesCommand:
     def test_lists_all_backends(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        assert "event" in out and "batched" in out
+        assert "event" in out and "codegen" in out
+        assert "batched" not in out  # a retired name, not an engine
         assert "*" in out  # the default engine is marked
 
     def test_descriptions_present(self, capsys):
@@ -128,7 +129,7 @@ class TestStatsCommand:
     def test_prometheus_dump(self, capsys):
         rc = main(
             ["stats", "--dataset", "PP", "--pattern", "WEDGE",
-             "--scale", "0.05", "--engine", "batched", "--prometheus"]
+             "--scale", "0.05", "--engine", "codegen", "--prometheus"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -155,7 +156,7 @@ class TestTraceCommand:
 
         rc = main(
             ["trace", "--dataset", "PP", "--pattern", "WEDGE",
-             "--scale", "0.05", "--engine", "batched"]
+             "--scale", "0.05", "--engine", "codegen"]
         )
         assert rc == 0
         data = json.loads(capsys.readouterr().out)

@@ -227,20 +227,20 @@ class TestMerge:
 
 
 def _reference(graph, pattern, induced=None):
-    cfg = xset_default(engine="batched")
+    cfg = xset_default(engine="codegen")
     return run_on_soc(graph, build_plan(pattern, induced=induced),
                       cfg).embeddings
 
 
 class TestEquivalence:
-    """Sharded counts == single-node batched counts, exactly."""
+    """Sharded counts == single-node codegen counts, exactly."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
     @pytest.mark.parametrize("pattern", ["3CF", "4CF", "DIA", "TT"])
     def test_er_graph(self, shards, pattern):
         g = erdos_renyi(120, 9.0, seed=6, name="er120")
         expected = _reference(g, PATTERNS[pattern])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=shards, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(g)
             assert cluster.coordinator.count(
@@ -251,7 +251,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("make", [star_graph, near_clique])
     def test_boundary_heavy_topologies(self, shards, make):
         g = make()
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         for pattern in ("3CF", "WEDGE", "DIA"):
             expected = _reference(g, PATTERNS[pattern])
             with LocalCluster(num_shards=shards, config=cfg) as cluster:
@@ -267,7 +267,7 @@ class TestEquivalence:
         )
         pattern = PATTERNS["3CF"].with_labels([0, 1, 2])
         expected = _reference(g, pattern)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=shards, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(g)
             assert cluster.coordinator.count(gid, pattern) == expected
@@ -311,7 +311,7 @@ class TestEquivalence:
 
     def test_merged_report_accounting(self):
         g = erdos_renyi(100, 8.0, seed=3)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=4, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(g)
             report = cluster.coordinator.query(gid, PATTERNS["3CF"])
@@ -350,7 +350,7 @@ class TestCoordinator:
                 cluster.coordinator.query(gid, PATTERNS["3CF"])
 
     def test_halo_too_shallow_rejected(self, small_er):
-        cfg = xset_default(engine="batched", cluster_halo_hops=1)
+        cfg = xset_default(engine="codegen", cluster_halo_hops=1)
         with LocalCluster(num_shards=2, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(small_er)
             # 3CF needs stop_level 2 > halo 1
@@ -372,7 +372,7 @@ class TestCoordinator:
             Coordinator([("shard0", [])], "inproc")
 
     def test_cluster_shards_config_drives_local_cluster(self):
-        cfg = xset_default(engine="batched", cluster_shards=3)
+        cfg = xset_default(engine="codegen", cluster_shards=3)
         with LocalCluster(config=cfg) as cluster:
             assert len(cluster.workers) == 3
 
@@ -383,7 +383,7 @@ class TestCoordinator:
 class TestChaos:
     def test_killed_shard_degrades_not_fails(self):
         g = erdos_renyi(100, 8.0, seed=5)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         expected = _reference(g, PATTERNS["3CF"])
         with LocalCluster(num_shards=4, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(g)
@@ -411,7 +411,7 @@ class TestChaos:
             assert name.upper() in health.summary().upper()
 
     def test_breaker_opens_after_failures(self, small_er):
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=2, config=cfg) as cluster:
             gid = cluster.coordinator.register_graph(small_er)
             cluster.kill_shard(0)
@@ -439,7 +439,7 @@ class TestChaos:
 class TestShmHygiene:
     def test_cluster_shutdown_unlinks_segments(self):
         g = erdos_renyi(80, 7.0, seed=2, name="shm-clean")
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         before = shm_segments()
         cluster = LocalCluster(
             num_shards=2, config=cfg, mode="process", max_workers=1
@@ -454,7 +454,7 @@ class TestShmHygiene:
 
     def test_killed_shard_segments_still_reclaimed(self):
         g = erdos_renyi(80, 7.0, seed=2, name="shm-chaos")
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         before = shm_segments()
         cluster = LocalCluster(
             num_shards=2, config=cfg, mode="process", max_workers=1

@@ -388,7 +388,7 @@ class TestReopenAndRevive:
     def test_worker_revive_answers_pings_again(self, name):
         transport = get_transport(name)
         worker = ShardWorker(
-            "w0", transport, xset_default(engine="batched")
+            "w0", transport, xset_default(engine="codegen")
         )
         try:
             conn = transport.connect(worker.address)
@@ -410,7 +410,7 @@ class TestReopenAndRevive:
     def test_closed_worker_cannot_revive(self):
         transport = get_transport("inproc")
         worker = ShardWorker(
-            "w1", transport, xset_default(engine="batched")
+            "w1", transport, xset_default(engine="codegen")
         )
         worker.close()
         with pytest.raises(ClusterError, match="shut down"):

@@ -180,7 +180,7 @@ class TestCacheKey:
     def test_any_knob_changes_key(self):
         base = xset_default()
         for override in (
-            {"engine": "batched"},
+            {"engine": "codegen"},
             {"num_pes": 8},
             {"scheduler_params": {"window": 4}},
             {"shared_mb": 2.0},

@@ -416,6 +416,10 @@ KEPT = {
     "(tests/test_sched_policies.py, tests/test_sched_property.py)",
     "TaskSetState.complete_one": "task-set accounting probe "
     "(tests/test_sched_policies.py)",
+    # named by string in the engine table (repro.engine.base._ENGINES),
+    # imported on first use
+    "EventEngine": "the event engine's class",
+    "CodegenEngine": "the codegen engine's class",
     # seams the tests drive
     "Pattern.with_labels": "builds the labelled patterns of "
     "tests/test_labeled_matching.py and the service and cluster tests",

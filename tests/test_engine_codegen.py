@@ -1,20 +1,20 @@
 """The ``codegen`` engine: compiled-kernel execution end to end.
 
 Source-level specialisation is covered in ``test_patterns_codegen.py``;
-this file pins down the *engine* contract — equivalence with the other
-backends on labelled/enumerate/chunked workloads, report parity with
-``batched``, service dispatch, crash retry and the cross-check.
+this file pins down the *engine* contract — equivalence with the
+reference executor (and, on a sub-range of roots, the event engine) on
+enumerate/chunked workloads, service
+dispatch, crash retry and the cross-check.  Report aggregates are pinned
+to the digit by ``tests/test_frontier_golden.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import SystemConfig, XSetAccelerator, xset_default
 from repro.engine import get_engine
 from repro.engine.codegen import CodegenEngine
-from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
 from repro.patterns.executor import count_embeddings
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
@@ -26,23 +26,7 @@ def run_codegen(graph, plan, **cfg):
     return get_engine("codegen").run(graph, plan, config)
 
 
-@pytest.fixture
-def labeled_graph():
-    g = erdos_renyi(140, 9.0, seed=21, name="cg-labeled")
-    g.labels = np.arange(g.num_vertices, dtype=np.int64) % 4
-    return g
-
-
 class TestEquivalenceExtras:
-    def test_labeled_graph_matches_batched(self, labeled_graph):
-        cfg_b = xset_default(engine="batched")
-        for name in sorted(PATTERNS):
-            plan = build_plan(PATTERNS[name])
-            ba = get_engine("batched").run(labeled_graph, plan, cfg_b)
-            cg = run_codegen(labeled_graph, plan)
-            assert cg.embeddings == ba.embeddings, name
-            assert cg.cycles == ba.cycles, name
-
     def test_enumerate_collection(self, medium_er):
         plan = build_plan(PATTERNS["DIA"], collection="enumerate")
         want = count_embeddings(medium_er, plan).embeddings
@@ -53,8 +37,8 @@ class TestEquivalenceExtras:
         roots = np.arange(0, medium_er.num_vertices, 2)
         cfg = xset_default(engine="codegen")
         got = get_engine("codegen").run(medium_er, plan, cfg, roots=roots)
-        want = get_engine("batched").run(
-            medium_er, plan, xset_default(engine="batched"), roots=roots
+        want = get_engine("event").run(
+            medium_er, plan, xset_default(), roots=roots
         )
         assert got.embeddings == want.embeddings
 
@@ -75,16 +59,6 @@ class TestEquivalenceExtras:
 
 
 class TestReportParity:
-    def test_full_report_fields_match_batched(self, medium_er):
-        plan = build_plan(PATTERNS["HOUSE"])
-        ba = get_engine("batched").run(
-            medium_er, plan, xset_default(engine="batched")
-        )
-        cg = run_codegen(medium_er, plan)
-        for field in ("embeddings", "cycles", "tasks", "set_ops",
-                      "comparisons", "words_in", "words_out", "dram_bytes"):
-            assert getattr(cg, field) == getattr(ba, field), field
-
     def test_wall_seconds_populated(self, medium_er):
         plan = build_plan(PATTERNS["3CF"])
         assert run_codegen(medium_er, plan).wall_seconds >= 0

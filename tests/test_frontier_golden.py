@@ -1,17 +1,19 @@
 """Golden frontier aggregates: the statistics may not drift with the kernels.
 
-``batched`` and ``codegen`` share their candidate-generation helper, so
-parity between them no longer proves the analytic statistics stayed put.
-``tests/data/frontier_golden.json`` holds the report aggregates recorded
-with the gather-then-filter kernels (commit 30c50d8, before rank-bounded
-gathers and parent-set reuse); both engines must still reproduce them to
-the digit, for every pattern, on whole graphs, on a strict sub-range of
-roots and under a tiny root chunk.  The ``sparse`` rows were added (same
-recorder, commit 4e92897) when terminal levels became word-parallel on
-dense graphs: they are the leaves that stay element-wise.
+``tests/data/frontier_golden.json`` is the reference for the report
+aggregates of the ``codegen`` engine.  It was recorded with the
+gather-then-filter kernels (commit 30c50d8, before rank-bounded gathers
+and parent-set reuse) by an interpreted level loop that has since been
+deleted; the compiled kernels must still reproduce it to the digit, for
+every pattern, on whole graphs, on a strict sub-range of roots and under
+a tiny root chunk.  The ``sparse`` rows were added (same recorder, commit
+4e92897) when terminal levels became word-parallel on dense graphs: they
+are the leaves that stay element-wise.
 
-Re-record (only when the *model* changes on purpose) with
-``PYTHONPATH=src python tests/test_frontier_golden.py``.
+The file is not re-recorded when the kernels change: a kernel that moves
+an aggregate is wrong, however fast.  Only a deliberate change to the
+*model* re-records it, with ``PYTHONPATH=src python
+tests/test_frontier_golden.py`` (which records with ``codegen``).
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ def _sub_range(graph) -> np.ndarray:
     return np.arange(n // 4, (3 * n) // 4)
 
 
-def _aggregates(engine, engine_name, graph, pattern, roots=None) -> list:
+def _aggregates(engine, graph, pattern, roots=None) -> list:
     report = engine.run(
-        graph, build_plan(pattern), xset_default(engine=engine_name),
+        graph, build_plan(pattern), xset_default(engine="codegen"),
         roots=roots,
     )
     return [getattr(report, f) for f in FIELDS]
@@ -89,23 +91,20 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("engine_name", ["batched", "codegen"])
-def test_aggregates_match_golden(golden, engine_name):
-    engine = get_engine(engine_name)
+def test_aggregates_match_golden(golden):
+    engine = get_engine("codegen")
     for gname, graph, pname, pattern in _cases():
         want = golden[f"{gname}/{pname}"]
-        got = _aggregates(engine, engine_name, graph, pattern)
-        assert got == want["all"], (engine_name, gname, pname)
-        got = _aggregates(
-            engine, engine_name, graph, pattern, roots=_sub_range(graph)
-        )
-        assert got == want["sub"], (engine_name, gname, pname, "sub-range")
+        got = _aggregates(engine, graph, pattern)
+        assert got == want["all"], (gname, pname)
+        got = _aggregates(engine, graph, pattern, roots=_sub_range(graph))
+        assert got == want["sub"], (gname, pname, "sub-range")
 
 
 def test_small_root_chunk_matches_golden(golden):
     engine = CodegenEngine(root_chunk=13)
     for gname, graph, pname, pattern in _cases():
-        got = _aggregates(engine, "codegen", graph, pattern)
+        got = _aggregates(engine, graph, pattern)
         assert got == golden[f"{gname}/{pname}"]["all"], (gname, pname)
 
 
@@ -117,19 +116,19 @@ def test_golden_covers_reuse_and_fallback_levels(golden):
         assert golden[key]["sub"][0] < golden[key]["all"][0], key
 
 
-def _leaf_rows(engine, engine_name, graph, pattern, roots=None):
+def _leaf_rows(engine, graph, pattern, roots=None):
     """(rows answered word-parallel, rows in all) at the terminal level."""
     plan = build_plan(pattern)
     with observe() as ob:
-        engine.run(graph, plan, xset_default(engine=engine_name), roots=roots)
+        engine.run(graph, plan, xset_default(engine="codegen"), roots=roots)
     leaf = ob.levels.get(plan.stop_level, {})
     return int(leaf.get("bit_rows", 0)), int(leaf.get("tasks", 0))
 
 
 def test_golden_runs_both_leaf_representations():
     # the density rule picks per level call; the golden set only pins the
-    # statistics of a representation it actually makes run.  Per engine
-    # and per kind of terminal level, some case must have gone word-
+    # statistics of a representation it actually makes run.  Per root
+    # chunk and per kind of terminal level, some case must have gone word-
     # parallel ("bits") and some must have stayed element-wise ("arrays").
     graphs = _graphs()
     kinds = {
@@ -139,19 +138,17 @@ def test_golden_runs_both_leaf_representations():
         "anti-probe": [(g, p) for g in graphs for p in ("TT", "WEDGE")],
     }
     engines = {
-        "batched": get_engine("batched"),
         "codegen": get_engine("codegen"),
         "codegen/chunk13": CodegenEngine(root_chunk=13),
     }
     for label, engine in engines.items():
-        name = label.split("/")[0]
         for kind, cases in kinds.items():
             for sub in (False, True):
                 ran = set()
                 for gname, pname in cases:
                     graph = graphs[gname]
                     bits, rows = _leaf_rows(
-                        engine, name, graph, {**PATTERNS, **LABELLED}[pname],
+                        engine, graph, {**PATTERNS, **LABELLED}[pname],
                         _sub_range(graph) if sub else None,
                     )
                     ran |= {"bits"} if bits else set()
@@ -161,12 +158,12 @@ def test_golden_runs_both_leaf_representations():
 
 
 if __name__ == "__main__":  # pragma: no cover - recorder
-    eng = get_engine("batched")
+    eng = get_engine("codegen")
     GOLDEN.parent.mkdir(exist_ok=True)
     rows = {
         f"{g}/{p}": {
-            "all": _aggregates(eng, "batched", graph, pat),
-            "sub": _aggregates(eng, "batched", graph, pat, _sub_range(graph)),
+            "all": _aggregates(eng, graph, pat),
+            "sub": _aggregates(eng, graph, pat, _sub_range(graph)),
         }
         for g, graph, p, pat in _cases()
     }

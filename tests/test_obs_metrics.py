@@ -156,12 +156,12 @@ class TestMetricsRegistry:
     def test_labels_separate_series(self):
         reg = MetricsRegistry()
         a = reg.counter("jobs", engine="event")
-        b = reg.counter("jobs", engine="batched")
+        b = reg.counter("jobs", engine="codegen")
         assert a is not b
         a.inc(3)
         snap = reg.snapshot()
         assert snap['jobs{engine="event"}'] == 3.0
-        assert snap['jobs{engine="batched"}'] == 0.0
+        assert snap['jobs{engine="codegen"}'] == 0.0
 
     def test_label_order_does_not_matter(self):
         reg = MetricsRegistry()

@@ -27,7 +27,7 @@ from repro.sim.host import run_on_soc
 from repro.sim.report import SimReport
 
 
-def _reference(graph, pattern, engine="batched"):
+def _reference(graph, pattern, engine="codegen"):
     cfg = xset_default(engine=engine)
     return run_on_soc(graph, build_plan(pattern), cfg).embeddings
 
@@ -80,14 +80,14 @@ class TestReplicationConfig:
 
     def test_config_drives_local_cluster(self):
         cfg = xset_default(
-            engine="batched", cluster_shards=2, cluster_replicas=2
+            engine="codegen", cluster_shards=2, cluster_replicas=2
         )
         with LocalCluster(config=cfg) as cluster:
             assert len(cluster.workers) == 4
             assert len(cluster.worker_groups) == 2
 
     def test_replica_naming(self):
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=2, config=cfg, replicas=2) as c:
             names = [w.name for w in c.workers]
             assert names == [
@@ -148,7 +148,7 @@ class TestFailover:
         )
         pattern = PATTERNS["3CF"].with_labels([0, 1, 2])
         expected = _reference(g, pattern)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         mode = "inline" if transport == "inproc" else "thread"
         with LocalCluster(
             num_shards=2, config=cfg, transport=transport, mode=mode,
@@ -164,7 +164,7 @@ class TestFailover:
     def test_any_replica_position_is_survivable(self, victim):
         g = erdos_renyi(70, 6.0, seed=9)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=3, config=cfg, replicas=2,
         ) as cluster:
@@ -178,7 +178,7 @@ class TestFailover:
 
     def test_failover_observability(self):
         g = erdos_renyi(60, 6.0, seed=4)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=2, config=cfg, replicas=2,
         ) as cluster:
@@ -198,7 +198,7 @@ class TestFailover:
 
     def test_both_replicas_dead_degrades_not_lies(self):
         g = erdos_renyi(60, 6.0, seed=4)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=2, config=cfg, replicas=2,
         ) as cluster:
@@ -216,7 +216,7 @@ class TestFailover:
     def test_single_replica_unchanged_semantics(self):
         """replicas=1: a killed shard degrades, exactly as before."""
         g = erdos_renyi(60, 6.0, seed=4)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=2, config=cfg,
         ) as cluster:
@@ -234,7 +234,7 @@ class TestFailover:
         first-contact shape, and for a warmed one straggling past 1 s
         (every subquery has the whole ``request_timeout``)."""
         g = erdos_renyi(50, 6.0, seed=5)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         # tcp: its request timeouts are real (inproc calls the handler
         # synchronously), so taking slowness for failure would show here
         with LocalCluster(
@@ -274,7 +274,7 @@ class TestFailover:
         nothing is handed off — no failover counted, noted or recorded."""
         g = erdos_renyi(60, 6.0, seed=4)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=2, config=cfg) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -299,7 +299,7 @@ class TestFailover:
 
     def test_failed_replica_ranks_behind_its_sibling(self):
         g = erdos_renyi(50, 6.0, seed=6)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=1, config=cfg, replicas=2) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -327,7 +327,7 @@ class TestFailover:
         monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(60, 6.0, seed=17)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=2, config=cfg, replicas=2) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
@@ -355,7 +355,7 @@ class TestCommFaultFailover:
     def test_dropped_request_fails_over(self):
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
         ) as cluster:
@@ -376,7 +376,7 @@ class TestCommFaultFailover:
         work — the retried subquery must still count exactly once."""
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
         ) as cluster:
@@ -394,7 +394,7 @@ class TestCommFaultFailover:
     def test_delayed_frame_still_exact(self):
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
         ) as cluster:
@@ -412,7 +412,7 @@ class TestCommFaultFailover:
     def test_corrupt_frame_fails_over_on_tcp(self):
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(
             num_shards=1, config=cfg, transport="tcp", mode="thread",
             max_workers=1, replicas=2,
@@ -442,7 +442,7 @@ class TestIncidentDedupe:
         request, not after a 30 s recovery window."""
         monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(50, 6.0, seed=7)
-        cfg = xset_default(engine="batched")
+        cfg = xset_default(engine="codegen")
         with LocalCluster(num_shards=2, config=cfg) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)

@@ -117,7 +117,7 @@ class TestFaultPlan:
         """Faults fire only in ``run_job`` and on the wire: a spec naming
         any other site, or a kind its site never applies, is refused at
         construction instead of sitting silent in an armed plan."""
-        for site in ("engine.batched", "engine.event", "memory.stream"):
+        for site in ("engine.codegen", "engine.event", "memory.stream"):
             with pytest.raises(FaultInjectionError, match="site"):
                 FaultSpec(site=site, kind=FaultKind.CORRUPT)
         for kind in (FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT):
@@ -179,7 +179,7 @@ class TestCircuitBreaker:
         clock = FakeClock()
         kwargs.setdefault("failure_threshold", 3)
         kwargs.setdefault("recovery_seconds", 30.0)
-        return CircuitBreaker("batched", clock=clock, **kwargs), clock
+        return CircuitBreaker("codegen", clock=clock, **kwargs), clock
 
     def test_trips_after_consecutive_failures(self):
         breaker, _ = self.make()
@@ -264,7 +264,7 @@ class TestDegradation:
 # ---------------------------------------------------------------------------
 
 
-def fail_engine(svc, gid, monkeypatch, engine="batched"):
+def fail_engine(svc, gid, monkeypatch, engine="codegen"):
     """Give ``engine`` ``ENGINE_FAILURE_LIMIT`` failures: one job whose
     every attempt crashes, until it fails with its retries spent."""
     limit = core_module.ENGINE_FAILURE_LIMIT
@@ -288,17 +288,17 @@ class TestEngineFailures:
         health = svc.health()
         assert health.state is HealthState.DEGRADED
         assert (
-            f"engine[batched]: {core_module.ENGINE_FAILURE_LIMIT} "
+            f"engine[codegen]: {core_module.ENGINE_FAILURE_LIMIT} "
             "consecutive failures"
         ) in health.summary()
         assert svc.stats().health == "degraded"
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen",
                             use_cache=False)
-        expected = XSetAccelerator(engine="batched").count(
+        expected = XSetAccelerator(engine="codegen").count(
             graph, PATTERNS["3CF"]
         ).embeddings
         assert handle.result(timeout=60).embeddings == expected
-        assert handle.engine == "batched"  # the engine it named
+        assert handle.engine == "codegen"  # the engine it named
 
     def test_a_clean_run_clears_the_record(self, graph, monkeypatch):
         """A failing engine's warm light job runs in the pool, not on the
@@ -314,7 +314,7 @@ class TestEngineFailures:
                 graph, graph.fingerprint(),
                 pattern_cache_key(PATTERNS["3CF"], None),
             )
-            svc.predictor.observe(features, "batched", 2e-4)
+            svc.predictor.observe(features, "codegen", 2e-4)
             # keep the shape light whatever the pool run measures
             monkeypatch.setattr(svc.predictor, "observe", lambda *a: None)
             fail_engine(svc, gid, monkeypatch)
@@ -330,14 +330,14 @@ class TestEngineFailures:
 
             health = svc.health()
             assert health.queue_depth == health.in_flight == 0  # idle
-            pooled = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+            pooled = svc.submit(gid, PATTERNS["3CF"], engine="codegen",
                                 use_cache=False)
             pooled.result(timeout=60)
             assert where(pooled) == "pool"  # refused on an idle service
             health = svc.health()
             assert health.state is HealthState.HEALTHY
             assert health.engine_failures == {}
-            here = svc.submit(gid, PATTERNS["3CF"], engine="batched",
+            here = svc.submit(gid, PATTERNS["3CF"], engine="codegen",
                               use_cache=False)
             assert here.status is JobStatus.DONE  # ran on this thread
             assert where(here) == "service"
@@ -358,14 +358,14 @@ class TestEngineFailures:
             with QueryService(mode="thread", max_workers=8) as svc:
                 gid = svc.register_graph(graph, graph_id="g")
                 handles = [
-                    svc.submit(gid, PATTERNS["3CF"], engine="batched",
+                    svc.submit(gid, PATTERNS["3CF"], engine="codegen",
                                use_cache=False)
                     for _ in range(64)
                 ]
                 for handle in handles:
                     with pytest.raises(WorkerCrashError):
                         handle.result(timeout=60)
-                assert svc.health().engine_failures == {"batched": 64}
+                assert svc.health().engine_failures == {"codegen": 64}
         finally:
             sys.setswitchinterval(interval)
 
@@ -376,9 +376,9 @@ class TestCrossCheck:
         svc.arm_faults(FaultPlan(seed=1, specs=(
             FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, bit=5),
         )))
-        report = svc.count(gid, PATTERNS["3CF"], engine="batched",
+        report = svc.count(gid, PATTERNS["3CF"], engine="codegen",
                            use_cache=False)
-        expected = XSetAccelerator(engine="batched").count(
+        expected = XSetAccelerator(engine="codegen").count(
             graph, PATTERNS["3CF"]
         ).embeddings
         assert report.embeddings == expected  # the verified count won
@@ -388,20 +388,20 @@ class TestCrossCheck:
         assert stats.crosscheck_mismatches == 1
         assert stats.faults_injected == 1
         # a wrong result is one failure of the primary engine
-        assert svc.health().engine_failures == {"batched": 1}
+        assert svc.health().engine_failures == {"codegen": 1}
 
     def test_corrupted_reports_never_poison_the_cache(self, graph):
         svc, gid = make_service(graph)  # verify off: corruption lands
         svc.arm_faults(FaultPlan(seed=1, specs=(
             FaultSpec(site="worker.run", kind=FaultKind.CORRUPT, bit=5),
         )))
-        expected = XSetAccelerator(engine="batched").count(
+        expected = XSetAccelerator(engine="codegen").count(
             graph, PATTERNS["3CF"]
         ).embeddings
-        bad = svc.count(gid, PATTERNS["3CF"], engine="batched")
+        bad = svc.count(gid, PATTERNS["3CF"], engine="codegen")
         assert bad.embeddings == expected ^ (1 << 5)  # visibly corrupt
         svc.arm_faults(None)
-        good = svc.count(gid, PATTERNS["3CF"], engine="batched")
+        good = svc.count(gid, PATTERNS["3CF"], engine="codegen")
         assert good.embeddings == expected
         assert good.notes == {}
 
@@ -413,7 +413,7 @@ class TestCrossCheck:
             picks = []
             for _ in range(12):
                 report = svc.count(gid, PATTERNS["3CF"],
-                                   engine="batched", use_cache=False)
+                                   engine="codegen", use_cache=False)
                 picks.append("crosscheck" in report.notes)
             checked.append(picks)
         assert checked[0] == checked[1]
@@ -446,13 +446,13 @@ class TestStuckDispatcherDetection:
 
     def test_clean_shutdown_is_not_stuck(self, graph):
         svc, gid = make_service(graph, mode="thread")
-        svc.count(gid, PATTERNS["3CF"], engine="batched")
+        svc.count(gid, PATTERNS["3CF"], engine="codegen")
         svc.shutdown()
         assert svc.stats().dispatcher_stuck is False
 
 
 class TestUnarmedIsByteIdentical:
-    @pytest.mark.parametrize("engine", ["batched", "event"])
+    @pytest.mark.parametrize("engine", ["codegen", "event"])
     def test_default_resilience_matches_disabled(self, graph, engine):
         # the default service (failure records, no cross-check) against
         # the layer out of the picture: a direct run of the same engine
@@ -494,7 +494,7 @@ def chaos_plan(seed: int) -> FaultPlan:
         # slow compute that still finishes correctly
         FaultSpec(site="worker.run", kind=FaultKind.HANG,
                   rate=0.3, seconds=0.02),
-        # silent bit-flips in the batched count (caught by cross-check)
+        # silent bit-flips in the codegen count (caught by cross-check)
         FaultSpec(site="worker.run", kind=FaultKind.CORRUPT,
                   rate=0.5, bit=4),
     ))
@@ -503,7 +503,7 @@ def chaos_plan(seed: int) -> FaultPlan:
 @pytest.mark.parametrize("mode", ["inline", "thread", "process"])
 def test_chaos_every_query_correct_no_waiter_hangs(graph, mode):
     expected = {
-        name: XSetAccelerator(engine="batched").count(
+        name: XSetAccelerator(engine="codegen").count(
             graph, PATTERNS[name]
         ).embeddings
         for name in CHAOS_PATTERNS
@@ -517,7 +517,7 @@ def test_chaos_every_query_correct_no_waiter_hangs(graph, mode):
         gid = svc.register_graph(graph, graph_id="g")
         svc.arm_faults(chaos_plan(seed=2024))
         handles = [
-            (name, svc.submit(gid, PATTERNS[name], engine="batched",
+            (name, svc.submit(gid, PATTERNS[name], engine="codegen",
                               use_cache=False))
             for _ in range(3)
             for name in CHAOS_PATTERNS
@@ -547,7 +547,7 @@ def test_chaos_replay_is_deterministic(graph):
         svc, gid = make_service(graph, verify_fraction=1.0)
         svc.arm_faults(chaos_plan(seed=7))
         for name in CHAOS_PATTERNS:
-            svc.count(gid, PATTERNS[name], engine="batched",
+            svc.count(gid, PATTERNS[name], engine="codegen",
                       use_cache=False)
         runs.append({
             name: value

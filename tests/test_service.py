@@ -35,7 +35,7 @@ def service_graphs():
 @pytest.fixture(scope="module")
 def direct_counts(service_graphs):
     """Ground truth from the plain, single-process accelerator path."""
-    accel = XSetAccelerator(engine="batched")
+    accel = XSetAccelerator(engine="codegen")
     return {
         (g.name, name): accel.count(g, pattern).embeddings
         for g in service_graphs
@@ -49,7 +49,7 @@ class TestEquivalence:
             for graph in service_graphs:
                 gid = svc.register_graph(graph)
                 for name, pattern in PATTERNS.items():
-                    report = svc.count(gid, pattern, engine="batched")
+                    report = svc.count(gid, pattern, engine="codegen")
                     assert report.embeddings == \
                         direct_counts[(graph.name, name)], (graph.name, name)
 
@@ -61,7 +61,7 @@ class TestEquivalence:
                 gid = svc.register_graph(graph)
                 handles += [
                     (graph.name, name,
-                     svc.submit(gid, pattern, engine="batched"))
+                     svc.submit(gid, pattern, engine="codegen"))
                     for name, pattern in PATTERNS.items()
                 ]
             for graph_name, name, handle in handles:
@@ -75,7 +75,7 @@ class TestEquivalence:
         with QueryService(mode="thread", max_workers=2) as svc:
             gid = svc.register_graph(graph)
             reports = svc.count_many(
-                gid, list(PATTERNS.values()), engine="batched"
+                gid, list(PATTERNS.values()), engine="codegen"
             )
         for name, report in reports.items():
             assert report.embeddings == direct_counts[(graph.name, name)]
@@ -94,9 +94,9 @@ class TestResultCache:
     def test_repeat_query_hits_cache(self, service_graphs):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            first = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+            first = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
             r1 = first.result()
-            second = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+            second = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
             r2 = second.result()
             assert not first.from_cache and second.from_cache
             assert r2 is r1  # the very same report object is returned
@@ -111,8 +111,8 @@ class TestResultCache:
             pattern_cache_key(PATTERNS["3CF"], None)
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
-            handle = svc.submit(gid, other, engine="batched")
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
+            handle = svc.submit(gid, other, engine="codegen")
             assert handle.result() and handle.from_cache
 
     def test_induced_default_resolves_before_keying(self, service_graphs):
@@ -132,21 +132,21 @@ class TestResultCache:
             pattern_cache_key(wedge, None)
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            default = svc.submit(gid, wedge, engine="batched")
+            default = svc.submit(gid, wedge, engine="codegen")
             r_default = default.result()
             noninduced = svc.submit(
-                gid, wedge, engine="batched", induced=False
+                gid, wedge, engine="codegen", induced=False
             )
             assert not noninduced.from_cache  # distinct plan, distinct entry
             assert noninduced.result().embeddings != r_default.embeddings
-            explicit = svc.submit(gid, wedge, engine="batched", induced=True)
+            explicit = svc.submit(gid, wedge, engine="codegen", induced=True)
             assert explicit.from_cache
             assert explicit.result().embeddings == r_default.embeddings
 
     def test_engine_and_config_separate_entries(self, service_graphs):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            a = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+            a = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
             a.result()
             b = svc.submit(gid, PATTERNS["3CF"], engine="event")
             b.result()
@@ -155,9 +155,9 @@ class TestResultCache:
     def test_use_cache_false_bypasses(self, service_graphs):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
             handle = svc.submit(
-                gid, PATTERNS["3CF"], engine="batched", use_cache=False
+                gid, PATTERNS["3CF"], engine="codegen", use_cache=False
             )
             handle.result()
             assert not handle.from_cache
@@ -166,7 +166,7 @@ class TestResultCache:
         with QueryService(mode="inline", cache_capacity=2) as svc:
             gid = svc.register_graph(service_graphs[0])
             for name in ("3CF", "WEDGE", "P3"):
-                svc.count(gid, PATTERNS[name], engine="batched")
+                svc.count(gid, PATTERNS[name], engine="codegen")
             stats = svc.stats()
             assert stats.cache_size == 2
             assert stats.cache_evictions == 1
@@ -222,12 +222,12 @@ class TestDispatchOrder:
             # priced inf, and unpriced jobs would queue in submit order
             svc.resume()
             for name in names:
-                svc.count(gid, PATTERNS[name], engine="batched",
+                svc.count(gid, PATTERNS[name], engine="codegen",
                           use_cache=False)
             svc.pause()
             executor.dispatched.clear()
             handles = [
-                svc.submit(gid, PATTERNS[name], engine="batched",
+                svc.submit(gid, PATTERNS[name], engine="codegen",
                            use_cache=False)
                 for name in names
             ]
@@ -247,16 +247,16 @@ class TestStatsAndLifecycle:
     def test_stats_fields(self, service_graphs):
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(service_graphs[0])
-            svc.count(gid, PATTERNS["3CF"], engine="batched")
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
             stats = svc.stats()
         assert stats.mode == "inline"
         assert stats.graphs == 1
         assert stats.submitted == 1 and stats.completed == 1
         assert stats.failed == 0 and stats.in_flight == 0
-        assert "batched" in stats.latency
-        assert stats.latency["batched"]["count"] == 1
+        assert "codegen" in stats.latency
+        assert stats.latency["codegen"]["count"] == 1
         for pct in ("p50", "p90", "p99"):
-            assert stats.latency["batched"][pct] >= 0
+            assert stats.latency["codegen"][pct] >= 0
         text = stats.summary()
         assert "cache" in text and "hit rate" in text
 
@@ -276,7 +276,7 @@ class TestCountManyAPI:
     def test_parallel_count_many_matches_sequential(self, service_graphs,
                                                     direct_counts):
         graph = service_graphs[1]
-        accel = XSetAccelerator(engine="batched")
+        accel = XSetAccelerator(engine="codegen")
         patterns = [PATTERNS[n] for n in ("3CF", "WEDGE", "TT", "DIA")]
         reports = accel.count_many(
             graph, patterns, parallel=True, mode="thread", max_workers=2

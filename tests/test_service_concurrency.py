@@ -121,9 +121,9 @@ def bare(job_id, predicted, **fields) -> Job:
     """A job record of no service, priced at ``predicted`` seconds by the
     cost record (``math.inf``: its shape has not run)."""
     return Job(
-        handle=JobHandle(job_id, "g", "3CF", "batched", lambda h: False),
+        handle=JobHandle(job_id, "g", "3CF", "codegen", lambda h: False),
         graph_id="g", fingerprint="fp", plan=None,
-        config=SimpleNamespace(engine="batched"), cache_key=None,
+        config=SimpleNamespace(engine="codegen"), cache_key=None,
         seq=job_id, predicted_seconds=predicted, **fields,
     )
 
@@ -137,10 +137,10 @@ class TestWorkerCrashRetry:
         svc, gid = make_service(
             graph, executor=executor, clock=clock, sleep=sleep
         )
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         report = handle.result(timeout=60)
         assert report.embeddings == \
-            XSetAccelerator(engine="batched").count(
+            XSetAccelerator(engine="codegen").count(
                 graph, PATTERNS["3CF"]).embeddings
         assert handle.attempts == 3
         assert svc.stats().retries == 2
@@ -167,7 +167,7 @@ class TestWorkerCrashRetry:
         svc, gid = make_service(
             graph, executor=LateFailure(), clock=clock, sleep=sleep
         )
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         assert not handle.done()
         failer = threading.Thread(
             target=pending.set_exception,
@@ -177,7 +177,7 @@ class TestWorkerCrashRetry:
         failer.join(timeout=60)
         report = handle.result(timeout=5)
         assert report.embeddings == \
-            XSetAccelerator(engine="batched").count(
+            XSetAccelerator(engine="codegen").count(
                 graph, PATTERNS["3CF"]).embeddings
         assert handle.attempts == 2
         assert svc.stats().retries == 1
@@ -187,7 +187,7 @@ class TestWorkerCrashRetry:
         sleep = RecordingSleep()
         executor = FlakyExecutor(failures=100)
         svc, gid = make_service(graph, executor=executor, sleep=sleep)
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         assert handle.status is JobStatus.FAILED
         with pytest.raises(WorkerCrashError, match="retries exhausted"):
             handle.result()
@@ -204,10 +204,10 @@ class TestWorkerCrashRetry:
         svc, gid = make_service(
             graph, mode="thread", executor=executor, sleep=sleep
         )
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         report = handle.result(timeout=60)
         assert report.embeddings == \
-            XSetAccelerator(engine="batched").count(
+            XSetAccelerator(engine="codegen").count(
                 graph, PATTERNS["3CF"]).embeddings
         assert handle.attempts == 3
         assert svc.stats().retries == 2
@@ -378,13 +378,13 @@ class TestCancellation:
         svc, gid = make_service(
             graph, start_paused=True, executor=CancellingExecutor()
         )
-        popped = svc.submit(gid, PATTERNS["3CF"], engine="batched")
-        queued = svc.submit(gid, PATTERNS["WEDGE"], engine="batched")
+        popped = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
+        queued = svc.submit(gid, PATTERNS["WEDGE"], engine="codegen")
         assert queued.cancel() is True
         assert queued.cancel() is False
         svc.resume()
         assert popped.result(timeout=60).embeddings == \
-            XSetAccelerator(engine="batched").count(
+            XSetAccelerator(engine="codegen").count(
                 graph, PATTERNS["3CF"]).embeddings
         assert refused == [False]  # one dispatch: the cancelled job's none
         assert queued.status is JobStatus.CANCELLED
@@ -402,7 +402,7 @@ class TestCancellation:
                 return future
 
         svc, gid = make_service(graph, executor=CancellingExecutor())
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         assert handle.status is JobStatus.CANCELLED
         with pytest.raises(JobCancelledError):
             handle.result(timeout=5)
@@ -411,7 +411,7 @@ class TestCancellation:
 
     def test_cancel_finished_job_is_noop(self, graph):
         svc, gid = make_service(graph)
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         handle.result()
         assert handle.cancel() is False
         svc.shutdown()
@@ -430,8 +430,8 @@ class TestCacheInvalidation:
         """A write drops the cached entries of every other pattern on the
         old snapshot, and patches the session's own."""
         svc, gid = make_service(graph)
-        svc.count(gid, PATTERNS["DIA"], engine="batched")  # cached
-        before = svc.count(gid, PATTERNS["3CF"], engine="batched")
+        svc.count(gid, PATTERNS["DIA"], engine="codegen")  # cached
+        before = svc.count(gid, PATTERNS["3CF"], engine="codegen")
         session = svc.dynamic_session(gid, PATTERNS["3CF"])
         u, v = next(
             (u, v)
@@ -441,22 +441,22 @@ class TestCacheInvalidation:
         )
         delta = session.insert_edge(u, v)
         assert svc.stats().cache_invalidations >= 2
-        handle = svc.submit(gid, PATTERNS["DIA"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["DIA"], engine="codegen")
         after = handle.result()
         assert not handle.from_cache
         # cross-check against a fresh count on the updated snapshot
-        fresh = XSetAccelerator(engine="batched").count(
+        fresh = XSetAccelerator(engine="codegen").count(
             session.snapshot(), PATTERNS["DIA"]
         )
         assert after.embeddings == fresh.embeddings
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         assert handle.result().embeddings == before.embeddings + delta
         assert handle.from_cache
         svc.shutdown()
 
     def test_dynamic_update_delta_patches(self, graph):
         svc, gid = make_service(graph)
-        before = svc.count(gid, PATTERNS["3CF"], engine="batched")
+        before = svc.count(gid, PATTERNS["3CF"], engine="codegen")
         session = svc.dynamic_session(gid, PATTERNS["3CF"])
         u, v = next(
             (u, v)
@@ -465,13 +465,13 @@ class TestCacheInvalidation:
             if not graph.has_edge(u, v)
         )
         delta = session.insert_edge(u, v)
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         patched = handle.result()
         assert handle.from_cache  # served without re-running the engine
         assert patched.embeddings == before.embeddings + delta
         # removal patches back down
         session.remove_edge(u, v)
-        handle2 = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle2 = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         assert handle2.result().embeddings == before.embeddings
         assert handle2.from_cache
         svc.shutdown()
@@ -498,20 +498,20 @@ class TestCacheInvalidation:
             # an uncached run and the delta-patched entry agree with it
             for use_cache in (False, True):
                 served = svc.submit(
-                    gid, pattern, engine="batched", use_cache=use_cache
+                    gid, pattern, engine="codegen", use_cache=use_cache
                 ).result()
                 assert served.embeddings == truth
         svc.shutdown()
 
     def test_update_graph_invalidates(self, graph, medium_er):
         svc, gid = make_service(graph)
-        svc.count(gid, PATTERNS["3CF"], engine="batched")
+        svc.count(gid, PATTERNS["3CF"], engine="codegen")
         dropped = svc.update_graph(gid, medium_er)
         assert dropped == 1
-        handle = svc.submit(gid, PATTERNS["3CF"], engine="batched")
+        handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         report = handle.result()
         assert not handle.from_cache
-        assert report.embeddings == XSetAccelerator(engine="batched").count(
+        assert report.embeddings == XSetAccelerator(engine="codegen").count(
             medium_er, PATTERNS["3CF"]
         ).embeddings
         svc.shutdown()
@@ -530,7 +530,7 @@ class TestDispatcherWakeup:
         injected = threading.Event()
 
         submitter = threading.Thread(target=lambda: late.append(svc.submit(
-            gid, PATTERNS["DIA"], engine="batched"
+            gid, PATTERNS["DIA"], engine="codegen"
         )))
 
         def next_(now):
@@ -543,7 +543,7 @@ class TestDispatcherWakeup:
             return act
 
         svc._core.next = next_
-        svc.submit(gid, PATTERNS["3CF"], engine="batched").result(timeout=60)
+        svc.submit(gid, PATTERNS["3CF"], engine="codegen").result(timeout=60)
         assert injected.wait(timeout=60)  # the next look is the empty one
         submitter.join(timeout=60)
         late[0].result(timeout=10)
@@ -570,13 +570,13 @@ class TestPerSubmitConstants:
         # submits naming an engine other than the service's share one
         # overridden config, hence one config key
         svc, gid = make_service(graph, start_paused=True)
-        assert svc.config.engine != "batched"
+        assert svc.config.engine != "codegen"
         for pattern in (PATTERNS["DIA"], PATTERNS["3CF"]):
-            svc.submit(gid, pattern, engine="batched")
+            svc.submit(gid, pattern, engine="codegen")
         entries = sorted(svc._core.queue._entries, key=lambda entry: entry[1])
         first, second = (job for _, _, job in entries)
         assert first.config is second.config
-        assert first.config.engine == "batched"
+        assert first.config.engine == "codegen"
         assert first.cache_key.config_key is second.cache_key.config_key
         svc.shutdown()
 
@@ -626,7 +626,7 @@ def light(core, job) -> bool:
     """The light rule, said plainly (``DispatchState`` is the code)."""
     return (
         job.predicted_seconds < core_module.LIGHT_SECONDS
-        and core.failures.get("batched", 0) < core_module.ENGINE_FAILURE_LIMIT
+        and core.failures.get("codegen", 0) < core_module.ENGINE_FAILURE_LIMIT
         and not job.faults and not job.verify_engine
     )
 
@@ -932,7 +932,7 @@ class TestQueueAgainstReference:
                     sorted(j.seq for j in ref.jobs)
                 ref.jobs, ref.closed = [], True
             assert core.queue.depth() == len(ref.jobs)
-            assert core.failures.get("batched", 0) == crashes
+            assert core.failures.get("codegen", 0) == crashes
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +972,7 @@ class TestCancelRace:
                 graph, graph.fingerprint(),
                 pattern_cache_key(PATTERNS[name], None),
             )
-            svc.predictor.observe(features, "batched", seconds)
+            svc.predictor.observe(features, "codegen", seconds)
         # the cost model stays where it was put: a run slowed by the
         # switching must not turn a light shape heavy mid-test
         monkeypatch.setattr(svc.predictor, "observe", lambda *args: None)
@@ -1014,7 +1014,7 @@ class TestCancelRace:
             for i in range(30):
                 name = "TT" if i % 5 == 0 else light_shapes[rng.integers(3)]
                 mine.append((name, svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched",
+                    gid, PATTERNS[name], use_cache=False, engine="codegen",
                 )))
                 if rng.random() < 0.5:
                     target = mine[rng.integers(len(mine))][1]

@@ -18,7 +18,7 @@ from repro.service.core import (
 )
 
 
-def job(job_id, engine="batched", **fields) -> Job:
+def job(job_id, engine="codegen", **fields) -> Job:
     return Job(
         handle=JobHandle(job_id, "g", "3CF", engine, lambda h: False),
         graph_id="g", fingerprint="fp", plan=None,
@@ -78,7 +78,7 @@ class TestVerdicts:
         assert isinstance(verdict.error, WorkerCrashError)
         assert "retries exhausted" in str(verdict.error)
         assert "boom" in str(verdict.error)
-        assert core.failures == {"batched": core_module.MAX_RETRIES + 1}
+        assert core.failures == {"codegen": core_module.MAX_RETRIES + 1}
 
     def test_a_retry_the_queue_refuses_fails_the_job(self):
         core = DispatchState(1)
@@ -118,7 +118,7 @@ class TestClosed:
         assert core.done(j, Outcome.CRASH, 0) == Settle(JobStatus.CANCELLED)
         assert core.queue.depth() == 0 and core.in_flight == 0
         # its engine's record still counts the crash
-        assert core.failures == {"batched": 1}
+        assert core.failures == {"codegen": 1}
 
 
 class TestWakeTime:

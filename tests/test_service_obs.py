@@ -88,7 +88,7 @@ class TestEndToEnd:
         assert plain.profile is None
         assert traced.profile is not None
         # the frontier engines' level hooks are as inert as the simulator's
-        accel = XSetAccelerator(engine="batched")
+        accel = XSetAccelerator(engine="codegen")
         plain = accel.count(graph, PATTERNS["4CF"])
         with observe() as ob:
             traced = accel.count(graph, PATTERNS["4CF"])
@@ -97,24 +97,24 @@ class TestEndToEnd:
             traced.embeddings, traced.cycles, traced.tasks
         )
 
-    def test_batched_engine_levels_match_event_engine(self, graph):
+    def test_codegen_engine_levels_match_event_engine(self, graph):
         def levels_for(engine):
             with QueryService(mode="inline", observability=True) as svc:
                 gid = svc.register_graph(graph)
                 svc.count(gid, PATTERNS["3CF"], engine=engine)
                 return svc.profiles()[0].level_tasks
 
-        assert levels_for("batched") == levels_for("event")
+        assert levels_for("codegen") == levels_for("event")
 
     def test_thread_mode_traces_too(self, graph, tmp_path):
         with QueryService(
             mode="thread", max_workers=2, observability=True
         ) as svc:
             gid = svc.register_graph(graph)
-            svc.count(gid, PATTERNS["WEDGE"], engine="batched")
+            svc.count(gid, PATTERNS["WEDGE"], engine="codegen")
             events = svc.export_trace()
         names = {e["name"] for e in _span_events(events)}
-        assert {"service.job", "worker.run_job", "engine.batched"} <= names
+        assert {"service.job", "worker.run_job", "engine.codegen"} <= names
 
 
 class TestServiceMetrics:
@@ -166,10 +166,10 @@ class TestLatencyRecorder:
     def test_engines_are_independent(self):
         rec = LatencyRecorder()
         rec.record("event", 1.0)
-        rec.record("batched", 2.0)
+        rec.record("codegen", 2.0)
         summary = rec.summary()
         assert summary["event"]["p50"] == 1.0
-        assert summary["batched"]["p50"] == 2.0
+        assert summary["codegen"]["p50"] == 2.0
 
     def test_feeds_registry_histogram(self):
         rec = LatencyRecorder()
@@ -186,7 +186,7 @@ class TestLatencyRecorder:
 
         threads = [
             threading.Thread(target=pump, args=(e,))
-            for e in ("event", "batched") for _ in range(3)
+            for e in ("event", "codegen") for _ in range(3)
         ]
         for t in threads:
             t.start()
@@ -194,7 +194,7 @@ class TestLatencyRecorder:
             t.join()
         summary = rec.summary()
         assert summary["event"]["count"] == 128.0  # window-bounded
-        assert summary["batched"]["count"] == 128.0
+        assert summary["codegen"]["count"] == 128.0
 
 
 class TestSnapshotImmutability:

@@ -77,9 +77,9 @@ def profiled(job_id, ms=0.3, **fields) -> Job:
     """A job whose shape's fastest clean run took ``ms`` milliseconds
     (``math.inf``: it has not run): light under ``LIGHT_SECONDS``."""
     return Job(
-        handle=JobHandle(job_id, "g", "3CF", "batched", lambda h: False),
+        handle=JobHandle(job_id, "g", "3CF", "codegen", lambda h: False),
         graph_id="g", fingerprint="fp", plan=None,
-        config=SimpleNamespace(engine="batched"), cache_key=None,
+        config=SimpleNamespace(engine="codegen"), cache_key=None,
         seq=job_id, predicted_seconds=ms * 1e-3, **fields,
     )
 
@@ -118,13 +118,13 @@ def ids(jobs) -> list[int]:
 
 def warm(svc, graph, names, seconds=2e-4) -> None:
     """Teach the cost record that each shape has run on ``graph`` in
-    ``seconds`` on the batched engine: under ``LIGHT_SECONDS`` the shape
+    ``seconds`` on the codegen engine: under ``LIGHT_SECONDS`` the shape
     is now light."""
     for name in names:
         features = query_features(
             graph, graph.fingerprint(), pattern_cache_key(PATTERNS[name], None)
         )
-        svc.predictor.observe(features, "batched", seconds)
+        svc.predictor.observe(features, "codegen", seconds)
 
 
 @pytest.fixture(autouse=True)
@@ -276,7 +276,7 @@ class TestSeededMix:
                 handle = svc.submit(
                     gid, PATTERNS[name], use_cache=False,
                     # the event engine's shapes have not run: priced inf
-                    engine="event" if kind == "heavy" else "batched",
+                    engine="event" if kind == "heavy" else "codegen",
                 )
                 submitted.append((handle, gid, name, kind))
             # what one-by-one dispatch would do: the queue, in its order
@@ -338,7 +338,7 @@ class TestChaosSplit:
             names = [LIGHT[i % len(LIGHT)] for i in range(24)]
             handles = [
                 svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched"
+                    gid, PATTERNS[name], use_cache=False, engine="codegen"
                 )
                 for name in names
             ]
@@ -415,7 +415,7 @@ class TestSetFailures:
         try:
             handles = [
                 svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched"
+                    gid, PATTERNS[name], use_cache=False, engine="codegen"
                 )
                 for name in LIGHT
             ]
@@ -453,7 +453,7 @@ class TestSetFailures:
             warm(svc, small_er, names)
             handles = [
                 svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched"
+                    gid, PATTERNS[name], use_cache=False, engine="codegen"
                 )
                 for name in names
             ]
@@ -532,7 +532,7 @@ class TestSetAccounting:
         try:
             pooled = [
                 ("TT", svc.submit(
-                    gid, PATTERNS["TT"], use_cache=False, engine="batched",
+                    gid, PATTERNS["TT"], use_cache=False, engine="codegen",
                 ))
                 for _ in range(6)
             ]
@@ -543,7 +543,7 @@ class TestSetAccounting:
                     name = "TT" if heavy else LIGHT[(offset + i) % 3]
                     handles.append((name, svc.submit(
                         gid, PATTERNS[name], use_cache=False,
-                        engine="batched",
+                        engine="codegen",
                     )))
 
             def clients(mix):
@@ -635,6 +635,34 @@ class TestRunTimeModel:
                 ["pool", "pool", "service"]
             assert svc.stats().worker_calls == 2
 
+    def test_a_snapshot_written_back_keeps_its_price(self, small_er):
+        # writes that alternate between two snapshots (svc-light's, and
+        # cluster-4shard's unregister + register) come back to a
+        # fingerprint the record has priced: a record that forgot a
+        # retired snapshot's shapes would price the toggle-back at inf
+        # and send the light job to the pool
+        u = 0
+        v = int(small_er.neighbors(u)[0])
+        other = small_er.without_edge(u, v)
+        with QueryService(
+            mode="process", max_workers=1, executor=Canned(3e-4),
+        ) as svc:
+            gid = svc.register_graph(small_er, "g")
+            svc.count(gid, PATTERNS["3CF"], use_cache=False)
+            svc.update_graph(gid, other)
+            svc.count(gid, PATTERNS["3CF"], use_cache=False)
+            svc.update_graph(gid, small_er)
+            shape = query_features(
+                small_er, small_er.fingerprint(),
+                pattern_cache_key(PATTERNS["3CF"], None),
+            )
+            assert math.isfinite(
+                svc.predictor.predict(shape, svc.config.engine)
+            )
+            svc.count(gid, PATTERNS["3CF"], use_cache=False)
+            assert [event["where"] for event in dispatched(svc)] == \
+                ["pool", "pool", "service"]
+
     @pytest.mark.parametrize("wall_seconds", [0.25, 0.0])
     def test_the_service_trains_on_the_workers_own_time(
         self, small_er, wall_seconds
@@ -661,7 +689,7 @@ def paused_burst(svc, gid, n=12):
     handles = [
         svc.submit(
             gid, PATTERNS[LIGHT[i % len(LIGHT)]], use_cache=False,
-            engine="batched",
+            engine="codegen",
         )
         for i in range(n)
     ]
@@ -684,7 +712,7 @@ class TestSetAftermath:
             gid = svc.register_graph(small_er, "g")
             warm(svc, small_er, ["3CF"])
             handle = svc.submit(
-                gid, PATTERNS["3CF"], use_cache=False, engine="batched"
+                gid, PATTERNS["3CF"], use_cache=False, engine="codegen"
             )
             svc.resume()
             handle.result(timeout=60)
@@ -774,7 +802,7 @@ class TestSetAftermath:
 
 
 def submit_3cf(svc, gid):
-    return svc.submit(gid, PATTERNS["3CF"], use_cache=False, engine="batched")
+    return svc.submit(gid, PATTERNS["3CF"], use_cache=False, engine="codegen")
 
 
 class TestIdleRule:
@@ -896,7 +924,7 @@ class TestIdleRule:
             for i in range(30):
                 name = "TT" if i % 5 == 0 else LIGHT[(offset + i) % 3]
                 report = svc.submit(
-                    gid, PATTERNS[name], use_cache=False, engine="batched",
+                    gid, PATTERNS[name], use_cache=False, engine="codegen",
                 ).result(timeout=120)
                 if report.embeddings != want[name]:
                     wrong.append((name, report.embeddings))

@@ -135,7 +135,7 @@ class TestGraphIndexMemo:
         before = len(pickle.dumps(graph))
         fingerprint = graph.fingerprint()
         self._count(graph, "codegen", "4CF")
-        self._count(graph, "batched", "3CF", bitmap_width=64)
+        self._count(graph, "codegen", "3CF", bitmap_width=64)
         assert len(pickle.dumps(graph)) == before
         assert graph.fingerprint() == fingerprint
         memo = {f.name: f for f in dataclasses.fields(graph)}["_derived"]
@@ -157,11 +157,11 @@ class TestGraphIndexMemo:
             monkeypatch.setattr(functional, name, rebuilt)
         # same instance: other plans, the other engine, nothing is built
         assert self._count(graph, "codegen", "3CF") == want
-        assert self._count(graph, "batched", "3CF") == want
+        assert self._count(graph, "event", "3CF") == want
         self._count(graph, "codegen", "4CF")
         # a new bitmap width is a new row-word geometry, and only that
         with pytest.raises(AssertionError, match="rebuilt"):
-            self._count(graph, "batched", "3CF", bitmap_width=64)
+            self._count(graph, "codegen", "3CF", bitmap_width=64)
         # another instance of the same graph starts cold
         with pytest.raises(AssertionError, match="rebuilt"):
             self._count(erdos_renyi(80, 9.0, seed=4), "codegen", "3CF")
@@ -212,8 +212,9 @@ def graph_rows_and_level(draw):
         label=draw(st.one_of(st.none(), st.integers(0, 2))),
     )
     plan = SimpleNamespace(
-        levels=(None, level), stop_level=1,
+        levels=(None, level), stop_level=1, depth=2,
         collection=draw(st.sampled_from(["count_last", "choose2"])),
+        pattern=SimpleNamespace(name="bulk-case"),
     )
     # a few words per chunk: many chunks, each with its own word window
     chunk_words = draw(st.sampled_from([1, 2, 3, 4, bulk.BIT_CHUNK_WORDS]))
@@ -224,8 +225,9 @@ class TestBitLeaf:
     @given(graph_rows_and_level())
     @settings(max_examples=400, deadline=None)
     def test_bit_rows_equal_the_array_path(self, case):
-        # both representations called directly — the density rule is
-        # bypassed, so this holds wherever the rule may later draw the line
+        # both representations of the compiled leaf, forced in turn — the
+        # density rule is bypassed, so this holds wherever the rule may
+        # later draw the line
         graph, emb, plan, bitmap_width, chunk_words = case
         expander = functional.FrontierExpander(graph, plan, bitmap_width)
         got = {}
@@ -233,10 +235,16 @@ class TestBitLeaf:
             with mock.patch.object(
                 bulk, "bit_rows_cheaper", return_value=bits
             ), mock.patch.object(bulk, "BIT_CHUNK_WORDS", chunk_words):
-                step = expander.expand(1, emb)
-            assert step.bit_rows == (emb.shape[0] if bits else 0)
-            got[bits] = (step.count, step.set_ops, step.comparisons,
-                         step.words_in, step.words_out)
+                steps = expander.run_chunk(emb)  # none when emb is empty
+            assert sum(s.bit_rows for s in steps) == (
+                emb.shape[0] if bits else 0
+            )
+            got[bits] = tuple(
+                sum(getattr(s, field) for s in steps) for field in (
+                    "count", "set_ops", "comparisons", "words_in",
+                    "words_out",
+                )
+            )
         assert got[True] == got[False]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -287,7 +295,7 @@ class TestBitLeaf:
         b = erdos_renyi(130, 9.0, seed=2)  # another snapshot, same size
         plan = build_plan(PATTERNS["DIA"])
         for graph in (a, b):
-            get_engine("batched").run(graph, plan, xset_default())
+            get_engine("codegen").run(graph, plan, xset_default())
         bits = a._derived["adj_bits"]
         assert bits.shape == (130, 24) and bits.dtype == np.uint8  # 3 words
         words = bits.view("<u8")  # what the word-parallel leaf reads
@@ -320,9 +328,10 @@ def reuse_leaf_rule(graph):
     level = plan.stop_level
     assert level == 3 and _reuses_parent(plan.levels, level, False)
     expander = functional.FrontierExpander(graph, plan)
-    emb = expander.roots()
-    for lv in range(1, level):
-        emb = expander.expand(lv, emb).embeddings
+    # the kernel's record of the level above the leaf: its survivors
+    parent = expander.run_chunk(expander.roots())[level - 2]
+    assert parent.level == level - 1
+    emb = parent.embeddings
     lv = plan.levels[level]
     width = bulk.packed_adjacency(graph).shape[1] // 8
     return bulk.bit_rows_cheaper(
