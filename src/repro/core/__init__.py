@@ -1,7 +1,7 @@
 """Core public API: accelerator object, system configurations, experiments."""
 
 from .api import XSetAccelerator, count_motifs3
-from .incremental import IncrementalGPM, pattern_diameter
+from .incremental import IncrementalGPM
 from .config import (
     SystemConfig,
     config_table,
@@ -14,7 +14,6 @@ from .config import (
 __all__ = [
     "IncrementalGPM",
     "SystemConfig",
-    "pattern_diameter",
     "XSetAccelerator",
     "config_table",
     "count_motifs3",

@@ -27,10 +27,11 @@ where bit rows are cheaper.  :func:`compile_plan_kernel` ``exec``-compiles
 that source and caches the result per :func:`kernel_cache_key` — plan
 structure plus the graph's labelledness; none of the ``SystemConfig``
 timing knobs reach the functional source, so every config shares one
-kernel per plan.  The kernel is the one bulk step of
-:mod:`repro.engine.functional` (``FrontierExpander.run_chunk``), behind
-the ``codegen`` backend in :mod:`repro.engine.codegen` and the incremental
-counter.  Every set operation is charged its input size — a reused
+kernel per plan.  The cache is an LRU of ``KERNEL_CACHE_LIMIT`` kernels;
+an evicted plan recompiles to the same source.  The kernel is the one
+bulk step of :mod:`repro.engine.functional`
+(``FrontierExpander.run_chunk``), behind the ``codegen`` backend in
+:mod:`repro.engine.codegen` and the incremental counter.  Every set operation is charged its input size — a reused
 probe's from its span, a bit row's from its popcount — and
 ``tests/data/frontier_golden.json`` pins counts *and* the analytic cycle
 aggregates to the digit.
@@ -53,6 +54,8 @@ bits    field   meaning
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -438,9 +441,13 @@ class CompiledKernel:
     fn: Callable[..., Any]
 
 
-#: compiled kernels, keyed by :func:`kernel_cache_key`
-_KERNEL_CACHE: dict[tuple, CompiledKernel] = {}
+#: compiled kernels kept; the least recently used is dropped past it
+KERNEL_CACHE_LIMIT = 64
+
+#: compiled kernels, keyed by :func:`kernel_cache_key`, in LRU order
+_KERNEL_CACHE: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
 _KERNEL_STATS = {"hits": 0, "misses": 0}
+_KERNEL_LOCK = threading.Lock()
 
 
 def kernel_cache_key(plan: MatchingPlan, use_labels: bool = False) -> tuple:
@@ -460,11 +467,13 @@ def compile_plan_kernel(
 ) -> CompiledKernel:
     """Emit, ``exec``-compile and cache the kernel for ``plan``."""
     key = kernel_cache_key(plan, use_labels)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        _KERNEL_STATS["hits"] += 1
-        return cached
-    _KERNEL_STATS["misses"] += 1
+    with _KERNEL_LOCK:
+        cached = _KERNEL_CACHE.get(key)
+        if cached is not None:
+            _KERNEL_CACHE.move_to_end(key)
+            _KERNEL_STATS["hits"] += 1
+            return cached
+        _KERNEL_STATS["misses"] += 1
     # imported here, not at module top: engine.functional itself imports
     # repro.patterns, and kernels are only compiled on first use anyway
     import numpy as np
@@ -486,7 +495,10 @@ def compile_plan_kernel(
     )
     exec(code, namespace)  # noqa: S102 - our own emitted source
     kernel = CompiledKernel(key=key, source=source, fn=namespace["kernel"])
-    _KERNEL_CACHE[key] = kernel
+    with _KERNEL_LOCK:
+        _KERNEL_CACHE[key] = kernel
+        while len(_KERNEL_CACHE) > KERNEL_CACHE_LIMIT:
+            _KERNEL_CACHE.popitem(last=False)
     return kernel
 
 
@@ -501,6 +513,7 @@ def kernel_cache_info() -> dict:
 
 def clear_kernel_cache() -> None:
     """Drop every compiled kernel and reset the statistics."""
-    _KERNEL_CACHE.clear()
-    _KERNEL_STATS["hits"] = 0
-    _KERNEL_STATS["misses"] = 0
+    with _KERNEL_LOCK:
+        _KERNEL_CACHE.clear()
+        _KERNEL_STATS["hits"] = 0
+        _KERNEL_STATS["misses"] = 0

@@ -8,10 +8,15 @@ The config component is :meth:`SystemConfig.cache_key`, because a cached
 just the count-relevant ones.
 
 Eviction is LRU with a fixed capacity; ``invalidate_fingerprint`` removes
-(and returns) every entry of a graph that changed, which is how edge
-updates through :class:`~repro.core.incremental.IncrementalGPM` are wired
-to the cache (the returned entries let the service delta-patch counts for
-the new fingerprint instead of recomputing from scratch).
+(and returns) every entry of a graph that changed.  An edge write through
+``QueryService.dynamic_session`` puts each returned whole-graph answer
+back under the new fingerprint as a :class:`Stale` entry: the old report
+and the one edit that separates the two snapshots.  ``get`` misses on a
+stale entry; the service takes it (``take_stale``) on that miss and serves
+the old count moved by the edit's delta
+(:func:`~repro.core.incremental.edge_delta`) instead of a recount.  Stale
+entries share the one LRU, so the capacity and ``invalidate_fingerprint``
+bound them too: a second write drops a stale entry nobody read.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from typing import TYPE_CHECKING, NamedTuple
 from ..patterns.plan import DEFAULT_INDUCED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graph.csr import CSRGraph
     from ..patterns.pattern import Pattern
     from ..sim.report import SimReport
 
-__all__ = ["CacheKey", "ResultCache", "pattern_cache_key"]
+__all__ = ["CacheKey", "ResultCache", "Stale", "pattern_cache_key"]
 
 
 class CacheKey(NamedTuple):
@@ -45,6 +51,19 @@ class CacheKey(NamedTuple):
     def with_fingerprint(self, fingerprint: str) -> "CacheKey":
         """The same query keyed against an updated graph snapshot."""
         return self._replace(fingerprint=fingerprint)
+
+
+class Stale(NamedTuple):
+    """A cached answer one edge edit behind its key's snapshot."""
+
+    #: the answer for the snapshot before the edit
+    report: "SimReport"
+    #: whichever of the two snapshots holds the edge ``(u, v)``: the new
+    #: one after an insert, the old one after a removal
+    snapshot: "CSRGraph"
+    u: int
+    v: int
+    inserted: bool
 
 
 @lru_cache(maxsize=256)
@@ -93,11 +112,14 @@ def pattern_cache_key(pattern: "Pattern", induced: bool | None) -> tuple:
 
 
 class ResultCache:
-    """Bounded LRU mapping :class:`CacheKey` → :class:`SimReport`."""
+    """Bounded LRU mapping :class:`CacheKey` → :class:`SimReport` or
+    :class:`Stale`."""
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = max(int(capacity), 1)
-        self._entries: "OrderedDict[CacheKey, SimReport]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, SimReport | Stale]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -105,16 +127,25 @@ class ResultCache:
         self.invalidations = 0
 
     def get(self, key: CacheKey) -> "SimReport | None":
+        """The fresh answer under ``key``; a stale one is a miss."""
         with self._lock:
             report = self._entries.get(key)
-            if report is None:
+            if report is None or isinstance(report, Stale):
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return report
 
-    def put(self, key: CacheKey, report: "SimReport") -> None:
+    def take_stale(self, key: CacheKey) -> "Stale | None":
+        """Remove and return the stale entry under ``key``, if that is
+        what it holds."""
+        with self._lock:
+            if not isinstance(self._entries.get(key), Stale):
+                return None
+            return self._entries.pop(key)
+
+    def put(self, key: CacheKey, report: "SimReport | Stale") -> None:
         with self._lock:
             self._entries[key] = report
             self._entries.move_to_end(key)
@@ -124,7 +155,7 @@ class ResultCache:
 
     def invalidate_fingerprint(
         self, fingerprint: str
-    ) -> list[tuple[CacheKey, "SimReport"]]:
+    ) -> list[tuple[CacheKey, "SimReport | Stale"]]:
         """Drop every entry of one graph snapshot; returns what was dropped."""
         with self._lock:
             dead = [k for k in self._entries if k.fingerprint == fingerprint]

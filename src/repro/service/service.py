@@ -36,7 +36,9 @@ on the thread that submitted it when the service is idle, so it has
 settled when ``submit`` returns, and otherwise on the dispatcher thread.
 Every other job is queued, and the dispatcher sends it to the pool as one
 call.  A traced job's ``service.job`` span records the choice as its
-``where`` attribute (``service`` or ``pool``).
+``where`` attribute (``service`` or ``pool``, or ``patch`` for a stale
+cache entry patched on the submitting thread, see
+:meth:`QueryService.dynamic_session`).
 
 Every job event has one record: outcomes, retries and cache traffic are
 the ``repro_*_total`` counters, an engine's crashes and wrong results
@@ -59,8 +61,9 @@ Semantics
   propagate immediately.  A job always runs on the engine its config
   names.
 * **Caching**: results are cached by ``(graph fingerprint, canonical
-  pattern, config)`` with LRU eviction; graph updates invalidate — or,
-  through :meth:`QueryService.dynamic_session`, delta-patch — entries.
+  pattern, config)`` with LRU eviction; graph updates invalidate entries,
+  and an edge write through :meth:`QueryService.dynamic_session` keeps
+  them, to be delta-patched on their first read.
 
 The clock and sleep functions are injectable so every timing-dependent
 code path is testable without real sleeps.
@@ -85,7 +88,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.config import SystemConfig, xset_default
-from ..core.incremental import IncrementalGPM
+from ..core.incremental import IncrementalGPM, edge_delta
 from ..errors import (
     InjectedCrashError,
     QueueFullError,
@@ -96,7 +99,7 @@ from ..obs import MetricsRegistry, Observation, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..patterns.plan import build_plan
 from ..sched.adaptive import CostPredictor, QueryFeatures
-from .cache import CacheKey, ResultCache, pattern_cache_key
+from .cache import CacheKey, ResultCache, Stale, pattern_cache_key
 from .core import DispatchState, HealthState, Outcome, Requeue
 
 # the dispatch rules' constants live with the rules; they are re-exported
@@ -301,6 +304,10 @@ class QueryService:
             cached = self._cache.get(job.cache_key)
             if cached is None:
                 self._tally.count("cache_misses")
+                stale = self._cache.take_stale(job.cache_key)
+                if stale is not None:
+                    self._patch(job, stale)
+                    return job.handle
             else:
                 job.handle.from_cache = True
                 if job.span is not None:
@@ -428,28 +435,63 @@ class QueryService:
         """An :class:`IncrementalGPM` wired to this service's cache.
 
         Every ``insert_edge``/``remove_edge`` re-registers the updated
-        snapshot under ``graph_id`` and invalidates cached results of the
-        old snapshot.  Entries for *this* pattern are immediately re-cached
-        for the new fingerprint with the incrementally maintained exact
-        count (their timing fields are carried over from the stale run and
-        should be treated as approximate).
+        snapshot under ``graph_id`` and moves the old snapshot's
+        whole-graph entries to the new fingerprint.  Entries for *this*
+        pattern are re-cached at once with the incrementally maintained
+        exact count.  Every other one is kept as a :class:`Stale` entry:
+        its first read misses, and ``submit`` serves it on the caller's
+        thread as the old count plus :func:`edge_delta` of the edit,
+        caches that and settles the job with ``from_cache=False``.  A
+        second write before that read drops the stale entry, and
+        root-restricted (cluster shard) entries are always dropped.  A
+        patched report's timing and work fields are the stale run's, so
+        treat them as approximate; it does not train the cost record.
         """
         record = self._registry.get(graph_id)
         pkey = pattern_cache_key(pattern, induced)
+        held = record.graph  # the session's snapshot before each write
 
         def on_update(gpm: IncrementalGPM, u, v, inserted, delta) -> None:
-            old_fp, new_fp = self._registry.update(graph_id, gpm.snapshot())
-            dropped = self._cache.invalidate_fingerprint(old_fp)
-            for key, report in dropped:
-                # root-restricted (cluster shard) entries hold partial
-                # counts; the maintained total must not overwrite them
-                if key.pattern_key == pkey and key.root_key is None:
-                    patched = replace(report, embeddings=gpm.count)
-                    self._cache.put(key.with_fingerprint(new_fp), patched)
+            nonlocal held
+            before, held = held, gpm.snapshot()
+            registered = self._registry.get(graph_id).graph
+            old_fp, new_fp = self._registry.update(graph_id, held)
+            # the old entries answer for the registered graph: the edit
+            # patches them only if that is the graph it edited
+            edit = (held if inserted else before, u, v, inserted)
+            for key, entry in self._cache.invalidate_fingerprint(old_fp):
+                # shard entries hold partial counts, and a stale entry
+                # is already one edit behind
+                if key.root_key is not None or isinstance(entry, Stale):
+                    continue
+                key = key.with_fingerprint(new_fp)
+                if key.pattern_key == pkey:
+                    self._cache.put(
+                        key, replace(entry, embeddings=gpm.count)
+                    )
+                elif registered is before:
+                    self._cache.put(key, Stale(entry, *edit))
 
         return IncrementalGPM(
             record.graph, pattern, induced=induced, on_update=on_update
         )
+
+    def _patch(self, job: Job, stale: Stale) -> None:
+        """Serve ``job`` from the stale entry of its key: the stale count
+        moved by the edit's :func:`edge_delta`, computed here, cached and
+        settled as a run (``from_cache`` stays False)."""
+        delta = edge_delta(stale.snapshot, stale.u, stale.v, job.plan)
+        report = replace(
+            stale.report,
+            embeddings=stale.report.embeddings
+            + (delta if stale.inserted else -delta),
+        )
+        self._cache.put(job.cache_key, report)
+        if job.span is not None:
+            job.span.set_attr("where", "patch")
+        self._tally.count("submitted")
+        self._tally.count("cache_patched")
+        self._settle(job, JobStatus.DONE, report=report)
 
     # -- scheduling internals ----------------------------------------------
 
@@ -839,6 +881,7 @@ class QueryService:
                 cache_misses=self._cache.misses,
                 cache_evictions=self._cache.evictions,
                 cache_invalidations=self._cache.invalidations,
+                cache_patched=total("cache_patched"),
                 cache_hit_rate=self._cache.hit_rate,
                 latency=self._latency.summary(),
                 metrics=self.metrics.snapshot(),

@@ -57,6 +57,10 @@ _COUNTS = {
     ),
     "cache_hits": ("repro_cache_hits_total", _CACHE_HELP),
     "cache_misses": ("repro_cache_misses_total", _CACHE_HELP),
+    "cache_patched": (
+        "repro_cache_patched_total",
+        "cache misses served by patching a stale entry with an edge delta",
+    ),
 }
 
 
@@ -183,6 +187,8 @@ class ServiceStats:
     cache_evictions: int
     cache_invalidations: int
     cache_hit_rate: float
+    #: misses served by delta-patching a stale entry (dynamic sessions)
+    cache_patched: int = 0
     # -- resilience counters (zero on an undisturbed service) --------------
     #: never written: benchmarks/e2e/svc_base.py still reads these as 0
     timed_out: int = 0
@@ -222,7 +228,8 @@ class ServiceStats:
                 f"{self.cache_misses} misses "
                 f"(hit rate {self.cache_hit_rate:.1%}), "
                 f"{self.cache_evictions} evicted, "
-                f"{self.cache_invalidations} invalidated"
+                f"{self.cache_invalidations} invalidated, "
+                f"{self.cache_patched} patched"
             ),
         ]
         if (

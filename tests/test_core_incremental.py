@@ -7,20 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental import IncrementalGPM, pattern_diameter
+from repro.core.incremental import IncrementalGPM, edge_radius
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph, erdos_renyi
-from repro.patterns import PATTERNS, build_plan, count_embeddings
+from repro.patterns import PATTERNS, Pattern, build_plan, count_embeddings
 
 
-class TestPatternDiameter:
+class TestEdgeRadius:
     @pytest.mark.parametrize(
-        "name,diameter",
-        [("3CF", 1), ("4CF", 1), ("DIA", 2), ("CYC", 2), ("TT", 2),
-         ("P3", 3)],
+        "name,induced,radius",
+        [("3CF", False, 1), ("4CF", False, 1), ("5CF", False, 1),
+         ("DIA", False, 1), ("WEDGE", True, 1), ("CYC", True, 1),
+         ("CYC", False, 1), ("TT", True, 2), ("TT", False, 2),
+         ("HOUSE", False, 2), ("C5", False, 2), ("P3", True, 2)],
     )
-    def test_known_diameters(self, name, diameter):
-        assert pattern_diameter(PATTERNS[name]) == diameter
+    def test_known_radii(self, name, induced, radius):
+        assert edge_radius(PATTERNS[name], induced) == radius
+
+    def test_an_induced_plan_reaches_from_its_non_edges(self):
+        # two leaves of a claw are a non-edge: closing it destroys the
+        # induced claw, whose third leaf is two hops from both
+        claw = Pattern.from_edges("claw", [(0, 1), (0, 2), (0, 3)])
+        assert (edge_radius(claw, False), edge_radius(claw, True)) == (1, 2)
+        g = CSRGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        inc = IncrementalGPM(g, claw, induced=True)
+        assert inc.count == 1
+        assert inc.insert_edge(1, 2) == -1
+        assert inc.count == _recount(inc) == 0
 
 
 def _recount(inc: IncrementalGPM) -> int:
@@ -100,6 +113,12 @@ STREAM_CASES = {
     "DIA": (PATTERNS["DIA"], None, None),
     "CYC": (PATTERNS["CYC"], None, None),
     "TT": (PATTERNS["TT"], None, None),
+    "4CF": (PATTERNS["4CF"], None, None),
+    "HOUSE": (PATTERNS["HOUSE"], None, None),
+    "C5": (PATTERNS["C5"], None, None),
+    "P3-induced": (PATTERNS["P3"], True, None),
+    "TT-noninduced": (PATTERNS["TT"], False, None),
+    "CYC-noninduced": (PATTERNS["CYC"], False, None),
     "WEDGE-induced": (PATTERNS["WEDGE"], True, None),
     "3CF-labelled": (
         PATTERNS["3CF"].with_labels([0, 0, 1]), None, np.arange(N) % 2,

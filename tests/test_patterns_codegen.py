@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.patterns import PATTERNS, build_plan
+from repro.patterns import PATTERNS, build_plan, codegen
 from repro.patterns.codegen import (
     TaskOp,
     _decode_src,
@@ -188,6 +188,20 @@ class TestKernelCache:
         a = build_plan(PATTERNS["DIA"])  # choose2 by default
         b = build_plan(PATTERNS["DIA"], collection="enumerate")
         assert kernel_cache_key(a) != kernel_cache_key(b)
+
+    def test_the_least_recently_used_kernel_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(codegen, "KERNEL_CACHE_LIMIT", 2)
+        tri, tt, dia = (build_plan(PATTERNS[n]) for n in ("3CF", "TT", "DIA"))
+        first = compile_plan_kernel(tri)
+        evicted = compile_plan_kernel(tt)
+        compile_plan_kernel(tri)  # 3CF is now the more recent of the two
+        compile_plan_kernel(dia)  # evicts TT
+        assert kernel_cache_info() == {"size": 2, "hits": 1, "misses": 3}
+        assert compile_plan_kernel(tri) is first
+        again = compile_plan_kernel(tt)  # recompiled, evicting DIA
+        assert kernel_cache_info()["misses"] == 4
+        assert again is not evicted and again.source == evicted.source
+        assert kernel_cache_info()["size"] == 2
 
     def test_clear_resets_everything(self):
         compile_plan_kernel(build_plan(PATTERNS["3CF"]))

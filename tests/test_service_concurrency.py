@@ -36,6 +36,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core.api import XSetAccelerator
+from repro.core.config import xset_default
+from repro.graph import erdos_renyi
 from repro.errors import (
     JobCancelledError,
     JobTimeoutError,
@@ -427,8 +429,9 @@ class TestCancellation:
 
 class TestCacheInvalidation:
     def test_dynamic_update_invalidates(self, graph):
-        """A write drops the cached entries of every other pattern on the
-        old snapshot, and patches the session's own."""
+        """A write invalidates every cached entry of the old snapshot: the
+        session's own pattern is re-cached with its maintained count, and
+        another pattern's first read is not a cache hit."""
         svc, gid = make_service(graph)
         svc.count(gid, PATTERNS["DIA"], engine="codegen")  # cached
         before = svc.count(gid, PATTERNS["3CF"], engine="codegen")
@@ -514,6 +517,139 @@ class TestCacheInvalidation:
         assert report.embeddings == XSetAccelerator(engine="codegen").count(
             medium_er, PATTERNS["3CF"]
         ).embeddings
+        svc.shutdown()
+
+
+#: what the patched-read tests keep cached beside the session's 3CF
+PATCHED = {
+    "DIA": (PATTERNS["DIA"], None),
+    "WEDGE": (PATTERNS["WEDGE"], True),
+    "TT": (PATTERNS["TT"], None),
+    "CYC": (PATTERNS["CYC"], None),
+    "3CF-labelled": (PATTERNS["3CF"].with_labels([0, 0, 1]), None),
+}
+PATCH_N = 16
+CODEGEN = xset_default(engine="codegen")
+
+
+def toggle(session, u: int, v: int) -> None:
+    if session.has_edge(u, v):
+        session.remove_edge(u, v)
+    else:
+        session.insert_edge(u, v)
+
+
+class TestPatchedReads:
+    """A write keeps every cached answer: the first read after it patches
+    the stale entry by the edit's ball delta, and a second write first
+    drops it."""
+
+    @given(
+        seed=st.integers(0, 40),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, PATCH_N - 1), st.integers(0, PATCH_N - 1),
+                st.booleans(),
+            ).filter(lambda e: e[0] != e[1]),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_served_count_is_the_snapshots(self, seed, steps):
+        graph = erdos_renyi(PATCH_N, 5.0, seed=seed).with_labels(
+            np.arange(PATCH_N) % 2
+        )
+        svc, gid = make_service(graph, config=CODEGEN)
+        shard = {"root_range": (0, PATCH_N // 2)}
+        svc.count(gid, PATTERNS["3CF"])
+        for pattern, induced in PATCHED.values():
+            svc.count(gid, pattern, induced=induced)
+        svc.count(gid, PATTERNS["DIA"], **shard)
+        session = svc.dynamic_session(gid, PATTERNS["3CF"])
+        # fresh: cached for this snapshot; stale: one write behind;
+        # gone: two writes behind, dropped
+        state = dict.fromkeys(PATCHED, "fresh")
+        for u, v, read in steps:
+            toggle(session, u, v)
+            state = {
+                name: "stale" if was == "fresh" else "gone"
+                for name, was in state.items()
+            }
+            if not read:
+                continue
+            snap = session.snapshot()
+            own = svc.submit(gid, PATTERNS["3CF"])
+            assert own.from_cache
+            assert own.result().embeddings == session.count == (
+                count_embeddings(snap, session.plan).embeddings
+            )
+            for name, (pattern, induced) in PATCHED.items():
+                truth = count_embeddings(
+                    snap, build_plan(pattern, induced=induced)
+                ).embeddings
+                for _ in range(2):  # the patched read, then a hit
+                    patched = svc.stats().cache_patched
+                    handle = svc.submit(gid, pattern, induced=induced)
+                    assert handle.result().embeddings == truth, name
+                    assert handle.from_cache == (state[name] == "fresh")
+                    assert svc.stats().cache_patched == patched + (
+                        state[name] == "stale"
+                    )
+                    state[name] = "fresh"
+            # a shard entry is never patched: it is recounted
+            patched = svc.stats().cache_patched
+            handle = svc.submit(gid, PATTERNS["DIA"], **shard)
+            assert handle.result().embeddings == svc.submit(
+                gid, PATTERNS["DIA"], use_cache=False, **shard
+            ).result().embeddings
+            assert svc.stats().cache_patched == patched
+        svc.shutdown()
+
+    def test_a_graph_swapped_under_the_session_is_not_patched(
+        self, graph, medium_er
+    ):
+        # the cached DIA answers for medium_er, which the session's edit
+        # did not edit: its read recounts the session's snapshot
+        svc, gid = make_service(graph, config=CODEGEN)
+        session = svc.dynamic_session(gid, PATTERNS["3CF"])
+        svc.update_graph(gid, medium_er)
+        svc.count(gid, PATTERNS["DIA"])
+        toggle(session, 0, 1)
+        handle = svc.submit(gid, PATTERNS["DIA"])
+        assert handle.result().embeddings == count_embeddings(
+            session.snapshot(), build_plan(PATTERNS["DIA"])
+        ).embeddings
+        assert not handle.from_cache
+        assert svc.stats().cache_patched == 0
+        svc.shutdown()
+
+    def test_a_patched_read_is_traced_and_trains_nothing(self, graph):
+        svc, gid = make_service(graph, config=CODEGEN, observability=True)
+        svc.count(gid, PATTERNS["DIA"])
+        session = svc.dynamic_session(gid, PATTERNS["3CF"])
+        session.insert_edge(*next(
+            (u, v)
+            for u in range(graph.num_vertices)
+            for v in range(u + 1, graph.num_vertices)
+            if not graph.has_edge(u, v)
+        ))
+        before = svc.stats()
+        handle = svc.submit(gid, PATTERNS["DIA"])
+        assert handle.result().embeddings == count_embeddings(
+            session.snapshot(), build_plan(PATTERNS["DIA"])
+        ).embeddings
+        assert not handle.from_cache
+        (span,) = [
+            sp for sp in svc._observation.tracer.finished()
+            if sp.name == "service.job"
+            and sp.attrs["job_id"] == handle.job_id
+        ]
+        assert span.attrs["where"] == "patch"
+        stats = svc.stats()
+        assert stats.cache_patched == 1
+        assert stats.worker_calls == before.worker_calls
+        assert stats.predictor == before.predictor  # no run was observed
+        assert "1 patched" in stats.summary()
         svc.shutdown()
 
 
