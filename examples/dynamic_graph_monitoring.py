@@ -5,8 +5,12 @@
 the data graph is dynamic."  This example simulates a transaction-monitoring
 deployment: a fixed alarm pattern (the triangle — circular transaction flow) is
 tracked over a stream of edge insertions and deletions
-using the incremental counting engine, and each update's locality (ball
-size) is reported to show why incremental maintenance beats recounting.
+using the incremental counting engine.  The script prints the first few
+updates' count deltas, an alert for every update that adds more than 10
+triangles, the final count with the alert total and the time the
+incremental stream took, and a full recount on the final snapshot that
+must agree, timed against the stream to show why incremental maintenance
+beats recounting.
 
 Usage::
 

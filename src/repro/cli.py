@@ -544,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--mode",
                          choices=("inline", "thread", "process"),
                          default="inline",
-                         help="worker pool mode inside each shard")
+                         help="where each shard runs its subquery: "
+                              "inline/thread on the serving thread, "
+                              "process in the shard's own process pool")
     cluster.add_argument("--replicas", type=int, default=1,
                          help="workers per shard group; >= 2 enables "
                               "automatic failover when a replica dies")

@@ -1,10 +1,12 @@
 """`repro.cluster`: distributed sharded query execution.
 
-The cluster layer scales the single-node :class:`~repro.service.QueryService`
-out horizontally: a :class:`Coordinator` cuts each registered CSR graph
-into contiguous vertex-range shards (owned range + a replicated halo),
-ships one induced subgraph to each :class:`ShardWorker`, and answers a
-query by scattering root-restricted subqueries and merging the per-shard
+The cluster layer scales single-node matching out horizontally: a
+:class:`Coordinator` — the cluster's one scheduler — cuts each
+registered CSR graph into contiguous vertex-range shards (owned range +
+a replicated halo), ships one induced subgraph to each
+:class:`ShardWorker`, and answers a query by scattering root-restricted
+subqueries, which each shard runs with
+:func:`~repro.service.worker.run_job`, and merging the per-shard
 reports.  Transports are pluggable (:mod:`repro.cluster.comm`): the
 deterministic in-process transport for tests, TCP for real distribution.
 
@@ -19,7 +21,7 @@ Quickstart::
         print(cluster.coordinator.count(gid, PATTERNS["3CF"]))
 """
 
-from .comm import available_transports, get_transport, register_transport
+from .comm import available_transports, get_transport
 from .coordinator import ClusterHealth, Coordinator, LocalCluster
 from .merge import merge_replies, merge_reports
 from .partition import (
@@ -45,5 +47,4 @@ __all__ = [
     "make_shards",
     "merge_replies",
     "merge_reports",
-    "register_transport",
 ]

@@ -1,8 +1,9 @@
 """Pluggable cluster comm layer: transports speaking one framed protocol.
 
-Importing this package registers the built-in transports (``inproc`` and
-``tcp``); ``get_transport(name)`` instantiates one.  See
-:mod:`repro.cluster.comm.base` for the contract.
+The built-in transports (``inproc`` and ``tcp``) are one static name →
+``"module:Class"`` table in :mod:`repro.cluster.comm.base`;
+``get_transport(name)`` instantiates one.  See that module for the
+contract.
 """
 
 from .base import (
@@ -15,7 +16,6 @@ from .base import (
     encode_frame,
     frame_size,
     get_transport,
-    register_transport,
 )
 from .inproc import InprocTransport
 from .tcp import TCPTransport
@@ -32,5 +32,4 @@ __all__ = [
     "encode_frame",
     "frame_size",
     "get_transport",
-    "register_transport",
 ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+from importlib import import_module
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from ...errors import CommError
@@ -36,7 +37,6 @@ __all__ = [
     "encode_frame",
     "frame_size",
     "decode_body",
-    "register_transport",
     "get_transport",
     "available_transports",
     "FRAME_HEADER",
@@ -127,24 +127,23 @@ def decode_body(body: bytes) -> Any:
         ) from exc
 
 
-_TRANSPORTS: dict[str, Callable[[], Transport]] = {}
-
-
-def register_transport(name: str, factory: Callable[[], Transport]) -> None:
-    """Register a transport factory under ``name`` (idempotent)."""
-    _TRANSPORTS[name] = factory
+#: every transport by name, "module:Class", imported on first use
+_TRANSPORTS: dict[str, str] = {
+    "inproc": "repro.cluster.comm.inproc:InprocTransport",
+    "tcp": "repro.cluster.comm.tcp:TCPTransport",
+}
 
 
 def get_transport(name: str) -> Transport:
-    """Instantiate the transport registered as ``name``."""
-    try:
-        factory = _TRANSPORTS[name]
-    except KeyError:
+    """Instantiate the transport named ``name``."""
+    target = _TRANSPORTS.get(name)
+    if target is None:
         raise CommError(
             f"unknown transport {name!r}; available: "
             f"{', '.join(available_transports())}"
-        ) from None
-    return factory()
+        )
+    module, _, attr = target.partition(":")
+    return getattr(import_module(module), attr)()
 
 
 def available_transports() -> tuple[str, ...]:

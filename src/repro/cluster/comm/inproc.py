@@ -29,7 +29,7 @@ from typing import Any
 
 from ...errors import CommClosedError
 from ...resilience import faults as _faults
-from .base import Handler, register_transport
+from .base import Handler
 
 __all__ = ["InprocTransport", "InprocListener", "InprocConnection"]
 
@@ -111,6 +111,3 @@ class InprocTransport:
         if listener is None or listener.closed:
             raise CommClosedError(f"no live listener at {address}")
         return InprocConnection(listener)
-
-
-register_transport("inproc", InprocTransport)

@@ -56,7 +56,6 @@ from .base import (
     decode_body,
     encode_frame,
     frame_size,
-    register_transport,
 )
 
 __all__ = ["TCPTransport", "TCPListener", "TCPConnection"]
@@ -321,6 +320,3 @@ class TCPTransport:
 
     def connect(self, address: str) -> TCPConnection:
         return TCPConnection(address)
-
-
-register_transport("tcp", TCPTransport)

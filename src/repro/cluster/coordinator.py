@@ -26,17 +26,18 @@ Resilience at cluster scope:
   and only a query with **zero** surviving shards raises
   :class:`~repro.errors.ClusterError` — with a single replica per shard
   this is exactly the pre-replication behaviour;
-* :meth:`Coordinator.health` gathers per-replica
-  :class:`~repro.resilience.HealthReport`\\ s into a
-  :class:`ClusterHealth` whose state is the worst replica state, forced
-  to at least ``DEGRADED`` while any replica is unreachable or any
-  breaker is non-closed.
+* :meth:`Coordinator.health` pings every replica through its breaker
+  into a :class:`ClusterHealth`: ``HEALTHY``, or ``DEGRADED`` while any
+  replica is unreachable or any breaker is non-closed.  A shard keeps
+  no queue and no health record of its own: it runs the one subquery
+  the coordinator sends it, so whether it answers is all there is to
+  report.
 
 What happened is kept once: failovers, partial results and lost
 requests are counters in the coordinator's ``metrics`` registry,
 breaker trips are :meth:`Coordinator.health`'s breaker snapshots, and
 who served each shard rides ``notes["cluster"]``.  The registry holds
-the coordinator's own series only; each shard service keeps its own.
+the coordinator's own series only; shards keep none.
 A traced coordinator re-anchors every shard's span tree under its
 scatter span and keeps, like the service, at most ``TRACE_SPAN_LIMIT``
 spans and ``PROFILE_LIMIT`` profiles.
@@ -48,7 +49,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.config import SystemConfig, xset_default
@@ -58,7 +59,7 @@ from ..obs import MetricsRegistry, Tracer
 from ..obs.export import chrome_trace_events, write_chrome_trace
 from ..obs.tracing import Span
 from ..patterns.plan import build_plan
-from ..resilience import HealthReport, HealthState
+from ..resilience import HealthState
 from ..service import service
 from .breaker import BreakerBoard, BreakerSnapshot
 from .comm.base import Connection, Transport, get_transport
@@ -86,18 +87,18 @@ FAILOVER_BACKOFF_SECONDS = 0.05
 
 @dataclass(frozen=True)
 class ClusterHealth:
-    """Aggregated cluster condition (per-replica reports + comm breakers)."""
+    """Aggregated cluster condition (replica reachability + comm breakers)."""
 
     state: HealthState
-    #: replica name → its service's health report, or None if unreachable
-    shards: "Mapping[str, HealthReport | None]" = field(default_factory=dict)
+    #: replica name → whether it answered the health ping
+    shards: Mapping[str, bool] = field(default_factory=dict)
     #: coordinator-side comm breaker snapshots, keyed by replica name
     breakers: Mapping[str, BreakerSnapshot] = field(default_factory=dict)
 
     @property
     def dead(self) -> tuple[str, ...]:
         return tuple(
-            sorted(n for n, r in self.shards.items() if r is None)
+            sorted(n for n, up in self.shards.items() if not up)
         )
 
     def summary(self) -> str:
@@ -106,16 +107,8 @@ class ClusterHealth:
             f"({len(self.shards) - len(self.dead)}/{len(self.shards)} "
             f"shards reachable)"
         ]
-        for name in sorted(self.shards):
-            report = self.shards[name]
-            if report is None:
-                lines.append(f"  {name}: UNREACHABLE")
-                continue
-            lines.append(
-                f"  {name}: {report.state.name.lower()}, queue "
-                f"{report.queue_depth}/{report.queue_limit}, in flight "
-                f"{report.in_flight}"
-            )
+        for name, up in sorted(self.shards.items()):
+            lines.append(f"  {name}: {'reachable' if up else 'UNREACHABLE'}")
         for name, snap in sorted(self.breakers.items()):
             if snap.state != "closed":
                 lines.append(f"  breaker[{name}]: {snap.state}")
@@ -655,7 +648,7 @@ class Coordinator:
         """Re-anchor one shard's span tree under its scatter span.
 
         The batch is shifted so its earliest start (the shard's
-        ``service.job``) lands exactly at the scatter span's start —
+        ``worker.run_job``) lands exactly at the scatter span's start —
         shards have their own ``perf_counter`` origin, so only the
         coordinator timeline is meaningful after the merge.  Adopted
         spans get ``shard``/``replica``/``lane`` attributes so the
@@ -686,35 +679,26 @@ class Coordinator:
     # -- health / lifecycle ------------------------------------------------
 
     def health(self) -> ClusterHealth:
-        """Gather per-replica health; aggregate to one cluster state.
+        """Ping every replica through its breaker; one cluster state.
 
-        A dead replica, or a non-closed breaker, degrades the
-        cluster even while every reachable replica is individually
-        healthy.
+        ``DEGRADED`` while a replica does not answer or a breaker is
+        not closed, ``HEALTHY`` otherwise.  A ping is a breaker-guarded
+        request like any other, so it records a success or a failure on
+        the replica's breaker too.
         """
         results = self._scatter(
-            [(r, {"op": "health"}) for r in self._replicas]
+            [(r, {"op": "ping"}) for r in self._replicas]
         )
-        shards: dict[str, "HealthReport | None"] = {}
-        worst = HealthState.HEALTHY
-        for replica, report, exc in results:
-            if exc is not None:
-                shards[replica.name] = None
-                continue
-            shards[replica.name] = report
-            if report.state.value > worst.value:
-                worst = report.state
-        health = ClusterHealth(
-            state=worst,
+        shards = {replica.name: exc is None for replica, _, exc in results}
+        breakers = self._breakers.snapshots()
+        degraded = not all(shards.values()) or any(
+            s.state != "closed" for s in breakers.values()
+        )
+        return ClusterHealth(
+            state=HealthState.DEGRADED if degraded else HealthState.HEALTHY,
             shards=shards,
-            breakers=self._breakers.snapshots(),
+            breakers=breakers,
         )
-        if worst is HealthState.HEALTHY and (
-            health.dead
-            or any(s.state != "closed" for s in health.breakers.values())
-        ):
-            health = replace(health, state=HealthState.DEGRADED)
-        return health
 
     # -- observability surfaces --------------------------------------------
 
@@ -780,9 +764,10 @@ class LocalCluster:
     :class:`Coordinator` over them.  With ``replicas=1`` (the default)
     workers keep the bare ``shard<i>`` names and the cluster behaves
     exactly like the pre-replication one; with more, replicas are named
-    ``shard<i>/r<j>``.  ``mode`` selects each worker's service pool:
-    ``inline`` for deterministic tests, ``process`` to give every shard
-    its own OS process.
+    ``shard<i>/r<j>``.  ``mode`` says where a shard runs its subquery:
+    ``inline`` and ``thread`` on the thread that serves the request,
+    ``process`` in the shard's own process pool.  ``max_workers`` sizes
+    only a process-mode shard's pool (default: one process per CPU).
     :meth:`kill_shard` / :meth:`kill_replica` are the chaos hooks and
     :meth:`revive_replica` the recovery hook; killed workers are still
     resource-reclaimed by :meth:`shutdown`.
@@ -816,8 +801,8 @@ class LocalCluster:
         self.transport_name = transport
         self.num_replicas = replicas
         tr = get_transport(transport)
-        # observability propagates to every shard service: the workers
-        # record the spans/profiles the coordinator re-anchors
+        # observability propagates to every shard: a traced subquery
+        # ships the spans/profile the coordinator re-anchors
         self.worker_groups: "list[list[ShardWorker]]" = []
         for i in range(num_shards):
             group = [

@@ -1,12 +1,21 @@
-"""Shard worker: one :class:`QueryService` behind a comm listener.
+"""Shard worker: a graph registry, a result cache and ``run_job`` behind
+a comm listener.
 
-A :class:`ShardWorker` owns a full, regular query service — pool, graph
-registry (with shared-memory shipping), result cache, resilience — and
-answers the cluster protocol over whatever transport it was given.  It
-knows nothing about *how* the graph was sharded: the coordinator ships
-each shard's induced subgraph plus the local owned root range, and every
-``query`` op runs root-restricted to that range, so the worker's counts
-are exactly "embeddings rooted in the vertices this shard owns".
+A :class:`ShardWorker` answers the cluster protocol over whatever
+transport it was given.  It knows nothing about *how* the graph was
+sharded: the coordinator ships each shard's induced subgraph plus the
+local owned root range, and every ``query`` op runs root-restricted to
+that range, so the worker's counts are exactly "embeddings rooted in the
+vertices this shard owns".
+
+The coordinator is the cluster's one scheduler: it holds one connection
+per replica and one request in flight on it, so a shard never has two of
+its subqueries to order.  A shard therefore keeps no queue, cost record,
+dispatcher or health record.  It calls
+:func:`repro.service.worker.run_job` itself — on the thread serving the
+request in ``inline`` and ``thread`` mode, in its own
+``ProcessPoolExecutor(max_workers)`` (created on the first query, the
+graph shipped through shared memory) in ``process`` mode.
 
 Ops (payload ``{"op": ..., ...}`` → reply value):
 
@@ -14,16 +23,18 @@ Ops (payload ``{"op": ..., ...}`` → reply value):
 ``register``    shard subgraph + owned local range → graph id
 ``unregister``  drop one shard graph (unlinks its shm segment)
 ``query``       pattern/config → envelope: the root-restricted
-                :class:`SimReport`, plus the job's span tree and
-                profile when the frame carries ``"trace": True``
-``health``      the service's :class:`HealthReport`
-``stats``       small dict (jobs run, cache hits, mode, pid)
-``shutdown``    stop the service, close the listener → ``True``
+                :class:`SimReport`, plus the run's span tree (rooted at
+                ``worker.run_job``) and profile when the frame carries
+                ``"trace": True`` and the worker was built with
+                ``observability``
+``stats``       small dict (queries answered, graphs, mode, pid)
+``shutdown``    close the listener and the pool → ``True``
 
-A ``query`` reply is an *envelope* (a dict) rather than a bare report:
-a traced query also ships the job's finished span tree and its
-:class:`~repro.obs.ExecutionProfile` for coordinator-side
-re-anchoring.  The shard's metrics stay in its own service registry.
+A crash (a broken process pool, or an injected ``worker.run`` CRASH)
+leaves the shard as a :class:`~repro.errors.ClusterError`, after a
+broken pool has been dropped; the coordinator's failover schedule is the
+one retry.  A clean report is cached under its shard root range and
+served again only to a query that asks ``use_cache``.
 
 :meth:`kill` simulates a crash for chaos tests: the listener drops dead
 (peers see :class:`~repro.errors.CommClosedError`) but the Python state
@@ -34,21 +45,30 @@ after a dead host.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..core.config import SystemConfig
-from ..errors import ClusterError
-from ..obs.cluster import collect_job_spans
-from ..resilience import HealthReport
-from ..service.service import QueryService
+from ..core.config import SystemConfig, xset_default
+from ..errors import ClusterError, WorkerCrashError
+from ..patterns.plan import build_plan
+from ..service.cache import CacheKey, ResultCache, pattern_cache_key
+from ..service.registry import GraphRegistry
+from ..service.service import MODES
+from ..service.worker import run_job
 from .comm.base import Transport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience import FaultPlan
 
 __all__ = ["ShardWorker"]
 
 
 class ShardWorker:
-    """One cluster shard: a query service exposed over a transport."""
+    """One cluster shard: registered graph slices answering subqueries."""
 
     def __init__(
         self,
@@ -60,15 +80,28 @@ class ShardWorker:
         max_workers: int | None = None,
         observability: bool = False,
     ) -> None:
+        if mode not in MODES:
+            raise ClusterError(
+                f"unknown shard mode {mode!r}; available: "
+                f"{', '.join(MODES)}"
+            )
+        if max_workers is not None and max_workers < 1:
+            raise ClusterError(f"max_workers must be >= 1, got {max_workers}")
         self.name = name
-        self.service = QueryService(
-            config,
-            mode=mode,
-            max_workers=max_workers,
-            observability=observability,
-        )
+        self.config = config or xset_default()
+        self.mode = mode
+        self.max_workers = max_workers
+        self.observability = observability
+        self._registry = GraphRegistry()
+        self._cache = ResultCache()
+        #: process mode only: the pool every subquery runs in
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+        self._faults: "FaultPlan | None" = None
         #: graph_id → owned local root range ``[lo, hi)``
         self._owned: dict[str, tuple[int, int]] = {}
+        #: numbers each query for its fault draw
+        self._query_nos = itertools.count(1)
         self._queries = 0
         self._killed = False
         self._closed = False
@@ -81,6 +114,11 @@ class ShardWorker:
     @property
     def killed(self) -> bool:
         return self._killed
+
+    def arm_faults(self, plan: "FaultPlan | None") -> None:
+        """Arm (or, with None, disarm) a seeded fault plan: query ``n``
+        runs with ``plan.for_job(n, 1)``, fired in ``run_job``."""
+        self._faults = plan
 
     # -- protocol ----------------------------------------------------------
 
@@ -101,9 +139,8 @@ class ShardWorker:
             # idempotent re-registration: a replica that missed an
             # unregister while dead replaces its copy instead of
             # erroring the registration away
-            self.service.unregister_graph(payload["graph_id"])
-            self._owned.pop(payload["graph_id"], None)
-        graph_id = self.service.register_graph(
+            self._op_unregister(payload)
+        graph_id = self._registry.register(
             payload["graph"], payload["graph_id"]
         )
         self._owned[graph_id] = (
@@ -114,7 +151,9 @@ class ShardWorker:
 
     def _op_unregister(self, payload: dict) -> int:
         graph_id = payload["graph_id"]
-        dropped = self.service.unregister_graph(graph_id)
+        record = self._registry.get(graph_id)
+        dropped = len(self._cache.invalidate_fingerprint(record.fingerprint))
+        self._registry.unregister(graph_id)
         self._owned.pop(graph_id, None)
         return dropped
 
@@ -126,43 +165,78 @@ class ShardWorker:
                 f"shard {self.name!r} has no registered shard graph "
                 f"{graph_id!r}"
             )
-        handle = self.service.submit(
-            graph_id,
-            payload["pattern"],
-            induced=payload.get("induced"),
-            engine=payload.get("engine"),
-            config=payload.get("config"),
-            use_cache=payload.get("use_cache", True),
-            root_range=owned,
+        record = self._registry.get(graph_id)
+        cfg = payload.get("config") or self.config
+        engine = payload.get("engine")
+        if engine is not None and engine != cfg.engine:
+            cfg = cfg.with_overrides(engine=engine)
+        pattern, induced = payload["pattern"], payload.get("induced")
+        key = CacheKey(
+            record.fingerprint,
+            pattern_cache_key(pattern, induced),
+            cfg.cache_key(),
+            root_key=owned,
         )
-        report = handle.result(timeout=payload.get("timeout"))
+        report = (
+            self._cache.get(key) if payload.get("use_cache", True) else None
+        )
+        if report is None:
+            plan = self._faults
+            trace = self.observability and bool(payload.get("trace"))
+            report = self._run(
+                record.graph_id,
+                record.fingerprint,
+                record.ship(self.mode),
+                build_plan(pattern, induced=induced),
+                cfg,
+                observe_run=trace,
+                faults=(
+                    plan.for_job(next(self._query_nos), 1) or None
+                    if plan is not None else None
+                ),
+                root_range=owned,
+                timeout=payload.get("timeout"),
+            )
+            if not report.notes.get("injected"):
+                self._cache.put(key, report)
         self._queries += 1
-        profile = getattr(report, "profile", None)
+        profile = report.profile
         # the report itself never carries the profile over the wire: the
         # envelope ships it explicitly (spans stripped — the span tree
         # travels once, in the "spans" field)
         report.profile = None
         envelope: dict[str, Any] = {"report": report}
-        ob = self.service._observation
-        if payload.get("trace") and ob is not None:
-            envelope["spans"] = collect_job_spans(
-                ob.tracer.finished(), handle.job_id
-            )
-            if profile is not None:
-                envelope["profile"] = replace(profile, spans=[])
+        if profile is not None:
+            envelope["spans"] = profile.spans
+            envelope["profile"] = replace(profile, spans=[])
         return envelope
 
-    def _op_health(self, payload: dict) -> HealthReport:
-        return self.service.health()
+    def _run(self, *args, timeout: float | None, **kwargs):
+        """One :func:`run_job`: here, or in the process pool; a crash
+        leaves as a :class:`ClusterError` for the coordinator to retry."""
+        try:
+            if self.mode != "process":
+                return run_job(*args, **kwargs)
+            with self._pool_lock:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(self.max_workers)
+                pool = self._pool
+            return pool.submit(run_job, *args, **kwargs).result(timeout)
+        except (BrokenExecutor, WorkerCrashError) as exc:
+            with self._pool_lock:
+                if self._pool is not None and self._pool._broken:
+                    self._pool.shutdown(wait=False)
+                    self._pool = None
+            raise ClusterError(
+                f"shard {self.name!r} lost its subquery to a crash: {exc!r}"
+            ) from exc
 
     def _op_stats(self, payload: dict) -> dict:
-        import os
-
         return {
             "name": self.name,
             "queries": self._queries,
-            "graphs": list(self.service.graphs()),
-            "mode": self.service.mode,
+            "graphs": list(self._registry.ids()),
+            "mode": self.mode,
             "pid": os.getpid(),
         }
 
@@ -180,11 +254,11 @@ class ShardWorker:
     def revive(self) -> None:
         """Recovery: come back up on the same address after :meth:`kill`.
 
-        The service (graphs, cache, metrics) survived the "crash" —
-        what died was the wire.  The coordinator takes the replica back
-        through its comm breaker: at once if the breaker is closed,
-        after the recovery window if it opened.  A graph registered
-        while the replica was down reaches it only when re-registered.
+        The graphs and the cache survived the "crash" — what died was
+        the wire.  The coordinator takes the replica back through its
+        comm breaker: at once if the breaker is closed, after the
+        recovery window if it opened.  A graph registered while the
+        replica was down reaches it only when re-registered.
         """
         if self._closed:
             raise ClusterError(
@@ -195,11 +269,15 @@ class ShardWorker:
         self._killed = False
 
     def close(self) -> None:
-        """Stop a live *or killed* worker: close the listener, drain and
-        shut the service (which unlinks its shm segments).  Idempotent."""
+        """Stop a live *or killed* worker: close the listener, shut the
+        pool and unlink every shm segment it shipped.  Idempotent."""
         self._closed = True
         self._listener.close()
-        self.service.shutdown()
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        self._registry.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "killed" if self._killed else (

@@ -8,8 +8,7 @@ One vocabulary for every layer's instrumentation:
 * :class:`Tracer` / :class:`Span` — structured spans with contextvars
   propagation, so one query's spans nest service → worker → engine →
   simulator across layers (and, via :meth:`Tracer.ingest`, across
-  processes; :func:`collect_job_spans` cuts one job's tree out of a
-  shard's tracer for the coordinator to re-anchor).
+  processes and cluster shards).
 * :func:`observe` / :func:`current` — the observation context.  All hot
   paths are guarded by ``current() is None``; with no active observation
   the instrumentation costs one attribute load.
@@ -32,7 +31,6 @@ Quickstart::
     write_chrome_trace("trace.json", profile.spans, profile.pe_events)
 """
 
-from .cluster import collect_job_spans
 from .context import Observation, current, enabled, observe, span
 from .export import chrome_trace_events, write_chrome_trace
 from .logsetup import configure_logging
@@ -61,7 +59,6 @@ __all__ = [
     "Window",
     "build_profile",
     "chrome_trace_events",
-    "collect_job_spans",
     "configure_logging",
     "current",
     "current_span",

@@ -315,12 +315,15 @@ class TestClusterObservabilityDocs:
     def test_documented_obs_api_exists(self):
         from repro import obs
 
-        assert hasattr(obs, "collect_job_spans")
+        assert hasattr(obs, "Tracer") and hasattr(obs, "build_profile")
         # one registry per process: nothing ships or merges metric
-        # deltas; and one record per event: no flight-recorder ring
+        # deltas; one record per event: no flight-recorder ring; and a
+        # shard ships its run's own span tree: nothing cuts one job's
+        # tree out of a shard service's tracer
         for name in (
             "TraceContext", "MetricsSnapshot", "FederatedMetrics",
             "FlightRecorder", "FlightEvent", "FLIGHT_DIR_ENV",
+            "collect_job_spans",
         ):
             assert not hasattr(obs, name), name
 
@@ -416,10 +419,6 @@ KEPT = {
     "(tests/test_sched_policies.py, tests/test_sched_property.py)",
     "TaskSetState.complete_one": "task-set accounting probe "
     "(tests/test_sched_policies.py)",
-    # named by string in the engine table (repro.engine.base._ENGINES),
-    # imported on first use
-    "EventEngine": "the event engine's class",
-    "CodegenEngine": "the codegen engine's class",
     # seams the tests drive
     "Pattern.with_labels": "builds the labelled patterns of "
     "tests/test_labeled_matching.py and the service and cluster tests",
@@ -479,10 +478,29 @@ def _callee(node: ast.expr) -> str:
     return getattr(node, "id", None) or getattr(node, "attr", "")
 
 
+def _names(path: Path) -> set[str]:
+    """Every name a module imports, loads or reads as an attribute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+#: a ``"module:Class"`` string, as the engine and transport tables
+#: name the classes they import on first use
+_TABLE_ENTRY = re.compile(r"repro(?:\.\w+)+:(\w+)")
+
+
 def _uses() -> dict[str, list[tuple[Path, int]]]:
     """Where each name is used in ``src/``, ``benchmarks/`` and
-    ``examples/``: every ``ast.Name``, ``ast.Attribute`` and import alias,
-    except the imports of package ``__init__`` files (re-exports)."""
+    ``examples/``: every ``ast.Name``, ``ast.Attribute``, import alias
+    and ``"module:Class"`` table entry, except the imports of package
+    ``__init__`` files (re-exports)."""
     uses: dict[str, list[tuple[Path, int]]] = {}
     for top in ("src", "benchmarks", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -494,6 +512,10 @@ def _uses() -> dict[str, list[tuple[Path, int]]]:
                     name = node.attr
                 elif isinstance(node, ast.alias) and not reexports:
                     name = node.name.rpartition(".")[2]
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ) and (entry := _TABLE_ENTRY.fullmatch(node.value)):
+                    name = entry.group(1)
                 else:
                     continue
                 uses.setdefault(name, []).append((path, node.lineno))
@@ -565,17 +587,25 @@ class TestStructure:
         assert pushers == {"service/core.py"}
 
     def test_the_cluster_keeps_no_cost_model(self):
-        """Nothing under ``cluster/`` imports ``sched.adaptive``: each
-        process has one cost model, its service's, and the coordinator
-        gives every subquery the whole ``request_timeout``."""
+        """Nothing under ``cluster/`` imports ``sched.adaptive`` or names
+        a scheduler piece (``QueryService``, ``DispatchState``,
+        ``JobQueue``, ``CostPredictor``): the coordinator is the
+        cluster's one scheduler and gives every subquery the whole
+        ``request_timeout``, and a shard runs the one subquery it is
+        sent with ``run_job`` — no nested service queues it."""
         package = ROOT / "src" / "repro"
-        imported = set()
+        scheduler = {"QueryService", "DispatchState", "JobQueue",
+                     "CostPredictor"}
+        imported, named = set(), set()
         for path in (package / "cluster").rglob("*.py"):
             imported |= _imports(path)
+            rel = path.relative_to(package).as_posix()
+            named |= {(rel, n) for n in _names(path) & scheduler}
         assert "repro.cluster.partition" in imported  # resolved at all
         assert not {
             m for m in imported if m.startswith("repro.sched.adaptive")
         }
+        assert named == set()
 
     def test_only_the_cluster_keeps_breakers(self):
         """The coordinator's per-replica comm breakers are the only
@@ -589,16 +619,7 @@ class TestStructure:
             rel = path.relative_to(package)
             if rel.parts[0] == "cluster":
                 continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = {a.name.split(".")[-1] for a in node.names}
-                elif isinstance(node, ast.Name):
-                    names = {node.id}
-                elif isinstance(node, ast.Attribute):
-                    names = {node.attr}
-                else:
-                    continue
-                named |= {(rel.as_posix(), n) for n in names & breaker}
+            named |= {(rel.as_posix(), n) for n in _names(path) & breaker}
         assert named == set()
         assert not (package / "resilience" / "breaker.py").exists()
 

@@ -243,7 +243,7 @@ class TestFailover:
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
-            primary = cluster.worker_groups[0][0].service
+            primary = cluster.worker_groups[0][0]
             for name, seconds, warmed in (("3CF", 0.2, False),
                                           ("DIA", 1.3, True)):
                 if warmed:
@@ -431,6 +431,62 @@ class TestCommFaultFailover:
 
 
 # -- one shard's incident, from kill to revive --------------------------------
+
+
+class TestShardCrashRetry:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_shard_crash_is_retried(self, mode):
+        """A crash on a shard leaves it as a ClusterError, and the
+        coordinator's failover schedule retries it: on a single-replica
+        shard the retry goes back to the same replica, so the count is
+        exact, nothing is partial and nothing failed over."""
+        g = erdos_renyi(50, 6.0, seed=5)
+        cfg = xset_default(engine="codegen")
+        plan = FaultPlan(seed=3, specs=(
+            FaultSpec(site="worker.run", kind=FaultKind.CRASH, rate=1.0,
+                      max_fires=1),
+        ))
+        with LocalCluster(
+            num_shards=1, config=cfg, transport="tcp", mode=mode,
+            max_workers=1,
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            cluster.workers[0].arm_faults(plan)
+            report = coord.query(gid, PATTERNS["3CF"], use_cache=False)
+            failovers = coord.metrics.counter(
+                "repro_cluster_replica_failovers_total"
+            ).value
+        # the one crash the plan hands out was drawn by the query
+        assert plan.for_job(99, 1) == ()
+        info = report.notes["cluster"]
+        assert report.embeddings == _reference(g, PATTERNS["3CF"])
+        assert info["partial"] is False
+        assert info["failovers"] == 0
+        assert failovers == 0
+
+
+    def test_a_broken_pool_is_replaced(self):
+        """A process-mode shard whose pool worker died drops the broken
+        pool; the coordinator's retry runs on a fresh one."""
+        g = erdos_renyi(50, 6.0, seed=5)
+        cfg = xset_default(engine="codegen")
+        with LocalCluster(
+            num_shards=1, config=cfg, mode="process", max_workers=1,
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            coord.query(gid, PATTERNS["3CF"], use_cache=False)
+            shard = cluster.workers[0]
+            broken = shard._pool
+            for proc in list(broken._processes.values()):
+                proc.kill()
+                proc.join(timeout=10)
+            report = coord.query(gid, PATTERNS["DIA"], use_cache=False)
+            assert shard._pool is not None and shard._pool is not broken
+        info = report.notes["cluster"]
+        assert report.embeddings == _reference(g, PATTERNS["DIA"])
+        assert info["partial"] is False and info["failovers"] == 0
 
 
 class TestIncidentDedupe:
