@@ -545,8 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("inline", "thread", "process"),
                          default="inline",
                          help="where each shard runs its subquery: "
-                              "inline/thread on the serving thread, "
-                              "process in the shard's own process pool")
+                              "inline and thread alike on the serving "
+                              "thread, process in the shard's own "
+                              "process pool")
     cluster.add_argument("--replicas", type=int, default=1,
                          help="workers per shard group; >= 2 enables "
                               "automatic failover when a replica dies")

@@ -765,8 +765,8 @@ class LocalCluster:
     workers keep the bare ``shard<i>`` names and the cluster behaves
     exactly like the pre-replication one; with more, replicas are named
     ``shard<i>/r<j>``.  ``mode`` says where a shard runs its subquery:
-    ``inline`` and ``thread`` on the thread that serves the request,
-    ``process`` in the shard's own process pool.  ``max_workers`` sizes
+    ``inline`` and ``thread`` on the thread that serves the request (the
+    two behave the same), ``process`` in the shard's own process pool.  ``max_workers`` sizes
     only a process-mode shard's pool (default: one process per CPU).
     :meth:`kill_shard` / :meth:`kill_replica` are the chaos hooks and
     :meth:`revive_replica` the recovery hook; killed workers are still

@@ -68,7 +68,12 @@ __all__ = ["ShardWorker"]
 
 
 class ShardWorker:
-    """One cluster shard: registered graph slices answering subqueries."""
+    """One cluster shard: registered graph slices answering subqueries.
+
+    ``mode="inline"`` and ``mode="thread"`` behave the same: both run the
+    subquery on the thread serving the request (the two names mirror the
+    service's modes).  ``mode="process"`` runs it in the shard's own pool.
+    """
 
     def __init__(
         self,

@@ -6,99 +6,82 @@ same.  Recounting from scratch per update wastes the accelerator;
 :class:`IncrementalGPM` instead maintains the count under edge insertions
 and deletions by counting only embeddings that *use the updated edge*.
 
-An edit of the pair ``(u, v)`` creates or destroys only embeddings that map
-some pattern pair ``(a, b)`` onto it: a pattern edge, or, for an induced
-plan, also a non-edge.  Such an embedding maps each pattern vertex ``w``
-within ``min(d(w, a), d(w, b))`` hops of ``{u, v}`` in the graph that holds
-the edge, because a pattern path maps to a walk there.  The largest of
-these over every such pair and vertex is :func:`edge_radius`, and
-:func:`edge_delta` counts the ball of that radius around the edge with and
-without it.  The difference is exact, and local for the sparse graphs GPM
-targets: radius 1 for cliques, DIA, WEDGE and CYC, 2 for TT, HOUSE, C5 and
-P3.  The service patches its cached counts with the same function
-(``QueryService.dynamic_session``).
+An edit of the pair ``(u, v)`` creates or destroys only the matches that
+map some pattern pair ``(a, b)`` onto it: a pattern edge, or, for an
+induced plan, also a non-edge.  :func:`edge_delta` counts exactly those,
+per orbit of such pairs under the pattern's automorphisms
+(:func:`~repro.patterns.plan.anchored_plans`): the plan ordered ``(a, b,
+…)`` is entered at level 1 from the two-vertex seed ``[[u, v]]`` — a
+bound-variable join in TrieJax's sense — and runs its compiled kernel on
+the whole snapshot, with no symmetry restrictions.  The edge orbits'
+weighted counts, less those of an induced plan's non-edge orbits, are
+the change in matches, and over ``|Aut(P)|`` the change in embeddings:
+exact, and as local as the kernel's walk from the seed.  3CF is one run
+of one level, DIA two runs of two levels.  The service patches its
+cached counts with the same function (``QueryService.dynamic_session``).
 
 The graph is held as one immutable :class:`CSRGraph` snapshot: a write
-replaces it by ``with_edge`` / ``without_edge`` (an array splice), extracts
-the ball once (vectorised BFS + induced-subgraph gather, labels kept) and
-counts it with and without the edge through the plan's compiled kernel,
-in the chunked sweep the ``codegen`` engine runs.  A write therefore costs
-what the edge's neighbourhood costs plus one O(E) memcpy, with no per-edge
-Python object; the pure-Python reference executor is not used here, which
-leaves it an independent oracle for the maintained count.
+replaces it by ``with_edge`` / ``without_edge`` (an array splice) that
+carries the kernel's derived indexes — adjacency bitset, edge keys, row
+word counts — through the same edit, so the seeded runs find them built.
+A write therefore costs what the edge's neighbourhood costs plus a few
+O(E) memcpys, with no per-edge Python object; the pure-Python reference
+executor is not used here, which leaves it an independent oracle for the
+maintained count.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from ..engine.codegen import ROOT_CHUNK
 from ..engine.functional import FrontierExpander, sweep_frontier
-from ..graph.algorithms import neighborhood
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
-from ..patterns.plan import MatchingPlan, build_plan
+from ..patterns.plan import MatchingPlan, anchored_plans, build_plan
 
-__all__ = ["IncrementalGPM", "edge_delta", "edge_radius"]
-
-
-def _distances(pattern: Pattern, source: int) -> list[int]:
-    """Hops from ``source`` to every vertex of the (connected) pattern."""
-    dist = [-1] * pattern.num_vertices
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in pattern.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+__all__ = ["IncrementalGPM", "edge_delta"]
 
 
-@lru_cache(maxsize=256)
-def edge_radius(pattern: Pattern, induced: bool) -> int:
-    """Hops around an edited pair ``(u, v)`` that hold every embedding
-    the edit creates or destroys.
-
-    The maximum, over every pattern pair ``(a, b)`` that can map onto
-    ``(u, v)`` — the edges, and the non-edges too when ``induced`` — of
-    the farthest pattern vertex ``w`` by ``min(d(w, a), d(w, b))``.
-    """
-    n = pattern.num_vertices
-    dist = [_distances(pattern, s) for s in range(n)]
-    pairs = combinations(range(n), 2) if induced else pattern.edge_list
-    return max(
-        (max(min(dist[a][w], dist[b][w]) for w in range(n))
-         for a, b in pairs),
-        default=0,
-    )
-
-
-def _count(graph: CSRGraph, plan: MatchingPlan) -> int:
-    """Embeddings of ``plan`` in ``graph``, a chunk of roots at a time."""
+def _count(graph: CSRGraph, plan: MatchingPlan, seed=None) -> int:
+    """Embeddings of ``plan`` in ``graph``, a chunk of roots at a time,
+    below the level-k ``seed`` frontier (default: every root)."""
     expander = FrontierExpander(graph, plan)
-    return sweep_frontier(expander, expander.roots(), ROOT_CHUNK)[-1].count
+    if seed is None:
+        seed = expander.roots()
+    elif seed.shape[1] > plan.stop_level:  # the seed rows are matches
+        return seed.shape[0]
+    return sweep_frontier(expander, seed, ROOT_CHUNK)[-1].count
 
 
 def edge_delta(graph: CSRGraph, u: int, v: int, plan: MatchingPlan) -> int:
-    """Count of ``graph`` minus count of ``graph`` less its edge ``(u, v)``,
-    both taken on the :func:`edge_radius` ball around the edge.
+    """Count of the graph with the edge ``(u, v)`` less the count of the
+    graph without it: the delta of an insert, whose negation is a
+    removal's.
 
-    ``graph`` must hold the edge: it is the graph after an insert, or the
-    one before a removal (whose delta is the negation).
+    ``graph`` is either snapshot, before or after the edit.  Below the
+    seed no level reads the adjacency of ``u`` and ``v`` themselves: a
+    candidate equal to either is dropped by a probe of the other (no self
+    loops) or by distinctness, as the plan has it.  So each anchored count
+    is the same on both, and the non-edge orbits of an induced plan, whose
+    matches the insert destroys, are counted on the same snapshot.
     """
-    radius = edge_radius(plan.pattern, plan.induced)
-    ball = neighborhood(graph, np.array([u, v]), radius)
-    with_edge = graph.induced_subgraph(ball, name="ball")
-    lu, lv = np.searchsorted(ball, (u, v)).tolist()
-    return _count(with_edge, plan) - _count(
-        with_edge.without_edge(lu, lv), plan
-    )
+    automorphisms, anchors = anchored_plans(plan.pattern, plan.induced)
+    labels = graph.labels
+    matches = 0
+    for anchor in anchors:
+        seed = [(u, v), (v, u)] if anchor.mirrored else [(u, v)]
+        if labels is not None and anchor.labels is not None:
+            seed = [
+                (x, y) for x, y in seed
+                if (labels[x], labels[y]) == anchor.labels
+            ]
+        if seed:
+            m = _count(graph, anchor.plan, np.array(seed, dtype=np.int32))
+            matches += anchor.weight * m if anchor.edge else -anchor.weight * m
+    delta, rest = divmod(matches, automorphisms)
+    assert not rest, f"{matches} matches over {automorphisms} automorphisms"
+    return delta
 
 
 class IncrementalGPM:
@@ -152,12 +135,11 @@ class IncrementalGPM:
 
     def remove_edge(self, u: int, v: int) -> int:
         """Remove an edge; returns the count delta (:meth:`insert_edge`)."""
-        before = self._graph
-        after = before.without_edge(u, v)
-        if after is before:
+        after = self._graph.without_edge(u, v)
+        if after is self._graph:
             return 0
         return self._commit(
-            after, u, v, False, -edge_delta(before, u, v, self.plan)
+            after, u, v, False, -edge_delta(after, u, v, self.plan)
         )
 
     # -- export -------------------------------------------------------------------

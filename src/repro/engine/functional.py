@@ -45,8 +45,8 @@ from ..sched.task import SimTask
 from ..setops.bulk import (
     bulk_adjacency,
     bulk_adjacency_bits,
-    edge_keys,
-    packed_adjacency,
+    graph_adj_bits,
+    graph_edge_keys,
     row_bounds,
     row_spans,
 )
@@ -62,6 +62,7 @@ __all__ = [
     "walk_tasks",
     "leaf_count",
     "row_word_counts",
+    "graph_row_words",
     "stream_words",
     "TRACE_BLOCK_ELEMENTS",
     "OpFacts",
@@ -96,6 +97,23 @@ def row_word_counts(graph: CSRGraph, width: int) -> np.ndarray:
     n = graph.num_vertices
     owner = np.repeat(np.arange(n), graph.degrees)
     return stream_words(graph.indices, owner, n, width)
+
+
+def graph_row_words(graph: CSRGraph, width: int) -> np.ndarray:
+    """The graph's memoised :func:`row_word_counts`, spliced through its
+    edits: an edit changes the counts of its two rows only."""
+    return graph.derived(
+        ("row_words", width), row_word_counts, graph, width,
+        splice=partial(_splice_row_words, width=width),
+    )
+
+
+def _splice_row_words(words, graph: CSRGraph, edit, width: int):
+    words = words.copy()
+    for v in (edit.lo, edit.hi):
+        row = graph.neighbors(v)
+        words[v] = np.unique(row // width).size if width else row.size
+    return words
 
 
 # -- per-task expansion ------------------------------------------------------
@@ -315,10 +333,8 @@ class _TraceBuilder:
 
     def __init__(self, graph, plan: MatchingPlan, width: int, cost) -> None:
         self.graph, self.plan, self.width, self.cost = graph, plan, width, cost
-        self.row_words = graph.derived(
-            ("row_words", width), row_word_counts, graph, width
-        )
-        self.keys = graph.derived("edge_keys", edge_keys, graph)
+        self.row_words = graph_row_words(graph, width)
+        self.keys = graph_edge_keys(graph)
         self.steps = [None, *map(level_steps, plan.levels[1:])]
         depth = plan.stop_level + 1
         self.parts = {
@@ -530,18 +546,15 @@ class FrontierExpander:
         # graph-derived indexes, memoised on the graph across queries.
         # adjacency oracle: packed bitset (one byte gather per query) for
         # small graphs, sorted edge-key binary search beyond the size cap
-        self._adj_bits = graph.derived("adj_bits", packed_adjacency, graph)
-        self._keys = graph.derived("edge_keys", edge_keys, graph)
-        self._row_words = graph.derived(
-            ("row_words", bitmap_width), row_word_counts, graph, bitmap_width
-        )
+        self._adj_bits = graph_adj_bits(graph)
+        self._keys = graph_edge_keys(graph)
+        self._row_words = graph_row_words(graph, bitmap_width)
         #: ``spans(src, upper=None, lower=None)``: the CSR span of each
         #: ``N(src[i])`` inside its bounds (:func:`row_spans`); public, like
         #: :meth:`adjacent`, because compiled plan kernels call it
         self.spans = partial(row_spans, graph, self._keys)
-        self._kernel = compile_plan_kernel(
-            plan, use_labels=graph.labels is not None
-        ).fn
+        #: the plan's compiled kernel per start level, compiled on first use
+        self._kernels: dict[int, Callable] = {}
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Boolean mask: does the edge ``(u[i], v[i])`` exist?
@@ -558,11 +571,18 @@ class FrontierExpander:
         return plan_roots(self.graph, self.plan, vertices).reshape(-1, 1)
 
     def run_chunk(self, emb: np.ndarray) -> list[FrontierLevel]:
-        """Every plan level of the level-0 frontier ``emb`` in one call of
-        the plan's compiled kernel, which returns as soon as a frontier
+        """Every plan level below the level-k frontier ``emb`` (k + 1
+        columns: k is ``emb.shape[1] - 1``) in one call of the plan's
+        kernel entered at level k, which returns as soon as a frontier
         empties: one record per level reached, each carrying its surviving
         ``embeddings`` (none on the leaf level)."""
-        return self._kernel(
+        start = emb.shape[1] - 1
+        kernel = self._kernels.get(start)
+        if kernel is None:
+            kernel = self._kernels[start] = compile_plan_kernel(
+                self.plan, self.graph.labels is not None, start
+            ).fn
+        return kernel(
             self.graph, self.spans, self.adjacent, self._row_words, emb
         )
 
@@ -573,21 +593,22 @@ def sweep_frontier(
     root_chunk: int,
     ob=None,
 ) -> list[FrontierLevel]:
-    """Expand the level-0 frontier ``roots`` a chunk of rows at a time
-    through :meth:`FrontierExpander.run_chunk`; returns one aggregate
-    record per plan level (no ``embeddings``).
+    """Expand the level-k frontier ``roots`` (k + 1 columns) a chunk of
+    rows at a time through :meth:`FrontierExpander.run_chunk`; returns one
+    aggregate record per plan level below k (no ``embeddings``).
 
     Chunking bounds peak frontier memory on graphs whose intermediate
     frontiers would otherwise explode.  Under an active observation ``ob``
     each chunk's level records are added to its per-level profile.
     """
+    first = roots.shape[1]  # the first level below the frontier's
     merged = [
         FrontierLevel(level=lv, tasks=0, embeddings=roots[:0])
-        for lv in range(1, expander.plan.stop_level + 1)
+        for lv in range(first, expander.plan.stop_level + 1)
     ]
     for start in range(0, roots.shape[0], root_chunk):
         for step in expander.run_chunk(roots[start : start + root_chunk]):
-            agg = merged[step.level - 1]
+            agg = merged[step.level - first]
             agg.tasks += step.tasks
             agg.count += step.count
             agg.set_ops += step.set_ops

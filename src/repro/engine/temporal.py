@@ -31,7 +31,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..patterns.plan import MatchingPlan
 from ..siu.base import SIUCostModel
-from .functional import FrontierLevel, OpFacts, level_steps, row_word_counts
+from .functional import FrontierLevel, OpFacts, graph_row_words, level_steps
 
 __all__ = [
     "TASK_DISPATCH_CYCLES",
@@ -67,9 +67,7 @@ class TaskCostAnnotator:
             for mode, source, ops in map(level_steps, plan.levels[1:])
         )]
         # indexed per stream by the replay: lists are Python's fastest
-        self.row_words = graph.derived(
-            ("row_words", width), row_word_counts, graph, width
-        ).tolist()
+        self.row_words = graph_row_words(graph, width).tolist()
         self.row_addr = (graph.indptr[:-1] + graph.base_address).tolist()
         # SIU constants the replay reads once per run
         self.dispatch = float(TASK_DISPATCH_CYCLES + task_overhead_cycles)

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import (
+    Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence,
+)
 
 import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["CSRGraph", "edges_to_csr", "gather_spans"]
+__all__ = ["CSRGraph", "Edit", "edges_to_csr", "gather_spans"]
 
 
 def _as_edge_array(
@@ -91,6 +93,31 @@ def edges_to_csr(
     return indptr, dst
 
 
+class Edit(NamedTuple):
+    """One edge edit of a :class:`CSRGraph`, as :meth:`CSRGraph.derived`
+    splices hand it on: the pair ``lo < hi``, and the slots ``p`` and ``q``
+    of ``hi`` in row ``lo`` and of ``lo`` in row ``hi`` in the ``indices``
+    before the edit (where they go for an ``insert``)."""
+
+    lo: int
+    hi: int
+    p: int
+    q: int
+    insert: bool
+
+    def splice(self, values: np.ndarray, first, second) -> np.ndarray:
+        """``values``, aligned with ``indices``, with ``first`` put in at
+        (removed from) slot ``p`` and ``second`` at ``q``: ``p <= q``, so
+        row ``lo`` lies wholly before row ``hi``."""
+        p, q = self.p, self.q
+        if self.insert:
+            new = np.array([first, second], dtype=values.dtype)
+            parts = (values[:p], new[:1], values[p:q], new[1:], values[q:])
+        else:
+            parts = (values[:p], values[p + 1 : q], values[q + 1 :])
+        return np.concatenate(parts)
+
+
 @dataclass
 class CSRGraph:
     """An undirected simple graph in sorted-CSR form.
@@ -116,6 +143,10 @@ class CSRGraph:
     _degrees: np.ndarray = field(init=False, repr=False)
     #: indexes derived from the (immutable) CSR arrays, see :meth:`derived`
     _derived: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    #: the splice each derived index was registered with, if any
+    _splices: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -192,22 +223,31 @@ class CSRGraph:
         i = int(np.searchsorted(row, v))
         return i < row.size and int(row[i]) == v
 
-    def derived(self, key: Hashable, build: Callable[..., Any], *args) -> Any:
+    def derived(
+        self, key: Hashable, build: Callable[..., Any], *args,
+        splice: Callable[[Any, "CSRGraph", Edit], Any] | None = None,
+    ) -> Any:
         """``build(*args)`` memoised on this instance under ``key``.
 
         For indexes that are pure functions of ``indptr``/``indices`` (edge
         keys, adjacency bitset, row word counts): built by the first query,
         reused by later ones, never pickled, fingerprinted or compared.
         Threads racing on a cold key both build equal values; last wins.
+        ``splice(value, graph, edit)`` carries the index through an edge
+        edit: :meth:`with_edge` and :meth:`without_edge` hand it the edited
+        graph and the :class:`Edit`, and drop every index registered
+        without one, to be rebuilt on demand.
         """
         try:
             return self._derived[key]
         except KeyError:
             value = self._derived[key] = build(*args)
+            if splice is not None:
+                self._splices[key] = splice
             return value
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_derived": {}}
+        return {**self.__dict__, "_derived": {}, "_splices": {}}
 
     def fingerprint(self) -> str:
         """Stable content hash of the graph's structure and labels.
@@ -251,7 +291,9 @@ class CSRGraph:
 
         Rows are sorted, so the edge's two slots are two binary searches and
         the new arrays are slice copies around them — an O(E) memcpy with no
-        per-edge Python object.  Returns ``self`` when nothing changes.
+        per-edge Python object.  Every derived index registered with a
+        splice is carried through the same :class:`Edit`; the rest are
+        dropped.  Returns ``self`` when nothing changes.
         """
         n = self.num_vertices
         if not (0 <= u < n and 0 <= v < n):
@@ -265,23 +307,23 @@ class CSRGraph:
         present = p < self.indptr[lo + 1] and ind[p] == hi
         if present == insert:
             return self
+        edit = Edit(lo, hi, p, q, insert)
         indptr = self.indptr.copy()
-        if insert:  # p <= q: row lo lies wholly before row hi
-            new = np.array([hi, lo], dtype=ind.dtype)
-            parts = (ind[:p], new[:1], ind[p:q], new[1:], ind[q:])
-            step = 1
-        else:
-            parts = (ind[:p], ind[p + 1 : q], ind[q + 1 :])
-            step = -1
+        step = 1 if insert else -1
         indptr[lo + 1 :] += step
         indptr[hi + 1 :] += step
-        return CSRGraph(
+        graph = CSRGraph(
             indptr=indptr,
-            indices=np.concatenate(parts),
+            indices=edit.splice(ind, hi, lo),
             name=self.name,
             base_address=self.base_address,
             labels=self.labels,
         )
+        # a copy of the items: another thread may be filling a cold key
+        for key, splice in list(self._splices.items()):
+            graph._derived[key] = splice(self._derived[key], graph, edit)
+            graph._splices[key] = splice
+        return graph
 
     def with_edge(self, u: int, v: int) -> "CSRGraph":
         """Copy of this graph with the undirected edge ``(u, v)`` added.

@@ -315,9 +315,10 @@ def _emit_bit_leaf(w, lv, probes, collection, use_labels, reuses) -> None:
 
 def _emit_level(
     levels: tuple[LevelSpec, ...], level: int, is_leaf: bool,
-    collection: str, use_labels: bool,
+    collection: str, use_labels: bool, first: bool = False,
 ) -> list[str]:
-    """Source lines (function-body indent) for one unrolled plan level."""
+    """Source lines (function-body indent) for one unrolled plan level
+    (``first``: the kernel's first, which has no parent set to reuse)."""
     lv = levels[level]
     w = lines = []
     w.append(f"    # -- level {level}: {lv.describe()}")
@@ -335,7 +336,7 @@ def _emit_level(
         *((p, False) for p in lv.deps[1:]),
         *((p, True) for p in lv.anti_deps),
     ]
-    reuses = _reuses_parent(levels, level, use_labels)
+    reuses = not first and _reuses_parent(levels, level, use_labels)
     if is_leaf:
         _emit_bit_leaf(w, lv, probes, collection, use_labels, reuses)
     if reuses:
@@ -392,19 +393,23 @@ def _emit_level(
     return lines
 
 
-def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
+def emit_plan_source(
+    plan: MatchingPlan, use_labels: bool = False, start: int = 0
+) -> str:
     """Emit plan-specialised NumPy source for one frontier sweep.
 
     The generated module defines ``kernel(graph, spans, adjacent, rw,
     emb)`` — *graph* the :class:`~repro.graph.csr.CSRGraph`, *spans* the
     bound-to-CSR-span search and *adjacent* the bulk edge-existence oracle
     (both from :class:`~repro.engine.functional.FrontierExpander`), *rw*
-    the per-vertex row-word counts and *emb* the level-0 frontier (one root
-    per row).  It returns the per-level
+    the per-vertex row-word counts and *emb* the level-``start`` frontier
+    (one partial embedding of ``start + 1`` columns per row: one root per
+    row at level 0).  It returns the per-level
     :class:`~repro.engine.functional.FrontierLevel` records of the levels
-    it reached — the level loop unrolled, every bound/exclude/label
-    constant inlined, no per-level attribute dispatch, and parent-set reuse
-    wherever :func:`_reuses_parent` proves it exact.
+    it reached, from ``start + 1`` on — the level loop unrolled, every
+    bound/exclude/label constant inlined, no per-level attribute dispatch,
+    and parent-set reuse wherever :func:`_reuses_parent` proves it exact
+    and the parent set was computed in the kernel.
 
     ``use_labels`` bakes the plan's label predicates in; pass False when
     the target graph is unlabelled (it has no labels to test).
@@ -412,7 +417,8 @@ def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
     lines = [
         f'"""Plan-compiled kernel: pattern {plan.pattern.name}, '
         f"collection {plan.collection}, depth {plan.depth}"
-        f"{', labelled' if use_labels else ''}.",
+        f"{', labelled' if use_labels else ''}"
+        f"{f', from level {start}' if start else ''}.",
         "",
         "Generated by repro.patterns.codegen.emit_plan_source; do not edit.",
         '"""',
@@ -421,13 +427,14 @@ def emit_plan_source(plan: MatchingPlan, use_labels: bool = False) -> str:
         "def kernel(graph, spans, adjacent, rw, emb):",
         "    levels = []",
     ]
-    for level in range(1, plan.stop_level + 1):
+    for level in range(start + 1, plan.stop_level + 1):
         lines += _emit_level(
             plan.levels,
             level,
             is_leaf=level == plan.stop_level,
             collection=plan.collection,
             use_labels=use_labels,
+            first=level == start + 1,
         )
     return "\n".join(lines) + "\n"
 
@@ -450,23 +457,29 @@ _KERNEL_STATS = {"hits": 0, "misses": 0}
 _KERNEL_LOCK = threading.Lock()
 
 
-def kernel_cache_key(plan: MatchingPlan, use_labels: bool = False) -> tuple:
+def kernel_cache_key(
+    plan: MatchingPlan, use_labels: bool = False, start: int = 0
+) -> tuple:
     """The cache identity of a compiled kernel.
 
     Only inputs that reach the *emitted source* participate: the plan's
-    level structure, its collection mode and whether label predicates were
-    baked in.  ``SystemConfig`` knobs (SIU kind, widths, frequency, PE
+    level structure, its collection mode, whether label predicates were
+    baked in and the level the kernel starts from.  ``SystemConfig`` knobs (SIU kind, widths, frequency, PE
     counts) are timing-model parameters applied after the functional
     sweep, so distinct configs deliberately share one kernel per plan.
     """
-    return (plan.levels, plan.collection, plan.stop_level, bool(use_labels))
+    return (
+        plan.levels, plan.collection, plan.stop_level, bool(use_labels),
+        start,
+    )
 
 
 def compile_plan_kernel(
-    plan: MatchingPlan, use_labels: bool = False
+    plan: MatchingPlan, use_labels: bool = False, start: int = 0
 ) -> CompiledKernel:
-    """Emit, ``exec``-compile and cache the kernel for ``plan``."""
-    key = kernel_cache_key(plan, use_labels)
+    """Emit, ``exec``-compile and cache the kernel for ``plan`` entered at
+    level ``start`` (:func:`emit_plan_source`)."""
+    key = kernel_cache_key(plan, use_labels, start)
     with _KERNEL_LOCK:
         cached = _KERNEL_CACHE.get(key)
         if cached is not None:
@@ -481,7 +494,7 @@ def compile_plan_kernel(
     from ..engine.functional import FrontierLevel
     from ..setops.bulk import bit_leaf_sizes, gather_rows, gather_spans
 
-    source = emit_plan_source(plan, use_labels)
+    source = emit_plan_source(plan, use_labels, start)
     namespace: dict[str, Any] = {
         "np": np,
         "gather_rows": gather_rows,

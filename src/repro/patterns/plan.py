@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import PlanError
 from .pattern import Pattern
@@ -41,6 +41,8 @@ __all__ = [
     "MatchingPlan",
     "build_plan",
     "choose_order",
+    "Anchor",
+    "anchored_plans",
     "DEFAULT_INDUCED",
 ]
 
@@ -156,8 +158,13 @@ def choose_order(pattern: Pattern) -> tuple[int, ...]:
     """
     k = pattern.num_vertices
     start = max(range(k), key=lambda v: (pattern.degree(v), -v))
-    order = [start]
-    remaining = set(range(k)) - {start}
+    return _extend_order(pattern, [start])
+
+
+def _extend_order(pattern: Pattern, order: list[int]) -> tuple[int, ...]:
+    """``order`` completed by :func:`choose_order`'s greedy rule."""
+    k = pattern.num_vertices
+    remaining = set(range(k)) - set(order)
     while remaining:
         def score(v: int) -> tuple[int, int, int]:
             back = sum(1 for u in order if pattern.adjacent(u, v))
@@ -332,3 +339,62 @@ def _build_plan(pattern, induced, order, collection) -> MatchingPlan:
         induced=induced,
         collection=collection,
     )
+
+
+class Anchor(NamedTuple):
+    """One orbit ``O`` of ordered pattern pairs ``(a, b)``, ``a != b``,
+    under the pattern's automorphisms, with the plan that counts the
+    matches sending ``a`` to ``u`` and ``b`` to ``v`` of a data pair."""
+
+    #: order ``(a, b, …)``, no restrictions, ``count_last``: entered at
+    #: level 1 from the seed ``[[u, v]]`` (level 1 itself never runs)
+    plan: MatchingPlan
+    #: ``|O|``
+    weight: int
+    #: ``(a, b)`` is a pattern edge (else a non-edge, induced plans only)
+    edge: bool
+    #: the reversed orbit is another: its matches are this plan's from
+    #: the seed ``[[v, u]]``
+    mirrored: bool
+    #: pattern labels of ``(a, b)``; None for an unlabelled pattern
+    labels: tuple[int, int] | None
+
+
+@lru_cache(maxsize=256)
+def anchored_plans(
+    pattern: Pattern, induced: bool
+) -> tuple[int, tuple[Anchor, ...]]:
+    """``|Aut(P)|`` and one :class:`Anchor` per pair orbit up to reversal:
+    the edge orbits, and for an ``induced`` plan the non-edge orbits.
+
+    A pattern match is an injective map ``P → G``; its pair ``(a, b)`` that
+    lands on ``(u, v)`` is unique, and matches that land a pair of one
+    orbit on ``(u, v)`` are equinumerous.  So the matches using ``(u, v)``
+    are the weights times the anchored counts, and the embeddings
+    (:func:`build_plan`'s count) are those matches over ``|Aut(P)|``.
+    """
+    autos = list(pattern.automorphisms())
+    n, labels = pattern.num_vertices, pattern.labels
+    seen: set[tuple[int, int]] = set()
+    anchors = []
+    for a in range(n):
+        for b in range(n):
+            edge = pattern.adjacent(a, b)
+            if a == b or (a, b) in seen or not (edge or induced):
+                continue
+            orbit = {(s[a], s[b]) for s in autos}
+            mirrored = (b, a) not in orbit
+            seen |= orbit | {(y, x) for x, y in orbit}
+            order = _extend_order(pattern, [a, b])
+            plan = MatchingPlan(
+                pattern=pattern,
+                order=order,
+                restrictions=(),
+                levels=_compile_levels(pattern, order, (), induced),
+                induced=induced,
+            )
+            anchors.append(Anchor(
+                plan, len(orbit), edge, mirrored,
+                None if labels is None else (labels[a], labels[b]),
+            ))
+    return len(autos), tuple(anchors)

@@ -13,7 +13,7 @@ Eviction is LRU with a fixed capacity; ``invalidate_fingerprint`` removes
 back under the new fingerprint as a :class:`Stale` entry: the old report
 and the one edit that separates the two snapshots.  ``get`` misses on a
 stale entry; the service takes it (``take_stale``) on that miss and serves
-the old count moved by the edit's delta
+the old count moved by the edit's edge-anchored delta
 (:func:`~repro.core.incremental.edge_delta`) instead of a recount.  Stale
 entries share the one LRU, so the capacity and ``invalidate_fingerprint``
 bound them too: a second write drops a stale entry nobody read.
@@ -58,8 +58,8 @@ class Stale(NamedTuple):
 
     #: the answer for the snapshot before the edit
     report: "SimReport"
-    #: whichever of the two snapshots holds the edge ``(u, v)``: the new
-    #: one after an insert, the old one after a removal
+    #: the snapshot after the edit (the registered one, not a copy):
+    #: :func:`~repro.core.incremental.edge_delta` reads either
     snapshot: "CSRGraph"
     u: int
     v: int

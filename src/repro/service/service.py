@@ -438,14 +438,17 @@ class QueryService:
         snapshot under ``graph_id`` and moves the old snapshot's
         whole-graph entries to the new fingerprint.  Entries for *this*
         pattern are re-cached at once with the incrementally maintained
-        exact count.  Every other one is kept as a :class:`Stale` entry:
-        its first read misses, and ``submit`` serves it on the caller's
-        thread as the old count plus :func:`edge_delta` of the edit,
-        caches that and settles the job with ``from_cache=False``.  A
-        second write before that read drops the stale entry, and
-        root-restricted (cluster shard) entries are always dropped.  A
-        patched report's timing and work fields are the stale run's, so
-        treat them as approximate; it does not train the cost record.
+        exact count.  Every other one is kept as a :class:`Stale` entry
+        holding the edit and the new snapshot: its first read misses, and
+        ``submit`` serves it on the caller's thread as the old count plus
+        :func:`edge_delta` of the edit (the pattern's runs seeded with the
+        edited pair, on the snapshot whose derived indexes the edit
+        spliced), caches that and settles the job with
+        ``from_cache=False``.  A second write before that read drops the
+        stale entry, and root-restricted (cluster shard) entries are
+        always dropped.  A patched report's timing and work fields are the
+        stale run's, so treat them as approximate; it does not train the
+        cost record.
         """
         record = self._registry.get(graph_id)
         pkey = pattern_cache_key(pattern, induced)
@@ -458,7 +461,7 @@ class QueryService:
             old_fp, new_fp = self._registry.update(graph_id, held)
             # the old entries answer for the registered graph: the edit
             # patches them only if that is the graph it edited
-            edit = (held if inserted else before, u, v, inserted)
+            edit = (held, u, v, inserted)
             for key, entry in self._cache.invalidate_fingerprint(old_fp):
                 # shard entries hold partial counts, and a stale entry
                 # is already one edit behind

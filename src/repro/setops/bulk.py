@@ -23,6 +23,8 @@ from ..graph.csr import CSRGraph, gather_spans
 
 __all__ = [
     "edge_keys",
+    "graph_edge_keys",
+    "graph_adj_bits",
     "bulk_membership",
     "bulk_adjacency",
     "packed_adjacency",
@@ -73,6 +75,17 @@ def edge_keys(graph: CSRGraph) -> np.ndarray:
         np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
     )
     return src * n + graph.indices.astype(np.int64)
+
+
+def graph_edge_keys(graph: CSRGraph) -> np.ndarray:
+    """The graph's memoised :func:`edge_keys`, spliced through its edits:
+    a key sits at its edge's CSR slot, so it moves with the edge."""
+    return graph.derived("edge_keys", edge_keys, graph, splice=_splice_keys)
+
+
+def _splice_keys(keys: np.ndarray, graph: CSRGraph, edit) -> np.ndarray:
+    n = graph.num_vertices
+    return edit.splice(keys, edit.lo * n + edit.hi, edit.hi * n + edit.lo)
 
 
 def bulk_membership(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -134,6 +147,23 @@ def packed_adjacency(
     return bits
 
 
+def graph_adj_bits(graph: CSRGraph) -> np.ndarray | None:
+    """The graph's memoised :func:`packed_adjacency`, spliced through its
+    edits (a copy with the pair's two bits flipped; None stays None)."""
+    return graph.derived(
+        "adj_bits", packed_adjacency, graph, splice=_splice_bits
+    )
+
+
+def _splice_bits(bits: np.ndarray | None, graph: CSRGraph, edit):
+    if bits is None:
+        return None
+    bits = bits.copy()
+    for a, b in ((edit.lo, edit.hi), (edit.hi, edit.lo)):
+        bits[a, b >> 3] ^= np.uint8(1 << (b & 7))
+    return bits
+
+
 def bulk_adjacency_bits(
     bits: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
@@ -186,7 +216,7 @@ def bit_rows_cheaper(
     if emb.shape[0] * bit_ns < RULE_NS:
         return True  # the bit rows cost less than finding out
     rows = emb[:: max(emb.shape[0] // RULE_SAMPLE_ROWS, 1)]
-    keys = graph.derived("edge_keys", edge_keys, graph)
+    keys = graph_edge_keys(graph)
     lo, hi = row_spans(
         graph, keys, rows[:, src], *row_bounds(rows, upper, lower)
     )
@@ -209,7 +239,7 @@ def bit_leaf_sizes(
     """Sizes of a terminal level's candidate sets, 64 candidates per AND —
     or None where :func:`bit_rows_cheaper` (or a missing bitset) says no.
 
-    Reads the graph's memoised :func:`packed_adjacency` as word rows.  Row
+    Reads the graph's :func:`graph_adj_bits` as word rows.  Row
     ``i``'s set is ``N(emb[i, src])`` strictly between the ``lower`` and
     ``upper`` bound columns, minus the ``exclude`` columns' vertices, among
     vertices labelled ``label`` (None: any), then intersected with (``anti``:
@@ -224,7 +254,7 @@ def bit_leaf_sizes(
     64`` (the whole row where a bound is absent): every bit outside is
     zero in every row's set, so neither a size nor a prior changes.
     """
-    bits = graph.derived("adj_bits", packed_adjacency, graph)
+    bits = graph_adj_bits(graph)
     if bits is None or not bit_rows_cheaper(
         graph, bits.shape[1] // 8, emb, src, upper, lower, len(probes),
         reuse,

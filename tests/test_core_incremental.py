@@ -7,33 +7,79 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental import IncrementalGPM, edge_radius
+from repro.core.incremental import IncrementalGPM, edge_delta
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph, erdos_renyi
 from repro.patterns import PATTERNS, Pattern, build_plan, count_embeddings
+from repro.patterns.plan import anchored_plans
 
 
-class TestEdgeRadius:
-    @pytest.mark.parametrize(
-        "name,induced,radius",
-        [("3CF", False, 1), ("4CF", False, 1), ("5CF", False, 1),
-         ("DIA", False, 1), ("WEDGE", True, 1), ("CYC", True, 1),
-         ("CYC", False, 1), ("TT", True, 2), ("TT", False, 2),
-         ("HOUSE", False, 2), ("C5", False, 2), ("P3", True, 2)],
-    )
-    def test_known_radii(self, name, induced, radius):
-        assert edge_radius(PATTERNS[name], induced) == radius
+@st.composite
+def delta_cases(draw):
+    """A small random graph, a pattern and plan semantics, and a vertex
+    pair whose edge is toggled.  Labelled cases draw graph labels from
+    {0, 1, 2} and pattern labels from {0, 1}, so some pairs carry a label
+    pair that no pattern pair has."""
+    name = draw(st.sampled_from(sorted(PATTERNS)))
+    pattern = PATTERNS[name]
+    n = draw(st.integers(pattern.num_vertices, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+    g = CSRGraph.from_edges(n, edges)
+    if draw(st.booleans()):
+        g = g.with_labels(draw(st.lists(
+            st.integers(0, 2), min_size=n, max_size=n,
+        )))
+        pattern = pattern.with_labels(draw(st.lists(
+            st.integers(0, 1), min_size=pattern.num_vertices,
+            max_size=pattern.num_vertices,
+        )))
+    u, v = draw(st.sampled_from(pairs))
+    if draw(st.booleans()):
+        u, v = v, u
+    return g, pattern, draw(st.booleans()), u, v
+
+
+class TestEdgeDelta:
+    @given(delta_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_delta_is_the_recount_difference(self, case):
+        g, pattern, induced, u, v = case
+        inc = IncrementalGPM(g, pattern, induced=induced)
+        assert inc.count == _recount(inc)
+        for _ in range(2):  # an insert and a removal, in either order
+            before, count = inc.snapshot(), _recount(inc)
+            delta = _toggle(inc, u, v)
+            assert delta == _recount(inc) - count
+            assert inc.count == count + delta
+            # the write counted on the snapshot after the edit; the one
+            # before it gives the same delta
+            sign = 1 if inc.has_edge(u, v) else -1
+            assert sign * edge_delta(before, u, v, inc.plan) == delta
 
     def test_an_induced_plan_reaches_from_its_non_edges(self):
         # two leaves of a claw are a non-edge: closing it destroys the
-        # induced claw, whose third leaf is two hops from both
+        # induced claw, which the non-induced plan keeps
         claw = Pattern.from_edges("claw", [(0, 1), (0, 2), (0, 3)])
-        assert (edge_radius(claw, False), edge_radius(claw, True)) == (1, 2)
         g = CSRGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        inc = IncrementalGPM(g, claw, induced=True)
-        assert inc.count == 1
-        assert inc.insert_edge(1, 2) == -1
-        assert inc.count == _recount(inc) == 0
+        for induced, delta in ((True, -1), (False, 0)):
+            inc = IncrementalGPM(g, claw, induced=induced)
+            assert inc.count == 1
+            assert inc.insert_edge(1, 2) == delta
+            assert inc.count == _recount(inc) == 1 + delta
+
+    @pytest.mark.parametrize(
+        "name,induced,runs",
+        [("3CF", False, [(1, 1)]), ("DIA", False, [(2, 1), (2, 2)]),
+         ("WEDGE", True, [(1, 2), (1, 1)])],
+    )
+    def test_seeded_runs(self, name, induced, runs):
+        """Per orbit of pattern pairs up to reversal: the levels its plan
+        runs below the seed, and the seed rows (two: both directions)."""
+        _, anchors = anchored_plans(PATTERNS[name], induced)
+        assert [
+            (a.plan.stop_level - 1, 1 + a.mirrored) for a in anchors
+        ] == runs
 
 
 def _recount(inc: IncrementalGPM) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SystemConfig, XSetAccelerator, xset_default
 from repro.errors import ConfigError
@@ -209,6 +211,47 @@ class TestFrontierExpander:
         got_bits = bulk_adjacency_bits(bits, u, v)
         got_keys = bulk_adjacency(keys, small_er.num_vertices, u, v)
         assert np.array_equal(got_bits, got_keys)
+
+    @pytest.mark.parametrize("name,k", [
+        (name, k) for name in sorted(PATTERNS) for k in (0, 1, 2)
+        if k < build_plan(PATTERNS[name]).stop_level
+    ])
+    @given(seed=st.integers(0, 2**16), parts=st.integers(1, 4),
+           labelled=st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_any_split_of_a_level_k_frontier_sums_to_its_count(
+        self, name, k, seed, parts, labelled
+    ):
+        """The kernel entered at level k (``emb`` of k + 1 columns) counts
+        the subtrees of its rows, so however the level-k frontier is split,
+        the parts' counts sum to the unsplit count — also where the
+        level-0 kernel reuses the level-k set, which the entry never
+        computed."""
+        g = erdos_renyi(40, 7.0, seed=seed % 5)
+        pattern = PATTERNS[name]
+        if labelled:
+            g = g.with_labels(np.arange(40) % 2)
+            pattern = pattern.with_labels(
+                [v % 2 for v in range(pattern.num_vertices)]
+            )
+        plan = build_plan(pattern)
+        ex = FrontierExpander(g, plan)
+        roots = ex.roots()
+        whole = sweep_frontier(ex, roots, roots.shape[0])[-1].count
+        assert whole == count_embeddings(g, plan).embeddings
+        frontier = roots
+        if k:
+            levels = ex.run_chunk(roots)
+            frontier = (
+                levels[k - 1].embeddings if len(levels) >= k
+                else np.zeros((0, k + 1), dtype=np.int32)
+            )
+        assert frontier.shape[1] == k + 1
+        part = np.random.default_rng(seed).integers(0, parts, len(frontier))
+        assert whole == sum(
+            sweep_frontier(ex, frontier[part == i], 7)[-1].count
+            for i in range(parts)
+        )
 
     def test_packed_adjacency_size_cap(self, small_er):
         from repro.setops.bulk import packed_adjacency

@@ -541,7 +541,7 @@ def toggle(session, u: int, v: int) -> None:
 
 class TestPatchedReads:
     """A write keeps every cached answer: the first read after it patches
-    the stale entry by the edit's ball delta, and a second write first
+    the stale entry by the edit's delta, and a second write first
     drops it."""
 
     @given(

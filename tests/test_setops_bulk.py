@@ -153,8 +153,9 @@ class TestGraphIndexMemo:
         def rebuilt(*args, **kwargs):
             raise AssertionError("graph index rebuilt on a warm graph")
 
-        for name in ("packed_adjacency", "edge_keys", "row_word_counts"):
-            monkeypatch.setattr(functional, name, rebuilt)
+        for module, name in ((bulk, "packed_adjacency"), (bulk, "edge_keys"),
+                             (functional, "row_word_counts")):
+            monkeypatch.setattr(module, name, rebuilt)
         # same instance: other plans, the other engine, nothing is built
         assert self._count(graph, "codegen", "3CF") == want
         assert self._count(graph, "event", "3CF") == want
@@ -165,6 +166,44 @@ class TestGraphIndexMemo:
         # another instance of the same graph starts cold
         with pytest.raises(AssertionError, match="rebuilt"):
             self._count(erdos_renyi(80, 9.0, seed=4), "codegen", "3CF")
+
+
+class TestDerivedSplice:
+    """An edge edit carries every index registered with a splice into the
+    new snapshot, equal to a fresh build, and drops every other one."""
+
+    SPLICED = {"adj_bits", "edge_keys", ("row_words", 0), ("row_words", 8)}
+
+    @pytest.mark.parametrize("n", [60, bulk.PACKED_ADJ_MAX_VERTICES + 50])
+    @given(toggles=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11))
+        .filter(lambda e: e[0] != e[1]),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=15, deadline=None)
+    def test_a_chain_of_edits_equals_a_fresh_build(self, n, toggles):
+        g = erdos_renyi(n, 40.0 if n < 100 else 1.5, seed=2)
+        bulk.graph_adj_bits(g)
+        bulk.graph_edge_keys(g)
+        for width in (0, 8):
+            functional.graph_row_words(g, width)
+        g.derived("unspliced", object)
+        # the chain's first edit removes an edge of the graph
+        for u, v in [next(g.edges()), *toggles]:
+            g = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
+            assert set(g._derived) == self.SPLICED
+            fresh = CSRGraph(g.indptr, g.indices)
+            bits = bulk.graph_adj_bits(g)
+            if n > bulk.PACKED_ADJ_MAX_VERTICES:
+                assert bits is None
+            else:
+                assert np.array_equal(bits, bulk.packed_adjacency(fresh))
+            assert np.array_equal(bulk.graph_edge_keys(g), edge_keys(fresh))
+            for width in (0, 8):
+                assert np.array_equal(
+                    functional.graph_row_words(g, width),
+                    functional.row_word_counts(fresh, width),
+                )
 
 
 @st.composite
@@ -201,9 +240,10 @@ def graph_rows_and_level(draw):
             st.integers(0, width - 1), max_size=most
         )))
 
+    # the level below a level-3 frontier: a kernel entered at level 3
     level = LevelSpec(
-        position=1,
-        pattern_vertex=1,
+        position=width,
+        pattern_vertex=width,
         deps=(draw(st.integers(0, width - 1)), *cols(2)),
         anti_deps=cols(2),
         upper_bounds=cols(3),
@@ -212,7 +252,7 @@ def graph_rows_and_level(draw):
         label=draw(st.one_of(st.none(), st.integers(0, 2))),
     )
     plan = SimpleNamespace(
-        levels=(None, level), stop_level=1, depth=2,
+        levels=(None,) * width + (level,), stop_level=width, depth=width + 1,
         collection=draw(st.sampled_from(["count_last", "choose2"])),
         pattern=SimpleNamespace(name="bulk-case"),
     )
