@@ -257,7 +257,12 @@ class CSRGraph:
         are presentation/simulation concerns and deliberately excluded.
         The service layer keys its result cache on this value, so any edge
         edit (which changes the CSR arrays) invalidates cached counts.
+        Hashed once per instance (a :meth:`derived` index with no splice,
+        so an edited copy is hashed afresh).
         """
+        return self.derived("fingerprint", self._content_hash)
+
+    def _content_hash(self) -> str:
         h = hashlib.blake2b(digest_size=16)
         h.update(np.int64(self.num_vertices).tobytes())
         h.update(np.ascontiguousarray(self.indptr).tobytes())

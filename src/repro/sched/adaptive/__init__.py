@@ -9,7 +9,7 @@ itself.  The engine is never chosen here: a job runs on the engine its
 config names.  The pieces:
 
 * :mod:`~repro.sched.adaptive.features` — a query's shape, the record's
-  key: ``(graph fingerprint, canonical pattern, root range)``;
+  key: ``(graph fingerprint, canonical pattern)``, plus the engine;
 * :mod:`~repro.sched.adaptive.predictor` — the cost record: each shape's
   fastest clean run per engine, ``math.inf`` for a shape never run, with
   self-reported accuracy.

@@ -1,8 +1,8 @@
 """The key of the service's cost record: one query's shape.
 
-One graph snapshot, canonical pattern and root range, run on one engine,
-always do the same work, so the record (:mod:`.predictor`) prices that
-tuple and nothing else.  The pattern side is
+One graph snapshot and canonical pattern, run on one engine, always do
+the same work, so the record (:mod:`.predictor`) prices that pair and
+nothing else.  The pattern side is
 :func:`~repro.service.cache.pattern_cache_key` output, the key the result
 cache uses too, so isomorphic submissions share one record entry.
 """
@@ -22,17 +22,13 @@ class QueryFeatures(NamedTuple):
 
     fingerprint: str
     pattern_key: tuple
-    #: half-open root range ``[lo, hi)`` of a root-restricted run; None
-    #: for the whole graph
-    root_range: "tuple[int, int] | None" = None
 
 
 def query_features(
     graph: "CSRGraph",
     fingerprint: str,
     pattern_key: tuple,
-    root_range: "tuple[int, int] | None" = None,
 ) -> QueryFeatures:
     """The shape of one query of ``pattern_key`` on snapshot
     ``fingerprint``.  ``graph`` is not read: the fingerprint names it."""
-    return QueryFeatures(fingerprint, pattern_key, root_range)
+    return QueryFeatures(fingerprint, pattern_key)

@@ -43,9 +43,10 @@ class CacheKey(NamedTuple):
     fingerprint: str
     pattern_key: tuple
     config_key: tuple
-    #: ``(lo, hi)`` when the query was restricted to a root-vertex range
-    #: (cluster shard subqueries); None for whole-graph queries.  Part of
-    #: the key because a root-restricted count is a different result.
+    #: a shard's owned root range ``(lo, hi)``, set only by
+    #: :mod:`repro.cluster.worker` (the service runs whole-graph queries
+    #: and leaves it None).  Part of the key because two registrations
+    #: can hold the same slice under different owned ranges.
     root_key: "tuple[int, int] | None" = None
 
     def with_fingerprint(self, fingerprint: str) -> "CacheKey":
@@ -162,10 +163,6 @@ class ResultCache:
             dropped = [(k, self._entries.pop(k)) for k in dead]
             self.invalidations += len(dropped)
         return dropped
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -57,9 +57,9 @@ QUEUE_OVERLOADED_FRACTION = 0.9
 
 class HealthState(enum.Enum):
     """Service-level condition (values are the exported gauge levels): a
-    report, not a policy.  The service accepts work in every state, a full
-    queue is its one backpressure signal, and the cluster coordinator
-    reads the state of each shard."""
+    report, not a policy.  The service accepts work in every state and a
+    full queue is its one backpressure signal.  ``Coordinator.health()``
+    sets the same levels from its replicas' pings and breakers."""
 
     HEALTHY = 0
     DEGRADED = 1

@@ -159,9 +159,6 @@ class Job:
     span: Any = None
     #: open ``service.queued`` child span (closed at first dispatch)
     queued_span: Any = None
-    #: half-open root-vertex range ``[lo, hi)`` restricting the search to
-    #: embeddings rooted there (cluster shard subqueries); None = all roots
-    root_range: "tuple[int, int] | None" = None
     #: cross-check engine sampled for this job (resilience layer)
     verify_engine: str | None = None
     #: fault specs assigned by the armed plan for the current attempt

@@ -58,14 +58,6 @@ class GraphRecord:
     )
 
     @property
-    def payload(self) -> bytes:
-        """Pickled graph bytes, serialised once and reused per job."""
-        with self._lock:
-            if self._payload is None:
-                self._payload = pickle.dumps(self.graph, protocol=-1)
-            return self._payload
-
-    @property
     def shared(self) -> bool:
         """True while this record owns a live shared-memory segment."""
         with self._lock:

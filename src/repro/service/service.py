@@ -158,9 +158,7 @@ class InlineExecutor:
 
 def _shape(job: Job) -> QueryFeatures:
     """The cost record's key for ``job``, less its engine."""
-    return QueryFeatures(
-        job.fingerprint, job.cache_key.pattern_key, job.root_range
-    )
+    return QueryFeatures(job.fingerprint, job.cache_key.pattern_key)
 
 
 class QueryService:
@@ -280,7 +278,6 @@ class QueryService:
         engine: str | None = None,
         config: SystemConfig | None = None,
         use_cache: bool = True,
-        root_range: tuple[int, int] | None = None,
     ) -> JobHandle:
         """Enqueue one query; returns immediately with a :class:`JobHandle`.
 
@@ -289,17 +286,12 @@ class QueryService:
         rule, ``DispatchState.admit``).  Jobs dispatch cheapest predicted
         first (see :mod:`repro.service.scheduler`).  ``engine`` /
         ``config`` override the service defaults for this job only.
-        ``root_range`` restricts matching to search trees rooted in the
-        half-open vertex range ``[lo, hi)`` — the cluster layer's shard
-        workers submit exactly such root-partitioned subqueries.
         Raises :class:`~repro.errors.QueueFullError` under backpressure
         and :class:`~repro.errors.ServiceError` after :meth:`shutdown`.
         """
         if self._core.closed:  # early and cheap; ``admit`` is the check
             raise ServiceError("service has been shut down")
-        job = self._resolve(
-            graph_id, pattern, induced, engine, config, root_range
-        )
+        job = self._resolve(graph_id, pattern, induced, engine, config)
         if use_cache:
             cached = self._cache.get(job.cache_key)
             if cached is None:
@@ -341,7 +333,6 @@ class QueryService:
         induced: bool | None,
         engine: str | None,
         config: SystemConfig | None,
-        root_range: tuple[int, int] | None,
     ) -> Job:
         """Everything a submission is before it is decided on: the pinned
         graph snapshot, the concrete engine and config, the plan, the cost
@@ -356,14 +347,6 @@ class QueryService:
                     key, cfg.with_overrides(engine=engine)
                 )
             )
-        if root_range is not None:
-            lo, hi = int(root_range[0]), int(root_range[1])
-            if lo < 0 or hi < lo:
-                raise ServiceError(
-                    f"root_range must be a half-open [lo, hi) with "
-                    f"0 <= lo <= hi, got {root_range!r}"
-                )
-            root_range = (lo, hi)
         plan = build_plan(pattern, induced=induced)
         pkey = pattern_cache_key(pattern, induced)
         handle = JobHandle(
@@ -384,9 +367,7 @@ class QueryService:
                 fingerprint=record.fingerprint,
                 pattern_key=pkey,
                 config_key=cfg.cache_key(),
-                root_key=root_range,
             ),
-            root_range=root_range,
             seq=handle.job_id,  # submit order
             record=record,  # snapshot pinned at submit time
             span=(
@@ -445,8 +426,7 @@ class QueryService:
         edited pair, on the snapshot whose derived indexes the edit
         spliced), caches that and settles the job with
         ``from_cache=False``.  A second write before that read drops the
-        stale entry, and root-restricted (cluster shard) entries are
-        always dropped.  A patched report's timing and work fields are the
+        stale entry.  A patched report's timing and work fields are the
         stale run's, so treat them as approximate; it does not train the
         cost record.
         """
@@ -463,9 +443,7 @@ class QueryService:
             # patches them only if that is the graph it edited
             edit = (held, u, v, inserted)
             for key, entry in self._cache.invalidate_fingerprint(old_fp):
-                # shard entries hold partial counts, and a stale entry
-                # is already one edit behind
-                if key.root_key is not None or isinstance(entry, Stale):
+                if isinstance(entry, Stale):  # already one edit behind
                     continue
                 key = key.with_fingerprint(new_fp)
                 if key.pattern_key == pkey:
@@ -682,7 +660,6 @@ class QueryService:
                 observe_run=self._observation is not None,
                 faults=job.faults,
                 verify_engine=job.verify_engine,
-                root_range=job.root_range,
             )
         except BaseException as exc:  # pool already broken at submit time
             future = Future()

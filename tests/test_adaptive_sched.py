@@ -84,12 +84,10 @@ class TestCostPredictor:
         pred = CostPredictor()
         pred.observe(features, "codegen", 0.1)
         others = (
-            # another pattern, a root range of the same one, another
-            # snapshot of the graph
+            # another pattern, another snapshot of the graph
             query_features(
                 graph, "fp-adaptive", pattern_cache_key(PATTERNS["TT"], None)
             ),
-            query_features(graph, *features[:2], (0, 4)),
             query_features(graph, "fp-other", features.pattern_key),
         )
         for other in others:

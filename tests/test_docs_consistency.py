@@ -370,6 +370,29 @@ class TestClaimTable:
                         rf"(def|class) {name}\b", source
                     ), token
 
+    def test_every_test_id_the_docs_cite_exists(self):
+        """Every `` `tests/….py::…` `` token in the docs, and every
+        `` `::…` `` token after one (a name in the file last cited), names
+        a class or function of that file."""
+        cited = 0
+        for doc in ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md",
+                    "DESIGN.md"):
+            source = None
+            for token in re.findall("`([^`\n]+)`", (ROOT / doc).read_text()):
+                if token.startswith("tests/") and "::" in token:
+                    path, *names = token.split("::")
+                    source = (ROOT / path).read_text()
+                elif token.startswith("::") and source is not None:
+                    names = token.split("::")[1:]
+                else:
+                    continue
+                for name in names:
+                    cited += 1
+                    assert re.search(
+                        rf"(def|class) {name}\b", source
+                    ), (doc, token)
+        assert cited >= 100
+
 
 def _imports(path: Path) -> set[str]:
     """Absolute names a module under ``src/repro`` imports: each module,
@@ -742,6 +765,39 @@ class TestStructure:
             )
         }
         assert builders == {"service/worker.py"}
+
+    def test_only_the_shard_restricts_roots(self):
+        """A root range is an argument of one run, not of a queued job:
+        ``root_range=`` and ``root_key=`` are passed only by the shard
+        (``cluster/worker.py``), the service's ``submit`` takes no range,
+        and under ``service/`` only ``worker.py`` (``run_job``) names
+        one."""
+        import inspect
+
+        from repro.service import QueryService
+
+        assert "root_range" not in inspect.signature(
+            QueryService.submit
+        ).parameters
+        package = ROOT / "src" / "repro"
+        passed, named = set(), set()
+        for path in package.rglob("*.py"):
+            rel = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg in {
+                    "root_range", "root_key"
+                }:
+                    passed.add(rel)
+                name = (
+                    node.arg if isinstance(node, (ast.arg, ast.keyword))
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None
+                )
+                if name == "root_range" and rel.startswith("service/"):
+                    named.add(rel)
+        assert passed == {"cluster/worker.py"}
+        assert named == {"service/worker.py"}
 
     def test_every_public_name_has_a_user(self):
         """Every public function, class and method under ``src/repro`` is

@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph substrate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,25 @@ class TestFingerprint:
         fps = {toy_graph.fingerprint(), labelled.fingerprint(),
                relabelled.fingerprint()}
         assert len(fps) == 3
+
+    def test_hashed_once_per_instance(self, toy_graph, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.graph import csr
+
+        hashes = []
+
+        def blake2b(**kwargs):
+            hashes.append(kwargs)
+            return hashlib.blake2b(**kwargs)
+
+        monkeypatch.setattr(csr, "hashlib", SimpleNamespace(blake2b=blake2b))
+        g = CSRGraph(toy_graph.indptr, toy_graph.indices)
+        assert g.fingerprint() == g.fingerprint() == g.fingerprint()
+        assert len(hashes) == 1
+        # an edited copy carries no print: it is hashed afresh
+        assert g.with_edge(1, 5).fingerprint() != g.fingerprint()
+        assert len(hashes) == 2
 
     def test_vertex_count_matters(self):
         # same (empty) arrays, different number of isolated vertices

@@ -560,11 +560,9 @@ class TestPatchedReads:
             np.arange(PATCH_N) % 2
         )
         svc, gid = make_service(graph, config=CODEGEN)
-        shard = {"root_range": (0, PATCH_N // 2)}
         svc.count(gid, PATTERNS["3CF"])
         for pattern, induced in PATCHED.values():
             svc.count(gid, pattern, induced=induced)
-        svc.count(gid, PATTERNS["DIA"], **shard)
         session = svc.dynamic_session(gid, PATTERNS["3CF"])
         # fresh: cached for this snapshot; stale: one write behind;
         # gone: two writes behind, dropped
@@ -596,13 +594,6 @@ class TestPatchedReads:
                         state[name] == "stale"
                     )
                     state[name] = "fresh"
-            # a shard entry is never patched: it is recounted
-            patched = svc.stats().cache_patched
-            handle = svc.submit(gid, PATTERNS["DIA"], **shard)
-            assert handle.result().embeddings == svc.submit(
-                gid, PATTERNS["DIA"], use_cache=False, **shard
-            ).result().embeddings
-            assert svc.stats().cache_patched == patched
         svc.shutdown()
 
     def test_a_graph_swapped_under_the_session_is_not_patched(

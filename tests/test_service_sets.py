@@ -614,27 +614,6 @@ class TestRunTimeModel:
         predictor.observe(features, "codegen", 0.0006)
         assert predictor.predict(features, "codegen") == 0.0003
 
-    def test_a_root_range_run_does_not_price_the_whole_graph(
-        self, small_er
-    ):
-        # a run restricted to a few roots, here 0.3 ms, is far cheaper
-        # than the whole graph: its price must not make the whole-graph
-        # job light
-        with QueryService(
-            mode="process", max_workers=1, executor=Canned(3e-4),
-        ) as svc:
-            gid = svc.register_graph(small_er, "g")
-            svc.count(gid, PATTERNS["4CF"], use_cache=False,
-                      root_range=(0, 4))
-            svc.count(gid, PATTERNS["4CF"], use_cache=False)
-            # the root range itself is priced: it is light now
-            svc.count(gid, PATTERNS["4CF"], use_cache=False,
-                      root_range=(0, 4))
-            events = dispatched(svc)
-            assert [event["where"] for event in events] == \
-                ["pool", "pool", "service"]
-            assert svc.stats().worker_calls == 2
-
     def test_a_snapshot_written_back_keeps_its_price(self, small_er):
         # writes that alternate between two snapshots (svc-light's, and
         # cluster-4shard's unregister + register) come back to a

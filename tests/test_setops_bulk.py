@@ -170,7 +170,8 @@ class TestGraphIndexMemo:
 
 class TestDerivedSplice:
     """An edge edit carries every index registered with a splice into the
-    new snapshot, equal to a fresh build, and drops every other one."""
+    new snapshot, equal to a fresh build, and drops every other one (the
+    fingerprint among them)."""
 
     SPLICED = {"adj_bits", "edge_keys", ("row_words", 0), ("row_words", 8)}
 
@@ -182,7 +183,10 @@ class TestDerivedSplice:
     ))
     @settings(max_examples=15, deadline=None)
     def test_a_chain_of_edits_equals_a_fresh_build(self, n, toggles):
-        g = erdos_renyi(n, 40.0 if n < 100 else 1.5, seed=2)
+        g = erdos_renyi(n, 40.0 if n < 100 else 1.5, seed=2).with_labels(
+            np.arange(n) % 3
+        )
+        g.fingerprint()
         bulk.graph_adj_bits(g)
         bulk.graph_edge_keys(g)
         for width in (0, 8):
@@ -193,6 +197,9 @@ class TestDerivedSplice:
             g = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
             assert set(g._derived) == self.SPLICED
             fresh = CSRGraph(g.indptr, g.indices)
+            assert g.fingerprint() == CSRGraph(
+                g.indptr, g.indices, labels=g.labels
+            ).fingerprint()
             bits = bulk.graph_adj_bits(g)
             if n > bulk.PACKED_ADJ_MAX_VERTICES:
                 assert bits is None
