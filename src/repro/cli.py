@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="demo the async query service on generated graphs",
     )
     serve.add_argument(
-        "--mode", choices=("process", "thread", "inline"), default="process"
+        "--mode", choices=("process", "inline"), default="process"
     )
     serve.add_argument("--workers", type=int, default=0,
                        help="pool size (default: one per CPU)")

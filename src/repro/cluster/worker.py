@@ -27,14 +27,14 @@ Ops (payload ``{"op": ..., ...}`` → reply value):
                 ``worker.run_job``) and profile when the frame carries
                 ``"trace": True`` and the worker was built with
                 ``observability``
-``stats``       small dict (queries answered, graphs, mode, pid)
 ``shutdown``    close the listener and the pool → ``True``
 
 A crash (a broken process pool, or an injected ``worker.run`` CRASH)
-leaves the shard as a :class:`~repro.errors.ClusterError`, after a
-broken pool has been dropped; the coordinator's failover schedule is the
-one retry.  A clean report is cached under its shard root range and
-served again only to a query that asks ``use_cache``.
+or a pool run outliving the frame's ``timeout`` leaves the shard as a
+:class:`~repro.errors.ClusterError`, after a broken pool has been
+dropped; the coordinator's failover schedule is the one retry.  A clean
+report is cached under its shard root range and served again only to a
+query that asks ``use_cache``.
 
 :meth:`kill` simulates a crash for chaos tests: the listener drops dead
 (peers see :class:`~repro.errors.CommClosedError`) but the Python state
@@ -46,9 +46,12 @@ after a dead host.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    TimeoutError as PoolTimeoutError,
+)
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
@@ -57,7 +60,6 @@ from ..errors import ClusterError, WorkerCrashError
 from ..patterns.plan import build_plan
 from ..service.cache import CacheKey, ResultCache, pattern_cache_key
 from ..service.registry import GraphRegistry
-from ..service.service import MODES
 from ..service.worker import run_job
 from .comm.base import Transport
 
@@ -66,13 +68,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ShardWorker"]
 
+#: accepted values for ``ShardWorker(mode=...)``
+MODES = ("inline", "thread", "process")
+
 
 class ShardWorker:
     """One cluster shard: registered graph slices answering subqueries.
 
     ``mode="inline"`` and ``mode="thread"`` behave the same: both run the
-    subquery on the thread serving the request (the two names mirror the
-    service's modes).  ``mode="process"`` runs it in the shard's own pool.
+    subquery on the thread serving the request.  ``mode="process"`` runs
+    it in the shard's own pool.
     """
 
     def __init__(
@@ -107,7 +112,6 @@ class ShardWorker:
         self._owned: dict[str, tuple[int, int]] = {}
         #: numbers each query for its fault draw
         self._query_nos = itertools.count(1)
-        self._queries = 0
         self._killed = False
         self._closed = False
         self._listener = transport.listen(self._handle, name=name)
@@ -191,7 +195,7 @@ class ShardWorker:
             report = self._run(
                 record.graph_id,
                 record.fingerprint,
-                record.ship(self.mode),
+                record.ship() if self.mode == "process" else record.graph,
                 build_plan(pattern, induced=induced),
                 cfg,
                 observe_run=trace,
@@ -204,7 +208,6 @@ class ShardWorker:
             )
             if not report.notes.get("injected"):
                 self._cache.put(key, report)
-        self._queries += 1
         profile = report.profile
         # the report itself never carries the profile over the wire: the
         # envelope ships it explicitly (spans stripped — the span tree
@@ -217,8 +220,9 @@ class ShardWorker:
         return envelope
 
     def _run(self, *args, timeout: float | None, **kwargs):
-        """One :func:`run_job`: here, or in the process pool; a crash
-        leaves as a :class:`ClusterError` for the coordinator to retry."""
+        """One :func:`run_job`: here, or in the process pool; a crash or a
+        pool run past ``timeout`` leaves as a :class:`ClusterError` for the
+        coordinator to retry."""
         try:
             if self.mode != "process":
                 return run_job(*args, **kwargs)
@@ -235,15 +239,11 @@ class ShardWorker:
             raise ClusterError(
                 f"shard {self.name!r} lost its subquery to a crash: {exc!r}"
             ) from exc
-
-    def _op_stats(self, payload: dict) -> dict:
-        return {
-            "name": self.name,
-            "queries": self._queries,
-            "graphs": list(self._registry.ids()),
-            "mode": self.mode,
-            "pid": os.getpid(),
-        }
+        except PoolTimeoutError as exc:
+            raise ClusterError(
+                f"shard {self.name!r} subquery outlived its {timeout}s "
+                f"timeout"
+            ) from exc
 
     def _op_shutdown(self, payload: dict) -> bool:
         self.close()

@@ -94,25 +94,21 @@ class XSetAccelerator:
         graph: CSRGraph,
         patterns: list[Pattern],
         parallel: bool = False,
-        mode: str = "process",
-        max_workers: int | None = None,
     ) -> dict[str, "SimReport"]:
         """Run several patterns (multi-pattern workloads such as 3MF).
 
         With ``parallel=True`` the batch runs through a transient
-        :class:`~repro.service.QueryService`: the graph is registered
-        once, one job per pattern flows through the worker pool (``mode``
-        picks process/thread/inline execution) and the reports come back
-        in pattern order.  Counts are identical to the sequential path —
-        the service runs the same engine via the same functional layer.
+        process-mode :class:`~repro.service.QueryService`: the graph is
+        registered once, one job per pattern flows through its process
+        pool and the reports come back in pattern order.  Counts are
+        identical to the sequential path — the service runs the same
+        engine via the same functional layer.
         """
         if not parallel:
             return {p.name: self.count(graph, p) for p in patterns}
         from ..service import QueryService
 
-        with QueryService(
-            self.config, mode=mode, max_workers=max_workers
-        ) as service:
+        with QueryService(self.config) as service:
             graph_id = service.register_graph(graph)
             return service.count_many(graph_id, patterns)
 

@@ -12,7 +12,9 @@ surface rather than a one-shot kernel call.  The pieces:
 * :class:`ResultCache` — LRU over ``(graph fingerprint, canonical pattern,
   config)``, invalidated/delta-patched on graph updates.
 * :class:`QueryService` — the facade tying them together, with
-  ``stats()`` introspection and process/thread/inline execution modes.
+  ``stats()`` introspection and two execution modes: ``process`` (a
+  process pool, light jobs in the service process) and ``inline`` (every
+  job on the submitting thread).
 
 Quickstart::
 

@@ -151,7 +151,8 @@ class Job:
     dispatched_at: float = field(default=0.0)
     #: where the current attempt runs: "service" (in the service process,
     #: on the dispatcher or the submitting thread) or "pool" (one call to
-    #: the service's executor, which in inline mode runs every job)
+    #: the service's executor: the process pool, or in inline mode the
+    #: submitting thread, which runs every job)
     where: str = ""
     #: registry record pinned at submit time (graph + payload snapshot)
     record: Any = None

@@ -1,20 +1,17 @@
 """The graph registry: load once, ship to workers by reference.
 
 Graphs are registered with the service once and referenced by id in every
-job.  *How* a graph reaches a worker depends on the pool mode, and every
-shipping artifact is built lazily on first use:
-
-* **thread / inline pools** share the dispatcher's address space, so the
-  live :class:`CSRGraph` object ships directly — nothing is ever pickled
-  or copied for them.
-* **process pools** ship a :class:`~repro.graph.store.SharedGraphRef`:
-  on the first process-pool dispatch the record copies the CSR arrays into
-  one :mod:`multiprocessing.shared_memory` segment (keyed by
-  ``CSRGraph.fingerprint()``), and every worker process then attaches
-  zero-copy instead of unpickling its own replica.  When the segment
-  cannot be created the record falls back to pickling the graph once and shipping the bytes, which workers
-  deserialise at most once per fingerprint (see
-  :mod:`repro.service.worker`).
+job.  A job that runs in the registering process reads the live
+:class:`CSRGraph` (``GraphRecord.graph``); nothing is pickled or copied
+for it.  A job sent to another process carries what
+:meth:`GraphRecord.ship` returns, built lazily on the first ship: a
+:class:`~repro.graph.store.SharedGraphRef` to one
+:mod:`multiprocessing.shared_memory` segment holding the CSR arrays
+(keyed by ``CSRGraph.fingerprint()``), which every worker process
+attaches zero-copy instead of unpickling its own replica.  When the
+segment cannot be created the record falls back to pickling the graph
+once and shipping the bytes, which workers deserialise at most once per
+fingerprint (see :mod:`repro.service.worker`).
 
 Segment lifecycle: :meth:`GraphRecord.release` unlinks — called by
 :meth:`GraphRegistry.unregister` and :meth:`GraphRegistry.close` (which
@@ -46,8 +43,6 @@ class GraphRecord:
     graph_id: str
     graph: CSRGraph
     fingerprint: str
-    #: monotonically increasing per-id version (bumped by ``update``)
-    version: int = 1
     _payload: bytes | None = field(default=None, repr=False)
     _segment: "GraphSegment | None" = field(default=None, repr=False)
     #: True once segment creation failed — don't retry every dispatch
@@ -63,16 +58,12 @@ class GraphRecord:
         with self._lock:
             return self._segment is not None
 
-    def ship(self, mode: str):
-        """The payload one dispatch of this graph sends to a ``mode`` pool.
+    def ship(self):
+        """The payload that sends this graph to another process.
 
-        Thread/inline pools get the live object (zero copies, nothing is
-        pickled for them — ever).  Process pools get a shared-memory
-        reference, created on the first process-pool ship; the pickle
+        A shared-memory reference, created on the first ship; the pickle
         fallback covers a segment creation that raises.
         """
-        if mode != "process":
-            return self.graph
         with self._lock:
             if self._segment is not None:
                 return self._segment.ref
@@ -178,7 +169,6 @@ class GraphRegistry:
                 graph_id=graph_id,
                 graph=graph,
                 fingerprint=fingerprint,
-                version=record.version + 1,
             )
         return old, fingerprint
 
@@ -210,7 +200,3 @@ class GraphRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
-
-    def __contains__(self, graph_id: str) -> bool:
-        with self._lock:
-            return graph_id in self._records

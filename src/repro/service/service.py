@@ -13,10 +13,6 @@ Execution modes
     worker attaches once to the registry's shared-memory segment and
     reads the graph through zero-copy views (pickled bytes only where
     shared memory is unavailable; see :mod:`repro.service.worker`).
-``thread``
-    ``ThreadPoolExecutor`` — shares graphs by reference.  NumPy kernels
-    release the GIL only partially, so this mostly provides overlap, not
-    speedup; it is the fallback where fork/spawn is unavailable.
 ``inline``
     Synchronous execution inside ``submit`` — deterministic, used by tests
     and as the zero-overhead mode for single queries.
@@ -30,7 +26,7 @@ training that go with it.  Every job that runs is started by
 ``DispatchState.admit`` ("run here") or by ``DispatchState.next``, whose
 one loop is ``_pump``.
 
-In the two pool modes a warm, plain, sub-millisecond job runs in the
+In process mode a warm, plain, sub-millisecond job runs in the
 service process, against the live graph, with no round trip to a worker:
 on the thread that submitted it when the service is idle, so it has
 settled when ``submit`` returns, and otherwise on the dispatcher thread.
@@ -78,12 +74,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -128,7 +119,7 @@ __all__ = ["QueryService", "InlineExecutor", "MODES"]
 logger = logging.getLogger(__name__)
 
 #: accepted values for ``QueryService(mode=...)``
-MODES = ("process", "thread", "inline")
+MODES = ("process", "inline")
 
 #: exception types treated as "the worker died" → retried with backoff
 _CRASH_TYPES = (BrokenExecutor, WorkerCrashError)
@@ -542,11 +533,6 @@ class QueryService:
     def _make_executor(self):
         if self.mode == "process":
             return ProcessPoolExecutor(max_workers=self.max_workers)
-        if self.mode == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-service",
-            )
         return InlineExecutor()
 
     def _get_executor(self):
@@ -568,7 +554,7 @@ class QueryService:
 
     def _kick(self) -> None:
         """Have queued jobs started.  Inline mode has no dispatcher: the
-        caller's thread pumps them, now.  The pool modes start the
+        caller's thread pumps them, now.  Process mode starts the
         dispatcher thread on first use; it pumps until shutdown, woken
         through ``_cond`` by whoever changed what ``next`` would say."""
         if self.mode == "inline":
@@ -596,7 +582,7 @@ class QueryService:
         In inline mode it runs on the caller's thread until nothing is
         left to start; when only jobs on a retry backoff remain, it sleeps
         (the injected ``sleep``) to the core's wake time, since no other
-        thread would start them.  In the pool modes it is the dispatcher
+        thread would start them.  In process mode it is the dispatcher
         thread: it waits on ``_cond`` until notified or until the wake
         time, and returns at shutdown.
         """
@@ -651,10 +637,11 @@ class QueryService:
                 run_job,
                 job.graph_id,
                 job.fingerprint,
-                # the live graph, except across a process boundary: there
-                # a SharedGraphRef the worker attaches to (pickle bytes
-                # when shared memory is off)
-                job.record.graph if here else job.record.ship(self.mode),
+                # the live graph in this process; across the process
+                # boundary a SharedGraphRef the worker attaches to (pickle
+                # bytes when shared memory is off)
+                job.record.graph if here or self.mode == "inline"
+                else job.record.ship(),
                 job.plan,
                 job.config,
                 observe_run=self._observation is not None,
@@ -755,8 +742,7 @@ class QueryService:
         if ob is not None and profile is not None:
             # a pool process has its own perf_counter origin, so its spans
             # are re-anchored at the dispatch timestamp; runs in this
-            # process (dispatcher, submitter, pool thread or inline) share
-            # its clock
+            # process (dispatcher, submitter or inline) share its clock
             ob.tracer.ingest(
                 profile.spans,
                 parent=job.span,

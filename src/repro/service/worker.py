@@ -11,8 +11,8 @@ three ways, resolved here per worker process:
   zero-copy array views — no CSR bytes are ever unpickled or duplicated;
 * pickled payload bytes (process-mode fallback when shared memory is
   unavailable) — deserialised at most once per worker and fingerprint;
-* the live :class:`CSRGraph` object (thread/inline modes and jobs the
-  dispatcher runs itself — zero copies).
+* the live :class:`CSRGraph` object (inline mode and the jobs the
+  service runs in its own process — zero copies).
 
 Resilience hooks (both default-off and free when unused):
 

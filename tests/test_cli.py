@@ -102,12 +102,11 @@ class TestServeCommand:
         assert "hit rate" in out      # stats summary printed
 
     def test_thread_mode(self, capsys):
-        rc = main(
-            ["serve", "--mode", "thread", "--workers", "2",
-             "--nodes", "20", "--degree", "4"]
-        )
-        assert rc == 0
-        assert "mode=thread" in capsys.readouterr().out
+        # the service has two modes; thread is not one of them
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--mode", "thread", "--nodes", "20"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_engine_choice_validated(self):
         with pytest.raises(SystemExit):

@@ -171,7 +171,7 @@ class TestLifecycle:
             gid = svc.register_graph(small_er, "g")
             got = svc.count(gid, PATTERNS["3CF"], use_cache=False)
             record = svc._registry.get(gid)
-            assert isinstance(record.ship("process"), bytes)
+            assert isinstance(record.ship(), bytes)
             assert not record.shared
             info = svc._executor.submit(worker_graph_cache_info).result()
             assert info["fills"] == 1 and info["attaches"] == 0
@@ -192,19 +192,11 @@ class TestGraphRecordShip:
             graph_id="g", graph=graph, fingerprint=graph.fingerprint()
         )
 
-    def test_thread_and_inline_ship_live_object(self, small_er):
-        record = self.make_record(small_er)
-        assert record.ship("thread") is small_er
-        assert record.ship("inline") is small_er
-        # the lazy-payload fix: nothing was pickled, no segment was built
-        assert record._payload is None
-        assert not record.shared
-
     def test_process_ship_creates_segment_once(self, small_er):
         record = self.make_record(small_er)
         try:
-            ref1 = record.ship("process")
-            ref2 = record.ship("process")
+            ref1 = record.ship()
+            ref2 = record.ship()
             assert ref1 is ref2
             assert ref1.fingerprint == small_er.fingerprint()
             assert record.shared
@@ -216,13 +208,13 @@ class TestGraphRecordShip:
         self, small_er, segments_fail
     ):
         record = self.make_record(small_er)
-        payload = record.ship("process")
+        payload = record.ship()
         assert isinstance(payload, bytes)
         assert not record.shared
 
     def test_release_unlinks_and_is_idempotent(self, small_er):
         record = self.make_record(small_er)
-        ref = record.ship("process")
+        ref = record.ship()
         record.release()
         record.release()
         assert not record.shared
@@ -234,9 +226,9 @@ class TestRegistryLifecycle:
     def test_unregister_unlinks(self, small_er):
         registry = GraphRegistry()
         gid = registry.register(small_er, "g")
-        ref = registry.get(gid).ship("process")
+        ref = registry.get(gid).ship()
         registry.unregister(gid)
-        assert gid not in registry
+        assert gid not in registry.ids()
         with pytest.raises(FileNotFoundError):
             attach_graph(ref)
 
@@ -245,7 +237,7 @@ class TestRegistryLifecycle:
         refs = []
         for gid, g in (("a", small_er), ("b", medium_er)):
             registry.register(g, gid)
-            refs.append(registry.get(gid).ship("process"))
+            refs.append(registry.get(gid).ship())
         registry.close()
         for ref in refs:
             with pytest.raises(FileNotFoundError):
@@ -255,7 +247,7 @@ class TestRegistryLifecycle:
         registry = GraphRegistry()
         registry.register(small_er, "g")
         old_record = registry.get("g")
-        old_ref = old_record.ship("process")
+        old_ref = old_record.ship()
         replacement = erdos_renyi(40, 5.0, seed=99, name="replacement")
         registry.update("g", replacement)
         # queued jobs would pin the old record; here nothing does, so GC
@@ -272,11 +264,15 @@ class TestRegistryLifecycle:
 
 
 class TestServiceIntegration:
-    def test_thread_pool_never_builds_shipping_artifacts(self, medium_er):
-        with QueryService(mode="thread", max_workers=2) as svc:
+    def test_inline_service_never_builds_shipping_artifacts(self, medium_er):
+        with QueryService(mode="inline") as svc:
             gid = svc.register_graph(medium_er, "g")
             svc.submit(gid, PATTERNS["3CF"]).result(timeout=60)
+            svc.submit(gid, PATTERNS["DIA"], use_cache=False).result(
+                timeout=60
+            )
             record = svc._registry.get(gid)
+            # the lazy-payload rule: nothing was pickled, no segment built
             assert record._payload is None
             assert not record.shared
 
@@ -297,7 +293,7 @@ class TestServiceIntegration:
             assert info["attaches"] == 1
             assert info["fills"] == 0
             assert info["graphs"] == [gid]
-            ref = svc._registry.get(gid).ship("process")
+            ref = svc._registry.get(gid).ship()
         finally:
             svc.shutdown()
         # all segments unlinked on shutdown
@@ -321,7 +317,7 @@ class TestServiceIntegration:
         with QueryService(mode="inline") as svc:
             gid = svc.register_graph(small_er, "g")
             svc.count(gid, PATTERNS["3CF"])
-            ref = svc._registry.get(gid).ship("process")
+            ref = svc._registry.get(gid).ship()
             dropped = svc.unregister_graph(gid)
             assert dropped >= 1
             assert gid not in svc.graphs()

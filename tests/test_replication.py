@@ -465,6 +465,32 @@ class TestShardCrashRetry:
         assert info["failovers"] == 0
         assert failovers == 0
 
+    def test_a_pool_run_past_its_timeout_fails_as_a_cluster_error(self):
+        """A process-mode shard whose pool run outlives the frame's
+        timeout answers with a ClusterError naming the replica, so the
+        coordinator's failover loop runs and reports its retry budget."""
+        g = erdos_renyi(50, 6.0, seed=5)
+        cfg = xset_default(engine="codegen")
+        with LocalCluster(
+            num_shards=1, config=cfg, transport="inproc", mode="process",
+            max_workers=1, replicas=2, request_timeout=0.3,
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            cluster.workers[0].arm_faults(FaultPlan(seed=1, specs=(
+                FaultSpec(site="worker.run", kind=FaultKind.HANG,
+                          rate=1.0, seconds=0.6),
+            )))
+            with pytest.raises(ClusterError) as failure:
+                coord.query(gid, PATTERNS["3CF"], use_cache=False)
+            failovers = coord.metrics.counter(
+                "repro_cluster_replica_failovers_total"
+            ).value
+        message = str(failure.value)
+        assert "retry budget" in message
+        assert "ClusterError" in message and "shard0/r0" in message
+        assert "outlived" in message
+        assert failovers >= 1  # the sibling replica was tried
 
     def test_a_broken_pool_is_replaced(self):
         """A process-mode shard whose pool worker died drops the broken

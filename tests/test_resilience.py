@@ -4,12 +4,14 @@ Deterministic chaos testing in the repo's established style — injectable
 clocks, recorded sleeps and injectable executors keep every scenario
 single-threaded and sleep-free except where a real pool is the point.
 The closing chaos suite runs a seeded fault plan (crashes, hangs,
-corrupted counts) against all three service modes and
+corrupted counts) against both service modes and
 asserts the service's core promise under fire: every query still returns
 the *correct* embedding count, and no waiter hangs.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,7 +31,7 @@ from repro.resilience import (
     FaultSpec,
     HealthState,
 )
-from repro.service import JobStatus, QueryService
+from repro.service import InlineExecutor, JobStatus, QueryService
 from repro.service import core as core_module
 
 
@@ -355,7 +357,11 @@ class TestEngineFailures:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with QueryService(mode="thread", max_workers=8) as svc:
+            # a process-mode service on a pool of threads: completions
+            # arrive from eight threads, and nothing forks
+            with ThreadPoolExecutor(max_workers=8) as pool, QueryService(
+                mode="process", max_workers=8, executor=pool
+            ) as svc:
                 gid = svc.register_graph(graph, graph_id="g")
                 handles = [
                     svc.submit(gid, PATTERNS["3CF"], engine="codegen",
@@ -426,7 +432,9 @@ class TestStuckDispatcherDetection:
         import threading
         import time as _time
 
-        svc, gid = make_service(graph, mode="thread")
+        svc, gid = make_service(
+            graph, mode="process", executor=InlineExecutor()
+        )
         release = threading.Event()
         stuck = threading.Thread(target=release.wait, daemon=True)
         stuck.start()
@@ -445,9 +453,11 @@ class TestStuckDispatcherDetection:
         assert svc.health().dispatcher_stuck is True
 
     def test_clean_shutdown_is_not_stuck(self, graph):
-        svc, gid = make_service(graph, mode="thread")
-        svc.count(gid, PATTERNS["3CF"], engine="codegen")
-        svc.shutdown()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            svc, gid = make_service(graph, mode="process", executor=pool)
+            svc.count(gid, PATTERNS["3CF"], engine="codegen")
+            svc.shutdown()
+        assert svc._dispatcher is not None  # a real dispatcher was joined
         assert svc.stats().dispatcher_stuck is False
 
 
@@ -480,7 +490,7 @@ class TestUnarmedIsByteIdentical:
 
 
 # ---------------------------------------------------------------------------
-# the chaos suite: all three modes, seeded faults, exact counts
+# the chaos suite: both modes, seeded faults, exact counts
 # ---------------------------------------------------------------------------
 
 CHAOS_PATTERNS = ("3CF", "TT", "WEDGE", "DIA")
@@ -500,7 +510,7 @@ def chaos_plan(seed: int) -> FaultPlan:
     ))
 
 
-@pytest.mark.parametrize("mode", ["inline", "thread", "process"])
+@pytest.mark.parametrize("mode", ["inline", "process"])
 def test_chaos_every_query_correct_no_waiter_hangs(graph, mode):
     expected = {
         name: XSetAccelerator(engine="codegen").count(

@@ -69,17 +69,6 @@ class TestEquivalence:
                 assert report.embeddings == \
                     direct_counts[(graph_name, name)], (graph_name, name)
 
-    def test_thread_mode_counts_match_direct(self, service_graphs,
-                                             direct_counts):
-        graph = service_graphs[0]
-        with QueryService(mode="thread", max_workers=2) as svc:
-            gid = svc.register_graph(graph)
-            reports = svc.count_many(
-                gid, list(PATTERNS.values()), engine="codegen"
-            )
-        for name, report in reports.items():
-            assert report.embeddings == direct_counts[(graph.name, name)]
-
     def test_event_engine_through_service(self, service_graphs):
         graph = service_graphs[0]
         expected = XSetAccelerator().count(graph, PATTERNS["3CF"])
@@ -190,12 +179,12 @@ class TestRegistry:
             with pytest.raises(ServiceError, match="unknown graph id"):
                 svc.submit("nope", PATTERNS["3CF"])
 
-    def test_update_bumps_version_and_fingerprint(self, service_graphs):
+    def test_update_changes_fingerprint(self, service_graphs):
         registry = GraphRegistry()
         gid = registry.register(service_graphs[0], graph_id="g")
         old_fp, new_fp = registry.update("g", service_graphs[1])
         assert old_fp != new_fp
-        assert registry.get(gid).version == 2
+        assert registry.get(gid).fingerprint == new_fp
 
 
 class RecordingExecutor(InlineExecutor):
@@ -268,8 +257,13 @@ class TestStatsAndLifecycle:
             svc.submit(gid, PATTERNS["3CF"])
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ServiceError, match="unknown service mode"):
-            QueryService(mode="gpu")
+        for mode in ("gpu", "thread"):
+            with pytest.raises(
+                ServiceError,
+                match=f"unknown service mode '{mode}'; "
+                "available: process, inline",
+            ):
+                QueryService(mode=mode)
 
 
 class TestCountManyAPI:
@@ -278,9 +272,7 @@ class TestCountManyAPI:
         graph = service_graphs[1]
         accel = XSetAccelerator(engine="codegen")
         patterns = [PATTERNS[n] for n in ("3CF", "WEDGE", "TT", "DIA")]
-        reports = accel.count_many(
-            graph, patterns, parallel=True, mode="thread", max_workers=2
-        )
+        reports = accel.count_many(graph, patterns, parallel=True)
         for pattern in patterns:
             assert reports[pattern.name].embeddings == \
                 direct_counts[(graph.name, pattern.name)]

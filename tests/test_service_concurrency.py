@@ -198,13 +198,14 @@ class TestWorkerCrashRetry:
         assert stats.retries == service_module.MAX_RETRIES
 
     def test_pool_mode_backoff_never_sleeps_in_callback(self, graph):
-        # pool modes run _on_done on the executor's completion thread;
+        # process mode runs _on_done on the executor's completion thread
+        # (here the dispatcher, the injected executor being inline);
         # sleeping there would stall every other in-flight completion, so
         # the backoff must be deferred through the queue instead
         sleep = RecordingSleep()
         executor = FlakyExecutor(failures=2)
         svc, gid = make_service(
-            graph, mode="thread", executor=executor, sleep=sleep
+            graph, mode="process", executor=executor, sleep=sleep
         )
         handle = svc.submit(gid, PATTERNS["3CF"], engine="codegen")
         report = handle.result(timeout=60)
@@ -650,8 +651,12 @@ class TestDispatcherWakeup:
         # from its empty look at the core to its wait, so a push in
         # between cannot be slept on: with no poll interval left, a lost
         # notify would sleep forever.  Interpose on next: the instant it
-        # comes back empty, another thread submits a job
-        svc, gid = make_service(graph, mode="thread", max_workers=2)
+        # comes back empty, another thread submits a job.  The pool is
+        # threads: the dispatcher is real, and nothing forks
+        pool = ThreadPoolExecutor(max_workers=2)
+        svc, gid = make_service(
+            graph, mode="process", max_workers=2, executor=pool
+        )
         real_next = svc._core.next
         late: list[JobHandle] = []
         injected = threading.Event()
@@ -675,6 +680,7 @@ class TestDispatcherWakeup:
         submitter.join(timeout=60)
         late[0].result(timeout=10)
         svc.shutdown()
+        pool.shutdown()
 
 
 class TestPerSubmitConstants:
@@ -712,9 +718,15 @@ class TestShutdownRaces:
     """Nothing pops the queue after shutdown: a job pushed then would be
     pending forever, so none is."""
 
-    @pytest.mark.parametrize("mode", ["inline", "thread"])
-    def test_a_submit_racing_shutdown_is_refused(self, graph, mode):
-        svc, gid = make_service(graph, mode=mode)
+    @pytest.mark.parametrize("pool", ["inline", "thread"])
+    def test_a_submit_racing_shutdown_is_refused(self, graph, pool):
+        # "thread": a process-mode service (a dispatcher thread, light
+        # jobs here) whose pool is injected threads, so nothing forks
+        executor = ThreadPoolExecutor(1) if pool == "thread" else None
+        svc, gid = make_service(
+            graph, mode="process" if executor else "inline",
+            executor=executor,
+        )
         resolve = svc._resolve
 
         def resolve_then_shut_down(*args):
@@ -727,6 +739,8 @@ class TestShutdownRaces:
             svc.submit(gid, PATTERNS["3CF"], use_cache=False)
         stats = svc.stats()
         assert stats.submitted == 0 and stats.queue_depth == 0
+        if executor is not None:
+            executor.shutdown()
 
     def test_a_pool_call_crashing_after_shutdown_is_cancelled(self, graph):
         futures: list[Future] = []
@@ -1090,7 +1104,7 @@ class TestCancelRace:
         # its calls within max_workers
         pool = ThreadPoolExecutor(max_workers=8)
         svc, gid = make_service(
-            graph, mode="thread", max_workers=2, executor=pool,
+            graph, mode="process", max_workers=2, executor=pool,
             queue_limit=8 * 30,
         )
         light_shapes = ("3CF", "WEDGE", "DIA")

@@ -106,9 +106,9 @@ class TestEndToEnd:
 
         assert levels_for("codegen") == levels_for("event")
 
-    def test_thread_mode_traces_too(self, graph, tmp_path):
+    def test_process_mode_traces_too(self, graph, tmp_path):
         with QueryService(
-            mode="thread", max_workers=2, observability=True
+            mode="process", max_workers=1, observability=True
         ) as svc:
             gid = svc.register_graph(graph)
             svc.count(gid, PATTERNS["WEDGE"], engine="codegen")
