@@ -7,18 +7,11 @@ no concurrency of its own — which is exactly the point: cluster logic
 exercised over this transport is deterministic, so the equivalence tests
 debug sharding bugs, not socket weather.
 
-Closed listeners stay in the table as tombstones: a connection made
-before the close raises :class:`~repro.errors.CommClosedError` on its
-next request, the same observable behaviour as a dead TCP peer.
-:meth:`InprocListener.reopen` flips a tombstone live again — the chaos
-stand-in for a crashed shard process restarting on the same address —
-and existing connections resume working, like a reconnecting client.
-
-Requests pass through the comm fault sites (``comm.send`` before the
-handler, ``comm.recv`` after) when an injector is armed via
-:func:`repro.resilience.inject_comm`; a ``comm.recv`` DROP therefore
-loses the reply *after* the handler did the work — the ambiguous
-failure replication has to tolerate.
+Closing a listener takes it out of the table, so nothing keeps its
+handler (and the shard behind it) alive: a new dial to the address
+raises :class:`~repro.errors.CommClosedError`, and so does the next
+request on a connection made before the close — the same observable
+behaviour as a dead TCP peer.
 """
 
 from __future__ import annotations
@@ -28,14 +21,13 @@ import threading
 from typing import Any
 
 from ...errors import CommClosedError
-from ...resilience import faults as _faults
 from .base import Handler
 
 __all__ = ["InprocTransport", "InprocListener", "InprocConnection"]
 
 _lock = threading.Lock()
 _counter = itertools.count(1)
-#: address → listener (live or closed; closed ones answer with the error)
+#: address → live listener
 _listeners: "dict[str, InprocListener]" = {}
 
 
@@ -52,10 +44,6 @@ class InprocListener:
     def address(self) -> str:
         return self._address
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def handle(self, payload: Any) -> Any:
         if self._closed:
             raise CommClosedError(
@@ -65,12 +53,8 @@ class InprocListener:
 
     def close(self) -> None:
         self._closed = True
-
-    def reopen(self) -> None:
-        """Come back up on the same address (a restarted peer)."""
         with _lock:
-            _listeners[self._address] = self
-        self._closed = False
+            _listeners.pop(self._address, None)
 
 
 class InprocConnection:
@@ -87,13 +71,7 @@ class InprocConnection:
         # call cannot be interrupted, so it is not enforced here
         if self._closed:
             raise CommClosedError("connection is closed")
-        inj = _faults.comm_active()
-        if inj is not None:
-            inj.comm("comm.send")
-        value = self._listener.handle(payload)
-        if inj is not None:
-            inj.comm("comm.recv")
-        return value
+        return self._listener.handle(payload)
 
     def close(self) -> None:
         self._closed = True
@@ -108,6 +86,6 @@ class InprocTransport:
     def connect(self, address: str) -> InprocConnection:
         with _lock:
             listener = _listeners.get(address)
-        if listener is None or listener.closed:
+        if listener is None:
             raise CommClosedError(f"no live listener at {address}")
         return InprocConnection(listener)

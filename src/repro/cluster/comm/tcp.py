@@ -36,9 +36,9 @@ reader:
   closes that connection (frames can never re-align on a poisoned
   stream) but keeps serving other peers.
 
-:meth:`TCPListener.close` aborts established connections too, and
-:meth:`TCPListener.reopen` rebinds the same port — the stand-in for a
-crashed shard host coming back.
+:meth:`TCPListener.close` aborts established connections too, so a
+killed shard looks dead to peers mid-conversation, not just to new
+dials.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import time
 from typing import Any
 
 from ...errors import CommClosedError, CommError, CommTimeoutError
-from ...resilience import faults as _faults
 from .base import (
     FRAME_HEADER,
     Handler,
@@ -157,18 +156,12 @@ class TCPListener:
         self._name = name
         self._lock = threading.Lock()
         self._peers: set[_FrameSocket] = set()
-        self._port = 0
-        self._bind()
+        self._server = socket.create_server(("127.0.0.1", 0))
         host, port = self._server.getsockname()[:2]
-        self._port = port
         self._address = f"tcp://{host}:{port}"
-
-    def _bind(self) -> None:
-        self._server = socket.create_server(("127.0.0.1", self._port))
         self._closed = False
         self._acceptor = threading.Thread(
             target=self._accept_loop,
-            args=(self._server,),
             name=f"comm-{self._name or 'listener'}-accept",
             daemon=True,
         )
@@ -178,10 +171,10 @@ class TCPListener:
     def address(self) -> str:
         return self._address
 
-    def _accept_loop(self, server: socket.socket) -> None:
+    def _accept_loop(self) -> None:
         while True:
             try:
-                sock, _ = server.accept()
+                sock, _ = self._server.accept()
             except OSError:
                 return  # the listening socket was shut down by close()
             peer = _FrameSocket(sock)
@@ -237,16 +230,6 @@ class TCPListener:
         self._server.close()
         self._acceptor.join(timeout=5.0)
 
-    def reopen(self) -> None:
-        """Rebind the same port after :meth:`close` (a restarted peer).
-
-        Existing client connections stay dead — they were aborted and
-        their streams poisoned — so callers reconnect, exactly as they
-        would to a rebooted host.
-        """
-        if self._closed:
-            self._bind()
-
 
 class TCPConnection:
     def __init__(self, address: str) -> None:
@@ -274,10 +257,6 @@ class TCPConnection:
                 raise CommClosedError("connection is closed")
             deadline = None if timeout is None else time.monotonic() + timeout
             frame = encode_frame(payload)
-            inj = _faults.comm_active()
-            if inj is not None:
-                inj.comm("comm.send")
-                frame = inj.corrupt_frame("comm.send", frame)
             try:
                 self._sock.send(frame, deadline)
                 status, value = self._sock.read_frame(deadline)
@@ -299,8 +278,6 @@ class TCPConnection:
                 # caller's policy
                 self.close()
                 raise
-            if inj is not None:
-                inj.comm("comm.recv")
         if status == "err":
             raise value
         return value

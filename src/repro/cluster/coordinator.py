@@ -127,9 +127,10 @@ class _Replica:
 
     def connection(self) -> Connection:
         """The connection to this replica, re-dialled if poisoned."""
-        # a poisoned tcp connection flags itself closed; an inproc
-        # connection survives listener kill/reopen and never needs
-        # replacing, so the flag check covers both
+        # a failed tcp request flags its connection closed, so the next
+        # call dials afresh; an inproc connection to a killed listener
+        # stays open and keeps raising CommClosedError, like the dead
+        # peer it stands for
         if self.conn is None or self.conn.closed:
             self.conn = self.transport.connect(self.address)
         return self.conn
@@ -766,11 +767,11 @@ class LocalCluster:
     exactly like the pre-replication one; with more, replicas are named
     ``shard<i>/r<j>``.  ``mode`` says where a shard runs its subquery:
     ``inline`` and ``thread`` on the thread that serves the request (the
-    two behave the same), ``process`` in the shard's own process pool.  ``max_workers`` sizes
-    only a process-mode shard's pool (default: one process per CPU).
-    :meth:`kill_shard` / :meth:`kill_replica` are the chaos hooks and
-    :meth:`revive_replica` the recovery hook; killed workers are still
-    resource-reclaimed by :meth:`shutdown`.
+    two behave the same), ``process`` in the shard's own process pool.
+    ``max_workers`` sizes only a process-mode shard's pool (default: one
+    process per CPU).  :meth:`kill_shard` / :meth:`kill_replica` are the
+    chaos hooks: a killed worker stays down, and :meth:`shutdown` still
+    reclaims its resources.
     """
 
     def __init__(
@@ -798,8 +799,6 @@ class LocalCluster:
             raise ClusterError(
                 f"replicas must be >= 1, got {replicas}"
             )
-        self.transport_name = transport
-        self.num_replicas = replicas
         tr = get_transport(transport)
         # observability propagates to every shard: a traced subquery
         # ships the spans/profile the coordinator re-anchors
@@ -845,14 +844,6 @@ class LocalCluster:
         """Chaos: make one replica unreachable; returns its name."""
         worker = self.worker_groups[shard_index][replica_index]
         worker.kill()
-        return worker.name
-
-    def revive_replica(
-        self, shard_index: int, replica_index: int = 0
-    ) -> str:
-        """Recovery: bring a killed replica back on its old address."""
-        worker = self.worker_groups[shard_index][replica_index]
-        worker.revive()
         return worker.name
 
     def shutdown(self) -> None:

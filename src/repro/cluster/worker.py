@@ -32,15 +32,17 @@ Ops (payload ``{"op": ..., ...}`` → reply value):
 A crash (a broken process pool, or an injected ``worker.run`` CRASH)
 or a pool run outliving the frame's ``timeout`` leaves the shard as a
 :class:`~repro.errors.ClusterError`, after a broken pool has been
-dropped; the coordinator's failover schedule is the one retry.  A clean
-report is cached under its shard root range and served again only to a
-query that asks ``use_cache``.
+dropped and a timed-out one dropped with its processes stopped, so the
+next subquery runs on a fresh pool; the coordinator's failover schedule
+is the one retry.  A clean report is cached under its shard root range
+and served again only to a query that asks ``use_cache``.
 
-:meth:`kill` simulates a crash for chaos tests: the listener drops dead
-(peers see :class:`~repro.errors.CommClosedError`) but the Python state
-stays reachable so :meth:`close` can still unlink shared-memory
-segments — the in-process stand-in for an external janitor cleaning up
-after a dead host.
+:meth:`kill` simulates a crash for ``repro cluster --kill`` and the
+chaos tests: the listener drops dead for good (peers see
+:class:`~repro.errors.CommClosedError`) but the Python state stays
+reachable so :meth:`close` can still unlink shared-memory segments —
+the in-process stand-in for an external janitor cleaning up after a
+dead host.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class ShardWorker:
     @property
     def address(self) -> str:
         return self._listener.address
-
-    @property
-    def killed(self) -> bool:
-        return self._killed
 
     def arm_faults(self, plan: "FaultPlan | None") -> None:
         """Arm (or, with None, disarm) a seeded fault plan: query ``n``
@@ -223,6 +221,7 @@ class ShardWorker:
         """One :func:`run_job`: here, or in the process pool; a crash or a
         pool run past ``timeout`` leaves as a :class:`ClusterError` for the
         coordinator to retry."""
+        pool = None
         try:
             if self.mode != "process":
                 return run_job(*args, **kwargs)
@@ -232,18 +231,35 @@ class ShardWorker:
                 pool = self._pool
             return pool.submit(run_job, *args, **kwargs).result(timeout)
         except (BrokenExecutor, WorkerCrashError) as exc:
-            with self._pool_lock:
-                if self._pool is not None and self._pool._broken:
-                    self._pool.shutdown(wait=False)
-                    self._pool = None
+            if pool is not None and pool._broken:
+                self._drop_pool(pool)
             raise ClusterError(
                 f"shard {self.name!r} lost its subquery to a crash: {exc!r}"
             ) from exc
         except PoolTimeoutError as exc:
+            if pool is not None:
+                # the run still holds a pool process: a later subquery
+                # would queue behind it and close() would wait for it
+                self._drop_pool(pool, stop=True)
             raise ClusterError(
                 f"shard {self.name!r} subquery outlived its {timeout}s "
                 f"timeout"
             ) from exc
+
+    def _drop_pool(
+        self, pool: ProcessPoolExecutor, stop: bool = False
+    ) -> None:
+        """Forget ``pool`` so the next subquery starts a fresh one; with
+        ``stop``, terminate its processes first (Python 3.11's executor
+        has no ``terminate_workers``)."""
+        with self._pool_lock:
+            if self._pool is not pool:
+                return  # already dropped, or taken by close()
+            self._pool = None
+        if stop:
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def _op_shutdown(self, payload: dict) -> bool:
         self.close()
@@ -252,26 +268,10 @@ class ShardWorker:
     # -- lifecycle ---------------------------------------------------------
 
     def kill(self) -> None:
-        """Chaos: drop dead on the wire (state stays for close)."""
+        """Chaos: drop dead on the wire for good (state stays for
+        close)."""
         self._killed = True
         self._listener.close()
-
-    def revive(self) -> None:
-        """Recovery: come back up on the same address after :meth:`kill`.
-
-        The graphs and the cache survived the "crash" — what died was
-        the wire.  The coordinator takes the replica back through its
-        comm breaker: at once if the breaker is closed, after the
-        recovery window if it opened.  A graph registered while the
-        replica was down reaches it only when re-registered.
-        """
-        if self._closed:
-            raise ClusterError(
-                f"worker {self.name!r} was shut down, not killed; "
-                f"it cannot revive"
-            )
-        self._listener.reopen()
-        self._killed = False
 
     def close(self) -> None:
         """Stop a live *or killed* worker: close the listener, shut the

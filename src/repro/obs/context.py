@@ -1,9 +1,8 @@
 """The observation context: what "observability is on" means.
 
 An :class:`Observation` bundles everything one observed scope collects —
-a :class:`~repro.obs.tracing.Tracer` for spans, a
-:class:`~repro.obs.metrics.MetricsRegistry`, per-level accumulators fed
-by the engines, PE activity traces from the simulator, and named stage
+a :class:`~repro.obs.tracing.Tracer` for spans, per-level accumulators
+fed by the engines, PE activity traces from the simulator, and named stage
 wall times.  ``observe()`` installs one as the *current* observation in a
 :mod:`contextvars` variable; every instrumentation point in the engines
 and the simulator starts with ``ob = current()`` and does **nothing**
@@ -18,7 +17,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .metrics import MetricsRegistry
 from .tracing import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,16 +32,9 @@ _ACTIVE: ContextVar["Observation | None"] = ContextVar(
 class Observation:
     """Everything collected while observability is enabled for a scope."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        # explicit None checks: empty tracers/registries are falsy (len 0)
+    def __init__(self, tracer: Tracer | None = None) -> None:
+        # an explicit None check: an empty tracer is falsy (len 0)
         self.tracer = tracer if tracer is not None else Tracer()
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
         #: PE activity traces handed over by the event-driven simulator
         self.activities: list["ActivityTrace"] = []
         #: ``{level: {"tasks": n, "elements": w, "comparisons": c}}``

@@ -5,10 +5,9 @@ production service on top of it must also survive the failures the
 paper's simulator never models.  This package supplies deterministic
 fault injection (:mod:`~repro.resilience.faults`): a seeded
 :class:`FaultPlan` assigns crashes, hangs and corrupted counts to jobs,
-which ``run_job`` applies at its one site ``worker.run``, and drops,
-delays and corrupt frames to the cluster's wire (``comm.send`` /
-``comm.recv``).  The engines, the simulator and the memory model carry
-no hook, so an unarmed system pays nothing.
+which ``run_job`` applies at its one site ``worker.run``.  The engines,
+the simulator, the memory model and the cluster's wire carry no hook, so
+an unarmed system pays nothing.
 
 The service's health classification (healthy, degraded, overloaded) is a
 decision of its dispatch core, ``DispatchState.health`` in
@@ -29,20 +28,16 @@ health`` CLI.  The cluster's comm breakers live in
 """
 
 from .faults import (
-    COMM_SITES,
     FAULT_SITES,
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
-    comm_active,
-    inject_comm,
 )
 from ..service.core import HealthState
 from ..service.stats import HealthReport
 
 __all__ = [
-    "COMM_SITES",
     "FAULT_SITES",
     "FaultInjector",
     "FaultKind",
@@ -50,6 +45,4 @@ __all__ = [
     "FaultSpec",
     "HealthReport",
     "HealthState",
-    "comm_active",
-    "inject_comm",
 ]

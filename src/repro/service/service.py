@@ -205,10 +205,7 @@ class QueryService:
         #: dispatch and the light-job test
         self.predictor = CostPredictor(registry=self.metrics)
         self._observation: Observation | None = (
-            Observation(
-                registry=self.metrics,
-                tracer=Tracer(max_spans=TRACE_SPAN_LIMIT),
-            )
+            Observation(tracer=Tracer(max_spans=TRACE_SPAN_LIMIT))
             if observability
             else None
         )

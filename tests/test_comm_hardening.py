@@ -1,11 +1,11 @@
-"""Comm-layer hardening: corrupt frames, stalled bodies, reopen/revive.
+"""Comm-layer hardening: corrupt frames, stalled bodies, request lifecycle.
 
-Satellite of the replication PR: a hostile or corrupt byte stream must
-produce *typed* :class:`~repro.errors.CommError` failures — never a
-wedged reader — because failover can only route around failures it can
-see.  Covers both directions (server reading a bad client, client
-reading a bad server) plus the listener ``reopen`` / worker ``revive``
-recovery path a revived replica comes back through.
+A hostile or corrupt byte stream must produce *typed*
+:class:`~repro.errors.CommError` failures — never a wedged reader —
+because failover can only route around failures it can see.  Covers
+both directions (server reading a bad client, client reading a bad
+server), driven by raw-socket peers, plus how a request lives and dies
+on a connection.
 """
 
 import socket
@@ -17,12 +17,10 @@ import tracemalloc
 
 import pytest
 
-from repro.cluster import ShardWorker, get_transport
+from repro.cluster import get_transport
 from repro.cluster.comm import tcp as tcp_mod
 from repro.cluster.comm.base import FRAME_HEADER, decode_body, encode_frame
-from repro.core.config import xset_default
 from repro.errors import (
-    ClusterError,
     CommClosedError,
     CommError,
     CommTimeoutError,
@@ -364,54 +362,3 @@ class TestRequestLifecycle:
         ):
             time.sleep(0.02)
         assert threading.active_count() <= baseline
-
-
-class TestReopenAndRevive:
-    @pytest.mark.parametrize("name", ["inproc", "tcp"])
-    def test_listener_reopen_serves_again(self, name):
-        transport = get_transport(name)
-        listener = transport.listen(lambda p: {"echo": p})
-        address = listener.address
-        listener.close()
-        with pytest.raises(CommError):
-            conn = transport.connect(address)
-            conn.request("x", timeout=5)
-        listener.reopen()
-        try:
-            conn = transport.connect(address)
-            assert conn.request("y", timeout=10) == {"echo": "y"}
-            conn.close()
-        finally:
-            listener.close()
-
-    @pytest.mark.parametrize("name", ["inproc", "tcp"])
-    def test_worker_revive_answers_pings_again(self, name):
-        transport = get_transport(name)
-        worker = ShardWorker(
-            "w0", transport, xset_default(engine="codegen")
-        )
-        try:
-            conn = transport.connect(worker.address)
-            assert conn.request({"op": "ping"}, timeout=10) == "pong"
-            conn.close()
-            worker.kill()
-            assert worker.killed
-            with pytest.raises(CommError):
-                fresh = transport.connect(worker.address)
-                fresh.request({"op": "ping"}, timeout=5)
-            worker.revive()
-            assert not worker.killed
-            conn2 = transport.connect(worker.address)
-            assert conn2.request({"op": "ping"}, timeout=10) == "pong"
-            conn2.close()
-        finally:
-            worker.close()
-
-    def test_closed_worker_cannot_revive(self):
-        transport = get_transport("inproc")
-        worker = ShardWorker(
-            "w1", transport, xset_default(engine="codegen")
-        )
-        worker.close()
-        with pytest.raises(ClusterError, match="shut down"):
-            worker.revive()

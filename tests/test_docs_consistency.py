@@ -155,7 +155,7 @@ class TestReplicationDocs:
         for phrase in (
             "FAILOVER_ROUNDS", "FAILOVER_BACKOFF_SECONDS",
             "BREAKER_RECOVERY_SECONDS", "half-open", "exactly-once",
-            "FRAME_BODY_TIMEOUT", "comm.send",
+            "FRAME_BODY_TIMEOUT",
         ):
             assert phrase in architecture, phrase
 
@@ -456,10 +456,6 @@ KEPT = {
     "QueryService.pause": "holds the queue so tests can stage jobs "
     "(tests/test_service_concurrency.py, tests/test_service_core.py)",
     "QueryService.resume": "releases a paused queue",
-    "inject_comm": "arms the wire fault sites for "
-    "tests/test_replication.py (ROADMAP item 5(a))",
-    "LocalCluster.revive_replica": "brings a killed replica back, so "
-    "tests/test_replication.py sees its breaker close",
     "load_edge_list": "the public edge-list reader (ROADMAP item 5's fuzz "
     "target)",
     "save_edge_list": "the public edge-list writer, load_edge_list's "
@@ -740,10 +736,23 @@ class TestStructure:
         }
         assert named == set()
 
-    def test_faults_fire_only_in_run_job_and_on_the_wire(self):
-        """A job's faults fire in ``service/worker.py::run_job`` and the
-        cluster's on the wire: no module of the accelerator model imports
-        ``repro.resilience``, and only the worker builds an injector."""
+    def test_the_wire_carries_no_fault_hook(self):
+        """The transports are plain: no module under ``cluster/comm/``
+        imports ``repro.resilience``.  Wire failures are a test's
+        transport wrapper (``tests/test_replication.py``)."""
+        package = ROOT / "src" / "repro"
+        comm = list((package / "cluster" / "comm").rglob("*.py"))
+        assert {p.name for p in comm} >= {"inproc.py", "tcp.py"}
+        reaching = {
+            path.name for path in comm
+            if any(m.startswith("repro.resilience") for m in _imports(path))
+        }
+        assert reaching == set()
+
+    def test_faults_fire_only_in_run_job(self):
+        """Every fault fires in ``service/worker.py::run_job``: no module of
+        the accelerator model imports ``repro.resilience``, and only the
+        worker builds an injector."""
         package = ROOT / "src" / "repro"
         below = ("engine", "sim", "memory", "setops", "siu", "sched",
                  "patterns", "graph")
@@ -823,4 +832,4 @@ class TestStructure:
             unused.add(key)
         assert sorted(unused - KEPT.keys()) == [], "delete or keep these"
         assert sorted(KEPT.keys() - unused) == [], "stale KEPT entries"
-        assert len(KEPT) <= 30
+        assert len(KEPT) <= 25

@@ -148,15 +148,11 @@ class TestObservationContext:
         assert ob.stages == {"prefix": 0.5}
 
     def test_empty_tracer_and_registry_are_kept(self):
-        # regression: empty Tracer/MetricsRegistry are falsy (len() == 0),
-        # so `tracer or Tracer()` silently replaced the caller's instances
-        from repro.obs import MetricsRegistry
-
+        # regression: an empty Tracer is falsy (len() == 0), so
+        # `tracer or Tracer()` silently replaced the caller's instance
         tr = Tracer(max_spans=5)
-        reg = MetricsRegistry()
-        ob = Observation(registry=reg, tracer=tr)
+        ob = Observation(tracer=tr)
         assert ob.tracer is tr
-        assert ob.registry is reg
 
 
 class TestChromeExport:

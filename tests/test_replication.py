@@ -4,25 +4,30 @@ The headline chaos property: with ``cluster_replicas >= 2``, killing any
 single replica mid-workload yields **byte-identical** counts to a
 single-node run with **zero** partial results — on both transports, all
 engines, labeled patterns included.
+
+Wire failures (a lost request, a lost reply, a slow frame, a link that
+goes down and comes back) are driven by :class:`FlakyTransport`, a
+transport wrapper the tests hand a :class:`Coordinator` of their own:
+the shipped transports carry no fault hook.
 """
 
+import gc
+import threading
 import time
+import weakref
 
 import pytest
 
-from repro.cluster import LocalCluster, coordinator, merge_replies
+from repro.cluster import Coordinator, LocalCluster, coordinator, merge_replies
+from repro.cluster.comm import get_transport
+from repro.cluster.comm import inproc as inproc_mod
+from repro.cluster.comm import tcp as tcp_mod
 from repro.core.config import xset_default
 from repro.engine import available_engines
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ClusterError, CommClosedError, ConfigError
 from repro.graph import erdos_renyi
 from repro.patterns import PATTERNS, build_plan
-from repro.resilience import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    inject_comm,
-)
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.sim.host import run_on_soc
 from repro.sim.report import SimReport
 
@@ -30,6 +35,92 @@ from repro.sim.report import SimReport
 def _reference(graph, pattern, engine="codegen"):
     cfg = xset_default(engine=engine)
     return run_on_soc(graph, build_plan(pattern), cfg).embeddings
+
+
+class FlakyTransport:
+    """An inproc transport whose connections fail on cue.
+
+    ``to_drop["request"]`` / ``to_drop["reply"]`` lose that many of the
+    next requests before they are sent / replies after the shard ran the
+    request; ``delay`` stalls every request that many seconds; an
+    address put :meth:`down` refuses dials and requests until it is
+    brought :meth:`up`.  A lost frame closes the wrapped connection, as a
+    failed tcp request does, so the coordinator has to dial again.
+    ``dropped`` counts what was lost.
+    """
+
+    def __init__(self) -> None:
+        self._inner = get_transport("inproc")
+        self._lock = threading.Lock()
+        self._down: set[str] = set()
+        self.to_drop = {"request": 0, "reply": 0}
+        self.dropped = {"request": 0, "reply": 0}
+        self.delay = 0.0
+
+    def connect(self, address):
+        self._check(address)
+        return _FlakyConnection(self, address, self._inner.connect(address))
+
+    def down(self, address: str) -> None:
+        self._down.add(address)
+
+    def up(self, address: str) -> None:
+        self._down.discard(address)
+
+    def _check(self, address: str) -> None:
+        if address in self._down:
+            raise CommClosedError(f"link to {address} is down")
+
+    def _take(self, what: str) -> bool:
+        """Spend one ``to_drop[what]`` if any is left."""
+        with self._lock:
+            if not self.to_drop[what]:
+                return False
+            self.to_drop[what] -= 1
+            self.dropped[what] += 1
+            return True
+
+
+class _FlakyConnection:
+    def __init__(self, transport: FlakyTransport, address: str, inner):
+        self._transport = transport
+        self._address = address
+        self._inner = inner
+
+    @property
+    def closed(self) -> bool:
+        return self._inner.closed
+
+    def _lose(self, what: str):
+        self._inner.close()
+        return CommClosedError(f"{what} to {self._address} was lost")
+
+    def request(self, payload, timeout=None):
+        flaky = self._transport
+        flaky._check(self._address)
+        if flaky._take("request"):
+            raise self._lose("request")
+        time.sleep(flaky.delay)
+        value = self._inner.request(payload, timeout=timeout)
+        if flaky._take("reply"):
+            raise self._lose("reply")
+        return value
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _flaky_coordinator(cluster, flaky) -> Coordinator:
+    """A coordinator over ``cluster``'s workers that dials through
+    ``flaky``, grouped and named as ``LocalCluster`` groups them."""
+    return Coordinator(
+        [
+            (f"shard{i}", [(w.name, w.address) for w in group])
+            for i, group in enumerate(cluster.worker_groups)
+        ],
+        flaky,
+        cluster.config,
+    )
 
 
 # -- exactly-once merge guards (satellite: merge.py under replicas) ---------
@@ -67,6 +158,29 @@ class TestMergeReplies:
     def test_empty_rejected(self):
         with pytest.raises(ClusterError):
             merge_replies([])
+
+
+# -- lifecycle ----------------------------------------------------------------
+
+
+class TestShutdownReleasesShards:
+    def test_a_shut_down_inproc_cluster_is_collected(self):
+        """Closing an inproc listener drops it from the address table, so
+        nothing keeps a shut-down worker (its graphs, its cache) alive."""
+        g = erdos_renyi(60, 6.0, seed=4)
+        cfg = xset_default(engine="codegen")
+        with LocalCluster(num_shards=2, config=cfg) as cluster:
+            gid = cluster.coordinator.register_graph(g)
+            cluster.coordinator.query(gid, PATTERNS["3CF"])
+            worker = weakref.ref(cluster.workers[0])
+            addresses = {w.address for w in cluster.workers}
+        del cluster
+        gc.collect()
+        assert worker() is None
+        assert not addresses & set(inproc_mod._listeners)
+        assert not any(
+            listener._closed for listener in inproc_mod._listeners.values()
+        )
 
 
 # -- config surface -------------------------------------------------------
@@ -275,16 +389,14 @@ class TestFailover:
         g = erdos_renyi(60, 6.0, seed=4)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
-        with LocalCluster(num_shards=2, config=cfg) as cluster:
-            coord = cluster.coordinator
+        flaky = FlakyTransport()
+        with LocalCluster(num_shards=2, config=cfg) as cluster, \
+                _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
             # a transient frame drop: the retry on the same replica serves
-            injector = FaultInjector((
-                FaultSpec(site="comm.send", kind=FaultKind.DROP),
-            ))
-            with inject_comm(injector):
-                report = coord.query(gid, PATTERNS["3CF"])
-            assert injector.events.get("comm.send:drop") == 1
+            flaky.to_drop["request"] = 1
+            report = coord.query(gid, PATTERNS["3CF"])
+            assert flaky.dropped["request"] == 1
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
             assert report.notes["cluster"]["failovers"] == 0
@@ -300,8 +412,9 @@ class TestFailover:
     def test_failed_replica_ranks_behind_its_sibling(self):
         g = erdos_renyi(50, 6.0, seed=6)
         cfg = xset_default(engine="codegen")
-        with LocalCluster(num_shards=1, config=cfg, replicas=2) as cluster:
-            coord = cluster.coordinator
+        flaky = FlakyTransport()
+        with LocalCluster(num_shards=1, config=cfg, replicas=2) as cluster, \
+                _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
 
             def order():
@@ -310,28 +423,31 @@ class TestFailover:
                 ]
 
             assert order() == ["shard0/r0", "shard0/r1"]
-            cluster.kill_replica(0, 0)
+            r0 = cluster.worker_groups[0][0].address
+            flaky.down(r0)
             coord.query(gid, PATTERNS["3CF"])
             assert order() == ["shard0/r1", "shard0/r0"]
             # one success clears the streak: configured order again
-            cluster.revive_replica(0, 0)
+            flaky.up(r0)
             coord.health()
             assert order() == ["shard0/r0", "shard0/r1"]
 
-    def test_revived_replica_serves_after_its_breaker_recovers(
+    def test_a_replica_serves_again_after_its_breaker_recovers(
         self, monkeypatch
     ):
-        """A killed replica comes back through its comm breaker: once
-        the recovery window has passed, one half-open request lets it
-        serve again."""
+        """A replica whose link went down comes back through its comm
+        breaker: once the link is up and the recovery window has
+        passed, one half-open request lets it serve again."""
         monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(60, 6.0, seed=17)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
-        with LocalCluster(num_shards=2, config=cfg, replicas=2) as cluster:
-            coord = cluster.coordinator
+        flaky = FlakyTransport()
+        with LocalCluster(num_shards=2, config=cfg, replicas=2) as cluster, \
+                _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
-            cluster.kill_replica(0, 0)
+            r0, r1 = (w.address for w in cluster.worker_groups[0])
+            flaky.down(r0)
             coord.query(gid, PATTERNS["3CF"])  # r0 fails once, r1 serves
             # r0's second failure opens its breaker
             breakers = coord.health().breakers
@@ -339,8 +455,8 @@ class TestFailover:
                 name for name, snap in breakers.items()
                 if snap.state != "closed"
             ] == ["shard0/r0"]
-            cluster.revive_replica(0, 0)
-            cluster.kill_replica(0, 1)
+            flaky.up(r0)
+            flaky.down(r1)
             report = coord.query(gid, PATTERNS["3CF"])
             info = report.notes["cluster"]
             assert report.embeddings == expected
@@ -356,38 +472,32 @@ class TestCommFaultFailover:
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
+        flaky = FlakyTransport()
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
-        ) as cluster:
-            coord = cluster.coordinator
+        ) as cluster, _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
-            injector = FaultInjector((
-                FaultSpec(site="comm.send", kind=FaultKind.DROP),
-            ))
-            with inject_comm(injector):
-                report = coord.query(gid, PATTERNS["3CF"])
-            assert injector.events.get("comm.send:drop") == 1
+            flaky.to_drop["request"] = 1
+            report = coord.query(gid, PATTERNS["3CF"])
+            assert flaky.dropped == {"request": 1, "reply": 0}
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
             assert report.notes["cluster"]["failovers"] >= 1
 
     def test_dropped_reply_fails_over(self):
-        """comm.recv DROP loses the reply *after* the worker did the
-        work — the retried subquery must still count exactly once."""
+        """A dropped reply is lost *after* the worker did the work — the
+        retried subquery must still count exactly once."""
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
+        flaky = FlakyTransport()
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
-        ) as cluster:
-            coord = cluster.coordinator
+        ) as cluster, _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
-            injector = FaultInjector((
-                FaultSpec(site="comm.recv", kind=FaultKind.DROP),
-            ))
-            with inject_comm(injector):
-                report = coord.query(gid, PATTERNS["3CF"])
-            assert injector.events.get("comm.recv:drop") == 1
+            flaky.to_drop["reply"] = 1
+            report = coord.query(gid, PATTERNS["3CF"])
+            assert flaky.dropped == {"request": 0, "reply": 1}
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
 
@@ -395,21 +505,20 @@ class TestCommFaultFailover:
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
+        flaky = FlakyTransport()
         with LocalCluster(
             num_shards=1, config=cfg, replicas=2,
-        ) as cluster:
-            coord = cluster.coordinator
+        ) as cluster, _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
-            injector = FaultInjector((
-                FaultSpec(site="comm.send", kind=FaultKind.DELAY,
-                          seconds=0.05),
-            ))
-            with inject_comm(injector):
-                report = coord.query(gid, PATTERNS["3CF"])
+            flaky.delay = 0.05
+            report = coord.query(gid, PATTERNS["3CF"])
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
 
-    def test_corrupt_frame_fails_over_on_tcp(self):
+    def test_corrupt_frame_fails_over_on_tcp(self, monkeypatch):
+        """One request frame leaves with byte 0 of its length prefix
+        flipped: the shard's server refuses the over-cap length and
+        drops the connection, and the subquery fails over."""
         g = erdos_renyi(50, 6.0, seed=6)
         expected = _reference(g, PATTERNS["3CF"])
         cfg = xset_default(engine="codegen")
@@ -419,18 +528,25 @@ class TestCommFaultFailover:
         ) as cluster:
             coord = cluster.coordinator
             gid = coord.register_graph(g)
-            injector = FaultInjector((
-                FaultSpec(site="comm.send",
-                          kind=FaultKind.CORRUPT_FRAME, bit=0),
-            ))
-            with inject_comm(injector):
-                report = coord.query(gid, PATTERNS["3CF"])
-            assert injector.events.get("comm.send:corrupt-frame") == 1
+            encode, flipped = tcp_mod.encode_frame, []
+
+            def corrupting_encode(payload):
+                frame = encode(payload)
+                # requests are op dicts, replies ("ok", value) tuples
+                if isinstance(payload, dict) and not flipped:
+                    flipped.append(payload["op"])
+                    frame = bytes([frame[0] ^ 0xFF]) + frame[1:]
+                return frame
+
+            monkeypatch.setattr(tcp_mod, "encode_frame", corrupting_encode)
+            report = coord.query(gid, PATTERNS["3CF"])
+            monkeypatch.undo()
+            assert flipped == ["query"]
             assert report.embeddings == expected
             assert report.notes["cluster"]["partial"] is False
 
 
-# -- one shard's incident, from kill to revive --------------------------------
+# -- one shard's incident, from outage to recovery ---------------------------
 
 
 class TestShardCrashRetry:
@@ -492,6 +608,32 @@ class TestShardCrashRetry:
         assert "outlived" in message
         assert failovers >= 1  # the sibling replica was tried
 
+    def test_a_timed_out_pool_run_lets_go_of_the_shard(self):
+        """A pool run past its timeout takes its pool down with it: the
+        next subquery runs on a fresh pool and answers exactly, and
+        shutdown does not wait for the hung run to finish."""
+        g = erdos_renyi(50, 6.0, seed=5)
+        cfg = xset_default(engine="codegen")
+        hang = 3.0
+        with LocalCluster(
+            num_shards=1, config=cfg, transport="inproc", mode="process",
+            max_workers=1, request_timeout=1.0,
+        ) as cluster:
+            coord = cluster.coordinator
+            gid = coord.register_graph(g)
+            coord.query(gid, PATTERNS["3CF"], use_cache=False)  # warm
+            cluster.workers[0].arm_faults(FaultPlan(seed=1, specs=(
+                FaultSpec(site="worker.run", kind=FaultKind.HANG,
+                          seconds=hang, max_fires=1),
+            )))
+            started = time.monotonic()
+            with pytest.raises(ClusterError, match="outlived"):
+                coord.query(gid, PATTERNS["3CF"], use_cache=False)
+            report = coord.query(gid, PATTERNS["DIA"], use_cache=False)
+        assert time.monotonic() - started < hang - 0.5
+        assert report.embeddings == _reference(g, PATTERNS["DIA"])
+        assert report.notes["cluster"]["partial"] is False
+
     def test_a_broken_pool_is_replaced(self):
         """A process-mode shard whose pool worker died drops the broken
         pool; the coordinator's retry runs on a fresh one."""
@@ -518,17 +660,19 @@ class TestShardCrashRetry:
 class TestIncidentDedupe:
     def test_one_shard_failure_event_per_incident(self, monkeypatch):
         """An incident is read from the query notes: every query while
-        the shard is down names it as the one failed shard, the first
-        after the revive is whole, and a second kill opens a new one.
-        The revived shard is let back in by its breaker's half-open
-        request, not after a 30 s recovery window."""
+        the shard's link is down names it as the one failed shard, the
+        first after the link comes back is whole, and a second outage
+        opens a new one.  The shard is let back in by its breaker's
+        half-open request, not after a 30 s recovery window."""
         monkeypatch.setattr(coordinator, "BREAKER_RECOVERY_SECONDS", 0.0)
         g = erdos_renyi(50, 6.0, seed=7)
         cfg = xset_default(engine="codegen")
-        with LocalCluster(num_shards=2, config=cfg) as cluster:
-            coord = cluster.coordinator
+        flaky = FlakyTransport()
+        with LocalCluster(num_shards=2, config=cfg) as cluster, \
+                _flaky_coordinator(cluster, flaky) as coord:
             gid = coord.register_graph(g)
-            cluster.kill_shard(1)
+            shard1 = cluster.workers[1].address
+            flaky.down(shard1)
             for _ in range(3):
                 report = coord.query(gid, PATTERNS["3CF"])
                 assert report.notes["cluster"]["partial"] is True
@@ -536,13 +680,13 @@ class TestIncidentDedupe:
                     "shard1"
                 ]
             # recovery closes the incident...
-            cluster.revive_replica(1, 0)
+            flaky.up(shard1)
             report = coord.query(gid, PATTERNS["3CF"])
             assert report.notes["cluster"]["partial"] is False
             assert report.notes["cluster"]["served_by"]["shard1"] == \
                 "shard1"
-            # ...and the next kill opens a fresh one
-            cluster.kill_shard(1)
+            # ...and the next outage opens a fresh one
+            flaky.down(shard1)
             report = coord.query(gid, PATTERNS["3CF"])
             assert report.notes["cluster"]["failed_shards"] == ["shard1"]
             assert coord.metrics.counter(
