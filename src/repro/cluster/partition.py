@@ -26,6 +26,7 @@ this down against the single-node engines.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +129,11 @@ def make_shards(
         name = f"{graph.name}:shard{index}"
         if vertices.size == graph.num_vertices:
             # the halo is the whole graph: compacting arange(n) is the
-            # identity, so the slice shares the input's arrays
-            sub = CSRGraph(
-                indptr=graph.indptr,
-                indices=graph.indices,
-                name=name,
-                labels=graph.labels,
-            )
+            # identity, so the slice shares the input's arrays, and its
+            # fingerprint, which a copy carries as a pickle does
+            graph.fingerprint()
+            sub = copy.copy(graph)
+            sub.name, sub.base_address = name, CSRGraph.base_address
         else:
             sub = induced_subgraph(graph, vertices, name=name)
         local_lo = int(np.searchsorted(vertices, lo))

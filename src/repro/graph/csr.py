@@ -15,6 +15,7 @@ that many consecutive neighbour IDs.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence,
@@ -116,6 +117,61 @@ class Edit(NamedTuple):
         else:
             parts = (values[:p], values[p + 1 : q], values[q + 1 :])
         return np.concatenate(parts)
+
+
+#: per lane, the two odd multipliers of its key mix (splitmix64's and
+#: murmur3's), so each lane maps keys to values one to one
+_LANES = ((0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD),
+          (0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_FIRST, _SECOND = np.array(_LANES, dtype=np.uint64).T[..., None]
+_MASK = (1 << 64) - 1
+_PRINT_CHUNK = 1 << 16  #: directed edges mixed per pass (bounds scratch)
+
+
+def _fresh_print(graph: "CSRGraph") -> tuple:
+    """The ``fingerprint`` entry from one pass: each lane's sum of its mix
+    of every directed edge key."""
+    n, indptr, indices = graph.num_vertices, graph.indptr, graph.indices
+    sums = np.zeros(2, dtype=np.uint64)
+    for s in range(0, indices.size, _PRINT_CHUNK):
+        e = min(s + _PRINT_CHUNK, indices.size)
+        # the rows owning slots [s, e), each clipped to the window
+        r0 = int(np.searchsorted(indptr, s, "right")) - 1
+        r1 = int(np.searchsorted(indptr, e, "left"))
+        rows = np.arange(r0 * n, r1 * n, n, dtype=np.int64)
+        keys = np.repeat(rows, np.diff(np.clip(indptr[r0 : r1 + 1], s, e)))
+        keys += indices[s:e]
+        z = np.multiply(keys.view(np.uint64), _FIRST)  # one row per lane
+        z ^= z >> 32
+        z *= _SECOND
+        z ^= z >> 29
+        sums += z.sum(axis=1, dtype=np.uint64)
+    labels = b""
+    if graph.labels is not None:
+        digest = hashlib.blake2b(graph.labels.tobytes(), digest_size=16)
+        labels = b"labels" + digest.digest()
+    return _finish(n, int(sums[0]), int(sums[1]), labels)
+
+
+def _finish(n: int, a: int, b: int, labels: bytes) -> tuple:
+    """The ``fingerprint`` entry: lane sums, labels' digest, the print."""
+    a, b = a & _MASK, b & _MASK
+    head = struct.pack("<qQQ", n, a, b)
+    digest = hashlib.blake2b(head + labels, digest_size=16).hexdigest()
+    return (a, b), labels, digest
+
+
+def _splice_print(old: tuple, graph: "CSRGraph", edit: Edit) -> tuple:
+    """``old`` with the edit's two keys' mixes added (removed), each mixed
+    as :func:`_fresh_print` mixes every key."""
+    lanes, labels, _ = old
+    lanes, n = list(lanes), graph.num_vertices
+    for key in (edit.lo * n + edit.hi, edit.hi * n + edit.lo):
+        for lane, (first, second) in enumerate(_LANES):
+            z = key * first & _MASK
+            z = (z ^ z >> 32) * second & _MASK
+            lanes[lane] += (z ^ z >> 29) * (1 if edit.insert else -1)
+    return _finish(n, *lanes, labels)
 
 
 @dataclass
@@ -231,8 +287,9 @@ class CSRGraph:
 
         For indexes that are pure functions of ``indptr``/``indices`` (edge
         keys, adjacency bitset, row word counts): built by the first query,
-        reused by later ones, never pickled, fingerprinted or compared.
-        Threads racing on a cold key both build equal values; last wins.
+        reused by later ones, never compared or (but for the fingerprint's
+        integers) pickled.  Threads racing on a cold key both build equal
+        values; last wins.
         ``splice(value, graph, edit)`` carries the index through an edge
         edit: :meth:`with_edge` and :meth:`without_edge` hand it the edited
         graph and the :class:`Edit`, and drop every index registered
@@ -247,30 +304,33 @@ class CSRGraph:
             return value
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_derived": {}, "_splices": {}}
+        """The arrays and the fingerprint, never an index: the print is a
+        few integers, so a receiver (a shard registering its slice) reads
+        it instead of re-hashing, and splices it through later edits."""
+        fp = self._derived.get("fingerprint")
+        keep = {} if fp is None else {"fingerprint": fp}
+        splices = {key: _splice_print for key in keep}
+        return {**self.__dict__, "_derived": keep, "_splices": splices}
 
     def fingerprint(self) -> str:
-        """Stable content hash of the graph's structure and labels.
-
-        Two graphs share a fingerprint iff they have identical ``indptr``,
-        ``indices`` and ``labels`` arrays — ``name`` and ``base_address``
-        are presentation/simulation concerns and deliberately excluded.
-        The service layer keys its result cache on this value, so any edge
-        edit (which changes the CSR arrays) invalidates cached counts.
-        Hashed once per instance (a :meth:`derived` index with no splice,
-        so an edited copy is hashed afresh).
+        """Content hash of ``n``, the multiset of directed edge keys
+        ``u·n+v`` and the labels (equal arrays, equal print; ``name`` and
+        ``base_address`` are excluded).  Each of two 64-bit lanes is the
+        wrapping sum of an independent bijective mix of every key (an
+        incremental multiset hash, Clarke et al., ASIACRYPT 2003); blake2b
+        digests ``n``, the labels and the two sums to 128 bits.  The
+        service keys its result cache on it, so an edge edit invalidates
+        cached counts.  Built once per instance (a :meth:`derived` entry)
+        and spliced in O(1) by :meth:`with_edge`/:meth:`without_edge`,
+        which add or remove the two keys' mixes: no pass over E.  Not
+        cryptographic (a chosen collision is cheap): modelling each mix as
+        a random function, two distinct graphs collide by accident with
+        probability about 2^-128, and some pair among q prints in use with
+        probability below q²/2^129.
         """
-        return self.derived("fingerprint", self._content_hash)
-
-    def _content_hash(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(np.int64(self.num_vertices).tobytes())
-        h.update(np.ascontiguousarray(self.indptr).tobytes())
-        h.update(np.ascontiguousarray(self.indices).tobytes())
-        if self.labels is not None:
-            h.update(b"labels")
-            h.update(np.ascontiguousarray(self.labels).tobytes())
-        return h.hexdigest()
+        return self.derived(
+            "fingerprint", _fresh_print, self, splice=_splice_print
+        )[-1]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once as ``(u, v)`` with ``u < v``."""

@@ -12,9 +12,10 @@ Three pieces cooperate:
 
 :class:`GraphSegment`
     The *creator-side* owner.  ``GraphSegment.create(graph)`` allocates one
-    POSIX shm segment (named after ``graph.fingerprint()``), copies the CSR
-    arrays in, and is responsible for eventually calling :meth:`unlink` —
-    the segment outlives the creating process otherwise.
+    POSIX shm segment (``xset-<pid>-<seq>-`` + 16 hex digits of
+    ``graph.fingerprint()``, which an edit splices, not re-hashes), copies
+    the CSR arrays in, and must eventually :meth:`unlink` it — the
+    segment outlives the creating process otherwise.
 :class:`SharedGraphRef`
     The tiny picklable handle that travels to workers instead of the graph:
     segment name plus the geometry needed to slice it back into arrays.

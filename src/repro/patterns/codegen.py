@@ -457,6 +457,13 @@ _KERNEL_STATS = {"hits": 0, "misses": 0}
 _KERNEL_LOCK = threading.Lock()
 
 
+class _KernelKey(tuple):
+    """A kernel cache key that hashes once, not on every LRU lookup."""
+
+    def __hash__(self) -> int:
+        return self.hashvalue
+
+
 def kernel_cache_key(
     plan: MatchingPlan, use_labels: bool = False, start: int = 0
 ) -> tuple:
@@ -467,11 +474,19 @@ def kernel_cache_key(
     baked in and the level the kernel starts from.  ``SystemConfig`` knobs (SIU kind, widths, frequency, PE
     counts) are timing-model parameters applied after the functional
     sweep, so distinct configs deliberately share one kernel per plan.
+    Memoised on the plan, hashed once: an edge delta's lookups per write
+    walk no levels.
     """
-    return (
-        plan.levels, plan.collection, plan.stop_level, bool(use_labels),
-        start,
-    )
+    memo = vars(plan).setdefault("_kernel_keys", {})  # not a field
+    key = memo.get((bool(use_labels), start))
+    if key is None:
+        key = _KernelKey((
+            plan.levels, plan.collection, plan.stop_level, bool(use_labels),
+            start,
+        ))
+        key.hashvalue = tuple.__hash__(key)
+        memo[bool(use_labels), start] = key
+    return key
 
 
 def compile_plan_kernel(

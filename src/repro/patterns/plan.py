@@ -120,6 +120,10 @@ class MatchingPlan:
     #: result-collection mode: "enumerate", "count_last" or "choose2"
     collection: str = "count_last"
 
+    def __getstate__(self) -> dict:
+        # kernel_cache_key's memo holds per-process hashes: it stays here
+        return {k: v for k, v in vars(self).items() if k != "_kernel_keys"}
+
     @property
     def depth(self) -> int:
         return len(self.levels)

@@ -19,7 +19,8 @@ Segment lifecycle: :meth:`GraphRecord.release` unlinks — called by
 a new snapshot under the same id; the *old* record may still be pinned by
 queued jobs, so its segment is unlinked by a ``weakref.finalize`` hook as
 soon as the last job drops it (and at interpreter exit at the latest).
-The fingerprint change on update is what invalidates cached results.
+The fingerprint change on update is what invalidates cached results; an
+edited snapshot's print is spliced from its parent's, not re-hashed.
 """
 
 from __future__ import annotations

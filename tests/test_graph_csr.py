@@ -1,12 +1,12 @@
 """Unit tests for the CSR graph substrate."""
 
-import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph, edges_to_csr
+from repro.graph import CSRGraph, csr, edges_to_csr
 
 
 class TestConstruction:
@@ -284,24 +284,121 @@ class TestFingerprint:
                relabelled.fingerprint()}
         assert len(fps) == 3
 
-    def test_hashed_once_per_instance(self, toy_graph, monkeypatch):
-        from types import SimpleNamespace
+    @pytest.fixture
+    def fresh_prints(self, monkeypatch):
+        """The graphs whose print was computed afresh (a pass over E)."""
+        hashed = []
+        fresh_print = csr._fresh_print
 
-        from repro.graph import csr
+        def counted(graph):
+            hashed.append(graph)
+            return fresh_print(graph)
 
-        hashes = []
+        monkeypatch.setattr(csr, "_fresh_print", counted)
+        return hashed
 
-        def blake2b(**kwargs):
-            hashes.append(kwargs)
-            return hashlib.blake2b(**kwargs)
-
-        monkeypatch.setattr(csr, "hashlib", SimpleNamespace(blake2b=blake2b))
+    def test_hashed_once_per_instance(self, toy_graph, fresh_prints):
         g = CSRGraph(toy_graph.indptr, toy_graph.indices)
         assert g.fingerprint() == g.fingerprint() == g.fingerprint()
-        assert len(hashes) == 1
-        # an edited copy carries no print: it is hashed afresh
-        assert g.with_edge(1, 5).fingerprint() != g.fingerprint()
-        assert len(hashes) == 2
+        assert len(fresh_prints) == 1
+        # an edited copy's print is spliced from its parent's, not hashed
+        edited = g.with_edge(1, 5)
+        assert edited.fingerprint() != g.fingerprint()
+        assert len(fresh_prints) == 1
+        fresh = CSRGraph(edited.indptr, edited.indices)
+        assert edited.fingerprint() == fresh.fingerprint()
+        assert fresh_prints == [g, fresh]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_the_lane_sums_equal_a_loop_over_the_keys(self, chunk,
+                                                      monkeypatch):
+        # windows of slots cut rows anywhere, around empty rows too
+        monkeypatch.setattr(csr, "_PRINT_CHUNK", chunk)
+        g = CSRGraph.from_edges(
+            12, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 6), (6, 7), (7, 9),
+                 (1, 9), (2, 10), (3, 10)],
+        )
+        n, lanes = g.num_vertices, [0, 0]
+        for u in range(n):
+            for v in g.neighbors(u):
+                for lane, (first, second) in enumerate(csr._LANES):
+                    z = (u * n + int(v)) * first % 2**64
+                    z = (z ^ z >> 32) * second % 2**64
+                    lanes[lane] += z ^ z >> 29
+        assert csr._fresh_print(g)[0] == (lanes[0] % 2**64, lanes[1] % 2**64)
+
+    def test_an_undone_edit_restores_the_print(self, small_er):
+        fp = small_er.fingerprint()
+        u, v = next(small_er.edges())
+        absent = next(
+            (a, b) for a in range(30) for b in range(a + 1, 30)
+            if not small_er.has_edge(a, b)
+        )
+        removed = small_er.without_edge(u, v)
+        added = small_er.with_edge(*absent)
+        assert len({fp, removed.fingerprint(), added.fingerprint()}) == 3
+        assert removed.with_edge(u, v).fingerprint() == fp
+        assert added.without_edge(*absent).fingerprint() == fp
+
+    def test_pickles_and_whole_graph_shards_carry_the_print(
+        self, small_er, fresh_prints
+    ):
+        from repro.cluster.partition import make_shards
+
+        specs = make_shards(small_er, num_shards=2, halo_hops=2)
+        assert len(fresh_prints) == 1  # the input's, shared by the shards
+        assert all(
+            spec.graph.num_vertices == small_er.num_vertices for spec in specs
+        )
+        fp = small_er.fingerprint()
+        copies = [
+            pickle.loads(pickle.dumps(small_er)),
+            *(spec.graph for spec in specs),
+            *(pickle.loads(pickle.dumps(spec)).graph for spec in specs),
+        ]
+        assert [g.fingerprint() for g in copies] == [fp] * len(copies)
+        # a carried print is spliced through the copy's edits too
+        u, v = next(small_er.edges())
+        assert {g.without_edge(u, v).fingerprint() for g in copies} == {
+            small_er.without_edge(u, v).fingerprint()
+        }
+        assert len(fresh_prints) == 1
+
+    def test_every_single_edit_and_relabelling_is_distinct(self):
+        n, labels = 7, np.arange(7) % 3
+        g = CSRGraph.from_edges(
+            n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)]
+        ).with_labels(labels)
+        graphs = [g, CSRGraph(g.indptr, g.indices)]  # and unlabelled
+        for u in range(n):
+            for v in range(u + 1, n):
+                edited = (
+                    g.without_edge(u, v) if g.has_edge(u, v)
+                    else g.with_edge(u, v)
+                )
+                # the spliced print is the fresh build's
+                assert edited.fingerprint() == CSRGraph(
+                    edited.indptr, edited.indices, labels=labels
+                ).fingerprint()
+                graphs.append(edited)
+        for v in range(n):
+            for label in {0, 1, 2} - {int(labels[v])}:
+                relabelled = labels.copy()
+                relabelled[v] = label
+                graphs.append(g.with_labels(relabelled))
+        prints = [g.fingerprint() for g in graphs]
+        assert len(set(prints)) == len(prints) == 2 + 21 + 14
+        # each lane alone tells every edit apart, and the finisher reads
+        # both lanes, n and the labels
+        edits = [g._derived["fingerprint"][0] for g in graphs[2:23]]
+        for lane in (0, 1):
+            assert len({lanes[lane] for lanes in edits}) == 21
+        finished = {
+            csr._finish(*args)[-1]
+            for args in [(7, 1, 2, b""), (7, 2, 1, b""), (7, 1, 3, b""),
+                         (8, 1, 2, b""), (7, 1, 2, b"labels")]
+        }
+        assert len(finished) == 5
 
     def test_vertex_count_matters(self):
         # same (empty) arrays, different number of isolated vertices

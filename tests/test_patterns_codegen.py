@@ -1,5 +1,7 @@
 """Task-list code generation, binary encoding and kernel-cache tests."""
 
+import pickle
+
 import pytest
 
 from repro.errors import PlanError
@@ -202,6 +204,29 @@ class TestKernelCache:
         assert kernel_cache_info()["misses"] == 4
         assert again is not evicted and again.source == evicted.source
         assert kernel_cache_info()["size"] == 2
+
+    def test_a_warm_plan_is_looked_up_without_hashing_its_levels(
+        self, monkeypatch
+    ):
+        from repro.patterns.plan import LevelSpec, anchored_plans
+
+        # an edge delta's anchored plan, entered below its two-vertex seed
+        plan = anchored_plans(PATTERNS["DIA"], False)[1][0].plan
+        kernel = compile_plan_kernel(plan, start=1)
+        hashed = []
+        level_hash = LevelSpec.__hash__
+        monkeypatch.setattr(
+            LevelSpec, "__hash__",
+            lambda level: hashed.append(level) or level_hash(level),
+        )
+        for _ in range(3):
+            assert compile_plan_kernel(plan, start=1) is kernel
+        assert kernel_cache_key(plan, start=1) is kernel.key
+        assert hashed == []
+        # a pickled plan leaves the memo behind: hashes are per process
+        clone = pickle.loads(pickle.dumps(plan))
+        assert compile_plan_kernel(clone, start=1) is kernel
+        assert hashed
 
     def test_clear_resets_everything(self):
         compile_plan_kernel(build_plan(PATTERNS["3CF"]))
